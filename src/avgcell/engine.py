@@ -56,8 +56,10 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.d <= 1.0:
             raise InvalidConfig(f"duty ratio {self.d} outside (0, 1]")
-        if self.f_s <= 0.0:
-            raise InvalidConfig(f"switching frequency {self.f_s} must be positive")
+        if not math.isfinite(self.f_s) or self.f_s <= 0.0:
+            raise InvalidConfig(
+                f"switching frequency {self.f_s} must be positive and finite"
+            )
         if not math.isfinite(self.t_end) or self.t_end < 0.0:
             raise InvalidConfig(f"transient duration {self.t_end} must be non-negative")
 

@@ -15,13 +15,27 @@ are discontinuous at switching instants.  Ideal switches are realized by
 re-stamping the interval's linear network rather than by small resistances,
 so the systems stay well conditioned.  The assembled inverse is cached per
 topology; the systems are tiny and recur every period.
+
+Between a restart and the next switching edge the topology is fixed, so
+every trapezoidal substep is one affine map on the element state (capacitor
+``v, i`` and inductor ``i, v``): the solution is ``x = P s + q`` and the next
+state ``s' = Phi s + gamma``.  Both are derived once per topology from the
+same inverse and companion entries that the substep-by-substep path uses
+(with a constant 1 appended to the state, so that q and gamma ride in the
+matrices).  A stretch is therefore the same trapezoidal rule evaluated in a
+different order, and its samples agree with the substep-by-substep ones to
+rounding.  The stretch's states are grown by doubling with cached powers of
+the map, and the diode zero-crossing and re-conduction predicates are
+evaluated over all of it; the first substep where one holds is rerun on the
+substep-by-substep path, which does the interpolation and the
+backward-Euler restart.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 from .cells import Rectifier
 from .engine import InvalidCircuit, InvalidConfig
@@ -39,7 +53,10 @@ class OracleConfig:
     substeps_per_period: int = 1000
 
     def __post_init__(self):
-        if self.substeps_per_period < 100:
+        steps = self.substeps_per_period
+        if not isinstance(steps, numbers.Integral):
+            raise InvalidConfig(f"substeps_per_period {steps!r} is not an integer")
+        if steps < 100:
             raise InvalidConfig("substeps_per_period must be at least 100")
 
 
@@ -63,7 +80,7 @@ def period_average(sampled, n):
         raise OutOfRange(f"period {n} outside the sampled run")
     t = sampled.times[lo : hi + 1]
     y = sampled.values[lo : hi + 1]
-    return float(_trapezoid(y, t) / (t[-1] - t[0]))
+    return float(np.trapezoid(y, t) / (t[-1] - t[0]))
 
 
 def simulate_switched(circuit, config, oracle_config=None):
@@ -149,6 +166,55 @@ class _Topo:
     z_base: np.ndarray
     cap_entries: list  # (cap, r1, r2, g)
     ind_entries: list  # (cell, col, r_l)
+    stretch: "_StretchMap | None" = None  # trapezoidal topologies only
+
+
+class _StretchMap:
+    """A trapezoidal substep of one topology as a linear map on the state.
+
+    The state stacks (v, i) of every capacitor, then (i, v) of every live
+    inductor, in the order of the topology's entries, then a constant 1 that
+    carries the sources.  States are rows: the next state is ``s @ Phi.T``
+    and ``s @ sample_T`` is the sample row after the substep, followed by
+    v_p and then v_x of each of the ``n_rest`` blocked basic diode cells.
+    """
+
+    def __init__(self, Phi, sample, monitored, n_rest):
+        self.sample_T = sample.T.copy()
+        self.monitored = monitored  # state index of each conducting diode's i
+        self.n_rest = n_rest
+        self._powers = [Phi.T.copy()]  # Phi^(2^j), transposed, j = 0, 1, ...
+
+    def propagate(self, s0, count):
+        """States s_0 .. s_count, one per row, from s_0 by doubling."""
+        S = np.empty((count + 1, len(s0)))
+        S[0] = s0
+        done, j = 1, 0
+        while done <= count:
+            if j == len(self._powers):
+                self._powers.append(self._powers[-1] @ self._powers[-1])
+            take = min(done, count + 1 - done)
+            np.matmul(S[:take], self._powers[j], out=S[done : done + take])
+            done += take
+            j += 1
+        return S
+
+    def substeps_before_event(self, S, Y):
+        """How many substeps of ``Y`` pass before the first with a diode zero
+        crossing or a blocked diode under forward bias.  The predicates are
+        those of ``_advance`` and ``_reconduct_check``."""
+        hits = []
+        if self.monitored:
+            i = S[:, self.monitored]
+            hits.append(((i[1:] <= 0.0) & (i[:-1] > 0.0)).any(axis=1))
+        if self.n_rest:
+            k = self.n_rest
+            v_p = Y[:, -2 * k : -k]
+            v_x = Y[:, -k:]
+            tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(v_p), np.abs(v_x)))
+            hits.append((v_p - v_x > tol).any(axis=1))
+        found = np.flatnonzero(np.logical_or.reduce(hits)) if hits else []
+        return int(found[0]) if len(found) else len(Y)
 
 
 class _SwitchedSimulator:
@@ -285,6 +351,85 @@ class _SwitchedSimulator:
             cell.v = r_l * i_new + rhs
             cell.i = i_new
         return x
+
+    def _stretch_map(self, topo, node_ids):
+        """The map of one trapezoidal substep on ``topo``: the same companion
+        updates as ``_step``, written as matrices."""
+        caps, inds = topo.cap_entries, topo.ind_entries
+        one = 2 * (len(caps) + len(inds))  # index of the constant 1
+        order = len(topo.z_base)
+        B = np.zeros((order, one + 1))  # z = B s
+        B[:, one] = topo.z_base
+        E = np.zeros((one + 1, order))  # s' = E x + F s
+        F = np.zeros((one + 1, one + 1))
+        F[one, one] = 1.0
+        for k, (cap, r1, r2, g) in enumerate(caps):
+            iv, ii = 2 * k, 2 * k + 1
+            for r, sign in ((r1, 1.0), (r2, -1.0)):
+                if r >= 0:
+                    B[r, iv] += sign * g
+                    B[r, ii] += sign
+                    E[iv, r] += sign
+                    E[ii, r] += sign * g
+            F[ii, iv] = -g
+            F[ii, ii] = -1.0
+        live = {}
+        for k, (cell, col, r_l) in enumerate(inds):
+            ii, iv = 2 * (len(caps) + k), 2 * (len(caps) + k) + 1
+            B[col, ii] = -r_l
+            B[col, iv] = -1.0
+            E[ii, col] = 1.0
+            E[iv, col] = r_l
+            F[iv, ii] = -r_l
+            F[iv, iv] = -1.0
+            live[cell.label] = (col, ii)
+        P = topo.Ainv @ B  # x = P s
+
+        rows = [self.node_col[n] for n in node_ids]
+        rows += [self.vdc_col[e.label] for e in self.vdcs]
+        scales = [1.0] * len(rows)
+        for cell in self.cells:
+            rows.append(live[cell.label][0] if cell.label in live else -1)
+            # as magnetizing_current(): secondary current referred to primary
+            scales.append(cell.n if cell.flyback and cell.phase == _SEC else 1.0)
+        rest = [
+            c for c in self.cells if c.diode and not c.flyback and c.phase == _REST
+        ]
+        rows += [self._col(c.nodes[1]) for c in rest]
+        rows += [self._col(("x", c.label)) for c in rest]
+        scales += [1.0] * (2 * len(rest))
+        sample = np.zeros((len(rows), one + 1))
+        for k, (row, scale) in enumerate(zip(rows, scales)):
+            if row >= 0:
+                sample[k] = scale * P[row]
+        monitored = [live[c.label][1] for c in self._conducting_diodes()]
+        return _StretchMap(E @ P + F, sample, monitored, len(rest))
+
+    def _stretch(self, h, node_ids, out):
+        """Advance up to ``len(out)`` trapezoidal substeps on the present
+        topology, writing their sample rows into ``out``.
+
+        Returns how many substeps were taken; fewer than ``len(out)`` means
+        the next substep has an event for ``_advance`` and
+        ``_reconduct_check`` to handle."""
+        topo = self._assemble(h, "tr")
+        if topo.stretch is None:
+            topo.stretch = self._stretch_map(topo, node_ids)
+        stretch = topo.stretch
+        count = len(out)
+        s0 = [x for cap, *_ in topo.cap_entries for x in (cap.v, cap.i)]
+        s0 += [x for cell, *_ in topo.ind_entries for x in (cell.i, cell.v)]
+        S = stretch.propagate(s0 + [1.0], count)
+        Y = S[:count] @ stretch.sample_T
+        taken = stretch.substeps_before_event(S, Y)
+        out[:taken] = Y[:taken, : out.shape[1]]
+        state = S[taken].tolist()
+        for k, (cap, *_) in enumerate(topo.cap_entries):
+            cap.v, cap.i = state[2 * k], state[2 * k + 1]
+        base = 2 * len(topo.cap_entries)
+        for k, (cell, *_) in enumerate(topo.ind_entries):
+            cell.i, cell.v = state[base + 2 * k], state[base + 2 * k + 1]
+        return taken
 
     def _snapshot(self):
         return (
@@ -461,9 +606,15 @@ class _SwitchedSimulator:
         x0 = self._initial_solve()
         out[0] = self._sample_row(x0, node_ids)
 
+        # Substep where the switch turns off (or the split substep when the
+        # edge falls inside one): trapezoidal stretches end there or at the
+        # end of the period.
+        off = math.floor(p_sw)
         restart = True
         for n in range(n_periods):
-            for j in range(steps):
+            row = n * steps + 1
+            j = 0
+            while j < steps:
                 if j == 0 and n > 0:
                     self._switch_on()
                     restart = True
@@ -475,12 +626,18 @@ class _SwitchedSimulator:
                     self._switch_off()
                     x, _ = self._advance((j + 1 - p_sw) * h, "be", cache=False)
                     restart = True
+                elif restart:
+                    x, restart = self._advance(h, "be")
                 else:
-                    x, changed = self._advance(h, "be" if restart else "tr")
-                    restart = changed
+                    end = off if j < off else steps
+                    j += self._stretch(h, node_ids, out[row + j : row + end])
+                    if j == end:
+                        continue
+                    x, restart = self._advance(h, "tr")
                 if self._reconduct_check(x):
                     restart = True
-                out[n * steps + j + 1] = self._sample_row(x, node_ids)
+                out[row + j] = self._sample_row(x, node_ids)
+                j += 1
 
         times = np.arange(n_samples) * h
         result = {}

@@ -1,9 +1,14 @@
 """Command line interface tests."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import avgcell
 from avgcell.cli import main
 
 from conftest import BUCK, BUCK_DIODE, FLYBACK
@@ -167,3 +172,14 @@ def test_dcm_refine_flag_accepted(tmp_path):
     path.write_text(BUCK_DIODE)
     out = tmp_path / "results"
     assert run_cli(path, *ARGS, "--out", out, "--dcm-refine") == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(avgcell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "avgcell", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "--oracle" in done.stdout

@@ -34,6 +34,12 @@ def test_config_validation():
     assert SimConfig(0.5, 100e3, 5e-3).n_periods == 500
 
 
+@pytest.mark.parametrize("f_s", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_frequency_rejected(f_s):
+    with pytest.raises(InvalidConfig):
+        SimConfig(0.5, f_s, 1e-3)
+
+
 def test_zero_period_run_rejected(buck_circuit):
     with pytest.raises(InvalidConfig):
         run(buck_circuit, SimConfig(0.5, 100e3, 0.0))

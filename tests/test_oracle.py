@@ -21,6 +21,16 @@ def test_substep_floor_enforced():
         OracleConfig(50)
 
 
+@pytest.mark.parametrize("steps", [150.5, 1000.0, float("nan"), float("inf"), "1000"])
+def test_substep_count_must_be_an_integer(steps):
+    with pytest.raises(InvalidConfig):
+        OracleConfig(steps)
+
+
+def test_numpy_integer_substep_count_accepted():
+    assert OracleConfig(np.int64(200)).substeps_per_period == 200
+
+
 def test_requires_a_cell():
     circuit = parse_netlist("VDC 1 1 0 10.0\nR 1 1 0 5.0\n")
     with pytest.raises(InvalidCircuit):
