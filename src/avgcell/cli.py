@@ -118,6 +118,9 @@ def main(argv=None):
             raise engine.InvalidConfig("run covers no complete switching period")
         if args.stats_window <= 0.0 or args.stats_window > 1.0:
             raise engine.InvalidConfig("stats window fraction must be in (0, 1]")
+        oracle_config = (
+            oracle.OracleConfig(args.oracle_substeps) if args.oracle else None
+        )
     except engine.InvalidConfig as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
@@ -142,14 +145,13 @@ def main(argv=None):
         out_dir.mkdir(parents=True, exist_ok=True)
         write_averaged_csv(result, out_dir / "averaged.csv")
         write_instantaneous_csv(selected, flagged, out_dir / "instantaneous.csv")
-        window = args.stats_window
-        t_from = config.t_end * (1.0 - window)
-        write_stats(selected, t_from, config.t_end, out_dir / "stats.txt")
+        # The run covers whole periods, which may end before --t-end.
+        t_to = config.n_periods * config.T_s
+        t_from = t_to * (1.0 - args.stats_window)
+        write_stats(selected, t_from, t_to, out_dir / "stats.txt")
         if args.oracle:
             try:
-                sampled = oracle.simulate_switched(
-                    circuit, config, oracle.OracleConfig(args.oracle_substeps)
-                )
+                sampled = oracle.simulate_switched(circuit, config, oracle_config)
             except SingularSystem as exc:
                 print(f"error: oracle: {exc}", file=sys.stderr)
                 return _NUMERIC_EXIT

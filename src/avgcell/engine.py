@@ -21,12 +21,11 @@ from .mna import (
     CellPrediction,
     SingularSystem,
     assemble_system,
-    build_layout,
     check_residual,
     lu_factor,
     lu_solve,
 )
-from .netlist import IDC, VDC, cell_params, validate
+from .netlist import cell_params, validate
 
 
 class InvalidConfig(AvgcellError):
@@ -180,29 +179,7 @@ class _Stepper:
         self._system = None
         self._factors = None
         self._a_norm = None
-        self._prepare_z_template()
         self.bootstrap = self._bootstrap()
-
-    def _prepare_z_template(self):
-        layout = build_layout(self.circuit).layout
-        z = np.zeros(layout.order)
-        for e in self.circuit.elements:
-            if e.kind == VDC:
-                z[layout.vdc_row[e.label]] += e.value
-            elif e.kind == IDC:
-                r1, r2 = layout.row_of(e.nodes[0]), layout.row_of(e.nodes[1])
-                if r1 is not None:
-                    z[r1] -= e.value
-                if r2 is not None:
-                    z[r2] += e.value
-        self._z_static = z
-        self._cap_rows = [
-            (e.label, layout.row_of(e.nodes[0]), layout.row_of(e.nodes[1]))
-            for e, _ in self.caps
-        ]
-        self._cell_rows = [
-            (e.label, *layout.cell_rows[e.label], e.turns) for e, _ in self.cells
-        ]
 
     def _assemble(self, predictions, cap_sources):
         key = tuple(
@@ -218,20 +195,30 @@ class _Stepper:
             self._cache_key = key
         return self._system
 
-    def _build_z(self, system, predictions, cap_sources):
-        d = self.config.d
-        z = self._z_static.copy()
-        for label, r1, r2 in self._cap_rows:
-            i0 = cap_sources[label]
-            if r1 is not None:
-                z[r1] += i0
-            if r2 is not None:
-                z[r2] -= i0
-        for label, rs, rd, turns in self._cell_rows:
-            pred = predictions[label]
-            z[rs] += d * pred.iL0
-            z[rd] += pred.d_p * pred.iL0 / turns
-        return z
+    def _solve(self, predictions, cap_sources):
+        """Solve one period's system with the cached factorization.
+
+        Returns the node voltages, the voltage-source currents, each cell's
+        (iS_avg, iD_avg) and the capacitor voltages in ``self.caps`` order.
+        """
+        system = self._assemble(predictions, cap_sources)
+        z = system.rhs(predictions, cap_sources)
+        x = lu_solve(self._factors, z)
+        check_residual(system.A, x, z, self._a_norm)
+
+        layout = system.layout
+        x = x.tolist()
+        # Node voltages occupy the first rows, in node_ids order.
+        node_voltages = dict(zip(layout.node_ids, x))
+        vdc_currents = {label: x[row] for label, row in layout.vdc_row.items()}
+        cell_currents = {
+            label: (x[rs], x[rd]) for label, (rs, rd) in layout.cell_rows.items()
+        }
+        cap_voltages = [
+            node_voltages.get(e.nodes[0], 0.0) - node_voltages.get(e.nodes[1], 0.0)
+            for e, _ in self.caps
+        ]
+        return node_voltages, vdc_currents, cell_currents, cap_voltages
 
     def _bootstrap(self):
         """Preliminary continuous-conduction solve that provides the port
@@ -243,19 +230,13 @@ class _Stepper:
         }
         # Zero capacitor current assumed at t = 0.
         cap_sources = {e.label: g * e.initial for e, g in self.caps}
-        system = self._assemble(predictions, cap_sources)
-        z = self._build_z(system, predictions, cap_sources)
-        x = lu_solve(self._factors, z)
-        check_residual(system.A, x, z, self._a_norm)
+        node_voltages, vdc_currents, cell_currents, cap_voltages = self._solve(
+            predictions, cap_sources
+        )
 
-        layout = system.layout
-        node_voltages = {n: float(x[layout.node_row[n]]) for n in layout.node_ids}
-        vdc_currents = {
-            label: float(x[row]) for label, row in layout.vdc_row.items()
-        }
         cell_states = {}
         for e, params in self.cells:
-            rs, rd = layout.cell_rows[e.label]
+            iS_avg, iD_avg = cell_currents[e.label]
             vL1, vL2 = _cells.drive_voltages(_ports(e, node_voltages), params)
             cell_states[e.label] = _cells.CellState(
                 iL0=e.initial,
@@ -265,18 +246,15 @@ class _Stepper:
                 d_p=1.0 - d,
                 vL1=vL1,
                 vL2=vL2,
-                iS_avg=float(x[rs]),
-                iD_avg=float(x[rd]),
+                iS_avg=iS_avg,
+                iD_avg=iD_avg,
                 vL_avg=_cells.avg_inductor_voltage(vL1, vL2, d, 1.0 - d),
             )
-        capacitors = {}
-        for e, g in self.caps:
-            r1, r2 = layout.row_of(e.nodes[0]), layout.row_of(e.nodes[1])
-            v = (x[r1] if r1 is not None else 0.0) - (
-                x[r2] if r2 is not None else 0.0
-            )
-            # Carry the t = 0 companion source unchanged into period 0.
-            capacitors[e.label] = CapacitorRecord(float(v), cap_sources[e.label])
+        # Carry the t = 0 companion sources unchanged into period 0.
+        capacitors = {
+            e.label: CapacitorRecord(v, cap_sources[e.label])
+            for (e, _), v in zip(self.caps, cap_voltages)
+        }
         return PeriodRecord(-1, 0.0, node_voltages, vdc_currents, cell_states, capacitors)
 
     def step(self, index, previous):
@@ -316,23 +294,16 @@ class _Stepper:
     def _solve_period(self, index, predictions, cap_sources):
         config = self.config
         try:
-            system = self._assemble(predictions, cap_sources)
-            z = self._build_z(system, predictions, cap_sources)
-            x = lu_solve(self._factors, z)
-            check_residual(system.A, x, z, self._a_norm)
+            node_voltages, vdc_currents, cell_currents, cap_voltages = self._solve(
+                predictions, cap_sources
+            )
         except SingularSystem as exc:
             raise SingularSystem(str(exc), period=index) from exc
-
-        layout = system.layout
-        node_voltages = {n: float(x[layout.node_row[n]]) for n in layout.node_ids}
-        vdc_currents = {
-            label: float(x[row]) for label, row in layout.vdc_row.items()
-        }
 
         cell_states = {}
         for e, params in self.cells:
             pred = predictions[e.label]
-            rs, rd = layout.cell_rows[e.label]
+            iS_avg, iD_avg = cell_currents[e.label]
             vL1, vL2 = _cells.drive_voltages(_ports(e, node_voltages), params)
             iL1, iL2 = _cells.advance_inductor(
                 pred.iL0, vL1, vL2, config.d, pred.d_p, params, config.T_s
@@ -351,21 +322,15 @@ class _Stepper:
                 d_p=pred.d_p,
                 vL1=vL1,
                 vL2=vL2,
-                iS_avg=float(x[rs]),
-                iD_avg=float(x[rd]),
+                iS_avg=iS_avg,
+                iD_avg=iD_avg,
                 vL_avg=_cells.avg_inductor_voltage(vL1, vL2, config.d, pred.d_p),
             )
 
-        capacitors = {}
-        for e, g in self.caps:
-            r1, r2 = layout.row_of(e.nodes[0]), layout.row_of(e.nodes[1])
-            v = (x[r1] if r1 is not None else 0.0) - (
-                x[r2] if r2 is not None else 0.0
-            )
-            v = float(v)
-            capacitors[e.label] = CapacitorRecord(
-                v, 2.0 * g * v - cap_sources[e.label]
-            )
+        capacitors = {
+            e.label: CapacitorRecord(v, 2.0 * g * v - cap_sources[e.label])
+            for (e, g), v in zip(self.caps, cap_voltages)
+        }
 
         return PeriodRecord(
             index,

@@ -12,6 +12,20 @@ parallel with a history current source i_0 that advances between periods as
 Switching cells contribute their KCL current paths plus two constraint rows
 expressing the averaged device currents in terms of the port voltages, with
 G_L = T_s / L.
+
+The right-hand side is affine in the state a period carries in, the i_0 of
+every capacitor and the start current iL0 of every cell:
+
+    z = z_static + B @ state
+
+z_static holds the voltage- and current-source values.  B holds the
+incidence of each capacitor's history source and each cell's d iL0 and
+d_p iL0 / n terms; it is kept as its few nonzero entries, each naming the
+capacitor or cell whose state it multiplies.  A and B both depend on the
+cells' (mode, d_p) and are stamped together, so a caller that reuses A's
+factorization across periods reuses B with it and forms each period's
+right-hand side with :meth:`MnaSystem.rhs`.  Source terms are written
+nowhere else.
 """
 
 from dataclasses import dataclass
@@ -62,20 +76,32 @@ class MnaLayout:
 
 
 class MnaSystem:
-    """Dense A x = z system plus its layout."""
+    """Dense A x = z system plus its layout.
+
+    ``z`` is set by :func:`assemble_system` for the inputs it was given.
+    """
 
     def __init__(self, layout):
         self.layout = layout
         self.A = np.zeros((layout.order, layout.order))
-        self.z = np.zeros(layout.order)
+        self.z_static = np.zeros(layout.order)
+        # Nonzero entries of B as (row, label, coefficient), for capacitor
+        # history sources and for cell start currents.
+        self.B_cap = []
+        self.B_cell = []
+        self.z = None
 
-    def solve(self):
-        """Solve the assembled system by LU elimination with partial
-        pivoting and verify the residual bound."""
-        factors = lu_factor(self.A)
-        x = lu_solve(factors, self.z)
-        check_residual(self.A, x, self.z)
-        return x
+    def rhs(self, predictions, cap_sources):
+        """z_static + B @ state, with each cell's iL0 taken from
+        ``predictions`` and each capacitor's i_0 from ``cap_sources``.
+
+        The systems are tiny, so the product runs on plain Python floats."""
+        z = self.z_static.tolist()
+        for row, label, coeff in self.B_cap:
+            z[row] += coeff * cap_sources[label]
+        for row, label, coeff in self.B_cell:
+            z[row] += coeff * predictions[label].iL0
+        return np.array(z)
 
 
 def build_layout(circuit):
@@ -112,32 +138,33 @@ def stamp_vdc(system, element):
     if r2 is not None:
         system.A[r2, br] -= 1.0
         system.A[br, r2] -= 1.0
-    system.z[br] += element.value
+    system.z_static[br] += element.value
 
 
 def stamp_idc(system, element):
     r1 = system.layout.row_of(element.nodes[0])
     r2 = system.layout.row_of(element.nodes[1])
     if r1 is not None:
-        system.z[r1] -= element.value
+        system.z_static[r1] -= element.value
     if r2 is not None:
-        system.z[r2] += element.value
+        system.z_static[r2] += element.value
 
 
-def stamp_capacitor(system, element, i_0, T_s):
+def stamp_capacitor(system, element, T_s):
     """Trapezoidal companion: conductance 2C/T_s, history source i_0."""
     g = 2.0 * element.value / T_s
     r1 = system.layout.row_of(element.nodes[0])
     r2 = system.layout.row_of(element.nodes[1])
     _stamp_conductance(system.A, r1, r2, g)
     if r1 is not None:
-        system.z[r1] += i_0
+        system.B_cap.append((r1, element.label, 1.0))
     if r2 is not None:
-        system.z[r2] -= i_0
+        system.B_cap.append((r2, element.label, -1.0))
 
 
 def stamp_cell(system, element, d, T_s, prediction):
-    """Stamp one switching cell for a period with known (mode, d_p, iL0).
+    """Stamp one switching cell for a period with known (mode, d_p); the
+    start current iL0 enters through the cell's entries of B.
 
     Adds the iS_avg / iD_avg KCL columns along the cell current paths and
     the two constraint rows tying the averaged currents to the port
@@ -169,7 +196,7 @@ def stamp_cell(system, element, d, T_s, prediction):
         r = terminal_row[t]
         if r is not None:
             system.A[rs, r] += -(d * d * g_l / 2.0) * coeff
-    system.z[rs] += d * prediction.iL0
+    system.B_cell.append((rs, element.label, d))
 
     system.A[rd, rd] += 1.0
     for t, coeff in a_map.items():
@@ -180,7 +207,7 @@ def stamp_cell(system, element, d, T_s, prediction):
         r = terminal_row[t]
         if r is not None:
             system.A[rd, r] += -(d_p * d_p * g_l / (2.0 * params.n)) * coeff
-    system.z[rd] += d_p * prediction.iL0 / params.n
+    system.B_cell.append((rd, element.label, d_p / params.n))
 
 
 def assemble_system(circuit, d, T_s, predictions, cap_sources):
@@ -188,6 +215,7 @@ def assemble_system(circuit, d, T_s, predictions, cap_sources):
 
     ``predictions`` maps cell label to :class:`CellPrediction`;
     ``cap_sources`` maps capacitor label to its companion current i_0.
+    The returned system's ``z`` is its right-hand side for these inputs.
     """
     system = build_layout(circuit)
     for e in circuit.elements:
@@ -198,9 +226,10 @@ def assemble_system(circuit, d, T_s, predictions, cap_sources):
         elif e.kind == IDC:
             stamp_idc(system, e)
         elif e.kind == CAP:
-            stamp_capacitor(system, e, cap_sources[e.label], T_s)
+            stamp_capacitor(system, e, T_s)
         else:
             stamp_cell(system, e, d, T_s, predictions[e.label])
+    system.z = system.rhs(predictions, cap_sources)
     return system
 
 

@@ -14,7 +14,12 @@ backward-Euler step restarts the companion models, since element voltages
 are discontinuous at switching instants.  Ideal switches are realized by
 re-stamping the interval's linear network rather than by small resistances,
 so the systems stay well conditioned.  The assembled inverse is cached per
-topology; the systems are tiny and recur every period.
+topology; the systems are tiny and recur every period.  Every system, the
+per-topology ones and the t = 0 operating point alike, is stamped by one
+routine (``_stamp``) that writes the resistors, the current sources and the
+incidence of every branch whose current is an unknown: voltage sources,
+conducting switches and inductors, or at t = 0 the capacitors pinned to
+their initial voltages.  Each caller then adds only its own entries.
 
 Between a restart and the next switching edge the topology is fixed, so
 every trapezoidal substep is one affine map on the element state (capacitor
@@ -251,59 +256,31 @@ class _SwitchedSimulator:
         if cache and key in self._topo_cache:
             return self._topo_cache[key]
 
-        branches = [("vdc", e, e.nodes) for e in self.vdcs]
+        branches = [(*e.nodes, e.value) for e in self.vdcs]
         for cell in self.cells:
             sw = cell.switch_branch()
             if sw is not None:
-                branches.append(("sw", cell, sw))
+                branches.append((*sw, 0.0))
+        inductors = []
         for cell in self.cells:
             br = cell.branch()
             if br is not None:
-                branches.append(("ind", cell, br))
+                inductors.append((cell, self.n_nodes + len(branches), br[2]))
+                branches.append((br[0], br[1], 0.0))
+        A, z_base = self._stamp(branches, [])
 
-        order = self.n_nodes + len(branches)
-        A = np.zeros((order, order))
-        z_base = np.zeros(order)
-
-        for e in self.resistors:
-            self._conductance(
-                A, self._col(e.nodes[0]), self._col(e.nodes[1]), 1.0 / e.value
-            )
-        cap_factor = 2.0 if method == "tr" else 1.0
+        factor = 2.0 if method == "tr" else 1.0
         cap_entries = []
         for cap in self.caps:
-            g = cap_factor * cap.C / h
+            g = factor * cap.C / h
             r1, r2 = self._col(cap.n1), self._col(cap.n2)
             self._conductance(A, r1, r2, g)
             cap_entries.append((cap, r1, r2, g))
-        for e in self.idcs:
-            r1, r2 = self._col(e.nodes[0]), self._col(e.nodes[1])
-            if r1 >= 0:
-                z_base[r1] -= e.value
-            if r2 >= 0:
-                z_base[r2] += e.value
-
-        ind_factor = 2.0 if method == "tr" else 1.0
         ind_entries = []
-        for k, (tag, owner, ends) in enumerate(branches):
-            col = self.n_nodes + k
-            if tag == "vdc":
-                a, b = ends
-                z_base[col] = owner.value
-            elif tag == "sw":
-                a, b = ends
-            else:
-                a, b, L = ends
-                r_l = ind_factor * L / h
-                A[col, col] = -r_l
-                ind_entries.append((owner, col, r_l))
-            ra, rb = self._col(a), self._col(b)
-            if ra >= 0:
-                A[ra, col] += 1.0
-                A[col, ra] += 1.0
-            if rb >= 0:
-                A[rb, col] -= 1.0
-                A[col, rb] -= 1.0
+        for cell, col, L in inductors:
+            r_l = factor * L / h
+            A[col, col] = -r_l
+            ind_entries.append((cell, col, r_l))
 
         try:
             Ainv = np.linalg.inv(A)
@@ -533,15 +510,16 @@ class _SwitchedSimulator:
                     self._block(cell)
             cell.v = 0.0
 
-    def _initial_solve(self):
-        """Operating point at t = 0: capacitors pinned to their initial
-        voltages, cell inductors replaced by their initial currents."""
-        branches = [(e.nodes, e.value, e.label) for e in self.vdcs]
-        branches += [((c.n1, c.n2), c.v, None) for c in self.caps]
-        for cell in self.cells:
-            sw = cell.switch_branch()
-            if sw is not None:
-                branches.append((sw, 0.0, None))
+    def _stamp(self, branches, sources):
+        """The network part of every system: resistor conductances, current
+        sources, and one current unknown per branch.
+
+        ``branches`` are (node_a, node_b, value): branch k's current, from
+        a to b, is unknown ``n_nodes + k``, and its row holds
+        v_a - v_b = value (``_assemble`` adds an inductor's companion
+        resistance to that row).  ``sources`` are (node_a, node_b, current)
+        injections from a to b, stamped after the circuit's current
+        sources.  Returns (A, z)."""
         order = self.n_nodes + len(branches)
         A = np.zeros((order, order))
         z = np.zeros(order)
@@ -549,23 +527,13 @@ class _SwitchedSimulator:
             self._conductance(
                 A, self._col(e.nodes[0]), self._col(e.nodes[1]), 1.0 / e.value
             )
-        for e in self.idcs:
-            r1, r2 = self._col(e.nodes[0]), self._col(e.nodes[1])
-            if r1 >= 0:
-                z[r1] -= e.value
-            if r2 >= 0:
-                z[r2] += e.value
-        for cell in self.cells:
-            br = cell.branch()
-            if br is None:
-                continue
-            a, b, _ = br
+        for a, b, current in [(*e.nodes, e.value) for e in self.idcs] + sources:
             ra, rb = self._col(a), self._col(b)
             if ra >= 0:
-                z[ra] -= cell.i
+                z[ra] -= current
             if rb >= 0:
-                z[rb] += cell.i
-        for k, ((a, b), value, _) in enumerate(branches):
+                z[rb] += current
+        for k, (a, b, value) in enumerate(branches):
             col = self.n_nodes + k
             z[col] = value
             ra, rb = self._col(a), self._col(b)
@@ -575,13 +543,27 @@ class _SwitchedSimulator:
             if rb >= 0:
                 A[rb, col] -= 1.0
                 A[col, rb] -= 1.0
+        return A, z
+
+    def _operating_point(self):
+        """Solution at t = 0: capacitors pinned to their initial voltages,
+        cell inductors replaced by their initial currents."""
+        branches = [(*e.nodes, e.value) for e in self.vdcs]
+        branches += [(c.n1, c.n2, c.v) for c in self.caps]
+        sources = []
+        for cell in self.cells:
+            sw, br = cell.switch_branch(), cell.branch()
+            if sw is not None:
+                branches.append((*sw, 0.0))
+            if br is not None:
+                sources.append((br[0], br[1], cell.i))
+        A, z = self._stamp(branches, sources)
         try:
-            x = np.linalg.solve(A, z)
+            return np.linalg.solve(A, z)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(
                 f"initial operating point is singular: {exc}"
             ) from exc
-        return x
 
     def run(self):
         config = self.config
@@ -603,7 +585,7 @@ class _SwitchedSimulator:
         out = np.empty((n_samples, len(signal_names)))
 
         self._switch_on()
-        x0 = self._initial_solve()
+        x0 = self._operating_point()
         out[0] = self._sample_row(x0, node_ids)
 
         # Substep where the switch turns off (or the split substep when the

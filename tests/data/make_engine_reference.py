@@ -1,0 +1,118 @@
+"""Record reference results of the averaged engine.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python3 tests/data/make_engine_reference.py
+
+Runs ``run`` on the five committed netlists at their ``.param`` duty ratio,
+switching frequency and duration, on ``buck_dcm.net`` with ``dcm_refine``,
+and on a two-cell diode cascade that enters discontinuous conduction, and
+writes ``tests/data/engine_reference.json``.  Each case stores its netlist
+text, run parameters, the bootstrap record and every ``STRIDE``-th period
+record (every field, as exact floats), and the mode of every cell in every
+period as a string of ``C`` and ``D``.
+
+``tests/test_engine_parity.py`` replays every case and compares.  Re-record
+only when a change to the engine's results is intended.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+DATA = Path(__file__).resolve().parent
+ROOT = DATA.parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from avgcell import SimConfig, parse_netlist, run  # noqa: E402
+from avgcell.cells import Mode  # noqa: E402
+
+REFERENCE_FILE = DATA / "engine_reference.json"
+STRIDE = 10
+
+CELL_FIELDS = ("iL0", "iL1", "iL2", "d_p", "vL1", "vL2", "iS_avg", "iD_avg", "vL_avg")
+
+# Two diode bucks in cascade, lightly loaded so both cells rest at zero
+# current for part of every period once the start-up is over.
+SCD_CASCADE = """\
+VDC 1 1 0 20.0
+SCD1 1 1 0 2 10e-6 0
+C 1 2 0 1e-4 0
+SCD2 2 2 0 3 10e-6 0
+C 2 3 0 1e-4 0
+R 1 2 0 200.0
+R 2 3 0 50.0
+"""
+
+# (case name, netlist file or None, netlist text, dcm_refine, duration or
+# None for the netlist's .param tend).
+CASES = [
+    ("buck.net", "buck.net", None, False, None),
+    ("buck_dcm.net", "buck_dcm.net", None, False, None),
+    ("buck_dcm.net+refine", "buck_dcm.net", None, True, None),
+    ("buck_diode.net", "buck_diode.net", None, False, None),
+    ("flyback.net", "flyback.net", None, False, None),
+    ("flyback_diode.net", "flyback_diode.net", None, False, None),
+    ("scd_cascade", None, SCD_CASCADE, False, 5e-3),
+]
+
+
+def signals(records):
+    """Every field of the given records, one list per signal name."""
+    out = {}
+
+    def add(name, value):
+        out.setdefault(name, []).append(float(value))
+
+    for record in records:
+        for node, v in sorted(record.node_voltages.items()):
+            add(f"v({node})", v)
+        for label, i in sorted(record.vdc_currents.items()):
+            add(f"i({label})", i)
+        for label, state in sorted(record.cells.items()):
+            for field in CELL_FIELDS:
+                add(f"{label}:{field}", getattr(state, field))
+        for label, cap in sorted(record.capacitors.items()):
+            add(f"{label}:v", cap.v)
+            add(f"{label}:i0_next", cap.i0_next)
+    return out
+
+
+def modes(result):
+    """Per cell, the mode of every period as a string of C and D."""
+    return {
+        e.label: "".join(
+            "D" if r.cells[e.label].mode is Mode.DCM else "C" for r in result.records
+        )
+        for e in result.circuit.cells()
+    }
+
+
+def record(text, d, f_s, t_end, refine):
+    result = run(parse_netlist(text), SimConfig(d, f_s, t_end, refine))
+    return {
+        "periods": len(result.records),
+        "signals": signals([result.bootstrap] + result.records[::STRIDE]),
+        "modes": modes(result),
+    }
+
+
+def main():
+    cases = {}
+    for name, path, text, refine, t_end in CASES:
+        if text is None:
+            text = (ROOT / "netlists" / path).read_text()
+        params = parse_netlist(text).params
+        d = params.get("D", 0.5)
+        f_s = params.get("fs", 100e3)
+        t_end = params["tend"] if t_end is None else t_end
+        case = {"netlist": text, "d": d, "f_s": f_s, "t_end": t_end}
+        case["dcm_refine"] = refine
+        case.update(record(text, d, f_s, t_end, refine))
+        cases[name] = case
+    reference = {"stride": STRIDE, "cases": cases}
+    REFERENCE_FILE.write_text(json.dumps(reference, separators=(",", ":")) + "\n")
+
+
+if __name__ == "__main__":
+    main()

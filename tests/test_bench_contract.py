@@ -1,0 +1,52 @@
+"""The functions the benchmark's span tracer wraps stay where it looks.
+
+``perfbench/spans.py`` lists in ``WRAPPED`` every (module, attribute) it
+replaces with a timing wrapper during a traced run.  A name that moves or
+disappears would break ``perfbench/run.py --trace 1``, so each one must
+resolve to a callable, and the engine must reach the ``mna`` functions
+through its own module attributes, where the wrappers are installed.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import avgcell.engine
+from avgcell import SimConfig, parse_netlist
+
+from conftest import BUCK_DCM
+
+SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_FILE)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+SPANS = load_spans()
+
+
+@pytest.mark.parametrize(
+    "name, path, attr", SPANS.WRAPPED, ids=[f"{p}.{a}" for _, p, a in SPANS.WRAPPED]
+)
+def test_wrapped_function_resolves(name, path, attr):
+    target = SPANS._resolve(path)
+    assert callable(getattr(target, attr)), name
+
+
+def test_traced_run_records_the_mna_layer():
+    """A DCM run refactors as its modes change; every factorization,
+    solve and residual check goes through a wrapped name."""
+    tracer = SPANS.Tracer()
+    circuit = parse_netlist(BUCK_DCM)
+    with SPANS.installed(tracer), tracer.job_span(0):
+        result = avgcell.engine.run(circuit, SimConfig(0.5, 100e3, 3e-4))
+    calls = tracer.totals()[0]
+    solves = 1 + len(result.records)  # the bootstrap and one per period
+    assert calls["engine.run"] == 1
+    assert calls["mna.lu_solve"] == calls["mna.check_residual"] == solves
+    assert 1 < calls["mna.lu_factor"] == calls["mna.assemble_system"] <= solves

@@ -143,6 +143,28 @@ def test_stats_report_steady_state(tmp_path):
     assert float(values["iL(SCN1)"]["mean"]) == pytest.approx(5.0, rel=1e-2)
 
 
+@pytest.mark.parametrize("t_end, periods", [("1.4e-5", 1), ("5.004e-3", 500)])
+def test_stats_window_ends_with_the_simulated_periods(
+    tmp_path, buck_file, t_end, periods
+):
+    out = tmp_path / "results"
+    assert run_cli(buck_file, "-D", "0.5", "--fs", "100e3", "--t-end", t_end,
+                   "--out", out) == 0
+    header = (out / "stats.txt").read_text().splitlines()[0]
+    t_from, t_to = (float(t) for t in header.split("[")[1].split("]")[0].split(","))
+    assert t_to == pytest.approx(periods * 1e-5, rel=1e-12)
+    assert t_from == pytest.approx(0.9 * periods * 1e-5, rel=1e-12)
+    assert len(read_rows(out / "averaged.csv")) == 1 + 1 + periods
+
+
+def test_oracle_substeps_below_minimum_is_usage_error(tmp_path, buck_file, capsys):
+    code = run_cli(buck_file, *ARGS, "--out", tmp_path / "results",
+                   "--oracle", "--oracle-substeps", "50")
+    assert code == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_oracle_outputs_and_comparison(tmp_path, buck_file):
     out = tmp_path / "results"
     code = run_cli(
