@@ -5,8 +5,9 @@ Usage, from the repository root:
     PYTHONPATH=src python3 tests/data/make_oracle_reference.py
 
 Runs ``simulate_switched`` at its default 1000 substeps per period on the
-five committed netlists and on a diode buck whose blocked diode
-re-conducts inside a period, and writes ``tests/data/oracle_reference.json``.
+five committed netlists, on a diode buck whose blocked diode re-conducts
+inside a period and on a two-cell diode cascade whose switching edge falls
+inside a substep, and writes ``tests/data/oracle_reference.json``.
 Each case stores its netlist text, duty ratio, switching frequency and
 period count, every ``STRIDE``-th sample of every signal, and for every
 period and every inductor current the first substep of that period whose
@@ -44,6 +45,19 @@ R 1 2 0 20.0
 IDC 1 2 0 2.0
 """
 
+# A diode buck feeding a diode flyback.  At d = 0.4567 the switching edge
+# splits substep 456, and both inductor currents block in every period, at
+# different substeps.
+TWO_CELL = """\
+VDC 1 1 0 10.0
+SCD1 1 1 0 2 10e-6 0
+C 1 2 0 1e-4 5.0
+R 1 2 0 50.0
+FBD1 1 1 0 3 10e-6 2.0 0
+C 2 3 0 1e-4 20.0
+R 2 3 0 200.0
+"""
+
 # (case name, netlist text, duty ratio or None for the netlist's .param D,
 # periods).  The periods cover the zero crossings: buck_dcm.net blocks from
 # period 9 on, buck_diode.net in periods 11-20 and flyback_diode.net in
@@ -55,6 +69,7 @@ CASES = [
     ("flyback.net", None, None, 20),
     ("flyback_diode.net", None, None, 70),
     ("reconduct", RECONDUCT, 0.3, 30),
+    ("two_cell", TWO_CELL, 0.4567, 30),
 ]
 
 

@@ -61,8 +61,14 @@ def test_zero_crossing_substeps_match_reference(name):
 
 
 def test_reference_covers_crossings():
-    """The DCM and diode cases block their diode in some period."""
-    for name in ("buck_dcm.net", "buck_diode.net", "flyback_diode.net", "reconduct"):
+    """The DCM and diode cases block their diodes in some period."""
+    for name in (
+        "buck_dcm.net",
+        "buck_diode.net",
+        "flyback_diode.net",
+        "reconduct",
+        "two_cell",
+    ):
         held = CASES[name]["zero_substeps"].values()
         assert any(s is not None for series in held for s in series), name
 
