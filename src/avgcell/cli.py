@@ -116,7 +116,7 @@ def main(argv=None):
         config = engine.SimConfig(duty, f_s, t_end, dcm_refine=args.dcm_refine)
         if config.n_periods < 1:
             raise engine.InvalidConfig("run covers no complete switching period")
-        if args.stats_window <= 0.0 or args.stats_window > 1.0:
+        if not 0.0 < args.stats_window <= 1.0:
             raise engine.InvalidConfig("stats window fraction must be in (0, 1]")
         oracle_config = (
             oracle.OracleConfig(args.oracle_substeps) if args.oracle else None

@@ -28,6 +28,7 @@ right-hand side with :meth:`MnaSystem.rhs`.  Source terms are written
 nowhere else.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,7 +315,7 @@ def check_residual(A, x, z, a_norm=None):
     bound = RESIDUAL_RTOL * (
         a_norm * float(np.abs(x).max()) + float(np.abs(z).max())
     )
-    if residual > bound:
+    if not residual <= bound < math.inf:  # so a non-finite solution fails
         raise SingularSystem(
             f"residual {residual:.3e} exceeds stability bound {bound:.3e}"
         )

@@ -13,27 +13,28 @@ Integration is trapezoidal with fixed step; after every topology change one
 backward-Euler step restarts the companion models, since element voltages
 are discontinuous at switching instants.  Ideal switches are realized by
 re-stamping the interval's linear network rather than by small resistances,
-so the systems stay well conditioned.  The assembled inverse is cached per
-topology; the systems are tiny and recur every period.  Every system, the
-per-topology ones and the t = 0 operating point alike, is stamped by one
-routine (``_stamp``) that writes the resistors, the current sources and the
-incidence of every branch whose current is an unknown: voltage sources,
-conducting switches and inductors, or at t = 0 the capacitors pinned to
-their initial voltages.  Each caller then adds only its own entries.
+so the systems stay well conditioned.  Every system, the per-topology ones
+and the t = 0 operating point alike, is stamped by one routine (``_stamp``)
+that writes the resistors, the current sources and the incidence of every
+branch whose current is an unknown: voltage sources, conducting switches and
+inductors, or at t = 0 the capacitors pinned to their initial voltages.
+Each caller then adds only its own entries.
 
-Between a restart and the next switching edge the topology is fixed, so
-every trapezoidal substep is one affine map on the element state (capacitor
-``v, i`` and inductor ``i, v``): the solution is ``x = P s + q`` and the next
-state ``s' = Phi s + gamma``.  Both are derived once per topology from the
-same inverse and companion entries that the substep-by-substep path uses
-(with a constant 1 appended to the state, so that q and gamma ride in the
-matrices).  A stretch is therefore the same trapezoidal rule evaluated in a
-different order, and its samples agree with the substep-by-substep ones to
-rounding.  The stretch's states are grown by doubling with cached powers of
-the map, and the diode zero-crossing and re-conduction predicates are
-evaluated over all of it; the first substep where one holds is rerun on the
-substep-by-substep path, which does the interpolation and the
-backward-Euler restart.
+The element state is one vector: each capacitor's ``(v, i)``, then each
+cell's inductor ``(i, v)``, then a constant 1 that carries the sources.  On
+a fixed topology a substep of either rule is an affine map on it, so
+``_assemble`` writes the companion model once, as the solution ``x = P s``
+and the next state ``s' = Phi s`` (no ``expm``, nothing shared with the
+engine).  Every substep applies its topology's map: one at a time after a
+topology change, at a diode zero crossing and across a split switching
+substep, and in stretches between a restart and the next switching edge.
+A stretch's states are grown by doubling with cached powers of ``Phi`` and
+its samples are one matrix product; the zero-crossing and re-conduction
+predicates are evaluated over all of it, and the first substep where one
+holds is taken on its own, which does the interpolation and the
+backward-Euler restart.  The maps of grid-step topologies are cached, since
+the systems are tiny and recur every period; the part-substeps at a
+crossing or a switching edge inside a substep are built when needed.
 """
 
 import math
@@ -83,9 +84,8 @@ def period_average(sampled, n):
     hi = (n + 1) * steps
     if n < 0 or hi > len(sampled.times) - 1:
         raise OutOfRange(f"period {n} outside the sampled run")
-    t = sampled.times[lo : hi + 1]
     y = sampled.values[lo : hi + 1]
-    return float(np.trapezoid(y, t) / (t[-1] - t[0]))
+    return float((y.sum() - 0.5 * (y[0] + y[-1])) / steps)
 
 
 def simulate_switched(circuit, config, oracle_config=None):
@@ -112,21 +112,10 @@ _ON, _DIODE, _REST = "on", "diode", "rest"
 _PRI, _SEC, _NONE = "pri", "sec", "none"
 
 
-class _CapRt:
-    __slots__ = ("label", "C", "n1", "n2", "v", "i")
-
-    def __init__(self, element):
-        self.label = element.label
-        self.C = element.value
-        self.n1, self.n2 = element.nodes
-        self.v = element.initial
-        self.i = 0.0
-
-
 class _CellRt:
-    __slots__ = ("label", "nodes", "L", "n", "flyback", "diode", "phase", "i", "v")
+    __slots__ = ("label", "nodes", "L", "n", "flyback", "diode", "phase", "si")
 
-    def __init__(self, element):
+    def __init__(self, element, si):
         params = cell_params(element)
         self.label = element.label
         self.nodes = element.nodes
@@ -135,13 +124,11 @@ class _CellRt:
         self.flyback = params.flyback
         self.diode = params.rectifier is Rectifier.DIODE
         self.phase = _PRI if self.flyback else _ON
-        self.i = element.initial
-        self.v = 0.0
+        self.si = si  # state index of the inductor current; its voltage follows
 
-    def magnetizing_current(self):
-        if self.flyback and self.phase == _SEC:
-            return self.n * self.i
-        return self.i
+    def referral(self):
+        """Factor from the live branch current to the magnetizing current."""
+        return self.n if self.flyback and self.phase == _SEC else 1.0
 
     def branch(self):
         """(node_a, node_b, inductance) of the live inductor branch."""
@@ -165,30 +152,20 @@ class _CellRt:
         return None
 
 
-@dataclass
 class _Topo:
-    Ainv: np.ndarray
-    z_base: np.ndarray
-    cap_entries: list  # (cap, r1, r2, g)
-    ind_entries: list  # (cell, col, r_l)
-    stretch: "_StretchMap | None" = None  # trapezoidal topologies only
+    """One substep on one topology: the solution is ``x = P s`` and the
+    next state ``s' = Phi s``.  ``P`` has a trailing zero row, so that
+    ground (column -1) reads 0.
 
+    For stretches, states are rows: ``s @ sample_T`` is the sample row after
+    the substep, followed by v_p and then v_x of each blocked basic diode
+    cell, and the powers of ``Phi`` are grown as needed."""
 
-class _StretchMap:
-    """A trapezoidal substep of one topology as a linear map on the state.
-
-    The state stacks (v, i) of every capacitor, then (i, v) of every live
-    inductor, in the order of the topology's entries, then a constant 1 that
-    carries the sources.  States are rows: the next state is ``s @ Phi.T``
-    and ``s @ sample_T`` is the sample row after the substep, followed by
-    v_p and then v_x of each of the ``n_rest`` blocked basic diode cells.
-    """
-
-    def __init__(self, Phi, sample, monitored, n_rest):
-        self.sample_T = sample.T.copy()
-        self.monitored = monitored  # state index of each conducting diode's i
-        self.n_rest = n_rest
-        self._powers = [Phi.T.copy()]  # Phi^(2^j), transposed, j = 0, 1, ...
+    def __init__(self, P, Phi):
+        self.P = P
+        self.Phi = Phi
+        self.sample_T = None
+        self._powers = [Phi.T]  # Phi^(2^j), transposed, j = 0, 1, ...
 
     def propagate(self, s0, count):
         """States s_0 .. s_count, one per row, from s_0 by doubling."""
@@ -204,57 +181,51 @@ class _StretchMap:
             j += 1
         return S
 
-    def substeps_before_event(self, S, Y):
-        """How many substeps of ``Y`` pass before the first with a diode zero
-        crossing or a blocked diode under forward bias.  The predicates are
-        those of ``_advance`` and ``_reconduct_check``."""
-        hits = []
-        if self.monitored:
-            i = S[:, self.monitored]
-            hits.append(((i[1:] <= 0.0) & (i[:-1] > 0.0)).any(axis=1))
-        if self.n_rest:
-            k = self.n_rest
-            v_p = Y[:, -2 * k : -k]
-            v_x = Y[:, -k:]
-            tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(v_p), np.abs(v_x)))
-            hits.append((v_p - v_x > tol).any(axis=1))
-        found = np.flatnonzero(np.logical_or.reduce(hits)) if hits else []
-        return int(found[0]) if len(found) else len(Y)
-
 
 class _SwitchedSimulator:
     def __init__(self, circuit, config, oracle_config):
-        self.circuit = circuit
         self.config = config
         self.substeps = oracle_config.substeps_per_period
+        self.h = config.T_s / self.substeps
 
         keys = [n for n in sorted(circuit.node_ids) if n != 0]
-        self.cells = [_CellRt(e) for e in circuit.cells()]
+        self.node_ids = list(keys)
+        self.caps = circuit.capacitors()
+        first = 2 * len(self.caps)
+        self.cells = [
+            _CellRt(e, first + 2 * k) for k, e in enumerate(circuit.cells())
+        ]
         for cell in self.cells:
             if not cell.flyback:
                 keys.append(("x", cell.label))
         self.node_col = {k: i for i, k in enumerate(keys)}
         self.n_nodes = len(keys)
 
-        self.caps = [_CapRt(e) for e in circuit.capacitors()]
         self.vdcs = circuit.vdcs()
         self.idcs = circuit.idcs()
         self.resistors = circuit.resistors()
         # Voltage sources are stamped first, so their branch columns are
         # the same in every topology.
-        self.vdc_col = {
-            e.label: self.n_nodes + k for k, e in enumerate(self.vdcs)
-        }
+        self.sample_cols = [self.node_col[n] for n in self.node_ids]
+        self.sample_cols += [self.n_nodes + k for k in range(len(self.vdcs))]
+
+        self.s = np.array(
+            [x for e in self.caps for x in (e.initial, 0.0)]
+            + [x for e in circuit.cells() for x in (e.initial, 0.0)]
+            + [1.0]
+        )
         self._topo_cache = {}
 
     def _col(self, key):
         return self.node_col.get(key, -1)
 
-    def _assemble(self, h, method, cache=True):
+    def _assemble(self, h, method):
+        """The map of one substep of length ``h`` on the present topology;
+        cached when ``h`` is the grid step."""
         phases = tuple(c.phase for c in self.cells)
-        key = (phases, h, method)
-        if cache and key in self._topo_cache:
-            return self._topo_cache[key]
+        cached = h == self.h
+        if cached and (phases, method) in self._topo_cache:
+            return self._topo_cache[phases, method]
 
         branches = [(*e.nodes, e.value) for e in self.vdcs]
         for cell in self.cells:
@@ -269,26 +240,49 @@ class _SwitchedSimulator:
                 branches.append((br[0], br[1], 0.0))
         A, z_base = self._stamp(branches, [])
 
-        factor = 2.0 if method == "tr" else 1.0
-        cap_entries = []
-        for cap in self.caps:
-            g = factor * cap.C / h
-            r1, r2 = self._col(cap.n1), self._col(cap.n2)
+        # Companion model of each capacitor (v, i) and live inductor (i, v):
+        # for the state pair (a, b) with companion coefficient w, a' is read
+        # from the solution through the element's incidence and the new b
+        # is w a' - (w a + hist b).  The bracket is a source on the same
+        # incidence, with sign sigma: a Norton source into a capacitor's
+        # node rows, a Thevenin one in an inductor's branch row.  So z = B s
+        # and s' = E x + F s; backward Euler drops the history terms.
+        factor, hist = (2.0, 1.0) if method == "tr" else (1.0, 0.0)
+        elements = []
+        for k, e in enumerate(self.caps):
+            g = factor * e.value / h
+            r1, r2 = self._col(e.nodes[0]), self._col(e.nodes[1])
             self._conductance(A, r1, r2, g)
-            cap_entries.append((cap, r1, r2, g))
-        ind_entries = []
+            elements.append((2 * k, g, 1.0, ((r1, 1.0), (r2, -1.0))))
         for cell, col, L in inductors:
             r_l = factor * L / h
             A[col, col] = -r_l
-            ind_entries.append((cell, col, r_l))
+            elements.append((cell.si, r_l, -1.0, ((col, 1.0),)))
+        order, one = len(z_base), len(self.s) - 1
+        B = np.zeros((order, one + 1))
+        B[:, one] = z_base
+        E = np.zeros((one + 1, order + 1))
+        F = np.zeros((one + 1, one + 1))
+        F[one, one] = 1.0
+        for a, w, sigma, rows in elements:
+            for r, sign in rows:
+                if r >= 0:
+                    B[r, a] += sigma * sign * w
+                    B[r, a + 1] += sigma * sign * hist
+                    E[a, r] += sign
+                    E[a + 1, r] += sign * w
+            F[a + 1, a] = -w
+            F[a + 1, a + 1] = -hist
 
         try:
             Ainv = np.linalg.inv(A)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"switched network is singular: {exc}") from exc
-        topo = _Topo(Ainv, z_base, cap_entries, ind_entries)
-        if cache:
-            self._topo_cache[key] = topo
+        P = np.zeros((order + 1, one + 1))  # the trailing zero row is ground
+        np.matmul(Ainv, B, out=P[:-1])
+        topo = _Topo(P, E @ P + F)
+        if cached:
+            self._topo_cache[phases, method] = topo
         return topo
 
     @staticmethod
@@ -301,124 +295,48 @@ class _SwitchedSimulator:
             A[r1, r2] -= g
             A[r2, r1] -= g
 
-    def _step(self, h, method, cache=True):
-        """Advance every element state by one step; returns the solution."""
-        topo = self._assemble(h, method, cache)
-        z = topo.z_base.copy()
-        srcs = []
-        for cap, r1, r2, g in topo.cap_entries:
-            src = g * cap.v + (cap.i if method == "tr" else 0.0)
-            srcs.append(src)
-            if r1 >= 0:
-                z[r1] += src
-            if r2 >= 0:
-                z[r2] -= src
-        rhss = []
-        for cell, col, r_l in topo.ind_entries:
-            rhs = -(r_l * cell.i + (cell.v if method == "tr" else 0.0))
-            rhss.append(rhs)
-            z[col] += rhs
-        x = topo.Ainv @ z
-        for (cap, r1, r2, g), src in zip(topo.cap_entries, srcs):
-            v_new = (x[r1] if r1 >= 0 else 0.0) - (x[r2] if r2 >= 0 else 0.0)
-            cap.i = g * v_new - src
-            cap.v = v_new
-        for (cell, col, r_l), rhs in zip(topo.ind_entries, rhss):
-            i_new = float(x[col])
-            cell.v = r_l * i_new + rhs
-            cell.i = i_new
-        return x
+    def _step(self, h, method):
+        """One substep from the present state: (solution, next state)."""
+        topo = self._assemble(h, method)
+        return topo.P @ self.s, topo.Phi @ self.s
 
-    def _stretch_map(self, topo, node_ids):
-        """The map of one trapezoidal substep on ``topo``: the same companion
-        updates as ``_step``, written as matrices."""
-        caps, inds = topo.cap_entries, topo.ind_entries
-        one = 2 * (len(caps) + len(inds))  # index of the constant 1
-        order = len(topo.z_base)
-        B = np.zeros((order, one + 1))  # z = B s
-        B[:, one] = topo.z_base
-        E = np.zeros((one + 1, order))  # s' = E x + F s
-        F = np.zeros((one + 1, one + 1))
-        F[one, one] = 1.0
-        for k, (cap, r1, r2, g) in enumerate(caps):
-            iv, ii = 2 * k, 2 * k + 1
-            for r, sign in ((r1, 1.0), (r2, -1.0)):
-                if r >= 0:
-                    B[r, iv] += sign * g
-                    B[r, ii] += sign
-                    E[iv, r] += sign
-                    E[ii, r] += sign * g
-            F[ii, iv] = -g
-            F[ii, ii] = -1.0
-        live = {}
-        for k, (cell, col, r_l) in enumerate(inds):
-            ii, iv = 2 * (len(caps) + k), 2 * (len(caps) + k) + 1
-            B[col, ii] = -r_l
-            B[col, iv] = -1.0
-            E[ii, col] = 1.0
-            E[iv, col] = r_l
-            F[iv, ii] = -r_l
-            F[iv, iv] = -1.0
-            live[cell.label] = (col, ii)
-        P = topo.Ainv @ B  # x = P s
-
-        rows = [self.node_col[n] for n in node_ids]
-        rows += [self.vdc_col[e.label] for e in self.vdcs]
-        scales = [1.0] * len(rows)
-        for cell in self.cells:
-            rows.append(live[cell.label][0] if cell.label in live else -1)
-            # as magnetizing_current(): secondary current referred to primary
-            scales.append(cell.n if cell.flyback and cell.phase == _SEC else 1.0)
-        rest = [
-            c for c in self.cells if c.diode and not c.flyback and c.phase == _REST
-        ]
-        rows += [self._col(c.nodes[1]) for c in rest]
-        rows += [self._col(("x", c.label)) for c in rest]
-        scales += [1.0] * (2 * len(rest))
-        sample = np.zeros((len(rows), one + 1))
-        for k, (row, scale) in enumerate(zip(rows, scales)):
-            if row >= 0:
-                sample[k] = scale * P[row]
-        monitored = [live[c.label][1] for c in self._conducting_diodes()]
-        return _StretchMap(E @ P + F, sample, monitored, len(rest))
-
-    def _stretch(self, h, node_ids, out):
-        """Advance up to ``len(out)`` trapezoidal substeps on the present
-        topology, writing their sample rows into ``out``.
+    def _stretch(self, out):
+        """Advance up to ``len(out)`` trapezoidal grid substeps on the
+        present topology, writing their sample rows into ``out``.
 
         Returns how many substeps were taken; fewer than ``len(out)`` means
         the next substep has an event for ``_advance`` and
         ``_reconduct_check`` to handle."""
-        topo = self._assemble(h, "tr")
-        if topo.stretch is None:
-            topo.stretch = self._stretch_map(topo, node_ids)
-        stretch = topo.stretch
+        topo = self._assemble(self.h, "tr")
+        rest = self._blocked_basic_diodes()
+        if topo.sample_T is None:
+            rows = [topo.P[col] for col in self.sample_cols]
+            rows += [c.referral() * topo.Phi[c.si] for c in self.cells]
+            rows += [topo.P[self._col(c.nodes[1])] for c in rest]
+            rows += [topo.P[self._col(("x", c.label))] for c in rest]
+            topo.sample_T = np.array(rows).T.copy()
         count = len(out)
-        s0 = [x for cap, *_ in topo.cap_entries for x in (cap.v, cap.i)]
-        s0 += [x for cell, *_ in topo.ind_entries for x in (cell.i, cell.v)]
-        S = stretch.propagate(s0 + [1.0], count)
-        Y = S[:count] @ stretch.sample_T
-        taken = stretch.substeps_before_event(S, Y)
+        S = topo.propagate(self.s, count)
+        Y = S[:count] @ topo.sample_T
+
+        # The predicates of _advance and _reconduct_check, over the stretch.
+        hits = []
+        monitored = [c.si for c in self._conducting_diodes()]
+        if monitored:
+            i = S[:, monitored]
+            hits.append(((i[1:] <= 0.0) & (i[:-1] > 0.0)).any(axis=1))
+        if rest:
+            k = len(rest)
+            v_p = Y[:, -2 * k : -k]
+            v_x = Y[:, -k:]
+            tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(v_p), np.abs(v_x)))
+            hits.append((v_p - v_x > tol).any(axis=1))
+        found = np.flatnonzero(np.logical_or.reduce(hits)) if hits else []
+        taken = int(found[0]) if len(found) else count
+
         out[:taken] = Y[:taken, : out.shape[1]]
-        state = S[taken].tolist()
-        for k, (cap, *_) in enumerate(topo.cap_entries):
-            cap.v, cap.i = state[2 * k], state[2 * k + 1]
-        base = 2 * len(topo.cap_entries)
-        for k, (cell, *_) in enumerate(topo.ind_entries):
-            cell.i, cell.v = state[base + 2 * k], state[base + 2 * k + 1]
+        self.s = S[taken]
         return taken
-
-    def _snapshot(self):
-        return (
-            [(c.v, c.i) for c in self.caps],
-            [(c.i, c.v, c.phase) for c in self.cells],
-        )
-
-    def _restore(self, snap):
-        for cap, (v, i) in zip(self.caps, snap[0]):
-            cap.v, cap.i = v, i
-        for cell, (i, v, phase) in zip(self.cells, snap[1]):
-            cell.i, cell.v, cell.phase = i, v, phase
 
     def _conducting_diodes(self):
         return [
@@ -427,88 +345,76 @@ class _SwitchedSimulator:
             if c.diode and c.phase == (_SEC if c.flyback else _DIODE)
         ]
 
-    def _advance(self, h, method, cache=True):
+    def _blocked_basic_diodes(self):
+        return [
+            c for c in self.cells if c.diode and not c.flyback and c.phase == _REST
+        ]
+
+    def _advance(self, h, method):
         """One step with diode zero-crossing detection and hold-at-zero.
 
         Returns (solution, topology_changed)."""
-        monitored = self._conducting_diodes()
-        if not monitored:
-            return self._step(h, method, cache), False
-        snap = self._snapshot()
-        pre = [c.i for c in monitored]
-        x = self._step(h, method, cache)
+        x, s = self._step(h, method)
         crossing = None
-        for cell, i_pre in zip(monitored, pre):
-            if cell.i <= 0.0 < i_pre:
-                theta = i_pre / (i_pre - cell.i)
+        for cell in self._conducting_diodes():
+            i_pre, i = self.s[cell.si], s[cell.si]
+            if i <= 0.0 < i_pre:
+                theta = i_pre / (i_pre - i)
                 if crossing is None or theta < crossing[1]:
                     crossing = (cell, theta)
         if crossing is None:
+            self.s = s
             return x, False
 
         # Integrate up to the interpolated crossing, block the diode, then
         # finish the substep on the new topology.
         cell, theta = crossing
-        self._restore(snap)
         if theta > 1e-9:
-            x = self._step(theta * h, "be", cache=False)
+            x, self.s = self._step(theta * h, "be")
         self._block(cell)
         remainder = (1.0 - theta) * h
         if remainder > 1e-12 * h:
-            x = self._step(remainder, "be", cache=False)
+            x, self.s = self._step(remainder, "be")
         for other in self._conducting_diodes():
-            if other.i <= 0.0:
+            if self.s[other.si] <= 0.0:
                 self._block(other)
         return x, True
 
-    @staticmethod
-    def _block(cell):
+    def _block(self, cell):
         cell.phase = _NONE if cell.flyback else _REST
-        cell.i = 0.0
-        cell.v = 0.0
+        self.s[cell.si : cell.si + 2] = 0.0
 
     def _reconduct_check(self, x):
         """A blocked diode with forward bias starts conducting again."""
         changed = False
-        for cell in self.cells:
-            if not cell.diode or cell.flyback or cell.phase != _REST:
-                continue
-            v_p = self._value(x, cell.nodes[1])
-            v_x = self._value(x, ("x", cell.label))
+        for cell in self._blocked_basic_diodes():
+            v_p = float(x[self._col(cell.nodes[1])])
+            v_x = float(x[self._col(("x", cell.label))])
             if v_p - v_x > 1e-9 * max(1.0, abs(v_p), abs(v_x)):
                 cell.phase = _DIODE
                 changed = True
         return changed
 
-    def _value(self, x, key):
-        col = self._col(key)
-        return float(x[col]) if col >= 0 else 0.0
-
     def _switch_on(self):
         for cell in self.cells:
             if cell.flyback:
                 if cell.phase == _SEC:
-                    cell.i *= cell.n
+                    self.s[cell.si] *= cell.n
                 cell.phase = _PRI
             else:
                 cell.phase = _ON
-            cell.v = 0.0
+            self.s[cell.si + 1] = 0.0
 
     def _switch_off(self):
         for cell in self.cells:
-            conducts = not cell.diode or cell.i > 0.0
-            if cell.flyback:
-                if conducts:
-                    cell.i /= cell.n
-                    cell.phase = _SEC
-                else:
-                    self._block(cell)
+            if cell.diode and not self.s[cell.si] > 0.0:
+                self._block(cell)
+            elif cell.flyback:
+                self.s[cell.si] /= cell.n
+                cell.phase = _SEC
             else:
-                if conducts:
-                    cell.phase = _DIODE
-                else:
-                    self._block(cell)
-            cell.v = 0.0
+                cell.phase = _DIODE
+            self.s[cell.si + 1] = 0.0
 
     def _stamp(self, branches, sources):
         """The network part of every system: resistor conductances, current
@@ -549,14 +455,14 @@ class _SwitchedSimulator:
         """Solution at t = 0: capacitors pinned to their initial voltages,
         cell inductors replaced by their initial currents."""
         branches = [(*e.nodes, e.value) for e in self.vdcs]
-        branches += [(c.n1, c.n2, c.v) for c in self.caps]
+        branches += [(*e.nodes, self.s[2 * k]) for k, e in enumerate(self.caps)]
         sources = []
         for cell in self.cells:
             sw, br = cell.switch_branch(), cell.branch()
             if sw is not None:
                 branches.append((*sw, 0.0))
             if br is not None:
-                sources.append((br[0], br[1], cell.i))
+                sources.append((br[0], br[1], self.s[cell.si]))
         A, z = self._stamp(branches, sources)
         try:
             return np.linalg.solve(A, z)
@@ -569,15 +475,13 @@ class _SwitchedSimulator:
         config = self.config
         steps = self.substeps
         n_periods = config.n_periods
-        T_s = config.T_s
-        h = T_s / steps
+        h = self.h
         p_sw = config.d * steps
         if abs(p_sw - round(p_sw)) < 1e-9:
             p_sw = int(round(p_sw))
 
-        node_ids = [n for n in sorted(self.circuit.node_ids) if n != 0]
         signal_names = (
-            [f"v({n})" for n in node_ids]
+            [f"v({n})" for n in self.node_ids]
             + [f"i({e.label})" for e in self.vdcs]
             + [f"iL({c.label})" for c in self.cells]
         )
@@ -585,8 +489,7 @@ class _SwitchedSimulator:
         out = np.empty((n_samples, len(signal_names)))
 
         self._switch_on()
-        x0 = self._operating_point()
-        out[0] = self._sample_row(x0, node_ids)
+        out[0] = self._sample_row(self._operating_point())
 
         # Substep where the switch turns off (or the split substep when the
         # edge falls inside one): trapezoidal stretches end there or at the
@@ -604,21 +507,21 @@ class _SwitchedSimulator:
                     self._switch_off()
                     restart = True
                 if j < p_sw < j + 1:
-                    self._advance((p_sw - j) * h, "be", cache=False)
+                    self._advance((p_sw - j) * h, "be")
                     self._switch_off()
-                    x, _ = self._advance((j + 1 - p_sw) * h, "be", cache=False)
+                    x, _ = self._advance((j + 1 - p_sw) * h, "be")
                     restart = True
                 elif restart:
                     x, restart = self._advance(h, "be")
                 else:
                     end = off if j < off else steps
-                    j += self._stretch(h, node_ids, out[row + j : row + end])
+                    j += self._stretch(out[row + j : row + end])
                     if j == end:
                         continue
                     x, restart = self._advance(h, "tr")
                 if self._reconduct_check(x):
                     restart = True
-                out[row + j] = self._sample_row(x, node_ids)
+                out[row + j] = self._sample_row(x)
                 j += 1
 
         times = np.arange(n_samples) * h
@@ -630,8 +533,7 @@ class _SwitchedSimulator:
             )
         return result
 
-    def _sample_row(self, x, node_ids):
-        row = [float(x[self.node_col[n]]) for n in node_ids]
-        row += [float(x[self.vdc_col[e.label]]) for e in self.vdcs]
-        row += [c.magnetizing_current() for c in self.cells]
+    def _sample_row(self, x):
+        row = [float(x[col]) for col in self.sample_cols]
+        row += [c.referral() * float(self.s[c.si]) for c in self.cells]
         return row

@@ -157,6 +157,16 @@ def test_stats_window_ends_with_the_simulated_periods(
     assert len(read_rows(out / "averaged.csv")) == 1 + 1 + periods
 
 
+@pytest.mark.parametrize("fraction", ["nan", "0", "1.5"])
+def test_stats_window_outside_unit_interval_is_usage_error(
+    tmp_path, buck_file, capsys, fraction
+):
+    code = run_cli(buck_file, *ARGS, "--out", tmp_path / "results",
+                   "--stats-window", fraction)
+    assert code == 1
+    assert "usage error:" in capsys.readouterr().err
+
+
 def test_oracle_substeps_below_minimum_is_usage_error(tmp_path, buck_file, capsys):
     code = run_cli(buck_file, *ARGS, "--out", tmp_path / "results",
                    "--oracle", "--oracle-substeps", "50")

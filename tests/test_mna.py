@@ -231,6 +231,13 @@ class TestSolver:
         with pytest.raises(SingularSystem):
             check_residual(a, np.array([1.0, 1.0]), np.array([1.0, 2.0]))
 
+    def test_non_finite_solution_raises(self):
+        a = np.eye(2)
+        with pytest.raises(SingularSystem):
+            check_residual(a, np.array([np.nan, 0.0]), np.zeros(2))
+        with pytest.raises(SingularSystem):
+            check_residual(np.ones((2, 2)), np.array([np.inf, 1.0]), np.zeros(2))
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10_000))
