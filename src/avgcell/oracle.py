@@ -188,8 +188,8 @@ class _SwitchedSimulator:
         self.substeps = oracle_config.substeps_per_period
         self.h = config.T_s / self.substeps
 
-        keys = [n for n in sorted(circuit.node_ids) if n != 0]
-        self.node_ids = list(keys)
+        self.node_ids = [n for n in sorted(circuit.node_ids) if n != 0]
+        keys = list(self.node_ids)
         self.caps = circuit.capacitors()
         first = 2 * len(self.caps)
         self.cells = [
