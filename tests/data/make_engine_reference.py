@@ -6,8 +6,9 @@ Usage, from the repository root:
 
 Runs ``run`` on the five committed netlists at their ``.param`` duty ratio,
 switching frequency and duration, on ``buck_dcm.net`` with ``dcm_refine``,
-and on a two-cell diode cascade that enters discontinuous conduction, and
-writes ``tests/data/engine_reference.json``.  Each case stores its netlist
+on a two-cell diode cascade that enters discontinuous conduction, and on a
+three-stage diode buck and flyback chain started from rest, plain and with
+``dcm_refine``, and writes ``tests/data/engine_reference.json``.  Each case stores its netlist
 text, run parameters, the bootstrap record and every ``STRIDE``-th period
 record (every field, as exact floats), and the mode of every cell in every
 period as a string of ``C`` and ``D``.
@@ -44,6 +45,23 @@ R 1 2 0 200.0
 R 2 3 0 50.0
 """
 
+# A diode buck feeding a diode flyback (turns ratio 1.7, not a power of
+# two) and a second diode buck, all lightly loaded and started from rest:
+# the three cells leave continuous conduction in different periods.
+MIXED_CHAIN = """\
+.param D=0.4 fs=100e3 tend=4e-3
+VDC 1 1 0 24.0
+SCD1 1 1 0 2 22e-6 0
+C 1 2 0 47e-6 0
+R 1 2 0 80.0
+FBD1 2 1 0 3 15e-6 1.7 0
+C 2 3 0 68e-6 0
+R 2 3 0 120.0
+SCD2 3 2 0 4 33e-6 0
+C 3 4 0 33e-6 0
+R 3 4 0 150.0
+"""
+
 # (case name, netlist file or None, netlist text, dcm_refine, duration or
 # None for the netlist's .param tend).
 CASES = [
@@ -54,6 +72,8 @@ CASES = [
     ("flyback.net", "flyback.net", None, False, None),
     ("flyback_diode.net", "flyback_diode.net", None, False, None),
     ("scd_cascade", None, SCD_CASCADE, False, 5e-3),
+    ("mixed_chain", None, MIXED_CHAIN, False, None),
+    ("mixed_chain+refine", None, MIXED_CHAIN, True, None),
 ]
 
 

@@ -72,8 +72,20 @@ def test_modes_match_reference(replay):
 
 
 def test_reference_covers_dcm():
-    """The diode cases, the refined run and both cascade cells rest in
-    some period."""
-    for name in ("buck_dcm.net", "buck_dcm.net+refine", "scd_cascade"):
+    """The diode cases, the refined runs and every cascade and chain cell
+    rest in some period; the chain's cells leave continuous conduction in
+    different periods."""
+    names = (
+        "buck_dcm.net",
+        "buck_dcm.net+refine",
+        "scd_cascade",
+        "mixed_chain",
+        "mixed_chain+refine",
+    )
+    for name in names:
         for label, seq in CASES[name]["modes"].items():
             assert "D" in seq, (name, label)
+    for name in ("mixed_chain", "mixed_chain+refine"):
+        modes = CASES[name]["modes"].values()
+        assert all(seq.startswith("C") for seq in modes), name
+        assert len({seq.index("D") for seq in modes}) == len(modes), name
