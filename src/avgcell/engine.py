@@ -3,22 +3,25 @@
 One step covers exactly one switching period.  Before each period the
 conduction mode of every diode cell is predicted from the previous period's
 port voltages and the carried-over inductor current; the linear system is
-then assembled and solved, boundary currents are recovered from the solved
-drive voltages, and the capacitor companion sources advance to the next
-period.  The LU factorization is reused for as long as every cell keeps the
-same (mode, d_p); in continuous conduction with fixed duty that is the whole
-run.
+then solved, boundary currents are recovered from the solved drive voltages,
+and the capacitor companion sources advance to the next period.
+
+A run assembles and factors its system once, for the bootstrap, with every
+cell at d_p = 1 - d.  A period in which some cells have another d_p, in
+discontinuous conduction or in a ``dcm_refine`` re-solve, differs from that
+system only in those cells' iD_avg rows, and is solved as a row update of
+the same factors (:class:`avgcell.mna.RowUpdate`); the residual is checked
+against the period's own matrix.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import cells as _cells
 from .errors import AvgcellError
 from .mna import (
     CellPrediction,
+    RowUpdate,
     SingularSystem,
     assemble_system,
     check_residual,
@@ -129,8 +132,9 @@ def run(circuit, config):
 def step(circuit, config, previous_record):
     """Advance one switching period from an existing record.
 
-    ``run`` uses the same machinery with factorization reuse; this entry
-    point rebuilds the system and is meant for inspection and testing.
+    ``run`` uses the same machinery with one factorization for the whole
+    run; this entry point assembles and factors afresh and is meant for
+    inspection and testing.
     """
     stepper = _Stepper(circuit, config)
     return stepper.step(previous_record.index + 1, previous_record)
@@ -175,36 +179,18 @@ class _Stepper:
         self.caps = [
             (e, 2.0 * e.value / config.T_s) for e in circuit.capacitors()
         ]
-        self._cache_key = None
-        self._system = None
-        self._factors = None
-        self._a_norm = None
         self.bootstrap = self._bootstrap()
 
-    def _assemble(self, predictions, cap_sources):
-        key = tuple(
-            (predictions[e.label].mode, predictions[e.label].d_p)
-            for e, _ in self.cells
-        )
-        if key != self._cache_key:
-            self._system = assemble_system(
-                self.circuit, self.config.d, self.config.T_s, predictions, cap_sources
-            )
-            self._factors = lu_factor(self._system.A)
-            self._a_norm = float(np.abs(self._system.A).sum(axis=1).max())
-            self._cache_key = key
-        return self._system
-
     def _solve(self, predictions, cap_sources):
-        """Solve one period's system with the cached factorization.
+        """Solve one period's system with the run's factorization.
 
         Returns the node voltages, the voltage-source currents, each cell's
         (iS_avg, iD_avg) and the capacitor voltages in ``self.caps`` order.
         """
-        system = self._assemble(predictions, cap_sources)
+        system = self._system
         z = system.rhs(predictions, cap_sources)
-        x = lu_solve(self._factors, z)
-        check_residual(system.A, x, z, self._a_norm)
+        x = self._update.solve(lu_solve(self._factors, z), predictions)
+        check_residual(system.A, x, z, self._update.a_norm)
 
         layout = system.layout
         x = x.tolist()
@@ -222,7 +208,8 @@ class _Stepper:
 
     def _bootstrap(self):
         """Preliminary continuous-conduction solve that provides the port
-        voltages the first real period's mode prediction needs."""
+        voltages the first real period's mode prediction needs; its
+        system is the one every period of the run is solved from."""
         d = self.config.d
         predictions = {
             e.label: CellPrediction(_cells.Mode.CCM, 1.0 - d, e.initial)
@@ -230,6 +217,22 @@ class _Stepper:
         }
         # Zero capacitor current assumed at t = 0.
         cap_sources = {e.label: g * e.initial for e, g in self.caps}
+        self._system = assemble_system(
+            self.circuit, d, self.config.T_s, predictions, cap_sources
+        )
+        self._factors = lu_factor(self._system.A)
+        # Synchronous cells keep d_p = 1 - d, so only diode rows can move.
+        diode_cells = {
+            e.label
+            for e, params in self.cells
+            if params.rectifier is _cells.Rectifier.DIODE
+        }
+        self._update = RowUpdate(
+            self._system.A,
+            self._factors,
+            [r for r in self._system.diode_rows if r.label in diode_cells],
+            1.0 - d,
+        )
         node_voltages, vdc_currents, cell_currents, cap_voltages = self._solve(
             predictions, cap_sources
         )

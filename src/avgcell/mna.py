@@ -21,11 +21,18 @@ every capacitor and the start current iL0 of every cell:
 z_static holds the voltage- and current-source values.  B holds the
 incidence of each capacitor's history source and each cell's d iL0 and
 d_p iL0 / n terms; it is kept as its few nonzero entries, each naming the
-capacitor or cell whose state it multiplies.  A and B both depend on the
-cells' (mode, d_p) and are stamped together, so a caller that reuses A's
-factorization across periods reuses B with it and forms each period's
-right-hand side with :meth:`MnaSystem.rhs`.  Source terms are written
-nowhere else.
+capacitor or cell whose state it multiplies, and :meth:`MnaSystem.rhs`
+takes each cell's d_p and iL0 from the period's prediction.  Source terms
+are written nowhere else.
+
+A cell's diode duty d_p enters A in one place only, the cell's iD_avg row
+(``rd``), which is affine in d_p and d_p^2 (:class:`DiodeRow`).  A run
+therefore factors A once, at d_p = 1 - d for every cell, and
+:class:`RowUpdate` solves each later period, in which k cells have some
+other d_p, as a rank-k row update of those factors (Sherman-Morrison-
+Woodbury; Hager, "Updating the inverse of a matrix", SIAM Review 31(2),
+1989).  The k rewritten rows are written into A in place, so A is always
+the period's actual matrix and its residual is checked against it.
 """
 
 import math
@@ -86,23 +93,55 @@ class MnaSystem:
         self.layout = layout
         self.A = np.zeros((layout.order, layout.order))
         self.z_static = np.zeros(layout.order)
-        # Nonzero entries of B as (row, label, coefficient), for capacitor
-        # history sources and for cell start currents.
+        # Nonzero entries of B: (row, label, coefficient) for capacitor
+        # history sources, (rs, rd, label, d, n) for cell start currents.
         self.B_cap = []
         self.B_cell = []
+        # The iD_avg row of every cell, in netlist order.
+        self.diode_rows = []
         self.z = None
 
     def rhs(self, predictions, cap_sources):
-        """z_static + B @ state, with each cell's iL0 taken from
+        """z_static + B @ state, with each cell's d_p and iL0 taken from
         ``predictions`` and each capacitor's i_0 from ``cap_sources``.
 
         The systems are tiny, so the product runs on plain Python floats."""
         z = self.z_static.tolist()
         for row, label, coeff in self.B_cap:
             z[row] += coeff * cap_sources[label]
-        for row, label, coeff in self.B_cell:
-            z[row] += coeff * predictions[label].iL0
+        for rs, rd, label, d, n in self.B_cell:
+            prediction = predictions[label]
+            z[rs] += d * prediction.iL0
+            z[rd] += prediction.d_p / n * prediction.iL0
         return np.array(z)
+
+
+@dataclass(frozen=True)
+class DiodeRow:
+    """A cell's iD_avg constraint row, e_rd + d_p ra + d_p^2 rb.
+
+    ``cols`` are the rows of the cell's non-ground terminals and ``ra``,
+    ``rb`` the coefficients there; the row has no other entries.
+    """
+
+    label: str
+    row: int
+    cols: tuple
+    ra: tuple
+    rb: tuple
+
+    def values(self, d_p):
+        """The row's entries in ``cols`` for diode duty ``d_p``."""
+        return [d_p * a + d_p * d_p * b for a, b in zip(self.ra, self.rb)]
+
+    def write(self, A, d_p):
+        """Overwrite the row of ``A`` for diode duty ``d_p``; returns the
+        row's absolute sum."""
+        A[self.row, self.row] = 1.0
+        values = self.values(d_p)
+        for col, v in zip(self.cols, values):
+            A[self.row, col] = v
+        return 1.0 + sum(map(abs, values))
 
 
 def build_layout(circuit):
@@ -189,7 +228,6 @@ def stamp_cell(system, element, d, T_s, prediction):
             system.A[r_to, col] -= 1.0
 
     g_l = T_s / params.L
-    d_p = prediction.d_p
     a_map, b_map = _cells.drive_terms(params)
 
     system.A[rs, rs] += 1.0
@@ -197,18 +235,27 @@ def stamp_cell(system, element, d, T_s, prediction):
         r = terminal_row[t]
         if r is not None:
             system.A[rs, r] += -(d * d * g_l / 2.0) * coeff
-    system.B_cell.append((rs, element.label, d))
 
-    system.A[rd, rd] += 1.0
-    for t, coeff in a_map.items():
-        r = terminal_row[t]
-        if r is not None:
-            system.A[rd, r] += -(d * d_p * g_l / params.n) * coeff
-    for t, coeff in b_map.items():
-        r = terminal_row[t]
-        if r is not None:
-            system.A[rd, r] += -(d_p * d_p * g_l / (2.0 * params.n)) * coeff
-    system.B_cell.append((rd, element.label, d_p / params.n))
+    ra, rb = {}, {}
+    for terms, scale, out in (
+        (a_map, -d * g_l / params.n, ra),
+        (b_map, -g_l / (2.0 * params.n), rb),
+    ):
+        for t, coeff in terms.items():
+            r = terminal_row[t]
+            if r is not None:
+                out[r] = out.get(r, 0.0) + scale * coeff
+    cols = tuple(sorted(ra.keys() | rb.keys()))
+    row = DiodeRow(
+        element.label,
+        rd,
+        cols,
+        tuple(ra.get(c, 0.0) for c in cols),
+        tuple(rb.get(c, 0.0) for c in cols),
+    )
+    row.write(system.A, prediction.d_p)
+    system.diode_rows.append(row)
+    system.B_cell.append((rs, rd, element.label, d, params.n))
 
 
 def assemble_system(circuit, d, T_s, predictions, cap_sources):
@@ -303,11 +350,137 @@ def lu_solve(factors, b):
     return factors.solve(b)
 
 
+class RowUpdate:
+    """Solves A x = z through the factors of a base matrix A0 whose diode
+    rows sat at ``d_p0``, after the rows of some cells moved to another d_p.
+
+    For the k cells whose d_p differs, A = A0 + E U^T: E holds the unit
+    columns e_rd and row u of U^T is (d_p - d_p0) ra + (d_p^2 - d_p0^2) rb,
+    with at most three nonzeros.  With W = A0^-1 E, solved once per cell,
+
+        x = x0 - W C^-1 U^T x0,   x0 = A0^-1 z,   C = I + U^T W.
+
+    By the determinant lemma det A = det A0 det C, so C is singular exactly
+    when A is.  ``A`` is the matrix that was factored; it is rewritten in
+    place to hold the current rows, and ``a_norm`` is its infinity norm.
+    """
+
+    def __init__(self, A, factors, rows, d_p0):
+        self.A = A
+        self.rows = rows
+        self.d_p0 = d_p0
+        self._row_norms = np.abs(self.A).sum(axis=1).tolist()
+        self.a_norm = max(self._row_norms)
+        self._held = [d_p0] * len(rows)
+        unit = np.zeros(len(self._row_norms))
+        columns = []
+        for r in rows:
+            unit[r.row] = 1.0
+            columns.append(factors.solve(unit).tolist())
+            unit[r.row] = 0.0
+        self._W = np.array(columns).reshape(len(rows), len(unit))
+        # ra_i . w_j and rb_i . w_j for every pair of rows (i, j).
+        self._raw = [[_dot(r.ra, r.cols, w) for w in columns] for r in rows]
+        self._rbw = [[_dot(r.rb, r.cols, w) for w in columns] for r in rows]
+        # Row i of C sums at most 1 + |alpha| |ra_i| . |w_j| + |beta|
+        # |rb_i| . |w_j| in magnitude; the largest of these over j is the
+        # row's scale for the pivot rule, so cancellation down to a tiny
+        # pivot is caught.
+        abs_columns = [[abs(v) for v in w] for w in columns]
+        self._magnitude = [
+            (
+                max(_dot(map(abs, r.ra), r.cols, w) for w in abs_columns),
+                max(_dot(map(abs, r.rb), r.cols, w) for w in abs_columns),
+            )
+            for r in rows
+        ]
+
+    def solve(self, x0, predictions):
+        """Write each cell's row of ``A`` for its predicted d_p and return
+        the solution of the updated system, given x0 = A0^-1 z."""
+        moved = []
+        rewritten = False
+        for i, r in enumerate(self.rows):
+            d_p = predictions[r.label].d_p
+            if d_p != self._held[i]:
+                self._row_norms[r.row] = r.write(self.A, d_p)
+                self._held[i] = d_p
+                rewritten = True
+            if d_p != self.d_p0:
+                moved.append(i)
+        if rewritten:
+            self.a_norm = max(self._row_norms)
+        if not moved:
+            return x0
+
+        xs = x0.tolist()
+        d_p0 = self.d_p0
+        C, rhs, scale = [], [], []
+        for pos, i in enumerate(moved):
+            r = self.rows[i]
+            d_p = self._held[i]
+            alpha = d_p - d_p0
+            beta = d_p * d_p - d_p0 * d_p0
+            u_x = 0.0
+            for a, b, c in zip(r.ra, r.rb, r.cols):
+                u_x += (alpha * a + beta * b) * xs[c]
+            rhs.append(u_x)
+            raw, rbw = self._raw[i], self._rbw[i]
+            c_row = [alpha * raw[j] + beta * rbw[j] for j in moved]
+            c_row[pos] += 1.0
+            C.append(c_row)
+            ra_abs, rb_abs = self._magnitude[i]
+            scale.append(1.0 + abs(alpha) * ra_abs + abs(beta) * rb_abs)
+        y = solve_small(C, rhs, scale)
+        return x0 - np.array(y) @ self._W[moved]
+
+
+def _dot(coeffs, cols, x):
+    return sum(a * x[c] for a, c in zip(coeffs, cols))
+
+
+def solve_small(C, r, scale):
+    """Solve the k x k system C y = r (nested lists, overwritten) by
+    Gaussian elimination with partial pivoting on plain Python floats.
+
+    Raises :class:`SingularSystem` by the rule of :func:`lu_factor`, a
+    pivot at or below ``PIVOT_RTOL`` times its row's ``scale``; for k = 1
+    the solve is one division.
+    """
+    k = len(r)
+    for col in range(k):
+        p = max(range(col, k), key=lambda i: abs(C[i][col]))
+        pivot = C[p][col]
+        if not abs(pivot) > PIVOT_RTOL * scale[p]:
+            raise SingularSystem(
+                f"row-update pivot {pivot:.3e} in column {col} below tolerance"
+            )
+        C[col], C[p] = C[p], C[col]
+        r[col], r[p] = r[p], r[col]
+        scale[col], scale[p] = scale[p], scale[col]
+        pivot_row = C[col]
+        for i in range(col + 1, k):
+            f = C[i][col] / pivot
+            if f:
+                row = C[i]
+                for j in range(col + 1, k):
+                    row[j] -= f * pivot_row[j]
+                r[i] -= f * r[col]
+    y = [0.0] * k
+    for i in range(k - 1, -1, -1):
+        row = C[i]
+        acc = r[i]
+        for j in range(i + 1, k):
+            acc -= row[j] * y[j]
+        y[i] = acc / row[i]
+    return y
+
+
 def check_residual(A, x, z, a_norm=None):
     """Enforce the backward-stable residual bound of the direct solve.
 
-    ``a_norm`` may carry a precomputed infinity norm of A, which is constant
-    for as long as a factorization is reused.
+    ``a_norm`` may carry a precomputed infinity norm of A, such as
+    :attr:`RowUpdate.a_norm`.
     """
     residual = float(np.abs(A @ x - z).max())
     if a_norm is None:

@@ -33,8 +33,10 @@ its samples are one matrix product; the zero-crossing and re-conduction
 predicates are evaluated over all of it, and the first substep where one
 holds is taken on its own, which does the interpolation and the
 backward-Euler restart.  The maps of grid-step topologies are cached, since
-the systems are tiny and recur every period; the part-substeps at a
-crossing or a switching edge inside a substep are built when needed.
+the systems are tiny and recur every period, and so are the two parts of a
+switching edge that falls inside a substep, whose lengths are the same in
+every period; the part-substeps at a diode crossing are built when needed.
+A run whose samples are not all finite raises ``SingularSystem``.
 """
 
 import math
@@ -215,17 +217,19 @@ class _SwitchedSimulator:
             + [1.0]
         )
         self._topo_cache = {}
+        self._cached_steps = {self.h}
 
     def _col(self, key):
         return self.node_col.get(key, -1)
 
     def _assemble(self, h, method):
         """The map of one substep of length ``h`` on the present topology;
-        cached when ``h`` is the grid step."""
-        phases = tuple(c.phase for c in self.cells)
-        cached = h == self.h
-        if cached and (phases, method) in self._topo_cache:
-            return self._topo_cache[phases, method]
+        cached when ``h`` is the grid step or a part of the split switching
+        substep, which recur every period."""
+        key = (tuple(c.phase for c in self.cells), method, h)
+        cached = h in self._cached_steps
+        if cached and key in self._topo_cache:
+            return self._topo_cache[key]
 
         branches = [(*e.nodes, e.value) for e in self.vdcs]
         for cell in self.cells:
@@ -282,7 +286,7 @@ class _SwitchedSimulator:
         np.matmul(Ainv, B, out=P[:-1])
         topo = _Topo(P, E @ P + F)
         if cached:
-            self._topo_cache[phases, method] = topo
+            self._topo_cache[key] = topo
         return topo
 
     @staticmethod
@@ -479,6 +483,13 @@ class _SwitchedSimulator:
         p_sw = config.d * steps
         if abs(p_sw - round(p_sw)) < 1e-9:
             p_sw = int(round(p_sw))
+        # Substep where the switch turns off (or the split substep when the
+        # edge falls inside one): trapezoidal stretches end there or at the
+        # end of the period.
+        off = math.floor(p_sw)
+        split = ((p_sw - off) * h, (off + 1 - p_sw) * h)
+        if off != p_sw:
+            self._cached_steps.update(split)
 
         signal_names = (
             [f"v({n})" for n in self.node_ids]
@@ -491,10 +502,6 @@ class _SwitchedSimulator:
         self._switch_on()
         out[0] = self._sample_row(self._operating_point())
 
-        # Substep where the switch turns off (or the split substep when the
-        # edge falls inside one): trapezoidal stretches end there or at the
-        # end of the period.
-        off = math.floor(p_sw)
         restart = True
         for n in range(n_periods):
             row = n * steps + 1
@@ -507,9 +514,9 @@ class _SwitchedSimulator:
                     self._switch_off()
                     restart = True
                 if j < p_sw < j + 1:
-                    self._advance((p_sw - j) * h, "be")
+                    self._advance(split[0], "be")
                     self._switch_off()
-                    x, _ = self._advance((j + 1 - p_sw) * h, "be")
+                    x, _ = self._advance(split[1], "be")
                     restart = True
                 elif restart:
                     x, restart = self._advance(h, "be")
@@ -524,6 +531,12 @@ class _SwitchedSimulator:
                 out[row + j] = self._sample_row(x)
                 j += 1
 
+        if not np.isfinite(out).all():
+            k, col = np.argwhere(~np.isfinite(out))[0]
+            raise SingularSystem(
+                f"switched network gives a non-finite {signal_names[col]} "
+                f"at substep {k}"
+            )
         times = np.arange(n_samples) * h
         result = {}
         for k, name in enumerate(signal_names):

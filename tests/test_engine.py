@@ -12,7 +12,8 @@ from avgcell.engine import (
     PeriodRecord,
     predict_mode,
 )
-from avgcell.mna import SingularSystem
+from avgcell import mna
+from avgcell.mna import CellPrediction, SingularSystem, assemble_system
 
 from conftest import (
     BUCK,
@@ -236,6 +237,76 @@ def test_singular_system_reports_period(monkeypatch, buck_circuit):
         run(buck_circuit, std_config(1e-3))
     # Bootstrap plus periods 0 and 1 succeed; period 2 fails.
     assert excinfo.value.period == 2
+
+
+# A diode buck feeding a diode flyback (turns ratio 1.7), started from rest:
+# the two cells leave continuous conduction in different periods.
+BUCK_INTO_FLYBACK = """\
+VDC 1 1 0 24.0
+SCD1 1 1 0 2 22e-6 0
+C 1 2 0 47e-6 0
+R 1 2 0 80.0
+FBD1 2 1 0 3 15e-6 1.7 0
+C 2 3 0 68e-6 0
+R 2 3 0 120.0
+"""
+
+
+def test_row_updated_system_equals_assembled_system(monkeypatch):
+    """Every period is solved from the bootstrap's factors, yet the system
+    its residual is checked against is the one assembly gives for that
+    period's predictions: in CCM, with one cell and with both in DCM."""
+    import avgcell.engine as engine_module
+
+    checked = []
+    real = engine_module.check_residual
+
+    def capture(A, x, z, a_norm=None):
+        checked.append((A.copy(), z.copy(), a_norm))
+        return real(A, x, z, a_norm)
+
+    monkeypatch.setattr(engine_module, "check_residual", capture)
+    circuit = parse_netlist(BUCK_INTO_FLYBACK)
+    config = SimConfig(0.4, 100e3, 1e-3)
+    result = run(circuit, config)
+    assert len(checked) == 1 + len(result.records)
+
+    dcm_counts = set()
+    previous = result.bootstrap
+    for record, (A, z, a_norm) in zip(result.records, checked[1:]):
+        predictions = {
+            label: CellPrediction(state.mode, state.d_p, state.iL0)
+            for label, state in record.cells.items()
+        }
+        cap_sources = {
+            label: cap.i0_next for label, cap in previous.capacitors.items()
+        }
+        system = assemble_system(circuit, config.d, config.T_s, predictions, cap_sources)
+        np.testing.assert_allclose(A, system.A, rtol=4 * np.finfo(float).eps, atol=0)
+        np.testing.assert_allclose(z, system.z, rtol=4 * np.finfo(float).eps, atol=0)
+        assert a_norm == pytest.approx(np.abs(system.A).sum(axis=1).max(), rel=1e-15)
+        dcm_counts.add(sum(s.mode is Mode.DCM for s in record.cells.values()))
+        previous = record
+    assert dcm_counts == {0, 1, 2}
+
+
+def test_singular_row_update_reports_period(monkeypatch):
+    """A row-updated system that is singular raises SingularSystem with
+    the period index, without a refactorization to find it."""
+    reference = run(parse_netlist(BUCK_DCM), std_config(1e-3))
+    first_dcm = next(
+        r.index for r in reference.records if r.cells["SCD1"].mode is Mode.DCM
+    )
+    real = mna.solve_small
+
+    def singular(C, r, scale):
+        return real([[0.0] * len(r) for _ in r], r, scale)
+
+    monkeypatch.setattr(mna, "solve_small", singular)
+    with pytest.raises(SingularSystem) as excinfo:
+        run(parse_netlist(BUCK_DCM), std_config(1e-3))
+    assert excinfo.value.period == first_dcm
+    assert "row-update pivot" in str(excinfo.value)
 
 
 def test_records_carry_time_axis(buck_run):

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from avgcell.cells import Mode
 from avgcell.mna import (
     CellPrediction,
+    RowUpdate,
     SingularSystem,
     assemble_system,
     build_layout,
     check_residual,
     lu_factor,
     lu_solve,
+    solve_small,
     stamp_capacitor,
     stamp_cell,
     stamp_resistor,
@@ -237,6 +239,75 @@ class TestSolver:
             check_residual(a, np.array([np.nan, 0.0]), np.zeros(2))
         with pytest.raises(SingularSystem):
             check_residual(np.ones((2, 2)), np.array([np.inf, 1.0]), np.zeros(2))
+
+
+class TestSmallSolve:
+    def test_one_by_one_is_a_division(self):
+        assert solve_small([[4.0]], [2.0], [4.0]) == [0.5]
+
+    def test_pivoting_handles_zero_diagonal(self):
+        assert solve_small([[0.0, 1.0], [1.0, 0.0]], [2.0, 3.0], [1.0, 1.0]) == [
+            3.0,
+            2.0,
+        ]
+
+    def test_agrees_with_reference(self):
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=(6, 6)) + 6 * np.eye(6)
+        r = rng.normal(size=6)
+        y = solve_small(c.tolist(), r.tolist(), np.abs(c).max(axis=1).tolist())
+        np.testing.assert_allclose(y, np.linalg.solve(c, r), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "C, scale",
+        [
+            ([[0.0]], [1.0]),
+            ([[1e-14]], [1.0]),  # cancelled from terms of size 1
+            ([[float("nan")]], [1.0]),
+            ([[1.0, 2.0], [2.0, 4.0]], [2.0, 4.0]),
+        ],
+    )
+    def test_small_pivot_raises(self, C, scale):
+        with pytest.raises(SingularSystem):
+            solve_small(C, [1.0] * len(C), scale)
+
+
+CASCADE = """\
+VDC 1 1 0 20.0
+SCD1 1 1 0 2 10e-6 0
+C 1 2 0 1e-4 0
+FBD2 2 2 0 3 15e-6 1.7 0
+C 2 3 0 1e-4 0
+R 1 3 0 50.0
+"""
+
+
+def test_row_update_matches_refactored_system():
+    """Moving, moving back and holding the diode rows of a two-cell system
+    gives the assembled matrix and the solution of a fresh factorization."""
+    circuit = parse_netlist(CASCADE)
+    d = 0.4
+    caps = {"C1": 3.0, "C2": -1.0}
+
+    def predictions(d_p1, d_p2):
+        return {
+            "SCD1": CellPrediction(Mode.DCM, d_p1, 0.0),
+            "FBD2": CellPrediction(Mode.DCM, d_p2, 0.0),
+        }
+
+    base = predictions(1.0 - d, 1.0 - d)
+    system = assemble_system(circuit, d, TS, base, caps)
+    factors = lu_factor(system.A)
+    update = RowUpdate(system.A, factors, system.diode_rows, 1.0 - d)
+    for d_ps in [(0.3, 0.45), (0.3, 1.0 - d), (0.2, 0.1), (1.0 - d, 1.0 - d)]:
+        pred = predictions(*d_ps)
+        expected = assemble_system(circuit, d, TS, pred, caps)
+        z = system.rhs(pred, caps)
+        x = update.solve(lu_solve(factors, z), pred)
+        np.testing.assert_array_equal(system.A, expected.A)
+        assert update.a_norm == pytest.approx(np.abs(expected.A).sum(axis=1).max())
+        np.testing.assert_allclose(x, solve(expected), rtol=1e-12, atol=1e-12)
+        check_residual(system.A, x, z, update.a_norm)
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 
 from avgcell import SimConfig, parse_netlist, run
 from avgcell.engine import InvalidCircuit, InvalidConfig
+from avgcell.mna import SingularSystem
 from avgcell.oracle import (
     OracleConfig,
     OutOfRange,
@@ -35,6 +36,17 @@ def test_requires_a_cell():
     circuit = parse_netlist("VDC 1 1 0 10.0\nR 1 1 0 5.0\n")
     with pytest.raises(InvalidCircuit):
         simulate_switched(circuit, std_config(1e-4))
+
+
+def test_non_finite_samples_raise():
+    """A 1e308 V source across a 1 nH cell into 1 mOhm overflows the first
+    substep; the run raises instead of returning NaN samples."""
+    circuit = parse_netlist(
+        "VDC 1 1 0 1e308\nSCN1 1 1 0 2 1e-9 0\nC 1 2 0 1e-4 0\nR 1 2 0 1e-3\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularSystem, match="non-finite"):
+            simulate_switched(circuit, std_config(2e-5), OracleConfig(100))
 
 
 def test_full_duty_ramp_is_exact():
