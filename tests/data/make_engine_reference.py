@@ -8,7 +8,9 @@ Runs ``run`` on the five committed netlists at their ``.param`` duty ratio,
 switching frequency and duration, on ``buck_dcm.net`` with ``dcm_refine``,
 on a two-cell diode cascade that enters discontinuous conduction, and on a
 three-stage diode buck and flyback chain started from rest, plain and with
-``dcm_refine``, and writes ``tests/data/engine_reference.json``.  Each case stores its netlist
+``dcm_refine``, and on eight mixed stages in parallel on one source, plain and
+with ``dcm_refine``, and writes ``tests/data/engine_reference.json``.  Each
+case stores its netlist
 text, run parameters, the bootstrap record and every ``STRIDE``-th period
 record (every field, as exact floats), and the mode of every cell in every
 period as a string of ``C`` and ``D``.
@@ -62,6 +64,39 @@ C 3 4 0 33e-6 0
 R 3 4 0 150.0
 """
 
+# Eight stages in parallel on one 24 V source, cycling through the four cell
+# kinds (flyback turns ratio 1.7), started from rest: a system of order 26.
+# The diode stages are loaded lightly enough to leave continuous conduction
+# after the start-up, in three different periods.
+WIDE_MIX = """\
+.param D=0.4 fs=100e3 tend=3e-3
+VDC 1 1 0 24.0
+SCN1 1 1 0 2 33e-6 0
+C 1 2 0 100e-6 0
+R 1 2 0 4.0
+FBN1 1 1 0 3 27e-6 1.7 0
+C 2 3 0 68e-6 0
+R 2 3 0 6.0
+SCD1 1 1 0 4 22e-6 0
+C 3 4 0 47e-6 0
+R 3 4 0 80.0
+FBD1 1 1 0 5 15e-6 1.7 0
+C 4 5 0 68e-6 0
+R 4 5 0 120.0
+SCN2 1 1 0 6 47e-6 0
+C 5 6 0 150e-6 0
+R 5 6 0 3.0
+FBN2 1 1 0 7 39e-6 1.7 0
+C 6 7 0 82e-6 0
+R 6 7 0 8.0
+SCD2 1 1 0 8 33e-6 0
+C 7 8 0 33e-6 0
+R 7 8 0 150.0
+FBD2 1 1 0 9 12e-6 1.7 0
+C 8 9 0 56e-6 0
+R 8 9 0 100.0
+"""
+
 # (case name, netlist file or None, netlist text, dcm_refine, duration or
 # None for the netlist's .param tend).
 CASES = [
@@ -74,6 +109,8 @@ CASES = [
     ("scd_cascade", None, SCD_CASCADE, False, 5e-3),
     ("mixed_chain", None, MIXED_CHAIN, False, None),
     ("mixed_chain+refine", None, MIXED_CHAIN, True, None),
+    ("wide_mix", None, WIDE_MIX, False, None),
+    ("wide_mix+refine", None, WIDE_MIX, True, None),
 ]
 
 

@@ -74,7 +74,8 @@ def test_modes_match_reference(replay):
 def test_reference_covers_dcm():
     """The diode cases, the refined runs and every cascade and chain cell
     rest in some period; the chain's cells leave continuous conduction in
-    different periods."""
+    different periods.  In the wide mix of order 26 every diode cell rests
+    in some period and every synchronous cell never does."""
     names = (
         "buck_dcm.net",
         "buck_dcm.net+refine",
@@ -89,3 +90,9 @@ def test_reference_covers_dcm():
         modes = CASES[name]["modes"].values()
         assert all(seq.startswith("C") for seq in modes), name
         assert len({seq.index("D") for seq in modes}) == len(modes), name
+    for name in ("wide_mix", "wide_mix+refine"):
+        modes = CASES[name]["modes"]
+        assert len(modes) == 8, name
+        for label, seq in modes.items():
+            assert seq.startswith("C"), (name, label)
+            assert ("D" in seq) == label.startswith(("SCD", "FBD")), (name, label)
