@@ -2,16 +2,19 @@
 
 One step covers exactly one switching period.  Before each period the
 conduction mode of every diode cell is predicted from the previous period's
-port voltages and the carried-over inductor current; the linear system is
+drive voltages and the carried-over inductor current; the linear system is
 then solved, boundary currents are recovered from the solved drive voltages,
 and the capacitor companion sources advance to the next period.
 
 A run assembles and factors its system once, for the bootstrap, with every
-cell at d_p = 1 - d.  A period in which some cells have another d_p, in
-discontinuous conduction or in a ``dcm_refine`` re-solve, differs from that
-system only in those cells' iD_avg rows, and is solved as a row update of
-the same factors (:class:`avgcell.mna.RowUpdate`); the residual is checked
-against the period's own matrix.
+cell at d_p = 1 - d, and keeps the inverse A0^-1 of its matrix.  A period
+in which every cell has that d_p is solved as the product A0^-1 z.  A
+period in which some cells have another d_p, in discontinuous conduction or
+in a ``dcm_refine`` re-solve, differs from that system only in those cells'
+iD_avg rows, and is solved as a row update of the same inverse
+(:class:`avgcell.mna.RowUpdate`).  Either way the residual is checked
+against the period's own matrix, and every cell's drive voltages are read
+off the solution x as the product D @ x with the system's drive matrix.
 """
 
 import math
@@ -132,29 +135,34 @@ def run(circuit, config):
 def step(circuit, config, previous_record):
     """Advance one switching period from an existing record.
 
-    ``run`` uses the same machinery with one factorization for the whole
-    run; this entry point assembles and factors afresh and is meant for
-    inspection and testing.
+    The modes are predicted from the drive voltages stored on the record's
+    cell states, which are those of its node voltages.  ``run`` uses the
+    same machinery with one factorization for the whole run; this entry
+    point assembles and factors afresh and is meant for inspection and
+    testing.
     """
     stepper = _Stepper(circuit, config)
     return stepper.step(previous_record.index + 1, previous_record)
 
 
 def predict_mode(cell, previous_record, d):
-    """Predict (mode, d_p) for the period following ``previous_record``."""
+    """Predict (mode, d_p) for the period following ``previous_record``
+    from the drive voltages of its node voltages."""
     params = cell_params(cell)
     iL0 = previous_record.cells[cell.label].iL2
-    return _predict(params, _ports(cell, previous_record.node_voltages), iL0, d)
+    vL1, vL2 = _cells.drive_voltages(
+        _ports(cell, previous_record.node_voltages), params
+    )
+    return _predict(params, vL1, vL2, iL0, d)
 
 
-def _predict(params, ports, iL0, d):
+def _predict(params, vL1, vL2, iL0, d):
     if params.rectifier is _cells.Rectifier.SYNCHRONOUS:
         return _cells.Mode.CCM, 1.0 - d
     # A positive starting current keeps the continuous-conduction geometry
     # regardless of d2: the current must reach zero before the cell can rest.
     if iL0 > _cells.current_tol(iL0):
         return _cells.Mode.CCM, 1.0 - d
-    vL1, vL2 = _cells.drive_voltages(ports, params)
     d2 = _cells.compute_d2(vL1, vL2, d)
     return _cells.resolve_mode(d, d2, params.rectifier)
 
@@ -185,7 +193,8 @@ class _Stepper:
         """Solve one period's system with the run's factorization.
 
         Returns the node voltages, the voltage-source currents, each cell's
-        (iS_avg, iD_avg) and the capacitor voltages in ``self.caps`` order.
+        (iS_avg, iD_avg, vL1, vL2) in ``self.cells`` order and the
+        capacitor voltages in ``self.caps`` order.
         """
         system = self._system
         z = system.rhs(predictions, cap_sources)
@@ -193,21 +202,26 @@ class _Stepper:
         check_residual(system.A, x, z, self._update.a_norm)
 
         layout = system.layout
+        drives = (system.D @ x).tolist()
         x = x.tolist()
         # Node voltages occupy the first rows, in node_ids order.
         node_voltages = dict(zip(layout.node_ids, x))
         vdc_currents = {label: x[row] for label, row in layout.vdc_row.items()}
-        cell_currents = {
-            label: (x[rs], x[rd]) for label, (rs, rd) in layout.cell_rows.items()
-        }
+        # Cell rows and the rows of D both follow the netlist's cell order.
+        cell_solutions = [
+            (x[rs], x[rd], vL1, vL2)
+            for (rs, rd), vL1, vL2 in zip(
+                layout.cell_rows.values(), drives[::2], drives[1::2]
+            )
+        ]
         cap_voltages = [
             node_voltages.get(e.nodes[0], 0.0) - node_voltages.get(e.nodes[1], 0.0)
             for e, _ in self.caps
         ]
-        return node_voltages, vdc_currents, cell_currents, cap_voltages
+        return node_voltages, vdc_currents, cell_solutions, cap_voltages
 
     def _bootstrap(self):
-        """Preliminary continuous-conduction solve that provides the port
+        """Preliminary continuous-conduction solve that provides the drive
         voltages the first real period's mode prediction needs; its
         system is the one every period of the run is solved from."""
         d = self.config.d
@@ -233,14 +247,12 @@ class _Stepper:
             [r for r in self._system.diode_rows if r.label in diode_cells],
             1.0 - d,
         )
-        node_voltages, vdc_currents, cell_currents, cap_voltages = self._solve(
+        node_voltages, vdc_currents, cell_solutions, cap_voltages = self._solve(
             predictions, cap_sources
         )
 
         cell_states = {}
-        for e, params in self.cells:
-            iS_avg, iD_avg = cell_currents[e.label]
-            vL1, vL2 = _cells.drive_voltages(_ports(e, node_voltages), params)
+        for (e, _), (iS_avg, iD_avg, vL1, vL2) in zip(self.cells, cell_solutions):
             cell_states[e.label] = _cells.CellState(
                 iL0=e.initial,
                 iL1=e.initial,
@@ -264,10 +276,9 @@ class _Stepper:
         config = self.config
         predictions = {}
         for e, params in self.cells:
-            iL0 = previous.cells[e.label].iL2
-            mode, d_p = _predict(
-                params, _ports(e, previous.node_voltages), iL0, config.d
-            )
+            state = previous.cells[e.label]
+            iL0 = state.iL2
+            mode, d_p = _predict(params, state.vL1, state.vL2, iL0, config.d)
             if mode is _cells.Mode.DCM:
                 iL0 = 0.0
             predictions[e.label] = CellPrediction(mode, d_p, iL0)
@@ -284,9 +295,8 @@ class _Stepper:
             changed = False
             for e, params in self.cells:
                 pred = predictions[e.label]
-                mode, d_p = _predict(
-                    params, _ports(e, record.node_voltages), pred.iL0, config.d
-                )
+                state = record.cells[e.label]
+                mode, d_p = _predict(params, state.vL1, state.vL2, pred.iL0, config.d)
                 if (mode, d_p) != (pred.mode, pred.d_p):
                     changed = True
                 refined[e.label] = CellPrediction(mode, d_p, pred.iL0)
@@ -297,17 +307,16 @@ class _Stepper:
     def _solve_period(self, index, predictions, cap_sources):
         config = self.config
         try:
-            node_voltages, vdc_currents, cell_currents, cap_voltages = self._solve(
+            node_voltages, vdc_currents, cell_solutions, cap_voltages = self._solve(
                 predictions, cap_sources
             )
         except SingularSystem as exc:
             raise SingularSystem(str(exc), period=index) from exc
 
         cell_states = {}
-        for e, params in self.cells:
+        for (e, params), solution in zip(self.cells, cell_solutions):
+            iS_avg, iD_avg, vL1, vL2 = solution
             pred = predictions[e.label]
-            iS_avg, iD_avg = cell_currents[e.label]
-            vL1, vL2 = _cells.drive_voltages(_ports(e, node_voltages), params)
             iL1, iL2 = _cells.advance_inductor(
                 pred.iL0, vL1, vL2, config.d, pred.d_p, params, config.T_s
             )

@@ -25,14 +25,21 @@ capacitor or cell whose state it multiplies, and :meth:`MnaSystem.rhs`
 takes each cell's d_p and iL0 from the period's prediction.  Source terms
 are written nowhere else.
 
+The same coefficients that tie a cell's currents to its port voltages give
+its drive voltages vL1 and vL2 as rows of the drive matrix D, two rows per
+cell in netlist order, so D @ x is every cell's (vL1, vL2) for a solution x.
+
 A cell's diode duty d_p enters A in one place only, the cell's iD_avg row
 (``rd``), which is affine in d_p and d_p^2 (:class:`DiodeRow`).  A run
-therefore factors A once, at d_p = 1 - d for every cell, and
-:class:`RowUpdate` solves each later period, in which k cells have some
-other d_p, as a rank-k row update of those factors (Sherman-Morrison-
-Woodbury; Hager, "Updating the inverse of a matrix", SIAM Review 31(2),
-1989).  The k rewritten rows are written into A in place, so A is always
-the period's actual matrix and its residual is checked against it.
+therefore factors A once, at d_p = 1 - d for every cell: elimination with
+scaled partial pivoting decides whether the system is singular, and the
+inverse A0^-1 is formed once it is not, so that solving a period is one
+product A0^-1 z.  :class:`RowUpdate` solves each later period, in which k
+cells have some other d_p, as a rank-k row update of A0^-1 (Sherman-
+Morrison-Woodbury; Hager, "Updating the inverse of a matrix", SIAM Review
+31(2), 1989).  The k rewritten rows are written into A in place, so A is
+always the period's actual matrix and every solution's residual is checked
+against it.
 """
 
 import math
@@ -84,7 +91,7 @@ class MnaLayout:
 
 
 class MnaSystem:
-    """Dense A x = z system plus its layout.
+    """Dense A x = z system plus its layout and drive matrix ``D``.
 
     ``z`` is set by :func:`assemble_system` for the inputs it was given.
     """
@@ -92,6 +99,8 @@ class MnaSystem:
     def __init__(self, layout):
         self.layout = layout
         self.A = np.zeros((layout.order, layout.order))
+        # Rows 2i and 2i + 1: vL1 and vL2 of the i-th cell over x.
+        self.D = np.zeros((2 * len(layout.cell_rows), layout.order))
         self.z_static = np.zeros(layout.order)
         # Nonzero entries of B: (row, label, coefficient) for capacitor
         # history sources, (rs, rd, label, d, n) for cell start currents.
@@ -206,9 +215,10 @@ def stamp_cell(system, element, d, T_s, prediction):
     """Stamp one switching cell for a period with known (mode, d_p); the
     start current iL0 enters through the cell's entries of B.
 
-    Adds the iS_avg / iD_avg KCL columns along the cell current paths and
-    the two constraint rows tying the averaged currents to the port
-    voltages through the drive-voltage coefficients.
+    Adds the iS_avg / iD_avg KCL columns along the cell current paths, the
+    two constraint rows tying the averaged currents to the port voltages
+    through the drive-voltage coefficients, and the cell's two rows of D
+    with the same coefficients.
     """
     params = cell_params(element)
     layout = system.layout
@@ -229,6 +239,14 @@ def stamp_cell(system, element, d, T_s, prediction):
 
     g_l = T_s / params.L
     a_map, b_map = _cells.drive_terms(params)
+    # The cell rows come last in the layout, two per cell, as do D's rows.
+    first_cell_row = layout.order - len(system.D)
+    for row, terms in ((rs, a_map), (rd, b_map)):
+        drive = system.D[row - first_cell_row]
+        for t, coeff in terms.items():
+            r = terminal_row[t]
+            if r is not None:
+                drive[r] += coeff
 
     system.A[rs, rs] += 1.0
     for t, coeff in a_map.items():
@@ -292,44 +310,24 @@ def _stamp_conductance(A, r1, r2, g):
 
 
 class LuFactors:
-    """Pivoted LU factors; systems are tiny, so substitution runs on plain
-    Python rows rather than numpy slices."""
+    """The inverse of a matrix that passed the :func:`lu_factor` pivot
+    rule; the systems are small, so a solve is one product with it."""
 
-    __slots__ = ("rows", "perm", "n")
+    __slots__ = ("inverse",)
 
-    def __init__(self, lu, perm):
-        self.rows = lu.tolist()
-        self.perm = perm
-        self.n = len(self.rows)
-
-    def solve(self, b):
-        rows = self.rows
-        n = self.n
-        y = [float(b[p]) for p in self.perm]
-        for i in range(1, n):
-            row = rows[i]
-            acc = y[i]
-            for j in range(i):
-                acc -= row[j] * y[j]
-            y[i] = acc
-        for i in range(n - 1, -1, -1):
-            row = rows[i]
-            acc = y[i]
-            for j in range(i + 1, n):
-                acc -= row[j] * y[j]
-            y[i] = acc / row[i]
-        return np.asarray(y)
+    def __init__(self, inverse):
+        self.inverse = inverse
 
 
 def lu_factor(A):
-    """LU factorization with partial pivoting.
+    """Test ``A`` for singularity by LU elimination with partial pivoting,
+    then form its inverse.
 
     Raises :class:`SingularSystem` when a pivot falls below
     ``PIVOT_RTOL`` times the originating row's infinity norm.
     """
     lu = np.array(A, dtype=float)
     n = lu.shape[0]
-    perm = list(range(n))
     scale = np.abs(lu).max(axis=1)
     for k in range(n):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
@@ -337,26 +335,25 @@ def lu_factor(A):
             raise SingularSystem(f"pivot {lu[p, k]:.3e} in column {k} below tolerance")
         if p != k:
             lu[[k, p]] = lu[[p, k]]
-            perm[k], perm[p] = perm[p], perm[k]
             scale[[k, p]] = scale[[p, k]]
         if k + 1 < n:
             lu[k + 1:, k] /= lu[k, k]
             lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return LuFactors(lu, perm)
+    return LuFactors(np.linalg.inv(A))
 
 
 def lu_solve(factors, b):
-    """Forward/backward substitution against :func:`lu_factor` output."""
-    return factors.solve(b)
+    """The solution of A x = b for the matrix :func:`lu_factor` tested."""
+    return factors.inverse @ b
 
 
 class RowUpdate:
-    """Solves A x = z through the factors of a base matrix A0 whose diode
+    """Solves A x = z through the inverse of a base matrix A0 whose diode
     rows sat at ``d_p0``, after the rows of some cells moved to another d_p.
 
     For the k cells whose d_p differs, A = A0 + E U^T: E holds the unit
     columns e_rd and row u of U^T is (d_p - d_p0) ra + (d_p^2 - d_p0^2) rb,
-    with at most three nonzeros.  With W = A0^-1 E, solved once per cell,
+    with at most three nonzeros.  With W = A0^-1 E, the rd columns of A0^-1,
 
         x = x0 - W C^-1 U^T x0,   x0 = A0^-1 z,   C = I + U^T W.
 
@@ -372,13 +369,8 @@ class RowUpdate:
         self._row_norms = np.abs(self.A).sum(axis=1).tolist()
         self.a_norm = max(self._row_norms)
         self._held = [d_p0] * len(rows)
-        unit = np.zeros(len(self._row_norms))
-        columns = []
-        for r in rows:
-            unit[r.row] = 1.0
-            columns.append(factors.solve(unit).tolist())
-            unit[r.row] = 0.0
-        self._W = np.array(columns).reshape(len(rows), len(unit))
+        self._W = factors.inverse[:, [r.row for r in rows]].T
+        columns = self._W.tolist()
         # ra_i . w_j and rb_i . w_j for every pair of rows (i, j).
         self._raw = [[_dot(r.ra, r.cols, w) for w in columns] for r in rows]
         self._rbw = [[_dot(r.rb, r.cols, w) for w in columns] for r in rows]

@@ -1,10 +1,19 @@
 """Period-stepping engine tests."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from avgcell import SimConfig, parse_netlist, run, step
-from avgcell.cells import CellState, Mode, avg_inductor_current
+from avgcell.cells import (
+    CellState,
+    Mode,
+    PortVoltages,
+    avg_inductor_current,
+    drive_voltages,
+)
 from avgcell.engine import (
     CapacitorRecord,
     InvalidCircuit,
@@ -14,6 +23,7 @@ from avgcell.engine import (
 )
 from avgcell import mna
 from avgcell.mna import CellPrediction, SingularSystem, assemble_system
+from avgcell.netlist import cell_params
 
 from conftest import (
     BUCK,
@@ -159,6 +169,18 @@ def test_dcm_steady_state_matches_closed_form(dcm_run):
     assert tail_mean(dcm_run.node_voltage(2)) == pytest.approx(10.0 * m, rel=1e-3)
 
 
+def test_dcm_buck_boost_matches_closed_form():
+    # Loss-free DCM buck-boost: M = -D / sqrt(K), K = 2 L / (R T_s).
+    circuit = parse_netlist(
+        "VDC 1 1 0 10.0\nSCD1 1 1 2 0 10e-6 0\nC 1 2 0 100e-6 0\nR 1 2 0 50.0\n"
+    )
+    result = run(circuit, SimConfig(0.4, 100e3, 20e-3))
+    assert result.records[-1].cells["SCD1"].mode is Mode.DCM
+    k = 2.0 * 10e-6 * 100e3 / 50.0
+    m = -0.4 / np.sqrt(k)
+    assert tail_mean(result.node_voltage(2)) == pytest.approx(10.0 * m, rel=1e-3)
+
+
 class TestPredictMode:
     def test_synchronous_always_ccm(self, buck_run):
         cell = buck_run.circuit.cells()[0]
@@ -188,6 +210,39 @@ class TestPredictMode:
         assert mode is Mode.DCM
         # d2 = -(vL1 / vL2) d = (2 / 8) * 0.5
         assert d_p == pytest.approx(0.125)
+
+
+ENGINE_REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "engine_reference.json").read_text()
+)["cases"]
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_REFERENCE))
+def test_predictions_use_the_drive_voltages_of_the_node_voltages(name):
+    """Each period's modes are predicted from the drive voltages stored on
+    the previous record, which must be those of its node voltages; without
+    dcm_refine, predict_mode on a record gives the next record's modes."""
+    case = ENGINE_REFERENCE[name]
+    circuit = parse_netlist(case["netlist"])
+    config = SimConfig(case["d"], case["f_s"], case["t_end"], case["dcm_refine"])
+    result = run(circuit, config)
+    records = [result.bootstrap] + result.records
+    cells = [(e, cell_params(e)) for e in circuit.cells()]
+    for record in records:
+        for e, params in cells:
+            v = [record.node_voltages.get(n, 0.0) for n in e.nodes]
+            state = record.cells[e.label]
+            np.testing.assert_array_max_ulp(
+                np.array([state.vL1, state.vL2]),
+                np.array(drive_voltages(PortVoltages(*v), params)),
+                maxulp=4,
+            )
+    if config.dcm_refine:
+        return
+    for previous, record in zip(records, records[1:]):
+        for e, _ in cells:
+            state = record.cells[e.label]
+            assert predict_mode(e, previous, config.d) == (state.mode, state.d_p)
 
 
 def test_step_reproduces_run(buck_circuit):
