@@ -31,6 +31,9 @@ from enum import Enum
 from .errors import AvgcellError
 
 DUTY_TOL = 1e-12
+# An inductor current within this fraction of max(1, |reference|) of zero
+# counts as zero (:func:`current_tol`).
+CURRENT_RTOL = 1e-12
 
 
 class Mode(Enum):
@@ -92,7 +95,7 @@ class CellState:
 
 def current_tol(reference=0.0):
     """Absolute tolerance used to treat an inductor current as zero."""
-    return 1e-12 * max(1.0, abs(reference))
+    return CURRENT_RTOL * max(1.0, abs(reference))
 
 
 def drive_terms(params):
@@ -162,14 +165,22 @@ def avg_diode_current(iL0, vL1, vL2, d, d_p, params, T_s):
     return raw / params.n
 
 
+def inductor_gains(d, d_p, params, T_s):
+    """Gains (k1, k2) of the two intervals: iL1 = iL0 + k1 vL1 and
+    iL2 = iL1 + k2 vL2."""
+    k = T_s / params.L
+    return d * k, d_p * k
+
+
 def advance_inductor(iL0, vL1, vL2, d, d_p, params, T_s):
     """Boundary currents (iL1, iL2) from the solved drive voltages.
 
     An end current within :func:`current_tol` of zero is snapped to exactly
     zero, which pins the discontinuous-conduction rest level.
     """
-    iL1 = iL0 + (vL1 / params.L) * d * T_s
-    iL2 = iL1 + (vL2 / params.L) * d_p * T_s
+    k1, k2 = inductor_gains(d, d_p, params, T_s)
+    iL1 = iL0 + k1 * vL1
+    iL2 = iL1 + k2 * vL2
     if abs(iL2) < current_tol(iL1):
         iL2 = 0.0
     return iL1, iL2

@@ -1,24 +1,46 @@
 """Period-stepping simulation loop for the averaged converter model.
 
-One step covers exactly one switching period.  Before each period the
-conduction mode of every diode cell is predicted from the previous period's
-drive voltages and the carried-over inductor current; the linear system is
-then solved, boundary currents are recovered from the solved drive voltages,
-and the capacitor companion sources advance to the next period.
+One step covers exactly one switching period.  A period starts from the
+state the previous one carried out,
 
-A run assembles and factors its system once, for the bootstrap, with every
-cell at d_p = 1 - d, and keeps the inverse A0^-1 of its matrix.  A period
-in which every cell has that d_p is solved as the product A0^-1 z.  A
-period in which some cells have another d_p, in discontinuous conduction or
-in a ``dcm_refine`` re-solve, differs from that system only in those cells'
-iD_avg rows, and is solved as a row update of the same inverse
-(:class:`avgcell.mna.RowUpdate`).  Either way the residual is checked
-against the period's own matrix, and every cell's drive voltages are read
-off the solution x as the product D @ x with the system's drive matrix.
+    s = (i_0 of every capacitor, iL0 of every cell, 1),
+
+and its right-hand side is z = B s (:mod:`avgcell.mna`).  A run assembles
+and factors its system once, for the bootstrap, with every cell at
+d_p = 1 - d, and keeps the inverse A0^-1 of its matrix and P = A0^-1 B.
+
+While every diode cell starts a period with positive current, the period is
+in continuous conduction at d_p = 1 - d, and a stretch of such periods runs
+as a block, one fixed kernel on the run's preallocated arrays:
+
+    x = P s,   y = E x   (capacitor voltages, then every vL1 and vL2),
+    i_0' = 2 g v - i_0,   iL1 = iL0 + k1 vL1,   iL2 = iL1 + k2 vL2,
+
+with g = 2C / T_s, k1 = d T_s / L and k2 = (1 - d) T_s / L.  After the
+block, every period of it is checked at once: the end current must not be
+one the stepper snaps to zero or clamps at the diode, and every diode cell
+must keep a positive current into the next period.  The periods before the
+first that fails are accepted once their residuals pass against A0, and
+that period is solved by the stepper.  Block lengths double after every
+block accepted whole and start again from ``FIRST_BLOCK`` after a failure.
+
+The stepper predicts each cell's mode from the previous period's drive
+voltages and carried-over current, solves A0^-1 z, or a row update of it
+(:class:`avgcell.mna.RowUpdate`) when some cells are at another d_p, in
+discontinuous conduction or in a ``dcm_refine`` re-solve, and checks the
+residual against the period's own matrix.  Each period is solved from
+exactly the state its record carries, so :func:`step` reproduces
+:func:`run`.
+
+Results are kept as columns with one row per period
+(:class:`SimulationResult`); :class:`PeriodRecord` objects are built from
+them on first access.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import cells as _cells
 from .errors import AvgcellError
@@ -32,6 +54,12 @@ from .mna import (
     lu_solve,
 )
 from .netlist import cell_params, validate
+
+# Length of a run's first CCM block, and of the first block after one that
+# failed; accepted blocks double it.
+FIRST_BLOCK = 8
+
+_MODES = (_cells.Mode.CCM, _cells.Mode.DCM)
 
 
 class InvalidConfig(AvgcellError):
@@ -99,23 +127,184 @@ class PeriodRecord:
 
 
 @dataclass
+class RunStats:
+    """What a run did: factorizations, CCM blocks that accepted periods
+    and the periods they accepted, periods solved by the stepper, and
+    stepper solves that needed a row update."""
+
+    factorizations: int = 0
+    blocks: int = 0
+    block_periods: int = 0
+    stepped_periods: int = 0
+    row_update_solves: int = 0
+
+
+class _Rows:
+    """The arrays a run writes, one row per solve: row 0 is the bootstrap
+    and row n + 1 period n.
+
+    ``s`` has one row more: row r is the state solve r starts from, and
+    row r + 1 the capacitor sources it carries out with its end currents,
+    which the next solve overwrites for cells it starts at zero.  ``y`` is
+    E x: capacitor voltages, then every vL1, then every vL2.  Capacitors
+    and cells are in netlist order, as in ``layout.state_col``.
+    """
+
+    def __init__(self, layout, n, d_p0):
+        self.layout = layout
+        self.n_caps = n_caps = layout.n_caps
+        n_cells = len(layout.cell_rows)
+        self.cell = slice(n_caps, n_caps + n_cells)
+        self.vL2 = slice(n_caps + n_cells, n_caps + 2 * n_cells)
+        self.x = np.empty((n, layout.order))
+        self.y = np.empty((n, n_caps + 2 * n_cells))
+        self.s = np.ones((n + 1, n_caps + n_cells + 1))
+        self.iL1 = np.empty((n, n_cells))
+        self.iL2 = np.empty((n, n_cells))
+        self.d_p = np.full((n, n_cells), d_p0)
+        self.dcm = np.zeros((n, n_cells), dtype=bool)
+
+    def load(self, record):
+        """Make row 0 the period of an existing record: its drive voltages,
+        end currents and carried-out state."""
+        cells = [record.cells[label] for label in self.layout.cell_rows]
+        caps = list(self.layout.state_col)[:self.n_caps]
+        self.y[0, self.cell] = [c.vL1 for c in cells]
+        self.y[0, self.vL2] = [c.vL2 for c in cells]
+        self.iL2[0] = [c.iL2 for c in cells]
+        self.s[1, :self.n_caps] = [record.capacitors[label].i0_next for label in caps]
+        self.s[1, self.cell] = self.iL2[0]
+
+    def records(self, config, first, last, index):
+        """PeriodRecords of rows [first, last); row ``first`` is period
+        ``index``."""
+        layout = self.layout
+        x = self.x[first:last].tolist()
+        n_caps = self.n_caps
+        caps = list(layout.state_col)[:n_caps]
+        v = self.y[first:last, :n_caps].tolist()
+        i0_next = self.s[first + 1:last + 1, :n_caps].tolist()
+        states = [
+            self.cell_states(i, config.d, first, last)
+            for i in range(len(layout.cell_rows))
+        ]
+        vdc_row = layout.vdc_row.items()
+        T_s = config.T_s
+        records = []
+        for k, xr in enumerate(x):
+            n = index + k
+            records.append(
+                PeriodRecord(
+                    n,
+                    n * T_s,
+                    dict(zip(layout.node_ids, xr)),
+                    {label: xr[row] for label, row in vdc_row},
+                    {label: s[k] for label, s in zip(layout.cell_rows, states)},
+                    {
+                        label: CapacitorRecord(vk, ik)
+                        for label, vk, ik in zip(caps, v[k], i0_next[k])
+                    },
+                )
+            )
+        return records
+
+    def cell_states(self, i, d, first, last):
+        """CellStates of cell ``i`` in rows [first, last), for duty ``d``."""
+        col = self.n_caps + i
+        rs, rd = list(self.layout.cell_rows.values())[i]
+        d_p = self.d_p[first:last, i]
+        vL1 = self.y[first:last, col]
+        vL2 = self.y[first:last, self.vL2.start + i]
+        vL_avg = d * vL1 + d_p * vL2
+        return list(
+            map(
+                _cells.CellState,
+                self.s[first:last, col].tolist(),
+                self.iL1[first:last, i].tolist(),
+                self.iL2[first:last, i].tolist(),
+                [_MODES[dcm] for dcm in self.dcm[first:last, i].tolist()],
+                d_p.tolist(),
+                vL1.tolist(),
+                vL2.tolist(),
+                self.x[first:last, rs].tolist(),
+                self.x[first:last, rd].tolist(),
+                vL_avg.tolist(),
+            )
+        )
+
+
 class SimulationResult:
-    circuit: object
-    config: SimConfig
-    bootstrap: PeriodRecord
-    records: list
+    """A run's results as columns, one row per period.
+
+    ``x`` holds every period's MNA solution, in the rows of ``layout`` (an
+    :class:`avgcell.mna.MnaLayout`); ``v_cap`` and ``i0_next`` every
+    capacitor's voltage and carried-out companion source; ``vL1``,
+    ``vL2``, ``iL0``, ``iL1``, ``iL2``, ``d_p`` and ``dcm`` (true in
+    discontinuous conduction) every cell's values.  Capacitors and cells
+    are in netlist order.  ``records`` holds the same periods as
+    :class:`PeriodRecord` objects, built on first access, and ``stats`` is
+    the run's :class:`RunStats`.
+
+    A result can also be made from a bootstrap and a list of records alone,
+    as ``SimulationResult(circuit, config, bootstrap, records)``; it then
+    has no columns or stats, and its accessors read the records.
+    """
+
+    x = v_cap = i0_next = vL1 = vL2 = iL0 = iL1 = iL2 = d_p = dcm = None
+    layout = stats = None
+
+    def __init__(self, circuit, config, bootstrap, records=None, *, rows=None,
+                 stats=None):
+        self.circuit = circuit
+        self.config = config
+        self.bootstrap = bootstrap
+        self.stats = stats
+        self._records = records
+        self._rows = rows
+        if rows is None:
+            return
+        self.layout = rows.layout
+        self.x = rows.x[1:]
+        self.v_cap = rows.y[1:, :rows.n_caps]
+        self.vL1 = rows.y[1:, rows.cell]
+        self.vL2 = rows.y[1:, rows.vL2]
+        self.i0_next = rows.s[2:, :rows.n_caps]
+        self.iL0 = rows.s[1:-1, rows.cell]
+        self.iL1 = rows.iL1[1:]
+        self.iL2 = rows.iL2[1:]
+        self.d_p = rows.d_p[1:]
+        self.dcm = rows.dcm[1:]
+
+    @property
+    def records(self):
+        if self._records is None:
+            self._records = self._rows.records(self.config, 1, len(self._rows.x), 0)
+        return self._records
 
     def times(self):
-        return [r.t_start for r in self.records]
+        if self._rows is None:
+            return [r.t_start for r in self.records]
+        return (np.arange(len(self.x)) * self.config.T_s).tolist()
 
     def node_voltage(self, node):
-        return [r.node_voltages[node] for r in self.records]
+        if self._rows is None:
+            return [r.node_voltages[node] for r in self.records]
+        return self.x[:, self.layout.node_row[node]].tolist()
 
     def cell_states(self, label):
-        return [r.cells[label] for r in self.records]
+        if self._rows is None:
+            return [r.cells[label] for r in self.records]
+        if label not in self.layout.cell_rows:
+            raise KeyError(label)
+        i = self.layout.state_col[label] - self.layout.n_caps
+        return self._rows.cell_states(i, self.config.d, 1, len(self._rows.x))
 
     def capacitor_voltage(self, label):
-        return [r.capacitors[label].v for r in self.records]
+        if self._rows is None:
+            return [r.capacitors[label].v for r in self.records]
+        if label in self.layout.cell_rows:
+            raise KeyError(label)
+        return self.v_cap[:, self.layout.state_col[label]].tolist()
 
 
 def run(circuit, config):
@@ -123,26 +312,24 @@ def run(circuit, config):
     n_periods = config.n_periods
     if n_periods < 1:
         raise InvalidConfig("run covers no complete switching period")
-    stepper = _Stepper(circuit, config)
-    records = []
-    previous = stepper.bootstrap
-    for n in range(n_periods):
-        previous = stepper.step(n, previous)
-        records.append(previous)
-    return SimulationResult(circuit, config, stepper.bootstrap, records)
+    stepper = _Stepper(circuit, config, n_periods)
+    stepper.solve_rows(1, n_periods + 1)
+    return stepper.result()
 
 
 def step(circuit, config, previous_record):
     """Advance one switching period from an existing record.
 
     The modes are predicted from the drive voltages stored on the record's
-    cell states, which are those of its node voltages.  ``run`` uses the
-    same machinery with one factorization for the whole run; this entry
-    point assembles and factors afresh and is meant for inspection and
-    testing.
+    cell states, which are those of its node voltages, and the period is
+    solved by the same decision and kernel as in ``run``.  This entry point
+    assembles and factors afresh and is meant for inspection and testing.
     """
-    stepper = _Stepper(circuit, config)
-    return stepper.step(previous_record.index + 1, previous_record)
+    index = previous_record.index + 1
+    stepper = _Stepper(circuit, config, 1, index)
+    stepper.rows.load(previous_record)
+    stepper.solve_rows(1, 2)
+    return stepper.rows.records(config, 1, 2, index)[0]
 
 
 def predict_mode(cell, previous_record, d):
@@ -173,7 +360,12 @@ def _ports(cell, node_voltages):
 
 
 class _Stepper:
-    def __init__(self, circuit, config):
+    """Solves rows of a run's :class:`_Rows` from one factorization.
+
+    ``first_period`` is the period of row 1.
+    """
+
+    def __init__(self, circuit, config, n_periods, first_period=0):
         diagnostics = validate(circuit)
         if diagnostics:
             raise InvalidCircuit(
@@ -183,172 +375,209 @@ class _Stepper:
             raise InvalidCircuit("no switching cell in circuit")
         self.circuit = circuit
         self.config = config
-        self.cells = [(e, cell_params(e)) for e in circuit.cells()]
-        self.caps = [
-            (e, 2.0 * e.value / config.T_s) for e in circuit.capacitors()
+        self.first_period = first_period
+        d, T_s = config.d, config.T_s
+        d_p0 = 1.0 - d
+        cells = circuit.cells()
+        self.params = [cell_params(e) for e in cells]
+        self.diode = [
+            i
+            for i, params in enumerate(self.params)
+            if params.rectifier is _cells.Rectifier.DIODE
         ]
-        self.bootstrap = self._bootstrap()
+        g = [2.0 * e.value / T_s for e in circuit.capacitors()]
+        self.two_g = [2.0 * gk for gk in g]
+        k1, k2 = zip(*(_cells.inductor_gains(d, d_p0, p, T_s) for p in self.params))
+        # The kernel's y -> (2 g v, k1 vL1, k2 vL2) scaling.
+        self.K = np.array(self.two_g + list(k1) + list(k2))
 
-    def _solve(self, predictions, cap_sources):
-        """Solve one period's system with the run's factorization.
-
-        Returns the node voltages, the voltage-source currents, each cell's
-        (iS_avg, iD_avg, vL1, vL2) in ``self.cells`` order and the
-        capacitor voltages in ``self.caps`` order.
-        """
-        system = self._system
-        z = system.rhs(predictions, cap_sources)
-        x = self._update.solve(lu_solve(self._factors, z), predictions)
-        check_residual(system.A, x, z, self._update.a_norm)
-
-        layout = system.layout
-        drives = (system.D @ x).tolist()
-        x = x.tolist()
-        # Node voltages occupy the first rows, in node_ids order.
-        node_voltages = dict(zip(layout.node_ids, x))
-        vdc_currents = {label: x[row] for label, row in layout.vdc_row.items()}
-        # Cell rows and the rows of D both follow the netlist's cell order.
-        cell_solutions = [
-            (x[rs], x[rd], vL1, vL2)
-            for (rs, rd), vL1, vL2 in zip(
-                layout.cell_rows.values(), drives[::2], drives[1::2]
-            )
-        ]
-        cap_voltages = [
-            node_voltages.get(e.nodes[0], 0.0) - node_voltages.get(e.nodes[1], 0.0)
-            for e, _ in self.caps
-        ]
-        return node_voltages, vdc_currents, cell_solutions, cap_voltages
-
-    def _bootstrap(self):
-        """Preliminary continuous-conduction solve that provides the drive
-        voltages the first real period's mode prediction needs; its
-        system is the one every period of the run is solved from."""
-        d = self.config.d
+        # The bootstrap: a continuous-conduction solve that provides the
+        # drive voltages the first real period's mode prediction needs; its
+        # system is the one every period of the run is solved from.
         predictions = {
-            e.label: CellPrediction(_cells.Mode.CCM, 1.0 - d, e.initial)
-            for e, _ in self.cells
+            e.label: CellPrediction(_cells.Mode.CCM, d_p0, e.initial) for e in cells
         }
         # Zero capacitor current assumed at t = 0.
-        cap_sources = {e.label: g * e.initial for e, g in self.caps}
-        self._system = assemble_system(
-            self.circuit, d, self.config.T_s, predictions, cap_sources
-        )
-        self._factors = lu_factor(self._system.A)
-        # Synchronous cells keep d_p = 1 - d, so only diode rows can move.
-        diode_cells = {
-            e.label
-            for e, params in self.cells
-            if params.rectifier is _cells.Rectifier.DIODE
-        }
-        self._update = RowUpdate(
-            self._system.A,
-            self._factors,
-            [r for r in self._system.diode_rows if r.label in diode_cells],
-            1.0 - d,
-        )
-        node_voltages, vdc_currents, cell_solutions, cap_voltages = self._solve(
-            predictions, cap_sources
-        )
-
-        cell_states = {}
-        for (e, _), (iS_avg, iD_avg, vL1, vL2) in zip(self.cells, cell_solutions):
-            cell_states[e.label] = _cells.CellState(
-                iL0=e.initial,
-                iL1=e.initial,
-                iL2=e.initial,
-                mode=_cells.Mode.CCM,
-                d_p=1.0 - d,
-                vL1=vL1,
-                vL2=vL2,
-                iS_avg=iS_avg,
-                iD_avg=iD_avg,
-                vL_avg=_cells.avg_inductor_voltage(vL1, vL2, d, 1.0 - d),
-            )
-        # Carry the t = 0 companion sources unchanged into period 0.
-        capacitors = {
-            e.label: CapacitorRecord(v, cap_sources[e.label])
-            for (e, _), v in zip(self.caps, cap_voltages)
-        }
-        return PeriodRecord(-1, 0.0, node_voltages, vdc_currents, cell_states, capacitors)
-
-    def step(self, index, previous):
-        config = self.config
-        predictions = {}
-        for e, params in self.cells:
-            state = previous.cells[e.label]
-            iL0 = state.iL2
-            mode, d_p = _predict(params, state.vL1, state.vL2, iL0, config.d)
-            if mode is _cells.Mode.DCM:
-                iL0 = 0.0
-            predictions[e.label] = CellPrediction(mode, d_p, iL0)
         cap_sources = {
-            e.label: previous.capacitors[e.label].i0_next for e, _ in self.caps
+            e.label: gk * e.initial for e, gk in zip(circuit.capacitors(), g)
         }
+        self.system = system = assemble_system(circuit, d, T_s, predictions, cap_sources)
+        self.factors = lu_factor(system.A)
+        self.stats = RunStats(factorizations=1)
+        # Synchronous cells keep d_p = 1 - d, so only diode rows can move.
+        self.update = RowUpdate(
+            system.A, self.factors, [system.diode_rows[i] for i in self.diode], d_p0
+        )
+        self._ccm_duties = [d_p0] * len(self.diode)
+        self.P = lu_solve(self.factors, system.B)
 
-        record = self._solve_period(index, predictions, cap_sources)
+        self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
+        rows.s[0] = system.state(predictions, cap_sources)
+        x = lu_solve(self.factors, system.z)
+        check_residual(system.A, x, system.z, self.update.a_norm)
+        rows.x[0] = x
+        np.dot(system.E, x, out=rows.y[0])
+        rows.iL1[0] = rows.iL2[0] = rows.s[0, rows.cell]
+        # The bootstrap carries its t = 0 sources unchanged into period 0.
+        rows.s[1] = rows.s[0]
 
-        if config.dcm_refine and any(
-            s.mode is _cells.Mode.DCM for s in record.cells.values()
+    def result(self):
+        bootstrap = self.rows.records(self.config, 0, 1, -1)[0]
+        bootstrap.t_start = 0.0
+        self.stats.row_update_solves = self.update.updates
+        return SimulationResult(
+            self.circuit, self.config, bootstrap, rows=self.rows, stats=self.stats
+        )
+
+    def solve_rows(self, r, stop):
+        """Solve rows [r, stop), CCM stretches in blocks."""
+        length = FIRST_BLOCK
+        while r < stop:
+            if self._continues_ccm(r):
+                end = min(r + length, stop)
+                r = self._block(r, end)
+                if r == end:
+                    length *= 2
+                    continue
+                length = FIRST_BLOCK
+            self._step(r)
+            r += 1
+
+    def _continues_ccm(self, r):
+        """Whether every diode cell ends row r - 1 with a current that keeps
+        it in continuous conduction."""
+        iL2 = self.rows.iL2[r - 1].tolist()
+        return all(iL2[i] > _cells.current_tol(iL2[i]) for i in self.diode)
+
+    def _block(self, a, b):
+        """Run rows [a, b) through the CCM kernel and return the first row
+        not accepted."""
+        rows = self.rows
+        self.update.write_rows(self._ccm_duties)  # A back to A0
+        self._kernel(a, b)
+
+        iL1 = rows.iL1[a:b]
+        iL2 = rows.s[a + 1:b + 1, rows.cell]
+        tol = _cells.CURRENT_RTOL
+        # advance_inductor would snap these end currents to zero.
+        failed = (np.abs(iL2) < tol * np.maximum(1.0, np.abs(iL1))).any(axis=1)
+        if self.diode:
+            diode = iL2[:, self.diode]
+            failed |= (diode < 0.0).any(axis=1)  # the diode clamps these
+            # A current at zero leaves the next period to the predictor.
+            stops = ~(diode > tol * np.maximum(1.0, np.abs(diode))).all(axis=1)
+            failed[1:] |= stops[:-1]
+        accepted = int(np.argmax(failed)) if failed.any() else b - a
+        if accepted:
+            last = a + accepted
+            z = rows.s[a:last] @ self.system.B.T
+            check_residual(
+                self.system.A,
+                rows.x[a:last],
+                z,
+                self.update.a_norm,
+                period=self.first_period + a - 1,
+            )
+            rows.iL2[a:last] = iL2[:accepted]
+            self.stats.blocks += 1
+            self.stats.block_periods += accepted
+        return a + accepted
+
+    def _kernel(self, a, b):
+        """Rows [a, b) as CCM periods at d_p = 1 - d, each from the state
+        the one before carried out."""
+        rows = self.rows
+        s, cell, n_caps = rows.s, rows.cell, rows.n_caps
+        P, E, K = self.P, self.system.E, self.K
+        t = np.empty_like(K)
+        t_v, t_1, t_2 = t[:n_caps], t[cell], t[rows.vL2]
+        dot, add, multiply, subtract = np.dot, np.add, np.multiply, np.subtract
+        for s_r, x_r, y_r, iL1_r, i0, iL0, i0_next, iL2 in zip(
+            s[a:b],
+            rows.x[a:b],
+            rows.y[a:b],
+            rows.iL1[a:b],
+            s[a:b, :n_caps],
+            s[a:b, cell],
+            s[a + 1:b + 1, :n_caps],
+            s[a + 1:b + 1, cell],
         ):
-            refined = {}
-            changed = False
-            for e, params in self.cells:
-                pred = predictions[e.label]
-                state = record.cells[e.label]
-                mode, d_p = _predict(params, state.vL1, state.vL2, pred.iL0, config.d)
-                if (mode, d_p) != (pred.mode, pred.d_p):
-                    changed = True
-                refined[e.label] = CellPrediction(mode, d_p, pred.iL0)
-            if changed:
-                record = self._solve_period(index, refined, cap_sources)
-        return record
+            dot(P, s_r, out=x_r)
+            dot(E, x_r, out=y_r)
+            multiply(K, y_r, out=t)
+            subtract(t_v, i0, out=i0_next)
+            add(iL0, t_1, out=iL1_r)
+            add(iL1_r, t_2, out=iL2)
 
-    def _solve_period(self, index, predictions, cap_sources):
-        config = self.config
-        try:
-            node_voltages, vdc_currents, cell_solutions, cap_voltages = self._solve(
-                predictions, cap_sources
-            )
-        except SingularSystem as exc:
-            raise SingularSystem(str(exc), period=index) from exc
+    def _step(self, r):
+        """Solve row r with the mode predictor, the row update and, in
+        discontinuous conduction, ``dcm_refine``."""
+        rows = self.rows
+        iL0s = rows.iL2[r - 1].tolist()
+        modes, d_ps = self._predictions(rows.y[r - 1].tolist(), iL0s)
+        state = rows.s[r].tolist()
+        drives = self._solve(r, state, iL0s, d_ps)
+        if self.config.dcm_refine and _cells.Mode.DCM in modes:
+            refined = self._predictions(drives, iL0s)
+            if refined != (modes, d_ps):
+                modes, d_ps = refined
+                drives = self._solve(r, state, iL0s, d_ps)
 
-        cell_states = {}
-        for (e, params), solution in zip(self.cells, cell_solutions):
-            iS_avg, iD_avg, vL1, vL2 = solution
-            pred = predictions[e.label]
+        vL1, vL2 = drives[rows.cell], drives[rows.vL2]
+        d, T_s = self.config.d, self.config.T_s
+        iL1s, iL2s = [], []
+        for i, params in enumerate(self.params):
             iL1, iL2 = _cells.advance_inductor(
-                pred.iL0, vL1, vL2, config.d, pred.d_p, params, config.T_s
+                iL0s[i], vL1[i], vL2[i], d, d_ps[i], params, T_s
             )
-            if pred.mode is _cells.Mode.DCM:
+            if modes[i] is _cells.Mode.DCM:
                 # The rest interval pins the end current at zero exactly.
                 iL2 = 0.0
             elif params.rectifier is _cells.Rectifier.DIODE and iL2 < 0.0:
                 # The diode blocks once the current reaches zero.
                 iL2 = 0.0
-            cell_states[e.label] = _cells.CellState(
-                iL0=pred.iL0,
-                iL1=iL1,
-                iL2=iL2,
-                mode=pred.mode,
-                d_p=pred.d_p,
-                vL1=vL1,
-                vL2=vL2,
-                iS_avg=iS_avg,
-                iD_avg=iD_avg,
-                vL_avg=_cells.avg_inductor_voltage(vL1, vL2, config.d, pred.d_p),
-            )
+            iL1s.append(iL1)
+            iL2s.append(iL2)
+        rows.iL1[r] = iL1s
+        rows.iL2[r] = iL2s
+        if _cells.Mode.DCM in modes:  # the rows start at the CCM values
+            rows.d_p[r] = d_ps
+            rows.dcm[r] = [mode is _cells.Mode.DCM for mode in modes]
+        i0_next = [k * v - i0 for k, v, i0 in zip(self.two_g, drives, state)]
+        rows.s[r + 1] = i0_next + iL2s + [1.0]
+        self.stats.stepped_periods += 1
 
-        capacitors = {
-            e.label: CapacitorRecord(v, 2.0 * g * v - cap_sources[e.label])
-            for (e, g), v in zip(self.caps, cap_voltages)
-        }
+    def _predictions(self, drives, iL0s):
+        """Every cell's mode and d_p from a row of y (as a list) and the
+        start currents ``iL0s``, which are set to zero for cells predicted
+        in discontinuous conduction."""
+        rows, d = self.rows, self.config.d
+        vL1, vL2 = drives[rows.cell], drives[rows.vL2]
+        modes, d_ps = [], []
+        for i, params in enumerate(self.params):
+            mode, d_p = _predict(params, vL1[i], vL2[i], iL0s[i], d)
+            if mode is _cells.Mode.DCM:
+                iL0s[i] = 0.0
+            modes.append(mode)
+            d_ps.append(d_p)
+        return modes, d_ps
 
-        return PeriodRecord(
-            index,
-            index * config.T_s,
-            node_voltages,
-            vdc_currents,
-            cell_states,
-            capacitors,
-        )
+    def _solve(self, r, state, iL0s, d_ps):
+        """Solve row r from ``state`` (a row of s as a list) with the cells
+        starting at ``iL0s`` and at their d_p in ``d_ps``; returns E x as a
+        list."""
+        rows, system = self.rows, self.system
+        period = self.first_period + r - 1
+        state[rows.cell] = iL0s
+        rows.s[r] = state
+        z = system.B @ rows.s[r]
+        x0 = lu_solve(self.factors, z)
+        try:
+            x = self.update.solve(x0, [d_ps[i] for i in self.diode])
+        except SingularSystem as exc:
+            raise SingularSystem(str(exc), period=period) from exc
+        check_residual(system.A, x, z, self.update.a_norm, period=period)
+        rows.x[r] = x
+        y = rows.y[r]
+        np.dot(system.E, x, out=y)
+        return y.tolist()

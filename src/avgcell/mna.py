@@ -16,18 +16,21 @@ G_L = T_s / L.
 The right-hand side is affine in the state a period carries in, the i_0 of
 every capacitor and the start current iL0 of every cell:
 
-    z = z_static + B @ state
+    z = B @ s,   s = (i_0 of every capacitor, iL0 of every cell, 1)
 
-z_static holds the voltage- and current-source values.  B holds the
-incidence of each capacitor's history source and each cell's d iL0 and
-d_p iL0 / n terms; it is kept as its few nonzero entries, each naming the
-capacitor or cell whose state it multiplies, and :meth:`MnaSystem.rhs`
-takes each cell's d_p and iL0 from the period's prediction.  Source terms
-are written nowhere else.
+B is one dense matrix: a column per capacitor (the incidence of its history
+source), a column per cell (d at the cell's iS_avg row, d_p / n at its
+iD_avg row, for the d_p the cell was stamped at) and a last column holding
+the voltage- and current-source values.  Source terms are written nowhere
+else.  A cell at another d_p than the one B was stamped at must carry
+iL0 = 0, as a cell in discontinuous conduction does; then its column of B
+does not enter z.
 
-The same coefficients that tie a cell's currents to its port voltages give
-its drive voltages vL1 and vL2 as rows of the drive matrix D, two rows per
-cell in netlist order, so D @ x is every cell's (vL1, vL2) for a solution x.
+The output matrix E reads a solution x: its rows are every capacitor's
+voltage (netlist order), then every cell's drive voltage vL1 and then
+every cell's vL2 (netlist order), written from the same coefficients that
+tie a cell's currents to its port voltages.  The capacitor and cell rows
+of E line up with the columns of B.
 
 A cell's diode duty d_p enters A in one place only, the cell's iD_avg row
 (``rd``), which is affine in d_p and d_p^2 (:class:`DiodeRow`).  A run
@@ -39,7 +42,8 @@ cells have some other d_p, as a rank-k row update of A0^-1 (Sherman-
 Morrison-Woodbury; Hager, "Updating the inverse of a matrix", SIAM Review
 31(2), 1989).  The k rewritten rows are written into A in place, so A is
 always the period's actual matrix and every solution's residual is checked
-against it.
+against it.  :func:`check_residual` also checks a block of solutions at
+once, one system per row, all with the same A.
 """
 
 import math
@@ -77,13 +81,22 @@ class CellPrediction:
 
 @dataclass(frozen=True)
 class MnaLayout:
-    """Row assignment: nodes, then VDC currents, then cell current pairs."""
+    """Row assignment: nodes, then VDC currents, then cell current pairs.
+
+    ``state_col`` gives every capacitor and then every cell (netlist order)
+    its column of B and its row of E; the cells' vL2 rows of E follow.
+    """
 
     order: int
     node_ids: tuple
     node_row: dict
     vdc_row: dict
     cell_rows: dict
+    state_col: dict
+
+    @property
+    def n_caps(self):
+        return len(self.state_col) - len(self.cell_rows)
 
     def row_of(self, node):
         """Row of a node voltage, or None for ground."""
@@ -91,7 +104,8 @@ class MnaLayout:
 
 
 class MnaSystem:
-    """Dense A x = z system plus its layout and drive matrix ``D``.
+    """Dense A x = z system plus its layout, its right-hand-side matrix
+    ``B`` and its output matrix ``E``.
 
     ``z`` is set by :func:`assemble_system` for the inputs it was given.
     """
@@ -99,30 +113,25 @@ class MnaSystem:
     def __init__(self, layout):
         self.layout = layout
         self.A = np.zeros((layout.order, layout.order))
-        # Rows 2i and 2i + 1: vL1 and vL2 of the i-th cell over x.
-        self.D = np.zeros((2 * len(layout.cell_rows), layout.order))
-        self.z_static = np.zeros(layout.order)
-        # Nonzero entries of B: (row, label, coefficient) for capacitor
-        # history sources, (rs, rd, label, d, n) for cell start currents.
-        self.B_cap = []
-        self.B_cell = []
+        n_state = len(layout.state_col)
+        self.B = np.zeros((layout.order, n_state + 1))
+        self.E = np.zeros((n_state + len(layout.cell_rows), layout.order))
         # The iD_avg row of every cell, in netlist order.
         self.diode_rows = []
         self.z = None
 
-    def rhs(self, predictions, cap_sources):
-        """z_static + B @ state, with each cell's d_p and iL0 taken from
-        ``predictions`` and each capacitor's i_0 from ``cap_sources``.
+    def state(self, predictions, cap_sources):
+        """The state vector s: each capacitor's i_0 from ``cap_sources``,
+        each cell's iL0 from ``predictions``, and 1."""
+        s = np.ones(self.B.shape[1])
+        n_caps = self.layout.n_caps
+        for label, col in self.layout.state_col.items():
+            s[col] = cap_sources[label] if col < n_caps else predictions[label].iL0
+        return s
 
-        The systems are tiny, so the product runs on plain Python floats."""
-        z = self.z_static.tolist()
-        for row, label, coeff in self.B_cap:
-            z[row] += coeff * cap_sources[label]
-        for rs, rd, label, d, n in self.B_cell:
-            prediction = predictions[label]
-            z[rs] += d * prediction.iL0
-            z[rd] += prediction.d_p / n * prediction.iL0
-        return np.array(z)
+    def rhs(self, predictions, cap_sources):
+        """z = B @ s for the state of ``predictions`` and ``cap_sources``."""
+        return self.B @ self.state(predictions, cap_sources)
 
 
 @dataclass(frozen=True)
@@ -166,7 +175,9 @@ def build_layout(circuit):
     for e in circuit.cells():
         cell_rows[e.label] = (row, row + 1)
         row += 2
-    layout = MnaLayout(row, node_ids, node_row, vdc_row, cell_rows)
+    labels = [e.label for e in circuit.capacitors()] + list(cell_rows)
+    state_col = {label: col for col, label in enumerate(labels)}
+    layout = MnaLayout(row, node_ids, node_row, vdc_row, cell_rows, state_col)
     return MnaSystem(layout)
 
 
@@ -187,38 +198,40 @@ def stamp_vdc(system, element):
     if r2 is not None:
         system.A[r2, br] -= 1.0
         system.A[br, r2] -= 1.0
-    system.z_static[br] += element.value
+    system.B[br, -1] += element.value
 
 
 def stamp_idc(system, element):
     r1 = system.layout.row_of(element.nodes[0])
     r2 = system.layout.row_of(element.nodes[1])
     if r1 is not None:
-        system.z_static[r1] -= element.value
+        system.B[r1, -1] -= element.value
     if r2 is not None:
-        system.z_static[r2] += element.value
+        system.B[r2, -1] += element.value
 
 
 def stamp_capacitor(system, element, T_s):
-    """Trapezoidal companion: conductance 2C/T_s, history source i_0."""
+    """Trapezoidal companion: conductance 2C/T_s, history source i_0, and
+    the capacitor's voltage as its row of E."""
     g = 2.0 * element.value / T_s
     r1 = system.layout.row_of(element.nodes[0])
     r2 = system.layout.row_of(element.nodes[1])
     _stamp_conductance(system.A, r1, r2, g)
-    if r1 is not None:
-        system.B_cap.append((r1, element.label, 1.0))
-    if r2 is not None:
-        system.B_cap.append((r2, element.label, -1.0))
+    col = system.layout.state_col[element.label]
+    for r, sign in ((r1, 1.0), (r2, -1.0)):
+        if r is not None:
+            system.B[r, col] += sign
+            system.E[col, r] += sign
 
 
 def stamp_cell(system, element, d, T_s, prediction):
     """Stamp one switching cell for a period with known (mode, d_p); the
-    start current iL0 enters through the cell's entries of B.
+    start current iL0 enters through the cell's column of B.
 
     Adds the iS_avg / iD_avg KCL columns along the cell current paths, the
     two constraint rows tying the averaged currents to the port voltages
-    through the drive-voltage coefficients, and the cell's two rows of D
-    with the same coefficients.
+    through the drive-voltage coefficients, and the cell's vL1 and vL2 rows
+    of E with the same coefficients.
     """
     params = cell_params(element)
     layout = system.layout
@@ -239,10 +252,9 @@ def stamp_cell(system, element, d, T_s, prediction):
 
     g_l = T_s / params.L
     a_map, b_map = _cells.drive_terms(params)
-    # The cell rows come last in the layout, two per cell, as do D's rows.
-    first_cell_row = layout.order - len(system.D)
-    for row, terms in ((rs, a_map), (rd, b_map)):
-        drive = system.D[row - first_cell_row]
+    col = layout.state_col[element.label]
+    for row, terms in ((col, a_map), (col + len(layout.cell_rows), b_map)):
+        drive = system.E[row]
         for t, coeff in terms.items():
             r = terminal_row[t]
             if r is not None:
@@ -273,7 +285,8 @@ def stamp_cell(system, element, d, T_s, prediction):
     )
     row.write(system.A, prediction.d_p)
     system.diode_rows.append(row)
-    system.B_cell.append((rs, rd, element.label, d, params.n))
+    system.B[rs, col] = d
+    system.B[rd, col] = prediction.d_p / params.n
 
 
 def assemble_system(circuit, d, T_s, predictions, cap_sources):
@@ -360,6 +373,7 @@ class RowUpdate:
     By the determinant lemma det A = det A0 det C, so C is singular exactly
     when A is.  ``A`` is the matrix that was factored; it is rewritten in
     place to hold the current rows, and ``a_norm`` is its infinity norm.
+    ``updates`` counts the solves in which some row was away from d_p0.
     """
 
     def __init__(self, A, factors, rows, d_p0):
@@ -369,6 +383,8 @@ class RowUpdate:
         self._row_norms = np.abs(self.A).sum(axis=1).tolist()
         self.a_norm = max(self._row_norms)
         self._held = [d_p0] * len(rows)
+        # Solves that needed the update, that is, with some row moved.
+        self.updates = 0
         self._W = factors.inverse[:, [r.row for r in rows]].T
         columns = self._W.tolist()
         # ra_i . w_j and rb_i . w_j for every pair of rows (i, j).
@@ -387,13 +403,12 @@ class RowUpdate:
             for r in rows
         ]
 
-    def solve(self, x0, predictions):
-        """Write each cell's row of ``A`` for its predicted d_p and return
-        the solution of the updated system, given x0 = A0^-1 z."""
+    def write_rows(self, d_ps):
+        """Write each row of ``A`` for its d_p in ``d_ps`` (``rows`` order)
+        and return the positions of the rows away from ``d_p0``."""
         moved = []
         rewritten = False
-        for i, r in enumerate(self.rows):
-            d_p = predictions[r.label].d_p
+        for i, (r, d_p) in enumerate(zip(self.rows, d_ps)):
             if d_p != self._held[i]:
                 self._row_norms[r.row] = r.write(self.A, d_p)
                 self._held[i] = d_p
@@ -402,8 +417,15 @@ class RowUpdate:
                 moved.append(i)
         if rewritten:
             self.a_norm = max(self._row_norms)
+        return moved
+
+    def solve(self, x0, d_ps):
+        """Write each row of ``A`` for its d_p in ``d_ps`` (``rows`` order)
+        and return the solution of the updated system, given x0 = A0^-1 z."""
+        moved = self.write_rows(d_ps)
         if not moved:
             return x0
+        self.updates += 1
 
         xs = x0.tolist()
         d_p0 = self.d_p0
@@ -468,20 +490,29 @@ def solve_small(C, r, scale):
     return y
 
 
-def check_residual(A, x, z, a_norm=None):
+def check_residual(A, x, z, a_norm=None, period=None):
     """Enforce the backward-stable residual bound of the direct solve.
 
-    ``a_norm`` may carry a precomputed infinity norm of A, such as
-    :attr:`RowUpdate.a_norm`.
+    ``x`` and ``z`` are one solution and its right-hand side, or a block of
+    them, one system per row, all with matrix ``A``.  ``a_norm`` may carry
+    a precomputed infinity norm of A, such as :attr:`RowUpdate.a_norm`.
+    The first system over its bound raises :class:`SingularSystem`, with
+    ``period`` plus its row as the period when ``period`` is given.
+    Returns the residual of every system.
     """
-    residual = float(np.abs(A @ x - z).max())
+    residual = np.abs(x @ A.T - z).max(axis=-1)
     if a_norm is None:
         a_norm = float(np.abs(A).sum(axis=1).max())
     bound = RESIDUAL_RTOL * (
-        a_norm * float(np.abs(x).max()) + float(np.abs(z).max())
+        a_norm * np.abs(x).max(axis=-1) + np.abs(z).max(axis=-1)
     )
-    if not residual <= bound < math.inf:  # so a non-finite solution fails
+    # Written so that a non-finite solution fails.
+    passed = (residual <= bound) & (bound < math.inf)
+    if not (passed if passed.ndim == 0 else passed.all()):
+        row = int(np.argmin(passed, axis=None))
+        worst, limit = np.ravel(residual)[row], np.ravel(bound)[row]
         raise SingularSystem(
-            f"residual {residual:.3e} exceeds stability bound {bound:.3e}"
+            f"residual {worst:.3e} exceeds stability bound {limit:.3e}",
+            period=None if period is None else period + row,
         )
     return residual

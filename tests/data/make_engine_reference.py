@@ -15,8 +15,12 @@ text, run parameters, the bootstrap record and every ``STRIDE``-th period
 record (every field, as exact floats), and the mode of every cell in every
 period as a string of ``C`` and ``D``.
 
-``tests/test_engine_parity.py`` replays every case and compares.  Re-record
-only when a change to the engine's results is intended.
+``tests/test_engine_parity.py`` replays every case and compares.
+
+The script keeps every case already in the file byte for byte and records
+only the cases of ``CASES`` the file lacks, so adding a case never moves
+the anchor of the others.  To re-record a case, when a change to the
+engine's results is intended, delete it from the file and run the script.
 """
 
 import json
@@ -156,7 +160,14 @@ def record(text, d, f_s, t_end, refine):
 
 def main():
     cases = {}
+    if REFERENCE_FILE.exists():
+        recorded = json.loads(REFERENCE_FILE.read_text())
+        if recorded["stride"] != STRIDE:
+            sys.exit(f"{REFERENCE_FILE.name} has stride {recorded['stride']}, not {STRIDE}")
+        cases = recorded["cases"]
     for name, path, text, refine, t_end in CASES:
+        if name in cases:
+            continue
         if text is None:
             text = (ROOT / "netlists" / path).read_text()
         params = parse_netlist(text).params

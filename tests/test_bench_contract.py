@@ -42,14 +42,20 @@ def test_wrapped_function_resolves(name, path, attr):
 def test_traced_run_records_the_mna_layer():
     """A DCM run assembles and factors its system once and solves every
     period from those factors; every assembly, factorization, solve and
-    residual check goes through a wrapped name."""
+    residual check goes through a wrapped name.  The stepper solves and
+    checks each of its periods; a CCM block forms no per-period solve and
+    checks all its periods in one call."""
     tracer = SPANS.Tracer()
     circuit = parse_netlist(BUCK_DCM)
     with SPANS.installed(tracer), tracer.job_span(0):
         result = avgcell.engine.run(circuit, SimConfig(0.5, 100e3, 3e-4))
     calls = tracer.totals()[0]
-    solves = 1 + len(result.records)  # the bootstrap and one per period
+    stats = result.stats
+    assert stats.blocks > 0 and stats.stepped_periods > 0
+    assert stats.block_periods + stats.stepped_periods == len(result.records)
     assert calls["engine.run"] == 1
-    assert calls["mna.lu_solve"] == calls["mna.check_residual"] == solves
+    # the bootstrap, P = A0^-1 B, and one per stepped period
+    assert calls["mna.lu_solve"] == 2 + stats.stepped_periods
+    assert calls["mna.check_residual"] == 1 + stats.stepped_periods + stats.blocks
     assert calls["mna.lu_factor"] == calls["mna.assemble_system"] == 1
     assert any(r.cells["SCD1"].mode is Mode.DCM for r in result.records)

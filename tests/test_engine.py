@@ -1,6 +1,7 @@
 """Period-stepping engine tests."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,68 @@ def test_step_reproduces_run(buck_circuit):
     assert advanced.cells == reference.cells
 
 
+def test_step_reproduces_run_across_blocks(monkeypatch):
+    """step() solves a period by the decision and kernel run() uses, so it
+    reproduces run() bit for bit inside a CCM block, at the period where a
+    block ends and at the period after, here across a diode buck's
+    CCM -> DCM -> CCM start-up edge."""
+    import avgcell.engine as engine_module
+
+    real = engine_module._Stepper._block
+    blocks = []
+
+    def recorded(self, a, b):
+        stop = real(self, a, b)
+        if stop > a:
+            blocks.append((a - 1, stop - 1))  # rows are periods + 1
+        return stop
+
+    monkeypatch.setattr(engine_module._Stepper, "_block", recorded)
+    circuit = parse_netlist(BUCK_DIODE)
+    config = std_config(2e-3)
+    result = run(circuit, config)
+    monkeypatch.setattr(engine_module._Stepper, "_block", real)
+    modes = {r.cells["SCD1"].mode for r in result.records}
+    assert modes == {Mode.CCM, Mode.DCM}
+
+    inside = {n for first, stop in blocks for n in range(first + 1, stop - 1)}
+    ends = {stop - 1 for _, stop in blocks}
+    after = {stop for _, stop in blocks} - {first for first, _ in blocks}
+    after &= set(range(len(result.records)))
+    assert inside and ends and after
+    for n in sorted(inside | ends | after):
+        previous = result.records[n - 1] if n else result.bootstrap
+        advanced = step(circuit, config, previous)
+        reference = result.records[n]
+        assert advanced.index == reference.index
+        assert advanced.node_voltages == reference.node_voltages, n
+        assert advanced.vdc_currents == reference.vdc_currents, n
+        assert advanced.cells == reference.cells, n
+        assert advanced.capacitors == reference.capacitors, n
+
+
+def test_run_stats_count_blocks_and_stepped_periods():
+    """A CCM buck runs every period in blocks; the light-load buck rests in
+    1190 of its 1200 periods, each of them stepped with a row update, all
+    from the one factorization."""
+    netlists = Path(__file__).resolve().parents[1] / "netlists"
+    buck = run(parse_netlist((netlists / "buck.net").read_text()), std_config(5e-3))
+    stats = buck.stats
+    assert stats.factorizations == 1
+    assert stats.block_periods == 500 and stats.stepped_periods == 0
+    assert 1 <= stats.blocks < 10
+    assert stats.row_update_solves == 0
+
+    dcm = run(parse_netlist((netlists / "buck_dcm.net").read_text()), std_config(12e-3))
+    stats = dcm.stats
+    dcm_periods = sum(r.cells["SCD1"].mode is Mode.DCM for r in dcm.records)
+    assert dcm_periods == 1190
+    assert stats.factorizations == 1
+    assert stats.block_periods + stats.stepped_periods == 1200
+    assert stats.stepped_periods >= dcm_periods
+    assert stats.row_update_solves == dcm_periods
+
+
 def test_step_fixed_point_at_steady_state(buck_steady_run):
     previous, current = buck_steady_run.records[-2:]
     for node, value in current.node_voltages.items():
@@ -275,23 +338,51 @@ def test_dcm_refine_converges_to_same_steady_state():
     )
 
 
-def test_singular_system_reports_period(monkeypatch, buck_circuit):
+def _poison_period(monkeypatch, period, how):
+    """Make the CCM kernel's solution of ``period`` non-finite or put it
+    over its residual bound, right where the kernel solves it; returns the
+    list of (first, stop) rows of the kernel runs that solved it."""
     import avgcell.engine as engine_module
 
-    real = engine_module.lu_solve
-    calls = []
+    real = engine_module._Stepper._kernel
+    hits = []
 
-    def failing(factors, z):
-        if len(calls) >= 3:
-            raise SingularSystem("synthetic failure")
-        calls.append(None)
-        return real(factors, z)
+    def poisoned(self, a, b):
+        real(self, a, b)
+        row = period - self.first_period + 1
+        if a <= row < b:
+            hits.append((a, b))
+            if how == "non-finite":
+                self.rows.x[row, 0] = math.nan
+            else:
+                self.rows.x[row] *= 1.0 + 1e-6
 
-    monkeypatch.setattr(engine_module, "lu_solve", failing)
+    monkeypatch.setattr(engine_module._Stepper, "_kernel", poisoned)
+    return hits
+
+
+def test_singular_system_reports_period(monkeypatch, buck_circuit):
+    hits = _poison_period(monkeypatch, 2, "non-finite")
     with pytest.raises(SingularSystem) as excinfo:
         run(buck_circuit, std_config(1e-3))
     # Bootstrap plus periods 0 and 1 succeed; period 2 fails.
     assert excinfo.value.period == 2
+    assert hits
+
+
+@pytest.mark.parametrize("how", ["non-finite", "over-bound"])
+def test_failed_solution_inside_a_block_reports_its_period(monkeypatch, how):
+    """A CCM block checks every period's residual: a bad solution in the
+    middle of a block raises SingularSystem with that period, not the
+    block's first."""
+    circuit = parse_netlist(BUCK)
+    hits = _poison_period(monkeypatch, 37, how)
+    with pytest.raises(SingularSystem) as excinfo:
+        run(circuit, std_config(1e-3))
+    assert excinfo.value.period == 37
+    assert "residual" in str(excinfo.value)
+    (first, stop), = hits
+    assert first < 37 + 1 < stop - 1
 
 
 # A diode buck feeding a diode flyback (turns ratio 1.7), started from rest:
@@ -310,25 +401,31 @@ R 2 3 0 120.0
 def test_row_updated_system_equals_assembled_system(monkeypatch):
     """Every period is solved from the bootstrap's factors, yet the system
     its residual is checked against is the one assembly gives for that
-    period's predictions: in CCM, with one cell and with both in DCM."""
+    period's predictions: in CCM blocks and stepped periods, with one cell
+    and with both in DCM."""
     import avgcell.engine as engine_module
 
-    checked = []
+    checked = {}
     real = engine_module.check_residual
 
-    def capture(A, x, z, a_norm=None):
-        checked.append((A.copy(), z.copy(), a_norm))
-        return real(A, x, z, a_norm)
+    def capture(A, x, z, a_norm=None, period=None):
+        if period is not None:  # the bootstrap has no period
+            for k, z_k in enumerate(np.atleast_2d(z)):
+                assert period + k not in checked
+                checked[period + k] = (A.copy(), z_k.copy(), a_norm)
+        return real(A, x, z, a_norm, period)
 
     monkeypatch.setattr(engine_module, "check_residual", capture)
     circuit = parse_netlist(BUCK_INTO_FLYBACK)
     config = SimConfig(0.4, 100e3, 1e-3)
     result = run(circuit, config)
-    assert len(checked) == 1 + len(result.records)
+    assert sorted(checked) == list(range(len(result.records)))
+    assert result.stats.block_periods > 0 and result.stats.stepped_periods > 0
 
     dcm_counts = set()
     previous = result.bootstrap
-    for record, (A, z, a_norm) in zip(result.records, checked[1:]):
+    for record in result.records:
+        A, z, a_norm = checked[record.index]
         predictions = {
             label: CellPrediction(state.mode, state.d_p, state.iL0)
             for label, state in record.cells.items()

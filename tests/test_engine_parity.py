@@ -96,3 +96,29 @@ def test_reference_covers_dcm():
         for label, seq in modes.items():
             assert seq.startswith("C"), (name, label)
             assert ("D" in seq) == label.startswith(("SCD", "FBD")), (name, label)
+
+
+def test_columns_match_records(replay):
+    """The column accessors and the columns themselves equal the fields of
+    the records built from them, exactly."""
+    case, result = replay
+    records = result.records
+    assert result.times() == [r.t_start for r in records]
+    for node in records[0].node_voltages:
+        assert result.node_voltage(node) == [r.node_voltages[node] for r in records]
+    for label in records[0].capacitors:
+        caps = [r.capacitors[label] for r in records]
+        assert result.capacitor_voltage(label) == [c.v for c in caps]
+        col = result.layout.state_col[label]
+        assert result.v_cap[:, col].tolist() == [c.v for c in caps]
+        assert result.i0_next[:, col].tolist() == [c.i0_next for c in caps]
+    for i, label in enumerate(records[0].cells):
+        states = [r.cells[label] for r in records]
+        assert result.cell_states(label) == states
+        for field in ("iL0", "iL1", "iL2", "d_p", "vL1", "vL2"):
+            column = getattr(result, field)[:, i].tolist()
+            assert column == [getattr(s, field) for s in states], (label, field)
+        assert result.dcm[:, i].tolist() == [s.mode is Mode.DCM for s in states]
+        rs, rd = result.layout.cell_rows[label]
+        assert result.x[:, rs].tolist() == [s.iS_avg for s in states]
+        assert result.x[:, rd].tolist() == [s.iD_avg for s in states]

@@ -303,7 +303,7 @@ def test_row_update_matches_refactored_system():
         pred = predictions(*d_ps)
         expected = assemble_system(circuit, d, TS, pred, caps)
         z = system.rhs(pred, caps)
-        x = update.solve(lu_solve(factors, z), pred)
+        x = update.solve(lu_solve(factors, z), d_ps)
         np.testing.assert_array_equal(system.A, expected.A)
         assert update.a_norm == pytest.approx(np.abs(expected.A).sum(axis=1).max())
         np.testing.assert_allclose(x, solve(expected), rtol=1e-12, atol=1e-12)
