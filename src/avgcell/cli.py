@@ -18,8 +18,10 @@ import sys
 from fnmatch import fnmatch
 from pathlib import Path
 
+import numpy as np
+
 from . import engine, oracle, waveform
-from .cells import Mode, avg_inductor_current
+from .cells import Mode
 from .mna import SingularSystem
 from .netlist import NetlistError, parse_netlist, validate
 
@@ -194,65 +196,64 @@ def _filter_signals(waveforms, patterns):
     return [w for w in waveforms if any(fnmatch(w.name, g) for g in globs)]
 
 
-def _fmt(x):
-    return format(x, ".17g")
+# Rows go to the file this many at a time, so the text of a long run is
+# never held at once.
+_CHUNK_ROWS = 4096
+
+
+def _write_rows(handle, columns):
+    """Equal-length numeric columns as CSV rows of '%.17g' fields, the text
+    of ``format(x, ".17g")``; whole numbers print without a point."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    for k in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = np.column_stack([c[k:k + _CHUNK_ROWS] for c in columns])
+        handle.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def write_averaged_csv(result, path):
-    layout_nodes = sorted(n for n in result.circuit.node_ids if n != 0)
-    vdc_labels = [e.label for e in result.circuit.vdcs()]
-    cell_labels = [e.label for e in result.circuit.cells()]
-    header = ["n", "t_start"]
-    header += [f"v({n})" for n in layout_nodes]
-    header += [f"i({label})" for label in vdc_labels]
-    for label in cell_labels:
-        header += [
-            f"{label}:iS_avg",
-            f"{label}:iD_avg",
-            f"{label}:iL0",
-            f"{label}:iL2",
-            f"{label}:mode",
-            f"{label}:d_p",
+    layout = result.layout
+    boot = result.bootstrap
+    x = result.x
+    n = len(x)
+    # (header, the bootstrap's value, one value per period)
+    columns = [("n", 0, np.arange(1, n + 1))]
+    columns.append(("t_start", boot.t_start, np.arange(n) * result.config.T_s))
+    columns += [
+        (f"v({node})", boot.node_voltages[node], x[:, row])
+        for node, row in layout.node_row.items()
+    ]
+    columns += [
+        (f"i({label})", boot.vdc_currents[label], x[:, row])
+        for label, row in layout.vdc_row.items()
+    ]
+    for i, (label, (rs, rd)) in enumerate(layout.cell_rows.items()):
+        state = boot.cells[label]
+        columns += [
+            (f"{label}:iS_avg", state.iS_avg, x[:, rs]),
+            (f"{label}:iD_avg", state.iD_avg, x[:, rd]),
+            (f"{label}:iL0", state.iL0, result.iL0[:, i]),
+            (f"{label}:iL2", state.iL2, result.iL2[:, i]),
+            (f"{label}:mode", state.mode is Mode.DCM, result.dcm[:, i]),
+            (f"{label}:d_p", state.d_p, result.d_p[:, i]),
         ]
-
-    def row_for(n, record):
-        row = [str(n), _fmt(record.t_start)]
-        row += [_fmt(record.node_voltages[node]) for node in layout_nodes]
-        row += [_fmt(record.vdc_currents[label]) for label in vdc_labels]
-        for label in cell_labels:
-            state = record.cells[label]
-            row += [
-                _fmt(state.iS_avg),
-                _fmt(state.iD_avg),
-                _fmt(state.iL0),
-                _fmt(state.iL2),
-                "1" if state.mode is Mode.DCM else "0",
-                _fmt(state.d_p),
-            ]
-        return row
-
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerow(row_for(0, result.bootstrap))
-        for record in result.records:
-            writer.writerow(row_for(record.index + 1, record))
+        csv.writer(handle, lineterminator="\n").writerow([c[0] for c in columns])
+        _write_rows(handle, [np.append(first, rest) for _, first, rest in columns])
 
 
 def write_instantaneous_csv(waveforms, flagged, path):
-    times = sorted({t for w in waveforms for t in w.breakpoints()})
+    times = np.unique(np.concatenate([w.breakpoints() for w in waveforms]))
     with open(path, "w", newline="") as handle:
         for name in sorted(flagged):
             handle.write(f"# {name}: {flagged[name]}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["t"] + [w.name for w in waveforms])
-        for t in times:
-            writer.writerow([_fmt(t)] + [_fmt(w.value(t)) for w in waveforms])
+        _write_rows(handle, [times] + [w.values(times) for w in waveforms])
 
 
 def write_stats(waveforms, t_from, t_to, path):
     with open(path, "w") as handle:
-        handle.write(f"# window [{_fmt(t_from)}, {_fmt(t_to)}] s\n")
+        handle.write("# window [%.17g, %.17g] s\n" % (t_from, t_to))
         for wave in waveforms:
             s = waveform.stats(wave, t_from, t_to)
             handle.write(
@@ -268,34 +269,25 @@ def write_oracle_csv(sampled, patterns, path):
         filtered = [s for s in columns if any(fnmatch(s.name, g) for g in globs)]
         if filtered:
             columns = filtered
-    times = columns[0].times
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["t"] + [s.name for s in columns])
-        for k in range(len(times)):
-            writer.writerow(
-                [_fmt(times[k])] + [_fmt(s.values[k]) for s in columns]
-            )
+        _write_rows(handle, [columns[0].times] + [s.values for s in columns])
 
 
 def write_compare(result, sampled, path):
     """Per-signal maximum deviation of the per-period averages, relative to
     the oracle's full-scale value."""
     d = result.config.d
-    comparisons = []
-    for node in sorted(n for n in result.circuit.node_ids if n != 0):
-        name = f"v({node})"
-        model = [r.node_voltages[node] for r in result.records]
-        comparisons.append((name, model))
-    for e in result.circuit.vdcs():
-        comparisons.append(
-            (f"i({e.label})", [r.vdc_currents[e.label] for r in result.records])
-        )
-    for e in result.circuit.cells():
-        model = [
-            avg_inductor_current(r.cells[e.label], d) for r in result.records
-        ]
-        comparisons.append((f"iL({e.label})", model))
+    layout = result.layout
+    x = result.x
+    comparisons = [(f"v({k})", x[:, row]) for k, row in layout.node_row.items()]
+    comparisons += [(f"i({k})", x[:, row]) for k, row in layout.vdc_row.items()]
+    for i, label in enumerate(layout.cell_rows):
+        iL0, iL1, iL2 = result.iL0[:, i], result.iL1[:, i], result.iL2[:, i]
+        # cells.avg_inductor_current, period by period
+        model = d * (iL0 + iL1) / 2.0 + result.d_p[:, i] * (iL1 + iL2) / 2.0
+        comparisons.append((f"iL({label})", model))
 
     with open(path, "w") as handle:
         handle.write(
@@ -308,7 +300,7 @@ def write_compare(result, sampled, path):
                 continue
             scale = max(float(abs(wave.values).max()), 1e-12)
             worst = 0.0
-            for n, value in enumerate(model):
+            for n, value in enumerate(model.tolist()):
                 reference = oracle.period_average(wave, n)
                 worst = max(worst, abs(value - reference) / scale)
             handle.write(f"{name} max_rel_dev={worst:.6g}\n")

@@ -49,6 +49,7 @@ from .mna import (
     RowUpdate,
     SingularSystem,
     assemble_system,
+    build_layout,
     check_residual,
     lu_factor,
     lu_solve,
@@ -164,16 +165,27 @@ class _Rows:
         self.d_p = np.full((n, n_cells), d_p0)
         self.dcm = np.zeros((n, n_cells), dtype=bool)
 
-    def load(self, record):
-        """Make row 0 the period of an existing record: its drive voltages,
-        end currents and carried-out state."""
-        cells = [record.cells[label] for label in self.layout.cell_rows]
-        caps = list(self.layout.state_col)[:self.n_caps]
-        self.y[0, self.cell] = [c.vL1 for c in cells]
-        self.y[0, self.vL2] = [c.vL2 for c in cells]
-        self.iL2[0] = [c.iL2 for c in cells]
-        self.s[1, :self.n_caps] = [record.capacitors[label].i0_next for label in caps]
-        self.s[1, self.cell] = self.iL2[0]
+    def write(self, r, record):
+        """Make row r the period of a PeriodRecord, with the state it starts
+        from and the capacitor sources it carries out.  A source current
+        the record lacks reads as NaN."""
+        layout = self.layout
+        cells = [record.cells[label] for label in layout.cell_rows]
+        caps = [record.capacitors[c] for c in list(layout.state_col)[:self.n_caps]]
+        # The layout's rows: nodes, source currents, then cell current pairs.
+        self.x[r] = (
+            [record.node_voltages[node] for node in layout.node_ids]
+            + [record.vdc_currents.get(label, math.nan) for label in layout.vdc_row]
+            + [v for c in cells for v in (c.iS_avg, c.iD_avg)]
+        )
+        self.y[r, :self.n_caps] = [c.v for c in caps]
+        self.y[r, self.n_caps:] = [c.vL1 for c in cells] + [c.vL2 for c in cells]
+        self.s[r, self.cell] = [c.iL0 for c in cells]
+        self.s[r + 1, :self.n_caps] = [c.i0_next for c in caps]
+        self.iL1[r] = [c.iL1 for c in cells]
+        self.iL2[r] = [c.iL2 for c in cells]
+        self.d_p[r] = [c.d_p for c in cells]
+        self.dcm[r] = [c.mode is _cells.Mode.DCM for c in cells]
 
     def records(self, config, first, last, index):
         """PeriodRecords of rows [first, last); row ``first`` is period
@@ -246,12 +258,9 @@ class SimulationResult:
     the run's :class:`RunStats`.
 
     A result can also be made from a bootstrap and a list of records alone,
-    as ``SimulationResult(circuit, config, bootstrap, records)``; it then
-    has no columns or stats, and its accessors read the records.
+    as ``SimulationResult(circuit, config, bootstrap, records)``; its
+    columns are then filled from the records, and it has no stats.
     """
-
-    x = v_cap = i0_next = vL1 = vL2 = iL0 = iL1 = iL2 = d_p = dcm = None
-    layout = stats = None
 
     def __init__(self, circuit, config, bootstrap, records=None, *, rows=None,
                  stats=None):
@@ -260,9 +269,11 @@ class SimulationResult:
         self.bootstrap = bootstrap
         self.stats = stats
         self._records = records
-        self._rows = rows
         if rows is None:
-            return
+            rows = _Rows(build_layout(circuit).layout, len(records) + 1, 1.0 - config.d)
+            for r, record in enumerate([bootstrap] + records):
+                rows.write(r, record)
+        self._rows = rows
         self.layout = rows.layout
         self.x = rows.x[1:]
         self.v_cap = rows.y[1:, :rows.n_caps]
@@ -282,26 +293,18 @@ class SimulationResult:
         return self._records
 
     def times(self):
-        if self._rows is None:
-            return [r.t_start for r in self.records]
         return (np.arange(len(self.x)) * self.config.T_s).tolist()
 
     def node_voltage(self, node):
-        if self._rows is None:
-            return [r.node_voltages[node] for r in self.records]
         return self.x[:, self.layout.node_row[node]].tolist()
 
     def cell_states(self, label):
-        if self._rows is None:
-            return [r.cells[label] for r in self.records]
         if label not in self.layout.cell_rows:
             raise KeyError(label)
         i = self.layout.state_col[label] - self.layout.n_caps
         return self._rows.cell_states(i, self.config.d, 1, len(self._rows.x))
 
     def capacitor_voltage(self, label):
-        if self._rows is None:
-            return [r.capacitors[label].v for r in self.records]
         if label in self.layout.cell_rows:
             raise KeyError(label)
         return self.v_cap[:, self.layout.state_col[label]].tolist()
@@ -327,7 +330,9 @@ def step(circuit, config, previous_record):
     """
     index = previous_record.index + 1
     stepper = _Stepper(circuit, config, 1, index)
-    stepper.rows.load(previous_record)
+    rows = stepper.rows
+    rows.write(0, previous_record)
+    rows.s[1, rows.cell] = rows.iL2[0]  # its end currents start row 1
     stepper.solve_rows(1, 2)
     return stepper.rows.records(config, 1, 2, index)[0]
 

@@ -1,4 +1,4 @@
-"""Instantaneous waveform reconstruction from averaged period records.
+"""Instantaneous waveform reconstruction from a run's averaged periods.
 
 Inductor currents are piecewise linear inside each period: the breakpoints
 (0, iL0), (d T_s, iL1), (T_s, iL2) in continuous conduction gain an extra
@@ -22,11 +22,20 @@ linearly interpolated, so the reconstruction is continuous everywhere and
 its period mean reproduces the averaged value exactly in steady state.
 Periods in discontinuous conduction, and capacitors in any other topology,
 fall back to the interpolated averaged trace without ripple.
+
+A :class:`Waveform` keeps its segments as five arrays: start and end times
+and the three coefficients.  The builders fill them from the result's
+columns (:class:`avgcell.engine.SimulationResult`), one array expression
+per piece of a period, with the same floating-point operations on every
+element as the formulas above.  ``Waveform.values`` is the one evaluator:
+``value(t)`` and the CLI's ``instantaneous.csv`` both go through it.
+:func:`stats` integrates only the segments that reach into its window.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cells import Mode
 from .errors import AvgcellError
@@ -63,29 +72,44 @@ class Segment:
         return self.c0 + self.c1 * s + self.c2 * s * s
 
 
-@dataclass
 class Waveform:
-    """Contiguous piecewise-polynomial time series."""
+    """Contiguous piecewise-polynomial time series.
 
-    name: str
-    unit: str
-    segments: list
+    Segment k is c0[k] + c1[k] s + c2[k] s^2 over s = t - t0[k], for
+    t0[k] <= t <= t1[k]; ``arrays`` holds the five arrays ``t0``, ``t1``,
+    ``c0``, ``c1`` and ``c2``.  ``Waveform(name, unit, segments)`` takes a
+    list of :class:`Segment` instead, and ``segments`` builds that list.
+    """
+
+    def __init__(self, name, unit, segments=None, *, arrays=None):
+        self.name = name
+        self.unit = unit
+        if arrays is None:
+            arrays = zip(*((s.t0, s.t1, s.c0, s.c1, s.c2) for s in segments))
+        self.arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
+        self.t0, self.t1, self.c0, self.c1, self.c2 = self.arrays
+
+    @property
+    def segments(self):
+        return list(map(Segment, *(a.tolist() for a in self.arrays)))
 
     @property
     def span(self):
-        return self.segments[0].t0, self.segments[-1].t1
+        return self.t0[0].item(), self.t1[-1].item()
+
+    def values(self, times):
+        """The waveform at every time; a time outside the span reads the
+        polynomial of the nearest segment."""
+        i = np.searchsorted(self.t0, times, "right") - 1
+        i = np.clip(i, 0, len(self.t0) - 1)
+        s = times - self.t0[i]
+        return self.c0[i] + self.c1[i] * s + self.c2[i] * s * s
 
     def value(self, t):
-        starts = self.__dict__.get("_starts")
-        if starts is None or len(starts) != len(self.segments):
-            starts = [s.t0 for s in self.segments]
-            self.__dict__["_starts"] = starts
-        i = bisect_right(starts, t) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
-        return self.segments[i].value_at(t)
+        return float(self.values(t))
 
     def breakpoints(self):
-        return [s.t0 for s in self.segments] + [self.segments[-1].t1]
+        return np.append(self.t0, self.t1[-1])
 
 
 @dataclass(frozen=True)
@@ -107,29 +131,29 @@ class SignalStats:
 
 def inductor_waveform(result, cell_label):
     """Piecewise-linear inductor current of one cell over the whole run."""
-    _find_cell(result.circuit, cell_label)
+    i = _find_cell(result.circuit, cell_label)
     d = result.config.d
     T_s = result.config.T_s
-    segments = []
-    for record in result.records:
-        state = record.cells[cell_label]
-        t0 = record.t_start
-        t_mid = t0 + d * T_s
-        t_end = t0 + T_s
-        if state.mode is Mode.CCM:
-            points = [(t0, state.iL0), (t_mid, state.iL1), (t_end, state.iL2)]
-        else:
-            t_zero = t0 + (d + state.d_p) * T_s
-            points = [
-                (t0, state.iL0),
-                (t_mid, state.iL1),
-                (t_zero, 0.0),
-                (t_end, 0.0),
-            ]
-        for (ta, ya), (tb, yb) in zip(points, points[1:]):
-            if tb > ta:
-                segments.append(Segment(ta, tb, ya, (yb - ya) / (tb - ta)))
-    return Waveform(f"iL({cell_label})", "A", segments)
+    t0 = np.arange(len(result.x)) * T_s
+    t_mid = t0 + d * T_s
+    t_end = t0 + T_s
+    t_zero = t0 + (d + result.d_p[:, i]) * T_s
+    dcm = result.dcm[:, i]
+    t_fall = np.where(dcm, t_zero, t_end)
+    iL1 = result.iL1[:, i]
+    zero = np.zeros_like(iL1)
+    # Per period: to d T_s, on to the end of the period (CCM) or to the
+    # current's zero (DCM), and the DCM rest at zero; empty pieces drop.
+    ta, tb, ya, yb = _pieces(
+        [
+            (t0, t_mid, result.iL0[:, i], iL1),
+            (t_mid, t_fall, iL1, np.where(dcm, 0.0, result.iL2[:, i])),
+            (t_zero, t_end, zero, zero),
+        ],
+        [t_mid > t0, t_fall > t_mid, dcm & (t_end > t_zero)],
+    )
+    arrays = (ta, tb, ya, (yb - ya) / (tb - ta), np.zeros_like(ta))
+    return Waveform(f"iL({cell_label})", "A", arrays=arrays)
 
 
 def ripple_amplitude(record, cell_label):
@@ -142,10 +166,6 @@ def ripple_amplitude(record, cell_label):
         raise NotApplicable(
             "ripple amplitudes are defined for continuous conduction only"
         )
-    return _ripple(state)
-
-
-def _ripple(state):
     dIL1 = (state.iL1 - state.iL0) / 2.0
     dIL2 = (state.iL1 - state.iL2) / 2.0
     return RippleModel(dIL1, dIL2, (dIL1 + dIL2) / 2.0)
@@ -160,69 +180,63 @@ def capacitor_waveform(result, cap_label):
     :class:`TopologyNotSupported`; use :func:`capacitor_average_waveform`
     for the ripple-free reconstruction.
     """
-    cap = _find_capacitor(result.circuit, cap_label)
-    cell = _output_cell_for(result.circuit, cap)
-    if cell is None:
+    k, cap = _find_capacitor(result.circuit, cap_label)
+    i = _output_cell_for(result.circuit, cap)
+    if i is None:
         raise TopologyNotSupported(
             f"capacitor {cap_label!r} is not across a basic cell's "
             "common and passive terminals"
         )
-    return _build_capacitor_waveform(result, cap, cell)
+    return _build_capacitor_waveform(result, k, cap, i)
 
 
 def capacitor_average_waveform(result, cap_label):
     """Capacitor voltage as the interpolated averaged trace, no ripple."""
-    cap = _find_capacitor(result.circuit, cap_label)
-    return _build_capacitor_waveform(result, cap, None)
+    k, cap = _find_capacitor(result.circuit, cap_label)
+    return _build_capacitor_waveform(result, k, cap, None)
 
 
-def _build_capacitor_waveform(result, cap, cell):
+def _build_capacitor_waveform(result, k, cap, i):
+    """Capacitor ``k``'s voltage, with the ripple of cell ``i`` in its
+    continuous-conduction periods (none for ``i`` None)."""
     d = result.config.d
     f_s = result.config.f_s
     T_s = result.config.T_s
     C = cap.value
-    records = result.records
+    v_avg = result.v_cap[:, k]
+    n = len(v_avg)
+    ripple = np.zeros(n, dtype=bool)
+    dIL = np.zeros(n)
+    if i is not None:
+        ripple = ~result.dcm[:, i]
+        iL1 = result.iL1[:, i]
+        dIL = ((iL1 - result.iL0[:, i]) / 2.0 + (iL1 - result.iL2[:, i]) / 2.0) / 2.0
+    a0 = np.where(ripple, v_avg + (2.0 * d - 1.0) * dIL / (6.0 * f_s * C), v_avg)
+    slope = (np.append(a0[1:], a0[-1]) - a0) / T_s
+    kr = np.where(ripple, dIL / (f_s * C), 0.0)
+    t0 = np.arange(n) * T_s
+    t_mid = t0 + d * T_s
+    t_end = t0 + T_s
+    # Per period the rising piece (the whole period without ripple), then
+    # the falling piece of a ripple period.
+    t_rise = np.where(ripple, t_mid, t_end)
+    pieces = [(t0, t_rise, a0, slope - kr / T_s, kr / (d * T_s * T_s))]
+    keep = [np.ones(n, dtype=bool)]
+    if T_s - d * T_s > 0.0:
+        c2 = -kr / (T_s * T_s * (1.0 - d))
+        pieces.append((t_mid, t_end, a0 + slope * d * T_s, slope + kr / T_s, c2))
+        keep.append(ripple)
+    return Waveform(_capacitor_signal_name(cap), "V", arrays=_pieces(pieces, keep))
 
-    anchors = []
-    ripples = []
-    for record in records:
-        v_avg = record.capacitors[cap.label].v
-        state = record.cells[cell.label] if cell is not None else None
-        if state is not None and state.mode is Mode.CCM:
-            dIL = _ripple(state).dIL
-            anchors.append(v_avg + (2.0 * d - 1.0) * dIL / (6.0 * f_s * C))
-            ripples.append(dIL)
-        else:
-            anchors.append(v_avg)
-            ripples.append(None)
-    anchors.append(anchors[-1])
 
-    segments = []
-    for n, record in enumerate(records):
-        t0 = record.t_start
-        a0, a1 = anchors[n], anchors[n + 1]
-        slope = (a1 - a0) / T_s
-        dIL = ripples[n]
-        if dIL is None:
-            segments.append(Segment(t0, t0 + T_s, a0, slope))
-            continue
-        k = dIL / (f_s * C)
-        t_mid = t0 + d * T_s
-        segments.append(
-            Segment(t0, t_mid, a0, slope - k / T_s, k / (d * T_s * T_s))
-        )
-        if T_s - d * T_s > 0.0:
-            segments.append(
-                Segment(
-                    t_mid,
-                    t0 + T_s,
-                    a0 + slope * d * T_s,
-                    slope + k / T_s,
-                    -k / (T_s * T_s * (1.0 - d)),
-                )
-            )
-    name = _capacitor_signal_name(cap)
-    return Waveform(name, "V", segments)
+def _pieces(pieces, keep):
+    """Segment arrays of the kept pieces, period by period.
+
+    ``pieces`` holds a tuple of per-period arrays for every piece of a
+    period, ``keep`` per-period flags for every piece.
+    """
+    mask = np.stack(keep, axis=1)
+    return [np.stack(field, axis=1)[mask] for field in zip(*pieces)]
 
 
 def stats(waveform, t_from, t_to):
@@ -237,16 +251,19 @@ def stats(waveform, t_from, t_to):
     t_from = max(t_from, lo)
     t_to = min(t_to, hi)
 
+    # Only the segments from the first to end after t_from up to the last
+    # to start before t_to reach into the window.
+    first = int(np.searchsorted(waveform.t1, t_from, "right"))
+    last = int(np.searchsorted(waveform.t0, t_to, "left"))
     total = 0.0
     total_sq = 0.0
     v_min = math.inf
     v_max = -math.inf
-    for seg in waveform.segments:
-        a = max(seg.t0, t_from) - seg.t0
-        b = min(seg.t1, t_to) - seg.t0
+    for t0, t1, c0, c1, c2 in zip(*(a[first:last].tolist() for a in waveform.arrays)):
+        a = max(t0, t_from) - t0
+        b = min(t1, t_to) - t0
         if b <= a:
             continue
-        c0, c1, c2 = seg.c0, seg.c1, seg.c2
         total += _poly_integral((c0, c1, c2), a, b)
         total_sq += _poly_integral(
             (c0 * c0, 2 * c0 * c1, c1 * c1 + 2 * c0 * c2, 2 * c1 * c2, c2 * c2),
@@ -279,27 +296,30 @@ def _poly_integral(coeffs, a, b):
 
 
 def _find_cell(circuit, label):
-    for e in circuit.cells():
+    """Index of a cell among the circuit's cells."""
+    for i, e in enumerate(circuit.cells()):
         if e.label == label:
-            return e
+            return i
     raise UnknownLabel(f"no cell {label!r} in circuit")
 
 
 def _find_capacitor(circuit, label):
-    for e in circuit.capacitors():
+    """Index among the circuit's capacitors, and the capacitor."""
+    for k, e in enumerate(circuit.capacitors()):
         if e.label == label:
-            return e
+            return k, e
     raise UnknownLabel(f"no capacitor {label!r} in circuit")
 
 
 def _output_cell_for(circuit, cap):
-    """Basic cell whose common and passive terminals the capacitor spans."""
+    """Index of the basic cell whose common and passive terminals the
+    capacitor spans."""
     cap_nodes = set(cap.nodes)
-    for e in circuit.cells():
+    for i, e in enumerate(circuit.cells()):
         if e.is_flyback:
             continue
         if cap_nodes == {e.nodes[1], e.nodes[2]}:
-            return e
+            return i
     return None
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import avgcell
 from avgcell.cli import main
+from avgcell.engine import SimulationResult
 
 from conftest import BUCK, BUCK_DIODE, FLYBACK
 
@@ -188,6 +189,21 @@ def test_oracle_outputs_and_comparison(tmp_path, buck_file):
     rows = read_rows(out / "oracle.csv")
     assert rows[0] == ["t", "i(VDC1)", "iL(SCN1)", "v(1)", "v(2)"]
     assert len(rows) == 1 + 20 * 200 + 1  # header + samples
+
+
+@pytest.mark.parametrize("oracle_args", [[], ["--oracle", "--oracle-substeps", "100"]])
+def test_outputs_are_written_from_the_result_columns(
+    tmp_path, buck_file, monkeypatch, oracle_args
+):
+    """No writer builds PeriodRecords: every file comes from the columns."""
+
+    def no_records(self):
+        raise AssertionError("SimulationResult.records was read")
+
+    monkeypatch.setattr(SimulationResult, "records", property(no_records))
+    out = tmp_path / "results"
+    assert run_cli(buck_file, *ARGS, "--out", out, *oracle_args) == 0
+    assert (out / "compare.txt").exists() == bool(oracle_args)
 
 
 def test_flagged_average_only_signal(tmp_path):

@@ -7,6 +7,8 @@ tau = (1+d)/2).
 """
 
 import math
+from bisect import bisect_right
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from avgcell.waveform import (
     stats,
 )
 
-from conftest import BUCK, std_config
+from conftest import BUCK, BUCK_DCM, BUCK_DIODE, std_config
 
 
 def single_period_result(circuit_text, cell_state, v_avg=5.0):
@@ -297,3 +299,207 @@ def test_stats_invariants_on_random_waveforms(coeff_list):
     assert s.min <= s.mean + 1e-12
     assert s.mean <= s.max + 1e-12
     assert s.rms + 1e-12 >= abs(s.mean)
+
+
+def _all_waveforms(result):
+    """Every inductor current and capacitor voltage, as the CLI builds them."""
+    waves = [inductor_waveform(result, e.label) for e in result.circuit.cells()]
+    for cap in result.circuit.capacitors():
+        try:
+            waves.append(capacitor_waveform(result, cap.label))
+        except TopologyNotSupported:
+            waves.append(capacitor_average_waveform(result, cap.label))
+    return waves
+
+
+def _records_only(result):
+    return SimulationResult(
+        result.circuit, result.config, result.bootstrap, result.records
+    )
+
+
+# CCM, DCM (the light-load buck from rest, and the diode buck's start-up),
+# d = 1, and results made from records alone.
+_RESULTS = {
+    "ccm": lambda: run(parse_netlist(BUCK), std_config(5e-4)),
+    "dcm": lambda: run(parse_netlist(BUCK_DCM), std_config(1e-3)),
+    "diode": lambda: run(parse_netlist(BUCK_DIODE), std_config(5e-4)),
+    "d=1": lambda: run(parse_netlist(BUCK_DIODE), SimConfig(1.0, 100e3, 2e-4)),
+    "records-only dcm": lambda: _records_only(
+        run(parse_netlist(BUCK_DCM), std_config(1e-3))
+    ),
+    "records-only period": lambda: single_period_result(BUCK, STEADY_STATE),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_RESULTS))
+def any_result(request):
+    return _RESULTS[request.param]()
+
+
+def test_result_kinds_cover_dcm():
+    assert _RESULTS["dcm"]().dcm.any() and _RESULTS["records-only dcm"]().dcm.any()
+    assert not _RESULTS["ccm"]().dcm.any()
+
+
+def test_value_is_the_segment_bisect_picks(any_result):
+    """value(t) and values(times) evaluate the segment bisect_right picks
+    over the segment starts, at every breakpoint and mid-segment, and
+    outside the span."""
+    for wave in _all_waveforms(any_result):
+        segments = wave.segments
+        starts = [s.t0 for s in segments]
+        times = [s.t0 for s in segments] + [s.t1 for s in segments]
+        times += [(s.t0 + s.t1) / 2.0 for s in segments] + [-1.0, 1.0]
+        expected = []
+        for t in times:
+            i = min(max(bisect_right(starts, t) - 1, 0), len(segments) - 1)
+            expected.append(segments[i].value_at(t))
+        assert [wave.value(t) for t in times] == expected, wave.name
+        assert wave.values(np.array(times)).tolist() == expected, wave.name
+
+
+def test_records_only_result_rebuilds_the_same_waveforms():
+    result = run(parse_netlist(BUCK_DCM), std_config(1e-3))
+    for ours, theirs in zip(
+        _all_waveforms(result), _all_waveforms(_records_only(result))
+    ):
+        assert _bits(ours.segments) == _bits(theirs.segments)
+
+
+def _integral(coeffs, a, b):
+    acc, pa, pb = 0.0, a, b
+    for k, c in enumerate(coeffs):
+        acc += c * (pb - pa) / (k + 1)
+        pa *= a
+        pb *= b
+    return acc
+
+
+def _full_scan_stats(wave, t_from, t_to):
+    """stats() as one loop over every segment: the reference the
+    window-restricted scan must reproduce bit for bit."""
+    segments = wave.segments
+    t_from = max(t_from, segments[0].t0)
+    t_to = min(t_to, segments[-1].t1)
+    total = total_sq = 0.0
+    v_min, v_max = math.inf, -math.inf
+    for seg in segments:
+        a = max(seg.t0, t_from) - seg.t0
+        b = min(seg.t1, t_to) - seg.t0
+        if b <= a:
+            continue
+        c0, c1, c2 = seg.c0, seg.c1, seg.c2
+        total += _integral((c0, c1, c2), a, b)
+        total_sq += _integral(
+            (c0 * c0, 2 * c0 * c1, c1 * c1 + 2 * c0 * c2, 2 * c1 * c2, c2 * c2),
+            a,
+            b,
+        )
+        candidates = [a, b]
+        if c2 != 0.0 and a < -c1 / (2.0 * c2) < b:
+            candidates.append(-c1 / (2.0 * c2))
+        for s in candidates:
+            v = c0 + c1 * s + c2 * s * s
+            v_min, v_max = min(v_min, v), max(v_max, v)
+    width = t_to - t_from
+    return (total / width, v_min, v_max, math.sqrt(max(total_sq / width, 0.0)))
+
+
+def test_stats_equals_a_full_scan(any_result):
+    """Windows that cut segments, sit at either end of the span, reach past
+    it, fall inside one segment or start and end on breakpoints."""
+    for wave in _all_waveforms(any_result):
+        lo, hi = wave.span
+        width = hi - lo
+        segments = wave.segments
+        n = len(segments)
+        windows = [
+            (lo, hi),
+            (lo - 1.0, hi + 1.0),
+            (lo, lo + 0.37 * width),
+            (lo - 1.0, lo + 0.013 * width),
+            (hi - 0.29 * width, hi),
+            (hi - 0.011 * width, hi + 1.0),
+            (lo + 0.41 * width, lo + 0.62 * width),
+            (segments[0].t0 + 0.1 * (segments[0].t1 - segments[0].t0),
+             segments[0].t0 + 0.7 * (segments[0].t1 - segments[0].t0)),
+            (segments[n // 3].t0, segments[2 * n // 3].t1),
+        ]
+        for t_from, t_to in windows:
+            s = stats(wave, t_from, t_to)
+            expected = _full_scan_stats(wave, t_from, t_to)
+            assert (s.mean, s.min, s.max, s.rms) == expected, (wave.name, t_from)
+
+
+def _loop_inductor_segments(result, label):
+    """inductor_waveform as a loop over the records: the reference the
+    array form must reproduce bit for bit."""
+    d, T_s = result.config.d, result.config.T_s
+    segments = []
+    for record in result.records:
+        state = record.cells[label]
+        t0 = record.t_start
+        points = [(t0, state.iL0), (t0 + d * T_s, state.iL1)]
+        if state.mode is Mode.CCM:
+            points.append((t0 + T_s, state.iL2))
+        else:
+            points += [(t0 + (d + state.d_p) * T_s, 0.0), (t0 + T_s, 0.0)]
+        for (ta, ya), (tb, yb) in zip(points, points[1:]):
+            if tb > ta:
+                segments.append(Segment(ta, tb, ya, (yb - ya) / (tb - ta)))
+    return segments
+
+
+def _loop_capacitor_segments(result, label, cell_label):
+    """_build_capacitor_waveform as a loop over the records, with the
+    ripple of ``cell_label`` (None for the averaged trace)."""
+    d, f_s, T_s = result.config.d, result.config.f_s, result.config.T_s
+    C = next(e.value for e in result.circuit.capacitors() if e.label == label)
+    anchors, ripples = [], []
+    for record in result.records:
+        v_avg = record.capacitors[label].v
+        state = record.cells[cell_label] if cell_label else None
+        if state is not None and state.mode is Mode.CCM:
+            dIL = ripple_amplitude(record, cell_label).dIL
+            anchors.append(v_avg + (2.0 * d - 1.0) * dIL / (6.0 * f_s * C))
+            ripples.append(dIL)
+        else:
+            anchors.append(v_avg)
+            ripples.append(None)
+    anchors.append(anchors[-1])
+    segments = []
+    for n, record in enumerate(result.records):
+        t0, a0 = record.t_start, anchors[n]
+        slope = (anchors[n + 1] - a0) / T_s
+        if ripples[n] is None:
+            segments.append(Segment(t0, t0 + T_s, a0, slope))
+            continue
+        k = ripples[n] / (f_s * C)
+        t_mid = t0 + d * T_s
+        segments.append(Segment(t0, t_mid, a0, slope - k / T_s, k / (d * T_s * T_s)))
+        if T_s - d * T_s > 0.0:
+            segments.append(Segment(t_mid, t0 + T_s, a0 + slope * d * T_s,
+                                    slope + k / T_s, -k / (T_s * T_s * (1.0 - d))))
+    return segments
+
+
+def _bits(segments):
+    """Segments as exact float text, so that 0.0 and -0.0 differ."""
+    return [tuple(float(v).hex() for v in astuple(s)) for s in segments]
+
+
+def test_builders_match_the_per_period_loop(any_result):
+    circuit = any_result.circuit
+    cell = circuit.cells()[0].label
+    for e in circuit.cells():
+        expected = _loop_inductor_segments(any_result, e.label)
+        assert _bits(inductor_waveform(any_result, e.label).segments) == _bits(expected)
+    for cap in circuit.capacitors():
+        for waveform, ripple_cell in (
+            (capacitor_average_waveform, None),
+            (capacitor_waveform, cell),
+        ):
+            wave = waveform(any_result, cap.label)
+            expected = _loop_capacitor_segments(any_result, cap.label, ripple_cell)
+            assert _bits(wave.segments) == _bits(expected), waveform.__name__
