@@ -198,7 +198,7 @@ def _filter_signals(waveforms, patterns):
 
 # Rows go to the file this many at a time, so the text of a long run is
 # never held at once.
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 512
 
 
 def _write_rows(handle, columns):
@@ -242,7 +242,10 @@ def write_averaged_csv(result, path):
 
 
 def write_instantaneous_csv(waveforms, flagged, path):
-    times = np.unique(np.concatenate([w.breakpoints() for w in waveforms]))
+    # Sorted and deduplicated as np.unique would, without its first-call
+    # memory cost (~1.6 MB of resident set on numpy 2.4).
+    times = np.sort(np.concatenate([w.breakpoints() for w in waveforms]))
+    times = times[np.append(True, times[1:] != times[:-1])]
     with open(path, "w", newline="") as handle:
         for name in sorted(flagged):
             handle.write(f"# {name}: {flagged[name]}\n")

@@ -100,8 +100,8 @@ class Waveform:
     def values(self, times):
         """The waveform at every time; a time outside the span reads the
         polynomial of the nearest segment."""
-        i = np.searchsorted(self.t0, times, "right") - 1
-        i = np.clip(i, 0, len(self.t0) - 1)
+        # The last segment starting at or before each time, or the first.
+        i = np.maximum(np.searchsorted(self.t0, times, "right") - 1, 0)
         s = times - self.t0[i]
         return self.c0[i] + self.c1[i] * s + self.c2[i] * s * s
 
