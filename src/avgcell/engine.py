@@ -166,9 +166,8 @@ class _Rows:
         self.dcm = np.zeros((n, n_cells), dtype=bool)
 
     def write(self, r, record):
-        """Make row r the period of a PeriodRecord, with the state it starts
-        from and the capacitor sources it carries out.  A source current
-        the record lacks reads as NaN."""
+        """Make row r a PeriodRecord's period, with the state it starts from
+        and carries out; a source current it lacks reads as NaN."""
         layout = self.layout
         cells = [record.cells[label] for label in layout.cell_rows]
         caps = [record.capacitors[c] for c in list(layout.state_col)[:self.n_caps]]

@@ -23,13 +23,11 @@ its period mean reproduces the averaged value exactly in steady state.
 Periods in discontinuous conduction, and capacitors in any other topology,
 fall back to the interpolated averaged trace without ripple.
 
-A :class:`Waveform` keeps its segments as five arrays: start and end times
-and the three coefficients.  The builders fill them from the result's
-columns (:class:`avgcell.engine.SimulationResult`), one array expression
-per piece of a period, with the same floating-point operations on every
-element as the formulas above.  ``Waveform.values`` is the one evaluator:
-``value(t)`` and the CLI's ``instantaneous.csv`` both go through it.
-:func:`stats` integrates only the segments that reach into its window.
+A :class:`Waveform` keeps its segments as arrays, which the builders fill
+from the result's columns with the same floating-point operations per
+element as the formulas above.  ``Waveform.values`` is the one evaluator,
+behind ``value(t)`` and the CLI's ``instantaneous.csv``; :func:`stats`
+integrates only the segments that reach into its window.
 """
 
 import math
@@ -230,11 +228,8 @@ def _build_capacitor_waveform(result, k, cap, i):
 
 
 def _pieces(pieces, keep):
-    """Segment arrays of the kept pieces, period by period.
-
-    ``pieces`` holds a tuple of per-period arrays for every piece of a
-    period, ``keep`` per-period flags for every piece.
-    """
+    """Segment arrays, period by period, of every piece (a tuple of
+    per-period arrays) where its per-period ``keep`` flag is set."""
     mask = np.stack(keep, axis=1)
     return [np.stack(field, axis=1)[mask] for field in zip(*pieces)]
 

@@ -318,8 +318,9 @@ def _records_only(result):
     )
 
 
-# CCM, DCM (the light-load buck from rest, and the diode buck's start-up),
-# d = 1, and results made from records alone.
+# CCM, DCM (the light-load buck and the diode buck, both from rest), d = 1
+# (the diode buck, DCM periods included), and results made from records
+# alone.
 _RESULTS = {
     "ccm": lambda: run(parse_netlist(BUCK), std_config(5e-4)),
     "dcm": lambda: run(parse_netlist(BUCK_DCM), std_config(1e-3)),
@@ -338,7 +339,8 @@ def any_result(request):
 
 
 def test_result_kinds_cover_dcm():
-    assert _RESULTS["dcm"]().dcm.any() and _RESULTS["records-only dcm"]().dcm.any()
+    for name in ("dcm", "diode", "d=1", "records-only dcm"):
+        assert _RESULTS[name]().dcm.any(), name
     assert not _RESULTS["ccm"]().dcm.any()
 
 
@@ -355,8 +357,10 @@ def test_value_is_the_segment_bisect_picks(any_result):
         for t in times:
             i = min(max(bisect_right(starts, t) - 1, 0), len(segments) - 1)
             expected.append(segments[i].value_at(t))
-        assert [wave.value(t) for t in times] == expected, wave.name
-        assert wave.values(np.array(times)).tolist() == expected, wave.name
+        expected = [v.hex() for v in expected]
+        assert [wave.value(t).hex() for t in times] == expected, wave.name
+        got = wave.values(np.array(times)).tolist()
+        assert [v.hex() for v in got] == expected, wave.name
 
 
 def test_records_only_result_rebuilds_the_same_waveforms():
