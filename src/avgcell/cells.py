@@ -210,7 +210,8 @@ def avg_inductor_voltage(vL1, vL2, d, d_p):
 
 
 def avg_inductor_current(state, d):
-    """Period-average inductor current of a solved cell state."""
+    """Period-average inductor current of a solved cell state, or of every
+    row of equal-shape arrays ``iL0``, ``iL1``, ``iL2`` and ``d_p``."""
     return (
         d * (state.iL0 + state.iL1) / 2.0
         + state.d_p * (state.iL1 + state.iL2) / 2.0

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, oracle, waveform
-from .cells import Mode
+from .cells import Mode, avg_inductor_current
 from .mna import SingularSystem
 from .netlist import NetlistError, parse_netlist, validate
 
@@ -116,19 +116,15 @@ def main(argv=None):
 
     try:
         config = engine.SimConfig(duty, f_s, t_end, dcm_refine=args.dcm_refine)
-        if config.n_periods < 1:
-            raise engine.InvalidConfig("run covers no complete switching period")
         if not 0.0 < args.stats_window <= 1.0:
             raise engine.InvalidConfig("stats window fraction must be in (0, 1]")
         oracle_config = (
             oracle.OracleConfig(args.oracle_substeps) if args.oracle else None
         )
+        result = engine.run(circuit, config)
     except engine.InvalidConfig as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-
-    try:
-        result = engine.run(circuit, config)
     except engine.InvalidCircuit as exc:
         print(f"error: {args.netlist}: {exc}", file=sys.stderr)
         return _NETLIST_EXIT
@@ -154,6 +150,9 @@ def main(argv=None):
         if args.oracle:
             try:
                 sampled = oracle.simulate_switched(circuit, config, oracle_config)
+            except engine.InvalidConfig as exc:
+                print(f"usage error: {exc}", file=sys.stderr)
+                return _USAGE_EXIT
             except SingularSystem as exc:
                 print(f"error: oracle: {exc}", file=sys.stderr)
                 return _NUMERIC_EXIT
@@ -190,6 +189,8 @@ def _reconstruct(result):
 
 
 def _filter_signals(waveforms, patterns):
+    """The signals whose name matches one of the comma separated globs in
+    ``patterns``; every signal when ``patterns`` is empty."""
     if not patterns:
         return list(waveforms)
     globs = [p.strip() for p in patterns.split(",") if p.strip()]
@@ -267,11 +268,8 @@ def write_stats(waveforms, t_from, t_to, path):
 
 def write_oracle_csv(sampled, patterns, path):
     columns = [s for _, s in sorted(sampled.items())]
-    if patterns:
-        globs = [p.strip() for p in patterns.split(",") if p.strip()]
-        filtered = [s for s in columns if any(fnmatch(s.name, g) for g in globs)]
-        if filtered:
-            columns = filtered
+    # A filter that matches no oracle signal keeps them all.
+    columns = _filter_signals(columns, patterns) or columns
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["t"] + [s.name for s in columns])
@@ -281,16 +279,13 @@ def write_oracle_csv(sampled, patterns, path):
 def write_compare(result, sampled, path):
     """Per-signal maximum deviation of the per-period averages, relative to
     the oracle's full-scale value."""
-    d = result.config.d
     layout = result.layout
     x = result.x
     comparisons = [(f"v({k})", x[:, row]) for k, row in layout.node_row.items()]
     comparisons += [(f"i({k})", x[:, row]) for k, row in layout.vdc_row.items()]
-    for i, label in enumerate(layout.cell_rows):
-        iL0, iL1, iL2 = result.iL0[:, i], result.iL1[:, i], result.iL2[:, i]
-        # cells.avg_inductor_current, period by period
-        model = d * (iL0 + iL1) / 2.0 + result.d_p[:, i] * (iL1 + iL2) / 2.0
-        comparisons.append((f"iL({label})", model))
+    # The result's columns hold every cell's state, one row per period.
+    iL = avg_inductor_current(result, result.config.d)
+    comparisons += [(f"iL({k})", iL[:, i]) for i, k in enumerate(layout.cell_rows)]
 
     with open(path, "w") as handle:
         handle.write(

@@ -96,6 +96,10 @@ class SimConfig:
             )
         if not math.isfinite(self.t_end) or self.t_end < 0.0:
             raise InvalidConfig(f"transient duration {self.t_end} must be non-negative")
+        if not math.isfinite(self.t_end * self.f_s):
+            raise InvalidConfig(f"{self.t_end} s at {self.f_s} Hz: too many periods")
+        if self.n_periods < 1:
+            raise InvalidConfig("run covers no complete switching period")
 
     @property
     def T_s(self):
@@ -103,6 +107,7 @@ class SimConfig:
 
     @property
     def n_periods(self):
+        """The whole switching periods the run covers, at least one."""
         return int(round(self.t_end * self.f_s))
 
 
@@ -157,13 +162,16 @@ class _Rows:
         n_cells = len(layout.cell_rows)
         self.cell = slice(n_caps, n_caps + n_cells)
         self.vL2 = slice(n_caps + n_cells, n_caps + 2 * n_cells)
-        self.x = np.empty((n, layout.order))
-        self.y = np.empty((n, n_caps + 2 * n_cells))
-        self.s = np.ones((n + 1, n_caps + n_cells + 1))
-        self.iL1 = np.empty((n, n_cells))
-        self.iL2 = np.empty((n, n_cells))
-        self.d_p = np.full((n, n_cells), d_p0)
-        self.dcm = np.zeros((n, n_cells), dtype=bool)
+        try:
+            self.x = np.empty((n, layout.order))
+            self.y = np.empty((n, n_caps + 2 * n_cells))
+            self.s = np.ones((n + 1, n_caps + n_cells + 1))
+            self.iL1 = np.empty((n, n_cells))
+            self.iL2 = np.empty((n, n_cells))
+            self.d_p = np.full((n, n_cells), d_p0)
+            self.dcm = np.zeros((n, n_cells), dtype=bool)
+        except (ValueError, MemoryError) as exc:
+            raise InvalidConfig(f"cannot hold {n - 1} periods: {exc}") from None
 
     def write(self, r, record):
         """Make row r a PeriodRecord's period, with the state it starts from
@@ -226,7 +234,7 @@ class _Rows:
         d_p = self.d_p[first:last, i]
         vL1 = self.y[first:last, col]
         vL2 = self.y[first:last, self.vL2.start + i]
-        vL_avg = d * vL1 + d_p * vL2
+        vL_avg = _cells.avg_inductor_voltage(vL1, vL2, d, d_p)
         return list(
             map(
                 _cells.CellState,
@@ -311,11 +319,8 @@ class SimulationResult:
 
 def run(circuit, config):
     """Simulate ``config.n_periods`` switching periods of the circuit."""
-    n_periods = config.n_periods
-    if n_periods < 1:
-        raise InvalidConfig("run covers no complete switching period")
-    stepper = _Stepper(circuit, config, n_periods)
-    stepper.solve_rows(1, n_periods + 1)
+    stepper = _Stepper(circuit, config, config.n_periods)
+    stepper.solve_rows(1, config.n_periods + 1)
     return stepper.result()
 
 
@@ -406,18 +411,18 @@ class _Stepper:
             e.label: gk * e.initial for e, gk in zip(circuit.capacitors(), g)
         }
         self.system = system = assemble_system(circuit, d, T_s, predictions, cap_sources)
-        self.factors = lu_factor(system.A)
+        self.inverse = lu_factor(system.A)
         self.stats = RunStats(factorizations=1)
         # Synchronous cells keep d_p = 1 - d, so only diode rows can move.
         self.update = RowUpdate(
-            system.A, self.factors, [system.diode_rows[i] for i in self.diode], d_p0
+            system.A, self.inverse, [system.diode_rows[i] for i in self.diode], d_p0
         )
         self._ccm_duties = [d_p0] * len(self.diode)
-        self.P = lu_solve(self.factors, system.B)
+        self.P = lu_solve(self.inverse, system.B)
 
         self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
         rows.s[0] = system.state(predictions, cap_sources)
-        x = lu_solve(self.factors, system.z)
+        x = lu_solve(self.inverse, system.z)
         check_residual(system.A, x, system.z, self.update.a_norm)
         rows.x[0] = x
         np.dot(system.E, x, out=rows.y[0])
@@ -575,7 +580,7 @@ class _Stepper:
         state[rows.cell] = iL0s
         rows.s[r] = state
         z = system.B @ rows.s[r]
-        x0 = lu_solve(self.factors, z)
+        x0 = lu_solve(self.inverse, z)
         try:
             x = self.update.solve(x0, [d_ps[i] for i in self.diode])
         except SingularSystem as exc:

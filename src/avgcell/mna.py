@@ -35,15 +35,15 @@ of E line up with the columns of B.
 A cell's diode duty d_p enters A in one place only, the cell's iD_avg row
 (``rd``), which is affine in d_p and d_p^2 (:class:`DiodeRow`).  A run
 therefore factors A once, at d_p = 1 - d for every cell: elimination with
-scaled partial pivoting decides whether the system is singular, and the
-inverse A0^-1 is formed once it is not, so that solving a period is one
-product A0^-1 z.  :class:`RowUpdate` solves each later period, in which k
-cells have some other d_p, as a rank-k row update of A0^-1 (Sherman-
-Morrison-Woodbury; Hager, "Updating the inverse of a matrix", SIAM Review
-31(2), 1989).  The k rewritten rows are written into A in place, so A is
-always the period's actual matrix and every solution's residual is checked
-against it.  :func:`check_residual` also checks a block of solutions at
-once, one system per row, all with the same A.
+scaled partial pivoting decides whether the system is singular, and
+:func:`lu_factor` returns the inverse A0^-1 once it is not, so that solving
+a period is one product A0^-1 z.  :class:`RowUpdate` solves each later
+period, in which k cells have some other d_p, as a rank-k row update of
+A0^-1 (Sherman-Morrison-Woodbury; Hager, "Updating the inverse of a
+matrix", SIAM Review 31(2), 1989).  The k rewritten rows are written into
+A in place, so A is always the period's actual matrix and every solution's
+residual is checked against it.  :func:`check_residual` also checks a
+block of solutions at once, one system per row, all with the same A.
 """
 
 import math
@@ -322,19 +322,10 @@ def _stamp_conductance(A, r1, r2, g):
         A[r2, r1] -= g
 
 
-class LuFactors:
-    """The inverse of a matrix that passed the :func:`lu_factor` pivot
-    rule; the systems are small, so a solve is one product with it."""
-
-    __slots__ = ("inverse",)
-
-    def __init__(self, inverse):
-        self.inverse = inverse
-
-
 def lu_factor(A):
     """Test ``A`` for singularity by LU elimination with partial pivoting,
-    then form its inverse.
+    then return its inverse; the systems are small, so a solve is one
+    product with it.
 
     Raises :class:`SingularSystem` when a pivot falls below
     ``PIVOT_RTOL`` times the originating row's infinity norm.
@@ -352,12 +343,13 @@ def lu_factor(A):
         if k + 1 < n:
             lu[k + 1:, k] /= lu[k, k]
             lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return LuFactors(np.linalg.inv(A))
+    return np.linalg.inv(A)
 
 
-def lu_solve(factors, b):
-    """The solution of A x = b for the matrix :func:`lu_factor` tested."""
-    return factors.inverse @ b
+def lu_solve(inverse, b):
+    """The solution of A x = b, given the inverse :func:`lu_factor`
+    returned for A."""
+    return inverse @ b
 
 
 class RowUpdate:
@@ -371,12 +363,13 @@ class RowUpdate:
         x = x0 - W C^-1 U^T x0,   x0 = A0^-1 z,   C = I + U^T W.
 
     By the determinant lemma det A = det A0 det C, so C is singular exactly
-    when A is.  ``A`` is the matrix that was factored; it is rewritten in
-    place to hold the current rows, and ``a_norm`` is its infinity norm.
+    when A is.  ``A`` is the matrix that was factored and ``inverse`` the
+    A0^-1 :func:`lu_factor` returned; ``A`` is rewritten in place to hold
+    the current rows, and ``a_norm`` is its infinity norm.
     ``updates`` counts the solves in which some row was away from d_p0.
     """
 
-    def __init__(self, A, factors, rows, d_p0):
+    def __init__(self, A, inverse, rows, d_p0):
         self.A = A
         self.rows = rows
         self.d_p0 = d_p0
@@ -385,20 +378,25 @@ class RowUpdate:
         self._held = [d_p0] * len(rows)
         # Solves that needed the update, that is, with some row moved.
         self.updates = 0
-        self._W = factors.inverse[:, [r.row for r in rows]].T
-        columns = self._W.tolist()
+        self._W = W = inverse[:, [r.row for r in rows]].T
+        abs_W = np.abs(W)
+
+        def dots(coeffs, cols, M):
+            """coeffs . m_j for every row m_j of M, term by term in ``cols``
+            order: a sum of column products."""
+            return sum((a * M[:, c] for a, c in zip(coeffs, cols)), np.zeros(len(M)))
+
         # ra_i . w_j and rb_i . w_j for every pair of rows (i, j).
-        self._raw = [[_dot(r.ra, r.cols, w) for w in columns] for r in rows]
-        self._rbw = [[_dot(r.rb, r.cols, w) for w in columns] for r in rows]
+        self._raw = [dots(r.ra, r.cols, W).tolist() for r in rows]
+        self._rbw = [dots(r.rb, r.cols, W).tolist() for r in rows]
         # Row i of C sums at most 1 + |alpha| |ra_i| . |w_j| + |beta|
         # |rb_i| . |w_j| in magnitude; the largest of these over j is the
         # row's scale for the pivot rule, so cancellation down to a tiny
         # pivot is caught.
-        abs_columns = [[abs(v) for v in w] for w in columns]
         self._magnitude = [
             (
-                max(_dot(map(abs, r.ra), r.cols, w) for w in abs_columns),
-                max(_dot(map(abs, r.rb), r.cols, w) for w in abs_columns),
+                max(dots(map(abs, r.ra), r.cols, abs_W).tolist()),
+                max(dots(map(abs, r.rb), r.cols, abs_W).tolist()),
             )
             for r in rows
         ]
@@ -447,10 +445,6 @@ class RowUpdate:
             scale.append(1.0 + abs(alpha) * ra_abs + abs(beta) * rb_abs)
         y = solve_small(C, rhs, scale)
         return x0 - np.array(y) @ self._W[moved]
-
-
-def _dot(coeffs, cols, x):
-    return sum(a * x[c] for a, c in zip(coeffs, cols))
 
 
 def solve_small(C, r, scale):

@@ -1,7 +1,8 @@
 """Netlist parsing and structural validation for switching-converter circuits.
 
 Grammar (one element per line, whitespace separated, ``#`` starts a comment
-line, blank lines are ignored):
+line, blank lines are ignored; ``_KINDS`` holds it, and the parser, the
+arity check and :func:`serialize_netlist` all read it from there):
 
     VDC <idx> <n+> <n-> <volts>
     IDC <idx> <n+> <n-> <amps>
@@ -47,12 +48,20 @@ FBD = "FBD"
 CELL_KINDS = (SCN, SCD, FBN, FBD)
 FLYBACK_KINDS = (FBN, FBD)
 
-# Longest keywords first so "SCN1" is not read as "S" + garbage.
-_KEYWORDS = (VDC, IDC, SCN, SCD, FBN, FBD, CAP, RES)
+# The grammar of every kind: its node count, then the Element field and the
+# description of every number after the main value.  A line is the keyword,
+# the index, the nodes, the main value and these numbers.
+_KINDS = {
+    **dict.fromkeys((VDC, IDC, RES), (2, ())),
+    CAP: (2, (("initial", "initial voltage"),)),
+    **dict.fromkeys((SCN, SCD), (3, (("initial", "initial current"),))),
+    **dict.fromkeys(
+        FLYBACK_KINDS, (3, (("turns", "turns ratio"), ("initial", "initial current")))
+    ),
+}
 
-# tokens per line: keyword, idx, nodes..., params...
-_ARITY = {VDC: 5, IDC: 5, RES: 5, CAP: 6, SCN: 7, SCD: 7, FBN: 8, FBD: 8}
-_NODE_COUNT = {VDC: 2, IDC: 2, RES: 2, CAP: 2, SCN: 3, SCD: 3, FBN: 3, FBD: 3}
+# Longest keywords first so "SCN1" is not read as "S" + garbage.
+_KEYWORDS = sorted(_KINDS, key=len, reverse=True)
 
 _PARAM_KEYS = ("D", "fs", "tend")
 
@@ -245,10 +254,10 @@ def parse_netlist(text):
         kind, tag = _match_keyword(tokens[0])
         if kind is None:
             raise UnknownElementKind(f"unknown element kind {tokens[0]!r}", lineno)
-        if len(tokens) != _ARITY[kind]:
-            raise ArityError(
-                f"{kind} takes {_ARITY[kind]} tokens, got {len(tokens)}", lineno
-            )
+        n_nodes, extras = _KINDS[kind]
+        arity = 3 + n_nodes + len(extras)
+        if len(tokens) != arity:
+            raise ArityError(f"{kind} takes {arity} tokens, got {len(tokens)}", lineno)
 
         idx = tokens[1]
         label = kind + (tag if tag else idx)
@@ -256,22 +265,13 @@ def parse_netlist(text):
             raise DuplicateLabel(f"duplicate element label {label!r}", lineno)
         labels.add(label)
 
-        n_nodes = _NODE_COUNT[kind]
         nodes = tuple(_parse_node(t, lineno) for t in tokens[2 : 2 + n_nodes])
-        rest = tokens[2 + n_nodes :]
-
-        value = _parse_float(rest[0], lineno, "value")
-        turns = 1.0
-        initial = 0.0
-        if kind == CAP:
-            initial = _parse_float(rest[1], lineno, "initial voltage")
-        elif kind in (SCN, SCD):
-            initial = _parse_float(rest[1], lineno, "initial current")
-        elif kind in (FBN, FBD):
-            turns = _parse_float(rest[1], lineno, "turns ratio")
-            initial = _parse_float(rest[2], lineno, "initial current")
-
-        elements.append(Element(kind, label, nodes, value, turns, initial))
+        value = _parse_float(tokens[2 + n_nodes], lineno, "value")
+        fields = {
+            name: _parse_float(token, lineno, what)
+            for (name, what), token in zip(extras, tokens[3 + n_nodes :])
+        }
+        elements.append(Element(kind, label, nodes, value, **fields))
 
     node_ids = set()
     for e in elements:
@@ -391,10 +391,6 @@ def serialize_netlist(circuit):
     for e in circuit.elements:
         tag = e.label[len(e.kind):]
         fields = [e.kind, tag] + [str(n) for n in e.nodes] + [repr(e.value)]
-        if e.kind == CAP or e.kind in (SCN, SCD):
-            fields.append(repr(e.initial))
-        elif e.kind in FLYBACK_KINDS:
-            fields.append(repr(e.turns))
-            fields.append(repr(e.initial))
+        fields += [repr(getattr(e, name)) for name, _ in _KINDS[e.kind][1]]
         lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"

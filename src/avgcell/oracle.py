@@ -9,6 +9,11 @@ remainder; for diode cells the inductor-current zero crossing is located by
 linear interpolation between substeps and the current is held at zero for
 the rest of the period.
 
+Basic and flyback cells share three phases, on, diode and rest (a blocked
+diode), and a topology is the tuple of every cell's phase.  The state of a
+flyback holds its live winding's current, which ``referral`` maps to the
+magnetizing current.
+
 Integration is trapezoidal with fixed step; after every topology change one
 backward-Euler step restarts the companion models, since element voltages
 are discontinuous at switching instants.  Ideal switches are realized by
@@ -104,54 +109,52 @@ def simulate_switched(circuit, config, oracle_config=None):
         raise InvalidCircuit("; ".join(str(d) for d in diagnostics), diagnostics)
     if not circuit.cells():
         raise InvalidCircuit("no switching cell in circuit")
-    if config.n_periods < 1:
-        raise InvalidConfig("run covers no complete switching period")
     return _SwitchedSimulator(circuit, config, oracle_config).run()
 
 
-# Cell phases: which part conducts during the present interval.
+# Cell phases: the switch conducts, the diode or synchronous switch
+# conducts, or nothing does (a blocked diode).
 _ON, _DIODE, _REST = "on", "diode", "rest"
-_PRI, _SEC, _NONE = "pri", "sec", "none"
 
 
 class _CellRt:
-    __slots__ = ("label", "nodes", "L", "n", "flyback", "diode", "phase", "si")
+    __slots__ = ("label", "nodes", "n", "flyback", "diode", "phase", "si",
+                 "_inductor", "_switch")
 
     def __init__(self, element, si):
         params = cell_params(element)
         self.label = element.label
         self.nodes = element.nodes
-        self.L = params.L
         self.n = params.n
         self.flyback = params.flyback
         self.diode = params.rectifier is Rectifier.DIODE
-        self.phase = _PRI if self.flyback else _ON
+        self.phase = _ON
         self.si = si  # state index of the inductor current; its voltage follows
+        # Per phase, the live inductor branch (node_a, node_b, inductance)
+        # and the conducting switch branch (node_a, node_b).  A flyback's
+        # magnetizing inductance is live on the primary while the switch
+        # conducts, referred to the secondary while the diode does, and
+        # nowhere at rest; a basic cell's inductor is always live.
+        a, p, c = self.nodes
+        L = params.L
+        if self.flyback:
+            self._inductor = {_ON: (a, p, L), _DIODE: (p, c, self.n * self.n * L)}
+            self._switch = {}
+        else:
+            x = ("x", self.label)
+            self._inductor = dict.fromkeys((_ON, _DIODE, _REST), (x, c, L))
+            self._switch = {_ON: (a, x), _DIODE: (p, x)}
 
     def referral(self):
         """Factor from the live branch current to the magnetizing current."""
-        return self.n if self.flyback and self.phase == _SEC else 1.0
+        return self.n if self.phase == _DIODE else 1.0
 
     def branch(self):
         """(node_a, node_b, inductance) of the live inductor branch."""
-        a, p, c = self.nodes
-        if not self.flyback:
-            return ("x", self.label), c, self.L
-        if self.phase == _PRI:
-            return a, p, self.L
-        if self.phase == _SEC:
-            return p, c, self.n * self.n * self.L
-        return None
+        return self._inductor.get(self.phase)
 
     def switch_branch(self):
-        a, p, c = self.nodes
-        if self.flyback:
-            return None
-        if self.phase == _ON:
-            return a, ("x", self.label)
-        if self.phase == _DIODE:
-            return p, ("x", self.label)
-        return None
+        return self._switch.get(self.phase)
 
 
 class _Topo:
@@ -343,11 +346,7 @@ class _SwitchedSimulator:
         return taken
 
     def _conducting_diodes(self):
-        return [
-            c
-            for c in self.cells
-            if c.diode and c.phase == (_SEC if c.flyback else _DIODE)
-        ]
+        return [c for c in self.cells if c.diode and c.phase == _DIODE]
 
     def _blocked_basic_diodes(self):
         return [
@@ -385,7 +384,7 @@ class _SwitchedSimulator:
         return x, True
 
     def _block(self, cell):
-        cell.phase = _NONE if cell.flyback else _REST
+        cell.phase = _REST
         self.s[cell.si : cell.si + 2] = 0.0
 
     def _reconduct_check(self, x):
@@ -401,22 +400,16 @@ class _SwitchedSimulator:
 
     def _switch_on(self):
         for cell in self.cells:
-            if cell.flyback:
-                if cell.phase == _SEC:
-                    self.s[cell.si] *= cell.n
-                cell.phase = _PRI
-            else:
-                cell.phase = _ON
+            self.s[cell.si] *= cell.referral()
+            cell.phase = _ON
             self.s[cell.si + 1] = 0.0
 
     def _switch_off(self):
         for cell in self.cells:
             if cell.diode and not self.s[cell.si] > 0.0:
                 self._block(cell)
-            elif cell.flyback:
-                self.s[cell.si] /= cell.n
-                cell.phase = _SEC
             else:
+                self.s[cell.si] /= cell.n
                 cell.phase = _DIODE
             self.s[cell.si + 1] = 0.0
 
@@ -497,7 +490,10 @@ class _SwitchedSimulator:
             + [f"iL({c.label})" for c in self.cells]
         )
         n_samples = n_periods * steps + 1
-        out = np.empty((n_samples, len(signal_names)))
+        try:
+            out = np.empty((n_samples, len(signal_names)))
+        except (ValueError, MemoryError) as exc:
+            raise InvalidConfig(f"cannot hold {n_periods} periods: {exc}") from None
 
         self._switch_on()
         out[0] = self._sample_row(self._operating_point())

@@ -8,7 +8,8 @@ rests at zero.
 For a capacitor sitting directly across a basic cell's common and passive
 terminals (the buck-type output stage) the voltage ripple follows from
 integrating the inductor current ripple.  With tau = t / T_s and the
-symmetric ripple amplitude di_L the in-period deviation is
+symmetric ripple amplitude di_L (``dIL`` of :func:`ripple_amplitude`, the
+mean of the rising and falling half-amplitudes) the in-period deviation is
 
     (di_L / (f_s C)) (tau^2 / d - tau)                 0 <= tau <= d
     (di_L / (f_s C)) (tau - d)(1 - tau) / (1 - d)      d <= tau <= 1
@@ -164,8 +165,14 @@ def ripple_amplitude(record, cell_label):
         raise NotApplicable(
             "ripple amplitudes are defined for continuous conduction only"
         )
-    dIL1 = (state.iL1 - state.iL0) / 2.0
-    dIL2 = (state.iL1 - state.iL2) / 2.0
+    return _ripple(state.iL0, state.iL1, state.iL2)
+
+
+def _ripple(iL0, iL1, iL2):
+    """The half-amplitudes of periods with boundary currents iL0, iL1 and
+    iL2, floats or arrays with one entry per period."""
+    dIL1 = (iL1 - iL0) / 2.0
+    dIL2 = (iL1 - iL2) / 2.0
     return RippleModel(dIL1, dIL2, (dIL1 + dIL2) / 2.0)
 
 
@@ -207,8 +214,7 @@ def _build_capacitor_waveform(result, k, cap, i):
     dIL = np.zeros(n)
     if i is not None:
         ripple = ~result.dcm[:, i]
-        iL1 = result.iL1[:, i]
-        dIL = ((iL1 - result.iL0[:, i]) / 2.0 + (iL1 - result.iL2[:, i]) / 2.0) / 2.0
+        dIL = _ripple(result.iL0[:, i], result.iL1[:, i], result.iL2[:, i]).dIL
     a0 = np.where(ripple, v_avg + (2.0 * d - 1.0) * dIL / (6.0 * f_s * C), v_avg)
     slope = (np.append(a0[1:], a0[-1]) - a0) / T_s
     kr = np.where(ripple, dIL / (f_s * C), 0.0)
@@ -238,7 +244,9 @@ def stats(waveform, t_from, t_to):
     """Exact mean, min, max and RMS of a waveform over a window.
 
     Means come from polynomial integration per segment; extremes from the
-    segment endpoints and interior critical points of the quadratics.
+    segment endpoints and interior critical points of the quadratics.  The
+    window's segments are one array pass, with the same operations per
+    segment as a loop over them and the same order of summation.
     """
     lo, hi = waveform.span
     if not (t_from < t_to) or t_to <= lo or t_from >= hi:
@@ -247,33 +255,35 @@ def stats(waveform, t_from, t_to):
     t_to = min(t_to, hi)
 
     # Only the segments from the first to end after t_from up to the last
-    # to start before t_to reach into the window.
+    # to start before t_to reach into the window; each is integrated over
+    # local times [a, b], and one that covers none of the window drops.
     first = int(np.searchsorted(waveform.t1, t_from, "right"))
     last = int(np.searchsorted(waveform.t0, t_to, "left"))
-    total = 0.0
-    total_sq = 0.0
-    v_min = math.inf
-    v_max = -math.inf
-    for t0, t1, c0, c1, c2 in zip(*(a[first:last].tolist() for a in waveform.arrays)):
-        a = max(t0, t_from) - t0
-        b = min(t1, t_to) - t0
-        if b <= a:
-            continue
-        total += _poly_integral((c0, c1, c2), a, b)
-        total_sq += _poly_integral(
-            (c0 * c0, 2 * c0 * c1, c1 * c1 + 2 * c0 * c2, 2 * c1 * c2, c2 * c2),
-            a,
-            b,
-        )
-        candidates = [a, b]
-        if c2 != 0.0:
-            s_star = -c1 / (2.0 * c2)
-            if a < s_star < b:
-                candidates.append(s_star)
-        for s in candidates:
-            v = c0 + c1 * s + c2 * s * s
-            v_min = min(v_min, v)
-            v_max = max(v_max, v)
+    t0, t1, c0, c1, c2 = (x[first:last] for x in waveform.arrays)
+    a = np.where(t_from > t0, t_from, t0) - t0
+    b = np.where(t_to < t1, t_to, t1) - t0
+    keep = ~(b <= a)
+    a, b, c0, c1, c2 = (x[keep] for x in (a, b, c0, c1, c2))
+
+    # Python floats overflow to inf and NaN without a warning; so do these.
+    with np.errstate(all="ignore"):
+        # Both integrals of every segment, summed one after another in time
+        # order from 0.0.
+        squares = (c0 * c0, 2 * c0 * c1, c1 * c1 + 2 * c0 * c2, 2 * c1 * c2, c2 * c2)
+        sums = np.zeros((2, len(a) + 1))
+        sums[:, 1:] = _poly_integral((c0, c1, c2), a, b), _poly_integral(squares, a, b)
+        total, total_sq = np.cumsum(sums, axis=1)[:, -1].tolist()
+        # Candidate extremes, segment by segment: both ends, then an
+        # interior critical point of the quadratic (NaN where it has none).
+        s_star = -c1 / (2.0 * c2)
+        s_star[~((c2 != 0.0) & (a < s_star) & (s_star < b))] = np.nan
+        s = np.stack((a, b, s_star), axis=1)
+        v = c0[:, None] + c1[:, None] * s + c2[:, None] * s * s
+    # min and max keep the first of equal candidates, as a running min and
+    # max do; this fixes the sign of a zero extreme.
+    v = v[~np.isnan(v)].tolist()
+    v_min = min(v, default=math.inf)
+    v_max = max(v, default=-math.inf)
 
     width = t_to - t_from
     mean = total / width
@@ -281,12 +291,14 @@ def stats(waveform, t_from, t_to):
 
 
 def _poly_integral(coeffs, a, b):
+    """The integral over [a, b] of sum_k coeffs[k] s^k, per element of the
+    arrays ``a`` and ``b``."""
     acc = 0.0
     pa, pb = a, b
     for k, c in enumerate(coeffs):
-        acc += c * (pb - pa) / (k + 1)
-        pa *= a
-        pb *= b
+        acc = acc + c * (pb - pa) / (k + 1)
+        pa = pa * a
+        pb = pb * b
     return acc
 
 

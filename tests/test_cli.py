@@ -88,6 +88,24 @@ def test_missing_frequency_is_usage_error(tmp_path, buck_file, capsys):
     assert "--fs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fs, t_end, message",
+    [
+        ("100e3", "1e-7", "run covers no complete switching period"),
+        ("1e200", "1e200", "too many periods"),
+        # numpy refuses the run's arrays before allocating any.
+        ("1e300", "1e-4", "cannot hold"),
+    ],
+)
+def test_impossible_run_length_is_usage_error(tmp_path, buck_file, capsys,
+                                              fs, t_end, message):
+    code = run_cli(buck_file, "-D", "0.5", "--fs", fs, "--t-end", t_end,
+                   "--out", tmp_path / "results")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+
+
 def test_bad_duty_is_usage_error(buck_file):
     assert run_cli(buck_file, "-D", "1.5", "--fs", "100e3", "--t-end", "1e-3") == 1
 

@@ -57,6 +57,23 @@ def test_zero_period_run_rejected(buck_circuit):
         run(buck_circuit, SimConfig(0.5, 100e3, 0.0))
 
 
+@pytest.mark.parametrize("t_end", [0.0, 4e-6])
+def test_config_without_a_complete_period_rejected(t_end):
+    with pytest.raises(InvalidConfig, match="no complete switching period"):
+        SimConfig(0.5, 100e3, t_end)
+
+
+def test_config_with_a_non_finite_period_count_rejected():
+    with pytest.raises(InvalidConfig, match="too many periods"):
+        SimConfig(0.5, 1e200, 1e200)
+
+
+def test_run_too_long_to_hold_is_invalid_config(buck_circuit):
+    """1e296 periods: numpy refuses the arrays before allocating any."""
+    with pytest.raises(InvalidConfig, match="periods"):
+        run(buck_circuit, SimConfig(0.5, 1e300, 1e-4))
+
+
 def test_run_requires_a_cell():
     circuit = parse_netlist("VDC 1 1 0 10.0\nR 1 1 0 5.0\n")
     with pytest.raises(InvalidCircuit):

@@ -207,8 +207,8 @@ class TestAssembledSystem:
 
 class TestSolver:
     def test_identity_system(self):
-        factors = lu_factor(np.eye(1))
-        assert lu_solve(factors, np.array([3.5]))[0] == 3.5
+        inverse = lu_factor(np.eye(1))
+        assert lu_solve(inverse, np.array([3.5]))[0] == 3.5
 
     def test_pivoting_handles_zero_diagonal(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -297,17 +297,64 @@ def test_row_update_matches_refactored_system():
 
     base = predictions(1.0 - d, 1.0 - d)
     system = assemble_system(circuit, d, TS, base, caps)
-    factors = lu_factor(system.A)
-    update = RowUpdate(system.A, factors, system.diode_rows, 1.0 - d)
+    inverse = lu_factor(system.A)
+    update = RowUpdate(system.A, inverse, system.diode_rows, 1.0 - d)
     for d_ps in [(0.3, 0.45), (0.3, 1.0 - d), (0.2, 0.1), (1.0 - d, 1.0 - d)]:
         pred = predictions(*d_ps)
         expected = assemble_system(circuit, d, TS, pred, caps)
         z = system.rhs(pred, caps)
-        x = update.solve(lu_solve(factors, z), d_ps)
+        x = update.solve(lu_solve(inverse, z), d_ps)
         np.testing.assert_array_equal(system.A, expected.A)
         assert update.a_norm == pytest.approx(np.abs(expected.A).sum(axis=1).max())
         np.testing.assert_allclose(x, solve(expected), rtol=1e-12, atol=1e-12)
         check_residual(system.A, x, z, update.a_norm)
+
+
+CHAIN = """\
+VDC 1 1 0 24.0
+SCD1 1 1 0 2 10e-6 0
+C 1 2 0 1e-4 0
+FBD2 2 2 0 3 15e-6 1.7 0
+C 2 3 0 1e-4 0
+SCD3 3 3 0 4 12e-6 0
+C 3 4 0 1e-4 0
+R 1 4 0 40.0
+"""
+
+
+def _pairwise_tables(inverse, rows):
+    """RowUpdate's tables as one dot product per pair of rows (i, j): the
+    reference its column products must reproduce bit for bit."""
+    columns = [inverse[:, r.row].tolist() for r in rows]
+    abs_columns = [[abs(v) for v in w] for w in columns]
+
+    def dot(coeffs, cols, w):
+        return sum(a * w[c] for a, c in zip(coeffs, cols))
+
+    raw = [[dot(r.ra, r.cols, w) for w in columns] for r in rows]
+    rbw = [[dot(r.rb, r.cols, w) for w in columns] for r in rows]
+    magnitude = [
+        (
+            max(dot(map(abs, r.ra), r.cols, w) for w in abs_columns),
+            max(dot(map(abs, r.rb), r.cols, w) for w in abs_columns),
+        )
+        for r in rows
+    ]
+    return raw, rbw, magnitude
+
+
+@pytest.mark.parametrize("text", [CASCADE, CHAIN], ids=["cascade", "chain"])
+def test_row_update_tables_match_pairwise_dots(text):
+    circuit = parse_netlist(text)
+    d = 0.4
+    system = assemble_system(
+        circuit, d, TS, ccm_predictions(circuit, d), zero_caps(circuit)
+    )
+    inverse = lu_factor(system.A)
+    update = RowUpdate(system.A, inverse, system.diode_rows, 1.0 - d)
+    tables = (update._raw, update._rbw, update._magnitude)
+    # repr tells every float apart, the sign of zero included.
+    assert repr(tables) == repr(_pairwise_tables(inverse, system.diode_rows))
 
 
 @settings(max_examples=150, deadline=None)

@@ -87,6 +87,27 @@ def test_located_errors(line, error):
     assert excinfo.value.line == 6
 
 
+@pytest.mark.parametrize(
+    "line, arity",
+    [
+        ("VDC 1 1 0", 5),
+        ("IDC 1 1 0", 5),
+        ("R 1 1 0", 5),
+        ("C 1 1 0 1e-4", 6),
+        ("SCN 1 1 0 2 1e-5", 7),
+        ("SCD 1 1 0 2 1e-5", 7),
+        ("FBN 1 1 0 2 1e-5 2.0", 8),
+        ("FBD 1 1 0 2 1e-5 2.0", 8),
+    ],
+)
+def test_arity_error_names_the_kind_and_its_token_count(line, arity):
+    """Every kind, one token short."""
+    kind = line.split()[0]
+    with pytest.raises(ArityError) as excinfo:
+        parse_netlist(line + "\n")
+    assert str(excinfo.value) == f"line 1: {kind} takes {arity} tokens, got {arity - 1}"
+
+
 def test_duplicate_label_rejected():
     with pytest.raises(DuplicateLabel):
         parse_netlist("R 1 1 0 5.0\nR 1 1 0 7.0\n")

@@ -38,6 +38,12 @@ def test_requires_a_cell():
         simulate_switched(circuit, std_config(1e-4))
 
 
+def test_run_too_long_to_sample_is_invalid_config():
+    """1e296 periods: numpy refuses the sample array before allocating it."""
+    with pytest.raises(InvalidConfig, match="periods"):
+        simulate_switched(parse_netlist(BUCK_STEADY), SimConfig(0.5, 1e300, 1e-4))
+
+
 def test_non_finite_samples_raise():
     """A 1e308 V source across a 1 nH cell into 1 mOhm overflows the first
     substep; the run raises instead of returning NaN samples."""
