@@ -22,6 +22,9 @@ the remainder of the period.  Flyback cells carry a transformer: the
 magnetizing inductance takes the place of L, the secondary current is the
 magnetizing current reflected by 1/n, and the drive voltages become
 vL1 = v_a - v_p and vL2 = -(v_c - v_p) / n.
+
+The engine's zero-current rules, :func:`keeps_ccm`, :func:`snaps_to_zero`
+and :func:`diode_clamps`, are written once here for floats and arrays alike.
 """
 
 import math
@@ -32,7 +35,7 @@ from .errors import AvgcellError
 
 DUTY_TOL = 1e-12
 # An inductor current within this fraction of max(1, |reference|) of zero
-# counts as zero (:func:`current_tol`).
+# counts as zero.
 CURRENT_RTOL = 1e-12
 
 
@@ -93,9 +96,22 @@ class CellState:
     vL_avg: float
 
 
-def current_tol(reference=0.0):
-    """Absolute tolerance used to treat an inductor current as zero."""
-    return CURRENT_RTOL * max(1.0, abs(reference))
+def keeps_ccm(iL0):
+    """Whether a diode cell starting its period at ``iL0`` stays in CCM."""
+    # Whatever d2: the current must reach zero before the cell can rest.
+    # For a finite iL0 this is iL0 > CURRENT_RTOL max(1, |iL0|).
+    return iL0 > CURRENT_RTOL
+
+
+def snaps_to_zero(iL1, iL2):
+    """Whether the end current ``iL2`` of a period is zero."""
+    # |iL2| < CURRENT_RTOL max(1, |iL1|), with | so that floats stay floats.
+    return (abs(iL2) < CURRENT_RTOL) | (abs(iL2) < CURRENT_RTOL * abs(iL1))
+
+
+def diode_clamps(iL2):
+    """Whether a diode cell's end current is below zero, where it blocks."""
+    return iL2 < 0.0
 
 
 def drive_terms(params):
@@ -173,15 +189,12 @@ def inductor_gains(d, d_p, params, T_s):
 
 
 def advance_inductor(iL0, vL1, vL2, d, d_p, params, T_s):
-    """Boundary currents (iL1, iL2) from the solved drive voltages.
-
-    An end current within :func:`current_tol` of zero is snapped to exactly
-    zero, which pins the discontinuous-conduction rest level.
-    """
+    """Boundary currents (iL1, iL2) from the solved drive voltages; an end
+    current that :func:`snaps_to_zero` is exactly zero, the DCM rest level."""
     k1, k2 = inductor_gains(d, d_p, params, T_s)
     iL1 = iL0 + k1 * vL1
     iL2 = iL1 + k2 * vL2
-    if abs(iL2) < current_tol(iL1):
+    if snaps_to_zero(iL1, iL2):
         iL2 = 0.0
     return iL1, iL2
 

@@ -116,23 +116,29 @@ def main(argv=None):
 
     try:
         config = engine.SimConfig(duty, f_s, t_end, dcm_refine=args.dcm_refine)
-        if not 0.0 < args.stats_window <= 1.0:
-            raise engine.InvalidConfig("stats window fraction must be in (0, 1]")
+        # The run covers whole periods, which may end before --t-end, and
+        # its waveforms end with its last period, which can be an ulp
+        # before t_to.
+        t_to = config.n_periods * config.T_s
+        t_from = t_to * (1.0 - args.stats_window)
+        t_last = (config.n_periods - 1) * config.T_s + config.T_s
+        if not (0.0 < args.stats_window <= 1.0 and t_from < min(t_to, t_last)):
+            raise engine.InvalidConfig("stats window outside (0, 1] or empty")
         oracle_config = (
             oracle.OracleConfig(args.oracle_substeps) if args.oracle else None
         )
         result = engine.run(circuit, config)
+        waveforms, flagged = _reconstruct(result)
     except engine.InvalidConfig as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except engine.InvalidCircuit as exc:
         print(f"error: {args.netlist}: {exc}", file=sys.stderr)
         return _NETLIST_EXIT
-    except SingularSystem as exc:
+    except (SingularSystem, waveform.NonFinite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _NUMERIC_EXIT
 
-    waveforms, flagged = _reconstruct(result)
     selected = _filter_signals(waveforms, args.signals)
     if not selected:
         print("error: no signals matched the --signals filter", file=sys.stderr)
@@ -143,9 +149,6 @@ def main(argv=None):
         out_dir.mkdir(parents=True, exist_ok=True)
         write_averaged_csv(result, out_dir / "averaged.csv")
         write_instantaneous_csv(selected, flagged, out_dir / "instantaneous.csv")
-        # The run covers whole periods, which may end before --t-end.
-        t_to = config.n_periods * config.T_s
-        t_from = t_to * (1.0 - args.stats_window)
         write_stats(selected, t_from, t_to, out_dir / "stats.txt")
         if args.oracle:
             try:
@@ -176,15 +179,17 @@ def _reconstruct(result):
     """
     waveforms = []
     flagged = {}
-    for cell in result.circuit.cells():
-        waveforms.append(waveform.inductor_waveform(result, cell.label))
-    for cap in result.circuit.capacitors():
-        try:
-            wave = waveform.capacitor_waveform(result, cap.label)
-        except waveform.TopologyNotSupported:
-            wave = waveform.capacitor_average_waveform(result, cap.label)
-            flagged[wave.name] = "averaged-only (no ripple model for this topology)"
-        waveforms.append(wave)
+    # A value that overflows raises waveform.NonFinite, so numpy need not warn.
+    with np.errstate(all="ignore"):
+        for cell in result.circuit.cells():
+            waveforms.append(waveform.inductor_waveform(result, cell.label))
+        for cap in result.circuit.capacitors():
+            try:
+                wave = waveform.capacitor_waveform(result, cap.label)
+            except waveform.TopologyNotSupported:
+                wave = waveform.capacitor_average_waveform(result, cap.label)
+                flagged[wave.name] = "averaged-only (no ripple model for this topology)"
+            waveforms.append(wave)
     return waveforms, flagged
 
 

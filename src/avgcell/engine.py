@@ -6,23 +6,25 @@ state the previous one carried out,
     s = (i_0 of every capacitor, iL0 of every cell, 1),
 
 and its right-hand side is z = B s (:mod:`avgcell.mna`).  A run assembles
-and factors its system once, for the bootstrap, with every cell at
-d_p = 1 - d, and keeps the inverse A0^-1 of its matrix and P = A0^-1 B.
+and factors its system once, with every cell at d_p = 1 - d, and keeps the
+inverse A0^-1 of its matrix and P = A0^-1 B.  The bootstrap, row 0 of the
+run, is solved from it as a period is, from the t = 0 state.
 
-While every diode cell starts a period with positive current, the period is
-in continuous conduction at d_p = 1 - d, and a stretch of such periods runs
-as a block, one fixed kernel on the run's preallocated arrays:
+The zero-current rules are :mod:`avgcell.cells`' ``keeps_ccm``,
+``snaps_to_zero`` and ``diode_clamps``, used here by the stepper and the
+blocks alike.  While every diode cell ``keeps_ccm``, the period is in
+continuous conduction at d_p = 1 - d, and a stretch of such periods runs as
+a block, one fixed kernel on the run's preallocated arrays:
 
     x = P s,   y = E x   (capacitor voltages, then every vL1 and vL2),
     i_0' = 2 g v - i_0,   iL1 = iL0 + k1 vL1,   iL2 = iL1 + k2 vL2,
 
 with g = 2C / T_s, k1 = d T_s / L and k2 = (1 - d) T_s / L.  After the
-block, every period of it is checked at once: the end current must not be
-one the stepper snaps to zero or clamps at the diode, and every diode cell
-must keep a positive current into the next period.  The periods before the
-first that fails are accepted once their residuals pass against A0, and
-that period is solved by the stepper.  Block lengths double after every
-block accepted whole and start again from ``FIRST_BLOCK`` after a failure.
+block, the three rules are checked for all its periods at once.  The
+periods before the first that fails are accepted once their residuals pass
+against A0, and that period is solved by the stepper.  Block lengths double
+after every block accepted whole and start again from ``FIRST_BLOCK`` after
+a failure.
 
 The stepper predicts each cell's mode from the previous period's drive
 voltages and carried-over current, solves A0^-1 z, or a row update of it
@@ -345,27 +347,15 @@ def predict_mode(cell, previous_record, d):
     """Predict (mode, d_p) for the period following ``previous_record``
     from the drive voltages of its node voltages."""
     params = cell_params(cell)
-    iL0 = previous_record.cells[cell.label].iL2
-    vL1, vL2 = _cells.drive_voltages(
-        _ports(cell, previous_record.node_voltages), params
-    )
-    return _predict(params, vL1, vL2, iL0, d)
+    v = [previous_record.node_voltages.get(n, 0.0) for n in cell.nodes]
+    vL1, vL2 = _cells.drive_voltages(_cells.PortVoltages(*v), params)
+    return _predict(params, vL1, vL2, previous_record.cells[cell.label].iL2, d)
 
 
 def _predict(params, vL1, vL2, iL0, d):
-    if params.rectifier is _cells.Rectifier.SYNCHRONOUS:
+    if _cells.keeps_ccm(iL0):
         return _cells.Mode.CCM, 1.0 - d
-    # A positive starting current keeps the continuous-conduction geometry
-    # regardless of d2: the current must reach zero before the cell can rest.
-    if iL0 > _cells.current_tol(iL0):
-        return _cells.Mode.CCM, 1.0 - d
-    d2 = _cells.compute_d2(vL1, vL2, d)
-    return _cells.resolve_mode(d, d2, params.rectifier)
-
-
-def _ports(cell, node_voltages):
-    v = [node_voltages.get(n, 0.0) for n in cell.nodes]
-    return _cells.PortVoltages(v[0], v[1], v[2])
+    return _cells.resolve_mode(d, _cells.compute_d2(vL1, vL2, d), params.rectifier)
 
 
 class _Stepper:
@@ -420,14 +410,13 @@ class _Stepper:
         self._ccm_duties = [d_p0] * len(self.diode)
         self.P = lu_solve(self.inverse, system.B)
 
+        # The bootstrap is row 0, solved as a period is; it carries its
+        # t = 0 sources and currents unchanged into period 0.
         self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
-        rows.s[0] = system.state(predictions, cap_sources)
-        x = lu_solve(self.inverse, system.z)
-        check_residual(system.A, x, system.z, self.update.a_norm)
-        rows.x[0] = x
-        np.dot(system.E, x, out=rows.y[0])
-        rows.iL1[0] = rows.iL2[0] = rows.s[0, rows.cell]
-        # The bootstrap carries its t = 0 sources unchanged into period 0.
+        state = system.state(predictions, cap_sources).tolist()
+        iL0s = state[rows.cell]
+        self._solve(0, state, iL0s, [d_p0] * len(cells))
+        rows.iL1[0] = rows.iL2[0] = iL0s
         rows.s[1] = rows.s[0]
 
     def result(self):
@@ -442,7 +431,9 @@ class _Stepper:
         """Solve rows [r, stop), CCM stretches in blocks."""
         length = FIRST_BLOCK
         while r < stop:
-            if self._continues_ccm(r):
+            # Every diode cell carries a current into row r that keeps CCM.
+            iL0s = self.rows.iL2[r - 1].tolist()
+            if all(_cells.keeps_ccm(iL0s[i]) for i in self.diode):
                 end = min(r + length, stop)
                 r = self._block(r, end)
                 if r == end:
@@ -452,12 +443,6 @@ class _Stepper:
             self._step(r)
             r += 1
 
-    def _continues_ccm(self, r):
-        """Whether every diode cell ends row r - 1 with a current that keeps
-        it in continuous conduction."""
-        iL2 = self.rows.iL2[r - 1].tolist()
-        return all(iL2[i] > _cells.current_tol(iL2[i]) for i in self.diode)
-
     def _block(self, a, b):
         """Run rows [a, b) through the CCM kernel and return the first row
         not accepted."""
@@ -465,17 +450,13 @@ class _Stepper:
         self.update.write_rows(self._ccm_duties)  # A back to A0
         self._kernel(a, b)
 
-        iL1 = rows.iL1[a:b]
         iL2 = rows.s[a + 1:b + 1, rows.cell]
-        tol = _cells.CURRENT_RTOL
-        # advance_inductor would snap these end currents to zero.
-        failed = (np.abs(iL2) < tol * np.maximum(1.0, np.abs(iL1))).any(axis=1)
+        failed = _cells.snaps_to_zero(rows.iL1[a:b], iL2).any(axis=1)
         if self.diode:
             diode = iL2[:, self.diode]
-            failed |= (diode < 0.0).any(axis=1)  # the diode clamps these
+            failed |= _cells.diode_clamps(diode).any(axis=1)
             # A current at zero leaves the next period to the predictor.
-            stops = ~(diode > tol * np.maximum(1.0, np.abs(diode))).all(axis=1)
-            failed[1:] |= stops[:-1]
+            failed[1:] |= ~_cells.keeps_ccm(diode[:-1]).all(axis=1)
         accepted = int(np.argmax(failed)) if failed.any() else b - a
         if accepted:
             last = a + accepted
@@ -539,11 +520,11 @@ class _Stepper:
             iL1, iL2 = _cells.advance_inductor(
                 iL0s[i], vL1[i], vL2[i], d, d_ps[i], params, T_s
             )
-            if modes[i] is _cells.Mode.DCM:
-                # The rest interval pins the end current at zero exactly.
-                iL2 = 0.0
-            elif params.rectifier is _cells.Rectifier.DIODE and iL2 < 0.0:
-                # The diode blocks once the current reaches zero.
+            # The rest interval pins the end current at zero exactly, and
+            # so does a diode that blocks.
+            if modes[i] is _cells.Mode.DCM or (
+                params.rectifier is _cells.Rectifier.DIODE and _cells.diode_clamps(iL2)
+            ):
                 iL2 = 0.0
             iL1s.append(iL1)
             iL2s.append(iL2)
@@ -576,7 +557,7 @@ class _Stepper:
         starting at ``iL0s`` and at their d_p in ``d_ps``; returns E x as a
         list."""
         rows, system = self.rows, self.system
-        period = self.first_period + r - 1
+        period = self.first_period + r - 1 if r else None  # row 0: bootstrap
         state[rows.cell] = iL0s
         rows.s[r] = state
         z = system.B @ rows.s[r]

@@ -34,10 +34,11 @@ engine).  Every substep applies its topology's map: one at a time after a
 topology change, at a diode zero crossing and across a split switching
 substep, and in stretches between a restart and the next switching edge.
 A stretch's states are grown by doubling with cached powers of ``Phi`` and
-its samples are one matrix product; the zero-crossing and re-conduction
-predicates are evaluated over all of it, and the first substep where one
-holds is taken on its own, which does the interpolation and the
-backward-Euler restart.  The maps of grid-step topologies are cached, since
+its samples are one matrix product; the diode tests, ``_at_zero`` for the
+zero crossing and ``_forward_biased`` for re-conduction, are evaluated over
+all of it, and the first substep where one holds is taken on its own, which
+does the interpolation and the backward-Euler restart.  Those two
+functions are the oracle's only definition of each test.  The maps of grid-step topologies are cached, since
 the systems are tiny and recur every period, and so are the two parts of a
 switching edge that falls inside a substep, whose lengths are the same in
 every period; the part-substeps at a diode crossing are built when needed.
@@ -115,6 +116,18 @@ def simulate_switched(circuit, config, oracle_config=None):
 # Cell phases: the switch conducts, the diode or synchronous switch
 # conducts, or nothing does (a blocked diode).
 _ON, _DIODE, _REST = "on", "diode", "rest"
+
+
+# The two diode tests, each for floats and arrays alike.
+def _at_zero(i):
+    """Whether a diode current has fallen to zero, where the diode blocks."""
+    return i <= 0.0
+
+
+def _forward_biased(v_p, v_x):
+    """Whether v_p - v_x > 1e-9 max(1, |v_p|, |v_x|): a blocked diode conducts."""
+    v = v_p - v_x
+    return (v > 1e-9) & (v > 1e-9 * abs(v_p)) & (v > 1e-9 * abs(v_x))
 
 
 class _CellRt:
@@ -327,19 +340,15 @@ class _SwitchedSimulator:
         Y = S[:count] @ topo.sample_T
 
         # The predicates of _advance and _reconduct_check, over the stretch.
-        hits = []
+        hits = np.zeros(count, dtype=bool)
         monitored = [c.si for c in self._conducting_diodes()]
         if monitored:
-            i = S[:, monitored]
-            hits.append(((i[1:] <= 0.0) & (i[:-1] > 0.0)).any(axis=1))
+            zero = _at_zero(S[:, monitored])
+            hits |= (zero[1:] & ~zero[:-1]).any(axis=1)
         if rest:
             k = len(rest)
-            v_p = Y[:, -2 * k : -k]
-            v_x = Y[:, -k:]
-            tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(v_p), np.abs(v_x)))
-            hits.append((v_p - v_x > tol).any(axis=1))
-        found = np.flatnonzero(np.logical_or.reduce(hits)) if hits else []
-        taken = int(found[0]) if len(found) else count
+            hits |= _forward_biased(Y[:, -2 * k : -k], Y[:, -k:]).any(axis=1)
+        taken = int(np.argmax(hits)) if hits.any() else count
 
         out[:taken] = Y[:taken, : out.shape[1]]
         self.s = S[taken]
@@ -358,20 +367,19 @@ class _SwitchedSimulator:
 
         Returns (solution, topology_changed)."""
         x, s = self._step(h, method)
-        crossing = None
-        for cell in self._conducting_diodes():
-            i_pre, i = self.s[cell.si], s[cell.si]
-            if i <= 0.0 < i_pre:
-                theta = i_pre / (i_pre - i)
-                if crossing is None or theta < crossing[1]:
-                    crossing = (cell, theta)
-        if crossing is None:
+        # Each crossing diode, at its interpolated fraction of the substep.
+        crossings = [
+            (cell, self.s[cell.si] / (self.s[cell.si] - s[cell.si]))
+            for cell in self._conducting_diodes()
+            if _at_zero(s[cell.si]) and not _at_zero(self.s[cell.si])
+        ]
+        if not crossings:
             self.s = s
             return x, False
 
-        # Integrate up to the interpolated crossing, block the diode, then
-        # finish the substep on the new topology.
-        cell, theta = crossing
+        # Integrate up to the first crossing, block its diode, then finish
+        # the substep on the new topology.
+        cell, theta = min(crossings, key=lambda crossing: crossing[1])
         if theta > 1e-9:
             x, self.s = self._step(theta * h, "be")
         self._block(cell)
@@ -379,7 +387,7 @@ class _SwitchedSimulator:
         if remainder > 1e-12 * h:
             x, self.s = self._step(remainder, "be")
         for other in self._conducting_diodes():
-            if self.s[other.si] <= 0.0:
+            if _at_zero(self.s[other.si]):
                 self._block(other)
         return x, True
 
@@ -393,7 +401,7 @@ class _SwitchedSimulator:
         for cell in self._blocked_basic_diodes():
             v_p = float(x[self._col(cell.nodes[1])])
             v_x = float(x[self._col(("x", cell.label))])
-            if v_p - v_x > 1e-9 * max(1.0, abs(v_p), abs(v_x)):
+            if _forward_biased(v_p, v_x):
                 cell.phase = _DIODE
                 changed = True
         return changed
@@ -406,7 +414,7 @@ class _SwitchedSimulator:
 
     def _switch_off(self):
         for cell in self.cells:
-            if cell.diode and not self.s[cell.si] > 0.0:
+            if cell.diode and _at_zero(self.s[cell.si]):
                 self._block(cell)
             else:
                 self.s[cell.si] /= cell.n

@@ -28,7 +28,8 @@ A :class:`Waveform` keeps its segments as arrays, which the builders fill
 from the result's columns with the same floating-point operations per
 element as the formulas above.  ``Waveform.values`` is the one evaluator,
 behind ``value(t)`` and the CLI's ``instantaneous.csv``; :func:`stats`
-integrates only the segments that reach into its window.
+integrates only the segments that reach into its window.  A waveform whose
+segments are not all finite raises :class:`NonFinite` when it is built.
 """
 
 import math
@@ -54,6 +55,10 @@ class TopologyNotSupported(AvgcellError):
 
 class EmptyWindow(AvgcellError):
     pass
+
+
+class NonFinite(AvgcellError):
+    """A reconstructed waveform has a value that is not finite."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,8 @@ class Waveform:
         if arrays is None:
             arrays = zip(*((s.t0, s.t1, s.c0, s.c1, s.c2) for s in segments))
         self.arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
+        if not all(np.isfinite(a).all() for a in self.arrays):
+            raise NonFinite(f"reconstructed {name} is not finite")
         self.t0, self.t1, self.c0, self.c1, self.c2 = self.arrays
 
     @property

@@ -5,11 +5,13 @@ few milliseconds of simulated time is session scoped and shared between the
 module tests and the acceptance suite.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from avgcell import SimConfig, parse_netlist, run
-from avgcell.cells import avg_inductor_current
+from avgcell.cells import CURRENT_RTOL, avg_inductor_current
 from avgcell.oracle import OracleConfig, period_average, simulate_switched
 
 BUCK = """\
@@ -52,6 +54,33 @@ STD = dict(d=0.5, f_s=100e3)
 
 def std_config(t_end, **kwargs):
     return SimConfig(STD["d"], STD["f_s"], t_end, **kwargs)
+
+
+# Where the zero-current and diode rules turn over: signed zeros, subnormals,
+# the smallest normal, the neighbours of +-CURRENT_RTOL and +-1.0, and large
+# finite values up to the largest.
+RULE_EDGES = [
+    edge
+    for x in (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, CURRENT_RTOL, 1.0,
+              1e300, 1.7976931348623157e308)
+    for sign in (1.0, -1.0)
+    for edge in (math.nextafter(sign * x, -math.inf), sign * x,
+                 math.nextafter(sign * x, math.inf))
+    if math.isfinite(edge)
+]
+
+
+def same_on_float_and_array(rule, *args):
+    """A rule's answer on floats, checked to be a bool and to equal its
+    answer on arrays of one and of two copies of the same values."""
+    answer = rule(*args)
+    assert type(answer) is bool
+    # Python floats overflow to inf without a warning; so may these.
+    with np.errstate(over="ignore"):
+        for size in (1, 2):
+            arrays = (np.full(size, a) for a in args)
+            assert rule(*arrays).tolist() == [answer] * size
+    return answer
 
 
 def tail_mean(values, count=50):

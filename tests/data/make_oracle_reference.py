@@ -13,8 +13,12 @@ period count, every ``STRIDE``-th sample of every signal, and for every
 period and every inductor current the first substep of that period whose
 sample is exactly 0.0 (null when there is none).
 
-``tests/test_oracle_parity.py`` replays every case and compares.  Re-record
-only when a change to the oracle's results is intended.
+``tests/test_oracle_parity.py`` replays every case and compares.
+
+The script keeps every case already in the file byte for byte and records
+only the cases of ``CASES`` the file lacks, so adding a case never moves
+the anchor of the others.  To re-record a case, when a change to the
+oracle's results is intended, delete it from the file and run the script.
 """
 
 import json
@@ -101,7 +105,17 @@ def record(text, d, f_s, periods):
 
 def main():
     cases = {}
+    if REFERENCE_FILE.exists():
+        recorded = json.loads(REFERENCE_FILE.read_text())
+        if (recorded["stride"], recorded["substeps"]) != (STRIDE, SUBSTEPS):
+            sys.exit(
+                f"{REFERENCE_FILE.name} has stride {recorded['stride']} and "
+                f"{recorded['substeps']} substeps, not {STRIDE} and {SUBSTEPS}"
+            )
+        cases = recorded["cases"]
     for name, text, d, periods in CASES:
+        if name in cases:
+            continue
         if text is None:
             text = (ROOT / "netlists" / name).read_text()
         params = parse_netlist(text).params

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgcell.cells import (
+    CURRENT_RTOL,
     CellParams,
     DegenerateDuty,
     Mode,
@@ -22,10 +23,15 @@ from avgcell.cells import (
     avg_inductor_voltage,
     avg_switch_current,
     compute_d2,
+    diode_clamps,
     drive_voltages,
     end_current_from_averages,
+    keeps_ccm,
     resolve_mode,
+    snaps_to_zero,
 )
+
+from conftest import RULE_EDGES, same_on_float_and_array
 
 BASIC = CellParams(L=10e-6)
 BASIC_DIODE = CellParams(L=10e-6, rectifier=Rectifier.DIODE)
@@ -190,3 +196,31 @@ def test_charge_identity(iL0, vL1, vL2, d, d_p):
     iD = avg_diode_current(iL0, vL1, vL2, d, d_p, BASIC, TS)
     trapezoid = d * (iL0 + iL1) / 2 + d_p * (iL1 + iL2) / 2
     assert iS + iD == pytest.approx(trapezoid, rel=1e-9, abs=1e-9)
+
+
+_edge = st.one_of(
+    st.sampled_from(RULE_EDGES), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(iL0=_edge)
+def test_keeps_ccm_is_the_tolerance_test(iL0):
+    """keeps_ccm is the former iL0 > CURRENT_RTOL max(1, |iL0|) on every
+    finite current, on floats and arrays alike."""
+    expected = iL0 > CURRENT_RTOL * max(1.0, abs(iL0))
+    assert same_on_float_and_array(keeps_ccm, iL0) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(iL1=_edge, iL2=_edge)
+def test_snaps_to_zero_is_the_tolerance_test(iL1, iL2):
+    """snaps_to_zero is the former |iL2| < CURRENT_RTOL max(1, |iL1|)."""
+    expected = abs(iL2) < CURRENT_RTOL * max(1.0, abs(iL1))
+    assert same_on_float_and_array(snaps_to_zero, iL1, iL2) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(iL2=_edge)
+def test_diode_clamps_below_zero(iL2):
+    assert same_on_float_and_array(diode_clamps, iL2) == (iL2 < 0.0)

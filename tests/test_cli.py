@@ -176,7 +176,7 @@ def test_stats_window_ends_with_the_simulated_periods(
     assert len(read_rows(out / "averaged.csv")) == 1 + 1 + periods
 
 
-@pytest.mark.parametrize("fraction", ["nan", "0", "1.5"])
+@pytest.mark.parametrize("fraction", ["nan", "0", "1.5", "1e-300"])
 def test_stats_window_outside_unit_interval_is_usage_error(
     tmp_path, buck_file, capsys, fraction
 ):
@@ -184,6 +184,31 @@ def test_stats_window_outside_unit_interval_is_usage_error(
                    "--stats-window", fraction)
     assert code == 1
     assert "usage error:" in capsys.readouterr().err
+
+
+def test_stats_window_past_the_waveforms_end_is_usage_error(
+    tmp_path, buck_file, capsys
+):
+    """Six periods of 1e-5 s end at 6 * 1e-5 = 6.000000000000001e-05, but the
+    waveforms end an ulp earlier, at 5 * 1e-5 + 1e-5; a window that starts
+    between the two covers none of them."""
+    code = run_cli(buck_file, "-D", "0.5", "--fs", "100e3", "--t-end", "6e-5",
+                   "--out", tmp_path / "results", "--stats-window", "6e-17")
+    assert code == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+def test_non_finite_reconstruction_is_numerical_error(tmp_path, buck_file, capsys):
+    """At 1e300 Hz the period's square underflows to zero, so the output
+    ripple is not finite: exit 3 naming the signal, and no output files."""
+    code = run_cli(buck_file, "-D", "0.5", "--fs", "1e300", "--t-end", "1e-299",
+                   "--out", tmp_path / "results")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "v(2)" in err
+    assert "Warning" not in err
+    assert not (tmp_path / "results").exists()
 
 
 def test_oracle_substeps_below_minimum_is_usage_error(tmp_path, buck_file, capsys):

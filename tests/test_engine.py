@@ -272,11 +272,26 @@ def test_step_reproduces_run(buck_circuit):
     assert advanced.cells == reference.cells
 
 
-def test_step_reproduces_run_across_blocks(monkeypatch):
+MIXED_CHAIN = ENGINE_REFERENCE["mixed_chain"]
+
+
+@pytest.mark.parametrize(
+    "netlist, config",
+    [
+        (BUCK_DIODE, std_config(2e-3)),
+        (
+            MIXED_CHAIN["netlist"],
+            SimConfig(MIXED_CHAIN["d"], MIXED_CHAIN["f_s"], MIXED_CHAIN["t_end"]),
+        ),
+    ],
+    ids=["buck_diode", "mixed_chain"],
+)
+def test_step_reproduces_run_across_blocks(monkeypatch, netlist, config):
     """step() solves a period by the decision and kernel run() uses, so it
     reproduces run() bit for bit inside a CCM block, at the period where a
-    block ends and at the period after, here across a diode buck's
-    CCM -> DCM -> CCM start-up edge."""
+    block ends and at the period after: across a diode buck's CCM -> DCM ->
+    CCM start-up edge, and across a chain of three diode cells that leave
+    continuous conduction in different periods."""
     import avgcell.engine as engine_module
 
     real = engine_module._Stepper._block
@@ -289,12 +304,15 @@ def test_step_reproduces_run_across_blocks(monkeypatch):
         return stop
 
     monkeypatch.setattr(engine_module._Stepper, "_block", recorded)
-    circuit = parse_netlist(BUCK_DIODE)
-    config = std_config(2e-3)
+    circuit = parse_netlist(netlist)
     result = run(circuit, config)
     monkeypatch.setattr(engine_module._Stepper, "_block", real)
-    modes = {r.cells["SCD1"].mode for r in result.records}
-    assert modes == {Mode.CCM, Mode.DCM}
+    first_dcm = set()
+    for e in circuit.cells():
+        modes = [r.cells[e.label].mode for r in result.records]
+        assert set(modes) == {Mode.CCM, Mode.DCM}
+        first_dcm.add(modes.index(Mode.DCM))
+    assert len(first_dcm) == len(circuit.cells())
 
     inside = {n for first, stop in blocks for n in range(first + 1, stop - 1)}
     ends = {stop - 1 for _, stop in blocks}
@@ -385,6 +403,31 @@ def test_singular_system_reports_period(monkeypatch, buck_circuit):
     # Bootstrap plus periods 0 and 1 succeed; period 2 fails.
     assert excinfo.value.period == 2
     assert hits
+
+
+def test_failed_bootstrap_reports_no_period(monkeypatch, buck_circuit):
+    """The bootstrap is solved as row 0, by the stepper's solve; a failure
+    there belongs to no period."""
+    import avgcell.engine as engine_module
+
+    real = engine_module.lu_solve
+    real_solve = engine_module._Stepper._solve
+    solved = []
+
+    def poisoned(inverse, b):
+        x = real(inverse, b)
+        return x * math.nan if b.ndim == 1 else x  # B's product for P is 2-D
+
+    def solve(self, r, *args):
+        solved.append(r)
+        return real_solve(self, r, *args)
+
+    monkeypatch.setattr(engine_module, "lu_solve", poisoned)
+    monkeypatch.setattr(engine_module._Stepper, "_solve", solve)
+    with pytest.raises(SingularSystem) as excinfo:
+        run(buck_circuit, std_config(1e-3))
+    assert excinfo.value.period is None
+    assert solved == [0]
 
 
 @pytest.mark.parametrize("how", ["non-finite", "over-bound"])

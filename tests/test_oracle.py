@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avgcell import SimConfig, parse_netlist, run
 from avgcell.engine import InvalidCircuit, InvalidConfig
@@ -10,11 +12,43 @@ from avgcell.oracle import (
     OracleConfig,
     OutOfRange,
     SampledWaveform,
+    _at_zero,
+    _forward_biased,
     period_average,
     simulate_switched,
 )
 
-from conftest import BUCK_STEADY, model_series, oracle_series, std_config
+from conftest import (
+    BUCK_STEADY,
+    RULE_EDGES,
+    model_series,
+    oracle_series,
+    same_on_float_and_array,
+    std_config,
+)
+
+_edge = st.one_of(
+    st.sampled_from(RULE_EDGES), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(i=_edge)
+def test_at_zero_is_not_above_zero(i):
+    assert same_on_float_and_array(_at_zero, i) == (i <= 0.0) == (not i > 0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(v_p=_edge, v_x=_edge)
+# Pairs where only the |v_p| term, or only the |v_x| term, of the bound
+# decides.
+@example(v_p=469069.57871311594, v_x=469069.57824404637)
+@example(v_p=-880905.4263420508, v_x=-880905.4272229562)
+def test_forward_bias_is_the_tolerance_test(v_p, v_x):
+    """_forward_biased is the former v_p - v_x > 1e-9 max(1, |v_p|, |v_x|)
+    on every pair of finite voltages, on floats and arrays alike."""
+    expected = v_p - v_x > 1e-9 * max(1.0, abs(v_p), abs(v_x))
+    assert same_on_float_and_array(_forward_biased, v_p, v_x) == expected
 
 
 def test_substep_floor_enforced():
