@@ -4,7 +4,9 @@
 arguments and the exact text of every file the run wrote
 (``tests/data/make_cli_reference.py`` records it).  The cases cover
 discontinuous-conduction segments, a flagged averaged-only capacitor, a
-``--signals`` filter and the oracle's ``oracle.csv`` and ``compare.txt``.
+``--signals`` filter, the oracle's ``oracle.csv`` and ``compare.txt``, and
+row updates of coupled diode rows (a buck into a flyback) and of
+independent ones (three parallel stages).
 """
 
 import json
