@@ -1,42 +1,35 @@
 """Period-stepping simulation loop for the averaged converter model.
 
-One step covers exactly one switching period.  A period starts from the
-state the previous one carried out,
+One step is one switching period.  A period starts from the state the one
+before carried out, s = (i_0 of every capacitor, iL0 of every cell, 1), and
+its right-hand side is z = B s (:mod:`avgcell.mna`).  A run assembles and
+factors its system once, every cell at d_p = 1 - d, and keeps A0^-1 and
+P = A0^-1 B; the bootstrap, row 0, is solved like a period from t = 0.
 
-    s = (i_0 of every capacitor, iL0 of every cell, 1),
-
-and its right-hand side is z = B s (:mod:`avgcell.mna`).  A run assembles
-and factors its system once, with every cell at d_p = 1 - d, and keeps the
-inverse A0^-1 of its matrix and P = A0^-1 B.  The bootstrap, row 0 of the
-run, is solved from it as a period is, from the t = 0 state.
-
-The zero-current rules are :mod:`avgcell.cells`' ``keeps_ccm``,
-``snaps_to_zero`` and ``diode_clamps``, used here by the stepper and the
-blocks alike.  While every diode cell ``keeps_ccm``, the period is in
-continuous conduction at d_p = 1 - d, and a stretch of such periods runs as
-a block, one fixed kernel on the run's preallocated arrays:
+While every diode cell ``keeps_ccm`` (:mod:`avgcell.cells` owns the
+zero-current rules ``keeps_ccm``, ``snaps_to_zero`` and ``diode_clamps``),
+a stretch of periods runs as a block, one fixed kernel on the run's arrays:
 
     x = P s,   y = E x   (capacitor voltages, then every vL1 and vL2),
     i_0' = 2 g v - i_0,   iL1 = iL0 + k1 vL1,   iL2 = iL1 + k2 vL2,
 
-with g = 2C / T_s, k1 = d T_s / L and k2 = (1 - d) T_s / L.  After the
-block, the three rules are checked for all its periods at once.  The
-periods before the first that fails are accepted once their residuals pass
-against A0, and that period is solved by the stepper.  Block lengths double
-after every block accepted whole and start again from ``FIRST_BLOCK`` after
-a failure.
+with g = 2C / T_s, k1 = d T_s / L and k2 = (1 - d) T_s / L.  The rules are
+then checked for the whole block; the periods before the first that fails
+are kept, and that period goes to the stepper.  Blocks start at
+``FIRST_BLOCK`` periods and double after every block kept whole.
 
 The stepper predicts each cell's mode from the previous period's drive
-voltages and carried-over current, solves A0^-1 z, or a row update of it
-(:class:`avgcell.mna.RowUpdate`) when some cells are at another d_p, in
-discontinuous conduction or in a ``dcm_refine`` re-solve, and checks the
-residual against the period's own matrix.  Each period is solved from
-exactly the state its record carries, so :func:`step` reproduces
-:func:`run`.
-
-Results are kept as columns with one row per period
-(:class:`SimulationResult`); :class:`PeriodRecord` objects are built from
-them on first access.
+voltages and end current and solves A0^-1 z, row-updated
+(:class:`avgcell.mna.RowUpdate`) for the cells at another d_p, in DCM or in
+a ``dcm_refine`` re-solve.  Residuals are checked in batches, each against
+its period's own matrix: a block's periods when it ends, stepped periods
+before the next block, at the end and at least every ``STRETCH`` periods.
+A row-update pivot that fails has the earlier unchecked periods checked
+first, so the earliest failing period is reported.  A period is solved
+from exactly the state its record carries, so :func:`step` reproduces
+:func:`run`.  Results are columns, one row per period
+(:class:`SimulationResult`), and :class:`PeriodRecord` objects are built
+from them on first access.
 """
 
 import math
@@ -61,6 +54,8 @@ from .netlist import cell_params, validate
 # Length of a run's first CCM block, and of the first block after one that
 # failed; accepted blocks double it.
 FIRST_BLOCK = 8
+# The most stepped periods whose residuals wait for one check.
+STRETCH = 64
 
 _MODES = (_cells.Mode.CCM, _cells.Mode.DCM)
 
@@ -136,15 +131,17 @@ class PeriodRecord:
 
 @dataclass
 class RunStats:
-    """What a run did: factorizations, CCM blocks that accepted periods
-    and the periods they accepted, periods solved by the stepper, and
-    stepper solves that needed a row update."""
+    """What a run did: factorizations, CCM blocks and the periods they
+    accepted, stepped periods, row-update solves and the most rows one
+    moved, and the largest residual over its bound of any solution."""
 
     factorizations: int = 0
     blocks: int = 0
     block_periods: int = 0
     stepped_periods: int = 0
     row_update_solves: int = 0
+    largest_row_update: int = 0
+    worst_residual_ratio: float = 0.0
 
 
 class _Rows:
@@ -407,7 +404,6 @@ class _Stepper:
         self.update = RowUpdate(
             system.A, self.inverse, [system.diode_rows[i] for i in self.diode], d_p0
         )
-        self._ccm_duties = [d_p0] * len(self.diode)
         self.P = lu_solve(self.inverse, system.B)
 
         # The bootstrap is row 0, solved as a period is; it carries its
@@ -415,7 +411,9 @@ class _Stepper:
         self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
         state = system.state(predictions, cap_sources).tolist()
         iL0s = state[rows.cell]
+        self._unchecked = 0  # the first solved row not yet checked
         self._solve(0, state, iL0s, [d_p0] * len(cells))
+        self._check(1)
         rows.iL1[0] = rows.iL2[0] = iL0s
         rows.s[1] = rows.s[0]
 
@@ -423,17 +421,20 @@ class _Stepper:
         bootstrap = self.rows.records(self.config, 0, 1, -1)[0]
         bootstrap.t_start = 0.0
         self.stats.row_update_solves = self.update.updates
+        self.stats.largest_row_update = self.update.largest
         return SimulationResult(
             self.circuit, self.config, bootstrap, rows=self.rows, stats=self.stats
         )
 
     def solve_rows(self, r, stop):
-        """Solve rows [r, stop), CCM stretches in blocks."""
+        """Solve rows [r, stop), CCM stretches in blocks, and check them."""
         length = FIRST_BLOCK
+        self._unchecked = r
         while r < stop:
             # Every diode cell carries a current into row r that keeps CCM.
             iL0s = self.rows.iL2[r - 1].tolist()
             if all(_cells.keeps_ccm(iL0s[i]) for i in self.diode):
+                self._check(r)
                 end = min(r + length, stop)
                 r = self._block(r, end)
                 if r == end:
@@ -442,12 +443,30 @@ class _Stepper:
                 length = FIRST_BLOCK
             self._step(r)
             r += 1
+            if r - self._unchecked >= STRETCH:
+                self._check(r)
+        self._check(stop)
+
+    def _check(self, stop):
+        """Check the residuals of the unchecked rows before ``stop``."""
+        a, self._unchecked = self._unchecked, stop
+        if a < stop:
+            rows = self.rows
+            a_norm, moves = self.update.moves(rows.d_p[a:stop][:, self.diode])
+            ratio = check_residual(
+                self.system.A,
+                rows.x[a:stop],
+                rows.s[a:stop] @ self.system.B.T,
+                a_norm,
+                self.first_period + a - 1 if a else None,  # row 0: bootstrap
+                moves,
+            )
+            self.stats.worst_residual_ratio = max(self.stats.worst_residual_ratio, ratio)
 
     def _block(self, a, b):
         """Run rows [a, b) through the CCM kernel and return the first row
         not accepted."""
         rows = self.rows
-        self.update.write_rows(self._ccm_duties)  # A back to A0
         self._kernel(a, b)
 
         iL2 = rows.s[a + 1:b + 1, rows.cell]
@@ -460,14 +479,7 @@ class _Stepper:
         accepted = int(np.argmax(failed)) if failed.any() else b - a
         if accepted:
             last = a + accepted
-            z = rows.s[a:last] @ self.system.B.T
-            check_residual(
-                self.system.A,
-                rows.x[a:last],
-                z,
-                self.update.a_norm,
-                period=self.first_period + a - 1,
-            )
+            self._check(last)
             rows.iL2[a:last] = iL2[:accepted]
             self.stats.blocks += 1
             self.stats.block_periods += accepted
@@ -557,7 +569,6 @@ class _Stepper:
         starting at ``iL0s`` and at their d_p in ``d_ps``; returns E x as a
         list."""
         rows, system = self.rows, self.system
-        period = self.first_period + r - 1 if r else None  # row 0: bootstrap
         state[rows.cell] = iL0s
         rows.s[r] = state
         z = system.B @ rows.s[r]
@@ -565,8 +576,10 @@ class _Stepper:
         try:
             x = self.update.solve(x0, [d_ps[i] for i in self.diode])
         except SingularSystem as exc:
-            raise SingularSystem(str(exc), period=period) from exc
-        check_residual(system.A, x, z, self.update.a_norm, period=period)
+            # Not the bootstrap, whose rows never move; an earlier period's
+            # failure comes first.
+            self._check(r)
+            raise SingularSystem(str(exc), period=self.first_period + r - 1) from exc
         rows.x[r] = x
         y = rows.y[r]
         np.dot(system.E, x, out=y)

@@ -1,49 +1,31 @@
 """Assembly and direct solution of the discretized averaged circuit.
 
-Each switching period is one linear system A x = z.  The unknown vector
-stacks the non-ground node voltages (ascending node id), the voltage-source
-branch currents (netlist order) and, per switching cell, the averaged switch
-and diode currents iS_avg and iD_avg (netlist order).  Capacitors appear
-through their trapezoidal companion model, a conductance G_C = 2C/T_s in
-parallel with a history current source i_0 that advances between periods as
+Each switching period is one linear system A x = z.  The unknowns are the
+non-ground node voltages (ascending node id), the voltage-source currents
+and, per switching cell, the averaged switch and diode currents iS_avg and
+iD_avg (netlist order).  A capacitor is its trapezoidal companion model, a
+conductance G_C = 2C/T_s beside a history source i_0[n+1] = (4C / T_s)
+v[n] - i_0[n].  A cell adds its KCL current paths and two rows tying its
+averaged currents to its port voltages, with G_L = T_s / L.
 
-    i_0[n+1] = (4C / T_s) v[n] - i_0[n]
+The right-hand side is z = B @ s, s = (i_0 of every capacitor, iL0 of every
+cell, 1).  B has a column per capacitor (its history source's incidence),
+a column per cell (d at its iS_avg row, d_p / n at its iD_avg row, for the
+d_p it was stamped at) and a last one with the source values, written
+nowhere else.  A cell at another d_p carries iL0 = 0, as in DCM, so its
+column does not enter z.  The output matrix E reads every capacitor's
+voltage, then every cell's vL1, then every vL2 off x, from the coefficients
+of the cell rows; its capacitor and cell rows line up with B's columns.
 
-Switching cells contribute their KCL current paths plus two constraint rows
-expressing the averaged device currents in terms of the port voltages, with
-G_L = T_s / L.
-
-The right-hand side is affine in the state a period carries in, the i_0 of
-every capacitor and the start current iL0 of every cell:
-
-    z = B @ s,   s = (i_0 of every capacitor, iL0 of every cell, 1)
-
-B is one dense matrix: a column per capacitor (the incidence of its history
-source), a column per cell (d at the cell's iS_avg row, d_p / n at its
-iD_avg row, for the d_p the cell was stamped at) and a last column holding
-the voltage- and current-source values.  Source terms are written nowhere
-else.  A cell at another d_p than the one B was stamped at must carry
-iL0 = 0, as a cell in discontinuous conduction does; then its column of B
-does not enter z.
-
-The output matrix E reads a solution x: its rows are every capacitor's
-voltage (netlist order), then every cell's drive voltage vL1 and then
-every cell's vL2 (netlist order), written from the same coefficients that
-tie a cell's currents to its port voltages.  The capacitor and cell rows
-of E line up with the columns of B.
-
-A cell's diode duty d_p enters A in one place only, the cell's iD_avg row
-(``rd``), which is affine in d_p and d_p^2 (:class:`DiodeRow`).  A run
-therefore factors A once, at d_p = 1 - d for every cell: elimination with
-scaled partial pivoting decides whether the system is singular, and
-:func:`lu_factor` returns the inverse A0^-1 once it is not, so that solving
-a period is one product A0^-1 z.  :class:`RowUpdate` solves each later
-period, in which k cells have some other d_p, as a rank-k row update of
-A0^-1 (Sherman-Morrison-Woodbury; Hager, "Updating the inverse of a
-matrix", SIAM Review 31(2), 1989).  The k rewritten rows are written into
-A in place, so A is always the period's actual matrix and every solution's
-residual is checked against it.  :func:`check_residual` also checks a
-block of solutions at once, one system per row, all with the same A.
+A cell's d_p enters A only in its iD_avg row ``rd``, affine in d_p and
+d_p^2 (:class:`DiodeRow`).  A run factors A once, at d_p = 1 - d:
+:func:`lu_factor` tests it by elimination with scaled partial pivoting and
+returns A0^-1, so a period is one product A0^-1 z.  :class:`RowUpdate`
+solves a period with k cells at another d_p as a rank-k row update of
+A0^-1 (Sherman-Morrison-Woodbury; Hager, SIAM Review 31(2), 1989), one
+small system per coupled group of diode rows, and never rewrites A.
+:func:`check_residual` checks a block of solutions at once, each against A0
+with its own diode rows.
 """
 
 import math
@@ -129,10 +111,6 @@ class MnaSystem:
             s[col] = cap_sources[label] if col < n_caps else predictions[label].iL0
         return s
 
-    def rhs(self, predictions, cap_sources):
-        """z = B @ s for the state of ``predictions`` and ``cap_sources``."""
-        return self.B @ self.state(predictions, cap_sources)
-
 
 @dataclass(frozen=True)
 class DiodeRow:
@@ -147,19 +125,6 @@ class DiodeRow:
     cols: tuple
     ra: tuple
     rb: tuple
-
-    def values(self, d_p):
-        """The row's entries in ``cols`` for diode duty ``d_p``."""
-        return [d_p * a + d_p * d_p * b for a, b in zip(self.ra, self.rb)]
-
-    def write(self, A, d_p):
-        """Overwrite the row of ``A`` for diode duty ``d_p``; returns the
-        row's absolute sum."""
-        A[self.row, self.row] = 1.0
-        values = self.values(d_p)
-        for col, v in zip(self.cols, values):
-            A[self.row, col] = v
-        return 1.0 + sum(map(abs, values))
 
 
 def build_layout(circuit):
@@ -192,22 +157,19 @@ def stamp_vdc(system, element):
     br = system.layout.vdc_row[element.label]
     r1 = system.layout.row_of(element.nodes[0])
     r2 = system.layout.row_of(element.nodes[1])
-    if r1 is not None:
-        system.A[r1, br] += 1.0
-        system.A[br, r1] += 1.0
-    if r2 is not None:
-        system.A[r2, br] -= 1.0
-        system.A[br, r2] -= 1.0
+    for r, sign in ((r1, 1.0), (r2, -1.0)):
+        if r is not None:
+            system.A[r, br] += sign
+            system.A[br, r] += sign
     system.B[br, -1] += element.value
 
 
 def stamp_idc(system, element):
     r1 = system.layout.row_of(element.nodes[0])
     r2 = system.layout.row_of(element.nodes[1])
-    if r1 is not None:
-        system.B[r1, -1] -= element.value
-    if r2 is not None:
-        system.B[r2, -1] += element.value
+    for r, sign in ((r1, -1.0), (r2, 1.0)):
+        if r is not None:
+            system.B[r, -1] += sign * element.value
 
 
 def stamp_capacitor(system, element, T_s):
@@ -283,7 +245,9 @@ def stamp_cell(system, element, d, T_s, prediction):
         tuple(ra.get(c, 0.0) for c in cols),
         tuple(rb.get(c, 0.0) for c in cols),
     )
-    row.write(system.A, prediction.d_p)
+    d_p = prediction.d_p
+    system.A[rd, rd] = 1.0
+    system.A[rd, list(cols)] = [d_p * a + d_p * d_p * b for a, b in zip(row.ra, row.rb)]
     system.diode_rows.append(row)
     system.B[rs, col] = d
     system.B[rd, col] = prediction.d_p / params.n
@@ -308,7 +272,7 @@ def assemble_system(circuit, d, T_s, predictions, cap_sources):
             stamp_capacitor(system, e, T_s)
         else:
             stamp_cell(system, e, d, T_s, predictions[e.label])
-    system.z = system.rhs(predictions, cap_sources)
+    system.z = system.B @ system.state(predictions, cap_sources)
     return system
 
 
@@ -353,98 +317,107 @@ def lu_solve(inverse, b):
 
 
 class RowUpdate:
-    """Solves A x = z through the inverse of a base matrix A0 whose diode
-    rows sat at ``d_p0``, after the rows of some cells moved to another d_p.
+    """Solves A x = z through ``inverse``, the A0^-1 of a matrix ``A``
+    whose diode ``rows`` sat at ``d_p0``, after some rows moved.
 
-    For the k cells whose d_p differs, A = A0 + E U^T: E holds the unit
-    columns e_rd and row u of U^T is (d_p - d_p0) ra + (d_p^2 - d_p0^2) rb,
-    with at most three nonzeros.  With W = A0^-1 E, the rd columns of A0^-1,
+    For k moved rows A = A0 + E U^T: E holds the unit columns e_rd, and row
+    u of U^T is alpha ra + beta rb (alpha = d_p - d_p0, beta = d_p^2 -
+    d_p0^2).  With W = A0^-1 E, the rd columns of A0^-1,
 
-        x = x0 - W C^-1 U^T x0,   x0 = A0^-1 z,   C = I + U^T W.
+        x = x0 - W C^-1 U^T x0,   x0 = A0^-1 z,   C = I + U^T W,
 
-    By the determinant lemma det A = det A0 det C, so C is singular exactly
-    when A is.  ``A`` is the matrix that was factored and ``inverse`` the
-    A0^-1 :func:`lu_factor` returned; ``A`` is rewritten in place to hold
-    the current rows, and ``a_norm`` is its infinity norm.
-    ``updates`` counts the solves in which some row was away from d_p0.
+    and det A = det A0 det C.  C_ij is zero wherever ra_i . w_j and
+    rb_i . w_j are, so the rows split at set-up into coupling groups, the
+    connected components of that pattern, and each group's moved rows are
+    solved alone.  ``updates`` counts the solves with a row moved and
+    ``largest`` is the most rows one moved.
     """
 
     def __init__(self, A, inverse, rows, d_p0):
-        self.A = A
         self.rows = rows
         self.d_p0 = d_p0
-        self._row_norms = np.abs(self.A).sum(axis=1).tolist()
-        self.a_norm = max(self._row_norms)
-        self._held = [d_p0] * len(rows)
-        # Solves that needed the update, that is, with some row moved.
-        self.updates = 0
-        self._W = W = inverse[:, [r.row for r in rows]].T
+        self.rd = rd = [r.row for r in rows]
+        row_norms = np.abs(A).sum(axis=1)
+        self.a_norm = float(row_norms.max())
+        row_norms[rd] = 0.0  # leaves the rows no d_p enters
+        self._fixed_norm = float(row_norms.max())
+        # Every row's unit diagonal, ra and rb, as dense rows of A.
+        self._unit, self._ra, self._rb = np.zeros((3, len(rows), len(A)))
+        for i, r in enumerate(rows):
+            self._unit[i, r.row] = 1.0
+            self._ra[i, list(r.cols)] = r.ra
+            self._rb[i, list(r.cols)] = r.rb
+        self.updates = self.largest = 0
+        self._W = W = inverse[:, rd].T
         abs_W = np.abs(W)
 
         def dots(coeffs, cols, M):
-            """coeffs . m_j for every row m_j of M, term by term in ``cols``
-            order: a sum of column products."""
+            """coeffs . m_j for every row m_j of M, summed in ``cols`` order."""
             return sum((a * M[:, c] for a, c in zip(coeffs, cols)), np.zeros(len(M)))
 
         # ra_i . w_j and rb_i . w_j for every pair of rows (i, j).
-        self._raw = [dots(r.ra, r.cols, W).tolist() for r in rows]
-        self._rbw = [dots(r.rb, r.cols, W).tolist() for r in rows]
+        self._raw = raw = [dots(r.ra, r.cols, W).tolist() for r in rows]
+        self._rbw = rbw = [dots(r.rb, r.cols, W).tolist() for r in rows]
         # Row i of C sums at most 1 + |alpha| |ra_i| . |w_j| + |beta|
         # |rb_i| . |w_j| in magnitude; the largest of these over j is the
         # row's scale for the pivot rule, so cancellation down to a tiny
         # pivot is caught.
         self._magnitude = [
-            (
-                max(dots(map(abs, r.ra), r.cols, abs_W).tolist()),
-                max(dots(map(abs, r.rb), r.cols, abs_W).tolist()),
-            )
+            tuple(max(dots(map(abs, c), r.cols, abs_W).tolist()) for c in (r.ra, r.rb))
             for r in rows
         ]
-
-    def write_rows(self, d_ps):
-        """Write each row of ``A`` for its d_p in ``d_ps`` (``rows`` order)
-        and return the positions of the rows away from ``d_p0``."""
-        moved = []
-        rewritten = False
-        for i, (r, d_p) in enumerate(zip(self.rows, d_ps)):
-            if d_p != self._held[i]:
-                self._row_norms[r.row] = r.write(self.A, d_p)
-                self._held[i] = d_p
-                rewritten = True
-            if d_p != self.d_p0:
-                moved.append(i)
-        if rewritten:
-            self.a_norm = max(self._row_norms)
-        return moved
+        # Every row's coupling group, named by its first row, or None for a
+        # row alone: the closure of the pattern of _raw and _rbw.
+        linked = (np.array(raw) != 0) | (np.array(rbw) != 0) | np.eye(len(rows), dtype=bool)
+        for _ in range(len(rows)):
+            linked = linked | linked.T | (linked @ linked.astype(float) > 0)
+        self._group = [int(np.argmax(g)) if g.sum() > 1 else None for g in linked]
 
     def solve(self, x0, d_ps):
-        """Write each row of ``A`` for its d_p in ``d_ps`` (``rows`` order)
-        and return the solution of the updated system, given x0 = A0^-1 z."""
-        moved = self.write_rows(d_ps)
+        """The solution of the system with each row at its d_p in ``d_ps``
+        (``rows`` order), given x0 = A0^-1 z."""
+        d_p0 = self.d_p0
+        moved = [i for i, d_p in enumerate(d_ps) if d_p != d_p0]
         if not moved:
             return x0
         self.updates += 1
+        self.largest = max(self.largest, len(moved))
 
-        xs = x0.tolist()
-        d_p0 = self.d_p0
-        C, rhs, scale = [], [], []
+        xs, raws, rbws = x0.tolist(), self._raw, self._rbw
+        y = [0.0] * len(moved)
+        coupled = {}  # group: [(position in moved, row, alpha, beta, u . x0, scale)]
         for pos, i in enumerate(moved):
-            r = self.rows[i]
-            d_p = self._held[i]
+            r, d_p, (ra_abs, rb_abs) = self.rows[i], d_ps[i], self._magnitude[i]
             alpha = d_p - d_p0
             beta = d_p * d_p - d_p0 * d_p0
             u_x = 0.0
             for a, b, c in zip(r.ra, r.rb, r.cols):
                 u_x += (alpha * a + beta * b) * xs[c]
-            rhs.append(u_x)
-            raw, rbw = self._raw[i], self._rbw[i]
-            c_row = [alpha * raw[j] + beta * rbw[j] for j in moved]
-            c_row[pos] += 1.0
-            C.append(c_row)
-            ra_abs, rb_abs = self._magnitude[i]
-            scale.append(1.0 + abs(alpha) * ra_abs + abs(beta) * rb_abs)
-        y = solve_small(C, rhs, scale)
+            scale = 1.0 + abs(alpha) * ra_abs + abs(beta) * rb_abs
+            if self._group[i] is None:
+                c_ii = alpha * raws[i][i] + beta * rbws[i][i] + 1.0
+                y[pos] = solve_small([[c_ii]], [u_x], [scale])[0]
+            else:
+                coupled.setdefault(self._group[i], []).append((pos, i, alpha, beta, u_x, scale))
+        for members in coupled.values():
+            pos, idx, alpha, beta, rhs, scale = map(list, zip(*members))
+            C = [[a * raws[i][j] + b * rbws[i][j] for j in idx]
+                 for i, a, b in zip(idx, alpha, beta)]
+            for k, c_row in enumerate(C):
+                c_row[k] += 1.0
+            for p, y_p in zip(pos, solve_small(C, rhs, scale)):
+                y[p] = y_p
         return x0 - np.array(y) @ self._W[moved]
+
+    def moves(self, d_p):
+        """``a_norm`` and ``moves`` for :func:`check_residual` of systems
+        whose rows sit at the rows of ``d_p`` (one column per row): R[k, i]
+        is row ``rd[i]`` at row k, entry for entry as assembly writes it."""
+        if not (d_p != self.d_p0).any():
+            return self.a_norm, None
+        d_p = d_p[..., None]
+        R = self._unit + (d_p * self._ra + d_p * d_p * self._rb)
+        return np.abs(R).sum(axis=-1).max(axis=-1, initial=self._fixed_norm), (self.rd, R)
 
 
 def solve_small(C, r, scale):
@@ -453,9 +426,12 @@ def solve_small(C, r, scale):
 
     Raises :class:`SingularSystem` by the rule of :func:`lu_factor`, a
     pivot at or below ``PIVOT_RTOL`` times its row's ``scale``; for k = 1
-    the solve is one division.
+    the solve is one division.  A row swaps only with rows of its block of
+    a block-diagonal C (zeros exact), so each block gets its bits alone.
     """
     k = len(r)
+    if k == 1 and abs(C[0][0]) > PIVOT_RTOL * scale[0]:
+        return [r[0] / C[0][0]]
     for col in range(k):
         p = max(range(col, k), key=lambda i: abs(C[i][col]))
         pivot = C[p][col]
@@ -484,17 +460,22 @@ def solve_small(C, r, scale):
     return y
 
 
-def check_residual(A, x, z, a_norm=None, period=None):
+def check_residual(A, x, z, a_norm=None, period=None, moves=None):
     """Enforce the backward-stable residual bound of the direct solve.
 
     ``x`` and ``z`` are one solution and its right-hand side, or a block of
-    them, one system per row, all with matrix ``A``.  ``a_norm`` may carry
-    a precomputed infinity norm of A, such as :attr:`RowUpdate.a_norm`.
-    The first system over its bound raises :class:`SingularSystem`, with
-    ``period`` plus its row as the period when ``period`` is given.
-    Returns the residual of every system.
+    them, one system per row, with matrix ``A``, or with ``moves = (rd, R)``
+    A with row ``rd[i]`` replaced by ``R[k, i]`` for system k.  ``a_norm``
+    may carry every system's infinity norm.  The first system over its
+    bound raises :class:`SingularSystem`, with ``period`` plus its row as
+    the period when ``period`` is given.  Returns the largest residual over
+    its bound.
     """
-    residual = np.abs(x @ A.T - z).max(axis=-1)
+    residual = x @ A.T - z
+    if moves is not None:
+        rd, R = moves
+        residual[..., rd] = (R @ x[..., None])[..., 0] - z[..., rd]
+    residual = np.abs(residual).max(axis=-1)
     if a_norm is None:
         a_norm = float(np.abs(A).sum(axis=1).max())
     bound = RESIDUAL_RTOL * (
@@ -509,4 +490,5 @@ def check_residual(A, x, z, a_norm=None, period=None):
             f"residual {worst:.3e} exceeds stability bound {limit:.3e}",
             period=None if period is None else period + row,
         )
-    return residual
+    # A system whose bound is 0 passed with residual 0.
+    return float((residual / np.maximum(bound, np.finfo(float).tiny)).max())

@@ -274,12 +274,6 @@ def stats(waveform, t_from, t_to):
 
     # Python floats overflow to inf and NaN without a warning; so do these.
     with np.errstate(all="ignore"):
-        # Both integrals of every segment, summed one after another in time
-        # order from 0.0.
-        squares = (c0 * c0, 2 * c0 * c1, c1 * c1 + 2 * c0 * c2, 2 * c1 * c2, c2 * c2)
-        sums = np.zeros((2, len(a) + 1))
-        sums[:, 1:] = _poly_integral((c0, c1, c2), a, b), _poly_integral(squares, a, b)
-        total, total_sq = np.cumsum(sums, axis=1)[:, -1].tolist()
         # Candidate extremes, segment by segment: both ends, then an
         # interior critical point of the quadratic (NaN where it has none).
         s_star = -c1 / (2.0 * c2)
@@ -292,9 +286,26 @@ def stats(waveform, t_from, t_to):
     v_min = min(v, default=math.inf)
     v_max = max(v, default=-math.inf)
 
-    width = t_to - t_from
-    mean = total / width
-    return SignalStats(mean, v_min, v_max, math.sqrt(max(total_sq / width, 0.0)))
+    # Both integrals are taken in units of 2**t_exp seconds and 2**v_exp of
+    # the signal, chosen from the segments' lengths and the extremes, so
+    # that neither the squares nor the powers of time underflow or
+    # overflow.  Scaling by a power of two is exact, so where unscaled
+    # units stay in range the mean and the root are theirs bit for bit.
+    t_exp = math.frexp(float(np.max(b, initial=0.0)))[1]
+    v_exp = math.frexp(max(abs(v_min), abs(v_max)))[1]  # 0 if not finite
+    c0, c1, c2 = (np.ldexp(c, k * t_exp - v_exp) for k, c in enumerate((c0, c1, c2)))
+    a, b = np.ldexp(a, -t_exp), np.ldexp(b, -t_exp)
+    width = math.ldexp(t_to - t_from, -t_exp)
+    with np.errstate(all="ignore"):
+        # Both integrals of every segment, summed one after another in time
+        # order from 0.0.
+        squares = (c0 * c0, 2 * c0 * c1, c1 * c1 + 2 * c0 * c2, 2 * c1 * c2, c2 * c2)
+        sums = np.zeros((2, len(a) + 1))
+        sums[:, 1:] = _poly_integral((c0, c1, c2), a, b), _poly_integral(squares, a, b)
+        total, total_sq = np.cumsum(sums, axis=1)[:, -1].tolist()
+    mean = math.ldexp(total / width, v_exp)
+    rms = math.ldexp(math.sqrt(max(total_sq / width, 0.0)), v_exp)
+    return SignalStats(mean, v_min, v_max, rms)
 
 
 def _poly_integral(coeffs, a, b):

@@ -39,12 +39,20 @@ def test_wrapped_function_resolves(name, path, attr):
     assert callable(getattr(target, attr)), name
 
 
-def test_traced_run_records_the_mna_layer():
+def test_traced_run_records_the_mna_layer(monkeypatch):
     """A DCM run assembles and factors its system once and solves every
     period from those factors; every assembly, factorization, solve and
-    residual check goes through a wrapped name.  The stepper solves and
-    checks each of its periods; a CCM block forms no per-period solve and
-    checks all its periods in one call."""
+    residual check goes through a wrapped name.  The stepper solves each of
+    its periods and checks each stretch of them in one call; a CCM block
+    forms no per-period solve and checks all its periods in one call."""
+    stepped = []
+    real_step = avgcell.engine._Stepper._step
+
+    def step(self, r):
+        stepped.append(r)
+        return real_step(self, r)
+
+    monkeypatch.setattr(avgcell.engine._Stepper, "_step", step)
     tracer = SPANS.Tracer()
     circuit = parse_netlist(BUCK_DCM)
     with SPANS.installed(tracer), tracer.job_span(0):
@@ -56,6 +64,17 @@ def test_traced_run_records_the_mna_layer():
     assert calls["engine.run"] == 1
     # the bootstrap, P = A0^-1 B, and one per stepped period
     assert calls["mna.lu_solve"] == 2 + stats.stepped_periods
-    assert calls["mna.check_residual"] == 1 + stats.stepped_periods + stats.blocks
+    # Stretches: runs of consecutive stepped rows, each cut into pieces of
+    # at most STRETCH rows.
+    runs = [1]
+    for previous, r in zip(stepped, stepped[1:]):
+        if r == previous + 1:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    stretches = sum(-(-n // avgcell.engine.STRETCH) for n in runs)
+    assert len(stepped) == stats.stepped_periods and 1 < stretches < len(stepped)
+    # the bootstrap, every block and every stretch
+    assert calls["mna.check_residual"] == 1 + stats.blocks + stretches
     assert calls["mna.lu_factor"] == calls["mna.assemble_system"] == 1
     assert any(r.cells["SCD1"].mode is Mode.DCM for r in result.records)

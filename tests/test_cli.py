@@ -211,6 +211,28 @@ def test_non_finite_reconstruction_is_numerical_error(tmp_path, buck_file, capsy
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("fs", ["1e150", "1e160"])
+def test_stats_of_tiny_signals_keep_their_rms(tmp_path, buck_file, fs):
+    """At these frequencies every signal is below 1e-144 and a period below
+    1e-149 s, so the squared coefficients times powers of time underflow in
+    seconds and volts: every rms read 0, and v(2)'s mean lost digits at
+    1e160 Hz.  Each rms is nonzero and at least |mean|, and the mean of
+    v(2) is -7.7 V at the scale of the current."""
+    out = tmp_path / "results"
+    t_end = repr(20 / float(fs))
+    assert run_cli(buck_file, "-D", "0.5", "--fs", fs, "--t-end", t_end, "--out", out) == 0
+    lines = (out / "stats.txt").read_text().splitlines()[1:]
+    values = {}
+    for line in lines:
+        name, *fields = line.split()
+        values[name] = {k: float(v) for k, v in (f.split("=") for f in fields)}
+    assert sorted(values) == ["iL(SCN1)", "v(2)"]
+    for stat in values.values():
+        assert stat["rms"] > 0.0 and stat["rms"] >= abs(stat["mean"])
+    scale = values["iL(SCN1)"]["mean"] / 2.5
+    assert values["v(2)"]["mean"] == pytest.approx(-7.7 * scale, rel=1e-6)
+
+
 def test_oracle_substeps_below_minimum_is_usage_error(tmp_path, buck_file, capsys):
     code = run_cli(buck_file, *ARGS, "--out", tmp_path / "results",
                    "--oracle", "--oracle-substeps", "50")

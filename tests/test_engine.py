@@ -341,6 +341,7 @@ def test_run_stats_count_blocks_and_stepped_periods():
     assert stats.block_periods == 500 and stats.stepped_periods == 0
     assert 1 <= stats.blocks < 10
     assert stats.row_update_solves == 0
+    assert stats.largest_row_update == 0
 
     dcm = run(parse_netlist((netlists / "buck_dcm.net").read_text()), std_config(12e-3))
     stats = dcm.stats
@@ -350,6 +351,35 @@ def test_run_stats_count_blocks_and_stepped_periods():
     assert stats.block_periods + stats.stepped_periods == 1200
     assert stats.stepped_periods >= dcm_periods
     assert stats.row_update_solves == dcm_periods
+    assert stats.largest_row_update == 1
+
+
+def test_run_stats_report_the_worst_residual_and_largest_row_update(monkeypatch):
+    """The worst residual over its bound is the largest any check returned,
+    blocks and the bootstrap included, and the largest row update is the
+    most diode rows one period moved: one on the light-load buck, both on
+    a buck feeding a flyback."""
+    import avgcell.engine as engine_module
+
+    ratios = []
+    real = engine_module.check_residual
+
+    def record(*args):
+        ratios.append(real(*args))
+        return ratios[-1]
+
+    monkeypatch.setattr(engine_module, "check_residual", record)
+    netlists = Path(__file__).resolve().parents[1] / "netlists"
+    dcm = run(parse_netlist((netlists / "buck_dcm.net").read_text()), std_config(12e-3))
+    stats = dcm.stats
+    assert stats.blocks > 0 and len(ratios) > stats.blocks + 1
+    assert stats.worst_residual_ratio == max(ratios)
+    assert 0.0 < stats.worst_residual_ratio <= 1.0
+    assert stats.largest_row_update == 1
+
+    cascade = run(parse_netlist(BUCK_INTO_FLYBACK), SimConfig(0.4, 100e3, 1e-3))
+    assert cascade.stats.largest_row_update == 2
+    assert 0.0 < cascade.stats.worst_residual_ratio <= 1.0
 
 
 def test_step_fixed_point_at_steady_state(buck_steady_run):
@@ -445,6 +475,84 @@ def test_failed_solution_inside_a_block_reports_its_period(monkeypatch, how):
     assert first < 37 + 1 < stop - 1
 
 
+def _poison_stepped(monkeypatch, period, how):
+    """Make the stepper's solution of ``period`` non-finite or put it over
+    its residual bound, after the stepper used it; returns the list of
+    (first period, periods) of every residual check."""
+    import avgcell.engine as engine_module
+
+    real = engine_module._Stepper._solve
+    real_check = engine_module.check_residual
+    checks = []
+
+    def poisoned(self, r, *args):
+        drives = real(self, r, *args)
+        if r == period - self.first_period + 1:
+            if how == "non-finite":
+                self.rows.x[r, 0] = math.nan
+            else:
+                self.rows.x[r] *= 1.0 + 1e-6
+        return drives
+
+    def check(A, x, *args):
+        checks.append((args[2], len(np.atleast_2d(x))))
+        return real_check(A, x, *args)
+
+    monkeypatch.setattr(engine_module._Stepper, "_solve", poisoned)
+    monkeypatch.setattr(engine_module, "check_residual", check)
+    return checks
+
+
+@pytest.mark.parametrize("how", ["non-finite", "over-bound"])
+def test_failed_solution_inside_a_stretch_reports_its_period(monkeypatch, how):
+    """The stepper checks a stretch of its periods at once, each against
+    its own matrix: a bad solution in the middle of a stretch raises
+    SingularSystem with that period, not the stretch's first."""
+    checks = _poison_stepped(monkeypatch, 37, how)
+    with pytest.raises(SingularSystem) as excinfo:
+        run(parse_netlist(BUCK_DCM), std_config(1e-3))
+    assert excinfo.value.period == 37
+    assert "residual" in str(excinfo.value)
+    first, periods = checks[-1]
+    assert first < 37 < first + periods - 1
+
+
+@pytest.mark.parametrize(
+    "bad, reported, message",
+    [(37, 37, "residual"), (None, 40, "row-update pivot")],
+    ids=["earlier-bad-residual", "clean-stretch"],
+)
+def test_pivot_failure_inside_a_stretch_reports_the_earliest_period(
+    monkeypatch, bad, reported, message
+):
+    """A row-update pivot that fails inside a stretch has the stretch's
+    earlier periods checked first: an earlier bad solution is the one
+    reported, with its own message, and otherwise the pivot's period."""
+    import avgcell.engine as engine_module
+
+    if bad is not None:
+        _poison_stepped(monkeypatch, bad, "over-bound")
+    real_solve = engine_module._Stepper._solve
+    real_small = mna.solve_small
+    singular = [False]
+
+    def solve(self, r, *args):
+        singular[0] = r == 40 - self.first_period + 1
+        return real_solve(self, r, *args)
+
+    def small(C, r, scale):
+        if singular[0]:
+            C = [[0.0] * len(r) for _ in r]
+        return real_small(C, r, scale)
+
+    monkeypatch.setattr(engine_module._Stepper, "_solve", solve)
+    monkeypatch.setattr(mna, "solve_small", small)
+    with pytest.raises(SingularSystem) as excinfo:
+        run(parse_netlist(BUCK_DCM), std_config(1e-3))
+    assert excinfo.value.period == reported
+    assert message in str(excinfo.value)
+
+
 # A diode buck feeding a diode flyback (turns ratio 1.7), started from rest:
 # the two cells leave continuous conduction in different periods.
 BUCK_INTO_FLYBACK = """\
@@ -460,20 +568,25 @@ R 2 3 0 120.0
 
 def test_row_updated_system_equals_assembled_system(monkeypatch):
     """Every period is solved from the bootstrap's factors, yet the system
-    its residual is checked against is the one assembly gives for that
-    period's predictions: in CCM blocks and stepped periods, with one cell
-    and with both in DCM."""
+    its residual is checked against, A0 with the row changes the check
+    receives, is the one assembly gives for that period's predictions: in
+    CCM blocks and stepped periods, with one cell and with both in DCM."""
     import avgcell.engine as engine_module
 
     checked = {}
     real = engine_module.check_residual
 
-    def capture(A, x, z, a_norm=None, period=None):
+    def capture(A, x, z, a_norm=None, period=None, moves=None):
         if period is not None:  # the bootstrap has no period
             for k, z_k in enumerate(np.atleast_2d(z)):
                 assert period + k not in checked
-                checked[period + k] = (A.copy(), z_k.copy(), a_norm)
-        return real(A, x, z, a_norm, period)
+                A_k = A.copy()
+                if moves is not None:
+                    rd, R = moves
+                    A_k[rd] = R[k]
+                a_norm_k = a_norm[k] if np.ndim(a_norm) else a_norm
+                checked[period + k] = (A_k, z_k.copy(), a_norm_k)
+        return real(A, x, z, a_norm, period, moves)
 
     monkeypatch.setattr(engine_module, "check_residual", capture)
     circuit = parse_netlist(BUCK_INTO_FLYBACK)

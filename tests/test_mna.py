@@ -5,6 +5,8 @@ G_L = 1 its matrix and right-hand side are known in closed form and are
 frozen here entry by entry.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,6 +274,70 @@ class TestSmallSolve:
             solve_small(C, [1.0] * len(C), scale)
 
 
+# Entries that tie in magnitude, exact zeros of both signs, and pivots on
+# both sides of PIVOT_RTOL for a row scale of 1.
+SMALL_ENTRIES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e-13, -1e-13, 1.0000001e-13, 9.999999e-14]
+    ),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def block_diagonal_systems(draw):
+    """A block-diagonal C y = r: every row in one of a random partition's
+    groups, the groups' rows interleaved, and exact zeros (of either sign)
+    between groups.  The right-hand side has no -0.0, as a row update's
+    never has: it is a sum that starts from 0.0."""
+    k = draw(st.integers(1, 7))
+    group = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    C = [
+        [
+            draw(SMALL_ENTRIES if group[i] == group[j] else st.sampled_from([0.0, -0.0]))
+            for j in range(k)
+        ]
+        for i in range(k)
+    ]
+    r = [draw(st.floats(-1e3, 1e3)) + 0.0 for _ in range(k)]
+    scale = [draw(st.floats(0.5, 10.0)) for _ in range(k)]
+    return C, r, scale, group
+
+
+def _outcome(solve):
+    """repr of a solve's result, which tells every float apart, the sign
+    of zero included; or the verdict that it is singular."""
+    try:
+        return repr(solve())
+    except SingularSystem:
+        return "singular"
+
+
+@settings(max_examples=250, deadline=None)
+@given(block_diagonal_systems())
+def test_group_by_group_solve_equals_whole_solve(system):
+    """RowUpdate solves each coupling group's moved rows on their own: on
+    a block-diagonal C that gives the bits and the verdict of solving the
+    whole C."""
+    C, r, scale, group = system
+
+    def by_group():
+        y = [None] * len(r)
+        for g in dict.fromkeys(group):
+            rows = [i for i, h in enumerate(group) if h == g]
+            part = solve_small(
+                [[C[i][j] for j in rows] for i in rows],
+                [r[i] for i in rows],
+                [scale[i] for i in rows],
+            )
+            for i, y_i in zip(rows, part):
+                y[i] = y_i
+        return y
+
+    expected = _outcome(lambda: solve_small(copy.deepcopy(C), list(r), list(scale)))
+    assert _outcome(by_group) == expected
+
+
 CASCADE = """\
 VDC 1 1 0 20.0
 SCD1 1 1 0 2 10e-6 0
@@ -284,7 +350,8 @@ R 1 3 0 50.0
 
 def test_row_update_matches_refactored_system():
     """Moving, moving back and holding the diode rows of a two-cell system
-    gives the assembled matrix and the solution of a fresh factorization."""
+    gives the assembled matrix and the solution of a fresh factorization;
+    A0 itself is never rewritten."""
     circuit = parse_netlist(CASCADE)
     d = 0.4
     caps = {"C1": 3.0, "C2": -1.0}
@@ -299,15 +366,22 @@ def test_row_update_matches_refactored_system():
     system = assemble_system(circuit, d, TS, base, caps)
     inverse = lu_factor(system.A)
     update = RowUpdate(system.A, inverse, system.diode_rows, 1.0 - d)
+    A0 = system.A.copy()
     for d_ps in [(0.3, 0.45), (0.3, 1.0 - d), (0.2, 0.1), (1.0 - d, 1.0 - d)]:
         pred = predictions(*d_ps)
         expected = assemble_system(circuit, d, TS, pred, caps)
-        z = system.rhs(pred, caps)
+        z = system.B @ system.state(pred, caps)
         x = update.solve(lu_solve(inverse, z), d_ps)
-        np.testing.assert_array_equal(system.A, expected.A)
-        assert update.a_norm == pytest.approx(np.abs(expected.A).sum(axis=1).max())
+        np.testing.assert_array_equal(system.A, A0)
+        a_norm, moves = update.moves(np.array(d_ps))
+        A = A0.copy()
+        if moves is not None:
+            rd, R = moves
+            A[rd] = R
+        np.testing.assert_array_equal(A, expected.A)
+        assert a_norm == pytest.approx(np.abs(expected.A).sum(axis=1).max())
         np.testing.assert_allclose(x, solve(expected), rtol=1e-12, atol=1e-12)
-        check_residual(system.A, x, z, update.a_norm)
+        check_residual(system.A, x, z, a_norm, moves=moves)
 
 
 CHAIN = """\
@@ -355,6 +429,37 @@ def test_row_update_tables_match_pairwise_dots(text):
     tables = (update._raw, update._rbw, update._magnitude)
     # repr tells every float apart, the sign of zero included.
     assert repr(tables) == repr(_pairwise_tables(inverse, system.diode_rows))
+
+
+PARALLEL = """\
+VDC 1 1 0 24.0
+SCD1 1 1 0 2 10e-6 0
+C 1 2 0 1e-4 0
+R 1 2 0 40.0
+FBD2 2 1 0 3 15e-6 1.7 0
+C 2 3 0 1e-4 0
+R 2 3 0 60.0
+SCD3 3 1 0 4 12e-6 0
+C 3 4 0 1e-4 0
+R 3 4 0 50.0
+"""
+
+
+@pytest.mark.parametrize(
+    "text, groups",
+    [(CASCADE, [0, 0]), (CHAIN, [0, 0, 0]), (PARALLEL, [None, None, None])],
+    ids=["cascade", "chain", "parallel"],
+)
+def test_row_update_groups_are_the_coupled_rows(text, groups):
+    """Cells in cascade couple their diode rows through A0^-1; stages in
+    parallel on an ideal source do not, and each row is alone."""
+    circuit = parse_netlist(text)
+    d = 0.4
+    system = assemble_system(
+        circuit, d, TS, ccm_predictions(circuit, d), zero_caps(circuit)
+    )
+    update = RowUpdate(system.A, lu_factor(system.A), system.diode_rows, 1.0 - d)
+    assert update._group == groups
 
 
 @settings(max_examples=150, deadline=None)
