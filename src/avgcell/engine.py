@@ -451,8 +451,10 @@ class _Stepper:
         """Check the residuals of the unchecked rows before ``stop``."""
         a, self._unchecked = self._unchecked, stop
         if a < stop:
-            rows = self.rows
-            a_norm, moves = self.update.moves(rows.d_p[a:stop][:, self.diode])
+            rows, update = self.rows, self.update
+            a_norm, moves = update.a_norm, None
+            if rows.dcm[a:stop].any():  # only a row in DCM has a diode row moved
+                a_norm, moves = update.moves(rows.d_p[a:stop][:, self.diode])
             ratio = check_residual(
                 self.system.A,
                 rows.x[a:stop],

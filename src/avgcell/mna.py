@@ -410,11 +410,10 @@ class RowUpdate:
         return x0 - np.array(y) @ self._W[moved]
 
     def moves(self, d_p):
-        """``a_norm`` and ``moves`` for :func:`check_residual` of systems
-        whose rows sit at the rows of ``d_p`` (one column per row): R[k, i]
-        is row ``rd[i]`` at row k, entry for entry as assembly writes it."""
-        if not (d_p != self.d_p0).any():
-            return self.a_norm, None
+        """The ``a_norm`` and ``moves`` :func:`check_residual` takes for one
+        system per row of ``d_p`` (one column per diode row): every
+        system's infinity norm and (rd, R), R[k, i] being row ``rd[i]`` at
+        d_p[k, i], entry for entry as assembly writes it."""
         d_p = d_p[..., None]
         R = self._unit + (d_p * self._ra + d_p * d_p * self._rb)
         return np.abs(R).sum(axis=-1).max(axis=-1, initial=self._fixed_norm), (self.rd, R)

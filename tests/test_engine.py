@@ -358,14 +358,16 @@ def test_run_stats_report_the_worst_residual_and_largest_row_update(monkeypatch)
     """The worst residual over its bound is the largest any check returned,
     blocks and the bootstrap included, and the largest row update is the
     most diode rows one period moved: one on the light-load buck, both on
-    a buck feeding a flyback."""
+    a buck feeding a flyback.  No check waits for more than STRETCH
+    periods."""
     import avgcell.engine as engine_module
 
-    ratios = []
+    ratios, sizes = [], []
     real = engine_module.check_residual
 
-    def record(*args):
-        ratios.append(real(*args))
+    def record(A, x, *args):
+        sizes.append(len(x))
+        ratios.append(real(A, x, *args))
         return ratios[-1]
 
     monkeypatch.setattr(engine_module, "check_residual", record)
@@ -376,6 +378,7 @@ def test_run_stats_report_the_worst_residual_and_largest_row_update(monkeypatch)
     assert stats.worst_residual_ratio == max(ratios)
     assert 0.0 < stats.worst_residual_ratio <= 1.0
     assert stats.largest_row_update == 1
+    assert max(sizes) == engine_module.STRETCH
 
     cascade = run(parse_netlist(BUCK_INTO_FLYBACK), SimConfig(0.4, 100e3, 1e-3))
     assert cascade.stats.largest_row_update == 2

@@ -375,9 +375,8 @@ def test_row_update_matches_refactored_system():
         np.testing.assert_array_equal(system.A, A0)
         a_norm, moves = update.moves(np.array(d_ps))
         A = A0.copy()
-        if moves is not None:
-            rd, R = moves
-            A[rd] = R
+        rd, R = moves
+        A[rd] = R
         np.testing.assert_array_equal(A, expected.A)
         assert a_norm == pytest.approx(np.abs(expected.A).sum(axis=1).max())
         np.testing.assert_allclose(x, solve(expected), rtol=1e-12, atol=1e-12)
