@@ -41,7 +41,6 @@ from .waveform import (
     capacitor_average_waveform,
     capacitor_waveform,
     inductor_waveform,
-    ripple_amplitude,
     stats,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "parse_netlist",
     "period_average",
     "predict_mode",
-    "ripple_amplitude",
     "run",
     "serialize_netlist",
     "simulate_switched",

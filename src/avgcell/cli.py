@@ -144,6 +144,18 @@ def main(argv=None):
         print("error: no signals matched the --signals filter", file=sys.stderr)
         return _NETLIST_EXIT
 
+    # The oracle runs before anything is written, so that its failure
+    # leaves no file behind.
+    if args.oracle:
+        try:
+            sampled = oracle.simulate_switched(circuit, config, oracle_config)
+        except engine.InvalidConfig as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return _USAGE_EXIT
+        except SingularSystem as exc:
+            print(f"error: oracle: {exc}", file=sys.stderr)
+            return _NUMERIC_EXIT
+
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -151,14 +163,6 @@ def main(argv=None):
         write_instantaneous_csv(selected, flagged, out_dir / "instantaneous.csv")
         write_stats(selected, t_from, t_to, out_dir / "stats.txt")
         if args.oracle:
-            try:
-                sampled = oracle.simulate_switched(circuit, config, oracle_config)
-            except engine.InvalidConfig as exc:
-                print(f"usage error: {exc}", file=sys.stderr)
-                return _USAGE_EXIT
-            except SingularSystem as exc:
-                print(f"error: oracle: {exc}", file=sys.stderr)
-                return _NUMERIC_EXIT
             write_oracle_csv(sampled, args.signals, out_dir / "oracle.csv")
             write_compare(result, sampled, out_dir / "compare.txt")
     except OSError as exc:

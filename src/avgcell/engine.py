@@ -40,11 +40,9 @@ import numpy as np
 from . import cells as _cells
 from .errors import AvgcellError
 from .mna import (
-    CellPrediction,
     RowUpdate,
     SingularSystem,
     assemble_system,
-    build_layout,
     check_residual,
     lu_factor,
     lu_solve,
@@ -261,24 +259,16 @@ class SimulationResult:
     discontinuous conduction) every cell's values.  Capacitors and cells
     are in netlist order.  ``records`` holds the same periods as
     :class:`PeriodRecord` objects, built on first access, and ``stats`` is
-    the run's :class:`RunStats`.
-
-    A result can also be made from a bootstrap and a list of records alone,
-    as ``SimulationResult(circuit, config, bootstrap, records)``; its
-    columns are then filled from the records, and it has no stats.
+    the run's :class:`RunStats`.  ``rows`` is the run's :class:`_Rows`; its
+    row 0 is the bootstrap.
     """
 
-    def __init__(self, circuit, config, bootstrap, records=None, *, rows=None,
-                 stats=None):
+    def __init__(self, circuit, config, bootstrap, rows, stats):
         self.circuit = circuit
         self.config = config
         self.bootstrap = bootstrap
         self.stats = stats
-        self._records = records
-        if rows is None:
-            rows = _Rows(build_layout(circuit).layout, len(records) + 1, 1.0 - config.d)
-            for r, record in enumerate([bootstrap] + records):
-                rows.write(r, record)
+        self._records = None
         self._rows = rows
         self.layout = rows.layout
         self.x = rows.x[1:]
@@ -381,7 +371,8 @@ class _Stepper:
             for i, params in enumerate(self.params)
             if params.rectifier is _cells.Rectifier.DIODE
         ]
-        g = [2.0 * e.value / T_s for e in circuit.capacitors()]
+        caps = circuit.capacitors()
+        g = [2.0 * e.value / T_s for e in caps]
         self.two_g = [2.0 * gk for gk in g]
         k1, k2 = zip(*(_cells.inductor_gains(d, d_p0, p, T_s) for p in self.params))
         # The kernel's y -> (2 g v, k1 vL1, k2 vL2) scaling.
@@ -390,14 +381,9 @@ class _Stepper:
         # The bootstrap: a continuous-conduction solve that provides the
         # drive voltages the first real period's mode prediction needs; its
         # system is the one every period of the run is solved from.
-        predictions = {
-            e.label: CellPrediction(_cells.Mode.CCM, d_p0, e.initial) for e in cells
-        }
-        # Zero capacitor current assumed at t = 0.
-        cap_sources = {
-            e.label: gk * e.initial for e, gk in zip(circuit.capacitors(), g)
-        }
-        self.system = system = assemble_system(circuit, d, T_s, predictions, cap_sources)
+        self.system = system = assemble_system(
+            circuit, d, T_s, {e.label: d_p0 for e in cells}
+        )
         self.inverse = lu_factor(system.A)
         self.stats = RunStats(factorizations=1)
         # Synchronous cells keep d_p = 1 - d, so only diode rows can move.
@@ -409,8 +395,9 @@ class _Stepper:
         # The bootstrap is row 0, solved as a period is; it carries its
         # t = 0 sources and currents unchanged into period 0.
         self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
-        state = system.state(predictions, cap_sources).tolist()
-        iL0s = state[rows.cell]
+        # Zero capacitor current assumed at t = 0: i_0 = g v0.
+        iL0s = [e.initial for e in cells]
+        state = [gk * e.initial for e, gk in zip(caps, g)] + iL0s + [1.0]
         self._unchecked = 0  # the first solved row not yet checked
         self._solve(0, state, iL0s, [d_p0] * len(cells))
         self._check(1)
@@ -423,7 +410,7 @@ class _Stepper:
         self.stats.row_update_solves = self.update.updates
         self.stats.largest_row_update = self.update.largest
         return SimulationResult(
-            self.circuit, self.config, bootstrap, rows=self.rows, stats=self.stats
+            self.circuit, self.config, bootstrap, self.rows, self.stats
         )
 
     def solve_rows(self, r, stop):

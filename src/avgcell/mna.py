@@ -8,14 +8,15 @@ conductance G_C = 2C/T_s beside a history source i_0[n+1] = (4C / T_s)
 v[n] - i_0[n].  A cell adds its KCL current paths and two rows tying its
 averaged currents to its port voltages, with G_L = T_s / L.
 
-The right-hand side is z = B @ s, s = (i_0 of every capacitor, iL0 of every
-cell, 1).  B has a column per capacitor (its history source's incidence),
-a column per cell (d at its iS_avg row, d_p / n at its iD_avg row, for the
-d_p it was stamped at) and a last one with the source values, written
-nowhere else.  A cell at another d_p carries iL0 = 0, as in DCM, so its
-column does not enter z.  The output matrix E reads every capacitor's
-voltage, then every cell's vL1, then every vL2 off x, from the coefficients
-of the cell rows; its capacitor and cell rows line up with B's columns.
+Assembly builds A, B and E; a solver forms each right-hand side as
+z = B @ s, s = (i_0 of every capacitor, iL0 of every cell, 1).  B has a
+column per capacitor (its history source's incidence), a column per cell
+(d at its iS_avg row, d_p / n at its iD_avg row, for the d_p it was
+stamped at) and a last one with the source values, written nowhere else.
+A cell at another d_p carries iL0 = 0, as in DCM, so its column does not
+enter z.  The output matrix E reads every capacitor's voltage, then every
+cell's vL1, then every vL2 off x, from the coefficients of the cell rows;
+its capacitor and cell rows line up with B's columns.
 
 A cell's d_p enters A only in its iD_avg row ``rd``, affine in d_p and
 d_p^2 (:class:`DiodeRow`).  A run factors A once, at d_p = 1 - d:
@@ -53,15 +54,6 @@ class SingularSystem(AvgcellError):
 
 
 @dataclass(frozen=True)
-class CellPrediction:
-    """Per-cell inputs fixed before a period is solved."""
-
-    mode: _cells.Mode
-    d_p: float
-    iL0: float
-
-
-@dataclass(frozen=True)
 class MnaLayout:
     """Row assignment: nodes, then VDC currents, then cell current pairs.
 
@@ -87,10 +79,7 @@ class MnaLayout:
 
 class MnaSystem:
     """Dense A x = z system plus its layout, its right-hand-side matrix
-    ``B`` and its output matrix ``E``.
-
-    ``z`` is set by :func:`assemble_system` for the inputs it was given.
-    """
+    ``B`` and its output matrix ``E``."""
 
     def __init__(self, layout):
         self.layout = layout
@@ -100,16 +89,6 @@ class MnaSystem:
         self.E = np.zeros((n_state + len(layout.cell_rows), layout.order))
         # The iD_avg row of every cell, in netlist order.
         self.diode_rows = []
-        self.z = None
-
-    def state(self, predictions, cap_sources):
-        """The state vector s: each capacitor's i_0 from ``cap_sources``,
-        each cell's iL0 from ``predictions``, and 1."""
-        s = np.ones(self.B.shape[1])
-        n_caps = self.layout.n_caps
-        for label, col in self.layout.state_col.items():
-            s[col] = cap_sources[label] if col < n_caps else predictions[label].iL0
-        return s
 
 
 @dataclass(frozen=True)
@@ -186,9 +165,9 @@ def stamp_capacitor(system, element, T_s):
             system.E[col, r] += sign
 
 
-def stamp_cell(system, element, d, T_s, prediction):
-    """Stamp one switching cell for a period with known (mode, d_p); the
-    start current iL0 enters through the cell's column of B.
+def stamp_cell(system, element, d, T_s, d_p):
+    """Stamp one switching cell with its diode row at ``d_p``; the start
+    current iL0 enters through the cell's column of B.
 
     Adds the iS_avg / iD_avg KCL columns along the cell current paths, the
     two constraint rows tying the averaged currents to the port voltages
@@ -245,21 +224,16 @@ def stamp_cell(system, element, d, T_s, prediction):
         tuple(ra.get(c, 0.0) for c in cols),
         tuple(rb.get(c, 0.0) for c in cols),
     )
-    d_p = prediction.d_p
     system.A[rd, rd] = 1.0
     system.A[rd, list(cols)] = [d_p * a + d_p * d_p * b for a, b in zip(row.ra, row.rb)]
     system.diode_rows.append(row)
     system.B[rs, col] = d
-    system.B[rd, col] = prediction.d_p / params.n
+    system.B[rd, col] = d_p / params.n
 
 
-def assemble_system(circuit, d, T_s, predictions, cap_sources):
-    """Build the full system for one period.
-
-    ``predictions`` maps cell label to :class:`CellPrediction`;
-    ``cap_sources`` maps capacitor label to its companion current i_0.
-    The returned system's ``z`` is its right-hand side for these inputs.
-    """
+def assemble_system(circuit, d, T_s, d_p):
+    """Build the full system for one period; ``d_p`` maps each cell's
+    label to the d_p its diode row is stamped at."""
     system = build_layout(circuit)
     for e in circuit.elements:
         if e.kind == RES:
@@ -271,8 +245,7 @@ def assemble_system(circuit, d, T_s, predictions, cap_sources):
         elif e.kind == CAP:
             stamp_capacitor(system, e, T_s)
         else:
-            stamp_cell(system, e, d, T_s, predictions[e.label])
-    system.z = system.B @ system.state(predictions, cap_sources)
+            stamp_cell(system, e, d, T_s, d_p[e.label])
     return system
 
 
@@ -459,24 +432,22 @@ def solve_small(C, r, scale):
     return y
 
 
-def check_residual(A, x, z, a_norm=None, period=None, moves=None):
+def check_residual(A, x, z, a_norm, period=None, moves=None):
     """Enforce the backward-stable residual bound of the direct solve.
 
     ``x`` and ``z`` are one solution and its right-hand side, or a block of
     them, one system per row, with matrix ``A``, or with ``moves = (rd, R)``
     A with row ``rd[i]`` replaced by ``R[k, i]`` for system k.  ``a_norm``
-    may carry every system's infinity norm.  The first system over its
-    bound raises :class:`SingularSystem`, with ``period`` plus its row as
-    the period when ``period`` is given.  Returns the largest residual over
-    its bound.
+    is the infinity norm of the matrix, or of every system's.  The first
+    system over its bound raises :class:`SingularSystem`, with ``period``
+    plus its row as the period when ``period`` is given.  Returns the
+    largest residual over its bound.
     """
     residual = x @ A.T - z
     if moves is not None:
         rd, R = moves
         residual[..., rd] = (R @ x[..., None])[..., 0] - z[..., rd]
     residual = np.abs(residual).max(axis=-1)
-    if a_norm is None:
-        a_norm = float(np.abs(A).sum(axis=1).max())
     bound = RESIDUAL_RTOL * (
         a_norm * np.abs(x).max(axis=-1) + np.abs(z).max(axis=-1)
     )

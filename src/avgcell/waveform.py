@@ -8,8 +8,8 @@ rests at zero.
 For a capacitor sitting directly across a basic cell's common and passive
 terminals (the buck-type output stage) the voltage ripple follows from
 integrating the inductor current ripple.  With tau = t / T_s and the
-symmetric ripple amplitude di_L (``dIL`` of :func:`ripple_amplitude`, the
-mean of the rising and falling half-amplitudes) the in-period deviation is
+symmetric ripple amplitude di_L (:func:`_ripple`, the mean of the rising
+and falling half-amplitudes) the in-period deviation is
 
     (di_L / (f_s C)) (tau^2 / d - tau)                 0 <= tau <= d
     (di_L / (f_s C)) (tau - d)(1 - tau) / (1 - d)      d <= tau <= 1
@@ -37,16 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Mode
 from .errors import AvgcellError
 
 
 class UnknownLabel(AvgcellError):
     pass
-
-
-class NotApplicable(AvgcellError):
-    """Ripple amplitudes are defined for continuous-conduction periods only."""
 
 
 class TopologyNotSupported(AvgcellError):
@@ -71,25 +66,19 @@ class Segment:
     c1: float = 0.0
     c2: float = 0.0
 
-    def value_at(self, t):
-        s = t - self.t0
-        return self.c0 + self.c1 * s + self.c2 * s * s
-
 
 class Waveform:
     """Contiguous piecewise-polynomial time series.
 
     Segment k is c0[k] + c1[k] s + c2[k] s^2 over s = t - t0[k], for
     t0[k] <= t <= t1[k]; ``arrays`` holds the five arrays ``t0``, ``t1``,
-    ``c0``, ``c1`` and ``c2``.  ``Waveform(name, unit, segments)`` takes a
-    list of :class:`Segment` instead, and ``segments`` builds that list.
+    ``c0``, ``c1`` and ``c2``, and ``segments`` lists them as
+    :class:`Segment` objects.
     """
 
-    def __init__(self, name, unit, segments=None, *, arrays=None):
+    def __init__(self, name, unit, arrays):
         self.name = name
         self.unit = unit
-        if arrays is None:
-            arrays = zip(*((s.t0, s.t1, s.c0, s.c1, s.c2) for s in segments))
         self.arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
         if not all(np.isfinite(a).all() for a in self.arrays):
             raise NonFinite(f"reconstructed {name} is not finite")
@@ -116,15 +105,6 @@ class Waveform:
 
     def breakpoints(self):
         return np.append(self.t0, self.t1[-1])
-
-
-@dataclass(frozen=True)
-class RippleModel:
-    """Half-amplitudes of the in-period inductor current ripple."""
-
-    dIL1: float
-    dIL2: float
-    dIL: float
 
 
 @dataclass(frozen=True)
@@ -159,28 +139,16 @@ def inductor_waveform(result, cell_label):
         [t_mid > t0, t_fall > t_mid, dcm & (t_end > t_zero)],
     )
     arrays = (ta, tb, ya, (yb - ya) / (tb - ta), np.zeros_like(ta))
-    return Waveform(f"iL({cell_label})", "A", arrays=arrays)
-
-
-def ripple_amplitude(record, cell_label):
-    """Ripple half-amplitudes of one continuous-conduction period."""
-    try:
-        state = record.cells[cell_label]
-    except KeyError:
-        raise UnknownLabel(f"no cell {cell_label!r} in record") from None
-    if state.mode is not Mode.CCM:
-        raise NotApplicable(
-            "ripple amplitudes are defined for continuous conduction only"
-        )
-    return _ripple(state.iL0, state.iL1, state.iL2)
+    return Waveform(f"iL({cell_label})", "A", arrays)
 
 
 def _ripple(iL0, iL1, iL2):
-    """The half-amplitudes of periods with boundary currents iL0, iL1 and
-    iL2, floats or arrays with one entry per period."""
+    """The symmetric ripple amplitude dIL of periods with boundary currents
+    iL0, iL1 and iL2, floats or arrays with one entry per period: the mean
+    of the rising and falling half-amplitudes."""
     dIL1 = (iL1 - iL0) / 2.0
     dIL2 = (iL1 - iL2) / 2.0
-    return RippleModel(dIL1, dIL2, (dIL1 + dIL2) / 2.0)
+    return (dIL1 + dIL2) / 2.0
 
 
 def capacitor_waveform(result, cap_label):
@@ -221,7 +189,7 @@ def _build_capacitor_waveform(result, k, cap, i):
     dIL = np.zeros(n)
     if i is not None:
         ripple = ~result.dcm[:, i]
-        dIL = _ripple(result.iL0[:, i], result.iL1[:, i], result.iL2[:, i]).dIL
+        dIL = _ripple(result.iL0[:, i], result.iL1[:, i], result.iL2[:, i])
     a0 = np.where(ripple, v_avg + (2.0 * d - 1.0) * dIL / (6.0 * f_s * C), v_avg)
     slope = (np.append(a0[1:], a0[-1]) - a0) / T_s
     kr = np.where(ripple, dIL / (f_s * C), 0.0)
@@ -237,7 +205,7 @@ def _build_capacitor_waveform(result, k, cap, i):
         c2 = -kr / (T_s * T_s * (1.0 - d))
         pieces.append((t_mid, t_end, a0 + slope * d * T_s, slope + kr / T_s, c2))
         keep.append(ripple)
-    return Waveform(_capacitor_signal_name(cap), "V", arrays=_pieces(pieces, keep))
+    return Waveform(_capacitor_signal_name(cap), "V", _pieces(pieces, keep))
 
 
 def _pieces(pieces, keep):

@@ -83,6 +83,17 @@ def same_on_float_and_array(rule, *args):
     return answer
 
 
+def rhs(system, cap_sources, iL0s):
+    """The right-hand side z = B @ s of an assembled system for each
+    capacitor's companion current i_0 in ``cap_sources`` and each cell's
+    start current in ``iL0s``, both by label."""
+    s = np.ones(system.B.shape[1])
+    n_caps = system.layout.n_caps
+    for label, col in system.layout.state_col.items():
+        s[col] = cap_sources[label] if col < n_caps else iL0s[label]
+    return system.B @ s
+
+
 def tail_mean(values, count=50):
     return float(np.mean(np.asarray(values)[-count:]))
 

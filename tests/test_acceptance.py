@@ -18,7 +18,7 @@ import pytest
 
 from avgcell import SimConfig, parse_netlist, run, serialize_netlist
 from avgcell.cells import Mode, avg_inductor_current, end_current_from_averages
-from avgcell.mna import CellPrediction, assemble_system
+from avgcell.mna import assemble_system
 from avgcell.oracle import period_average
 from avgcell.waveform import capacitor_waveform, inductor_waveform, stats
 
@@ -213,10 +213,7 @@ def test_criterion_5_ripple_reconstruction(buck_steady_run, oracle_buck_steady):
 
 
 def test_criterion_6_structural_order_and_matrix(buck_circuit):
-    predictions = {
-        "SCN1": CellPrediction(Mode.CCM, 0.5, 0.0),
-    }
-    system = assemble_system(buck_circuit, 0.5, 1e-5, predictions, {"C1": 0.0})
+    system = assemble_system(buck_circuit, 0.5, 1e-5, {"SCN1": 0.5})
     assert system.layout.order == 5
 
     g_c, g_l, d, d_p, r = 20.0, 1.0, 0.5, 0.5, 5.0

@@ -5,6 +5,8 @@ replaces with a timing wrapper during a traced run.  A name that moves or
 disappears would break ``perfbench/run.py --trace 1``, so each one must
 resolve to a callable, and the engine must reach the ``mna`` functions
 through its own module attributes, where the wrappers are installed.
+``COUNTERS`` reads work counts off the results of some of those functions,
+so each must accept a real result of its function.
 """
 
 import importlib.util
@@ -15,6 +17,7 @@ import pytest
 import avgcell.engine
 from avgcell import SimConfig, parse_netlist
 from avgcell.cells import Mode
+from avgcell.oracle import OracleConfig
 
 from conftest import BUCK_DCM
 
@@ -78,3 +81,35 @@ def test_traced_run_records_the_mna_layer(monkeypatch):
     assert calls["mna.check_residual"] == 1 + stats.blocks + stretches
     assert calls["mna.lu_factor"] == calls["mna.assemble_system"] == 1
     assert any(r.cells["SCD1"].mode is Mode.DCM for r in result.records)
+
+
+def _span_function(name):
+    """The function a span wraps, found as the tracer finds it."""
+    path, attr = next((p, a) for n, p, a in SPANS.WRAPPED if n == name)
+    return getattr(SPANS._resolve(path), attr)
+
+
+def test_counters_read_real_results():
+    """Every work counter reads the result of its span's function: a
+    result attribute it needs that is renamed or removed fails here, not
+    only in a traced benchmark run."""
+    circuit = parse_netlist(BUCK_DCM)
+    config = SimConfig(0.5, 100e3, 2e-4)
+    result = avgcell.engine.run(circuit, config)
+    calls = {
+        "engine.run": (circuit, config),
+        "waveform.inductor_waveform": (result, "SCD1"),
+        "waveform.capacitor_waveform": (result, "C1"),
+        "waveform.capacitor_average_waveform": (result, "C1"),
+        "oracle.simulate_switched": (circuit, config, OracleConfig(100)),
+    }
+    assert sorted(SPANS.COUNTERS) == sorted(calls)
+    for name, (counter, amount) in SPANS.COUNTERS.items():
+        out = _span_function(name)(*calls[name])
+        if counter == "waveform.segments":
+            expected = len(out.t0)
+        elif counter == "oracle.substeps":
+            expected = config.n_periods * 100
+        else:
+            expected = config.n_periods
+        assert amount(out) == expected, name

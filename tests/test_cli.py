@@ -241,6 +241,30 @@ def test_oracle_substeps_below_minimum_is_usage_error(tmp_path, buck_file, capsy
     assert not (tmp_path / "results").exists()
 
 
+def test_oracle_too_long_to_hold_writes_no_file(tmp_path, buck_file, capsys):
+    """The oracle's samples for 10 periods at 1e11 substeps cannot be held
+    (numpy refuses them before allocating any): a usage error, and no
+    output directory, though the averaged run succeeded."""
+    code = run_cli(buck_file, "-D", "0.5", "--fs", "100e3", "--t-end", "1e-4",
+                   "--out", tmp_path / "results",
+                   "--oracle", "--oracle-substeps", "100000000000")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "cannot hold 10 periods" in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_singular_oracle_writes_no_file(tmp_path, buck_file, capsys, monkeypatch):
+    def singular(circuit, config, oracle_config):
+        raise avgcell.SingularSystem("switched network is singular")
+
+    monkeypatch.setattr(avgcell.oracle, "simulate_switched", singular)
+    code = run_cli(buck_file, *ARGS, "--out", tmp_path / "results", "--oracle")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: oracle: switched network")
+    assert not (tmp_path / "results").exists()
+
+
 def test_oracle_outputs_and_comparison(tmp_path, buck_file):
     out = tmp_path / "results"
     code = run_cli(

@@ -12,9 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgcell.cells import Mode
 from avgcell.mna import (
-    CellPrediction,
     RowUpdate,
     SingularSystem,
     assemble_system,
@@ -30,10 +28,9 @@ from avgcell.mna import (
 )
 from avgcell.netlist import parse_netlist
 
-from conftest import BUCK
+from conftest import BUCK, rhs
 
 TS = 1e-5
-CCM = CellPrediction(Mode.CCM, 0.5, 0.0)
 
 
 @pytest.fixture
@@ -41,19 +38,30 @@ def buck():
     return parse_netlist(BUCK)
 
 
-def ccm_predictions(circuit, d, iL0=0.0):
-    return {e.label: CellPrediction(Mode.CCM, 1.0 - d, iL0) for e in circuit.cells()}
+def ccm_d_p(circuit, d):
+    return {e.label: 1.0 - d for e in circuit.cells()}
 
 
 def zero_caps(circuit):
     return {e.label: 0.0 for e in circuit.capacitors()}
 
 
-def solve(system):
+def a_norm(A):
+    """The infinity norm of A, as check_residual takes it."""
+    return float(np.abs(A).sum(axis=1).max())
+
+
+def solve(system, z):
     """Factor, solve and check an assembled system as the engine does."""
-    x = lu_solve(lu_factor(system.A), system.z)
-    check_residual(system.A, x, system.z)
+    x = lu_solve(lu_factor(system.A), z)
+    check_residual(system.A, x, z, a_norm(system.A))
     return x
+
+
+def ccm_rhs(circuit, d, cap_sources, iL0=0.0):
+    """The system at d_p = 1 - d and its right-hand side."""
+    system = assemble_system(circuit, d, TS, ccm_d_p(circuit, d))
+    return system, rhs(system, cap_sources, {e.label: iL0 for e in circuit.cells()})
 
 
 class TestLayout:
@@ -94,18 +102,18 @@ class TestStamps:
         stamp_vdc(system, buck.element("VDC1"))
         assert system.A[2, 0] == 1.0
         assert system.A[0, 2] == 1.0
-        z = assemble_system(buck, 0.5, TS, ccm_predictions(buck, 0.5), {"C1": 0.0}).z
+        z = ccm_rhs(buck, 0.5, {"C1": 0.0})[1]
         assert z[2] == 10.0
 
     def test_idc_moves_current_to_rhs(self, buck):
-        z = assemble_system(buck, 0.5, TS, ccm_predictions(buck, 0.5), {"C1": 0.0}).z
+        z = ccm_rhs(buck, 0.5, {"C1": 0.0})[1]
         assert z[1] == -4.0
 
     def test_capacitor_companion_conductance(self, buck):
         system = build_layout(buck)
         stamp_capacitor(system, buck.element("C1"), T_s=TS)
         assert system.A[1, 1] == pytest.approx(20.0)  # 2 * 1e-4 / 1e-5
-        z = assemble_system(buck, 0.5, TS, ccm_predictions(buck, 0.5), {"C1": 7.0}).z
+        z = ccm_rhs(buck, 0.5, {"C1": 7.0})[1]
         assert z[1] == -4.0 + 7.0  # the load current source plus i_0
 
     def test_companion_update_fixed_point(self):
@@ -121,23 +129,21 @@ class TestStamps:
 
     def test_cell_switch_row_coefficients(self, buck):
         system = build_layout(buck)
-        stamp_cell(system, buck.element("SCN1"), d=0.5, T_s=TS, prediction=CCM)
+        stamp_cell(system, buck.element("SCN1"), d=0.5, T_s=TS, d_p=0.5)
         assert system.A[3, 0] == pytest.approx(-0.125)  # -d^2 G_L / 2
         assert system.A[3, 1] == pytest.approx(+0.125)
         assert system.A[3, 3] == 1.0
 
     def test_cell_zero_duty_pins_switch_current(self, buck):
-        prediction = CellPrediction(Mode.CCM, 1.0, 2.0)
         system = build_layout(buck)
-        stamp_cell(system, buck.element("SCN1"), d=0.0, T_s=TS, prediction=prediction)
+        stamp_cell(system, buck.element("SCN1"), d=0.0, T_s=TS, d_p=1.0)
         assert np.all(system.A[3, :3] == 0.0)
         assert system.A[3, 3] == 1.0
-        z = assemble_system(buck, 0.0, TS, {"SCN1": prediction}, zero_caps(buck)).z
+        z = ccm_rhs(buck, 0.0, zero_caps(buck), iL0=2.0)[1]
         assert z[3] == 0.0
 
     def test_cell_diode_rhs_carries_start_current(self, buck):
-        prediction = CellPrediction(Mode.CCM, 0.5, 3.0)
-        z = assemble_system(buck, 0.5, TS, {"SCN1": prediction}, zero_caps(buck)).z
+        z = ccm_rhs(buck, 0.5, zero_caps(buck), iL0=3.0)[1]
         assert z[4] == pytest.approx(0.5 * 3.0)
 
 
@@ -156,38 +162,31 @@ def expected_buck_matrix(d=0.5, g_c=20.0, g_l=1.0, r=5.0):
 
 class TestAssembledSystem:
     def test_buck_matrix_matches_closed_form(self, buck):
-        system = assemble_system(buck, 0.5, TS, ccm_predictions(buck, 0.5), zero_caps(buck))
+        system = assemble_system(buck, 0.5, TS, ccm_d_p(buck, 0.5))
         np.testing.assert_allclose(system.A, expected_buck_matrix(), rtol=0, atol=0)
 
     def test_buck_rhs(self, buck):
         iL0 = 2.0
-        system = assemble_system(
-            buck, 0.5, TS, ccm_predictions(buck, 0.5, iL0), {"C1": 30.0}
-        )
+        z = ccm_rhs(buck, 0.5, {"C1": 30.0}, iL0)[1]
         np.testing.assert_allclose(
-            system.z, [0.0, -4.0 + 30.0, 10.0, 0.5 * iL0, 0.5 * iL0]
+            z, [0.0, -4.0 + 30.0, 10.0, 0.5 * iL0, 0.5 * iL0]
         )
 
     def test_ccm_assembly_is_bit_identical(self, buck):
-        preds = ccm_predictions(buck, 0.5, 1.234)
-        caps = {"C1": 56.0}
-        a1 = assemble_system(buck, 0.5, TS, preds, caps).A
-        a2 = assemble_system(buck, 0.5, TS, preds, caps).A
+        d_p = ccm_d_p(buck, 0.5)
+        a1 = assemble_system(buck, 0.5, TS, d_p).A
+        a2 = assemble_system(buck, 0.5, TS, d_p).A
         assert np.array_equal(a1, a2)
 
     def test_first_period_solution(self, buck):
-        system = assemble_system(buck, 0.5, TS, ccm_predictions(buck, 0.5), zero_caps(buck))
-        x = solve(system)
+        x = solve(*ccm_rhs(buck, 0.5, zero_caps(buck)))
         assert x[0] == pytest.approx(10.0)  # v1 pinned by the source
         # Eliminating the currents gives 20.7 v2 = -0.25.
         assert x[1] == pytest.approx(-0.25 / 20.7)
 
     def test_steady_state_fixed_point(self, buck):
         # iL0 = 3.75 A and i_0 = G_C * 5 V reproduce the steady state.
-        system = assemble_system(
-            buck, 0.5, TS, ccm_predictions(buck, 0.5, 3.75), {"C1": 100.0}
-        )
-        x = solve(system)
+        x = solve(*ccm_rhs(buck, 0.5, {"C1": 100.0}, 3.75))
         assert x[1] == pytest.approx(5.0)
         assert x[3] == pytest.approx(2.5)
         assert x[4] == pytest.approx(2.5)
@@ -199,9 +198,7 @@ class TestAssembledSystem:
             "VDC 1 1 0 10.0\nFBN 1 1 0 2 10e-6 2.0 0\nC 1 2 0 1e-4 0\n"
             "R 1 2 0 5.0\nIDC 1 2 0 1.0\n"
         )
-        preds = {"FBN1": CellPrediction(Mode.CCM, 0.5, 17.5)}
-        system = assemble_system(circuit, 0.5, TS, preds, {"C1": 20.0 * 20.0})
-        x = solve(system)
+        x = solve(*ccm_rhs(circuit, 0.5, {"C1": 20.0 * 20.0}, 17.5))
         assert x[1] == pytest.approx(20.0)  # output voltage
         assert x[3] == pytest.approx(10.0)  # primary average
         assert x[4] == pytest.approx(5.0)  # secondary average
@@ -225,22 +222,22 @@ class TestSolver:
         circuit = parse_netlist(
             "VDC 1 1 0 10.0\nVDC 2 1 0 5.0\nSCN 1 1 0 2 1e-5 0\nR 1 2 0 5.0\n"
         )
-        system = assemble_system(circuit, 0.5, TS, ccm_predictions(circuit, 0.5),
-                                 zero_caps(circuit))
+        system, z = ccm_rhs(circuit, 0.5, zero_caps(circuit))
         with pytest.raises(SingularSystem):
-            solve(system)
+            solve(system, z)
 
     def test_residual_violation_raises(self):
         a = np.eye(2)
         with pytest.raises(SingularSystem):
-            check_residual(a, np.array([1.0, 1.0]), np.array([1.0, 2.0]))
+            check_residual(a, np.array([1.0, 1.0]), np.array([1.0, 2.0]), a_norm(a))
 
     def test_non_finite_solution_raises(self):
         a = np.eye(2)
         with pytest.raises(SingularSystem):
-            check_residual(a, np.array([np.nan, 0.0]), np.zeros(2))
+            check_residual(a, np.array([np.nan, 0.0]), np.zeros(2), a_norm(a))
+        ones = np.ones((2, 2))
         with pytest.raises(SingularSystem):
-            check_residual(np.ones((2, 2)), np.array([np.inf, 1.0]), np.zeros(2))
+            check_residual(ones, np.array([np.inf, 1.0]), np.zeros(2), a_norm(ones))
 
 
 class TestSmallSolve:
@@ -355,32 +352,31 @@ def test_row_update_matches_refactored_system():
     circuit = parse_netlist(CASCADE)
     d = 0.4
     caps = {"C1": 3.0, "C2": -1.0}
+    # Both cells in DCM: each starts its period at zero current.
+    iL0s = {"SCD1": 0.0, "FBD2": 0.0}
 
-    def predictions(d_p1, d_p2):
-        return {
-            "SCD1": CellPrediction(Mode.DCM, d_p1, 0.0),
-            "FBD2": CellPrediction(Mode.DCM, d_p2, 0.0),
-        }
+    def d_p(d_p1, d_p2):
+        return {"SCD1": d_p1, "FBD2": d_p2}
 
-    base = predictions(1.0 - d, 1.0 - d)
-    system = assemble_system(circuit, d, TS, base, caps)
+    system = assemble_system(circuit, d, TS, d_p(1.0 - d, 1.0 - d))
     inverse = lu_factor(system.A)
     update = RowUpdate(system.A, inverse, system.diode_rows, 1.0 - d)
     A0 = system.A.copy()
     for d_ps in [(0.3, 0.45), (0.3, 1.0 - d), (0.2, 0.1), (1.0 - d, 1.0 - d)]:
-        pred = predictions(*d_ps)
-        expected = assemble_system(circuit, d, TS, pred, caps)
-        z = system.B @ system.state(pred, caps)
+        expected = assemble_system(circuit, d, TS, d_p(*d_ps))
+        z = rhs(system, caps, iL0s)
         x = update.solve(lu_solve(inverse, z), d_ps)
         np.testing.assert_array_equal(system.A, A0)
-        a_norm, moves = update.moves(np.array(d_ps))
+        norm, moves = update.moves(np.array(d_ps))
         A = A0.copy()
         rd, R = moves
         A[rd] = R
         np.testing.assert_array_equal(A, expected.A)
-        assert a_norm == pytest.approx(np.abs(expected.A).sum(axis=1).max())
-        np.testing.assert_allclose(x, solve(expected), rtol=1e-12, atol=1e-12)
-        check_residual(system.A, x, z, a_norm, moves=moves)
+        assert norm == pytest.approx(np.abs(expected.A).sum(axis=1).max())
+        np.testing.assert_allclose(
+            x, solve(expected, rhs(expected, caps, iL0s)), rtol=1e-12, atol=1e-12
+        )
+        check_residual(system.A, x, z, norm, moves=moves)
 
 
 CHAIN = """\
@@ -420,9 +416,7 @@ def _pairwise_tables(inverse, rows):
 def test_row_update_tables_match_pairwise_dots(text):
     circuit = parse_netlist(text)
     d = 0.4
-    system = assemble_system(
-        circuit, d, TS, ccm_predictions(circuit, d), zero_caps(circuit)
-    )
+    system = assemble_system(circuit, d, TS, ccm_d_p(circuit, d))
     inverse = lu_factor(system.A)
     update = RowUpdate(system.A, inverse, system.diode_rows, 1.0 - d)
     tables = (update._raw, update._rbw, update._magnitude)
@@ -454,9 +448,7 @@ def test_row_update_groups_are_the_coupled_rows(text, groups):
     parallel on an ideal source do not, and each row is alone."""
     circuit = parse_netlist(text)
     d = 0.4
-    system = assemble_system(
-        circuit, d, TS, ccm_predictions(circuit, d), zero_caps(circuit)
-    )
+    system = assemble_system(circuit, d, TS, ccm_d_p(circuit, d))
     update = RowUpdate(system.A, lu_factor(system.A), system.diode_rows, 1.0 - d)
     assert update._group == groups
 
@@ -472,4 +464,4 @@ def test_solver_agrees_with_reference_and_meets_residual_bound(seed):
     z = rng.normal(size=n)
     x = lu_solve(lu_factor(a), z)
     np.testing.assert_allclose(x, np.linalg.solve(a, z), rtol=1e-8, atol=1e-10)
-    check_residual(a, x, z)
+    check_residual(a, x, z, a_norm(a))

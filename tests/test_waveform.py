@@ -16,23 +16,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgcell import SimConfig, parse_netlist, run
-from avgcell.engine import CapacitorRecord, PeriodRecord, SimulationResult
+from avgcell.engine import CapacitorRecord, PeriodRecord, SimulationResult, _Rows
 from avgcell.cells import CellState, Mode
+from avgcell.mna import build_layout
 from avgcell.waveform import (
     EmptyWindow,
-    NotApplicable,
     Segment,
     TopologyNotSupported,
     UnknownLabel,
     Waveform,
+    _ripple,
     capacitor_average_waveform,
     capacitor_waveform,
     inductor_waveform,
-    ripple_amplitude,
     stats,
 )
 
 from conftest import BUCK, BUCK_DCM, BUCK_DIODE, std_config
+
+
+def result_from_records(circuit, config, bootstrap, records):
+    """A result whose columns are a bootstrap's and a list of records',
+    each written to its row as step() writes its record."""
+    rows = _Rows(build_layout(circuit).layout, len(records) + 1, 1.0 - config.d)
+    for r, record in enumerate([bootstrap] + records):
+        rows.write(r, record)
+    return SimulationResult(circuit, config, bootstrap, rows, None)
 
 
 def single_period_result(circuit_text, cell_state, v_avg=5.0):
@@ -48,7 +57,7 @@ def single_period_result(circuit_text, cell_state, v_avg=5.0):
         cells={label: cell_state},
         capacitors={"C1": CapacitorRecord(v_avg, 0.0)},
     )
-    return SimulationResult(circuit, config, record, [record])
+    return result_from_records(circuit, config, record, [record])
 
 
 STEADY_STATE = CellState(
@@ -109,29 +118,35 @@ class TestInductorWaveform:
         _assert_continuous(wave)
 
 
+def ripple(state):
+    """(dIL1, dIL2, dIL) of a one-period buck result: the rising and
+    falling half-amplitudes of its inductor triangle, and the symmetric
+    amplitude its capacitor ripple is built from."""
+    result = single_period_result(BUCK, state)
+    d, f_s, T_s = result.config.d, result.config.f_s, result.config.T_s
+    iL = inductor_waveform(result, "SCN1")
+    peak = iL.value(d * T_s)
+    dIL = _ripple(state.iL0, state.iL1, state.iL2)
+    # The rising piece's curvature is dIL / (f_s C) / (d T_s^2), C = 1e-4.
+    curvature = dIL / (f_s * 1e-4) / (d * T_s * T_s)
+    assert capacitor_waveform(result, "C1").c2[0] == curvature
+    return (peak - iL.value(0.0)) / 2.0, (peak - iL.value(T_s)) / 2.0, dIL
+
+
 class TestRippleAmplitude:
     def test_steady_state(self):
-        result = single_period_result(BUCK, STEADY_STATE)
-        model = ripple_amplitude(result.records[0], "SCN1")
-        assert (model.dIL1, model.dIL2, model.dIL) == (1.25, 1.25, 1.25)
+        assert ripple(STEADY_STATE) == (1.25, 1.25, 1.25)
 
     def test_flat_current(self):
         state = CellState(2.0, 2.0, 2.0, Mode.CCM, 0.5, 0.0, 0.0, 1.0, 1.0, 0.0)
-        result = single_period_result(BUCK, state)
-        model = ripple_amplitude(result.records[0], "SCN1")
-        assert (model.dIL1, model.dIL2, model.dIL) == (0.0, 0.0, 0.0)
+        assert ripple(state) == (0.0, 0.0, 0.0)
 
     def test_transient_asymmetric_ripple(self):
         state = CellState(0.0, 2.5, 2.0, Mode.CCM, 0.5, 5.0, -1.0, 0.6, 1.1, 0.0)
-        result = single_period_result(BUCK, state)
-        model = ripple_amplitude(result.records[0], "SCN1")
-        assert model.dIL1 == pytest.approx(1.25)
-        assert model.dIL2 == pytest.approx(0.25)
-        assert model.dIL == pytest.approx(0.75)
-
-    def test_dcm_not_applicable(self, dcm_run):
-        with pytest.raises(NotApplicable):
-            ripple_amplitude(dcm_run.records[-1], "SCD1")
+        dIL1, dIL2, dIL = ripple(state)
+        assert dIL1 == pytest.approx(1.25)
+        assert dIL2 == pytest.approx(0.25)
+        assert dIL == pytest.approx(0.75)
 
 
 class TestCapacitorWaveform:
@@ -178,7 +193,7 @@ class TestCapacitorWaveform:
             record = PeriodRecord(0, 0.0, {1: 10.0, 2: 5.0}, {},
                                   {label: state},
                                   {"C1": CapacitorRecord(5.0, 0.0)})
-            result = SimulationResult(circuit, config, record, [record])
+            result = result_from_records(circuit, config, record, [record])
             wave = capacitor_waveform(result, "C1")
             mean = stats(wave, 0.0, 1e-5).mean
             assert mean == pytest.approx(5.0, rel=1e-12)
@@ -202,8 +217,10 @@ class TestCapacitorWaveform:
         for current, following in list(zip(records[:-1], records[1:]))[::41]:
             v_cur = current.capacitors["C1"].v
             v_nxt = following.capacitors["C1"].v
-            off_cur = k * ripple_amplitude(current, "SCN1").dIL
-            off_nxt = k * ripple_amplitude(following, "SCN1").dIL
+            s_cur, s_nxt = current.cells["SCN1"], following.cells["SCN1"]
+            assert s_cur.mode is s_nxt.mode is Mode.CCM
+            off_cur = k * _ripple(s_cur.iL0, s_cur.iL1, s_cur.iL2)
+            off_nxt = k * _ripple(s_nxt.iL0, s_nxt.iL1, s_nxt.iL2)
             expected = v_cur + (v_nxt - v_cur + off_nxt - off_cur) / 2.0
             mean = stats(wave, current.t_start, current.t_start + ts).mean
             assert mean == pytest.approx(expected, rel=1e-9, abs=1e-12)
@@ -242,7 +259,7 @@ class TestCapacitorWaveform:
 
 class TestStats:
     def test_constant_segment(self):
-        wave = Waveform("x", "V", [Segment(0.0, 1.0, 5.0)])
+        wave = Waveform("x", "V", ([0.0], [1.0], [5.0], [0.0], [0.0]))
         s = stats(wave, 0.0, 1.0)
         assert (s.mean, s.min, s.max, s.rms) == (5.0, 5.0, 5.0, 5.0)
 
@@ -261,17 +278,22 @@ class TestStats:
         assert s.mean == pytest.approx(5.0, rel=1e-3)
 
     def test_window_outside_span(self):
-        wave = Waveform("x", "V", [Segment(0.0, 1.0, 5.0)])
+        wave = Waveform("x", "V", ([0.0], [1.0], [5.0], [0.0], [0.0]))
         with pytest.raises(EmptyWindow):
             stats(wave, 2.0, 3.0)
         with pytest.raises(EmptyWindow):
             stats(wave, 0.5, 0.5)
 
 
+def _value_at(segment, t):
+    s = t - segment.t0
+    return segment.c0 + segment.c1 * s + segment.c2 * s * s
+
+
 def _assert_continuous(wave, rtol=1e-9):
     for left, right in zip(wave.segments, wave.segments[1:]):
-        a = left.value_at(left.t1)
-        b = right.value_at(right.t0)
+        a = _value_at(left, left.t1)
+        b = _value_at(right, right.t0)
         assert abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
 
 
@@ -289,12 +311,9 @@ _seg_values = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(_seg_values)
 def test_stats_invariants_on_random_waveforms(coeff_list):
-    segments = []
-    t = 0.0
-    for c0, c1, c2 in coeff_list:
-        segments.append(Segment(t, t + 0.5, c0, c1, c2))
-        t += 0.5
-    wave = Waveform("x", "?", segments)
+    t0 = 0.5 * np.arange(len(coeff_list))
+    wave = Waveform("x", "?", (t0, t0 + 0.5, *np.transpose(coeff_list)))
+    t = 0.5 * len(coeff_list)
     s = stats(wave, 0.0, t)
     assert s.min <= s.mean + 1e-12
     assert s.mean <= s.max + 1e-12
@@ -313,7 +332,7 @@ def _all_waveforms(result):
 
 
 def _records_only(result):
-    return SimulationResult(
+    return result_from_records(
         result.circuit, result.config, result.bootstrap, result.records
     )
 
@@ -356,7 +375,7 @@ def test_value_is_the_segment_bisect_picks(any_result):
         expected = []
         for t in times:
             i = min(max(bisect_right(starts, t) - 1, 0), len(segments) - 1)
-            expected.append(segments[i].value_at(t))
+            expected.append(_value_at(segments[i], t))
         expected = [v.hex() for v in expected]
         assert [wave.value(t).hex() for t in times] == expected, wave.name
         got = wave.values(np.array(times)).tolist()
@@ -465,7 +484,7 @@ def _loop_capacitor_segments(result, label, cell_label):
         v_avg = record.capacitors[label].v
         state = record.cells[cell_label] if cell_label else None
         if state is not None and state.mode is Mode.CCM:
-            dIL = ripple_amplitude(record, cell_label).dIL
+            dIL = ((state.iL1 - state.iL0) / 2.0 + (state.iL1 - state.iL2) / 2.0) / 2.0
             anchors.append(v_avg + (2.0 * d - 1.0) * dIL / (6.0 * f_s * C))
             ripples.append(dIL)
         else:
