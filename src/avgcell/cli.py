@@ -4,7 +4,8 @@ Outputs written to the --out directory:
 
 * ``averaged.csv``       one row per period (plus the initial state row)
 * ``instantaneous.csv``  reconstructed waveforms at their breakpoints
-* ``stats.txt``          mean/min/max/rms per signal over the stats window
+* ``stats.txt``          mean/min/max/rms per signal over the stats window,
+                         which ends where the run does (``SimConfig.t_stop``)
 * ``oracle.csv``         sampled switched waveforms (with --oracle)
 * ``compare.txt``        averaged model vs oracle deviation (with --oracle)
 
@@ -116,13 +117,11 @@ def main(argv=None):
 
     try:
         config = engine.SimConfig(duty, f_s, t_end, dcm_refine=args.dcm_refine)
-        # The run covers whole periods, which may end before --t-end, and
-        # its waveforms end with its last period, which can be an ulp
-        # before t_to.
-        t_to = config.n_periods * config.T_s
+        # The window ends with the run's last period, where its waveforms
+        # end too; that may be before --t-end.
+        t_to = config.t_stop
         t_from = t_to * (1.0 - args.stats_window)
-        t_last = (config.n_periods - 1) * config.T_s + config.T_s
-        if not (0.0 < args.stats_window <= 1.0 and t_from < min(t_to, t_last)):
+        if not (0.0 < args.stats_window <= 1.0 and t_from < t_to):
             raise engine.InvalidConfig("stats window outside (0, 1] or empty")
         oracle_config = (
             oracle.OracleConfig(args.oracle_substeps) if args.oracle else None
@@ -224,10 +223,9 @@ def write_averaged_csv(result, path):
     layout = result.layout
     boot = result.bootstrap
     x = result.x
-    n = len(x)
     # (header, the bootstrap's value, one value per period)
-    columns = [("n", 0, np.arange(1, n + 1))]
-    columns.append(("t_start", boot.t_start, np.arange(n) * result.config.T_s))
+    columns = [("n", 0, np.arange(1, len(x) + 1))]
+    columns.append(("t_start", boot.t_start, result.t_start))
     columns += [
         (f"v({node})", boot.node_voltages[node], x[:, row])
         for node, row in layout.node_row.items()

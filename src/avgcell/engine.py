@@ -2,9 +2,10 @@
 
 One step is one switching period.  A period starts from the state the one
 before carried out, s = (i_0 of every capacitor, iL0 of every cell, 1), and
-its right-hand side is z = B s (:mod:`avgcell.mna`).  A run assembles and
-factors its system once, every cell at d_p = 1 - d, and keeps A0^-1 and
-P = A0^-1 B; the bootstrap, row 0, is solved like a period from t = 0.
+its right-hand side is z = B s (:mod:`avgcell.mna`).  A stepper assembles
+and factors its system once, every cell at d_p = 1 - d, and keeps A0^-1 and
+P = A0^-1 B; :func:`run` then solves the bootstrap, row 0, like a period
+from t = 0, where :func:`step` writes its record to row 0 instead.
 
 While every diode cell ``keeps_ccm`` (:mod:`avgcell.cells` owns the
 zero-current rules ``keeps_ccm``, ``snaps_to_zero`` and ``diode_clamps``),
@@ -27,9 +28,9 @@ before the next block, at the end and at least every ``STRETCH`` periods.
 A row-update pivot that fails has the earlier unchecked periods checked
 first, so the earliest failing period is reported.  A period is solved
 from exactly the state its record carries, so :func:`step` reproduces
-:func:`run`.  Results are columns, one row per period
-(:class:`SimulationResult`), and :class:`PeriodRecord` objects are built
-from them on first access.
+:func:`run`.  Results are columns (:class:`SimulationResult`), one row per
+period, from ``SimConfig.period_starts`` to ``SimConfig.t_stop``, and
+:class:`PeriodRecord` objects are built from them on first access.
 """
 
 import math
@@ -104,6 +105,15 @@ class SimConfig:
     def n_periods(self):
         """The whole switching periods the run covers, at least one."""
         return int(round(self.t_end * self.f_s))
+
+    @property
+    def t_stop(self):
+        """The end of the last period and of every waveform, by ``t_end``."""
+        return (self.n_periods - 1) * self.T_s + self.T_s
+
+    def period_starts(self, first, stop):
+        """The start times of periods [first, stop), k T_s each."""
+        return np.arange(first, stop) * self.T_s
 
 
 @dataclass
@@ -191,9 +201,9 @@ class _Rows:
         self.d_p[r] = [c.d_p for c in cells]
         self.dcm[r] = [c.mode is _cells.Mode.DCM for c in cells]
 
-    def records(self, config, first, last, index):
+    def records(self, config, first, last, index, t_start):
         """PeriodRecords of rows [first, last); row ``first`` is period
-        ``index``."""
+        ``index``, and ``t_start`` holds the rows' start times."""
         layout = self.layout
         x = self.x[first:last].tolist()
         n_caps = self.n_caps
@@ -205,14 +215,12 @@ class _Rows:
             for i in range(len(layout.cell_rows))
         ]
         vdc_row = layout.vdc_row.items()
-        T_s = config.T_s
         records = []
-        for k, xr in enumerate(x):
-            n = index + k
+        for k, (xr, t) in enumerate(zip(x, np.asarray(t_start).tolist())):
             records.append(
                 PeriodRecord(
-                    n,
-                    n * T_s,
+                    index + k,
+                    t,
                     dict(zip(layout.node_ids, xr)),
                     {label: xr[row] for label, row in vdc_row},
                     {label: s[k] for label, s in zip(layout.cell_rows, states)},
@@ -252,7 +260,8 @@ class _Rows:
 class SimulationResult:
     """A run's results as columns, one row per period.
 
-    ``x`` holds every period's MNA solution, in the rows of ``layout`` (an
+    ``t_start`` holds every period's start time; ``x`` every period's MNA
+    solution, in the rows of ``layout`` (an
     :class:`avgcell.mna.MnaLayout`); ``v_cap`` and ``i0_next`` every
     capacitor's voltage and carried-out companion source; ``vL1``,
     ``vL2``, ``iL0``, ``iL1``, ``iL2``, ``d_p`` and ``dcm`` (true in
@@ -281,15 +290,17 @@ class SimulationResult:
         self.iL2 = rows.iL2[1:]
         self.d_p = rows.d_p[1:]
         self.dcm = rows.dcm[1:]
+        self.t_start = config.period_starts(0, len(self.x))
 
     @property
     def records(self):
         if self._records is None:
-            self._records = self._rows.records(self.config, 1, len(self._rows.x), 0)
+            rows = self._rows
+            self._records = rows.records(self.config, 1, len(rows.x), 0, self.t_start)
         return self._records
 
     def times(self):
-        return (np.arange(len(self.x)) * self.config.T_s).tolist()
+        return self.t_start.tolist()
 
     def node_voltage(self, node):
         return self.x[:, self.layout.node_row[node]].tolist()
@@ -307,8 +318,9 @@ class SimulationResult:
 
 
 def run(circuit, config):
-    """Simulate ``config.n_periods`` switching periods of the circuit."""
+    """Simulate the bootstrap and ``config.n_periods`` switching periods."""
     stepper = _Stepper(circuit, config, config.n_periods)
+    stepper.solve_bootstrap()
     stepper.solve_rows(1, config.n_periods + 1)
     return stepper.result()
 
@@ -318,8 +330,8 @@ def step(circuit, config, previous_record):
 
     The modes are predicted from the drive voltages stored on the record's
     cell states, which are those of its node voltages, and the period is
-    solved by the same decision and kernel as in ``run``.  This entry point
-    assembles and factors afresh and is meant for inspection and testing.
+    solved from the record by the same decision and kernel as in ``run``.
+    It assembles and factors afresh and is meant for inspection and testing.
     """
     index = previous_record.index + 1
     stepper = _Stepper(circuit, config, 1, index)
@@ -327,7 +339,7 @@ def step(circuit, config, previous_record):
     rows.write(0, previous_record)
     rows.s[1, rows.cell] = rows.iL2[0]  # its end currents start row 1
     stepper.solve_rows(1, 2)
-    return stepper.rows.records(config, 1, 2, index)[0]
+    return rows.records(config, 1, 2, index, config.period_starts(index, index + 1))[0]
 
 
 def predict_mode(cell, previous_record, d):
@@ -348,17 +360,13 @@ def _predict(params, vL1, vL2, iL0, d):
 class _Stepper:
     """Solves rows of a run's :class:`_Rows` from one factorization.
 
-    ``first_period`` is the period of row 1.
+    ``first_period`` is the period of row 1; construction solves no row.
     """
 
     def __init__(self, circuit, config, n_periods, first_period=0):
         diagnostics = validate(circuit)
         if diagnostics:
-            raise InvalidCircuit(
-                "; ".join(str(d) for d in diagnostics), diagnostics
-            )
-        if not circuit.cells():
-            raise InvalidCircuit("no switching cell in circuit")
+            raise InvalidCircuit("; ".join(str(d) for d in diagnostics), diagnostics)
         self.circuit = circuit
         self.config = config
         self.first_period = first_period
@@ -371,16 +379,13 @@ class _Stepper:
             for i, params in enumerate(self.params)
             if params.rectifier is _cells.Rectifier.DIODE
         ]
-        caps = circuit.capacitors()
-        g = [2.0 * e.value / T_s for e in caps]
-        self.two_g = [2.0 * gk for gk in g]
+        self.g = [2.0 * e.value / T_s for e in circuit.capacitors()]
+        self.two_g = [2.0 * gk for gk in self.g]
         k1, k2 = zip(*(_cells.inductor_gains(d, d_p0, p, T_s) for p in self.params))
         # The kernel's y -> (2 g v, k1 vL1, k2 vL2) scaling.
         self.K = np.array(self.two_g + list(k1) + list(k2))
 
-        # The bootstrap: a continuous-conduction solve that provides the
-        # drive voltages the first real period's mode prediction needs; its
-        # system is the one every period of the run is solved from.
+        # Every period of the run is solved from this system, cells at 1 - d.
         self.system = system = assemble_system(
             circuit, d, T_s, {e.label: d_p0 for e in cells}
         )
@@ -391,22 +396,24 @@ class _Stepper:
             system.A, self.inverse, [system.diode_rows[i] for i in self.diode], d_p0
         )
         self.P = lu_solve(self.inverse, system.B)
-
-        # The bootstrap is row 0, solved as a period is; it carries its
-        # t = 0 sources and currents unchanged into period 0.
-        self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
-        # Zero capacitor current assumed at t = 0: i_0 = g v0.
-        iL0s = [e.initial for e in cells]
-        state = [gk * e.initial for e, gk in zip(caps, g)] + iL0s + [1.0]
+        self.rows = _Rows(system.layout, n_periods + 1, d_p0)
         self._unchecked = 0  # the first solved row not yet checked
-        self._solve(0, state, iL0s, [d_p0] * len(cells))
+
+    def solve_bootstrap(self):
+        """Solve and check row 0, the bootstrap: a CCM solve at t = 0 whose
+        drive voltages predict period 0's modes; its t = 0 sources and
+        currents carry unchanged into period 0."""
+        rows, cells = self.rows, self.circuit.cells()
+        iL0s = [e.initial for e in cells]
+        # Zero capacitor current assumed at t = 0: i_0 = g v0.
+        i0 = [gk * e.initial for e, gk in zip(self.circuit.capacitors(), self.g)]
+        self._solve(0, i0 + iL0s + [1.0], iL0s, [1.0 - self.config.d] * len(cells))
         self._check(1)
         rows.iL1[0] = rows.iL2[0] = iL0s
         rows.s[1] = rows.s[0]
 
     def result(self):
-        bootstrap = self.rows.records(self.config, 0, 1, -1)[0]
-        bootstrap.t_start = 0.0
+        bootstrap = self.rows.records(self.config, 0, 1, -1, [0.0])[0]
         self.stats.row_update_solves = self.update.updates
         self.stats.largest_row_update = self.update.largest
         return SimulationResult(

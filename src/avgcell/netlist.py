@@ -309,9 +309,9 @@ def _unreached_from_ground(elements, node_ids, skip_kinds=()):
 def validate(circuit):
     """Check solvability conditions; returns a list of diagnostics.
 
-    Covers ground presence, graph connectivity, parameter positivity,
-    voltage-source-only loops and current-source-only cutsets (sufficient
-    conditions for the averaged MNA system to be well posed).
+    Covers ground presence, graph connectivity, a switching cell to step,
+    parameter positivity, voltage-source-only loops and current-source-only
+    cutsets (sufficient conditions for the averaged run to be well posed).
     """
     diags = []
 
@@ -327,6 +327,9 @@ def validate(circuit):
                 f"nodes not connected to ground: {sorted(unreached)}",
             )
         )
+
+    if not circuit.cells():
+        diags.append(Diagnostic("no-switching-cell", "no switching cell in circuit"))
 
     for e in circuit.elements:
         if e.kind == RES and e.value <= 0:

@@ -108,8 +108,6 @@ def simulate_switched(circuit, config, oracle_config=None):
     diagnostics = validate(circuit)
     if diagnostics:
         raise InvalidCircuit("; ".join(str(d) for d in diagnostics), diagnostics)
-    if not circuit.cells():
-        raise InvalidCircuit("no switching cell in circuit")
     return _SwitchedSimulator(circuit, config, oracle_config).run()
 
 

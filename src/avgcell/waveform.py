@@ -25,11 +25,12 @@ Periods in discontinuous conduction, and capacitors in any other topology,
 fall back to the interpolated averaged trace without ripple.
 
 A :class:`Waveform` keeps its segments as arrays, which the builders fill
-from the result's columns with the same floating-point operations per
-element as the formulas above.  ``Waveform.values`` is the one evaluator,
-behind ``value(t)`` and the CLI's ``instantaneous.csv``; :func:`stats`
-integrates only the segments that reach into its window.  A waveform whose
-segments are not all finite raises :class:`NonFinite` when it is built.
+from the result's columns, period k over [t_start[k], t_start[k] + T_s],
+with the same floating-point operations per element as the formulas
+above.  ``Waveform.values`` is the one evaluator, behind ``value(t)`` and
+the CLI's ``instantaneous.csv``; :func:`stats` integrates only the
+segments that reach into its window.  A waveform whose segments are not
+all finite raises :class:`NonFinite` when it is built.
 """
 
 import math
@@ -117,10 +118,11 @@ class SignalStats:
 
 def inductor_waveform(result, cell_label):
     """Piecewise-linear inductor current of one cell over the whole run."""
-    i = _find_cell(result.circuit, cell_label)
-    d = result.config.d
-    T_s = result.config.T_s
-    t0 = np.arange(len(result.x)) * T_s
+    if cell_label not in result.layout.cell_rows:
+        raise UnknownLabel(f"no cell {cell_label!r} in circuit")
+    i = result.layout.state_col[cell_label] - result.layout.n_caps
+    d, T_s = result.config.d, result.config.T_s
+    t0 = result.t_start
     t_mid = t0 + d * T_s
     t_end = t0 + T_s
     t_zero = t0 + (d + result.d_p[:, i]) * T_s
@@ -160,40 +162,40 @@ def capacitor_waveform(result, cap_label):
     :class:`TopologyNotSupported`; use :func:`capacitor_average_waveform`
     for the ripple-free reconstruction.
     """
-    k, cap = _find_capacitor(result.circuit, cap_label)
-    i = _output_cell_for(result.circuit, cap)
-    if i is None:
-        raise TopologyNotSupported(
-            f"capacitor {cap_label!r} is not across a basic cell's "
-            "common and passive terminals"
-        )
-    return _build_capacitor_waveform(result, k, cap, i)
+    return _build_capacitor_waveform(result, cap_label, True)
 
 
 def capacitor_average_waveform(result, cap_label):
     """Capacitor voltage as the interpolated averaged trace, no ripple."""
-    k, cap = _find_capacitor(result.circuit, cap_label)
-    return _build_capacitor_waveform(result, k, cap, None)
+    return _build_capacitor_waveform(result, cap_label, False)
 
 
-def _build_capacitor_waveform(result, k, cap, i):
-    """Capacitor ``k``'s voltage, with the ripple of cell ``i`` in its
-    continuous-conduction periods (none for ``i`` None)."""
-    d = result.config.d
-    f_s = result.config.f_s
-    T_s = result.config.T_s
+def _build_capacitor_waveform(result, cap_label, with_ripple):
+    """A capacitor's voltage, with the ripple of the cell whose output it
+    is in that cell's continuous-conduction periods if ``with_ripple``."""
+    k = result.layout.state_col.get(cap_label)
+    if k is None or k >= result.layout.n_caps:
+        raise UnknownLabel(f"no capacitor {cap_label!r} in circuit")
+    cap = result.circuit.element(cap_label)
+    d, f_s, T_s = result.config.d, result.config.f_s, result.config.T_s
     C = cap.value
     v_avg = result.v_cap[:, k]
     n = len(v_avg)
     ripple = np.zeros(n, dtype=bool)
     dIL = np.zeros(n)
-    if i is not None:
+    if with_ripple:
+        i = _output_cell_for(result.circuit, cap)
+        if i is None:
+            raise TopologyNotSupported(
+                f"capacitor {cap_label!r} is not across a basic cell's "
+                "common and passive terminals"
+            )
         ripple = ~result.dcm[:, i]
         dIL = _ripple(result.iL0[:, i], result.iL1[:, i], result.iL2[:, i])
     a0 = np.where(ripple, v_avg + (2.0 * d - 1.0) * dIL / (6.0 * f_s * C), v_avg)
     slope = (np.append(a0[1:], a0[-1]) - a0) / T_s
     kr = np.where(ripple, dIL / (f_s * C), 0.0)
-    t0 = np.arange(n) * T_s
+    t0 = result.t_start
     t_mid = t0 + d * T_s
     t_end = t0 + T_s
     # Per period the rising piece (the whole period without ripple), then
@@ -286,22 +288,6 @@ def _poly_integral(coeffs, a, b):
         pa = pa * a
         pb = pb * b
     return acc
-
-
-def _find_cell(circuit, label):
-    """Index of a cell among the circuit's cells."""
-    for i, e in enumerate(circuit.cells()):
-        if e.label == label:
-            return i
-    raise UnknownLabel(f"no cell {label!r} in circuit")
-
-
-def _find_capacitor(circuit, label):
-    """Index among the circuit's capacitors, and the capacitor."""
-    for k, e in enumerate(circuit.capacitors()):
-        if e.label == label:
-            return k, e
-    raise UnknownLabel(f"no capacitor {label!r} in circuit")
 
 
 def _output_cell_for(circuit, cap):

@@ -128,6 +128,13 @@ def test_validation_failure_exits_two(tmp_path, capsys):
     assert "voltage source loop" in capsys.readouterr().err
 
 
+def test_circuit_without_a_cell_exits_two(tmp_path, capsys):
+    path = tmp_path / "nocell.net"
+    path.write_text("VDC 1 1 0 10.0\nR 1 1 0 5.0\n")
+    assert run_cli(path, *ARGS) == 2
+    assert capsys.readouterr().err == f"error: {path}: no switching cell in circuit\n"
+
+
 def test_missing_file_exits_two(tmp_path):
     assert run_cli(tmp_path / "nope.net", *ARGS) == 2
 
@@ -186,17 +193,19 @@ def test_stats_window_outside_unit_interval_is_usage_error(
     assert "usage error:" in capsys.readouterr().err
 
 
-def test_stats_window_past_the_waveforms_end_is_usage_error(
-    tmp_path, buck_file, capsys
-):
-    """Six periods of 1e-5 s end at 6 * 1e-5 = 6.000000000000001e-05, but the
-    waveforms end an ulp earlier, at 5 * 1e-5 + 1e-5; a window that starts
-    between the two covers none of them."""
+@pytest.mark.parametrize("window", ["0.1", "6e-17"])
+def test_stats_window_ends_where_the_waveforms_end(tmp_path, buck_file, window):
+    """Six periods of 1e-5 s: 6 * 1e-5 = 6.000000000000001e-05 is an ulp
+    past 5 * 1e-5 + 1e-5, where the waveforms end.  The window ends where
+    they do, so even one that starts an ulp before its end covers them."""
+    out = tmp_path / "results"
     code = run_cli(buck_file, "-D", "0.5", "--fs", "100e3", "--t-end", "6e-5",
-                   "--out", tmp_path / "results", "--stats-window", "6e-17")
-    assert code == 1
-    assert "usage error:" in capsys.readouterr().err
-    assert not (tmp_path / "results").exists()
+                   "--out", out, "--stats-window", window)
+    assert code == 0
+    header = (out / "stats.txt").read_text().splitlines()[0]
+    t_from, t_to = (float(t) for t in header.split("[")[1].split("]")[0].split(","))
+    t_last = float(read_rows(out / "instantaneous.csv")[-1][0])
+    assert t_from < t_to == t_last == 5 * 1e-5 + 1e-5 != 6 * 1e-5
 
 
 def test_non_finite_reconstruction_is_numerical_error(tmp_path, buck_file, capsys):

@@ -651,3 +651,27 @@ def test_arbitrary_node_ids_are_remapped():
     )
     result = run(parse_netlist(text), std_config(5e-3))
     assert tail_mean(result.node_voltage(23)) == pytest.approx(5.0, rel=0.01)
+
+
+def test_step_solves_only_its_period(monkeypatch):
+    """Setting a stepper up forms P, its one solve; step() adds the solve
+    of its period and none for a bootstrap, which run() alone solves."""
+    import avgcell.engine as engine_module
+
+    circuit, config = parse_netlist(BUCK_DCM), std_config(1e-3)
+    result = run(circuit, config)
+    previous, reference = result.records[-2:]
+    assert reference.cells["SCD1"].mode is Mode.DCM  # a stepped period
+    real = engine_module.lu_solve
+    calls = []
+
+    def counted(inverse, b):
+        calls.append(b.ndim)
+        return real(inverse, b)
+
+    monkeypatch.setattr(engine_module, "lu_solve", counted)
+    engine_module._Stepper(circuit, config, 1)
+    assert calls == [2]
+    calls.clear()
+    assert step(circuit, config, previous) == reference
+    assert calls == [2, 1]

@@ -152,6 +152,13 @@ def test_validate_flags_current_source_cutset():
     assert any(d.code == "current-source-cutset" for d in diags)
 
 
+def test_validate_flags_a_circuit_without_a_cell():
+    diags = validate(parse_netlist("VDC 1 1 0 10.0\nR 1 1 0 5.0\n"))
+    assert [(d.code, str(d)) for d in diags] == [
+        ("no-switching-cell", "no switching cell in circuit")
+    ]
+
+
 def test_round_trip_buck():
     circuit = parse_netlist(BUCK_LISTING)
     assert parse_netlist(serialize_netlist(circuit)) == circuit

@@ -357,6 +357,38 @@ def any_result(request):
     return _RESULTS[request.param]()
 
 
+@pytest.mark.parametrize(
+    "builder, label",
+    [
+        (inductor_waveform, "C1"),
+        (capacitor_waveform, "SCN1"),
+        (capacitor_average_waveform, "SCN1"),
+        (capacitor_average_waveform, "R1"),
+    ],
+)
+def test_label_of_another_kind_is_unknown(buck_run, builder, label):
+    with pytest.raises(UnknownLabel):
+        builder(buck_run, label)
+
+
+_END_CIRCUITS = {text: parse_netlist(text) for text in (BUCK, BUCK_DIODE)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(_END_CIRCUITS)),
+    st.floats(1e3, 1e7),
+    st.integers(1, 5000),
+)
+def test_every_waveform_ends_at_the_runs_end(text, f_s, n):
+    """The run's end, ``config.t_stop``, is where every reconstructed
+    waveform ends, bit for bit, whatever the period grid's rounding."""
+    config = SimConfig(0.5, f_s, n / f_s)
+    result = run(_END_CIRCUITS[text], config)
+    for wave in _all_waveforms(result):
+        assert wave.span[1] == config.t_stop, wave.name
+
+
 def test_result_kinds_cover_dcm():
     for name in ("dcm", "diode", "d=1", "records-only dcm"):
         assert _RESULTS[name]().dcm.any(), name
