@@ -66,7 +66,8 @@ R 3 4 0 135.0
 # (case name, committed netlist or netlist text, arguments).  Short runs
 # keep the file small: discontinuous-conduction segments, a flagged
 # averaged-only capacitor, a --signals filter, the oracle's two output
-# files, and row updates of coupled and of independent diode rows.
+# files, and row updates of coupled and of independent diode rows, plain
+# and with the ``--dcm-refine`` re-solve.
 CASES = [
     ("buck_dcm", "buck_dcm.net", ["--t-end", "3e-4"]),
     ("flyback_diode", "flyback_diode.net", ["--t-end", "3e-4"]),
@@ -78,6 +79,12 @@ CASES = [
     ),
     ("cascade_dcm", CASCADE_DCM, ["-D", "0.4", "--fs", "100e3", "--t-end", "3e-4"]),
     ("parallel_dcm", PARALLEL_DCM, []),
+    (
+        "cascade_dcm_refine",
+        CASCADE_DCM,
+        ["-D", "0.4", "--fs", "100e3", "--t-end", "3e-4", "--dcm-refine"],
+    ),
+    ("parallel_dcm_refine", PARALLEL_DCM, ["--dcm-refine"]),
 ]
 
 
