@@ -1,11 +1,11 @@
 """Period-stepping simulation loop for the averaged converter model.
 
-One step is one switching period.  A period starts from the state the one
-before carried out, s = (i_0 of every capacitor, iL0 of every cell, 1), and
-its right-hand side is z = B s (:mod:`avgcell.mna`).  A stepper assembles
-and factors its system once, every cell at d_p = 1 - d, and keeps A0^-1 and
-P = A0^-1 B; :func:`run` then solves the bootstrap, row 0, like a period
-from t = 0, where :func:`step` writes its record to row 0 instead.
+One step is one switching period, from the state s = (i_0 of every
+capacitor, iL0 of every cell, 1) the period before carried out; its
+right-hand side is z = B s (:mod:`avgcell.mna`).  A stepper assembles and
+factors its system once, every cell at d_p = 1 - d, and keeps A0^-1 and
+P = A0^-1 B.  :func:`run` solves the bootstrap, row 0, like a period from
+t = 0; :func:`step` writes its record to row 0 instead.
 
 While every diode cell ``keeps_ccm`` (:mod:`avgcell.cells` owns the
 zero-current rules ``keeps_ccm``, ``snaps_to_zero`` and ``diode_clamps``),
@@ -14,27 +14,28 @@ a stretch of periods runs as a block, one fixed kernel on the run's arrays:
     x = P s,   y = E x   (capacitor voltages, then every vL1 and vL2),
     i_0' = 2 g v - i_0,   iL1 = iL0 + k1 vL1,   iL2 = iL1 + k2 vL2,
 
-with g = 2C / T_s, k1 = d T_s / L and k2 = (1 - d) T_s / L.  The rules are
-then checked for the whole block; the periods before the first that fails
-are kept, and that period goes to the stepper.  Blocks start at
-``FIRST_BLOCK`` periods and double after every block kept whole.
+with g = 2C / T_s, k1 = d T_s / L and k2 = (1 - d) T_s / L.  The periods
+before the first that breaks a rule are kept, and that period is stepped.
+Blocks start at ``FIRST_BLOCK`` periods and double after each kept whole.
 
-The stepper predicts each cell's mode from the previous period's drive
-voltages and end current and solves A0^-1 z, row-updated
-(:class:`avgcell.mna.RowUpdate`) for the cells at another d_p, in DCM or in
-a ``dcm_refine`` re-solve.  Residuals are checked in batches, each against
-its period's own matrix: a block's periods when it ends, stepped periods
-before the next block, at the end and at least every ``STRETCH`` periods.
-A row-update pivot that fails has the earlier unchecked periods checked
-first, so the earliest failing period is reported.  A period is solved
-from exactly the state its record carries, so :func:`step` reproduces
-:func:`run`.  Results are columns (:class:`SimulationResult`), one row per
-period, from ``SimConfig.period_starts`` to ``SimConfig.t_stop``, and
-:class:`PeriodRecord` objects are built from them on first access.
+The stepper solves a period in one pass on Python floats over tables built
+once per run: it predicts each diode cell's mode as ``predict_mode`` does,
+solves A0^-1 z, row-updated (:class:`avgcell.mna.RowUpdate`) for the cells
+at another d_p (in DCM or a ``dcm_refine`` re-solve), and advances every
+inductor current; it hands y, the end currents and s to the next stepped
+period as lists.  Residuals are checked in batches, each against its
+period's own matrix: a block's periods when it ends, stepped periods before
+the next block, at the end, at least every ``STRETCH`` periods and before a
+failed row-update pivot is reported, so the earliest failure is.  A period
+is solved from exactly the state its record carries, so :func:`step`
+reproduces :func:`run`.  Results are columns (:class:`SimulationResult`),
+one row per period, and :class:`PeriodRecord` objects are built from them
+on first access.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,7 @@ FIRST_BLOCK = 8
 # The most stepped periods whose residuals wait for one check.
 STRETCH = 64
 
-_MODES = (_cells.Mode.CCM, _cells.Mode.DCM)
+_MODES = _CCM, _DCM = (_cells.Mode.CCM, _cells.Mode.DCM)
 
 
 class InvalidConfig(AvgcellError):
@@ -180,27 +181,6 @@ class _Rows:
         except (ValueError, MemoryError) as exc:
             raise InvalidConfig(f"cannot hold {n - 1} periods: {exc}") from None
 
-    def write(self, r, record):
-        """Make row r a PeriodRecord's period, with the state it starts from
-        and carries out; a source current it lacks reads as NaN."""
-        layout = self.layout
-        cells = [record.cells[label] for label in layout.cell_rows]
-        caps = [record.capacitors[c] for c in list(layout.state_col)[:self.n_caps]]
-        # The layout's rows: nodes, source currents, then cell current pairs.
-        self.x[r] = (
-            [record.node_voltages[node] for node in layout.node_ids]
-            + [record.vdc_currents.get(label, math.nan) for label in layout.vdc_row]
-            + [v for c in cells for v in (c.iS_avg, c.iD_avg)]
-        )
-        self.y[r, :self.n_caps] = [c.v for c in caps]
-        self.y[r, self.n_caps:] = [c.vL1 for c in cells] + [c.vL2 for c in cells]
-        self.s[r, self.cell] = [c.iL0 for c in cells]
-        self.s[r + 1, :self.n_caps] = [c.i0_next for c in caps]
-        self.iL1[r] = [c.iL1 for c in cells]
-        self.iL2[r] = [c.iL2 for c in cells]
-        self.d_p[r] = [c.d_p for c in cells]
-        self.dcm[r] = [c.mode is _cells.Mode.DCM for c in cells]
-
     def records(self, config, first, last, index, t_start):
         """PeriodRecords of rows [first, last); row ``first`` is period
         ``index``, and ``t_start`` holds the rows' start times."""
@@ -267,17 +247,15 @@ class SimulationResult:
     ``vL2``, ``iL0``, ``iL1``, ``iL2``, ``d_p`` and ``dcm`` (true in
     discontinuous conduction) every cell's values.  Capacitors and cells
     are in netlist order.  ``records`` holds the same periods as
-    :class:`PeriodRecord` objects, built on first access, and ``stats`` is
-    the run's :class:`RunStats`.  ``rows`` is the run's :class:`_Rows`; its
-    row 0 is the bootstrap.
+    :class:`PeriodRecord` objects and ``bootstrap`` the bootstrap's, row 0
+    of ``rows`` (the run's :class:`_Rows`), both built on first access;
+    ``stats`` is the run's :class:`RunStats`.
     """
 
-    def __init__(self, circuit, config, bootstrap, rows, stats):
+    def __init__(self, circuit, config, rows, stats):
         self.circuit = circuit
         self.config = config
-        self.bootstrap = bootstrap
         self.stats = stats
-        self._records = None
         self._rows = rows
         self.layout = rows.layout
         self.x = rows.x[1:]
@@ -292,12 +270,13 @@ class SimulationResult:
         self.dcm = rows.dcm[1:]
         self.t_start = config.period_starts(0, len(self.x))
 
-    @property
+    @cached_property
+    def bootstrap(self):
+        return self._rows.records(self.config, 0, 1, -1, [0.0])[0]
+
+    @cached_property
     def records(self):
-        if self._records is None:
-            rows = self._rows
-            self._records = rows.records(self.config, 1, len(rows.x), 0, self.t_start)
-        return self._records
+        return self._rows.records(self.config, 1, len(self._rows.x), 0, self.t_start)
 
     def times(self):
         return self.t_start.tolist()
@@ -336,8 +315,14 @@ def step(circuit, config, previous_record):
     index = previous_record.index + 1
     stepper = _Stepper(circuit, config, 1, index)
     rows = stepper.rows
-    rows.write(0, previous_record)
-    rows.s[1, rows.cell] = rows.iL2[0]  # its end currents start row 1
+    cells = [previous_record.cells[e.label] for e in circuit.cells()]
+    caps = [previous_record.capacitors[e.label] for e in circuit.capacitors()]
+    # Row 1 starts from the record's carried-out sources and end currents,
+    # as a period after a stepped one does.
+    iL2 = [c.iL2 for c in cells]
+    rows.s[1] = state = [c.i0_next for c in caps] + iL2 + [1.0]
+    y = [c.v for c in caps] + [c.vL1 for c in cells] + [c.vL2 for c in cells]
+    stepper._carry = (1, y, iL2, state)
     stepper.solve_rows(1, 2)
     return rows.records(config, 1, 2, index, config.period_starts(index, index + 1))[0]
 
@@ -348,13 +333,25 @@ def predict_mode(cell, previous_record, d):
     params = cell_params(cell)
     v = [previous_record.node_voltages.get(n, 0.0) for n in cell.nodes]
     vL1, vL2 = _cells.drive_voltages(_cells.PortVoltages(*v), params)
-    return _predict(params, vL1, vL2, previous_record.cells[cell.label].iL2, d)
+    cells = [(0, params.rectifier, 0, 1)]
+    dcm, d_p = _predict(cells, [vL1, vL2], [previous_record.cells[cell.label].iL2], d)
+    return _MODES[dcm[0]], d_p[0]
 
 
-def _predict(params, vL1, vL2, iL0, d):
-    if _cells.keeps_ccm(iL0):
-        return _cells.Mode.CCM, 1.0 - d
-    return _cells.resolve_mode(d, _cells.compute_d2(vL1, vL2, d), params.rectifier)
+def _predict(cells, y, iL0s, d):
+    """The DCM flag and d_p of every cell, as the stepper predicts them:
+    ``cells`` holds (cell, rectifier, where vL1 and vL2 are in ``y``) for
+    every cell that may leave CCM, and ``iL0s`` every cell's start current,
+    set to zero for those predicted in discontinuous conduction."""
+    keeps_ccm, compute_d2 = _cells.keeps_ccm, _cells.compute_d2
+    resolve_mode = _cells.resolve_mode
+    dcm, d_ps = [False] * len(iL0s), [1.0 - d] * len(iL0s)
+    for i, rectifier, vL1, vL2 in cells:
+        if not keeps_ccm(iL0s[i]):
+            mode, d_ps[i] = resolve_mode(d, compute_d2(y[vL1], y[vL2], d), rectifier)
+            if mode is _DCM:
+                dcm[i], iL0s[i] = True, 0.0
+    return dcm, d_ps
 
 
 class _Stepper:
@@ -371,19 +368,18 @@ class _Stepper:
         self.config = config
         self.first_period = first_period
         d, T_s = config.d, config.T_s
-        d_p0 = 1.0 - d
+        self.d_p0 = d_p0 = 1.0 - d
         cells = circuit.cells()
-        self.params = [cell_params(e) for e in cells]
-        self.diode = [
-            i
-            for i, params in enumerate(self.params)
-            if params.rectifier is _cells.Rectifier.DIODE
-        ]
-        self.g = [2.0 * e.value / T_s for e in circuit.capacitors()]
-        self.two_g = [2.0 * gk for gk in self.g]
-        k1, k2 = zip(*(_cells.inductor_gains(d, d_p0, p, T_s) for p in self.params))
+        params = [cell_params(e) for e in cells]
+        self.is_diode = [p.rectifier is _cells.Rectifier.DIODE for p in params]
+        self.diode = [i for i, diode in enumerate(self.is_diode) if diode]
+        self.two_g = [4.0 * e.value / T_s for e in circuit.capacitors()]
+        # Every cell's T_s / L and k1 = d T_s / L: iL1 = iL0 + k1 vL1 and
+        # iL2 = iL1 + (d_p T_s / L) vL2.
+        self.k = [T_s / p.L for p in params]
+        self.k1 = [d * k for k in self.k]
         # The kernel's y -> (2 g v, k1 vL1, k2 vL2) scaling.
-        self.K = np.array(self.two_g + list(k1) + list(k2))
+        self.K = np.array(self.two_g + self.k1 + [d_p0 * k for k in self.k])
 
         # Every period of the run is solved from this system, cells at 1 - d.
         self.system = system = assemble_system(
@@ -396,37 +392,44 @@ class _Stepper:
             system.A, self.inverse, [system.diode_rows[i] for i in self.diode], d_p0
         )
         self.P = lu_solve(self.inverse, system.B)
-        self.rows = _Rows(system.layout, n_periods + 1, d_p0)
+        self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
+        # Every diode cell, for _predict over a row of y.
+        DIODE, vL1, vL2 = _cells.Rectifier.DIODE, rows.cell.start, rows.vL2.start
+        self._diode_y = [(i, DIODE, vL1 + i, vL2 + i) for i in self.diode]
         self._unchecked = 0  # the first solved row not yet checked
+        # (r, y of row r - 1, its end currents, s of row r) as lists, after
+        # a stepped row r - 1.
+        self._carry = (None,)
+        # (iL1, iL2, d_p, dcm, s) of the stepped rows before the next check,
+        # written to the rows by the check.
+        self._stepped = []
 
     def solve_bootstrap(self):
         """Solve and check row 0, the bootstrap: a CCM solve at t = 0 whose
         drive voltages predict period 0's modes; its t = 0 sources and
         currents carry unchanged into period 0."""
-        rows, cells = self.rows, self.circuit.cells()
+        rows, cells, caps = self.rows, self.circuit.cells(), self.circuit.capacitors()
         iL0s = [e.initial for e in cells]
-        # Zero capacitor current assumed at t = 0: i_0 = g v0.
-        i0 = [gk * e.initial for e, gk in zip(self.circuit.capacitors(), self.g)]
-        self._solve(0, i0 + iL0s + [1.0], iL0s, [1.0 - self.config.d] * len(cells))
+        # Zero capacitor current assumed at t = 0: i_0 = g v0, g = 2C / T_s.
+        i0 = [g2 / 2.0 * e.initial for e, g2 in zip(caps, self.two_g)]
+        state = i0 + iL0s + [1.0]
+        self._solve(0, state, iL0s, [self.d_p0] * len(cells))
+        rows.s[:2] = state
         self._check(1)
         rows.iL1[0] = rows.iL2[0] = iL0s
-        rows.s[1] = rows.s[0]
 
     def result(self):
-        bootstrap = self.rows.records(self.config, 0, 1, -1, [0.0])[0]
         self.stats.row_update_solves = self.update.updates
         self.stats.largest_row_update = self.update.largest
-        return SimulationResult(
-            self.circuit, self.config, bootstrap, self.rows, self.stats
-        )
+        return SimulationResult(self.circuit, self.config, self.rows, self.stats)
 
     def solve_rows(self, r, stop):
         """Solve rows [r, stop), CCM stretches in blocks, and check them."""
         length = FIRST_BLOCK
         self._unchecked = r
         while r < stop:
+            iL0s = self._carry[2] if self._carry[0] == r else self.rows.iL2[r - 1].tolist()
             # Every diode cell carries a current into row r that keeps CCM.
-            iL0s = self.rows.iL2[r - 1].tolist()
             if all(_cells.keeps_ccm(iL0s[i]) for i in self.diode):
                 self._check(r)
                 end = min(r + length, stop)
@@ -444,11 +447,17 @@ class _Stepper:
     def _check(self, stop):
         """Check the residuals of the unchecked rows before ``stop``."""
         a, self._unchecked = self._unchecked, stop
+        rows, stepped = self.rows, self._stepped
+        if stepped:  # rows [stop - len(stepped), stop), and s of row stop
+            first = stop - len(stepped)
+            rows.iL1[first:stop], rows.iL2[first:stop], d_p, dcm, s = zip(*stepped)
+            rows.s[first:stop + 1] = s + (self._carry[3],)
+            rows.d_p[first:stop], rows.dcm[first:stop] = d_p, dcm
+            stepped.clear()
         if a < stop:
-            rows, update = self.rows, self.update
-            a_norm, moves = update.a_norm, None
+            a_norm, moves = self.update.a_norm, None
             if rows.dcm[a:stop].any():  # only a row in DCM has a diode row moved
-                a_norm, moves = update.moves(rows.d_p[a:stop][:, self.diode])
+                a_norm, moves = self.update.moves(rows.d_p[a:stop][:, self.diode])
             ratio = check_residual(
                 self.system.A,
                 rows.x[a:stop],
@@ -511,54 +520,35 @@ class _Stepper:
         """Solve row r with the mode predictor, the row update and, in
         discontinuous conduction, ``dcm_refine``."""
         rows = self.rows
-        iL0s = rows.iL2[r - 1].tolist()
-        modes, d_ps = self._predictions(rows.y[r - 1].tolist(), iL0s)
-        state = rows.s[r].tolist()
-        drives = self._solve(r, state, iL0s, d_ps)
-        if self.config.dcm_refine and _cells.Mode.DCM in modes:
-            refined = self._predictions(drives, iL0s)
-            if refined != (modes, d_ps):
-                modes, d_ps = refined
-                drives = self._solve(r, state, iL0s, d_ps)
+        if self._carry[0] == r:
+            _, y, iL0s, state = self._carry
+            iL0s = iL0s[:]  # the predictions zero some; row r - 1 keeps its own
+        else:
+            y, iL0s, state = [a.tolist() for a in (rows.y[r - 1], rows.iL2[r - 1], rows.s[r])]
+        d = self.config.d
+        dcm, d_ps = _predict(self._diode_y, y, iL0s, d)
+        y = self._solve(r, state, iL0s, d_ps)
+        if self.config.dcm_refine and True in dcm:
+            refined = _predict(self._diode_y, y, iL0s, d)
+            if refined != (dcm, d_ps):
+                dcm, d_ps = refined
+                y = self._solve(r, state, iL0s, d_ps)
 
-        vL1, vL2 = drives[rows.cell], drives[rows.vL2]
-        d, T_s = self.config.d, self.config.T_s
-        iL1s, iL2s = [], []
-        for i, params in enumerate(self.params):
-            iL1, iL2 = _cells.advance_inductor(
-                iL0s[i], vL1[i], vL2[i], d, d_ps[i], params, T_s
-            )
-            # The rest interval pins the end current at zero exactly, and
-            # so does a diode that blocks.
-            if modes[i] is _cells.Mode.DCM or (
-                params.rectifier is _cells.Rectifier.DIODE and _cells.diode_clamps(iL2)
-            ):
-                iL2 = 0.0
-            iL1s.append(iL1)
-            iL2s.append(iL2)
-        rows.iL1[r] = iL1s
-        rows.iL2[r] = iL2s
-        if _cells.Mode.DCM in modes:  # the rows start at the CCM values
-            rows.d_p[r] = d_ps
-            rows.dcm[r] = [mode is _cells.Mode.DCM for mode in modes]
-        i0_next = [k * v - i0 for k, v, i0 in zip(self.two_g, drives, state)]
-        rows.s[r + 1] = i0_next + iL2s + [1.0]
+        snaps_to_zero, diode_clamps = _cells.snaps_to_zero, _cells.diode_clamps
+        iL1s = [iL0 + k1 * vL1 for iL0, k1, vL1 in zip(iL0s, self.k1, y[rows.cell])]
+        iL2s = [
+            iL1 + (d_p * k) * vL2 for iL1, d_p, k, vL2 in zip(iL1s, d_ps, self.k, y[rows.vL2])
+        ]
+        # The rest interval pins the end current at zero exactly, and so does
+        # a diode that blocks.
+        iL2s = [
+            0.0 if rests or snaps_to_zero(iL1, iL2) or diode and diode_clamps(iL2) else iL2
+            for iL1, iL2, rests, diode in zip(iL1s, iL2s, dcm, self.is_diode)
+        ]
+        self._stepped.append((iL1s, iL2s, d_ps, dcm, state))
+        state = [k * v - i0 for k, v, i0 in zip(self.two_g, y, state)] + iL2s + [1.0]
+        self._carry = (r + 1, y, iL2s, state)
         self.stats.stepped_periods += 1
-
-    def _predictions(self, drives, iL0s):
-        """Every cell's mode and d_p from a row of y (as a list) and the
-        start currents ``iL0s``, which are set to zero for cells predicted
-        in discontinuous conduction."""
-        rows, d = self.rows, self.config.d
-        vL1, vL2 = drives[rows.cell], drives[rows.vL2]
-        modes, d_ps = [], []
-        for i, params in enumerate(self.params):
-            mode, d_p = _predict(params, vL1[i], vL2[i], iL0s[i], d)
-            if mode is _cells.Mode.DCM:
-                iL0s[i] = 0.0
-            modes.append(mode)
-            d_ps.append(d_p)
-        return modes, d_ps
 
     def _solve(self, r, state, iL0s, d_ps):
         """Solve row r from ``state`` (a row of s as a list) with the cells
@@ -566,9 +556,7 @@ class _Stepper:
         list."""
         rows, system = self.rows, self.system
         state[rows.cell] = iL0s
-        rows.s[r] = state
-        z = system.B @ rows.s[r]
-        x0 = lu_solve(self.inverse, z)
+        x0 = lu_solve(self.inverse, np.dot(system.B, state))
         try:
             x = self.update.solve(x0, [d_ps[i] for i in self.diode])
         except SingularSystem as exc:
@@ -577,6 +565,4 @@ class _Stepper:
             self._check(r)
             raise SingularSystem(str(exc), period=self.first_period + r - 1) from exc
         rows.x[r] = x
-        y = rows.y[r]
-        np.dot(system.E, x, out=y)
-        return y.tolist()
+        return np.dot(system.E, x, out=rows.y[r]).tolist()

@@ -268,25 +268,24 @@ def lu_factor(A):
     ``PIVOT_RTOL`` times the originating row's infinity norm.
     """
     lu = np.array(A, dtype=float)
-    n = lu.shape[0]
-    scale = np.abs(lu).max(axis=1)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= PIVOT_RTOL * scale[p]:
-            raise SingularSystem(f"pivot {lu[p, k]:.3e} in column {k} below tolerance")
+    scale = np.abs(lu).max(axis=1).tolist()
+    for k in range(len(lu)):
+        p = k + int(abs(lu[k:, k]).argmax())
+        pivot = float(lu[p, k])
+        if abs(pivot) <= PIVOT_RTOL * scale[p]:
+            raise SingularSystem(f"pivot {pivot:.3e} in column {k} below tolerance")
         if p != k:
             lu[[k, p]] = lu[[p, k]]
-            scale[[k, p]] = scale[[p, k]]
-        if k + 1 < n:
-            lu[k + 1:, k] /= lu[k, k]
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+            scale[k], scale[p] = scale[p], scale[k]
+        # Only the trailing block is read again, so L is not stored.
+        lu[k + 1:, k + 1:] -= (lu[k + 1:, k] / pivot)[:, None] * lu[k, k + 1:]
     return np.linalg.inv(A)
 
 
 def lu_solve(inverse, b):
     """The solution of A x = b, given the inverse :func:`lu_factor`
     returned for A."""
-    return inverse @ b
+    return np.dot(inverse, b)
 
 
 class RowUpdate:
@@ -307,44 +306,54 @@ class RowUpdate:
     """
 
     def __init__(self, A, inverse, rows, d_p0):
-        self.rows = rows
         self.d_p0 = d_p0
         self.rd = rd = [r.row for r in rows]
+        n, order = len(rows), len(A)
         row_norms = np.abs(A).sum(axis=1)
         self.a_norm = float(row_norms.max())
         row_norms[rd] = 0.0  # leaves the rows no d_p enters
         self._fixed_norm = float(row_norms.max())
-        # Every row's unit diagonal, ra and rb, as dense rows of A.
-        self._unit, self._ra, self._rb = np.zeros((3, len(rows), len(A)))
-        for i, r in enumerate(rows):
-            self._unit[i, r.row] = 1.0
-            self._ra[i, list(r.cols)] = r.ra
-            self._rb[i, list(r.cols)] = r.rb
+        # Every row's cols and its ra and rb, then |ra| and |rb|, padded to
+        # one width by zero terms at a spare column ``order``.
+        width = max((len(r.cols) for r in rows), default=0)
+        pads = [width - len(r.cols) for r in rows]
+        cols = np.array([r.cols + (order,) * p for r, p in zip(rows, pads)], int)
+        ra = np.array([r.ra + (0.0,) * p for r, p in zip(rows, pads)]).reshape(n, width)
+        rb = np.array([r.rb + (0.0,) * p for r, p in zip(rows, pads)]).reshape(n, width)
+        self._cols, self._ra, self._rb = cols.reshape(n, width), ra, rb
+        terms = np.stack([ra, rb, abs(ra), abs(rb)])
         self.updates = self.largest = 0
-        self._W = W = inverse[:, rd].T
-        abs_W = np.abs(W)
-
-        def dots(coeffs, cols, M):
-            """coeffs . m_j for every row m_j of M, summed in ``cols`` order."""
-            return sum((a * M[:, c] for a, c in zip(coeffs, cols)), np.zeros(len(M)))
-
-        # ra_i . w_j and rb_i . w_j for every pair of rows (i, j).
-        self._raw = raw = [dots(r.ra, r.cols, W).tolist() for r in rows]
-        self._rbw = rbw = [dots(r.rb, r.cols, W).tolist() for r in rows]
+        self._W = inverse[:, rd].T
+        self._moved_W = {}  # W[moved] by moved rows
+        # The w_j for ra and rb, and |w_j| for |ra| and |rb|.
+        W = np.zeros((4, n, order + 1))
+        W[:2, :, :order] = self._W
+        W[2:] = abs(W[0])
+        # ra_i . w_j, rb_i . w_j, |ra_i| . |w_j| and |rb_i| . |w_j| for
+        # every pair of rows (i, j), summed term by term in ``cols`` order.
+        products = terms[:, :, None, :] * W[:, :, self._cols].transpose(0, 2, 1, 3)
+        dots = np.zeros((4, n, n))
+        for t in range(width):
+            dots += products[..., t]
+        self._raw, self._rbw = dots[:2].tolist()
         # Row i of C sums at most 1 + |alpha| |ra_i| . |w_j| + |beta|
         # |rb_i| . |w_j| in magnitude; the largest of these over j is the
         # row's scale for the pivot rule, so cancellation down to a tiny
         # pivot is caught.
-        self._magnitude = [
-            tuple(max(dots(map(abs, c), r.cols, abs_W).tolist()) for c in (r.ra, r.rb))
-            for r in rows
-        ]
+        self._magnitude = list(zip(*dots[2:].max(axis=2, initial=0.0).tolist()))
         # Every row's coupling group, named by its first row, or None for a
         # row alone: the closure of the pattern of _raw and _rbw.
-        linked = (np.array(raw) != 0) | (np.array(rbw) != 0) | np.eye(len(rows), dtype=bool)
-        for _ in range(len(rows)):
-            linked = linked | linked.T | (linked @ linked.astype(float) > 0)
-        self._group = [int(np.argmax(g)) if g.sum() > 1 else None for g in linked]
+        linked = (dots[0] != 0) | (dots[1] != 0)
+        linked |= linked.T | np.eye(n, dtype=bool)
+        for _ in range(n.bit_length()):  # paths of up to 2^n.bit_length() rows
+            linked = linked @ linked
+        self._group = [g.index(True) if sum(g) > 1 else None for g in linked.tolist()]
+        # What a solve reads of row i: its (ra, rb, col) terms, |ra| and
+        # |rb| over the w_j, the diagonal terms of C and the group.
+        self._table = [
+            (tuple(zip(r.ra, r.rb, r.cols)), *m, self._raw[i][i], self._rbw[i][i], g)
+            for i, (r, m, g) in enumerate(zip(rows, self._magnitude, self._group))
+        ]
 
     def solve(self, x0, d_ps):
         """The solution of the system with each row at its d_p in ``d_ps``
@@ -356,22 +365,27 @@ class RowUpdate:
         self.updates += 1
         self.largest = max(self.largest, len(moved))
 
-        xs, raws, rbws = x0.tolist(), self._raw, self._rbw
-        y = [0.0] * len(moved)
-        coupled = {}  # group: [(position in moved, row, alpha, beta, u . x0, scale)]
-        for pos, i in enumerate(moved):
-            r, d_p, (ra_abs, rb_abs) = self.rows[i], d_ps[i], self._magnitude[i]
+        # Every moved row's pivot, right-hand side and scale for the
+        # diagonal solve; a coupled row's are placeholders until its group
+        # is solved.
+        xs, diagonal, coupled = x0.tolist(), [], {}
+        for i in moved:
+            terms, ra_abs, rb_abs, raw_ii, rbw_ii, group = self._table[i]
+            d_p = d_ps[i]
             alpha = d_p - d_p0
             beta = d_p * d_p - d_p0 * d_p0
             u_x = 0.0
-            for a, b, c in zip(r.ra, r.rb, r.cols):
+            for a, b, c in terms:
                 u_x += (alpha * a + beta * b) * xs[c]
             scale = 1.0 + abs(alpha) * ra_abs + abs(beta) * rb_abs
-            if self._group[i] is None:
-                c_ii = alpha * raws[i][i] + beta * rbws[i][i] + 1.0
-                y[pos] = solve_small([[c_ii]], [u_x], [scale])[0]
+            if group is None:
+                diagonal.append((alpha * raw_ii + beta * rbw_ii + 1.0, u_x, scale))
             else:
-                coupled.setdefault(self._group[i], []).append((pos, i, alpha, beta, u_x, scale))
+                member = (len(diagonal), i, alpha, beta, u_x, scale)
+                coupled.setdefault(group, []).append(member)
+                diagonal.append((1.0, 0.0, 1.0))
+        y = solve_diagonal(diagonal)
+        raws, rbws = self._raw, self._rbw
         for members in coupled.values():
             pos, idx, alpha, beta, rhs, scale = map(list, zip(*members))
             C = [[a * raws[i][j] + b * rbws[i][j] for j in idx]
@@ -380,7 +394,10 @@ class RowUpdate:
                 c_row[k] += 1.0
             for p, y_p in zip(pos, solve_small(C, rhs, scale)):
                 y[p] = y_p
-        return x0 - np.array(y) @ self._W[moved]
+        W = self._moved_W.get(key := tuple(moved))
+        if W is None:
+            W = self._moved_W[key] = self._W[moved]
+        return x0 - np.dot(y, W)
 
     def moves(self, d_p):
         """The ``a_norm`` and ``moves`` :func:`check_residual` takes for one
@@ -388,7 +405,13 @@ class RowUpdate:
         system's infinity norm and (rd, R), R[k, i] being row ``rd[i]`` at
         d_p[k, i], entry for entry as assembly writes it."""
         d_p = d_p[..., None]
-        R = self._unit + (d_p * self._ra + d_p * d_p * self._rb)
+        n, order = self._W.shape
+        # Zero off the pattern: ra and rb are, and the unit diagonal adds 0.
+        R = np.zeros(d_p.shape[:-1] + (order + 1,))
+        R[..., range(n), self.rd] = 1.0
+        values = d_p * self._ra + d_p * d_p * self._rb + 0.0
+        R[..., np.arange(n)[:, None], self._cols] = values
+        R = np.ascontiguousarray(R[..., :order])
         return np.abs(R).sum(axis=-1).max(axis=-1, initial=self._fixed_norm), (self.rd, R)
 
 
@@ -397,13 +420,11 @@ def solve_small(C, r, scale):
     Gaussian elimination with partial pivoting on plain Python floats.
 
     Raises :class:`SingularSystem` by the rule of :func:`lu_factor`, a
-    pivot at or below ``PIVOT_RTOL`` times its row's ``scale``; for k = 1
-    the solve is one division.  A row swaps only with rows of its block of
-    a block-diagonal C (zeros exact), so each block gets its bits alone.
+    pivot at or below ``PIVOT_RTOL`` times its row's ``scale``.  A row
+    swaps only with rows of its block of a block-diagonal C (zeros exact),
+    so each block gets its bits alone.
     """
     k = len(r)
-    if k == 1 and abs(C[0][0]) > PIVOT_RTOL * scale[0]:
-        return [r[0] / C[0][0]]
     for col in range(k):
         p = max(range(col, k), key=lambda i: abs(C[i][col]))
         pivot = C[p][col]
@@ -430,6 +451,16 @@ def solve_small(C, r, scale):
             acc -= row[j] * y[j]
         y[i] = acc / row[i]
     return y
+
+
+def solve_diagonal(rows):
+    """Solve diag(c) y = r, given as its rows (c_i, r_i, scale_i), one
+    division a row, by the pivot rule of :func:`solve_small` for every row."""
+    for col, (pivot, _, row_scale) in enumerate(rows):
+        if not abs(pivot) > PIVOT_RTOL * row_scale:
+            message = f"row-update pivot {pivot:.3e} in column {col} below tolerance"
+            raise SingularSystem(message)
+    return [r_i / c_i for c_i, r_i, _ in rows]
 
 
 def check_residual(A, x, z, a_norm, period=None, moves=None):

@@ -331,6 +331,38 @@ def test_step_reproduces_run_across_blocks(monkeypatch, netlist, config):
         assert advanced.capacitors == reference.capacitors, n
 
 
+# Three lightly loaded diode stages in parallel on one source, every one in
+# discontinuous conduction from the first period: each diode row is alone.
+PARALLEL_DCM = json.loads(
+    (Path(__file__).parent / "data" / "cli_reference.json").read_text()
+)["cases"]["parallel_dcm"]["netlist"]
+
+
+def _parallel_dcm(dcm_refine=False):
+    circuit = parse_netlist(PARALLEL_DCM)
+    p = circuit.params
+    return circuit, SimConfig(p["D"], p["fs"], p["tend"], dcm_refine)
+
+
+@pytest.mark.parametrize("dcm_refine", [False, True], ids=["plain", "refine"])
+def test_step_reproduces_run_on_parallel_stages(dcm_refine):
+    """step() reproduces run() bit for bit on every period of three
+    parallel stages whose diode rows all move alone, with and without the
+    dcm_refine re-solve."""
+    circuit, config = _parallel_dcm(dcm_refine)
+    result = run(circuit, config)
+    stats = result.stats
+    assert stats.stepped_periods == len(result.records)
+    assert stats.largest_row_update == 3
+    # dcm_refine re-solves a period whose refined prediction moved
+    assert (stats.row_update_solves > stats.stepped_periods) == dcm_refine
+    previous = result.bootstrap
+    for record in result.records:
+        # repr tells every float apart, the sign of zero included.
+        assert repr(step(circuit, config, previous)) == repr(record)
+        previous = record
+
+
 def test_run_stats_count_blocks_and_stepped_periods():
     """A CCM buck runs every period in blocks; the light-load buck rests in
     1190 of its 1200 periods, each of them stepped with a row update, all
@@ -537,20 +569,20 @@ def test_pivot_failure_inside_a_stretch_reports_the_earliest_period(
     if bad is not None:
         _poison_stepped(monkeypatch, bad, "over-bound")
     real_solve = engine_module._Stepper._solve
-    real_small = mna.solve_small
+    real_diagonal = mna.solve_diagonal
     singular = [False]
 
     def solve(self, r, *args):
         singular[0] = r == 40 - self.first_period + 1
         return real_solve(self, r, *args)
 
-    def small(C, r, scale):
+    def diagonal(rows):
         if singular[0]:
-            C = [[0.0] * len(r) for _ in r]
-        return real_small(C, r, scale)
+            rows = [(0.0, r, scale) for _, r, scale in rows]
+        return real_diagonal(rows)
 
     monkeypatch.setattr(engine_module._Stepper, "_solve", solve)
-    monkeypatch.setattr(mna, "solve_small", small)
+    monkeypatch.setattr(mna, "solve_diagonal", diagonal)
     with pytest.raises(SingularSystem) as excinfo:
         run(parse_netlist(BUCK_DCM), std_config(1e-3))
     assert excinfo.value.period == reported
@@ -625,16 +657,39 @@ def test_singular_row_update_reports_period(monkeypatch):
     first_dcm = next(
         r.index for r in reference.records if r.cells["SCD1"].mode is Mode.DCM
     )
-    real = mna.solve_small
+    real = mna.solve_diagonal
 
-    def singular(C, r, scale):
-        return real([[0.0] * len(r) for _ in r], r, scale)
+    def singular(rows):
+        return real([(0.0, r, scale) for _, r, scale in rows])
 
-    monkeypatch.setattr(mna, "solve_small", singular)
+    monkeypatch.setattr(mna, "solve_diagonal", singular)
     with pytest.raises(SingularSystem) as excinfo:
         run(parse_netlist(BUCK_DCM), std_config(1e-3))
     assert excinfo.value.period == first_dcm
     assert "row-update pivot" in str(excinfo.value)
+
+
+def test_lone_row_pivot_failure_reports_its_period(monkeypatch):
+    """A period's lone diode rows are solved by one diagonal solve that
+    applies the pivot rule to each of them: a zero pivot in the last of
+    three parallel stages' rows raises SingularSystem with that period."""
+    circuit, config = _parallel_dcm()
+    real = mna.solve_diagonal
+    calls = []
+
+    def diagonal(rows):
+        calls.append(len(rows))
+        if len(calls) == 5:  # period 4; the bootstrap moves no row
+            (_, r, scale) = rows[-1]
+            rows = rows[:-1] + [(0.0, r, scale)]
+        return real(rows)
+
+    monkeypatch.setattr(mna, "solve_diagonal", diagonal)
+    with pytest.raises(SingularSystem) as excinfo:
+        run(circuit, config)
+    assert excinfo.value.period == 4
+    assert "row-update pivot" in str(excinfo.value)
+    assert calls == [3] * 5
 
 
 def test_records_carry_time_axis(buck_run):

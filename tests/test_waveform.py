@@ -35,13 +35,35 @@ from avgcell.waveform import (
 from conftest import BUCK, BUCK_DCM, BUCK_DIODE, std_config
 
 
+def _write(rows, r, record):
+    """Make row r of a run's rows a PeriodRecord's period, with the state it
+    starts from and carries out; a source current it lacks reads as NaN."""
+    layout, n_caps = rows.layout, rows.n_caps
+    cells = [record.cells[label] for label in layout.cell_rows]
+    caps = [record.capacitors[c] for c in list(layout.state_col)[:n_caps]]
+    # The layout's rows: nodes, source currents, then cell current pairs.
+    rows.x[r] = (
+        [record.node_voltages[node] for node in layout.node_ids]
+        + [record.vdc_currents.get(label, math.nan) for label in layout.vdc_row]
+        + [v for c in cells for v in (c.iS_avg, c.iD_avg)]
+    )
+    rows.y[r, :n_caps] = [c.v for c in caps]
+    rows.y[r, n_caps:] = [c.vL1 for c in cells] + [c.vL2 for c in cells]
+    rows.s[r, rows.cell] = [c.iL0 for c in cells]
+    rows.s[r + 1, :n_caps] = [c.i0_next for c in caps]
+    rows.iL1[r] = [c.iL1 for c in cells]
+    rows.iL2[r] = [c.iL2 for c in cells]
+    rows.d_p[r] = [c.d_p for c in cells]
+    rows.dcm[r] = [c.mode is Mode.DCM for c in cells]
+
+
 def result_from_records(circuit, config, bootstrap, records):
     """A result whose columns are a bootstrap's and a list of records',
-    each written to its row as step() writes its record."""
+    each written to its row."""
     rows = _Rows(build_layout(circuit).layout, len(records) + 1, 1.0 - config.d)
     for r, record in enumerate([bootstrap] + records):
-        rows.write(r, record)
-    return SimulationResult(circuit, config, bootstrap, rows, None)
+        _write(rows, r, record)
+    return SimulationResult(circuit, config, rows, None)
 
 
 def single_period_result(circuit_text, cell_state, v_avg=5.0):
