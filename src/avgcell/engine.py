@@ -373,6 +373,7 @@ class _Stepper:
         params = [cell_params(e) for e in cells]
         self.is_diode = [p.rectifier is _cells.Rectifier.DIODE for p in params]
         self.diode = [i for i, diode in enumerate(self.is_diode) if diode]
+        # 2 g = 4C / T_s of every capacitor: i_0' = 2 g v - i_0.
         self.two_g = [4.0 * e.value / T_s for e in circuit.capacitors()]
         # Every cell's T_s / L and k1 = d T_s / L: iL1 = iL0 + k1 vL1 and
         # iL2 = iL1 + (d_p T_s / L) vL2.
@@ -395,7 +396,7 @@ class _Stepper:
         self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
         # Every diode cell, for _predict over a row of y.
         DIODE, vL1, vL2 = _cells.Rectifier.DIODE, rows.cell.start, rows.vL2.start
-        self._diode_y = [(i, DIODE, vL1 + i, vL2 + i) for i in self.diode]
+        self._diode_cells = [(i, DIODE, vL1 + i, vL2 + i) for i in self.diode]
         self._unchecked = 0  # the first solved row not yet checked
         # (r, y of row r - 1, its end currents, s of row r) as lists, after
         # a stepped row r - 1.
@@ -526,10 +527,10 @@ class _Stepper:
         else:
             y, iL0s, state = [a.tolist() for a in (rows.y[r - 1], rows.iL2[r - 1], rows.s[r])]
         d = self.config.d
-        dcm, d_ps = _predict(self._diode_y, y, iL0s, d)
+        dcm, d_ps = _predict(self._diode_cells, y, iL0s, d)
         y = self._solve(r, state, iL0s, d_ps)
         if self.config.dcm_refine and True in dcm:
-            refined = _predict(self._diode_y, y, iL0s, d)
+            refined = _predict(self._diode_cells, y, iL0s, d)
             if refined != (dcm, d_ps):
                 dcm, d_ps = refined
                 y = self._solve(r, state, iL0s, d_ps)
