@@ -6,7 +6,9 @@ and, per switching cell, the averaged switch and diode currents iS_avg and
 iD_avg (netlist order).  A capacitor is its trapezoidal companion model, a
 conductance G_C = 2C/T_s beside a history source i_0[n+1] = (4C / T_s)
 v[n] - i_0[n].  A cell adds its KCL current paths and two rows tying its
-averaged currents to its port voltages, with G_L = T_s / L.
+averaged currents to its port voltages, with G_L = T_s / L.  Stamps reach
+the node rows through one incidence, (row, coefficient) pairs with ground
+left out, and a cell's stamp walks each of its drive terms once.
 
 Assembly builds A, B and E; a solver forms each right-hand side as
 z = B @ s, s = (i_0 of every capacitor, iL0 of every cell, 1).  B has a
@@ -18,15 +20,15 @@ enter z.  The output matrix E reads every capacitor's voltage, then every
 cell's vL1, then every vL2 off x, from the coefficients of the cell rows;
 its capacitor and cell rows line up with B's columns.
 
-A cell's d_p enters A only in its iD_avg row ``rd``, affine in d_p and
-d_p^2 (:class:`DiodeRow`).  A run factors A once, at d_p = 1 - d:
-:func:`lu_factor` tests it by elimination with scaled partial pivoting and
-returns A0^-1, so a period is one product A0^-1 z.  :class:`RowUpdate`
-solves a period with k cells at another d_p as a rank-k row update of
-A0^-1 (Sherman-Morrison-Woodbury; Hager, SIAM Review 31(2), 1989), one
-small system per coupled group of diode rows, and never rewrites A.
-:func:`check_residual` checks a block of solutions at once, each against A0
-with its own diode rows.
+A cell's d_p enters A only in its iD_avg row ``rd``, e_rd + d_p ra + d_p^2
+rb (:class:`DiodeRow`, :func:`diode_entries`).  A run factors A once, at
+d_p = 1 - d: :func:`lu_factor` eliminates with partial pivoting, tests each
+pivot against its row's largest entry and returns A0^-1, so a period is one
+product A0^-1 z.  :class:`RowUpdate` solves a period with k cells at another
+d_p as a rank-k row update of A0^-1 (Sherman-Morrison-Woodbury; Hager, SIAM
+Review 31(2), 1989), one small system per coupled group of diode rows, and
+never rewrites A.  :func:`check_residual` checks a block of solutions at
+once against A0, with each solution's diode rows as sparse rows.
 """
 
 import math
@@ -71,10 +73,6 @@ class MnaLayout:
     @property
     def n_caps(self):
         return len(self.state_col) - len(self.cell_rows)
-
-    def row_of(self, node):
-        """Row of a node voltage, or None for ground."""
-        return self.node_row.get(node)
 
 
 class MnaSystem:
@@ -125,44 +123,56 @@ def build_layout(circuit):
     return MnaSystem(layout)
 
 
+def _incidence(layout, nodes, coeffs=(1.0, -1.0)):
+    """(row, coefficient) of each of an element's ``nodes`` but ground."""
+    node_row = layout.node_row
+    return [(node_row[n], c) for n, c in zip(nodes, coeffs) if n in node_row]
+
+
+def _stamp_conductance(A, pairs, g):
+    # Both diagonal terms before the off-diagonal ones: a resistor across
+    # one node sums +g, +g, -g, -g on its diagonal, in that order.
+    for r, _ in pairs:
+        A[r, r] += g
+    if len(pairs) == 2:
+        (r1, _), (r2, _) = pairs
+        A[r1, r2] -= g
+        A[r2, r1] -= g
+
+
 def stamp_resistor(system, element):
-    g = 1.0 / element.value
-    r1 = system.layout.row_of(element.nodes[0])
-    r2 = system.layout.row_of(element.nodes[1])
-    _stamp_conductance(system.A, r1, r2, g)
+    pairs = _incidence(system.layout, element.nodes)
+    _stamp_conductance(system.A, pairs, 1.0 / element.value)
 
 
 def stamp_vdc(system, element):
     br = system.layout.vdc_row[element.label]
-    r1 = system.layout.row_of(element.nodes[0])
-    r2 = system.layout.row_of(element.nodes[1])
-    for r, sign in ((r1, 1.0), (r2, -1.0)):
-        if r is not None:
-            system.A[r, br] += sign
-            system.A[br, r] += sign
+    for r, c in _incidence(system.layout, element.nodes):
+        system.A[r, br] += c
+        system.A[br, r] += c
     system.B[br, -1] += element.value
 
 
 def stamp_idc(system, element):
-    r1 = system.layout.row_of(element.nodes[0])
-    r2 = system.layout.row_of(element.nodes[1])
-    for r, sign in ((r1, -1.0), (r2, 1.0)):
-        if r is not None:
-            system.B[r, -1] += sign * element.value
+    for r, c in _incidence(system.layout, element.nodes):
+        system.B[r, -1] -= c * element.value
 
 
 def stamp_capacitor(system, element, T_s):
     """Trapezoidal companion: conductance 2C/T_s, history source i_0, and
     the capacitor's voltage as its row of E."""
-    g = 2.0 * element.value / T_s
-    r1 = system.layout.row_of(element.nodes[0])
-    r2 = system.layout.row_of(element.nodes[1])
-    _stamp_conductance(system.A, r1, r2, g)
+    pairs = _incidence(system.layout, element.nodes)
+    _stamp_conductance(system.A, pairs, 2.0 * element.value / T_s)
     col = system.layout.state_col[element.label]
-    for r, sign in ((r1, 1.0), (r2, -1.0)):
-        if r is not None:
-            system.B[r, col] += sign
-            system.E[col, r] += sign
+    for r, c in pairs:
+        system.B[r, col] += c
+        system.E[col, r] += c
+
+
+def diode_entries(d_p, ra, rb):
+    """A diode row's entries at ``d_p``, d_p ra + d_p^2 rb, for floats and
+    arrays alike."""
+    return d_p * ra + d_p * d_p * rb
 
 
 def stamp_cell(system, element, d, T_s, d_p):
@@ -172,61 +182,38 @@ def stamp_cell(system, element, d, T_s, d_p):
     Adds the iS_avg / iD_avg KCL columns along the cell current paths, the
     two constraint rows tying the averaged currents to the port voltages
     through the drive-voltage coefficients, and the cell's vL1 and vL2 rows
-    of E with the same coefficients.
+    of E with the same coefficients, in one pass over each drive term.
     """
     params = cell_params(element)
-    layout = system.layout
+    layout, A = system.layout, system.A
     rs, rd = layout.cell_rows[element.label]
-    terminal_row = {
-        "a": layout.row_of(element.nodes[0]),
-        "p": layout.row_of(element.nodes[1]),
-        "c": layout.row_of(element.nodes[2]),
-    }
+    node = dict(zip("apc", element.nodes))
 
     s_path, d_path = _cells.current_paths(params)
-    for col, (t_from, t_to) in ((rs, s_path), (rd, d_path)):
-        r_from, r_to = terminal_row[t_from], terminal_row[t_to]
-        if r_from is not None:
-            system.A[r_from, col] += 1.0
-        if r_to is not None:
-            system.A[r_to, col] -= 1.0
+    for col, path in ((rs, s_path), (rd, d_path)):
+        for r, c in _incidence(layout, map(node.get, path)):
+            A[r, col] += c
 
     g_l = T_s / params.L
-    a_map, b_map = _cells.drive_terms(params)
     col = layout.state_col[element.label]
-    for row, terms in ((col, a_map), (col + len(layout.cell_rows), b_map)):
-        drive = system.E[row]
-        for t, coeff in terms.items():
-            r = terminal_row[t]
-            if r is not None:
-                drive[r] += coeff
-
-    system.A[rs, rs] += 1.0
-    for t, coeff in a_map.items():
-        r = terminal_row[t]
-        if r is not None:
-            system.A[rs, r] += -(d * d * g_l / 2.0) * coeff
-
-    ra, rb = {}, {}
-    for terms, scale, out in (
-        (a_map, -d * g_l / params.n, ra),
-        (b_map, -g_l / (2.0 * params.n), rb),
-    ):
-        for t, coeff in terms.items():
-            r = terminal_row[t]
-            if r is not None:
-                out[r] = out.get(r, 0.0) + scale * coeff
-    cols = tuple(sorted(ra.keys() | rb.keys()))
-    row = DiodeRow(
-        element.label,
-        rd,
-        cols,
-        tuple(ra.get(c, 0.0) for c in cols),
-        tuple(rb.get(c, 0.0) for c in cols),
-    )
-    system.A[rd, rd] = 1.0
-    system.A[rd, list(cols)] = [d_p * a + d_p * d_p * b for a, b in zip(row.ra, row.rb)]
-    system.diode_rows.append(row)
+    a_map, b_map = _cells.drive_terms(params)
+    # A drive term enters E, the iS_avg row (vL1's only) and ra or rb.
+    A[rs, rs] += 1.0
+    switch, diode = -(d * d * g_l / 2.0), {}
+    for k, (row, terms, scale) in enumerate((
+        (col, a_map, -d * g_l / params.n),
+        (col + len(layout.cell_rows), b_map, -g_l / (2.0 * params.n)),
+    )):
+        for r, c in _incidence(layout, map(node.get, terms), terms.values()):
+            system.E[row, r] += c
+            if k == 0:
+                A[rs, r] += switch * c
+            diode.setdefault(r, [0.0, 0.0])[k] += scale * c
+    cols = sorted(diode)
+    ra, rb = (tuple(diode[r][k] for r in cols) for k in (0, 1))
+    A[rd, rd] = 1.0
+    A[rd, cols] = [diode_entries(d_p, a, b) for a, b in zip(ra, rb)]
+    system.diode_rows.append(DiodeRow(element.label, rd, tuple(cols), ra, rb))
     system.B[rs, col] = d
     system.B[rd, col] = d_p / params.n
 
@@ -249,23 +236,13 @@ def assemble_system(circuit, d, T_s, d_p):
     return system
 
 
-def _stamp_conductance(A, r1, r2, g):
-    if r1 is not None:
-        A[r1, r1] += g
-    if r2 is not None:
-        A[r2, r2] += g
-    if r1 is not None and r2 is not None:
-        A[r1, r2] -= g
-        A[r2, r1] -= g
-
-
 def lu_factor(A):
     """Test ``A`` for singularity by LU elimination with partial pivoting,
     then return its inverse; the systems are small, so a solve is one
     product with it.
 
-    Raises :class:`SingularSystem` when a pivot falls below
-    ``PIVOT_RTOL`` times the originating row's infinity norm.
+    The pivot is the column's largest entry; :class:`SingularSystem` is
+    raised when it is at most ``PIVOT_RTOL`` times its row's largest entry in A.
     """
     lu = np.array(A, dtype=float)
     scale = np.abs(lu).max(axis=1).tolist()
@@ -308,16 +285,16 @@ class RowUpdate:
     def __init__(self, A, inverse, rows, d_p0):
         self.d_p0 = d_p0
         self.rd = rd = [r.row for r in rows]
-        n, order = len(rows), len(A)
+        n = len(rows)
         row_norms = np.abs(A).sum(axis=1)
         self.a_norm = float(row_norms.max())
         row_norms[rd] = 0.0  # leaves the rows no d_p enters
         self._fixed_norm = float(row_norms.max())
         # Every row's cols and its ra and rb, then |ra| and |rb|, padded to
-        # one width by zero terms at a spare column ``order``.
+        # one width by zero terms at the row's own rd.
         width = max((len(r.cols) for r in rows), default=0)
         pads = [width - len(r.cols) for r in rows]
-        cols = np.array([r.cols + (order,) * p for r, p in zip(rows, pads)], int)
+        cols = np.array([r.cols + (r.row,) * p for r, p in zip(rows, pads)], int)
         ra = np.array([r.ra + (0.0,) * p for r, p in zip(rows, pads)]).reshape(n, width)
         rb = np.array([r.rb + (0.0,) * p for r, p in zip(rows, pads)]).reshape(n, width)
         self._cols, self._ra, self._rb = cols.reshape(n, width), ra, rb
@@ -326,9 +303,7 @@ class RowUpdate:
         self._W = inverse[:, rd].T
         self._moved_W = {}  # W[moved] by moved rows
         # The w_j for ra and rb, and |w_j| for |ra| and |rb|.
-        W = np.zeros((4, n, order + 1))
-        W[:2, :, :order] = self._W
-        W[2:] = abs(W[0])
+        W = np.stack([self._W, self._W, abs(self._W), abs(self._W)])
         # ra_i . w_j, rb_i . w_j, |ra_i| . |w_j| and |rb_i| . |w_j| for
         # every pair of rows (i, j), summed term by term in ``cols`` order.
         products = terms[:, :, None, :] * W[:, :, self._cols].transpose(0, 2, 1, 3)
@@ -401,18 +376,12 @@ class RowUpdate:
 
     def moves(self, d_p):
         """The ``a_norm`` and ``moves`` :func:`check_residual` takes for one
-        system per row of ``d_p`` (one column per diode row): every
-        system's infinity norm and (rd, R), R[k, i] being row ``rd[i]`` at
-        d_p[k, i], entry for entry as assembly writes it."""
-        d_p = d_p[..., None]
-        n, order = self._W.shape
-        # Zero off the pattern: ra and rb are, and the unit diagonal adds 0.
-        R = np.zeros(d_p.shape[:-1] + (order + 1,))
-        R[..., range(n), self.rd] = 1.0
-        values = d_p * self._ra + d_p * d_p * self._rb + 0.0
-        R[..., np.arange(n)[:, None], self._cols] = values
-        R = np.ascontiguousarray(R[..., :order])
-        return np.abs(R).sum(axis=-1).max(axis=-1, initial=self._fixed_norm), (self.rd, R)
+        system per row of ``d_p`` (one column per diode row): the infinity
+        norm of the rows no d_p enters, and (rd, cols, V), V[k, i] being
+        row ``rd[i]``'s entries at ``cols[i]`` at d_p[k, i], entry for entry
+        as assembly writes them (zero at the padding)."""
+        V = diode_entries(d_p[..., None], self._ra, self._rb)
+        return self._fixed_norm, (self.rd, self._cols, V)
 
 
 def solve_small(C, r, scale):
@@ -466,29 +435,30 @@ def solve_diagonal(rows):
 def check_residual(A, x, z, a_norm, period=None, moves=None):
     """Enforce the backward-stable residual bound of the direct solve.
 
-    ``x`` and ``z`` are one solution and its right-hand side, or a block of
-    them, one system per row, with matrix ``A``, or with ``moves = (rd, R)``
-    A with row ``rd[i]`` replaced by ``R[k, i]`` for system k.  ``a_norm``
-    is the infinity norm of the matrix, or of every system's.  The first
+    ``x`` and ``z`` hold a block of solutions and their right-hand sides,
+    one system per row, with matrix ``A`` and ``a_norm`` its infinity norm;
+    or with ``moves = (rd, cols, V)`` (:meth:`RowUpdate.moves`), system k's
+    row ``rd[i]`` is the unit entry at ``rd[i]`` and ``V[k, i]`` at
+    ``cols[i]``, and ``a_norm`` is the norm of the other rows.  The first
     system over its bound raises :class:`SingularSystem`, with ``period``
     plus its row as the period when ``period`` is given.  Returns the
     largest residual over its bound.
     """
     residual = x @ A.T - z
     if moves is not None:
-        rd, R = moves
-        residual[..., rd] = (R @ x[..., None])[..., 0] - z[..., rd]
+        rd, cols, V = moves
+        residual[:, rd] = x[:, rd] + (V * x[:, cols]).sum(axis=-1) - z[:, rd]
+        a_norm = np.maximum(a_norm, (np.abs(V).sum(axis=-1) + 1.0).max(axis=-1))
     residual = np.abs(residual).max(axis=-1)
     bound = RESIDUAL_RTOL * (
         a_norm * np.abs(x).max(axis=-1) + np.abs(z).max(axis=-1)
     )
     # Written so that a non-finite solution fails.
     passed = (residual <= bound) & (bound < math.inf)
-    if not (passed if passed.ndim == 0 else passed.all()):
-        row = int(np.argmin(passed, axis=None))
-        worst, limit = np.ravel(residual)[row], np.ravel(bound)[row]
+    if not passed.all():
+        row = int(np.argmin(passed))
         raise SingularSystem(
-            f"residual {worst:.3e} exceeds stability bound {limit:.3e}",
+            f"residual {residual[row]:.3e} exceeds stability bound {bound[row]:.3e}",
             period=None if period is None else period + row,
         )
     # A system whose bound is 0 passed with residual 0.

@@ -310,8 +310,9 @@ def validate(circuit):
     """Check solvability conditions; returns a list of diagnostics.
 
     Covers ground presence, graph connectivity, a switching cell to step,
-    parameter positivity, voltage-source-only loops and current-source-only
-    cutsets (sufficient conditions for the averaged run to be well posed).
+    parameter positivity, capacitors across one node, voltage-source-only
+    loops and current-source-only cutsets (sufficient conditions for the
+    averaged run to be well posed).
     """
     diags = []
 
@@ -336,10 +337,16 @@ def validate(circuit):
             diags.append(
                 Diagnostic("non-positive-resistance", f"{e.label}: non-positive resistance")
             )
-        elif e.kind == CAP and e.value <= 0:
-            diags.append(
-                Diagnostic("non-positive-capacitance", f"{e.label}: non-positive capacitance")
-            )
+        elif e.kind == CAP:
+            if e.value <= 0:
+                diags.append(
+                    Diagnostic("non-positive-capacitance", f"{e.label}: non-positive capacitance")
+                )
+            # Across one node it holds no voltage, and the oracle finds no
+            # initial operating point.
+            if e.nodes[0] == e.nodes[1]:
+                message = f"{e.label}: both terminals on node {e.nodes[0]}"
+                diags.append(Diagnostic("shorted-capacitor", message))
         elif e.is_cell:
             if e.value <= 0:
                 diags.append(

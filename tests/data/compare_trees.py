@@ -1,0 +1,111 @@
+"""Compare the engine's bits in this tree with another tree's.
+
+Usage, from the repository root:
+
+    python3 tests/data/compare_trees.py OTHER_SRC
+
+``OTHER_SRC`` is the ``src`` directory of another checkout, for instance
+of the parent commit.  The script runs itself in a subprocess under each
+tree's ``PYTHONPATH`` and, for every case of ``engine_reference.json``
+(plain and with ``dcm_refine``, as recorded), takes sha256 digests of:
+
+* ``assemble_system``'s A, B, E and ``diode_rows`` at the case's d and at
+  d = 1, each with every d_p at 1 - d, at 0.3 and at 0;
+* every column of ``run()``'s result and every ``RunStats`` field.
+
+It prints one line per case, with one digest over the assembly fields and
+one over the run fields, and exits 1 if any field differs, naming the case
+and the field.  It writes no file.  A change meant to keep the engine's
+output bit for bit passes it against its parent; a change that moves bits
+on purpose does not.
+"""
+
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+DATA = Path(__file__).resolve().parent
+SRC = DATA.parents[1] / "src"
+
+COLUMNS = ("x", "v_cap", "vL1", "vL2", "i0_next", "iL0", "iL1", "iL2", "d_p", "dcm")
+
+
+def _digest(value):
+    if hasattr(value, "tobytes"):
+        data = f"{value.dtype}{value.shape}".encode() + value.tobytes()
+    else:
+        data = repr(value).encode()  # repr tells every float apart
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests():
+    """{case: {field: digest}} of the tree on ``sys.path``."""
+    from avgcell import SimConfig, parse_netlist, run
+    from avgcell.mna import assemble_system
+
+    cases = json.loads((DATA / "engine_reference.json").read_text())["cases"]
+    out = {}
+    for name, case in cases.items():
+        circuit = parse_netlist(case["netlist"])
+        labels = [e.label for e in circuit.cells()]
+        fields = out[name] = {}
+        for d in dict.fromkeys((case["d"], 1.0)):
+            for d_p in dict.fromkeys((1.0 - d, 0.3, 0.0)):
+                system = assemble_system(circuit, d, 1.0 / case["f_s"], dict.fromkeys(labels, d_p))
+                for field in ("A", "B", "E", "diode_rows"):
+                    fields[f"assembly:d={d!r}:d_p={d_p!r}:{field}"] = _digest(
+                        getattr(system, field)
+                    )
+        config = SimConfig(case["d"], case["f_s"], case["t_end"], case["dcm_refine"])
+        result = run(circuit, config)
+        for column in COLUMNS + ("t_start",):
+            fields[f"run:{column}"] = _digest(getattr(result, column))
+        for stat in dataclasses.fields(result.stats):
+            fields[f"run:stats.{stat.name}"] = _digest(getattr(result.stats, stat.name))
+    return out
+
+
+def _tree(src):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, __file__, "--digests"], env=env, capture_output=True, text=True
+    )
+    if done.returncode:
+        sys.exit(f"{src}: digests failed\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def _combined(fields, prefix):
+    joined = "".join(v for k, v in sorted(fields.items()) if k.startswith(prefix))
+    return hashlib.sha256(joined.encode()).hexdigest()[:16]
+
+
+def main(argv):
+    if argv == ["--digests"]:
+        print(json.dumps(digests()))
+        return 0
+    if len(argv) != 1:
+        sys.exit(__doc__)
+    here, there = _tree(SRC), _tree(Path(argv[0]).resolve())
+    mismatches = 0
+    for name, fields in here.items():
+        other = there.get(name, {})
+        differ = [f for f in fields if other.get(f) != fields[f]]
+        verdict = "identical" if not differ else "DIFFERS"
+        print(
+            f"{name:20} assembly {_combined(fields, 'assembly:')}"
+            f"  run {_combined(fields, 'run:')}  {len(fields)} fields {verdict}"
+        )
+        for field in differ:
+            print(f"  mismatch: {name} {field}")
+        mismatches += len(differ)
+    print(f"{len(here)} cases, {mismatches} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

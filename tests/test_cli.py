@@ -128,6 +128,16 @@ def test_validation_failure_exits_two(tmp_path, capsys):
     assert "voltage source loop" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["averaged", "oracle"])
+def test_shorted_capacitor_exits_two_and_writes_nothing(tmp_path, capsys, oracle):
+    path = tmp_path / "shorted.net"
+    path.write_text(BUCK + "C 9 2 2 1e-6 0\n")
+    out = tmp_path / "results"
+    assert run_cli(path, *ARGS, "--out", out, *oracle) == 2
+    assert capsys.readouterr().err == f"error: {path}: C9: both terminals on node 2\n"
+    assert not out.exists()
+
+
 def test_circuit_without_a_cell_exits_two(tmp_path, capsys):
     path = tmp_path / "nocell.net"
     path.write_text("VDC 1 1 0 10.0\nR 1 1 0 5.0\n")

@@ -12,8 +12,12 @@ from avgcell.cells import (
     CellState,
     Mode,
     PortVoltages,
+    Rectifier,
     avg_inductor_current,
+    compute_d2,
     drive_voltages,
+    keeps_ccm,
+    resolve_mode,
 )
 from avgcell.engine import (
     CapacitorRecord,
@@ -240,7 +244,9 @@ ENGINE_REFERENCE = json.loads(
 def test_predictions_use_the_drive_voltages_of_the_node_voltages(name):
     """Each period's modes are predicted from the drive voltages stored on
     the previous record, which must be those of its node voltages; without
-    dcm_refine, predict_mode on a record gives the next record's modes."""
+    dcm_refine, predict_mode on a record gives the next record's modes, and
+    so does the cells rules' composition written out here, apart from the
+    engine's own predictor."""
     case = ENGINE_REFERENCE[name]
     circuit = parse_netlist(case["netlist"])
     config = SimConfig(case["d"], case["f_s"], case["t_end"], case["dcm_refine"])
@@ -259,9 +265,15 @@ def test_predictions_use_the_drive_voltages_of_the_node_voltages(name):
     if config.dcm_refine:
         return
     for previous, record in zip(records, records[1:]):
-        for e, _ in cells:
-            state = record.cells[e.label]
+        for e, params in cells:
+            state, before = record.cells[e.label], previous.cells[e.label]
             assert predict_mode(e, previous, config.d) == (state.mode, state.d_p)
+            if params.rectifier is Rectifier.SYNCHRONOUS or keeps_ccm(before.iL2):
+                expected = (Mode.CCM, 1.0 - config.d)
+            else:
+                d2 = compute_d2(before.vL1, before.vL2, config.d)
+                expected = resolve_mode(config.d, d2, Rectifier.DIODE)
+            assert (state.mode, state.d_p) == expected
 
 
 def test_step_reproduces_run(buck_circuit):
@@ -616,11 +628,13 @@ def test_row_updated_system_equals_assembled_system(monkeypatch):
         if period is not None:  # the bootstrap has no period
             for k, z_k in enumerate(np.atleast_2d(z)):
                 assert period + k not in checked
-                A_k = A.copy()
+                A_k, a_norm_k = A.copy(), a_norm
                 if moves is not None:
-                    rd, R = moves
-                    A_k[rd] = R[k]
-                a_norm_k = a_norm[k] if np.ndim(a_norm) else a_norm
+                    rd, cols, V = moves
+                    A_k[rd] = 0.0
+                    A_k[np.array(rd)[:, None], cols] = V[k]
+                    A_k[rd, rd] = 1.0
+                    a_norm_k = max(a_norm, *(1.0 + np.abs(V[k]).sum(axis=-1)))
                 checked[period + k] = (A_k, z_k.copy(), a_norm_k)
         return real(A, x, z, a_norm, period, moves)
 

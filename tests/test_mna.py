@@ -54,7 +54,7 @@ def a_norm(A):
 def solve(system, z):
     """Factor, solve and check an assembled system as the engine does."""
     x = lu_solve(lu_factor(system.A), z)
-    check_residual(system.A, x, z, a_norm(system.A))
+    check_residual(system.A, x[None], z[None], a_norm(system.A))
     return x
 
 
@@ -229,15 +229,15 @@ class TestSolver:
     def test_residual_violation_raises(self):
         a = np.eye(2)
         with pytest.raises(SingularSystem):
-            check_residual(a, np.array([1.0, 1.0]), np.array([1.0, 2.0]), a_norm(a))
+            check_residual(a, np.array([[1.0, 1.0]]), np.array([[1.0, 2.0]]), a_norm(a))
 
     def test_non_finite_solution_raises(self):
         a = np.eye(2)
         with pytest.raises(SingularSystem):
-            check_residual(a, np.array([np.nan, 0.0]), np.zeros(2), a_norm(a))
+            check_residual(a, np.array([[np.nan, 0.0]]), np.zeros((1, 2)), a_norm(a))
         ones = np.ones((2, 2))
         with pytest.raises(SingularSystem):
-            check_residual(ones, np.array([np.inf, 1.0]), np.zeros(2), a_norm(ones))
+            check_residual(ones, np.array([[np.inf, 1.0]]), np.zeros((1, 2)), a_norm(ones))
 
 
 class TestSmallSolve:
@@ -345,12 +345,22 @@ R 1 3 0 50.0
 """
 
 
-def test_row_update_matches_refactored_system():
-    """Moving, moving back and holding the diode rows of a two-cell system
-    gives the assembled matrix and the solution of a fresh factorization;
-    A0 itself is never rewritten."""
+_CASCADE_D = 0.4
+# A d_p in [0, 1 - d], the endpoints drawn as often as the rest.
+_CASCADE_D_P = st.one_of(
+    st.sampled_from([0.0, 1.0 - _CASCADE_D]), st.floats(0.0, 1.0 - _CASCADE_D)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(_CASCADE_D_P, _CASCADE_D_P))
+def test_row_update_matches_refactored_system(d_ps):
+    """Moving the diode rows of a two-cell system to any pair of d_p, or
+    holding them, gives the assembled matrix bit for bit, its infinity norm
+    and the solution of a fresh factorization; A0 itself is never
+    rewritten."""
     circuit = parse_netlist(CASCADE)
-    d = 0.4
+    d = _CASCADE_D
     caps = {"C1": 3.0, "C2": -1.0}
     # Both cells in DCM: each starts its period at zero current.
     iL0s = {"SCD1": 0.0, "FBD2": 0.0}
@@ -362,21 +372,23 @@ def test_row_update_matches_refactored_system():
     inverse = lu_factor(system.A)
     update = RowUpdate(system.A, inverse, system.diode_rows, 1.0 - d)
     A0 = system.A.copy()
-    for d_ps in [(0.3, 0.45), (0.3, 1.0 - d), (0.2, 0.1), (1.0 - d, 1.0 - d)]:
-        expected = assemble_system(circuit, d, TS, d_p(*d_ps))
-        z = rhs(system, caps, iL0s)
-        x = update.solve(lu_solve(inverse, z), d_ps)
-        np.testing.assert_array_equal(system.A, A0)
-        norm, moves = update.moves(np.array(d_ps))
-        A = A0.copy()
-        rd, R = moves
-        A[rd] = R
-        np.testing.assert_array_equal(A, expected.A)
-        assert norm == pytest.approx(np.abs(expected.A).sum(axis=1).max())
-        np.testing.assert_allclose(
-            x, solve(expected, rhs(expected, caps, iL0s)), rtol=1e-12, atol=1e-12
-        )
-        check_residual(system.A, x, z, norm, moves=moves)
+    expected = assemble_system(circuit, d, TS, d_p(*d_ps))
+    z = rhs(system, caps, iL0s)
+    x = update.solve(lu_solve(inverse, z), d_ps)
+    np.testing.assert_array_equal(system.A, A0)
+    fixed_norm, moves = update.moves(np.array([d_ps]))
+    rd, cols, V = moves
+    A = A0.copy()
+    A[rd] = 0.0
+    A[np.array(rd)[:, None], cols] = V[0]  # the padding writes zeros at rd
+    A[rd, rd] = 1.0
+    assert A.tobytes() == expected.A.tobytes()
+    norm = max(fixed_norm, *(1.0 + np.abs(V[0]).sum(axis=-1)))
+    assert norm == pytest.approx(np.abs(expected.A).sum(axis=1).max())
+    np.testing.assert_allclose(
+        x, solve(expected, rhs(expected, caps, iL0s)), rtol=1e-12, atol=1e-12
+    )
+    check_residual(system.A, x[None], z[None], fixed_norm, moves=moves)
 
 
 CHAIN = """\
@@ -464,4 +476,4 @@ def test_solver_agrees_with_reference_and_meets_residual_bound(seed):
     z = rng.normal(size=n)
     x = lu_solve(lu_factor(a), z)
     np.testing.assert_allclose(x, np.linalg.solve(a, z), rtol=1e-8, atol=1e-10)
-    check_residual(a, x, z, a_norm(a))
+    check_residual(a, x[None], z[None], a_norm(a))

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avgcell import SimConfig, run
+from avgcell.engine import InvalidCircuit
 from avgcell.netlist import (
     ArityError,
     DisconnectedGraph,
@@ -16,6 +18,7 @@ from avgcell.netlist import (
     serialize_netlist,
     validate,
 )
+from avgcell.oracle import simulate_switched
 
 BUCK_LISTING = """\
 VDC 1 1 0 10.0
@@ -150,6 +153,24 @@ def test_validate_flags_current_source_cutset():
     text = "VDC 1 1 0 10.0\nSCN 1 1 0 2 1e-5 0\nR 1 2 0 5.0\nIDC 1 3 0 1.0\n"
     diags = validate(parse_netlist(text))
     assert any(d.code == "current-source-cutset" for d in diags)
+
+
+def test_validate_flags_a_shorted_capacitor():
+    """A capacitor with both terminals on one node is a diagnostic, and
+    neither simulator runs it; a resistor or current source across one
+    node stays accepted."""
+    text = BUCK_LISTING + "C 9 2 2 1e-6 0\n"
+    diags = validate(parse_netlist(text))
+    assert [(d.code, str(d)) for d in diags] == [
+        ("shorted-capacitor", "C9: both terminals on node 2")
+    ]
+    config = SimConfig(0.5, 100e3, 1e-4)
+    with pytest.raises(InvalidCircuit, match="C9: both terminals on node 2"):
+        run(parse_netlist(text), config)
+    with pytest.raises(InvalidCircuit, match="C9: both terminals on node 2"):
+        simulate_switched(parse_netlist(text), config)
+    accepted = BUCK_LISTING + "R 9 2 2 5.0\nIDC 9 2 2 1.0\n"
+    assert validate(parse_netlist(accepted)) == []
 
 
 def test_validate_flags_a_circuit_without_a_cell():
