@@ -20,7 +20,6 @@ from .engine import (
     PeriodRecord,
     SimConfig,
     SimulationResult,
-    predict_mode,
     run,
     step,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "inductor_waveform",
     "parse_netlist",
     "period_average",
-    "predict_mode",
     "run",
     "serialize_netlist",
     "simulate_switched",

@@ -19,18 +19,18 @@ before the first that breaks a rule are kept, and that period is stepped.
 Blocks start at ``FIRST_BLOCK`` periods and double after each kept whole.
 
 The stepper solves a period in one pass on Python floats over tables built
-once per run: it predicts each diode cell's mode as ``predict_mode`` does,
+once per run: it predicts each diode cell's mode by the ``cells`` rules,
 solves A0^-1 z, row-updated (:class:`avgcell.mna.RowUpdate`) for the cells
 at another d_p (in DCM or a ``dcm_refine`` re-solve), and advances every
-inductor current; it hands y, the end currents and s to the next stepped
-period as lists.  Residuals are checked in batches, each against its
-period's own matrix: a block's periods when it ends, stepped periods before
-the next block, at the end, at least every ``STRETCH`` periods and before a
-failed row-update pivot is reported, so the earliest failure is.  A period
-is solved from exactly the state its record carries, so :func:`step`
-reproduces :func:`run`.  Results are columns (:class:`SimulationResult`),
-one row per period, and :class:`PeriodRecord` objects are built from them
-on first access.
+inductor current.  Each period starts from the y, end currents and s that
+the bootstrap, a stepped period or a block hands over as lists.  Residuals
+are checked in batches, each against its period's own matrix: a block's
+periods when it ends, stepped periods before the next block, at the end,
+at least every ``STRETCH`` periods and before a failed row-update pivot is
+reported, so the earliest failure is.  A period is solved from exactly the
+state its record carries, so :func:`step` reproduces :func:`run`.  Results
+are columns (:class:`SimulationResult`), one row per period, and
+:class:`PeriodRecord` objects are built from them on first access.
 """
 
 import math
@@ -322,36 +322,9 @@ def step(circuit, config, previous_record):
     iL2 = [c.iL2 for c in cells]
     rows.s[1] = state = [c.i0_next for c in caps] + iL2 + [1.0]
     y = [c.v for c in caps] + [c.vL1 for c in cells] + [c.vL2 for c in cells]
-    stepper._carry = (1, y, iL2, state)
+    stepper._carry = (y, iL2, state)
     stepper.solve_rows(1, 2)
     return rows.records(config, 1, 2, index, config.period_starts(index, index + 1))[0]
-
-
-def predict_mode(cell, previous_record, d):
-    """Predict (mode, d_p) for the period following ``previous_record``
-    from the drive voltages of its node voltages."""
-    params = cell_params(cell)
-    v = [previous_record.node_voltages.get(n, 0.0) for n in cell.nodes]
-    vL1, vL2 = _cells.drive_voltages(_cells.PortVoltages(*v), params)
-    cells = [(0, params.rectifier, 0, 1)]
-    dcm, d_p = _predict(cells, [vL1, vL2], [previous_record.cells[cell.label].iL2], d)
-    return _MODES[dcm[0]], d_p[0]
-
-
-def _predict(cells, y, iL0s, d):
-    """The DCM flag and d_p of every cell, as the stepper predicts them:
-    ``cells`` holds (cell, rectifier, where vL1 and vL2 are in ``y``) for
-    every cell that may leave CCM, and ``iL0s`` every cell's start current,
-    set to zero for those predicted in discontinuous conduction."""
-    keeps_ccm, compute_d2 = _cells.keeps_ccm, _cells.compute_d2
-    resolve_mode = _cells.resolve_mode
-    dcm, d_ps = [False] * len(iL0s), [1.0 - d] * len(iL0s)
-    for i, rectifier, vL1, vL2 in cells:
-        if not keeps_ccm(iL0s[i]):
-            mode, d_ps[i] = resolve_mode(d, compute_d2(y[vL1], y[vL2], d), rectifier)
-            if mode is _DCM:
-                dcm[i], iL0s[i] = True, 0.0
-    return dcm, d_ps
 
 
 class _Stepper:
@@ -394,13 +367,13 @@ class _Stepper:
         )
         self.P = lu_solve(self.inverse, system.B)
         self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
-        # Every diode cell, for _predict over a row of y.
-        DIODE, vL1, vL2 = _cells.Rectifier.DIODE, rows.cell.start, rows.vL2.start
-        self._diode_cells = [(i, DIODE, vL1 + i, vL2 + i) for i in self.diode]
+        # Every diode cell and where its vL1 and vL2 are in a row of y.
+        vL1, vL2 = rows.cell.start, rows.vL2.start
+        self._diode_cells = [(i, vL1 + i, vL2 + i) for i in self.diode]
         self._unchecked = 0  # the first solved row not yet checked
-        # (r, y of row r - 1, its end currents, s of row r) as lists, after
-        # a stepped row r - 1.
-        self._carry = (None,)
+        # (y of row r - 1, its end currents, s of row r) as lists, for the
+        # next row r to solve.
+        self._carry = None
         # (iL1, iL2, d_p, dcm, s) of the stepped rows before the next check,
         # written to the rows by the check.
         self._stepped = []
@@ -414,10 +387,11 @@ class _Stepper:
         # Zero capacitor current assumed at t = 0: i_0 = g v0, g = 2C / T_s.
         i0 = [g2 / 2.0 * e.initial for e, g2 in zip(caps, self.two_g)]
         state = i0 + iL0s + [1.0]
-        self._solve(0, state, iL0s, [self.d_p0] * len(cells))
+        y = self._solve(0, state, iL0s, [self.d_p0] * len(cells))
         rows.s[:2] = state
         self._check(1)
         rows.iL1[0] = rows.iL2[0] = iL0s
+        self._carry = (y, iL0s, state)
 
     def result(self):
         self.stats.row_update_solves = self.update.updates
@@ -429,9 +403,8 @@ class _Stepper:
         length = FIRST_BLOCK
         self._unchecked = r
         while r < stop:
-            iL0s = self._carry[2] if self._carry[0] == r else self.rows.iL2[r - 1].tolist()
             # Every diode cell carries a current into row r that keeps CCM.
-            if all(_cells.keeps_ccm(iL0s[i]) for i in self.diode):
+            if all(_cells.keeps_ccm(self._carry[1][i]) for i in self.diode):
                 self._check(r)
                 end = min(r + length, stop)
                 r = self._block(r, end)
@@ -452,7 +425,7 @@ class _Stepper:
         if stepped:  # rows [stop - len(stepped), stop), and s of row stop
             first = stop - len(stepped)
             rows.iL1[first:stop], rows.iL2[first:stop], d_p, dcm, s = zip(*stepped)
-            rows.s[first:stop + 1] = s + (self._carry[3],)
+            rows.s[first:stop + 1] = s + (self._carry[2],)
             rows.d_p[first:stop], rows.dcm[first:stop] = d_p, dcm
             stepped.clear()
         if a < stop:
@@ -487,6 +460,8 @@ class _Stepper:
             last = a + accepted
             self._check(last)
             rows.iL2[a:last] = iL2[:accepted]
+            state = rows.s[last].tolist()
+            self._carry = (rows.y[last - 1].tolist(), state[rows.cell], state)
             self.stats.blocks += 1
             self.stats.block_periods += accepted
         return a + accepted
@@ -521,16 +496,12 @@ class _Stepper:
         """Solve row r with the mode predictor, the row update and, in
         discontinuous conduction, ``dcm_refine``."""
         rows = self.rows
-        if self._carry[0] == r:
-            _, y, iL0s, state = self._carry
-            iL0s = iL0s[:]  # the predictions zero some; row r - 1 keeps its own
-        else:
-            y, iL0s, state = [a.tolist() for a in (rows.y[r - 1], rows.iL2[r - 1], rows.s[r])]
-        d = self.config.d
-        dcm, d_ps = _predict(self._diode_cells, y, iL0s, d)
+        y, iL0s, state = self._carry
+        iL0s = iL0s[:]  # the predictions zero some; row r - 1 keeps its own
+        dcm, d_ps = self._predict(y, iL0s)
         y = self._solve(r, state, iL0s, d_ps)
         if self.config.dcm_refine and True in dcm:
-            refined = _predict(self._diode_cells, y, iL0s, d)
+            refined = self._predict(y, iL0s)
             if refined != (dcm, d_ps):
                 dcm, d_ps = refined
                 y = self._solve(r, state, iL0s, d_ps)
@@ -548,8 +519,23 @@ class _Stepper:
         ]
         self._stepped.append((iL1s, iL2s, d_ps, dcm, state))
         state = [k * v - i0 for k, v, i0 in zip(self.two_g, y, state)] + iL2s + [1.0]
-        self._carry = (r + 1, y, iL2s, state)
+        self._carry = (y, iL2s, state)
         self.stats.stepped_periods += 1
+
+    def _predict(self, y, iL0s):
+        """The DCM flag and d_p of every cell, predicted from the drive
+        voltages in ``y`` and every cell's start current in ``iL0s``, which
+        is set to zero for the diode cells predicted in DCM."""
+        keeps_ccm, compute_d2 = _cells.keeps_ccm, _cells.compute_d2
+        resolve_mode, DIODE = _cells.resolve_mode, _cells.Rectifier.DIODE
+        d = self.config.d
+        dcm, d_ps = [False] * len(iL0s), [1.0 - d] * len(iL0s)
+        for i, vL1, vL2 in self._diode_cells:
+            if not keeps_ccm(iL0s[i]):
+                mode, d_ps[i] = resolve_mode(d, compute_d2(y[vL1], y[vL2], d), DIODE)
+                if mode is _DCM:
+                    dcm[i], iL0s[i] = True, 0.0
+        return dcm, d_ps
 
     def _solve(self, r, state, iL0s, d_ps):
         """Solve row r from ``state`` (a row of s as a list) with the cells

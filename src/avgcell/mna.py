@@ -26,9 +26,10 @@ d_p = 1 - d: :func:`lu_factor` eliminates with partial pivoting, tests each
 pivot against its row's largest entry and returns A0^-1, so a period is one
 product A0^-1 z.  :class:`RowUpdate` solves a period with k cells at another
 d_p as a rank-k row update of A0^-1 (Sherman-Morrison-Woodbury; Hager, SIAM
-Review 31(2), 1989), one small system per coupled group of diode rows, and
-never rewrites A.  :func:`check_residual` checks a block of solutions at
-once against A0, with each solution's diode rows as sparse rows.
+Review 31(2), 1989): one division per diode row alone and one small system
+for all the coupled ones, and it never rewrites A.  :func:`check_residual`
+checks a block of solutions at once against A0, with each solution's diode
+rows as sparse rows.
 """
 
 import math
@@ -242,14 +243,17 @@ def lu_factor(A):
     product with it.
 
     The pivot is the column's largest entry; :class:`SingularSystem` is
-    raised when it is at most ``PIVOT_RTOL`` times its row's largest entry in A.
+    raised when A is not finite, or when a pivot is not above ``PIVOT_RTOL``
+    times its row's largest entry in A.
     """
     lu = np.array(A, dtype=float)
+    if not np.isfinite(lu).all():
+        raise SingularSystem("the system matrix A is not finite")
     scale = np.abs(lu).max(axis=1).tolist()
     for k in range(len(lu)):
         p = k + int(abs(lu[k:, k]).argmax())
         pivot = float(lu[p, k])
-        if abs(pivot) <= PIVOT_RTOL * scale[p]:
+        if not abs(pivot) > PIVOT_RTOL * scale[p]:
             raise SingularSystem(f"pivot {pivot:.3e} in column {k} below tolerance")
         if p != k:
             lu[[k, p]] = lu[[p, k]]
@@ -276,10 +280,11 @@ class RowUpdate:
         x = x0 - W C^-1 U^T x0,   x0 = A0^-1 z,   C = I + U^T W,
 
     and det A = det A0 det C.  C_ij is zero wherever ra_i . w_j and
-    rb_i . w_j are, so the rows split at set-up into coupling groups, the
-    connected components of that pattern, and each group's moved rows are
-    solved alone.  ``updates`` counts the solves with a row moved and
-    ``largest`` is the most rows one moved.
+    rb_i . w_j are.  A row with no nonzero C entry off the diagonal, in its
+    row or its column, is alone, one division; a period's coupled moved rows
+    are one small system, block-diagonal over their coupling groups.
+    ``updates`` counts the solves with a row moved and ``largest`` is the
+    most rows one moved.
     """
 
     def __init__(self, A, inverse, rows, d_p0):
@@ -316,18 +321,15 @@ class RowUpdate:
         # row's scale for the pivot rule, so cancellation down to a tiny
         # pivot is caught.
         self._magnitude = list(zip(*dots[2:].max(axis=2, initial=0.0).tolist()))
-        # Every row's coupling group, named by its first row, or None for a
-        # row alone: the closure of the pattern of _raw and _rbw.
-        linked = (dots[0] != 0) | (dots[1] != 0)
-        linked |= linked.T | np.eye(n, dtype=bool)
-        for _ in range(n.bit_length()):  # paths of up to 2^n.bit_length() rows
-            linked = linked @ linked
-        self._group = [g.index(True) if sum(g) > 1 else None for g in linked.tolist()]
+        # Whether each row is alone: no C entry off the diagonal, in its row
+        # or its column, is nonzero by the pattern of _raw and _rbw.
+        linked = ((dots[0] != 0) | (dots[1] != 0)) & ~np.eye(n, dtype=bool)
+        self._lone = (~(linked.any(axis=0) | linked.any(axis=1))).tolist()
         # What a solve reads of row i: its (ra, rb, col) terms, |ra| and
-        # |rb| over the w_j, the diagonal terms of C and the group.
+        # |rb| over the w_j, the diagonal terms of C and whether it is alone.
         self._table = [
-            (tuple(zip(r.ra, r.rb, r.cols)), *m, self._raw[i][i], self._rbw[i][i], g)
-            for i, (r, m, g) in enumerate(zip(rows, self._magnitude, self._group))
+            (tuple(zip(r.ra, r.rb, r.cols)), *m, self._raw[i][i], self._rbw[i][i], lone)
+            for i, (r, m, lone) in enumerate(zip(rows, self._magnitude, self._lone))
         ]
 
     def solve(self, x0, d_ps):
@@ -341,11 +343,11 @@ class RowUpdate:
         self.largest = max(self.largest, len(moved))
 
         # Every moved row's pivot, right-hand side and scale for the
-        # diagonal solve; a coupled row's are placeholders until its group
-        # is solved.
-        xs, diagonal, coupled = x0.tolist(), [], {}
+        # diagonal solve; a coupled row's are placeholders until the coupled
+        # rows are solved.
+        xs, diagonal, coupled = x0.tolist(), [], []
         for i in moved:
-            terms, ra_abs, rb_abs, raw_ii, rbw_ii, group = self._table[i]
+            terms, ra_abs, rb_abs, raw_ii, rbw_ii, lone = self._table[i]
             d_p = d_ps[i]
             alpha = d_p - d_p0
             beta = d_p * d_p - d_p0 * d_p0
@@ -353,16 +355,15 @@ class RowUpdate:
             for a, b, c in terms:
                 u_x += (alpha * a + beta * b) * xs[c]
             scale = 1.0 + abs(alpha) * ra_abs + abs(beta) * rb_abs
-            if group is None:
+            if lone:
                 diagonal.append((alpha * raw_ii + beta * rbw_ii + 1.0, u_x, scale))
             else:
-                member = (len(diagonal), i, alpha, beta, u_x, scale)
-                coupled.setdefault(group, []).append(member)
+                coupled.append((len(diagonal), i, alpha, beta, u_x, scale))
                 diagonal.append((1.0, 0.0, 1.0))
         y = solve_diagonal(diagonal)
         raws, rbws = self._raw, self._rbw
-        for members in coupled.values():
-            pos, idx, alpha, beta, rhs, scale = map(list, zip(*members))
+        if coupled:
+            pos, idx, alpha, beta, rhs, scale = map(list, zip(*coupled))
             C = [[a * raws[i][j] + b * rbws[i][j] for j in idx]
                  for i, a, b in zip(idx, alpha, beta)]
             for k, c_row in enumerate(C):
@@ -389,7 +390,7 @@ def solve_small(C, r, scale):
     Gaussian elimination with partial pivoting on plain Python floats.
 
     Raises :class:`SingularSystem` by the rule of :func:`lu_factor`, a
-    pivot at or below ``PIVOT_RTOL`` times its row's ``scale``.  A row
+    pivot not above ``PIVOT_RTOL`` times its row's ``scale``.  A row
     swaps only with rows of its block of a block-diagonal C (zeros exact),
     so each block gets its bits alone.
     """

@@ -1,0 +1,164 @@
+"""Run one-line source mutants against Tier-1 and report which it kills.
+
+Usage, from the repository root:
+
+    python3 tests/data/mutants.py [NAME ...]
+
+Each row of ``MUTANTS`` is (name, file under ``src/avgcell``, old text,
+new text, why the mutant matters).  The old text must occur exactly once
+in its file.  The script first runs Tier-1 on an unmutated copy of the
+tree and stops if that fails.  Then, for every row or only the named ones,
+it copies the tree to a temporary directory, applies the mutant there and
+runs Tier-1 in that copy with ``-x``.  A failing run kills the mutant.  It
+prints one line per mutant, with the first failing test of a killed one,
+and exits 1 if any survived.  It writes nothing in the tree.  Tier-1 takes
+about 20 s on a 2-vCPU host, so a survivor costs that and a full run a few
+minutes.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+# What Tier-1 reads: tests/test_bench_contract.py imports perfbench.
+COPIED = ("src", "tests", "netlists", "perfbench", "pyproject.toml")
+
+MUTANTS = [
+    (
+        "lu_factor-pivot",
+        "mna.py",
+        'if not abs(pivot) > PIVOT_RTOL * scale[p]:\n            raise SingularSystem(f"pivot',
+        'if not abs(pivot) >= PIVOT_RTOL * scale[p]:\n            raise SingularSystem(f"pivot',
+        "a pivot of exactly PIVOT_RTOL times its row's scale must be singular",
+    ),
+    (
+        "solve_small-pivot",
+        "mna.py",
+        "if not abs(pivot) > PIVOT_RTOL * scale[p]:\n            raise SingularSystem(\n",
+        "if not abs(pivot) >= PIVOT_RTOL * scale[p]:\n            raise SingularSystem(\n",
+        "the coupled row update's pivot rule is lu_factor's",
+    ),
+    (
+        "solve_diagonal-pivot",
+        "mna.py",
+        "if not abs(pivot) > PIVOT_RTOL * row_scale:",
+        "if not abs(pivot) >= PIVOT_RTOL * row_scale:",
+        "a lone row's pivot rule is lu_factor's",
+    ),
+    (
+        "PIVOT_RTOL",
+        "mna.py",
+        "PIVOT_RTOL = 1e-13",
+        "PIVOT_RTOL = 1e-11",
+        "a pivot just above 1e-13 of its row's scale is not singular",
+    ),
+    (
+        "lu_factor-finite",
+        "mna.py",
+        "if not np.isfinite(lu).all():",
+        "if False:",
+        "a matrix that is not finite fails with its own message",
+    ),
+    (
+        "RESIDUAL_RTOL",
+        "mna.py",
+        "RESIDUAL_RTOL = 1e-10",
+        "RESIDUAL_RTOL = 2e-10",
+        "a residual of 1.5 times its bound must raise",
+    ),
+    (
+        "moved-row-norm",
+        "mna.py",
+        "(np.abs(V).sum(axis=-1) + 1.0)",
+        "(np.abs(V).sum(axis=-1) + 2.0)",
+        "a moved diode row's norm is its unit entry plus the sum of |V|",
+    ),
+    (
+        "lone-all",
+        "mna.py",
+        "self._lone = (~(linked.any(axis=0) | linked.any(axis=1))).tolist()",
+        "self._lone = [True] * n",
+        "a coupled diode row solved as if alone gives the wrong solution",
+    ),
+    (
+        "lone-none",
+        "mna.py",
+        "self._lone = (~(linked.any(axis=0) | linked.any(axis=1))).tolist()",
+        "self._lone = [False] * n",
+        "a row alone takes one division, not the coupled elimination",
+    ),
+    (
+        "CURRENT_RTOL",
+        "cells.py",
+        "CURRENT_RTOL = 1e-12",
+        "CURRENT_RTOL = 1e-10",
+        "2e-12 A keeps CCM and does not snap to zero",
+    ),
+    (
+        "forward_biased",
+        "oracle.py",
+        "return (v > 1e-9) & (v > 1e-9 * abs(v_p)) & (v > 1e-9 * abs(v_x))",
+        "return (v > 1e-7) & (v > 1e-7 * abs(v_p)) & (v > 1e-7 * abs(v_x))",
+        "a blocked diode biased at 1e-8 of the voltage scale conducts",
+    ),
+    (
+        "FIRST_BLOCK",
+        "engine.py",
+        "FIRST_BLOCK = 8",
+        "FIRST_BLOCK = 4",
+        "500 CCM periods of buck.net run as 6 blocks",
+    ),
+]
+
+
+def run_tier1(mutant=None):
+    """(passed, first failing test) of Tier-1 in a copy of the tree with
+    ``mutant`` = (file, old, new) applied, if one is given."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".perfbench")
+        for item in COPIED:
+            if (ROOT / item).is_dir():
+                shutil.copytree(ROOT / item, tree / item, ignore=ignore)
+            else:
+                shutil.copy2(ROOT / item, tree / item)
+        if mutant:
+            file, old, new = mutant
+            path = tree / "src" / "avgcell" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                sys.exit(f"{file}: the old text occurs {text.count(old)} times: {old!r}")
+            path.write_text(text.replace(old, new))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+            capture_output=True, text=True,
+        )
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
+    return done.returncode == 0, failed.group(1) if failed else done.stdout[-300:]
+
+
+def main(argv):
+    rows = [row for row in MUTANTS if not argv or row[0] in argv]
+    if argv and len(rows) != len(set(argv)):
+        sys.exit(f"unknown mutant among {argv}; known: {[row[0] for row in MUTANTS]}")
+    passed, first = run_tier1()
+    if not passed:
+        sys.exit(f"Tier-1 fails on the unmutated tree: {first}")
+    survived = 0
+    for name, file, old, new, why in rows:
+        passed, first = run_tier1((file, old, new))
+        survived += passed
+        verdict = "SURVIVED" if passed else f"killed by {first}"
+        print(f"{name:22} {verdict}  ({why})", flush=True)
+    print(f"{len(rows)} mutants, {survived} survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -220,6 +220,15 @@ def test_snaps_to_zero_is_the_tolerance_test(iL1, iL2):
     assert same_on_float_and_array(snaps_to_zero, iL1, iL2) == expected
 
 
+def test_current_rules_at_the_tolerance_edges():
+    """Twice CURRENT_RTOL, written out, is a current: it keeps CCM and does
+    not snap to zero; half of it is zero to both rules."""
+    assert same_on_float_and_array(keeps_ccm, 2e-12)
+    assert not same_on_float_and_array(snaps_to_zero, 1.0, 2e-12)
+    assert not same_on_float_and_array(keeps_ccm, 0.5e-12)
+    assert same_on_float_and_array(snaps_to_zero, 1.0, 0.5e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(iL2=_edge)
 def test_diode_clamps_below_zero(iL2):

@@ -230,6 +230,20 @@ def test_non_finite_reconstruction_is_numerical_error(tmp_path, buck_file, capsy
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("duty", [[], ["-D", "1"]], ids=["netlist-duty", "duty-1"])
+def test_non_finite_system_is_numerical_error(tmp_path, capsys, duty):
+    """At L = 1e-320 H, T_s / L overflows and the system matrix is not
+    finite: exit 3 saying so, and no output files.  It read as a pivot of
+    -inf below tolerance, and at D = 1 as a residual nan over a bound nan."""
+    netlists = Path(__file__).resolve().parents[1] / "netlists"
+    netlist = tmp_path / "tiny_l.net"
+    netlist.write_text((netlists / "buck_dcm.net").read_text().replace("10e-6", "1e-320"))
+    code = run_cli(netlist, *duty, "--out", tmp_path / "results")
+    assert code == 3
+    assert capsys.readouterr().err == "error: the system matrix A is not finite\n"
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.mark.parametrize("fs", ["1e150", "1e160"])
 def test_stats_of_tiny_signals_keep_their_rms(tmp_path, buck_file, fs):
     """At these frequencies every signal is below 1e-144 and a period below

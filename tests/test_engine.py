@@ -9,7 +9,6 @@ import pytest
 
 from avgcell import SimConfig, parse_netlist, run, step
 from avgcell.cells import (
-    CellState,
     Mode,
     PortVoltages,
     Rectifier,
@@ -23,8 +22,6 @@ from avgcell.engine import (
     CapacitorRecord,
     InvalidCircuit,
     InvalidConfig,
-    PeriodRecord,
-    predict_mode,
 )
 from avgcell import mna
 from avgcell.mna import SingularSystem, assemble_system
@@ -205,31 +202,27 @@ def test_dcm_buck_boost_matches_closed_form():
 
 
 class TestPredictMode:
+    """The stepper's mode prediction, composed of the ``cells`` rules as
+    the composition test below writes it out."""
+
     def test_synchronous_always_ccm(self, buck_run):
-        cell = buck_run.circuit.cells()[0]
-        mode, d_p = predict_mode(cell, buck_run.records[0], 0.5)
-        assert (mode, d_p) == (Mode.CCM, 0.5)
+        state = buck_run.records[0].cells["SCN1"]
+        d2 = compute_d2(state.vL1, state.vL2, 0.5)
+        assert resolve_mode(0.5, d2, Rectifier.SYNCHRONOUS) == (Mode.CCM, 0.5)
+        assert not buck_run.dcm.any() and (buck_run.d_p == 0.5).all()
 
     def test_positive_start_current_keeps_ccm(self, buck_diode_run):
-        # Steady state: valley current 3.75 A > 0.
-        cell = buck_diode_run.circuit.cells()[0]
-        mode, d_p = predict_mode(cell, buck_diode_run.records[-1], 0.5)
-        assert (mode, d_p) == (Mode.CCM, 0.5)
+        # Steady state: valley current 3.72 A > 0, so no d2 is computed.
+        state = buck_diode_run.records[-1].cells["SCD1"]
+        assert state.mode is Mode.CCM and keeps_ccm(state.iL2)
 
     def test_zero_start_current_with_fast_discharge_predicts_dcm(self):
-        circuit = parse_netlist(BUCK_DIODE)
-        cell = circuit.cells()[0]
-        previous = PeriodRecord(
-            index=0,
-            t_start=0.0,
-            node_voltages={1: 10.0, 2: 8.0},
-            vdc_currents={},
-            cells={
-                "SCD1": CellState(0.0, 0.0, 0.0, Mode.CCM, 0.5, 0, 0, 0, 0, 0)
-            },
-            capacitors={},
-        )
-        mode, d_p = predict_mode(cell, previous, 0.5)
+        cell = parse_netlist(BUCK_DIODE).cells()[0]
+        assert not keeps_ccm(0.0)
+        v = {1: 10.0, 2: 8.0}
+        ports = PortVoltages(*(v.get(n, 0.0) for n in cell.nodes))
+        vL1, vL2 = drive_voltages(ports, cell_params(cell))
+        mode, d_p = resolve_mode(0.5, compute_d2(vL1, vL2, 0.5), Rectifier.DIODE)
         assert mode is Mode.DCM
         # d2 = -(vL1 / vL2) d = (2 / 8) * 0.5
         assert d_p == pytest.approx(0.125)
@@ -244,9 +237,8 @@ ENGINE_REFERENCE = json.loads(
 def test_predictions_use_the_drive_voltages_of_the_node_voltages(name):
     """Each period's modes are predicted from the drive voltages stored on
     the previous record, which must be those of its node voltages; without
-    dcm_refine, predict_mode on a record gives the next record's modes, and
-    so does the cells rules' composition written out here, apart from the
-    engine's own predictor."""
+    dcm_refine, the cells rules' composition written out here, apart from
+    the engine's own predictor, gives the next record's modes."""
     case = ENGINE_REFERENCE[name]
     circuit = parse_netlist(case["netlist"])
     config = SimConfig(case["d"], case["f_s"], case["t_end"], case["dcm_refine"])
@@ -267,7 +259,6 @@ def test_predictions_use_the_drive_voltages_of_the_node_voltages(name):
     for previous, record in zip(records, records[1:]):
         for e, params in cells:
             state, before = record.cells[e.label], previous.cells[e.label]
-            assert predict_mode(e, previous, config.d) == (state.mode, state.d_p)
             if params.rectifier is Rectifier.SYNCHRONOUS or keeps_ccm(before.iL2):
                 expected = (Mode.CCM, 1.0 - config.d)
             else:
@@ -385,6 +376,8 @@ def test_run_stats_count_blocks_and_stepped_periods():
     assert stats.factorizations == 1
     assert stats.block_periods == 500 and stats.stepped_periods == 0
     assert 1 <= stats.blocks < 10
+    # Blocks of 8, 16, ..., 256 periods: FIRST_BLOCK doubled five times.
+    assert stats.blocks == 6
     assert stats.row_update_solves == 0
     assert stats.largest_row_update == 0
 

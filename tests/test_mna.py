@@ -6,6 +6,7 @@ frozen here entry by entry.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from avgcell.mna import (
     check_residual,
     lu_factor,
     lu_solve,
+    solve_diagonal,
     solve_small,
     stamp_capacitor,
     stamp_cell,
@@ -218,6 +220,22 @@ class TestSolver:
         with pytest.raises(SingularSystem):
             lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[np.nan, 1.0], [1.0, 1.0]],
+            [[1.0, np.nan], [1.0, 1.0]],
+            [[1.0, 0.0], [np.inf, 1.0]],
+        ],
+        ids=["nan-pivot", "nan-elsewhere", "inf"],
+    )
+    def test_non_finite_matrix_raises(self, a):
+        """A matrix that is not finite fails before elimination, with the
+        typed error: a NaN pivot escaped as numpy's LinAlgError, and a NaN
+        off the pivots gave an all-NaN inverse."""
+        with pytest.raises(SingularSystem, match="A is not finite"):
+            lu_factor(np.array(a))
+
     def test_parallel_voltage_sources_are_singular(self):
         circuit = parse_netlist(
             "VDC 1 1 0 10.0\nVDC 2 1 0 5.0\nSCN 1 1 0 2 1e-5 0\nR 1 2 0 5.0\n"
@@ -230,6 +248,23 @@ class TestSolver:
         a = np.eye(2)
         with pytest.raises(SingularSystem):
             check_residual(a, np.array([[1.0, 1.0]]), np.array([[1.0, 2.0]]), a_norm(a))
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["plain", "moved-row"])
+    def test_residual_bound_edges(self, moved):
+        """x = (1, 0) against A = diag(1e-3, 1), or with row 1 given as a
+        moved diode row with V = 0, whose norm 1 + |V| is 1: the bound is
+        1e-10 (1 * 1 + 1e-3), with RESIDUAL_RTOL written out.  A residual
+        of 1.5 times it in row 1 raises, and one of half of it passes."""
+        A = np.diag([1e-3, 1.0])
+        bound = 1e-10 * (1.0 * 1.0 + 1e-3)
+        x = np.array([[1.0, 0.0]])
+        a_norm, moves = 1.0, None
+        if moved:
+            a_norm, moves = 1e-3, ([1], np.array([[0]]), np.zeros((1, 1, 1)))
+        with pytest.raises(SingularSystem, match="residual"):
+            check_residual(A, x, np.array([[1e-3, -1.5 * bound]]), a_norm, moves=moves)
+        ratio = check_residual(A, x, np.array([[1e-3, -0.5 * bound]]), a_norm, moves=moves)
+        assert ratio == pytest.approx(0.5)
 
     def test_non_finite_solution_raises(self):
         a = np.eye(2)
@@ -269,6 +304,29 @@ class TestSmallSolve:
     def test_small_pivot_raises(self, C, scale):
         with pytest.raises(SingularSystem):
             solve_small(C, [1.0] * len(C), scale)
+
+
+# The largest pivot that fails for a row scale of 2, with PIVOT_RTOL written
+# out so that a change to it shows.
+_PIVOT_EDGE = 1e-13 * 2.0
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda pivot: lu_factor(np.array([[2.0, 0.0], [2.0, pivot]])),
+        lambda pivot: solve_small([[pivot]], [1.0], [2.0]),
+        lambda pivot: solve_diagonal([(pivot, 1.0, 2.0)]),
+    ],
+    ids=["lu_factor", "solve_small", "solve_diagonal"],
+)
+def test_pivot_at_the_tolerance_raises_and_the_next_float_up_passes(solve):
+    """Each elimination's pivot rule: a pivot of PIVOT_RTOL times its row's
+    scale is singular, and the next float up is not.  lu_factor's second
+    pivot is the entry itself, in a row whose largest entry is 2."""
+    with pytest.raises(SingularSystem):
+        solve(_PIVOT_EDGE)
+    solve(math.nextafter(_PIVOT_EDGE, math.inf))
 
 
 # Entries that tie in magnitude, exact zeros of both signs, and pivots on
@@ -313,9 +371,9 @@ def _outcome(solve):
 @settings(max_examples=250, deadline=None)
 @given(block_diagonal_systems())
 def test_group_by_group_solve_equals_whole_solve(system):
-    """RowUpdate solves each coupling group's moved rows on their own: on
-    a block-diagonal C that gives the bits and the verdict of solving the
-    whole C."""
+    """RowUpdate solves all of a period's coupled moved rows in one C,
+    whatever coupling groups they fall in: on a block-diagonal C that gives
+    each group the bits and the verdict of solving it on its own."""
     C, r, scale, group = system
 
     def by_group():
@@ -451,18 +509,19 @@ R 3 4 0 50.0
 
 
 @pytest.mark.parametrize(
-    "text, groups",
-    [(CASCADE, [0, 0]), (CHAIN, [0, 0, 0]), (PARALLEL, [None, None, None])],
+    "text, lone",
+    [(CASCADE, [False, False]), (CHAIN, [False, False, False]),
+     (PARALLEL, [True, True, True])],
     ids=["cascade", "chain", "parallel"],
 )
-def test_row_update_groups_are_the_coupled_rows(text, groups):
+def test_row_update_groups_are_the_coupled_rows(text, lone):
     """Cells in cascade couple their diode rows through A0^-1; stages in
     parallel on an ideal source do not, and each row is alone."""
     circuit = parse_netlist(text)
     d = 0.4
     system = assemble_system(circuit, d, TS, ccm_d_p(circuit, d))
     update = RowUpdate(system.A, lu_factor(system.A), system.diode_rows, 1.0 - d)
-    assert update._group == groups
+    assert update._lone == lone
 
 
 @settings(max_examples=150, deadline=None)

@@ -44,6 +44,8 @@ def test_at_zero_is_not_above_zero(i):
 # decides.
 @example(v_p=469069.57871311594, v_x=469069.57824404637)
 @example(v_p=-880905.4263420508, v_x=-880905.4272229562)
+# A bias of 1e-8 of the voltage scale, ten times the tolerance.
+@example(v_p=5.0, v_x=5.0 - 5e-8)
 def test_forward_bias_is_the_tolerance_test(v_p, v_x):
     """_forward_biased is the former v_p - v_x > 1e-9 max(1, |v_p|, |v_x|)
     on every pair of finite voltages, on floats and arrays alike."""
