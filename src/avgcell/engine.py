@@ -9,13 +9,17 @@ t = 0; :func:`step` writes its record to row 0 instead.
 
 While every diode cell ``keeps_ccm`` (:mod:`avgcell.cells` owns the
 zero-current rules ``keeps_ccm``, ``snaps_to_zero`` and ``diode_clamps``),
-a stretch of periods runs as a block, one fixed kernel on the run's arrays:
+a stretch of periods runs as a block, each period one product by a per-run
+matrix G and the companion update as the stepper forms it:
 
-    x = P s,   y = E x   (capacitor voltages, then every vL1 and vL2),
-    i_0' = 2 g v - i_0,   iL1 = iL0 + k1 vL1,   iL2 = iL1 + k2 vL2,
+    (v, iL2) = G s,   i_0' = 2 g v - i_0,
 
-with g = 2C / T_s, k1 = d T_s / L and k2 = (1 - d) T_s / L.  The periods
-before the first that breaks a rule are kept, and that period is stepped.
+with g = 2C / T_s, k1 = d T_s / L and k2 = (1 - d) T_s / L in G.
+
+Then x = P s, (vL1, vL2) = E x and iL1 = iL0 + k1 vL1 are read out for
+the block row by row, so a row's bits do not depend on the block's
+length.  The periods before the first that breaks a rule are kept, and
+that period is stepped.
 Blocks start at ``FIRST_BLOCK`` periods and double after each kept whole.
 
 The stepper solves a period in one pass on Python floats over tables built
@@ -160,8 +164,8 @@ class _Rows:
     ``s`` has one row more: row r is the state solve r starts from, and
     row r + 1 the capacitor sources it carries out with its end currents,
     which the next solve overwrites for cells it starts at zero.  ``y`` is
-    E x: capacitor voltages, then every vL1, then every vL2.  Capacitors
-    and cells are in netlist order, as in ``layout.state_col``.
+    E x (a block's capacitor voltages are (E P) s): capacitor voltages,
+    then every vL1, then every vL2, in the order of ``layout.state_col``.
     """
 
     def __init__(self, layout, n, d_p0):
@@ -352,8 +356,6 @@ class _Stepper:
         # iL2 = iL1 + (d_p T_s / L) vL2.
         self.k = [T_s / p.L for p in params]
         self.k1 = [d * k for k in self.k]
-        # The kernel's y -> (2 g v, k1 vL1, k2 vL2) scaling.
-        self.K = np.array(self.two_g + self.k1 + [d_p0 * k for k in self.k])
 
         # Every period of the run is solved from this system, cells at 1 - d.
         self.system = system = assemble_system(
@@ -466,31 +468,41 @@ class _Stepper:
             self.stats.block_periods += accepted
         return a + accepted
 
+    @cached_property
+    def _G(self):
+        """A CCM block's map of a row's (iL0, i0, 1) to its (v, iL2): the
+        capacitor rows of E P, then k1 (E P)_vL1 + k2 (E P)_vL2 + I on iL0."""
+        rows, d, k = self.rows, self.config.d, np.array(self.k)[:, None]
+        EP, cell = self.system.E @ self.P, rows.cell
+        EP[cell] = d * k * EP[cell] + self.d_p0 * k * EP[rows.vL2]
+        EP[cell, cell] += np.eye(len(k))
+        order = [*range(cell.start, cell.stop), *range(rows.n_caps), -1]
+        return EP[:rows.vL2.start].take(order, axis=1)
+
     def _kernel(self, a, b):
         """Rows [a, b) as CCM periods at d_p = 1 - d, each from the state
-        the one before carried out."""
-        rows = self.rows
-        s, cell, n_caps = rows.s, rows.cell, rows.n_caps
-        P, E, K = self.P, self.system.E, self.K
-        t = np.empty_like(K)
-        t_v, t_1, t_2 = t[:n_caps], t[cell], t[rows.vL2]
-        dot, add, multiply, subtract = np.dot, np.add, np.multiply, np.subtract
-        for s_r, x_r, y_r, iL1_r, i0, iL0, i0_next, iL2 in zip(
-            s[a:b],
-            rows.x[a:b],
-            rows.y[a:b],
-            rows.iL1[a:b],
-            s[a:b, :n_caps],
-            s[a:b, cell],
-            s[a + 1:b + 1, :n_caps],
-            s[a + 1:b + 1, cell],
+        the one before carried out, by the formulas of the module docstring."""
+        rows, G, two_g = self.rows, self._G, np.array(self.two_g)
+        s, cell, n_caps, n = rows.s, rows.cell, rows.n_caps, len(G)
+        # Row j is (v, iL, i0, 1): row a + j's state from column n_caps on,
+        # after the v of row a + j - 1.
+        w = np.ones((b - a + 1, n + n_caps + 1))
+        w[0, n_caps:n], w[0, n:-1] = s[a, cell], s[a, :n_caps]
+        i0 = w[0, n:-1]
+        dot, multiply, subtract = np.dot, np.multiply, np.subtract
+        for state, out, v, i0_next in zip(
+            w[:-1, n_caps:], w[1:, :n], w[1:, :n_caps], w[1:, n:-1]
         ):
-            dot(P, s_r, out=x_r)
-            dot(E, x_r, out=y_r)
-            multiply(K, y_r, out=t)
-            subtract(t_v, i0, out=i0_next)
-            add(iL0, t_1, out=iL1_r)
-            add(iL1_r, t_2, out=iL2)
+            dot(G, state, out=out)
+            multiply(two_g, v, out=i0_next)
+            i0 = subtract(i0_next, i0, out=i0_next)
+        s[a + 1:b + 1, :n_caps], s[a + 1:b + 1, cell] = w[1:, n:-1], w[1:, n_caps:n]
+        y = rows.y[a:b]
+        y[:, :n_caps] = w[1:, :n_caps]
+        # Row by row, so that a row's bits do not depend on the block.
+        x = np.matmul(self.P, s[a:b, :, None], out=rows.x[a:b, :, None])
+        np.matmul(self.system.E[n_caps:], x, out=y[:, n_caps:, None])
+        np.add(s[a:b, cell], np.array(self.k1) * y[:, cell], out=rows.iL1[a:b])
 
     def _step(self, r):
         """Solve row r with the mode predictor, the row update and, in

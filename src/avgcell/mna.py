@@ -289,10 +289,13 @@ class RowUpdate:
 
     def __init__(self, A, inverse, rows, d_p0):
         self.d_p0 = d_p0
-        self.rd = rd = [r.row for r in rows]
-        n = len(rows)
+        self.updates = self.largest = 0
         row_norms = np.abs(A).sum(axis=1)
         self.a_norm = float(row_norms.max())
+        if not rows:  # no row can move: a solve returns x0
+            return
+        self.rd = rd = [r.row for r in rows]
+        n = len(rows)
         row_norms[rd] = 0.0  # leaves the rows no d_p enters
         self._fixed_norm = float(row_norms.max())
         # Every row's cols and its ra and rb, then |ra| and |rb|, padded to
@@ -304,7 +307,6 @@ class RowUpdate:
         rb = np.array([r.rb + (0.0,) * p for r, p in zip(rows, pads)]).reshape(n, width)
         self._cols, self._ra, self._rb = cols.reshape(n, width), ra, rb
         terms = np.stack([ra, rb, abs(ra), abs(rb)])
-        self.updates = self.largest = 0
         self._W = inverse[:, rd].T
         self._moved_W = {}  # W[moved] by moved rows
         # The w_j for ra and rb, and |w_j| for |ra| and |rb|.

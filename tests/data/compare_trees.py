@@ -18,6 +18,17 @@ one over the run fields, and exits 1 if any field differs, naming the case
 and the field.  It writes no file.  A change meant to keep the engine's
 output bit for bit passes it against its parent; a change that moves bits
 on purpose does not.
+
+For a change that moves bits on purpose, ask how far:
+
+    python3 tests/data/compare_trees.py --deviation OTHER_SRC
+
+prints, for every case and every float column of ``run()``'s result, the
+largest |this - other| over the column's full scale (each signal of a
+two-dimensional column, such as one row of ``x``, on its own scale: its
+largest |value| in the other tree, as ``test_engine_parity.py`` scales),
+and whether ``dcm`` is identical.  It exits 1 if any case's ``dcm``
+differs.
 """
 
 import dataclasses
@@ -42,15 +53,24 @@ def _digest(value):
     return hashlib.sha256(data).hexdigest()
 
 
-def digests():
-    """{case: {field: digest}} of the tree on ``sys.path``."""
+def _runs():
+    """(name, case, circuit, run() result) of every reference case, run by
+    the tree on ``sys.path``."""
     from avgcell import SimConfig, parse_netlist, run
-    from avgcell.mna import assemble_system
 
     cases = json.loads((DATA / "engine_reference.json").read_text())["cases"]
-    out = {}
     for name, case in cases.items():
         circuit = parse_netlist(case["netlist"])
+        config = SimConfig(case["d"], case["f_s"], case["t_end"], case["dcm_refine"])
+        yield name, case, circuit, run(circuit, config)
+
+
+def digests():
+    """{case: {field: digest}} of the tree on ``sys.path``."""
+    from avgcell.mna import assemble_system
+
+    out = {}
+    for name, case, circuit, result in _runs():
         labels = [e.label for e in circuit.cells()]
         fields = out[name] = {}
         for d in dict.fromkeys((case["d"], 1.0)):
@@ -60,8 +80,6 @@ def digests():
                     fields[f"assembly:d={d!r}:d_p={d_p!r}:{field}"] = _digest(
                         getattr(system, field)
                     )
-        config = SimConfig(case["d"], case["f_s"], case["t_end"], case["dcm_refine"])
-        result = run(circuit, config)
         for column in COLUMNS + ("t_start",):
             fields[f"run:{column}"] = _digest(getattr(result, column))
         for stat in dataclasses.fields(result.stats):
@@ -69,14 +87,44 @@ def digests():
     return out
 
 
-def _tree(src):
+def columns():
+    """{case: {column: values as nested lists}} of the tree on ``sys.path``."""
+    return {
+        name: {column: getattr(result, column).tolist() for column in COLUMNS}
+        for name, _, _, result in _runs()
+    }
+
+
+def _tree(src, mode="--digests"):
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
-        [sys.executable, __file__, "--digests"], env=env, capture_output=True, text=True
+        [sys.executable, __file__, mode], env=env, capture_output=True, text=True
     )
     if done.returncode:
-        sys.exit(f"{src}: digests failed\n{done.stderr}")
+        sys.exit(f"{src}: {mode} failed\n{done.stderr}")
     return json.loads(done.stdout)
+
+
+def deviation(src):
+    """Print how far this tree's columns are from those of ``src``."""
+    import numpy as np
+
+    here, there = _tree(SRC, "--columns"), _tree(src, "--columns")
+    differ = 0
+    for name, found in here.items():
+        parts = []
+        for column in COLUMNS[:-1]:  # the float columns; dcm is last
+            new, old = np.array(found[column]), np.array(there[name][column])
+            if new.shape != old.shape:
+                parts.append(f"{column} shape {new.shape} != {old.shape}")
+                continue
+            scale = np.maximum(np.abs(old).max(axis=0, initial=0.0), 1e-30)
+            parts.append(f"{column} {(np.abs(new - old) / scale).max(initial=0.0):.1e}")
+        same = found["dcm"] == there[name]["dcm"]
+        differ += not same
+        print(f"{name:20} " + "  ".join(parts) + f"  dcm {'identical' if same else 'DIFFERS'}")
+    print(f"{len(here)} cases, {differ} with dcm differing")
+    return 1 if differ else 0
 
 
 def _combined(fields, prefix):
@@ -85,9 +133,11 @@ def _combined(fields, prefix):
 
 
 def main(argv):
-    if argv == ["--digests"]:
-        print(json.dumps(digests()))
+    if argv in (["--digests"], ["--columns"]):
+        print(json.dumps(digests() if argv[0] == "--digests" else columns()))
         return 0
+    if len(argv) == 2 and argv[0] == "--deviation":
+        return deviation(Path(argv[1]).resolve())
     if len(argv) != 1:
         sys.exit(__doc__)
     here, there = _tree(SRC), _tree(Path(argv[0]).resolve())

@@ -113,6 +113,25 @@ MUTANTS = [
         "FIRST_BLOCK = 4",
         "500 CCM periods of buck.net run as 6 blocks",
     ),
+    (
+        "block-pure-map",
+        "engine.py",
+        "multiply(two_g, v, out=i0_next)\n"
+        "            i0 = subtract(i0_next, i0, out=i0_next)",
+        "i0 = dot(two_g[:, None] * G[:n_caps] - np.eye(n_caps, len(G) + 1, n - n_caps),"
+        " state, out=i0_next)",
+        "i_0' as a row of one map, (2g (E P)_v - I) s, is an ulp off 2g v - i_0:"
+        " test_capacitor_carryover_follows_companion_update and"
+        " test_companion_update_holds_bit_for_bit_on_every_case",
+    ),
+    (
+        "block-x-one-product",
+        "engine.py",
+        "x = np.matmul(self.P, s[a:b, :, None], out=rows.x[a:b, :, None])",
+        "rows.x[a:b] = s[a:b] @ self.P.T\n        x = rows.x[a:b, :, None]",
+        "a many-row product gives a row other bits than step()'s one-row one:"
+        " test_step_reproduces_run and test_step_reproduces_run_across_blocks",
+    ),
 ]
 
 

@@ -276,6 +276,25 @@ def test_step_reproduces_run(buck_circuit):
     assert advanced.cells == reference.cells
 
 
+@pytest.mark.parametrize("name", sorted(ENGINE_REFERENCE))
+def test_companion_update_holds_bit_for_bit_on_every_case(name):
+    """Every period carries out i_0' = (4C / T_s) v - i_0 for every
+    capacitor, bit for bit as the stepper forms it, from the bootstrap into
+    period 0 on: inside CCM blocks, in stepped periods and across the edges
+    between them."""
+    case = ENGINE_REFERENCE[name]
+    circuit = parse_netlist(case["netlist"])
+    config = SimConfig(case["d"], case["f_s"], case["t_end"], case["dcm_refine"])
+    result = run(circuit, config)
+    caps = circuit.capacitors()
+    two_g = np.array([4.0 * e.value / config.T_s for e in caps])
+    bootstrap = [result.bootstrap.capacitors[e.label].i0_next for e in caps]
+    i0 = np.vstack([bootstrap, result.i0_next[:-1]])
+    expected = two_g * result.v_cap - i0
+    mismatched = np.argwhere(result.i0_next.view(np.int64) != expected.view(np.int64))
+    assert not mismatched.size, f"(period, capacitor) {mismatched[0].tolist()}"
+
+
 MIXED_CHAIN = ENGINE_REFERENCE["mixed_chain"]
 
 
