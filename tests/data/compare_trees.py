@@ -13,9 +13,15 @@ tree's ``PYTHONPATH`` and, for every case of ``engine_reference.json``
   d = 1, each with every d_p at 1 - d, at 0.3 and at 0;
 * every column of ``run()``'s result and every ``RunStats`` field.
 
-It prints one line per case, with one digest over the assembly fields and
-one over the run fields, and exits 1 if any field differs, naming the case
-and the field.  It writes no file.  A change meant to keep the engine's
+It also digests every signal ``simulate_switched`` samples for every case
+of ``oracle_reference.json``, at 1000 and at 137 substeps per period, and
+the codes and texts of the diagnostics ``validate`` gives each netlist of
+``BAD_NETLISTS``, with the message and diagnostics of the ``InvalidCircuit``
+that ``run()`` and ``simulate_switched`` raise on it.
+
+It prints one line per case, with one digest per group of fields (the
+assembly and the run of an engine case, each substep count of an oracle
+case), and exits 1 if any field differs, naming the case and the field.  It writes no file.  A change meant to keep the engine's
 output bit for bit passes it against its parent; a change that moves bits
 on purpose does not.
 
@@ -43,6 +49,32 @@ DATA = Path(__file__).resolve().parent
 SRC = DATA.parents[1] / "src"
 
 COLUMNS = ("x", "v_cap", "vL1", "vL2", "i0_next", "iL0", "iL1", "iL2", "d_p", "dcm")
+ORACLE_SUBSTEPS = (1000, 137)
+
+_BUCK = "VDC 1 1 0 10.0\nSCN1 1 1 0 2 10e-6 0\nC 1 2 0 1e-4 0\nR 1 2 0 5.0\nIDC 1 2 0 4.0\n"
+_FLYBACK = _BUCK.replace("SCN1 1 1 0 2 10e-6 0", "FBN1 1 1 0 2 10e-6 2.0 0")
+# Netlists that validate() rejects: each rule at 0 and below it, and one
+# netlist that breaks most rules at once, so that their order counts too.
+BAD_NETLISTS = {
+    **{
+        f"{what}={value}": text.replace(old, new.format(value))
+        for what, text, old, new in (
+            ("resistance", _BUCK, "R 1 2 0 5.0", "R 1 2 0 {}"),
+            ("capacitance", _BUCK, "C 1 2 0 1e-4 0", "C 1 2 0 {} 0"),
+            ("inductance", _BUCK, "SCN1 1 1 0 2 10e-6 0", "SCN1 1 1 0 2 {} 0"),
+            ("turns", _FLYBACK, "FBN1 1 1 0 2 10e-6 2.0 0", "FBN1 1 1 0 2 10e-6 {} 0"),
+        )
+        for value in ("0", "-1e-300", "-2.5")
+    },
+    "shorted-capacitor": _BUCK + "C 9 2 2 1e-6 0\n",
+    "voltage-source-loop": _BUCK + "VDC 2 1 0 5.0\n",
+    "current-source-cutset": _BUCK + "IDC 2 3 0 1.0\n",
+    "no-switching-cell": "VDC 1 1 0 10.0\nR 1 1 0 5.0\n",
+    "all-at-once": (
+        "VDC 1 1 0 10.0\nVDC 2 1 0 5.0\nFBD1 1 1 0 2 0 0 0\nSCD2 2 1 0 3 -1e-6 0\n"
+        "C 1 2 0 0 0\nC 2 3 3 -1 0\nR 1 2 0 -5\nR 2 3 0 0\nIDC 1 4 0 1.0\n"
+    ),
+}
 
 
 def _digest(value):
@@ -67,7 +99,9 @@ def _runs():
 
 def digests():
     """{case: {field: digest}} of the tree on ``sys.path``."""
+    from avgcell import InvalidCircuit, SimConfig, parse_netlist, run, validate
     from avgcell.mna import assemble_system
+    from avgcell.oracle import OracleConfig, simulate_switched
 
     out = {}
     for name, case, circuit, result in _runs():
@@ -84,6 +118,30 @@ def digests():
             fields[f"run:{column}"] = _digest(getattr(result, column))
         for stat in dataclasses.fields(result.stats):
             fields[f"run:stats.{stat.name}"] = _digest(getattr(result.stats, stat.name))
+
+    cases = json.loads((DATA / "oracle_reference.json").read_text())["cases"]
+    for name, case in cases.items():
+        fields = out[f"oracle:{name}"] = {}
+        config = SimConfig(case["d"], case["f_s"], case["periods"] / case["f_s"])
+        for steps in ORACLE_SUBSTEPS:
+            sampled = simulate_switched(
+                parse_netlist(case["netlist"]), config, OracleConfig(steps)
+            )
+            for signal, wave in sampled.items():
+                fields[f"substeps={steps}:{signal}"] = _digest(wave.values)
+            fields[f"substeps={steps}:times"] = _digest(wave.times)
+
+    fields = out["validate"] = {}
+    for name, text in BAD_NETLISTS.items():
+        circuit = parse_netlist(text)
+        found = [(d.code, d.message) for d in validate(circuit)]
+        fields[f"diagnostics:{name}"] = _digest(found)
+        for simulator in (run, simulate_switched):
+            try:
+                simulator(circuit, SimConfig(0.5, 100e3, 1e-5))
+            except InvalidCircuit as exc:
+                found = (str(exc), [(d.code, d.message) for d in exc.diagnostics])
+            fields[f"{simulator.__name__}:{name}"] = _digest(found)
     return out
 
 
@@ -146,9 +204,11 @@ def main(argv):
         other = there.get(name, {})
         differ = [f for f in fields if other.get(f) != fields[f]]
         verdict = "identical" if not differ else "DIFFERS"
+        groups = dict.fromkeys(f.split(":")[0] for f in fields)
         print(
-            f"{name:20} assembly {_combined(fields, 'assembly:')}"
-            f"  run {_combined(fields, 'run:')}  {len(fields)} fields {verdict}"
+            f"{name:26} "
+            + "  ".join(f"{g} {_combined(fields, g + ':')}" for g in groups)
+            + f"  {len(fields)} fields {verdict}"
         )
         for field in differ:
             print(f"  mismatch: {name} {field}")

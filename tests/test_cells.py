@@ -147,6 +147,19 @@ class TestEndCurrentFromAverages:
         with pytest.raises(DegenerateDuty):
             end_current_from_averages(0.0, 0.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "d, d_p, vL1, vL2", [(0.5, 1e-10, 2.0, -1e10), (1e-10, 0.5, 1e10, -2.0)]
+    )
+    def test_an_interval_of_100_duty_tol_still_counts(self, d, d_p, vL1, vL2):
+        """An interval of 1e-10 T_s is above DUTY_TOL, so both averages
+        recover the end current, 1 A; the rule for a missing interval
+        would give 2 A."""
+        iS = avg_switch_current(1.0, vL1, d, BASIC, TS)
+        iD = avg_diode_current(1.0, vL1, vL2, d, d_p, BASIC, TS)
+        _, iL2 = advance_inductor(1.0, vL1, vL2, d, d_p, BASIC, TS)
+        assert iL2 == pytest.approx(1.0)
+        assert end_current_from_averages(iS, iD, 1.0, d, d_p) == pytest.approx(iL2)
+
 
 class TestAvgInductorVoltage:
     def test_steady_state_balance(self):

@@ -145,8 +145,21 @@ def test_circuit_without_a_cell_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: no switching cell in circuit\n"
 
 
-def test_missing_file_exits_two(tmp_path):
-    assert run_cli(tmp_path / "nope.net", *ARGS) == 2
+def test_missing_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "nope.net"
+    with pytest.raises(OSError) as reading:
+        path.read_text()
+    assert run_cli(path, *ARGS) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: {reading.value}\n"
+
+
+def test_out_naming_a_file_exits_one_and_writes_nothing(tmp_path, buck_file, capsys):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert run_cli(buck_file, *ARGS, "--out", out) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write output:")
+    assert out.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["buck.net", "taken"]
 
 
 def test_empty_signal_filter_exits_two(tmp_path, buck_file, capsys):

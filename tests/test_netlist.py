@@ -148,6 +148,27 @@ def test_validate_flags_non_positive_values():
     assert any("non-positive capacitance" in str(d) for d in diags)
 
 
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        (BUCK_LISTING.replace("R 1 2 0 5.0", "R 1 2 0 0.0"),
+         "non-positive-resistance", "R1: non-positive resistance"),
+        (BUCK_LISTING.replace("C 1 2 0 1e-4 0", "C 1 2 0 0.0 0"),
+         "non-positive-capacitance", "C1: non-positive capacitance"),
+        (BUCK_LISTING.replace("SCN1 1 1 0 2 10e-6 0", "SCN1 1 1 0 2 0.0 0"),
+         "non-positive-inductance", "SCN1: non-positive inductance"),
+        (BUCK_LISTING.replace("SCN1 1 1 0 2 10e-6 0", "FBN1 1 1 0 2 10e-6 0.0 0"),
+         "non-positive-turns", "FBN1: non-positive turns ratio"),
+    ],
+    ids=["resistance", "capacitance", "inductance", "turns"],
+)
+def test_validate_flags_a_value_of_exactly_zero(text, code, message):
+    """Each positivity rule holds at its boundary: a value of exactly 0 is
+    one diagnostic, with its code and text."""
+    diags = validate(parse_netlist(text))
+    assert [(d.code, str(d)) for d in diags] == [(code, message)]
+
+
 def test_validate_flags_current_source_cutset():
     # Node 3 hangs on a current source alone; its voltage is unanchored.
     text = "VDC 1 1 0 10.0\nSCN 1 1 0 2 1e-5 0\nR 1 2 0 5.0\nIDC 1 3 0 1.0\n"

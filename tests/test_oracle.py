@@ -14,11 +14,13 @@ from avgcell.oracle import (
     SampledWaveform,
     _at_zero,
     _forward_biased,
+    _SwitchedSimulator,
     period_average,
     simulate_switched,
 )
 
 from conftest import (
+    BUCK_DCM,
     BUCK_STEADY,
     RULE_EDGES,
     model_series,
@@ -103,6 +105,48 @@ def test_full_duty_ramp_is_exact():
     assert iL.values[-1] == pytest.approx(5.0, rel=1e-12)
     mid = len(iL.values) // 2
     assert iL.values[mid] == pytest.approx(2.5, rel=1e-9)
+
+
+def _crossing_substeps(theta):
+    """The lengths, in substeps, of the steps ``_advance`` takes when the
+    diode current of a buck crosses zero at the fraction ``theta`` of a
+    backward-Euler substep."""
+    sim = _SwitchedSimulator(parse_netlist(BUCK_DCM), std_config(1e-5), OracleConfig(100))
+    cell = sim.cells[0]
+    sim.s[0] = 5.0  # the output capacitor's voltage drives the current down
+    sim.s[cell.si] = 1.0
+    sim._switch_off()
+    # The substep's end current is alpha s0 + beta in the start current s0.
+    phi = sim._assemble(sim.h, "be").Phi[cell.si]
+    alpha, beta = phi[cell.si], phi @ sim.s - phi[cell.si] * sim.s[cell.si]
+    sim.s[cell.si] = -theta * beta / (1.0 - theta * (1.0 - alpha))
+    lengths, step = [], sim._step
+
+    def recording(h, method):
+        lengths.append(h / sim.h)
+        return step(h, method)
+
+    sim._step = recording
+    sim._advance(sim.h, "be")
+    assert cell.phase == "rest"
+    return lengths
+
+
+@pytest.mark.parametrize(
+    "theta, taken",
+    [
+        (1e-8, [1.0, 1e-8, 1.0 - 1e-8]),
+        (1e-10, [1.0, 1.0 - 1e-10]),
+        (1.0 - 1e-11, [1.0, 1.0 - 1e-11, 1e-11]),
+        (1.0 - 1e-13, [1.0, 1.0 - 1e-13]),
+    ],
+    ids=["partial", "partial-skipped", "remainder", "remainder-skipped"],
+)
+def test_a_crossing_skips_only_parts_below_its_thresholds(theta, taken):
+    """A zero crossing integrates to it and then finishes the substep, but
+    a part of at most 1e-9 substep before it, or of at most 1e-12 substep
+    after it, is not taken."""
+    assert _crossing_substeps(theta) == pytest.approx(taken, rel=1e-3, abs=0.0)
 
 
 class TestPeriodAverage:
