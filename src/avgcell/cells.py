@@ -187,19 +187,13 @@ def avg_diode_current(iL0, vL1, vL2, d, d_p, params, T_s):
     return raw / params.n
 
 
-def inductor_gains(d, d_p, params, T_s):
-    """Gains (k1, k2) of the two intervals: iL1 = iL0 + k1 vL1 and
-    iL2 = iL1 + k2 vL2."""
-    k = T_s / params.L
-    return d * k, d_p * k
-
-
 def advance_inductor(iL0, vL1, vL2, d, d_p, params, T_s):
-    """Boundary currents (iL1, iL2) from the solved drive voltages; an end
+    """Boundary currents iL1 = iL0 + (d T_s / L) vL1 and
+    iL2 = iL1 + (d_p T_s / L) vL2 from the solved drive voltages; an end
     current that :func:`snaps_to_zero` is exactly zero, the DCM rest level."""
-    k1, k2 = inductor_gains(d, d_p, params, T_s)
-    iL1 = iL0 + k1 * vL1
-    iL2 = iL1 + k2 * vL2
+    k = T_s / params.L
+    iL1 = iL0 + d * k * vL1
+    iL2 = iL1 + d_p * k * vL2
     if snaps_to_zero(iL1, iL2):
         iL2 = 0.0
     return iL1, iL2

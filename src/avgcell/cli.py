@@ -128,6 +128,17 @@ def main(argv=None):
         )
         result = engine.run(circuit, config)
         waveforms, flagged = _reconstruct(result)
+        selected = _filter_signals(waveforms, args.signals)
+        if not selected:
+            print("error: no signals matched the --signals filter", file=sys.stderr)
+            return _NETLIST_EXIT
+        # The oracle runs before anything is written, so that its failure
+        # leaves no file behind.
+        if args.oracle:
+            try:
+                sampled = oracle.simulate_switched(circuit, config, oracle_config)
+            except SingularSystem as exc:
+                raise SingularSystem(f"oracle: {exc}") from exc
     except engine.InvalidConfig as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
@@ -137,23 +148,6 @@ def main(argv=None):
     except (SingularSystem, waveform.NonFinite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _NUMERIC_EXIT
-
-    selected = _filter_signals(waveforms, args.signals)
-    if not selected:
-        print("error: no signals matched the --signals filter", file=sys.stderr)
-        return _NETLIST_EXIT
-
-    # The oracle runs before anything is written, so that its failure
-    # leaves no file behind.
-    if args.oracle:
-        try:
-            sampled = oracle.simulate_switched(circuit, config, oracle_config)
-        except engine.InvalidConfig as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return _USAGE_EXIT
-        except SingularSystem as exc:
-            print(f"error: oracle: {exc}", file=sys.stderr)
-            return _NUMERIC_EXIT
 
     out_dir = Path(args.out)
     try:

@@ -69,9 +69,9 @@ class InvalidConfig(AvgcellError):
 
 
 class InvalidCircuit(AvgcellError):
-    def __init__(self, message, diagnostics=()):
+    def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
-        super().__init__(message)
+        super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
 @dataclass(frozen=True)
@@ -340,7 +340,7 @@ class _Stepper:
     def __init__(self, circuit, config, n_periods, first_period=0):
         diagnostics = validate(circuit)
         if diagnostics:
-            raise InvalidCircuit("; ".join(str(d) for d in diagnostics), diagnostics)
+            raise InvalidCircuit(diagnostics)
         self.circuit = circuit
         self.config = config
         self.first_period = first_period

@@ -2,7 +2,8 @@
 
 Grammar (one element per line, whitespace separated, ``#`` starts a comment
 line, blank lines are ignored; ``_KINDS`` holds it, and the parser, the
-arity check and :func:`serialize_netlist` all read it from there):
+arity check and :func:`serialize_netlist` all read it from there, as
+:func:`validate` reads each kind's positivity rules):
 
     VDC <idx> <n+> <n-> <volts>
     IDC <idx> <n+> <n-> <amps>
@@ -48,16 +49,25 @@ FBD = "FBD"
 CELL_KINDS = (SCN, SCD, FBN, FBD)
 FLYBACK_KINDS = (FBN, FBD)
 
-# The grammar of every kind: its node count, then the Element field and the
-# description of every number after the main value.  A line is the keyword,
-# the index, the nodes, the main value and these numbers.
+# The grammar and value rules of every kind: its node count; the Element
+# field and the description of every number after the main value; and the
+# Element fields that must be positive, each with the code and the wording
+# of its diagnostic.  A line is the keyword, the index, the nodes, the main
+# value and those numbers.
 _KINDS = {
-    **dict.fromkeys((VDC, IDC, RES), (2, ())),
-    CAP: (2, (("initial", "initial voltage"),)),
-    **dict.fromkeys((SCN, SCD), (3, (("initial", "initial current"),))),
-    **dict.fromkeys(
-        FLYBACK_KINDS, (3, (("turns", "turns ratio"), ("initial", "initial current")))
-    ),
+    **dict.fromkeys((VDC, IDC), (2, (), ())),
+    RES: (2, (), (("value", "non-positive-resistance", "resistance"),)),
+    CAP: (2, (("initial", "initial voltage"),),
+          (("value", "non-positive-capacitance", "capacitance"),)),
+    **{
+        kind: (3, extras, (("value", "non-positive-inductance", "inductance"),
+                           ("turns", "non-positive-turns", "turns ratio")))
+        for kinds, extras in (
+            ((SCN, SCD), (("initial", "initial current"),)),
+            (FLYBACK_KINDS, (("turns", "turns ratio"), ("initial", "initial current"))),
+        )
+        for kind in kinds
+    },
 }
 
 # Longest keywords first so "SCN1" is not read as "S" + garbage.
@@ -254,7 +264,7 @@ def parse_netlist(text):
         kind, tag = _match_keyword(tokens[0])
         if kind is None:
             raise UnknownElementKind(f"unknown element kind {tokens[0]!r}", lineno)
-        n_nodes, extras = _KINDS[kind]
+        n_nodes, extras, _ = _KINDS[kind]
         arity = 3 + n_nodes + len(extras)
         if len(tokens) != arity:
             raise ArityError(f"{kind} takes {arity} tokens, got {len(tokens)}", lineno)
@@ -333,29 +343,14 @@ def validate(circuit):
         diags.append(Diagnostic("no-switching-cell", "no switching cell in circuit"))
 
     for e in circuit.elements:
-        if e.kind == RES and e.value <= 0:
-            diags.append(
-                Diagnostic("non-positive-resistance", f"{e.label}: non-positive resistance")
-            )
-        elif e.kind == CAP:
-            if e.value <= 0:
-                diags.append(
-                    Diagnostic("non-positive-capacitance", f"{e.label}: non-positive capacitance")
-                )
-            # Across one node it holds no voltage, and the oracle finds no
-            # initial operating point.
-            if e.nodes[0] == e.nodes[1]:
-                message = f"{e.label}: both terminals on node {e.nodes[0]}"
-                diags.append(Diagnostic("shorted-capacitor", message))
-        elif e.is_cell:
-            if e.value <= 0:
-                diags.append(
-                    Diagnostic("non-positive-inductance", f"{e.label}: non-positive inductance")
-                )
-            if e.turns <= 0:
-                diags.append(
-                    Diagnostic("non-positive-turns", f"{e.label}: non-positive turns ratio")
-                )
+        for name, code, wording in _KINDS[e.kind][2]:
+            if getattr(e, name) <= 0:
+                diags.append(Diagnostic(code, f"{e.label}: non-positive {wording}"))
+        # A capacitor across one node holds no voltage, and the oracle finds
+        # no initial operating point.
+        if e.kind == CAP and e.nodes[0] == e.nodes[1]:
+            message = f"{e.label}: both terminals on node {e.nodes[0]}"
+            diags.append(Diagnostic("shorted-capacitor", message))
 
     # A cycle in the VDC-only subgraph pins some voltage twice.
     parent = {}

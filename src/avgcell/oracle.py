@@ -107,7 +107,7 @@ def simulate_switched(circuit, config, oracle_config=None):
         oracle_config = OracleConfig()
     diagnostics = validate(circuit)
     if diagnostics:
-        raise InvalidCircuit("; ".join(str(d) for d in diagnostics), diagnostics)
+        raise InvalidCircuit(diagnostics)
     return _SwitchedSimulator(circuit, config, oracle_config).run()
 
 
@@ -214,7 +214,8 @@ class _SwitchedSimulator:
         for cell in self.cells:
             if not cell.flyback:
                 keys.append(("x", cell.label))
-        self.node_col = {k: i for i, k in enumerate(keys)}
+        # Ground reads column -1: P's trailing zero row, and no entry of A.
+        self.node_col = {0: -1, **{k: i for i, k in enumerate(keys)}}
         self.n_nodes = len(keys)
 
         self.vdcs = circuit.vdcs()
@@ -232,9 +233,6 @@ class _SwitchedSimulator:
         )
         self._topo_cache = {}
         self._cached_steps = {self.h}
-
-    def _col(self, key):
-        return self.node_col.get(key, -1)
 
     def _assemble(self, h, method):
         """The map of one substep of length ``h`` on the present topology;
@@ -269,7 +267,7 @@ class _SwitchedSimulator:
         elements = []
         for k, e in enumerate(self.caps):
             g = factor * e.value / h
-            r1, r2 = self._col(e.nodes[0]), self._col(e.nodes[1])
+            r1, r2 = self.node_col[e.nodes[0]], self.node_col[e.nodes[1]]
             self._conductance(A, r1, r2, g)
             elements.append((2 * k, g, 1.0, ((r1, 1.0), (r2, -1.0))))
         for cell, col, L in inductors:
@@ -330,8 +328,8 @@ class _SwitchedSimulator:
         if topo.sample_T is None:
             rows = [topo.P[col] for col in self.sample_cols]
             rows += [c.referral() * topo.Phi[c.si] for c in self.cells]
-            rows += [topo.P[self._col(c.nodes[1])] for c in rest]
-            rows += [topo.P[self._col(("x", c.label))] for c in rest]
+            rows += [topo.P[self.node_col[c.nodes[1]]] for c in rest]
+            rows += [topo.P[self.node_col[("x", c.label)]] for c in rest]
             topo.sample_T = np.array(rows).T.copy()
         count = len(out)
         S = topo.propagate(self.s, count)
@@ -397,8 +395,8 @@ class _SwitchedSimulator:
         """A blocked diode with forward bias starts conducting again."""
         changed = False
         for cell in self._blocked_basic_diodes():
-            v_p = float(x[self._col(cell.nodes[1])])
-            v_x = float(x[self._col(("x", cell.label))])
+            v_p = float(x[self.node_col[cell.nodes[1]]])
+            v_x = float(x[self.node_col[("x", cell.label)]])
             if _forward_biased(v_p, v_x):
                 cell.phase = _DIODE
                 changed = True
@@ -432,12 +430,11 @@ class _SwitchedSimulator:
         order = self.n_nodes + len(branches)
         A = np.zeros((order, order))
         z = np.zeros(order)
+        node_col = self.node_col
         for e in self.resistors:
-            self._conductance(
-                A, self._col(e.nodes[0]), self._col(e.nodes[1]), 1.0 / e.value
-            )
+            self._conductance(A, node_col[e.nodes[0]], node_col[e.nodes[1]], 1.0 / e.value)
         for a, b, current in [(*e.nodes, e.value) for e in self.idcs] + sources:
-            ra, rb = self._col(a), self._col(b)
+            ra, rb = node_col[a], node_col[b]
             if ra >= 0:
                 z[ra] -= current
             if rb >= 0:
@@ -445,7 +442,7 @@ class _SwitchedSimulator:
         for k, (a, b, value) in enumerate(branches):
             col = self.n_nodes + k
             z[col] = value
-            ra, rb = self._col(a), self._col(b)
+            ra, rb = node_col[a], node_col[b]
             if ra >= 0:
                 A[ra, col] += 1.0
                 A[col, ra] += 1.0

@@ -9,9 +9,11 @@ new text, why the mutant matters).  The old text must occur exactly once
 in its file.  The script first runs Tier-1 on an unmutated copy of the
 tree and stops if that fails.  Then, for every row or only the named ones,
 it copies the tree to a temporary directory, applies the mutant there and
-runs Tier-1 in that copy with ``-x``.  A failing run kills the mutant.  It
-prints one line per mutant, with the first failing test of a killed one,
-and exits 1 if any survived.  It writes nothing in the tree.  Tier-1 takes
+runs Tier-1 in that copy with ``-x``.  A failing run kills the mutant.  The
+rows of ``EQUIVALENT`` are run too: each is listed with the reason no test
+can kill it.  It prints one line per mutant, with the first failing test of
+a killed one, and exits 1 if a row of ``MUTANTS`` survived or one of
+``EQUIVALENT`` was killed.  It writes nothing in the tree.  Tier-1 takes
 about 20 s on a 2-vCPU host, so a survivor costs that and a full run a few
 minutes.
 """
@@ -114,6 +116,85 @@ MUTANTS = [
         "500 CCM periods of buck.net run as 6 blocks",
     ),
     (
+        "DUTY_TOL",
+        "cells.py",
+        "DUTY_TOL = 1e-12",
+        "DUTY_TOL = 1e-9",
+        "an interval of 1e-10 T_s still takes part in end_current_from_averages",
+    ),
+    (
+        "oracle-theta",
+        "oracle.py",
+        "if theta > 1e-9:",
+        "if theta > 1e-7:",
+        "a zero crossing at 1e-8 of a substep is integrated up to",
+    ),
+    (
+        "oracle-theta-lower",
+        "oracle.py",
+        "if theta > 1e-9:",
+        "if theta > 1e-11:",
+        "a zero crossing at 1e-10 of a substep takes no part-step before it",
+    ),
+    (
+        "oracle-remainder",
+        "oracle.py",
+        "if remainder > 1e-12 * h:",
+        "if remainder > 1e-10 * h:",
+        "1e-11 of a substep after a zero crossing is still integrated",
+    ),
+    (
+        "oracle-remainder-lower",
+        "oracle.py",
+        "if remainder > 1e-12 * h:",
+        "if remainder > 1e-14 * h:",
+        "1e-13 of a substep after a zero crossing is not integrated",
+    ),
+    (
+        "positive-boundary",
+        "netlist.py",
+        "if getattr(e, name) <= 0:",
+        "if getattr(e, name) < 0:",
+        "a resistance, capacitance, inductance or turns ratio of exactly 0 is a diagnostic",
+    ),
+    (
+        "positive-resistance",
+        "netlist.py",
+        '(("value", "non-positive-resistance", "resistance"),)',
+        "()",
+        "a non-positive resistance is a diagnostic",
+    ),
+    (
+        "positive-capacitance",
+        "netlist.py",
+        '(("value", "non-positive-capacitance", "capacitance"),)',
+        "()",
+        "a non-positive capacitance is a diagnostic",
+    ),
+    (
+        "positive-inductance",
+        "netlist.py",
+        '(("value", "non-positive-inductance", "inductance"),\n'
+        '                           ("turns", "non-positive-turns", "turns ratio"))',
+        '(("turns", "non-positive-turns", "turns ratio"),)',
+        "a non-positive inductance is a diagnostic",
+    ),
+    (
+        "positive-turns",
+        "netlist.py",
+        '(("value", "non-positive-inductance", "inductance"),\n'
+        '                           ("turns", "non-positive-turns", "turns ratio"))',
+        '(("value", "non-positive-inductance", "inductance"),)',
+        "a non-positive turns ratio is a diagnostic",
+    ),
+    (
+        "shorted-capacitor",
+        "netlist.py",
+        "if e.kind == CAP and e.nodes[0] == e.nodes[1]:",
+        "if False:",
+        "a capacitor with both terminals on one node is a diagnostic",
+    ),
+    (
         "block-pure-map",
         "engine.py",
         "multiply(two_g, v, out=i0_next)\n"
@@ -131,6 +212,22 @@ MUTANTS = [
         "rows.x[a:b] = s[a:b] @ self.P.T\n        x = rows.x[a:b, :, None]",
         "a many-row product gives a row other bits than step()'s one-row one:"
         " test_step_reproduces_run and test_step_reproduces_run_across_blocks",
+    ),
+]
+
+# Mutants that no test can kill, because nothing a run returns or raises
+# depends on them, each with the reason.  They are run like the others, and
+# one that a test kills is reported, since it no longer belongs here.
+EQUIVALENT = [
+    (
+        "STRETCH",
+        "engine.py",
+        "STRETCH = 64",
+        "STRETCH = 65",
+        "STRETCH only regroups the residual checks of stepped periods: each"
+        " period is checked against its own matrix and the earliest failure is"
+        " reported, so every result column and RunStats field is the same"
+        " (compare_trees.py: 0 mismatches at 65)",
     ),
 ]
 
@@ -163,20 +260,25 @@ def run_tier1(mutant=None):
 
 
 def main(argv):
-    rows = [row for row in MUTANTS if not argv or row[0] in argv]
+    catalogue = [(row, False) for row in MUTANTS] + [(row, True) for row in EQUIVALENT]
+    rows = [(row, equivalent) for row, equivalent in catalogue if not argv or row[0] in argv]
     if argv and len(rows) != len(set(argv)):
-        sys.exit(f"unknown mutant among {argv}; known: {[row[0] for row in MUTANTS]}")
+        known = [row[0] for row, _ in catalogue]
+        sys.exit(f"unknown mutant among {argv}; known: {known}")
     passed, first = run_tier1()
     if not passed:
         sys.exit(f"Tier-1 fails on the unmutated tree: {first}")
-    survived = 0
-    for name, file, old, new, why in rows:
+    wrong = 0
+    for (name, file, old, new, why), equivalent in rows:
         passed, first = run_tier1((file, old, new))
-        survived += passed
-        verdict = "SURVIVED" if passed else f"killed by {first}"
+        wrong += passed != equivalent
+        if equivalent:
+            verdict = "equivalent" if passed else f"KILLED, not equivalent, by {first}"
+        else:
+            verdict = "SURVIVED" if passed else f"killed by {first}"
         print(f"{name:22} {verdict}  ({why})", flush=True)
-    print(f"{len(rows)} mutants, {survived} survived")
-    return 1 if survived else 0
+    print(f"{len(rows)} mutants, {wrong} survived or not equivalent")
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
