@@ -21,9 +21,9 @@ that ``run()`` and ``simulate_switched`` raise on it.
 
 It prints one line per case, with one digest per group of fields (the
 assembly and the run of an engine case, each substep count of an oracle
-case), and exits 1 if any field differs, naming the case and the field.  It writes no file.  A change meant to keep the engine's
-output bit for bit passes it against its parent; a change that moves bits
-on purpose does not.
+case), and exits 1 if any field differs, naming the case and the field.
+It writes no file.  A change meant to keep the output bit for bit passes
+it against its parent; a change that moves bits on purpose does not.
 
 For a change that moves bits on purpose, ask how far:
 
@@ -139,6 +139,7 @@ def digests():
         for simulator in (run, simulate_switched):
             try:
                 simulator(circuit, SimConfig(0.5, 100e3, 1e-5))
+                found = "accepted"
             except InvalidCircuit as exc:
                 found = (str(exc), [(d.code, d.message) for d in exc.diagnostics])
             fields[f"{simulator.__name__}:{name}"] = _digest(found)
