@@ -130,14 +130,6 @@ def drive_terms(params):
     return {"a": 1.0, "c": -1.0}, {"p": 1.0, "c": -1.0}
 
 
-def current_paths(params):
-    """Terminal pairs the averaged currents circulate through, as
-    (from, to) for iS_avg and iD_avg."""
-    if params.flyback:
-        return ("a", "p"), ("p", "c")
-    return ("a", "c"), ("p", "c")
-
-
 def drive_voltages(ports, params):
     """Inductor voltage during the switch interval and the diode interval."""
     values = {"a": ports.v_a, "p": ports.v_p, "c": ports.v_c}

@@ -53,7 +53,7 @@ from .mna import (
     lu_factor,
     lu_solve,
 )
-from .netlist import cell_params, validate
+from .netlist import validate
 
 # Length of a run's first CCM block, and of the first block after one that
 # failed; accepted blocks double it.
@@ -302,9 +302,12 @@ class SimulationResult:
 
 def run(circuit, config):
     """Simulate the bootstrap and ``config.n_periods`` switching periods."""
-    stepper = _Stepper(circuit, config, config.n_periods)
-    stepper.solve_bootstrap()
-    stepper.solve_rows(1, config.n_periods + 1)
+    # A solution that is not finite raises SingularSystem, so numpy need not
+    # warn.
+    with np.errstate(all="ignore"):
+        stepper = _Stepper(circuit, config, config.n_periods)
+        stepper.solve_bootstrap()
+        stepper.solve_rows(1, config.n_periods + 1)
     return stepper.result()
 
 
@@ -317,18 +320,19 @@ def step(circuit, config, previous_record):
     It assembles and factors afresh and is meant for inspection and testing.
     """
     index = previous_record.index + 1
-    stepper = _Stepper(circuit, config, 1, index)
-    rows = stepper.rows
-    cells = [previous_record.cells[e.label] for e in circuit.cells()]
-    caps = [previous_record.capacitors[e.label] for e in circuit.capacitors()]
-    # Row 1 starts from the record's carried-out sources and end currents,
-    # as a period after a stepped one does.
-    iL2 = [c.iL2 for c in cells]
-    rows.s[1] = state = [c.i0_next for c in caps] + iL2 + [1.0]
-    y = [c.v for c in caps] + [c.vL1 for c in cells] + [c.vL2 for c in cells]
-    stepper._carry = (y, iL2, state)
-    stepper.solve_rows(1, 2)
-    return rows.records(config, 1, 2, index, config.period_starts(index, index + 1))[0]
+    with np.errstate(all="ignore"):
+        stepper = _Stepper(circuit, config, 1, index)
+        rows = stepper.rows
+        cells = [previous_record.cells[e.label] for e in circuit.cells()]
+        caps = [previous_record.capacitors[e.label] for e in circuit.capacitors()]
+        # Row 1 starts from the record's carried-out sources and end currents,
+        # as a period after a stepped one does.
+        iL2 = [c.iL2 for c in cells]
+        rows.s[1] = state = [c.i0_next for c in caps] + iL2 + [1.0]
+        y = [c.v for c in caps] + [c.vL1 for c in cells] + [c.vL2 for c in cells]
+        stepper._carry = (y, iL2, state)
+        stepper.solve_rows(1, 2)
+        return rows.records(config, 1, 2, index, config.period_starts(index, index + 1))[0]
 
 
 class _Stepper:
@@ -346,21 +350,18 @@ class _Stepper:
         self.first_period = first_period
         d, T_s = config.d, config.T_s
         self.d_p0 = d_p0 = 1.0 - d
-        cells = circuit.cells()
-        params = [cell_params(e) for e in cells]
-        self.is_diode = [p.rectifier is _cells.Rectifier.DIODE for p in params]
+        # Every period of the run is solved from this system, cells at 1 - d.
+        self.system = system = assemble_system(
+            circuit, d, T_s, {e.label: d_p0 for e in circuit.cells()}
+        )
+        self.is_diode = [p.rectifier is _cells.Rectifier.DIODE for p in system.cell_params]
         self.diode = [i for i, diode in enumerate(self.is_diode) if diode]
         # 2 g = 4C / T_s of every capacitor: i_0' = 2 g v - i_0.
         self.two_g = [4.0 * e.value / T_s for e in circuit.capacitors()]
         # Every cell's T_s / L and k1 = d T_s / L: iL1 = iL0 + k1 vL1 and
         # iL2 = iL1 + (d_p T_s / L) vL2.
-        self.k = [T_s / p.L for p in params]
+        self.k = [T_s / p.L for p in system.cell_params]
         self.k1 = [d * k for k in self.k]
-
-        # Every period of the run is solved from this system, cells at 1 - d.
-        self.system = system = assemble_system(
-            circuit, d, T_s, {e.label: d_p0 for e in cells}
-        )
         self.inverse = lu_factor(system.A)
         self.stats = RunStats(factorizations=1)
         # Synchronous cells keep d_p = 1 - d, so only diode rows can move.

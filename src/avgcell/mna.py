@@ -6,9 +6,9 @@ and, per switching cell, the averaged switch and diode currents iS_avg and
 iD_avg (netlist order).  A capacitor is its trapezoidal companion model, a
 conductance G_C = 2C/T_s beside a history source i_0[n+1] = (4C / T_s)
 v[n] - i_0[n].  A cell adds its KCL current paths and two rows tying its
-averaged currents to its port voltages, with G_L = T_s / L.  Stamps reach
-the node rows through one incidence, (row, coefficient) pairs with ground
-left out, and a cell's stamp walks each of its drive terms once.
+averaged currents to its port voltages, with G_L = T_s / L.  Each kind's
+stamp is a table of entries (:func:`stamp`), and a system is assembled in
+one scatter of every element's entries.
 
 Assembly builds A, B and E; a solver forms each right-hand side as
 z = B @ s, s = (i_0 of every capacitor, iL0 of every cell, 1).  B has a
@@ -34,12 +34,13 @@ rows as sparse rows.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
-from . import cells as _cells
 from .errors import AvgcellError
-from .netlist import CAP, IDC, RES, VDC, cell_params
+from .netlist import CAP, CELL_KINDS, IDC, RES, VDC, cell_params
 
 PIVOT_RTOL = 1e-13
 RESIDUAL_RTOL = 1e-10
@@ -86,8 +87,9 @@ class MnaSystem:
         n_state = len(layout.state_col)
         self.B = np.zeros((layout.order, n_state + 1))
         self.E = np.zeros((n_state + len(layout.cell_rows), layout.order))
-        # The iD_avg row of every cell, in netlist order.
+        # The iD_avg row and the CellParams of every cell, in netlist order.
         self.diode_rows = []
+        self.cell_params = []
 
 
 @dataclass(frozen=True)
@@ -124,50 +126,45 @@ def build_layout(circuit):
     return MnaSystem(layout)
 
 
-def _incidence(layout, nodes, coeffs=(1.0, -1.0)):
-    """(row, coefficient) of each of an element's ``nodes`` but ground."""
-    node_row = layout.node_row
-    return [(node_row[n], c) for n, c in zip(nodes, coeffs) if n in node_row]
-
-
-def _stamp_conductance(A, pairs, g):
-    # Both diagonal terms before the off-diagonal ones: a resistor across
-    # one node sums +g, +g, -g, -g on its diagonal, in that order.
-    for r, _ in pairs:
-        A[r, r] += g
-    if len(pairs) == 2:
-        (r1, _), (r2, _) = pairs
-        A[r1, r2] -= g
-        A[r2, r1] -= g
-
-
-def stamp_resistor(system, element):
-    pairs = _incidence(system.layout, element.nodes)
-    _stamp_conductance(system.A, pairs, 1.0 / element.value)
-
-
-def stamp_vdc(system, element):
-    br = system.layout.vdc_row[element.label]
-    for r, c in _incidence(system.layout, element.nodes):
-        system.A[r, br] += c
-        system.A[br, r] += c
-    system.B[br, -1] += element.value
-
-
-def stamp_idc(system, element):
-    for r, c in _incidence(system.layout, element.nodes):
-        system.B[r, -1] -= c * element.value
-
-
-def stamp_capacitor(system, element, T_s):
-    """Trapezoidal companion: conductance 2C/T_s, history source i_0, and
-    the capacitor's voltage as its row of E."""
-    pairs = _incidence(system.layout, element.nodes)
-    _stamp_conductance(system.A, pairs, 2.0 * element.value / T_s)
-    col = system.layout.state_col[element.label]
-    for r, c in pairs:
-        system.B[r, col] += c
-        system.E[col, r] += c
+# Each kind's stamp is a table of entries (plane, row role, column role,
+# coefficient).  The planes of the one scatter are A, B, E and the cells'
+# diode-row terms ra and rb at (rd, column).  The roles are an element's
+# terminals (a, p, c of a cell), a cell's switch-return terminal (c, or p
+# in a flyback), its branch row (a VDC's, a cell's iS_avg row rs), a cell's
+# iD_avg row rd, its column of B (a source's is the last) and a cell's vL2
+# row of E.  The coefficients are 1, the main one (the conductance, the
+# source value or a cell's switch-row -d^2 G_L / 2), and a cell's ra scale
+# -d G_L / n, 1 / n and rb scale -G_L / (2 n) / n; ~c is -c.
+_A, _B, _E, _RA, _RB = range(5)
+_T0, _T1, _T2, _RET, _BR, _RD, _COL, _VL2 = range(8)
+_ONE, _K, _SA, _INV_N, _SB = range(5)
+_CONDUCTANCE = ((_A, _T0, _T0, _K), (_A, _T1, _T1, _K), (_A, _T0, _T1, ~_K), (_A, _T1, _T0, ~_K))
+# Entries that meet at one position add up in table order, and elements
+# in netlist order.  A cell's KCL along iS_avg (a to the return terminal)
+# and iD_avg (p to c) and its unit entries come first, then the drive terms
+# of cells.drive_terms, vL1 = v_a - v_ret and vL2 = (v_p - v_c) / n: each
+# enters E, a vL1 term also the iS_avg row, and ra or rb.
+_STAMPS = {
+    RES: _CONDUCTANCE,
+    CAP: _CONDUCTANCE + ((_B, _T0, _COL, _ONE), (_E, _COL, _T0, _ONE),
+                         (_B, _T1, _COL, ~_ONE), (_E, _COL, _T1, ~_ONE)),
+    VDC: ((_A, _T0, _BR, _ONE), (_A, _BR, _T0, _ONE), (_A, _T1, _BR, ~_ONE),
+          (_A, _BR, _T1, ~_ONE), (_B, _BR, _COL, _K)),
+    IDC: ((_B, _T0, _COL, ~_K), (_B, _T1, _COL, _K)),
+    **dict.fromkeys(CELL_KINDS, (
+        (_A, _T0, _BR, _ONE), (_A, _RET, _BR, ~_ONE), (_A, _T1, _RD, _ONE),
+        (_A, _T2, _RD, ~_ONE), (_A, _BR, _BR, _ONE), (_A, _RD, _RD, _ONE),
+        (_E, _COL, _T0, _ONE), (_A, _BR, _T0, _K), (_RA, _RD, _T0, _SA),
+        (_E, _COL, _RET, ~_ONE), (_A, _BR, _RET, ~_K), (_RA, _RD, _RET, ~_SA),
+        (_E, _VL2, _T1, _INV_N), (_RB, _RD, _T1, _SB),
+        (_E, _VL2, _T2, ~_INV_N), (_RB, _RD, _T2, ~_SB),
+    )),
+}
+# Each kind's entries as (plane, row role, column role), and a getter of
+# their coefficients off an element's (1, main, ..., -main, -1), so that
+# the coefficient ~c is -c.
+_PLACES = {kind: tuple(entry[:3] for entry in t) for kind, t in _STAMPS.items()}
+_VALUES = {kind: itemgetter(*(entry[3] for entry in t)) for kind, t in _STAMPS.items()}
 
 
 def diode_entries(d_p, ra, rb):
@@ -176,65 +173,62 @@ def diode_entries(d_p, ra, rb):
     return d_p * ra + d_p * d_p * rb
 
 
-def stamp_cell(system, element, d, T_s, d_p):
-    """Stamp one switching cell with its diode row at ``d_p``; the start
-    current iL0 enters through the cell's column of B.
-
-    Adds the iS_avg / iD_avg KCL columns along the cell current paths, the
-    two constraint rows tying the averaged currents to the port voltages
-    through the drive-voltage coefficients, and the cell's vL1 and vL2 rows
-    of E with the same coefficients, in one pass over each drive term.
-    """
-    params = cell_params(element)
-    layout, A = system.layout, system.A
-    rs, rd = layout.cell_rows[element.label]
-    node = dict(zip("apc", element.nodes))
-
-    s_path, d_path = _cells.current_paths(params)
-    for col, path in ((rs, s_path), (rd, d_path)):
-        for r, c in _incidence(layout, map(node.get, path)):
-            A[r, col] += c
-
-    g_l = T_s / params.L
-    col = layout.state_col[element.label]
-    a_map, b_map = _cells.drive_terms(params)
-    # A drive term enters E, the iS_avg row (vL1's only) and ra or rb.
-    A[rs, rs] += 1.0
-    switch, diode = -(d * d * g_l / 2.0), {}
-    for k, (row, terms, scale) in enumerate((
-        (col, a_map, -d * g_l / params.n),
-        (col + len(layout.cell_rows), b_map, -g_l / (2.0 * params.n)),
-    )):
-        for r, c in _incidence(layout, map(node.get, terms), terms.values()):
-            system.E[row, r] += c
-            if k == 0:
-                A[rs, r] += switch * c
-            diode.setdefault(r, [0.0, 0.0])[k] += scale * c
-    cols = sorted(diode)
-    ra, rb = (tuple(diode[r][k] for r in cols) for k in (0, 1))
-    A[rd, rd] = 1.0
-    A[rd, cols] = [diode_entries(d_p, a, b) for a, b in zip(ra, rb)]
-    system.diode_rows.append(DiodeRow(element.label, rd, tuple(cols), ra, rb))
-    system.B[rs, col] = d
-    system.B[rd, col] = d_p / params.n
+def stamp(system, elements, d, T_s, d_p):
+    """Stamp ``elements`` (netlist order) into the zeroed ``system``, each
+    cell's diode row at ``d_p[label]``: every element's table entries in one
+    scatter, ground on a spare row and column that is dropped, then each
+    cell's diode row and its entries of B, d and d_p / n."""
+    layout = system.layout
+    n, n_state, n_cells = layout.order, len(layout.state_col), len(layout.cell_rows)
+    get, state_col, cell_rows = layout.node_row.get, layout.state_col, layout.cell_rows
+    spare = n  # ground's row and column
+    height, width = max(n + 1, n_state + n_cells), max(n + 1, n_state + 1)
+    flat, values, cells = [], [], []
+    at, at_d_p, b_at, b_values = [], [], [], []  # diode-row and B entries, by place
+    for e in elements:
+        kind, label = e.kind, e.label
+        if kind not in CELL_KINDS:
+            k = 1.0 / e.value if kind == RES else 2.0 * e.value / T_s if kind == CAP else e.value
+            roles = (*map(get, e.nodes, (spare, spare)), spare, spare,
+                     layout.vdc_row.get(label, spare), spare, state_col.get(label, n_state), spare)
+            coefs = (1.0, k, -k, -1.0)
+        else:
+            params, (rs, rd), col = cell_params(e), cell_rows[label], state_col[label]
+            terminals = [*map(get, e.nodes, (spare,) * 3)]
+            roles = (*terminals, terminals[1 if params.flyback else 2], rs, rd, col, col + n_cells)
+            g_l, turns = T_s / params.L, params.n
+            coefs = (-(d * d * g_l / 2.0), -d * g_l / turns, 1.0 / turns,
+                     -g_l / (2.0 * turns) * (1.0 / turns))
+            coefs = (1.0, *coefs, *(-x for x in reversed(coefs)), -1.0)
+            cols = sorted(set(terminals) - {spare})  # the diode row's
+            cells.append((label, params, rd, cols))
+            at += [rd * width + j for j in cols]
+            at_d_p += [d_p[label]] * len(cols)
+            b_at += (rs * width + col, rd * width + col)
+            b_values += (d, d_p[label] / turns)
+        flat += [(plane * height + roles[i]) * width + roles[j] for plane, i, j in _PLACES[kind]]
+        values += _VALUES[kind](coefs)
+    system.cell_params = [c[1] for c in cells]
+    planes = np.bincount(np.array(flat, dtype=np.intp), np.array(values), 5 * height * width)
+    planes = planes.reshape(5, -1)
+    ra, rb = planes[_RA:_RB + 1, at].tolist() if at else ([], [])
+    planes[_A, at] = [diode_entries(p, a, b) for p, a, b in zip(at_d_p, ra, rb)]
+    planes[_B, b_at] = b_values
+    starts = accumulate((len(c[3]) for c in cells), initial=0)
+    for (label, _, rd, cols), a in zip(cells, starts):
+        system.diode_rows.append(DiodeRow(label, rd, tuple(cols), tuple(ra[a:a + len(cols)]),
+                                          tuple(rb[a:a + len(cols)])))
+    planes = planes.reshape(5, height, width)
+    system.A[:] = planes[_A, :n, :n]
+    system.B[:] = planes[_B, :n, :n_state + 1]
+    system.E[:] = planes[_E, :len(system.E), :n]
+    return system
 
 
 def assemble_system(circuit, d, T_s, d_p):
     """Build the full system for one period; ``d_p`` maps each cell's
     label to the d_p its diode row is stamped at."""
-    system = build_layout(circuit)
-    for e in circuit.elements:
-        if e.kind == RES:
-            stamp_resistor(system, e)
-        elif e.kind == VDC:
-            stamp_vdc(system, e)
-        elif e.kind == IDC:
-            stamp_idc(system, e)
-        elif e.kind == CAP:
-            stamp_capacitor(system, e, T_s)
-        else:
-            stamp_cell(system, e, d, T_s, d_p[e.label])
-    return system
+    return stamp(build_layout(circuit), circuit.elements, d, T_s, d_p)
 
 
 def lu_factor(A):
@@ -242,25 +236,55 @@ def lu_factor(A):
     then return its inverse; the systems are small, so a solve is one
     product with it.
 
-    The pivot is the column's largest entry; :class:`SingularSystem` is
-    raised when A is not finite, or when a pivot is not above ``PIVOT_RTOL``
-    times its row's largest entry in A.
-    """
-    lu = np.array(A, dtype=float)
-    if not np.isfinite(lu).all():
+    The pivot is the column's largest entry, the first in row order among
+    equals; :class:`SingularSystem` is raised when A is not finite, or when
+    a pivot is not above ``PIVOT_RTOL`` times its row's largest entry in A.
+    Only the entries off zero are stored and eliminated: a product by a
+    zero adds a zero, or NaN by a factor that is not finite."""
+    a = np.asarray(A, dtype=float)
+    if not np.isfinite(a).all():
         raise SingularSystem("the system matrix A is not finite")
-    scale = np.abs(lu).max(axis=1).tolist()
-    for k in range(len(lu)):
-        p = k + int(abs(lu[k:, k]).argmax())
-        pivot = float(lu[p, k])
+    scale = np.abs(a).max(axis=1).tolist()
+    n = len(a)
+    rows, in_col = [{} for _ in range(n)], [[] for _ in range(n)]
+    r, c = np.nonzero(a)
+    for i, j, v in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
+        rows[i][j] = v
+        in_col[j].append(i)
+    pos, at = list(range(n)), list(range(n))  # row i at position pos[i] = k, at[k] = i
+    for k in range(n):
+        below = in_col[k]  # the rows not yet pivots with an entry in column k
+        p = at[k]
+        largest = abs(rows[p].get(k, 0.0))
+        for i in below:  # a NaN is the largest, as for argmax
+            m = abs(rows[i][k])
+            if m > largest or m == largest and pos[i] < pos[p] or m != m:
+                p, largest = i, m
+        pivot = rows[p].pop(k, 0.0)
         if not abs(pivot) > PIVOT_RTOL * scale[p]:
             raise SingularSystem(f"pivot {pivot:.3e} in column {k} below tolerance")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            scale[k], scale[p] = scale[p], scale[k]
-        # Only the trailing block is read again, so L is not stored.
-        lu[k + 1:, k + 1:] -= (lu[k + 1:, k] / pivot)[:, None] * lu[k, k + 1:]
-    return np.linalg.inv(A)
+        q, old = at[k], pos[p]
+        at[k], at[old], pos[p], pos[q] = p, q, k, old
+        # A row below pops each column as it is eliminated, so the pivot
+        # row's entries are all right of column k.  L is not stored.
+        u = rows[p]
+        for j in u:
+            in_col[j].remove(p)
+        # The dense elimination updates every row below: a zero multiplier
+        # times a pivot-row entry that is not finite is NaN, and so is a
+        # multiplier that is not finite times a zero entry.
+        if not math.isfinite(sum(u.values())):
+            below = at[k + 1:]
+        for i in below:
+            if i != p:
+                row = rows[i]
+                f = row.pop(k, 0.0) / pivot
+                for j in u if math.isfinite(f) else range(k + 1, n):
+                    if j not in row:  # fill-in
+                        row[j] = 0.0
+                        in_col[j].append(i)
+                    row[j] -= f * u.get(j, 0.0)
+    return np.linalg.inv(a)
 
 
 def lu_solve(inverse, b):

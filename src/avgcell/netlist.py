@@ -290,30 +290,39 @@ def parse_netlist(text):
     if not elements or 0 not in node_ids:
         raise MissingGround("no element references ground node 0")
 
-    unreached = _unreached_from_ground(elements, node_ids)
+    unreached = _unanchored(elements, node_ids)[0]
     if unreached:
         raise DisconnectedGraph(unreached)
 
     return CircuitDescription(elements, node_ids, params)
 
 
-def _unreached_from_ground(elements, node_ids, skip_kinds=()):
-    adjacency = {n: set() for n in node_ids}
-    for e in elements:
-        if e.kind in skip_kinds:
-            continue
-        for a in e.nodes:
-            for b in e.nodes:
-                if a != b:
-                    adjacency[a].add(b)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for other in adjacency.get(stack.pop(), ()):
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return node_ids - seen
+def _join(parts, a, b):
+    """Join the parts of nodes ``a`` and ``b`` (``parts`` maps a node to the
+    set of its part); False if they were one part already."""
+    part_a, part_b = parts.setdefault(a, {a}), parts.setdefault(b, {b})
+    if part_a is part_b:
+        return False
+    if len(part_a) < len(part_b):
+        part_a, part_b = part_b, part_a
+    part_a |= part_b
+    for node in part_b:
+        parts[node] = part_a
+    return True
+
+
+def _unanchored(elements, node_ids):
+    """The nodes not connected to ground, and those connected only through
+    current sources: every element's nodes joined, current sources last."""
+    parts, apart = {}, []
+    for last in (False, True):
+        for e in elements:
+            if (e.kind == IDC) == last:
+                for node in e.nodes[1:]:
+                    _join(parts, e.nodes[0], node)
+        apart.append(node_ids - parts.get(0, {0}))
+    floating, unreached = apart
+    return unreached, floating - unreached
 
 
 def validate(circuit):
@@ -330,7 +339,7 @@ def validate(circuit):
         diags.append(Diagnostic("missing-ground", "no element references ground node 0"))
         return diags
 
-    unreached = _unreached_from_ground(circuit.elements, circuit.node_ids)
+    unreached, floating = _unanchored(circuit.elements, circuit.node_ids)
     if unreached:
         diags.append(
             Diagnostic(
@@ -353,26 +362,14 @@ def validate(circuit):
             diags.append(Diagnostic("shorted-capacitor", message))
 
     # A cycle in the VDC-only subgraph pins some voltage twice.
-    parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parts = {}
     for e in circuit.vdcs():
-        ra, rb = find(e.nodes[0]), find(e.nodes[1])
-        if ra == rb:
+        if not _join(parts, *e.nodes):
             diags.append(
                 Diagnostic("voltage-source-loop", f"voltage source loop through {e.label}")
             )
-        else:
-            parent[ra] = rb
 
     # A node reachable only through current sources has no voltage anchor.
-    floating = _unreached_from_ground(circuit.elements, circuit.node_ids, skip_kinds=(IDC,))
-    floating -= unreached
     if floating:
         diags.append(
             Diagnostic(

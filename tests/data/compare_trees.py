@@ -10,8 +10,13 @@ tree's ``PYTHONPATH`` and, for every case of ``engine_reference.json``
 (plain and with ``dcm_refine``, as recorded), takes sha256 digests of:
 
 * ``assemble_system``'s A, B, E and ``diode_rows`` at the case's d and at
-  d = 1, each with every d_p at 1 - d, at 0.3 and at 0;
+  d = 1, each with every d_p at 1 - d, at 0.3 and at 0, and the outcome of
+  ``lu_factor`` on each A ("ok", or its ``SingularSystem`` message);
 * every column of ``run()``'s result and every ``RunStats`` field.
+
+It also digests ``lu_factor``'s outcome on every matrix of
+``LU_MATRICES``: the singular and edge cases of ``tests/test_mna.py``, and
+the A of a netlist with two voltage sources in parallel.
 
 It also digests every signal ``simulate_switched`` samples for every case
 of ``oracle_reference.json``, at 1000 and at 137 substeps per period, and
@@ -77,6 +82,46 @@ BAD_NETLISTS = {
 }
 
 
+_PIVOT_EDGE = 1e-13 * 2.0
+# Matrices whose lu_factor verdicts are pinned: TestSolver's, the pivot at
+# PIVOT_RTOL and the next float up, a magnitude tie the first row wins, a
+# fill-in that becomes a pivot, and eliminations that overflow.
+LU_MATRICES = {
+    "identity": [[1.0]],
+    "zero-diagonal": [[0.0, 1.0], [1.0, 0.0]],
+    "singular": [[1.0, 2.0], [2.0, 4.0]],
+    "nan-pivot": [[float("nan"), 1.0], [1.0, 1.0]],
+    "nan-elsewhere": [[1.0, float("nan")], [1.0, 1.0]],
+    "inf": [[1.0, 0.0], [float("inf"), 1.0]],
+    "pivot-edge": [[2.0, 0.0], [2.0, _PIVOT_EDGE]],
+    "pivot-edge-up": [[2.0, 0.0], [2.0, 2.0000000000000004e-13]],
+    "tie": [[1.0, 0.0], [1.0, 1e14]],
+    "fill-in-pivot": [[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+    "overflow": [[5e307, 5e307, 0.0, -1e308], [1.0, 0.0, -1e308, 0.0],
+                 [0.0, 0.0, -1e308, 1e308], [1e308, 5e307, 1e308, 1.7e308]],
+    "overflow-nan-pivot": [[-1e308, -1e308, 1e308, 1.7e308], [5e307, 2.0, -1e308, 2.0],
+                           [-3e307, 1.7e308, 0.0, -1e308], [-1e308, 1.7e308, 0.0, 2.0]],
+    "overflow-5": [[-1e308, -1e308, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, -1e308],
+                   [-1e308, -1e308, 0.0, -1e308, 0.0],
+                   [1.7e308, -1.0, 1.7e308, 1.7e308, -1e308],
+                   [1.7e308, 1e308, 0.0, 1.7e308, 1e308]],
+}
+PARALLEL_VDC = "VDC 1 1 0 10.0\nVDC 2 1 0 5.0\nSCN 1 1 0 2 1e-5 0\nR 1 2 0 5.0\n"
+
+
+def _lu_outcome(A):
+    """"ok", or the message of the SingularSystem ``lu_factor`` raises."""
+    import numpy as np
+    from avgcell.mna import SingularSystem, lu_factor
+
+    try:
+        with np.errstate(all="ignore"):
+            lu_factor(A)
+    except SingularSystem as exc:
+        return str(exc)
+    return "ok"
+
+
 def _digest(value):
     if hasattr(value, "tobytes"):
         data = f"{value.dtype}{value.shape}".encode() + value.tobytes()
@@ -114,6 +159,9 @@ def digests():
                     fields[f"assembly:d={d!r}:d_p={d_p!r}:{field}"] = _digest(
                         getattr(system, field)
                     )
+                fields[f"assembly:d={d!r}:d_p={d_p!r}:lu_factor"] = _digest(
+                    _lu_outcome(system.A)
+                )
         for column in COLUMNS + ("t_start",):
             fields[f"run:{column}"] = _digest(getattr(result, column))
         for stat in dataclasses.fields(result.stats):
@@ -130,6 +178,12 @@ def digests():
             for signal, wave in sampled.items():
                 fields[f"substeps={steps}:{signal}"] = _digest(wave.values)
             fields[f"substeps={steps}:times"] = _digest(wave.times)
+
+    fields = out["lu_factor"] = {}
+    parallel = parse_netlist(PARALLEL_VDC)
+    system = assemble_system(parallel, 0.5, 1e-5, {"SCN1": 0.5})
+    for name, A in {**LU_MATRICES, "parallel-vdc": system.A}.items():
+        fields[f"outcome:{name}"] = _digest(_lu_outcome(A))
 
     fields = out["validate"] = {}
     for name, text in BAD_NETLISTS.items():

@@ -62,9 +62,58 @@ MUTANTS = [
     (
         "lu_factor-finite",
         "mna.py",
-        "if not np.isfinite(lu).all():",
+        "if not np.isfinite(a).all():",
         "if False:",
         "a matrix that is not finite fails with its own message",
+    ),
+    (
+        "lu_factor-tie-later",
+        "mna.py",
+        "m == largest and pos[i] < pos[p]",
+        "m == largest and pos[i] > pos[p]",
+        "of equal magnitudes the first row in row order is the pivot",
+    ),
+    (
+        "lu_factor-magnitude",
+        "mna.py",
+        "if m > largest or",
+        "if m >= largest or",
+        "a later row of equal magnitude does not take the pivot",
+    ),
+    (
+        "lu_factor-zero-multiplier",
+        "mna.py",
+        "f = row.pop(k, 0.0) / pivot\n",
+        "f = row.pop(k, 0.0) / pivot\n                if not f:\n                    continue\n",
+        "a zero multiplier times an infinity is NaN in the dense elimination",
+    ),
+    (
+        "lu_factor-fill-in",
+        "mna.py",
+        "# fill-in\n                        row[j] = 0.0\n                        in_col[j].append(i)",
+        "# fill-in\n                        continue",
+        "an entry that fills in can become the next pivot",
+    ),
+    (
+        "lu_factor-nan-pivot",
+        "mna.py",
+        "pos[i] < pos[p] or m != m:",
+        "pos[i] < pos[p]:",
+        "a NaN in the pivot column is the dense elimination's pivot, and fails",
+    ),
+    (
+        "lu_factor-nonfinite-rows",
+        "mna.py",
+        "below = at[k + 1:]",
+        "pass",
+        "a pivot row that is not finite makes NaN in every row below",
+    ),
+    (
+        "stamp-ground-kept",
+        "mna.py",
+        "spare = n  # ground's row and column",
+        "spare = 0  # ground's row and column",
+        "ground's entries are dropped, not added to the first node's row and column",
     ),
     (
         "RESIDUAL_RTOL",

@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,22 @@ def test_non_finite_system_is_numerical_error(tmp_path, capsys, duty):
     code = run_cli(netlist, *duty, "--out", tmp_path / "results")
     assert code == 3
     assert capsys.readouterr().err == "error: the system matrix A is not finite\n"
+    assert not (tmp_path / "results").exists()
+
+
+def test_overflowing_run_is_numerical_error_without_warnings(tmp_path, capsys):
+    """A 1e308 V source overflows the bootstrap's solve: exit 3 with the
+    residual error alone.  numpy warned on the way there, from the solve,
+    the E x product and the residual check."""
+    netlist = tmp_path / "overflow.net"
+    netlist.write_text("VDC 1 1 0 1e308\nSCN 1 1 0 2 1e-9 0\nC 1 2 0 1e-4 0\nR 1 2 0 1e-3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(netlist, "-D", "0.5", "--fs", "100e3", "--t-end", "2e-5",
+                       "--out", tmp_path / "results")
+    assert code == 3
+    assert capsys.readouterr().err == "error: residual nan exceeds stability bound inf\n"
+    assert [str(w.message) for w in caught] == []
     assert not (tmp_path / "results").exists()
 
 

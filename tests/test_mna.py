@@ -10,10 +10,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avgcell.mna import (
+    PIVOT_RTOL,
     RowUpdate,
     SingularSystem,
     assemble_system,
@@ -23,10 +24,7 @@ from avgcell.mna import (
     lu_solve,
     solve_diagonal,
     solve_small,
-    stamp_capacitor,
-    stamp_cell,
-    stamp_resistor,
-    stamp_vdc,
+    stamp,
 )
 from avgcell.netlist import parse_netlist
 
@@ -94,14 +92,12 @@ class TestLayout:
 
 class TestStamps:
     def test_resistor_adds_conductance(self, buck):
-        system = build_layout(buck)
-        stamp_resistor(system, buck.element("R1"))
+        system = stamp(build_layout(buck), [buck.element("R1")], 0.5, TS, {})
         assert system.A[1, 1] == pytest.approx(0.2)
         assert system.A[0, 0] == 0.0
 
     def test_vdc_constraint_row_and_value(self, buck):
-        system = build_layout(buck)
-        stamp_vdc(system, buck.element("VDC1"))
+        system = stamp(build_layout(buck), [buck.element("VDC1")], 0.5, TS, {})
         assert system.A[2, 0] == 1.0
         assert system.A[0, 2] == 1.0
         z = ccm_rhs(buck, 0.5, {"C1": 0.0})[1]
@@ -112,8 +108,7 @@ class TestStamps:
         assert z[1] == -4.0
 
     def test_capacitor_companion_conductance(self, buck):
-        system = build_layout(buck)
-        stamp_capacitor(system, buck.element("C1"), T_s=TS)
+        system = stamp(build_layout(buck), [buck.element("C1")], 0.5, TS, {})
         assert system.A[1, 1] == pytest.approx(20.0)  # 2 * 1e-4 / 1e-5
         z = ccm_rhs(buck, 0.5, {"C1": 7.0})[1]
         assert z[1] == -4.0 + 7.0  # the load current source plus i_0
@@ -130,15 +125,15 @@ class TestStamps:
         assert 20.0 * 0.0 == 0.0
 
     def test_cell_switch_row_coefficients(self, buck):
-        system = build_layout(buck)
-        stamp_cell(system, buck.element("SCN1"), d=0.5, T_s=TS, d_p=0.5)
+        cell = [buck.element("SCN1")]
+        system = stamp(build_layout(buck), cell, d=0.5, T_s=TS, d_p={"SCN1": 0.5})
         assert system.A[3, 0] == pytest.approx(-0.125)  # -d^2 G_L / 2
         assert system.A[3, 1] == pytest.approx(+0.125)
         assert system.A[3, 3] == 1.0
 
     def test_cell_zero_duty_pins_switch_current(self, buck):
-        system = build_layout(buck)
-        stamp_cell(system, buck.element("SCN1"), d=0.0, T_s=TS, d_p=1.0)
+        cell = [buck.element("SCN1")]
+        system = stamp(build_layout(buck), cell, d=0.0, T_s=TS, d_p={"SCN1": 1.0})
         assert np.all(system.A[3, :3] == 0.0)
         assert system.A[3, 3] == 1.0
         z = ccm_rhs(buck, 0.0, zero_caps(buck), iL0=2.0)[1]
@@ -327,6 +322,80 @@ def test_pivot_at_the_tolerance_raises_and_the_next_float_up_passes(solve):
     with pytest.raises(SingularSystem):
         solve(_PIVOT_EDGE)
     solve(math.nextafter(_PIVOT_EDGE, math.inf))
+
+
+def dense_lu_verdict(A):
+    """The verdict of the dense elimination lu_factor ran before it visited
+    only the entries off zero: "ok", or the SingularSystem message."""
+    lu = np.array(A, dtype=float)
+    if not np.isfinite(lu).all():
+        return "the system matrix A is not finite"
+    scale = np.abs(lu).max(axis=1).tolist()
+    with np.errstate(all="ignore"):
+        for k in range(len(lu)):
+            p = k + int(abs(lu[k:, k]).argmax())
+            pivot = float(lu[p, k])
+            if not abs(pivot) > PIVOT_RTOL * scale[p]:
+                return f"pivot {pivot:.3e} in column {k} below tolerance"
+            if p != k:
+                lu[[k, p]] = lu[[p, k]]
+                scale[k], scale[p] = scale[p], scale[k]
+            lu[k + 1:, k + 1:] -= (lu[k + 1:, k] / pivot)[:, None] * lu[k, k + 1:]
+    return "ok"
+
+
+def lu_verdict(A):
+    try:
+        with np.errstate(all="ignore"):
+            lu_factor(A)
+    except SingularSystem as exc:
+        return str(exc)
+    except np.linalg.LinAlgError:  # np.linalg.inv's own test, after ours passed
+        pass
+    return "ok"
+
+
+# Mostly zeros; entries that tie in magnitude, 0 of both signs, pivots on
+# both sides of PIVOT_RTOL for row scales of 1 and 2, scales far apart, and
+# magnitudes whose elimination overflows.
+SPARSE_ENTRIES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([-0.0, 1.0, -1.0, 2.0, 0.5, 3.0, 1e-13, 2e-13, 2.0000000000000004e-13,
+                     -1e-13, 1e14, 1e-14]),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([1e308, -1e308, 1.7e308, 5e307]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(SPARSE_ENTRIES, min_size=n * n, max_size=n * n).map(
+        lambda flat: [flat[i:i + n] for i in range(0, n * n, n)]
+    )
+))
+# A tie the first row must win: the second row's scale fails the pivot.
+@example([[1.0, 0.0], [1.0, 1e14]])
+# A fill-in that becomes the next pivot: A[1, 1] is 0 until row 0 is
+# subtracted from row 1.
+@example([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+# Eliminations that overflow: a zero times an infinity is NaN in every row
+# the dense one updates, and its NaN pivot fails; in the first, a NaN is
+# the pivot of column 2 although a finite entry is there too.
+@example([[-1e308, -1e308, 1e308, 1.7e308], [5e307, 2.0, -1e308, 2.0],
+          [-3e307, 1.7e308, 0.0, -1e308], [-1e308, 1.7e308, 0.0, 2.0]])
+@example([[5e307, 5e307, 0.0, -1e308], [1.0, 0.0, -1e308, 0.0],
+          [0.0, 0.0, -1e308, 1e308], [1e308, 5e307, 1e308, 1.7e308]])
+@example([[-1e308, -1e308, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, -1e308],
+          [-1e308, -1e308, 0.0, -1e308, 0.0], [1.7e308, -1.0, 1.7e308, 1.7e308, -1e308],
+          [1.7e308, 1e308, 0.0, 1.7e308, 1e308]])
+def test_lu_factor_verdict_is_the_dense_elimination_verdict(A):
+    """lu_factor skips the products by zero and gives the dense verdict and
+    message: the same pivot rows, the first of equal magnitudes, and the
+    same PIVOT_RTOL test.  The one difference is the sign printed for a
+    pivot that is exactly zero, where the dense loop could carry a -0.0 of
+    A or of its own products; no assembled A holds a -0.0."""
+    found, expected = lu_verdict(A), dense_lu_verdict(A)
+    assert found.replace("-0.000e+00", "0.000e+00") == expected.replace("-0.000e+00", "0.000e+00")
 
 
 # Entries that tie in magnitude, exact zeros of both signs, and pivots on
