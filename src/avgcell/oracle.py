@@ -27,22 +27,27 @@ Each caller then adds only its own entries.
 
 The element state is one vector: each capacitor's ``(v, i)``, then each
 cell's inductor ``(i, v)``, then a constant 1 that carries the sources.  On
-a fixed topology a substep of either rule is an affine map on it, so
-``_assemble`` writes the companion model once, as the solution ``x = P s``
-and the next state ``s' = Phi s`` (no ``expm``, nothing shared with the
-engine).  Every substep applies its topology's map: one at a time after a
-topology change, at a diode zero crossing and across a split switching
-substep, and in stretches between a restart and the next switching edge.
-A stretch's states are grown by doubling with cached powers of ``Phi`` and
-its samples are one matrix product; the diode tests, ``_at_zero`` for the
-zero crossing and ``_forward_biased`` for re-conduction, are evaluated over
-all of it, and the first substep where one holds is taken on its own, which
-does the interpolation and the backward-Euler restart.  Those two
-functions are the oracle's only definition of each test.  The maps of grid-step topologies are cached, since
+a fixed topology a substep of either rule is an affine map on it.  Each
+topology's network is stamped once per rule (``_stamp_network``, per phase
+tuple and method) as ``x0 + x1 / h``, with the companion coefficients in
+``x1``, and ``_assemble`` forms from it the map of a substep of any length,
+as the solution ``x = P s`` and the next state ``s' = Phi s`` (no ``expm``,
+nothing shared with the engine).  Every substep applies its topology's map:
+one at a time after a topology change, at a diode zero crossing and across a
+split switching substep, and in stretches between a restart and the next
+switching edge.  A stretch's states are grown by doubling with cached powers
+of ``Phi`` and its samples are one matrix product; the diode tests,
+``_at_zero`` for the zero crossing and ``_forward_biased`` for
+re-conduction, are evaluated over all of it, and the first substep where one
+holds is taken on its own, which does the interpolation and the
+backward-Euler restart.  Those two functions are the oracle's only
+definition of each test.  The maps of grid-step topologies are cached, since
 the systems are tiny and recur every period, and so are the two parts of a
 switching edge that falls inside a substep, whose lengths are the same in
-every period; the part-substeps at a diode crossing are built when needed.
-A run whose samples are not all finite raises ``SingularSystem``.
+every period; the part-substeps at a diode crossing are formed (and
+inverted) when needed.  A run's samples are one array, and every signal's
+``values`` is a column view of it.  A run whose samples are not all finite
+raises ``SingularSystem``.
 """
 
 import math
@@ -76,7 +81,9 @@ class OracleConfig:
 
 @dataclass
 class SampledWaveform:
-    """Signal sampled on the uniform integration grid."""
+    """Signal sampled on the uniform integration grid.  ``values`` is a
+    column view of the run's one sample array, so holding one signal keeps
+    the samples of every signal of the run alive."""
 
     name: str
     unit: str
@@ -173,14 +180,15 @@ class _Topo:
     next state ``s' = Phi s``.  ``P`` has a trailing zero row, so that
     ground (column -1) reads 0.
 
-    For stretches, states are rows: ``s @ sample_T`` is the sample row after
-    the substep, followed by v_p and then v_x of each blocked basic diode
-    cell, and the powers of ``Phi`` are grown as needed."""
+    For stretches, states are rows, the powers of ``Phi`` are grown as needed,
+    and the first stretch sets ``plan = (sample_T, monitored, k)``: ``s @
+    sample_T`` is the sample row after the substep, then v_p and then v_x of
+    the k blocked basic diodes; ``monitored`` are conducting diode currents."""
 
     def __init__(self, P, Phi):
         self.P = P
         self.Phi = Phi
-        self.sample_T = None
+        self.plan = None
         self._powers = [Phi.T]  # Phi^(2^j), transposed, j = 0, 1, ...
 
     def propagate(self, s0, count):
@@ -192,7 +200,7 @@ class _Topo:
             if j == len(self._powers):
                 self._powers.append(self._powers[-1] @ self._powers[-1])
             take = min(done, count + 1 - done)
-            np.matmul(S[:take], self._powers[j], out=S[done : done + take])
+            np.dot(S[:take], self._powers[j], out=S[done : done + take])
             done += take
             j += 1
         return S
@@ -231,30 +239,56 @@ class _SwitchedSimulator:
             + [x for e in circuit.cells() for x in (e.initial, 0.0)]
             + [1.0]
         )
-        self._topo_cache = {}
+        self._networks = {}  # (phase tuple, method): (x0, x1, {h: _Topo})
         self._cached_steps = {self.h}
 
     def _assemble(self, h, method):
-        """The map of one substep of length ``h`` on the present topology;
-        cached when ``h`` is the grid step or a part of the split switching
-        substep, which recur every period."""
-        key = (tuple(c.phase for c in self.cells), method, h)
-        cached = h in self._cached_steps
-        if cached and key in self._topo_cache:
-            return self._topo_cache[key]
+        """The map of one substep of length ``h`` on the present topology,
+        from its network (``_stamp_network``, once per phase tuple and
+        method); cached when ``h`` is the grid step or a part of the split
+        switching substep, which recur every period."""
+        key = (tuple(c.phase for c in self.cells), method)
+        if key not in self._networks:
+            self._networks[key] = (*self._stamp_network(method), {})
+        x0, x1, topos = self._networks[key]
+        if h in topos:
+            return topos[h]
+        W = sum((layer / h for layer in x1), x0)
+        n = len(W) - len(self.s)  # the order of A
+        A, B, E, F = W[:n, :n], W[:n, n + 1 :], W[n:, : n + 1], W[n:, n + 1 :]
+        try:
+            Ainv = np.linalg.inv(A)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"switched network is singular: {exc}") from exc
+        P = np.zeros((n + 1, len(self.s)))  # the trailing zero row is ground
+        np.matmul(Ainv, B, out=P[:-1])
+        topo = _Topo(P, E @ P + F)
+        if h in self._cached_steps:
+            topos[h] = topo
+        return topo
 
+    def _stamp_network(self, method):
+        """The present topology's network for ``method``: ``(x0, x1)``, where
+        a substep of length h has ``[[A, 0, B], [E, F]] = x0 + x1[0] / h +
+        x1[1] / h + ...`` (E keeps its ground column).  ``x1`` holds factor C
+        and factor L, ``x0`` the resistors, sources, incidences and history
+        terms.  A capacitor goes into the first layer of ``x1`` where its
+        diagonal entries are 0, so every entry of A adds its terms in
+        capacitor order, as a stamp per substep would."""
         branches = [(*e.nodes, e.value) for e in self.vdcs]
-        for cell in self.cells:
-            sw = cell.switch_branch()
-            if sw is not None:
-                branches.append((*sw, 0.0))
+        branches += [(*c.switch_branch(), 0.0) for c in self.cells if c.switch_branch()]
         inductors = []
         for cell in self.cells:
             br = cell.branch()
             if br is not None:
                 inductors.append((cell, self.n_nodes + len(branches), br[2]))
                 branches.append((br[0], br[1], 0.0))
-        A, z_base = self._stamp(branches, [])
+        order, one = self.n_nodes + len(branches), len(self.s) - 1
+        bf = order + 1  # the first column of B and of F
+        x0 = np.zeros((order + one + 1, bf + one + 1))
+        x0[:order, :order], x0[:order, -1] = self._stamp(branches, [])
+        x0[-1, -1] = 1.0
+        x1 = [np.zeros_like(x0)]
 
         # Companion model of each capacitor (v, i) and live inductor (i, v):
         # for the state pair (a, b) with companion coefficient w, a' is read
@@ -262,44 +296,31 @@ class _SwitchedSimulator:
         # is w a' - (w a + hist b).  The bracket is a source on the same
         # incidence, with sign sigma: a Norton source into a capacitor's
         # node rows, a Thevenin one in an inductor's branch row.  So z = B s
-        # and s' = E x + F s; backward Euler drops the history terms.
+        # and s' = E x + F s; backward Euler drops the history terms.  Here
+        # w is factor C or factor L, since x1 is divided by h.
         factor, hist = (2.0, 1.0) if method == "tr" else (1.0, 0.0)
         elements = []
         for k, e in enumerate(self.caps):
-            g = factor * e.value / h
             r1, r2 = self.node_col[e.nodes[0]], self.node_col[e.nodes[1]]
-            self._conductance(A, r1, r2, g)
-            elements.append((2 * k, g, 1.0, ((r1, 1.0), (r2, -1.0))))
+            # Ground, -1, reads F's corner, which is 0 in every layer.
+            layer = next((m for m in x1 if m[r1, r1] == m[r2, r2] == 0.0), None)
+            if layer is None:
+                x1.append(layer := np.zeros_like(x0))
+            self._conductance(layer, r1, r2, factor * e.value)
+            elements.append((2 * k, factor * e.value, 1.0, ((r1, 1.0), (r2, -1.0))))
         for cell, col, L in inductors:
-            r_l = factor * L / h
-            A[col, col] = -r_l
-            elements.append((cell.si, r_l, -1.0, ((col, 1.0),)))
-        order, one = len(z_base), len(self.s) - 1
-        B = np.zeros((order, one + 1))
-        B[:, one] = z_base
-        E = np.zeros((one + 1, order + 1))
-        F = np.zeros((one + 1, one + 1))
-        F[one, one] = 1.0
+            x1[0][col, col] = -factor * L
+            elements.append((cell.si, factor * L, -1.0, ((col, 1.0),)))
         for a, w, sigma, rows in elements:
             for r, sign in rows:
                 if r >= 0:
-                    B[r, a] += sigma * sign * w
-                    B[r, a + 1] += sigma * sign * hist
-                    E[a, r] += sign
-                    E[a + 1, r] += sign * w
-            F[a + 1, a] = -w
-            F[a + 1, a + 1] = -hist
-
-        try:
-            Ainv = np.linalg.inv(A)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"switched network is singular: {exc}") from exc
-        P = np.zeros((order + 1, one + 1))  # the trailing zero row is ground
-        np.matmul(Ainv, B, out=P[:-1])
-        topo = _Topo(P, E @ P + F)
-        if cached:
-            self._topo_cache[key] = topo
-        return topo
+                    x1[0][r, bf + a] += sigma * sign * w
+                    x0[r, bf + a + 1] += sigma * sign * hist
+                    x0[order + a, r] += sign
+                    x1[0][order + a + 1, r] += sign * w
+            x1[0][order + a + 1, bf + a] = -w
+            x0[order + a + 1, bf + a + 1] = -hist
+        return x0, x1
 
     @staticmethod
     def _conductance(A, r1, r2, g):
@@ -324,25 +345,29 @@ class _SwitchedSimulator:
         the next substep has an event for ``_advance`` and
         ``_reconduct_check`` to handle."""
         topo = self._assemble(self.h, "tr")
-        rest = self._blocked_basic_diodes()
-        if topo.sample_T is None:
+        if topo.plan is None:
+            rest = self._blocked_basic_diodes()
             rows = [topo.P[col] for col in self.sample_cols]
             rows += [c.referral() * topo.Phi[c.si] for c in self.cells]
             rows += [topo.P[self.node_col[c.nodes[1]]] for c in rest]
             rows += [topo.P[self.node_col[("x", c.label)]] for c in rest]
-            topo.sample_T = np.array(rows).T.copy()
+            monitored = [c.si for c in self._conducting_diodes()]
+            topo.plan = (np.array(rows).T.copy(), monitored, len(rest))
+        sample_T, monitored, k = topo.plan
         count = len(out)
         S = topo.propagate(self.s, count)
-        Y = S[:count] @ topo.sample_T
+        if not monitored and not k:
+            np.matmul(S[:count], sample_T, out=out)
+            self.s = S[count]
+            return count
+        Y = S[:count] @ sample_T
 
         # The predicates of _advance and _reconduct_check, over the stretch.
         hits = np.zeros(count, dtype=bool)
-        monitored = [c.si for c in self._conducting_diodes()]
         if monitored:
             zero = _at_zero(S[:, monitored])
             hits |= (zero[1:] & ~zero[:-1]).any(axis=1)
-        if rest:
-            k = len(rest)
+        if k:
             hits |= _forward_biased(Y[:, -2 * k : -k], Y[:, -k:]).any(axis=1)
         taken = int(np.argmax(hits)) if hits.any() else count
 
@@ -423,7 +448,7 @@ class _SwitchedSimulator:
 
         ``branches`` are (node_a, node_b, value): branch k's current, from
         a to b, is unknown ``n_nodes + k``, and its row holds
-        v_a - v_b = value (``_assemble`` adds an inductor's companion
+        v_a - v_b = value (``_stamp_network`` adds an inductor's companion
         resistance to that row).  ``sources`` are (node_a, node_b, current)
         injections from a to b, stamped after the circuit's current
         sources.  Returns (A, z)."""
@@ -456,13 +481,8 @@ class _SwitchedSimulator:
         cell inductors replaced by their initial currents."""
         branches = [(*e.nodes, e.value) for e in self.vdcs]
         branches += [(*e.nodes, self.s[2 * k]) for k, e in enumerate(self.caps)]
-        sources = []
-        for cell in self.cells:
-            sw, br = cell.switch_branch(), cell.branch()
-            if sw is not None:
-                branches.append((*sw, 0.0))
-            if br is not None:
-                sources.append((br[0], br[1], self.s[cell.si]))
+        branches += [(*c.switch_branch(), 0.0) for c in self.cells if c.switch_branch()]
+        sources = [(*c.branch()[:2], self.s[c.si]) for c in self.cells if c.branch()]
         A, z = self._stamp(branches, sources)
         try:
             return np.linalg.solve(A, z)
@@ -541,7 +561,7 @@ class _SwitchedSimulator:
         for k, name in enumerate(signal_names):
             unit = "V" if name.startswith("v(") else "A"
             result[name] = SampledWaveform(
-                name, unit, times, out[:, k].copy(), steps
+                name, unit, times, out[:, k], steps
             )
         return result
 

@@ -38,7 +38,9 @@ prints, for every case and every float column of ``run()``'s result, the
 largest |this - other| over the column's full scale (each signal of a
 two-dimensional column, such as one row of ``x``, on its own scale: its
 largest |value| in the other tree, as ``test_engine_parity.py`` scales),
-and whether ``dcm`` is identical.  It exits 1 if any case's ``dcm``
+and whether ``dcm`` is identical.  It prints the same for every signal
+``simulate_switched`` samples, one line per oracle case and substep count,
+each signal on its own full scale.  It exits 1 if any case's ``dcm``
 differs.
 """
 
@@ -142,11 +144,26 @@ def _runs():
         yield name, case, circuit, run(circuit, config)
 
 
+def _oracle_runs():
+    """(case, substeps, ``simulate_switched`` result) of every case of
+    ``oracle_reference.json`` at every count of ``ORACLE_SUBSTEPS``, run by
+    the tree on ``sys.path``."""
+    from avgcell import SimConfig, parse_netlist
+    from avgcell.oracle import OracleConfig, simulate_switched
+
+    cases = json.loads((DATA / "oracle_reference.json").read_text())["cases"]
+    for name, case in cases.items():
+        config = SimConfig(case["d"], case["f_s"], case["periods"] / case["f_s"])
+        for steps in ORACLE_SUBSTEPS:
+            circuit = parse_netlist(case["netlist"])
+            yield f"oracle:{name}", steps, simulate_switched(circuit, config, OracleConfig(steps))
+
+
 def digests():
     """{case: {field: digest}} of the tree on ``sys.path``."""
     from avgcell import InvalidCircuit, SimConfig, parse_netlist, run, validate
     from avgcell.mna import assemble_system
-    from avgcell.oracle import OracleConfig, simulate_switched
+    from avgcell.oracle import simulate_switched
 
     out = {}
     for name, case, circuit, result in _runs():
@@ -167,17 +184,11 @@ def digests():
         for stat in dataclasses.fields(result.stats):
             fields[f"run:stats.{stat.name}"] = _digest(getattr(result.stats, stat.name))
 
-    cases = json.loads((DATA / "oracle_reference.json").read_text())["cases"]
-    for name, case in cases.items():
-        fields = out[f"oracle:{name}"] = {}
-        config = SimConfig(case["d"], case["f_s"], case["periods"] / case["f_s"])
-        for steps in ORACLE_SUBSTEPS:
-            sampled = simulate_switched(
-                parse_netlist(case["netlist"]), config, OracleConfig(steps)
-            )
-            for signal, wave in sampled.items():
-                fields[f"substeps={steps}:{signal}"] = _digest(wave.values)
-            fields[f"substeps={steps}:times"] = _digest(wave.times)
+    for name, steps, sampled in _oracle_runs():
+        fields = out.setdefault(name, {})
+        for signal, wave in sampled.items():
+            fields[f"substeps={steps}:{signal}"] = _digest(wave.values)
+        fields[f"substeps={steps}:times"] = _digest(wave.times)
 
     fields = out["lu_factor"] = {}
     parallel = parse_netlist(PARALLEL_VDC)
@@ -201,11 +212,18 @@ def digests():
 
 
 def columns():
-    """{case: {column: values as nested lists}} of the tree on ``sys.path``."""
-    return {
+    """{case: {column: values as nested lists}} of the tree on ``sys.path``:
+    the ``run()`` columns of every engine case, and each signal of every
+    oracle case as the column ``substeps=<count>:<signal>``."""
+    found = {
         name: {column: getattr(result, column).tolist() for column in COLUMNS}
         for name, _, _, result in _runs()
     }
+    for name, steps, sampled in _oracle_runs():
+        found.setdefault(name, {}).update(
+            {f"substeps={steps}:{s}": wave.values.tolist() for s, wave in sampled.items()}
+        )
+    return found
 
 
 def _tree(src, mode="--digests"):
@@ -222,21 +240,32 @@ def deviation(src):
     """Print how far this tree's columns are from those of ``src``."""
     import numpy as np
 
+    def moved(column, new, old):
+        new, old = np.array(new), np.array(old)
+        if new.shape != old.shape:
+            return f"{column} shape {new.shape} != {old.shape}"
+        scale = np.maximum(np.abs(old).max(axis=0, initial=0.0), 1e-30)
+        return f"{column} {(np.abs(new - old) / scale).max(initial=0.0):.1e}"
+
     here, there = _tree(SRC, "--columns"), _tree(src, "--columns")
     differ = 0
     for name, found in here.items():
-        parts = []
-        for column in COLUMNS[:-1]:  # the float columns; dcm is last
-            new, old = np.array(found[column]), np.array(there[name][column])
-            if new.shape != old.shape:
-                parts.append(f"{column} shape {new.shape} != {old.shape}")
-                continue
-            scale = np.maximum(np.abs(old).max(axis=0, initial=0.0), 1e-30)
-            parts.append(f"{column} {(np.abs(new - old) / scale).max(initial=0.0):.1e}")
+        if name.startswith("oracle:"):
+            for steps in ORACLE_SUBSTEPS:
+                prefix = f"substeps={steps}:"
+                parts = [
+                    moved(column[len(prefix):], found[column], there[name].get(column, []))
+                    for column in found if column.startswith(prefix)
+                ]
+                print(f"{name:26} {prefix[:-1]:15} " + "  ".join(parts))
+            continue
+        # The float columns; dcm is last.
+        parts = [moved(c, found[c], there[name][c]) for c in COLUMNS[:-1]]
         same = found["dcm"] == there[name]["dcm"]
         differ += not same
-        print(f"{name:20} " + "  ".join(parts) + f"  dcm {'identical' if same else 'DIFFERS'}")
-    print(f"{len(here)} cases, {differ} with dcm differing")
+        print(f"{name:26} " + "  ".join(parts) + f"  dcm {'identical' if same else 'DIFFERS'}")
+    engine = sum(not name.startswith("oracle:") for name in here)
+    print(f"{engine} engine cases, {differ} with dcm differing; {len(here) - engine} oracle cases")
     return 1 if differ else 0
 
 

@@ -262,6 +262,63 @@ MUTANTS = [
         "a many-row product gives a row other bits than step()'s one-row one:"
         " test_step_reproduces_run and test_step_reproduces_run_across_blocks",
     ),
+    (
+        "oracle-x1-times-h",
+        "oracle.py",
+        "W = sum((layer / h for layer in x1), x0)",
+        "W = sum((layer * h for layer in x1), x0)",
+        "the companion coefficients are divided by the substep's length",
+    ),
+    (
+        "oracle-history-in-x1",
+        "oracle.py",
+        "x0[r, bf + a + 1] += sigma * sign * hist",
+        "x1[0][r, bf + a + 1] += sigma * sign * hist",
+        "a history term does not scale with 1 / h",
+    ),
+    (
+        "oracle-one-capacitor-layer",
+        "oracle.py",
+        "layer = next((m for m in x1 if m[r1, r1] == m[r2, r2] == 0.0), None)",
+        "layer = x1[0]",
+        "two capacitors on one node add their terms one at a time, as a stamp"
+        " per substep does, not as one sum rounded before the division by h",
+    ),
+    (
+        "oracle-network-by-method",
+        "oracle.py",
+        "key = (tuple(c.phase for c in self.cells), method)",
+        "key = method",
+        "a network, its maps and their stretch plans belong to one phase tuple",
+    ),
+    (
+        "oracle-stamp-every-substep",
+        "oracle.py",
+        "if key not in self._networks:",
+        "if True:",
+        "each (phase tuple, method) network is stamped once per run",
+    ),
+    (
+        "oracle-fast-path-blocked",
+        "oracle.py",
+        "if not monitored and not k:",
+        "if not monitored:",
+        "a stretch with a blocked basic diode watches its forward bias",
+    ),
+    (
+        "oracle-fast-path-monitored",
+        "oracle.py",
+        "if not monitored and not k:",
+        "if not k:",
+        "a stretch with a conducting diode watches its current's zero crossing",
+    ),
+    (
+        "oracle-sample-copies",
+        "oracle.py",
+        "name, unit, times, out[:, k], steps",
+        "name, unit, times, out[:, k].copy(), steps",
+        "every signal is a view of the run's one sample array",
+    ),
 ]
 
 # Mutants that no test can kill, because nothing a run returns or raises
@@ -277,6 +334,15 @@ EQUIVALENT = [
         " period is checked against its own matrix and the earliest failure is"
         " reported, so every result column and RunStats field is the same"
         " (compare_trees.py: 0 mismatches at 65)",
+    ),
+    (
+        "oracle-doubling-matmul",
+        "oracle.py",
+        "np.dot(S[:take], self._powers[j], out=S[done : done + take])",
+        "np.matmul(S[:take], self._powers[j], out=S[done : done + take])",
+        "np.dot and np.matmul make the same BLAS product here, so every sample"
+        " keeps its bits (compare_trees.py: 0 mismatches); np.dot costs less"
+        " per call",
     ),
 ]
 

@@ -257,3 +257,47 @@ def test_grid_spacing_invariant(oracle_buck):
     times = oracle_buck["v(2)"].times
     assert len(times) == 500 * 1000 + 1
     assert np.allclose(np.diff(times), 1e-5 / 1000)
+
+
+def test_signals_share_one_sample_buffer(oracle_buck):
+    """Every signal of a run is a column view of the run's one sample
+    array, not a copy of it."""
+    buffer = oracle_buck["v(1)"].values.base
+    assert buffer.shape == (500 * 1000 + 1, len(oracle_buck))
+    for wave in oracle_buck.values():
+        assert wave.values.base is buffer, wave.name
+        assert np.shares_memory(wave.values, buffer), wave.name
+
+
+def test_each_network_is_stamped_once(monkeypatch):
+    """A buck in steady DCM crosses zero in every period, and every
+    crossing takes two backward-Euler part-substeps of uncached length;
+    still each (phase tuple, method) network is stamped once."""
+    stamped = []
+    stamp = _SwitchedSimulator._stamp_network
+
+    def counting(self, method):
+        stamped.append((tuple(c.phase for c in self.cells), method))
+        return stamp(self, method)
+
+    monkeypatch.setattr(_SwitchedSimulator, "_stamp_network", counting)
+    # Started on the averaged model's steady state, v(2) = 8.7695 V.
+    circuit = parse_netlist(BUCK_DCM.replace("1e-4 0", "1e-4 8.7695"))
+    iL = simulate_switched(circuit, std_config(2e-4), OracleConfig(1000))["iL(SCD1)"]
+    held = iL.values[1:].reshape(20, 1000) == 0.0
+    assert held.any(axis=1).all()
+    assert sorted(stamped) == sorted(
+        ((phase,), method) for phase in ("on", "diode", "rest") for method in ("be", "tr")
+    )
+
+
+def test_capacitors_on_one_node_add_their_terms_one_at_a_time():
+    """Node 2 carries two capacitors, so its diagonal entry of A gets their
+    companion conductances from two layers of the network's h-terms: each
+    substep adds them one at a time, in capacitor order, as a stamp per
+    substep does, and not as one sum rounded before the division by h."""
+    circuit = parse_netlist(BUCK_STEADY + "C 2 2 3 1e-5 0.3\nR 2 3 0 0.2\n")
+    simulator = _SwitchedSimulator(circuit, std_config(1e-4), OracleConfig(1000))
+    x0, x1 = simulator._stamp_network("tr")
+    r = simulator.node_col[2]
+    assert [layer[r, r] for layer in x1] == [2.0 * 1e-4, 2.0 * 1e-5]
