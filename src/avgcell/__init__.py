@@ -7,13 +7,7 @@ linear-ripple and quasi-steady-state approximations.  A switched-circuit
 reference simulator is included for verification.
 """
 
-from .cells import (
-    CellParams,
-    CellState,
-    Mode,
-    PortVoltages,
-    Rectifier,
-)
+from .cells import CellState, Mode
 from .engine import (
     InvalidCircuit,
     InvalidConfig,
@@ -47,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AvgcellError",
-    "CellParams",
     "CellState",
     "CircuitDescription",
     "Element",
@@ -57,8 +50,6 @@ __all__ = [
     "NetlistError",
     "OracleConfig",
     "PeriodRecord",
-    "PortVoltages",
-    "Rectifier",
     "SampledWaveform",
     "SignalStats",
     "SimConfig",

@@ -23,6 +23,9 @@ magnetizing inductance takes the place of L, the secondary current is the
 magnetizing current reflected by 1/n, and the drive voltages become
 vL1 = v_a - v_p and vL2 = -(v_c - v_p) / n.
 
+A cell is its netlist :class:`avgcell.netlist.Element`: ``value`` is L and
+``turns`` is n, 1 for a basic cell.
+
 The engine's zero-current rules, :func:`keeps_ccm`, :func:`snaps_to_zero`
 and :func:`diode_clamps`, are written once here for floats and arrays alike.
 """
@@ -44,44 +47,13 @@ class Mode(Enum):
     DCM = "DCM"
 
 
-class Rectifier(Enum):
-    SYNCHRONOUS = "synchronous"
-    DIODE = "diode"
-
-
-# The members the per-period rules test and return, as module names: they
-# read several times faster than the enum attributes.
-_CCM, _DCM, _SYNCHRONOUS = Mode.CCM, Mode.DCM, Rectifier.SYNCHRONOUS
+# The members the per-period rules return, as module names: they read
+# several times faster than the enum attributes.
+_CCM, _DCM = Mode.CCM, Mode.DCM
 
 
 class DegenerateDuty(AvgcellError):
     """Both conduction intervals vanish; end current is undefined."""
-
-
-@dataclass(frozen=True)
-class CellParams:
-    """Cell constants: inductance (magnetizing inductance for flyback),
-    turns ratio and rectifier type."""
-
-    L: float
-    n: float = 1.0
-    rectifier: Rectifier = Rectifier.SYNCHRONOUS
-    flyback: bool = False
-
-    def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("inductance must be positive")
-        if self.n <= 0:
-            raise ValueError("turns ratio must be positive")
-        if not self.flyback and self.n != 1.0:
-            raise ValueError("basic cells have unit turns ratio")
-
-
-@dataclass(frozen=True)
-class PortVoltages:
-    v_a: float
-    v_p: float
-    v_c: float
 
 
 @dataclass
@@ -119,21 +91,22 @@ def diode_clamps(iL2):
     return iL2 < 0.0
 
 
-def drive_terms(params):
+def drive_terms(cell):
     """Coefficient maps of vL1 and vL2 over the terminal voltages.
 
     Returned as two dicts keyed by 'a'/'p'/'c'; missing keys mean zero.
     These same coefficients appear in the cell's MNA constraint rows.
     """
-    if params.flyback:
-        return {"a": 1.0, "p": -1.0}, {"p": 1.0 / params.n, "c": -1.0 / params.n}
+    if cell.is_flyback:
+        return {"a": 1.0, "p": -1.0}, {"p": 1.0 / cell.turns, "c": -1.0 / cell.turns}
     return {"a": 1.0, "c": -1.0}, {"p": 1.0, "c": -1.0}
 
 
-def drive_voltages(ports, params):
-    """Inductor voltage during the switch interval and the diode interval."""
-    values = {"a": ports.v_a, "p": ports.v_p, "c": ports.v_c}
-    a_map, b_map = drive_terms(params)
+def drive_voltages(ports, cell):
+    """Inductor voltage during the switch interval and the diode interval,
+    from the port voltages ``(v_a, v_p, v_c)``."""
+    values = dict(zip("apc", ports))
+    a_map, b_map = drive_terms(cell)
     vL1 = sum(coeff * values[t] for t, coeff in a_map.items())
     vL2 = sum(coeff * values[t] for t, coeff in b_map.items())
     return vL1, vL2
@@ -150,40 +123,40 @@ def compute_d2(vL1, vL2, d):
     return -(vL1 / vL2) * d
 
 
-def resolve_mode(d, d2, rectifier):
-    """Classify the period and return (mode, d_p).
+def resolve_mode(d, d2):
+    """Classify a diode cell's period and return (mode, d_p).
 
-    Synchronous rectification always stays continuous with d_p = 1 - d.
-    A diode cell is continuous when d + d2 >= 1 (boundary counts as CCM),
-    discontinuous otherwise with d_p = d2.
+    The cell is continuous when d + d2 >= 1 (boundary counts as CCM),
+    discontinuous otherwise with d_p = d2.  A synchronous cell is always
+    continuous with d_p = 1 - d.
     """
-    if rectifier is _SYNCHRONOUS or d + d2 >= 1.0:
+    if d + d2 >= 1.0:
         return _CCM, 1.0 - d
     # Negative d2 means the current never rises; the diode idles.  This is
     # max(d2, 0.0) for every float, NaN and -0.0 included.
     return _DCM, 0.0 if d2 < 0.0 else d2
 
 
-def avg_switch_current(iL0, vL1, d, params, T_s):
+def avg_switch_current(iL0, vL1, d, cell, T_s):
     """Period-average switch current (primary-side average for flyback)."""
-    return d * iL0 + (vL1 / (2.0 * params.L)) * d * d * T_s
+    return d * iL0 + (vL1 / (2.0 * cell.value)) * d * d * T_s
 
 
-def avg_diode_current(iL0, vL1, vL2, d, d_p, params, T_s):
+def avg_diode_current(iL0, vL1, vL2, d, d_p, cell, T_s):
     """Period-average diode current; reflected by 1/n for flyback cells."""
     raw = (
         d_p * iL0
-        + (vL1 / params.L) * d_p * d * T_s
-        + (vL2 / (2.0 * params.L)) * d_p * d_p * T_s
+        + (vL1 / cell.value) * d_p * d * T_s
+        + (vL2 / (2.0 * cell.value)) * d_p * d_p * T_s
     )
-    return raw / params.n
+    return raw / cell.turns
 
 
-def advance_inductor(iL0, vL1, vL2, d, d_p, params, T_s):
+def advance_inductor(iL0, vL1, vL2, d, d_p, cell, T_s):
     """Boundary currents iL1 = iL0 + (d T_s / L) vL1 and
     iL2 = iL1 + (d_p T_s / L) vL2 from the solved drive voltages; an end
     current that :func:`snaps_to_zero` is exactly zero, the DCM rest level."""
-    k = T_s / params.L
+    k = T_s / cell.value
     iL1 = iL0 + d * k * vL1
     iL2 = iL1 + d_p * k * vL2
     if snaps_to_zero(iL1, iL2):

@@ -350,17 +350,16 @@ class _Stepper:
         self.first_period = first_period
         d, T_s = config.d, config.T_s
         self.d_p0 = d_p0 = 1.0 - d
+        cells = circuit.cells()
         # Every period of the run is solved from this system, cells at 1 - d.
-        self.system = system = assemble_system(
-            circuit, d, T_s, {e.label: d_p0 for e in circuit.cells()}
-        )
-        self.is_diode = [p.rectifier is _cells.Rectifier.DIODE for p in system.cell_params]
+        self.system = system = assemble_system(circuit, d, T_s, {e.label: d_p0 for e in cells})
+        self.is_diode = [e.is_diode for e in cells]
         self.diode = [i for i, diode in enumerate(self.is_diode) if diode]
         # 2 g = 4C / T_s of every capacitor: i_0' = 2 g v - i_0.
         self.two_g = [4.0 * e.value / T_s for e in circuit.capacitors()]
         # Every cell's T_s / L and k1 = d T_s / L: iL1 = iL0 + k1 vL1 and
         # iL2 = iL1 + (d_p T_s / L) vL2.
-        self.k = [T_s / p.L for p in system.cell_params]
+        self.k = [T_s / e.value for e in cells]
         self.k1 = [d * k for k in self.k]
         self.inverse = lu_factor(system.A)
         self.stats = RunStats(factorizations=1)
@@ -540,12 +539,12 @@ class _Stepper:
         voltages in ``y`` and every cell's start current in ``iL0s``, which
         is set to zero for the diode cells predicted in DCM."""
         keeps_ccm, compute_d2 = _cells.keeps_ccm, _cells.compute_d2
-        resolve_mode, DIODE = _cells.resolve_mode, _cells.Rectifier.DIODE
+        resolve_mode = _cells.resolve_mode
         d = self.config.d
         dcm, d_ps = [False] * len(iL0s), [1.0 - d] * len(iL0s)
         for i, vL1, vL2 in self._diode_cells:
             if not keeps_ccm(iL0s[i]):
-                mode, d_ps[i] = resolve_mode(d, compute_d2(y[vL1], y[vL2], d), DIODE)
+                mode, d_ps[i] = resolve_mode(d, compute_d2(y[vL1], y[vL2], d))
                 if mode is _DCM:
                     dcm[i], iL0s[i] = True, 0.0
         return dcm, d_ps

@@ -40,7 +40,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import AvgcellError
-from .netlist import CAP, CELL_KINDS, IDC, RES, VDC, cell_params
+from .netlist import CAP, CELL_KINDS, IDC, RES, VDC
 
 PIVOT_RTOL = 1e-13
 RESIDUAL_RTOL = 1e-10
@@ -87,9 +87,8 @@ class MnaSystem:
         n_state = len(layout.state_col)
         self.B = np.zeros((layout.order, n_state + 1))
         self.E = np.zeros((n_state + len(layout.cell_rows), layout.order))
-        # The iD_avg row and the CellParams of every cell, in netlist order.
+        # The iD_avg row of every cell, in netlist order.
         self.diode_rows = []
-        self.cell_params = []
 
 
 @dataclass(frozen=True)
@@ -193,29 +192,28 @@ def stamp(system, elements, d, T_s, d_p):
                      layout.vdc_row.get(label, spare), spare, state_col.get(label, n_state), spare)
             coefs = (1.0, k, -k, -1.0)
         else:
-            params, (rs, rd), col = cell_params(e), cell_rows[label], state_col[label]
+            (rs, rd), col = cell_rows[label], state_col[label]
             terminals = [*map(get, e.nodes, (spare,) * 3)]
-            roles = (*terminals, terminals[1 if params.flyback else 2], rs, rd, col, col + n_cells)
-            g_l, turns = T_s / params.L, params.n
+            roles = (*terminals, terminals[1 if e.is_flyback else 2], rs, rd, col, col + n_cells)
+            g_l, turns = T_s / e.value, e.turns
             coefs = (-(d * d * g_l / 2.0), -d * g_l / turns, 1.0 / turns,
                      -g_l / (2.0 * turns) * (1.0 / turns))
             coefs = (1.0, *coefs, *(-x for x in reversed(coefs)), -1.0)
             cols = sorted(set(terminals) - {spare})  # the diode row's
-            cells.append((label, params, rd, cols))
+            cells.append((label, rd, cols))
             at += [rd * width + j for j in cols]
             at_d_p += [d_p[label]] * len(cols)
             b_at += (rs * width + col, rd * width + col)
             b_values += (d, d_p[label] / turns)
         flat += [(plane * height + roles[i]) * width + roles[j] for plane, i, j in _PLACES[kind]]
         values += _VALUES[kind](coefs)
-    system.cell_params = [c[1] for c in cells]
     planes = np.bincount(np.array(flat, dtype=np.intp), np.array(values), 5 * height * width)
     planes = planes.reshape(5, -1)
     ra, rb = planes[_RA:_RB + 1, at].tolist() if at else ([], [])
     planes[_A, at] = [diode_entries(p, a, b) for p, a, b in zip(at_d_p, ra, rb)]
     planes[_B, b_at] = b_values
-    starts = accumulate((len(c[3]) for c in cells), initial=0)
-    for (label, _, rd, cols), a in zip(cells, starts):
+    starts = accumulate((len(c[2]) for c in cells), initial=0)
+    for (label, rd, cols), a in zip(cells, starts):
         system.diode_rows.append(DiodeRow(label, rd, tuple(cols), tuple(ra[a:a + len(cols)]),
                                           tuple(rb[a:a + len(cols)])))
     planes = planes.reshape(5, height, width)

@@ -30,11 +30,15 @@ Optional directive lines of the form
 provide default duty ratio, switching frequency and transient duration;
 command line flags override them.  Node ids are arbitrary non-negative
 integers and node 0 is ground.
+
+:func:`parse_netlist` raises the first error of a line, with its number;
+:func:`validate` owns every rule about the circuit and lists each finding.
+An :class:`Element` is the one description of a cell that every layer reads.
 """
 
+import math
 from dataclasses import dataclass, field
 
-from .cells import CellParams, Rectifier
 from .errors import AvgcellError
 
 VDC = "VDC"
@@ -48,6 +52,7 @@ FBD = "FBD"
 
 CELL_KINDS = (SCN, SCD, FBN, FBD)
 FLYBACK_KINDS = (FBN, FBD)
+DIODE_KINDS = (SCD, FBD)
 
 # The grammar and value rules of every kind: its node count; the Element
 # field and the description of every number after the main value; and the
@@ -102,18 +107,6 @@ class DuplicateLabel(NetlistError):
     pass
 
 
-class MissingGround(NetlistError):
-    pass
-
-
-class DisconnectedGraph(NetlistError):
-    def __init__(self, nodes, line=None):
-        self.nodes = frozenset(nodes)
-        super().__init__(
-            f"nodes not connected to ground: {sorted(self.nodes)}", line
-        )
-
-
 @dataclass(frozen=True)
 class Element:
     """One netlist element.
@@ -138,10 +131,16 @@ class Element:
     def is_flyback(self):
         return self.kind in FLYBACK_KINDS
 
+    @property
+    def is_diode(self):
+        """A diode cell (SCD, FBD), which may enter discontinuous conduction."""
+        return self.kind in DIODE_KINDS
+
 
 @dataclass
 class CircuitDescription:
-    """Validated element list plus the node set it spans."""
+    """Element list plus the node set it spans; :func:`validate` says
+    whether it is a circuit the simulators can run."""
 
     elements: list
     node_ids: set
@@ -180,21 +179,6 @@ class Diagnostic:
 
     def __str__(self):
         return self.message
-
-
-def cell_params(element):
-    """Map a cell element onto its constitutive parameters."""
-    if not element.is_cell:
-        raise ValueError(f"{element.label} is not a switching cell")
-    rectifier = (
-        Rectifier.SYNCHRONOUS if element.kind in (SCN, FBN) else Rectifier.DIODE
-    )
-    return CellParams(
-        L=element.value,
-        n=element.turns,
-        rectifier=rectifier,
-        flyback=element.is_flyback,
-    )
 
 
 def _match_keyword(token):
@@ -244,9 +228,10 @@ def _parse_param_directive(line_text, line, params):
 def parse_netlist(text):
     """Parse netlist text into a :class:`CircuitDescription`.
 
-    Elements are kept in file order.  Raises a located :class:`NetlistError`
-    subclass on the first structural problem; softer issues (parameter
-    positivity, degenerate source placement) are reported by :func:`validate`.
+    Elements are kept in file order.  Raises a :class:`NetlistError`
+    subclass, located by its line number, at the first line that breaks the
+    grammar or repeats a label; every rule about the circuit itself, ground
+    and connectivity included, is :func:`validate`'s.
     """
     elements = []
     labels = set()
@@ -286,14 +271,6 @@ def parse_netlist(text):
     node_ids = set()
     for e in elements:
         node_ids.update(e.nodes)
-
-    if not elements or 0 not in node_ids:
-        raise MissingGround("no element references ground node 0")
-
-    unreached = _unanchored(elements, node_ids)[0]
-    if unreached:
-        raise DisconnectedGraph(unreached)
-
     return CircuitDescription(elements, node_ids, params)
 
 
@@ -329,9 +306,11 @@ def validate(circuit):
     """Check solvability conditions; returns a list of diagnostics.
 
     Covers ground presence, graph connectivity, a switching cell to step,
-    parameter positivity, capacitors across one node, voltage-source-only
-    loops and current-source-only cutsets (sufficient conditions for the
-    averaged run to be well posed).
+    unique labels, finite numbers, parameter positivity, a basic cell's
+    unit turns ratio, capacitors across one node, voltage-source-only loops
+    and current-source-only cutsets (sufficient conditions for the averaged
+    run to be well posed).  Every circuit rule is written here once, and
+    both simulators run only a circuit with no diagnostic.
     """
     diags = []
 
@@ -341,20 +320,28 @@ def validate(circuit):
 
     unreached, floating = _unanchored(circuit.elements, circuit.node_ids)
     if unreached:
-        diags.append(
-            Diagnostic(
-                "disconnected-graph",
-                f"nodes not connected to ground: {sorted(unreached)}",
-            )
-        )
+        message = f"nodes not connected to ground: {sorted(unreached)}"
+        diags.append(Diagnostic("disconnected-graph", message))
 
     if not circuit.cells():
         diags.append(Diagnostic("no-switching-cell", "no switching cell in circuit"))
 
+    labels = set()
     for e in circuit.elements:
+        if e.label in labels:
+            diags.append(Diagnostic("duplicate-label", f"{e.label}: duplicate element label"))
+        labels.add(e.label)
+        # A NaN or an infinity is its element's one diagnostic.
+        bad = [n for n in ("value", "turns", "initial") if not math.isfinite(getattr(e, n))]
+        if bad:
+            diags.append(Diagnostic("non-finite-value", f"{e.label}: non-finite {', '.join(bad)}"))
+            continue
         for name, code, wording in _KINDS[e.kind][2]:
-            if getattr(e, name) <= 0:
+            if not getattr(e, name) > 0:
                 diags.append(Diagnostic(code, f"{e.label}: non-positive {wording}"))
+        if e.is_cell and not e.is_flyback and e.turns != 1.0:
+            message = f"{e.label}: basic cell with turns ratio {e.turns!r}"
+            diags.append(Diagnostic("basic-cell-turns", message))
         # A capacitor across one node holds no voltage, and the oracle finds
         # no initial operating point.
         if e.kind == CAP and e.nodes[0] == e.nodes[1]:
@@ -365,18 +352,13 @@ def validate(circuit):
     parts = {}
     for e in circuit.vdcs():
         if not _join(parts, *e.nodes):
-            diags.append(
-                Diagnostic("voltage-source-loop", f"voltage source loop through {e.label}")
-            )
+            message = f"voltage source loop through {e.label}"
+            diags.append(Diagnostic("voltage-source-loop", message))
 
     # A node reachable only through current sources has no voltage anchor.
     if floating:
-        diags.append(
-            Diagnostic(
-                "current-source-cutset",
-                f"nodes anchored only by current sources: {sorted(floating)}",
-            )
-        )
+        message = f"nodes anchored only by current sources: {sorted(floating)}"
+        diags.append(Diagnostic("current-source-cutset", message))
 
     return diags
 

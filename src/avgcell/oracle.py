@@ -56,11 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Rectifier
 from .engine import InvalidCircuit, InvalidConfig
 from .errors import AvgcellError
 from .mna import SingularSystem
-from .netlist import cell_params, validate
+from .netlist import _join, validate
 
 
 class OutOfRange(AvgcellError):
@@ -140,12 +139,8 @@ class _CellRt:
                  "_inductor", "_switch")
 
     def __init__(self, element, si):
-        params = cell_params(element)
-        self.label = element.label
-        self.nodes = element.nodes
-        self.n = params.n
-        self.flyback = params.flyback
-        self.diode = params.rectifier is Rectifier.DIODE
+        self.label, self.nodes, self.n = element.label, element.nodes, element.turns
+        self.flyback, self.diode = element.is_flyback, element.is_diode
         self.phase = _ON
         self.si = si  # state index of the inductor current; its voltage follows
         # Per phase, the live inductor branch (node_a, node_b, inductance)
@@ -154,7 +149,7 @@ class _CellRt:
         # conducts, referred to the secondary while the diode does, and
         # nowhere at rest; a basic cell's inductor is always live.
         a, p, c = self.nodes
-        L = params.L
+        L = element.value
         if self.flyback:
             self._inductor = {_ON: (a, p, L), _DIODE: (p, c, self.n * self.n * L)}
             self._switch = {}
@@ -478,18 +473,22 @@ class _SwitchedSimulator:
 
     def _operating_point(self):
         """Solution at t = 0: capacitors pinned to their initial voltages,
-        cell inductors replaced by their initial currents."""
+        cell inductors replaced by their initial currents.  A capacitor on
+        nodes that the voltage sources and the capacitors pinned before it
+        tie already (across a source, or beside another) is left unpinned."""
+        parts = {}
+        for e in self.vdcs:
+            _join(parts, *e.nodes)
         branches = [(*e.nodes, e.value) for e in self.vdcs]
-        branches += [(*e.nodes, self.s[2 * k]) for k, e in enumerate(self.caps)]
+        branches += [(*e.nodes, self.s[2 * k]) for k, e in enumerate(self.caps)
+                     if _join(parts, *e.nodes)]
         branches += [(*c.switch_branch(), 0.0) for c in self.cells if c.switch_branch()]
         sources = [(*c.branch()[:2], self.s[c.si]) for c in self.cells if c.branch()]
         A, z = self._stamp(branches, sources)
         try:
             return np.linalg.solve(A, z)
         except np.linalg.LinAlgError as exc:
-            raise SingularSystem(
-                f"initial operating point is singular: {exc}"
-            ) from exc
+            raise SingularSystem(f"initial operating point is singular: {exc}") from exc
 
     def run(self):
         config = self.config

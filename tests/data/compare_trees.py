@@ -22,7 +22,10 @@ It also digests every signal ``simulate_switched`` samples for every case
 of ``oracle_reference.json``, at 1000 and at 137 substeps per period, and
 the codes and texts of the diagnostics ``validate`` gives each netlist of
 ``BAD_NETLISTS``, with the message and diagnostics of the ``InvalidCircuit``
-that ``run()`` and ``simulate_switched`` raise on it.
+that ``run()`` and ``simulate_switched`` raise on it.  The circuits of
+``bad_circuits()`` (built in code, or text with a fault the parser once
+raised) are digested the same way in a case of their own, ``bad-circuits``,
+where any exception, a raw one included, is an outcome to digest.
 
 It prints one line per case, with one digest per group of fields (the
 assembly and the run of an engine case, each substep count of an oracle
@@ -82,6 +85,58 @@ BAD_NETLISTS = {
         "C 1 2 0 0 0\nC 2 3 3 -1 0\nR 1 2 0 -5\nR 2 3 0 0\nIDC 1 4 0 1.0\n"
     ),
 }
+
+
+_UNGROUNDED = "SCN 1 1 2 3 10e-6 0\nR 1 1 3 5.0\n"
+_DISCONNECTED = "SCN 1 1 0 2 10e-6 0\nR 1 3 4 5.0\n"
+
+
+def bad_circuits():
+    """{name: function that builds the circuit} of circuits that no netlist
+    text can give (a basic cell with turns ratio 2, a duplicate label, a NaN
+    inductance, an infinite source), and of ungrounded and disconnected text,
+    which goes through ``parse_netlist`` and then ``validate``."""
+    from dataclasses import replace
+
+    from avgcell import parse_netlist
+
+    def buck(label, **changes):
+        circuit = parse_netlist(_BUCK)
+        circuit.elements = [replace(e, **changes) if e.label == label else e
+                            for e in circuit.elements]
+        return circuit
+
+    def twice():
+        circuit = parse_netlist(_BUCK)
+        circuit.elements.append(replace(circuit.element("C1"), value=1e-5))
+        return circuit
+
+    return {
+        "basic-turns=2": lambda: buck("SCN1", turns=2.0),
+        "duplicate-label": twice,
+        "nan-inductance": lambda: buck("SCN1", kind="SCD", value=float("nan")),
+        "inf-source": lambda: buck("VDC1", value=float("inf")),
+        "ungrounded": lambda: parse_netlist(_UNGROUNDED),
+        "disconnected": lambda: parse_netlist(_DISCONNECTED),
+    }
+
+
+def _outcome(build, simulator):
+    """What ``simulator`` (``validate``, ``run`` or ``simulate_switched``)
+    makes of the circuit ``build()`` returns: the diagnostics, "accepted",
+    or the type and text of the exception raised on the way."""
+    from avgcell import InvalidCircuit, SimConfig, validate
+
+    try:
+        circuit = build()
+        if simulator is validate:
+            return [(d.code, d.message) for d in validate(circuit)]
+        simulator(circuit, SimConfig(0.5, 100e3, 1e-5))
+        return "accepted"
+    except InvalidCircuit as exc:
+        return (str(exc), [(d.code, d.message) for d in exc.diagnostics])
+    except Exception as exc:  # a raw exception is an outcome too
+        return f"{type(exc).__name__}: {exc}"
 
 
 _PIVOT_EDGE = 1e-13 * 2.0
@@ -208,6 +263,11 @@ def digests():
             except InvalidCircuit as exc:
                 found = (str(exc), [(d.code, d.message) for d in exc.diagnostics])
             fields[f"{simulator.__name__}:{name}"] = _digest(found)
+
+    fields = out["bad-circuits"] = {}
+    for name, build in bad_circuits().items():
+        for simulator in (validate, run, simulate_switched):
+            fields[f"{simulator.__name__}:{name}"] = _digest(_outcome(build, simulator))
     return out
 
 

@@ -202,8 +202,8 @@ MUTANTS = [
     (
         "positive-boundary",
         "netlist.py",
-        "if getattr(e, name) <= 0:",
-        "if getattr(e, name) < 0:",
+        "if not getattr(e, name) > 0:",
+        "if not getattr(e, name) >= 0:",
         "a resistance, capacitance, inductance or turns ratio of exactly 0 is a diagnostic",
     ),
     (
@@ -242,6 +242,69 @@ MUTANTS = [
         "if e.kind == CAP and e.nodes[0] == e.nodes[1]:",
         "if False:",
         "a capacitor with both terminals on one node is a diagnostic",
+    ),
+    (
+        "missing-ground",
+        "netlist.py",
+        "if 0 not in circuit.node_ids:",
+        "if False:",
+        "a circuit with no element on node 0 is the one missing-ground diagnostic",
+    ),
+    (
+        "disconnected-graph",
+        "netlist.py",
+        "    if unreached:\n",
+        "    if False:\n",
+        "nodes with no path to ground are a diagnostic",
+    ),
+    (
+        "no-switching-cell",
+        "netlist.py",
+        "if not circuit.cells():",
+        "if False:",
+        "a circuit without a switching cell is a diagnostic",
+    ),
+    (
+        "voltage-source-loop",
+        "netlist.py",
+        "if not _join(parts, *e.nodes):",
+        "if not _join(parts, *e.nodes) and False:",
+        "a loop of voltage sources is a diagnostic",
+    ),
+    (
+        "current-source-cutset",
+        "netlist.py",
+        "    if floating:\n",
+        "    if False:\n",
+        "nodes anchored only by current sources are a diagnostic",
+    ),
+    (
+        "duplicate-label",
+        "netlist.py",
+        "if e.label in labels:",
+        "if False:",
+        "two elements with one label, built in code, are a diagnostic",
+    ),
+    (
+        "non-finite-value",
+        "netlist.py",
+        "        if bad:\n",
+        "        if False:\n",
+        "a NaN or an infinity is its element's one diagnostic",
+    ),
+    (
+        "basic-cell-turns",
+        "netlist.py",
+        "if e.is_cell and not e.is_flyback and e.turns != 1.0:",
+        "if False:",
+        "a basic cell's turns ratio other than 1 is a diagnostic",
+    ),
+    (
+        "oracle-pin-every-capacitor",
+        "oracle.py",
+        "if _join(parts, *e.nodes)]",
+        "if _join(parts, *e.nodes) or True]",
+        "a capacitor whose nodes are already tied at t = 0 is not pinned again",
     ),
     (
         "block-pure-map",

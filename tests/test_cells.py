@@ -13,11 +13,8 @@ from hypothesis import strategies as st
 
 from avgcell.cells import (
     CURRENT_RTOL,
-    CellParams,
     DegenerateDuty,
     Mode,
-    PortVoltages,
-    Rectifier,
     advance_inductor,
     avg_diode_current,
     avg_inductor_voltage,
@@ -30,33 +27,24 @@ from avgcell.cells import (
     resolve_mode,
     snaps_to_zero,
 )
+from avgcell.netlist import Element
 
 from conftest import RULE_EDGES, same_on_float_and_array
 
-BASIC = CellParams(L=10e-6)
-BASIC_DIODE = CellParams(L=10e-6, rectifier=Rectifier.DIODE)
-FLY2 = CellParams(L=10e-6, n=2.0, flyback=True)
+BASIC = Element("SCN", "SCN1", (1, 0, 2), 10e-6)
+FLY2 = Element("FBN", "FBN1", (1, 0, 2), 10e-6, turns=2.0)
 TS = 10e-6
-
-
-def test_cell_params_validation():
-    with pytest.raises(ValueError):
-        CellParams(L=0.0)
-    with pytest.raises(ValueError):
-        CellParams(L=1e-5, n=-1.0, flyback=True)
-    with pytest.raises(ValueError):
-        CellParams(L=1e-5, n=2.0)  # basic cells have unit turns ratio
 
 
 class TestDriveVoltages:
     def test_basic_buck_operating_point(self):
-        assert drive_voltages(PortVoltages(10, 0, 5), BASIC) == (5, -5)
+        assert drive_voltages((10, 0, 5), BASIC) == (5, -5)
 
     def test_equal_ports_zero_drive(self):
-        assert drive_voltages(PortVoltages(3, 3, 3), BASIC) == (0, 0)
+        assert drive_voltages((3, 3, 3), BASIC) == (0, 0)
 
     def test_flyback_operating_point(self):
-        vL1, vL2 = drive_voltages(PortVoltages(10, 0, 20), FLY2)
+        vL1, vL2 = drive_voltages((10, 0, 20), FLY2)
         assert (vL1, vL2) == (10, -10)
         # volt-second balance at d = 0.5
         assert avg_inductor_voltage(vL1, vL2, 0.5, 0.5) == 0
@@ -76,16 +64,13 @@ class TestComputeD2:
 
 class TestResolveMode:
     def test_boundary_counts_as_ccm(self):
-        assert resolve_mode(0.5, 0.5, Rectifier.DIODE) == (Mode.CCM, 0.5)
+        assert resolve_mode(0.5, 0.5) == (Mode.CCM, 0.5)
 
     def test_ccm_when_sum_exceeds_one(self):
-        assert resolve_mode(0.3, 0.9, Rectifier.DIODE) == (Mode.CCM, 0.7)
-
-    def test_synchronous_ignores_d2(self):
-        assert resolve_mode(0.5, 0.2, Rectifier.SYNCHRONOUS) == (Mode.CCM, 0.5)
+        assert resolve_mode(0.3, 0.9) == (Mode.CCM, 0.7)
 
     def test_dcm_below_boundary(self):
-        mode, d_p = resolve_mode(0.5, 0.2, Rectifier.DIODE)
+        mode, d_p = resolve_mode(0.5, 0.2)
         assert mode is Mode.DCM
         assert d_p == pytest.approx(0.2)
 
@@ -194,7 +179,7 @@ def test_end_current_matches_advance_on_nondegenerate_duties(iL0, vL1, vL2, d, d
 def test_flyback_end_current_uses_rescaled_diode_average(iL0, vL1, vL2, d, d_p):
     iS = avg_switch_current(iL0, vL1, d, FLY2, TS)
     iD = avg_diode_current(iL0, vL1, vL2, d, d_p, FLY2, TS)
-    recovered = end_current_from_averages(iS, FLY2.n * iD, iL0, d, d_p)
+    recovered = end_current_from_averages(iS, FLY2.turns * iD, iL0, d, d_p)
     _, direct = advance_inductor(iL0, vL1, vL2, d, d_p, FLY2, TS)
     assert recovered == pytest.approx(direct, rel=1e-9, abs=1e-9)
 

@@ -146,6 +146,25 @@ def test_circuit_without_a_cell_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: no switching cell in circuit\n"
 
 
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        ("SCN 1 1 2 3 10e-6 0\nR 1 1 3 5.0\n", ["no element references ground node 0"]),
+        ("SCN 1 1 0 2 10e-6 0\nR 1 3 4 5.0\n", ["nodes not connected to ground: [3, 4]"]),
+        ("SCN 1 1 0 2 0.0 0\nR 1 3 4 5.0\n",
+         ["nodes not connected to ground: [3, 4]", "SCN1: non-positive inductance"]),
+    ],
+    ids=["ungrounded", "disconnected", "several-faults"],
+)
+def test_ground_and_connectivity_faults_exit_two(tmp_path, capsys, text, lines):
+    """validate alone owns ground and connectivity: one fault prints its
+    one line, and a netlist with several prints every diagnostic."""
+    path = tmp_path / "bad.net"
+    path.write_text(text)
+    assert run_cli(path, *ARGS) == 2
+    assert capsys.readouterr().err == "".join(f"error: {path}: {line}\n" for line in lines)
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     path = tmp_path / "nope.net"
     with pytest.raises(OSError) as reading:
@@ -341,6 +360,30 @@ def test_oracle_outputs_and_comparison(tmp_path, buck_file):
     rows = read_rows(out / "oracle.csv")
     assert rows[0] == ["t", "i(VDC1)", "iL(SCN1)", "v(1)", "v(2)"]
     assert len(rows) == 1 + 20 * 200 + 1  # header + samples
+
+
+def test_oracle_starts_with_capacitors_in_parallel(tmp_path):
+    """The oracle's t = 0 operating point pins a capacitor only where the
+    sources and the capacitors pinned before it leave its nodes untied, so
+    it starts with an input capacitor across the source, which changes no
+    compared average, and with a second output capacitor beside the first,
+    which compares as one capacitor of their summed capacitance."""
+    args = ["-D", "0.5", "--fs", "100e3", "--t-end", "2e-4", "--oracle",
+            "--oracle-substeps", "100"]
+    netlists = {
+        "plain": BUCK,
+        "input": BUCK + "C 9 1 0 1e-5 10\n",
+        "parallel": BUCK + "C 9 2 0 3.3e-5 0\n",
+        "summed": BUCK.replace("C 1 2 0 1e-4 0", "C 1 2 0 1.33e-4 0"),
+    }
+    compare = {}
+    for name, text in netlists.items():
+        path = tmp_path / f"{name}.net"
+        path.write_text(text)
+        assert run_cli(path, *args, "--out", tmp_path / name) == 0
+        compare[name] = (tmp_path / name / "compare.txt").read_text()
+    assert compare["input"] == compare["plain"]
+    assert compare["parallel"] == compare["summed"] != compare["plain"]
 
 
 @pytest.mark.parametrize("oracle_args", [[], ["--oracle", "--oracle-substeps", "100"]])

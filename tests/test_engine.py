@@ -10,8 +10,6 @@ import pytest
 from avgcell import SimConfig, parse_netlist, run, step
 from avgcell.cells import (
     Mode,
-    PortVoltages,
-    Rectifier,
     avg_inductor_current,
     compute_d2,
     drive_voltages,
@@ -25,7 +23,6 @@ from avgcell.engine import (
 )
 from avgcell import mna
 from avgcell.mna import SingularSystem, assemble_system
-from avgcell.netlist import cell_params
 
 from conftest import (
     BUCK,
@@ -206,9 +203,6 @@ class TestPredictMode:
     the composition test below writes it out."""
 
     def test_synchronous_always_ccm(self, buck_run):
-        state = buck_run.records[0].cells["SCN1"]
-        d2 = compute_d2(state.vL1, state.vL2, 0.5)
-        assert resolve_mode(0.5, d2, Rectifier.SYNCHRONOUS) == (Mode.CCM, 0.5)
         assert not buck_run.dcm.any() and (buck_run.d_p == 0.5).all()
 
     def test_positive_start_current_keeps_ccm(self, buck_diode_run):
@@ -220,9 +214,8 @@ class TestPredictMode:
         cell = parse_netlist(BUCK_DIODE).cells()[0]
         assert not keeps_ccm(0.0)
         v = {1: 10.0, 2: 8.0}
-        ports = PortVoltages(*(v.get(n, 0.0) for n in cell.nodes))
-        vL1, vL2 = drive_voltages(ports, cell_params(cell))
-        mode, d_p = resolve_mode(0.5, compute_d2(vL1, vL2, 0.5), Rectifier.DIODE)
+        vL1, vL2 = drive_voltages([v.get(n, 0.0) for n in cell.nodes], cell)
+        mode, d_p = resolve_mode(0.5, compute_d2(vL1, vL2, 0.5))
         assert mode is Mode.DCM
         # d2 = -(vL1 / vL2) d = (2 / 8) * 0.5
         assert d_p == pytest.approx(0.125)
@@ -244,26 +237,26 @@ def test_predictions_use_the_drive_voltages_of_the_node_voltages(name):
     config = SimConfig(case["d"], case["f_s"], case["t_end"], case["dcm_refine"])
     result = run(circuit, config)
     records = [result.bootstrap] + result.records
-    cells = [(e, cell_params(e)) for e in circuit.cells()]
+    cells = circuit.cells()
     for record in records:
-        for e, params in cells:
+        for e in cells:
             v = [record.node_voltages.get(n, 0.0) for n in e.nodes]
             state = record.cells[e.label]
             np.testing.assert_array_max_ulp(
                 np.array([state.vL1, state.vL2]),
-                np.array(drive_voltages(PortVoltages(*v), params)),
+                np.array(drive_voltages(v, e)),
                 maxulp=4,
             )
     if config.dcm_refine:
         return
     for previous, record in zip(records, records[1:]):
-        for e, params in cells:
+        for e in cells:
             state, before = record.cells[e.label], previous.cells[e.label]
-            if params.rectifier is Rectifier.SYNCHRONOUS or keeps_ccm(before.iL2):
+            if not e.is_diode or keeps_ccm(before.iL2):
                 expected = (Mode.CCM, 1.0 - config.d)
             else:
                 d2 = compute_d2(before.vL1, before.vL2, config.d)
-                expected = resolve_mode(config.d, d2, Rectifier.DIODE)
+                expected = resolve_mode(config.d, d2)
             assert (state.mode, state.d_p) == expected
 
 

@@ -1,5 +1,8 @@
 """Netlist parser and validator tests."""
 
+import warnings
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +11,7 @@ from avgcell import SimConfig, run
 from avgcell.engine import InvalidCircuit
 from avgcell.netlist import (
     ArityError,
-    DisconnectedGraph,
     DuplicateLabel,
-    MissingGround,
     NetlistError,
     NumericError,
     UnknownElementKind,
@@ -54,9 +55,22 @@ def test_fused_and_split_cell_tokens_parse_identically():
     assert fused == split
 
 
+def _codes(circuit):
+    return [(d.code, str(d)) for d in validate(circuit)]
+
+
+def _buck_with(which, **changes):
+    """BUCK_LISTING built in code, with element ``which``'s fields changed."""
+    circuit = parse_netlist(BUCK_LISTING)
+    circuit.elements = [replace(e, **changes) if e.label == which else e for e in circuit.elements]
+    return circuit
+
+
 def test_empty_text_is_missing_ground():
-    with pytest.raises(MissingGround):
-        parse_netlist("")
+    """The parser leaves ground to validate, which alone owns the rule."""
+    missing = [("missing-ground", "no element references ground node 0")]
+    assert _codes(parse_netlist("")) == missing
+    assert _codes(parse_netlist("SCN 1 1 2 3 10e-6 0\nR 1 1 3 5.0\n")) == missing
 
 
 def test_comments_and_blanks_ignored():
@@ -66,9 +80,9 @@ def test_comments_and_blanks_ignored():
 
 def test_disconnected_component_reported():
     text = "SCN 1 1 0 2 10e-6 0\nR 1 3 4 5.0\n"
-    with pytest.raises(DisconnectedGraph) as excinfo:
-        parse_netlist(text)
-    assert excinfo.value.nodes == {3, 4}
+    assert _codes(parse_netlist(text)) == [
+        ("disconnected-graph", "nodes not connected to ground: [3, 4]")
+    ]
 
 
 @pytest.mark.parametrize(
@@ -148,23 +162,89 @@ def test_validate_flags_non_positive_values():
     assert any("non-positive capacitance" in str(d) for d in diags)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize(
-    "text, code, message",
+    "circuit, code, message",
     [
-        (BUCK_LISTING.replace("R 1 2 0 5.0", "R 1 2 0 0.0"),
+        (parse_netlist(BUCK_LISTING.replace("R 1 2 0 5.0", "R 1 2 0 0.0")),
          "non-positive-resistance", "R1: non-positive resistance"),
-        (BUCK_LISTING.replace("SCN1 1 1 0 2 10e-6 0", "SCN1 1 1 0 2 0.0 0"),
+        (parse_netlist(BUCK_LISTING.replace("SCN1 1 1 0 2 10e-6 0", "SCN1 1 1 0 2 0.0 0")),
          "non-positive-inductance", "SCN1: non-positive inductance"),
-        (BUCK_LISTING.replace("SCN1 1 1 0 2 10e-6 0", "FBN1 1 1 0 2 10e-6 0.0 0"),
+        (parse_netlist(BUCK_LISTING.replace("SCN1 1 1 0 2 10e-6 0", "FBN1 1 1 0 2 10e-6 0.0 0")),
          "non-positive-turns", "FBN1: non-positive turns ratio"),
+        (_buck_with("SCN1", kind="SCD", value=NAN), "non-finite-value", "SCN1: non-finite value"),
+        (_buck_with("R1", value=NAN), "non-finite-value", "R1: non-finite value"),
+        (_buck_with("SCN1", turns=INF), "non-finite-value", "SCN1: non-finite turns"),
+        (_buck_with("VDC1", value=INF), "non-finite-value", "VDC1: non-finite value"),
+        (_buck_with("C1", value=-INF, initial=NAN), "non-finite-value",
+         "C1: non-finite value, initial"),
     ],
-    ids=["resistance", "inductance", "turns"],
+    ids=["resistance", "inductance", "turns", "nan-inductance", "nan-resistance",
+         "inf-turns", "inf-source", "non-finite-capacitor"],
 )
-def test_validate_flags_a_value_of_exactly_zero(text, code, message):
+def test_validate_flags_a_value_of_exactly_zero(circuit, code, message):
     """A positivity rule holds at its boundary: a value of exactly 0 is one
-    diagnostic, with its code and text (the capacitance's is above)."""
-    diags = validate(parse_netlist(text))
-    assert [(d.code, str(d)) for d in diags] == [(code, message)]
+    diagnostic, with its code and text (the capacitance's is above).  A NaN
+    passes no comparison, so it and an infinity, which is positive, are one
+    diagnostic of their own, for the element's value, turns or initial."""
+    assert _codes(circuit) == [(code, message)]
+
+
+def test_non_finite_numbers_stop_both_simulators_without_warnings():
+    """A NaN inductance and an infinite source are InvalidCircuit in both
+    simulators, before numpy computes anything."""
+    config = SimConfig(0.5, 100e3, 1e-4)
+    for circuit in (_buck_with("SCN1", kind="SCD", value=NAN), _buck_with("VDC1", value=INF)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for simulator in (run, simulate_switched):
+                with pytest.raises(InvalidCircuit, match="non-finite value"):
+                    simulator(circuit, config)
+
+
+def test_validate_owns_the_cell_value_rules():
+    """Every rule on a cell's numbers is a diagnostic of validate, and
+    neither simulator runs such a cell: L = 0, a flyback turns ratio of -1,
+    and a basic cell's turns ratio of 2, which the parser cannot write."""
+    flyback = {"kind": "FBN", "label": "FBN1"}
+    cases = [
+        (_buck_with("SCN1", value=0.0), "non-positive-inductance", "SCN1: non-positive inductance"),
+        (_buck_with("SCN1", **flyback, turns=-1.0), "non-positive-turns",
+         "FBN1: non-positive turns ratio"),
+        (_buck_with("SCN1", turns=2.0), "basic-cell-turns", "SCN1: basic cell with turns ratio 2.0"),
+        (_buck_with("SCN1", kind="SCD", turns=2.0), "basic-cell-turns",
+         "SCN1: basic cell with turns ratio 2.0"),
+    ]
+    config = SimConfig(0.5, 100e3, 1e-4)
+    for circuit, code, message in cases:
+        assert _codes(circuit) == [(code, message)]
+        for simulator in (run, simulate_switched):
+            with pytest.raises(InvalidCircuit, match=message):
+                simulator(circuit, config)
+    assert _codes(_buck_with("SCN1", **flyback, turns=2.0)) == []
+
+
+def test_validate_flags_a_duplicate_label():
+    """Two elements labelled C1, built in code, are a diagnostic; run()
+    raises InvalidCircuit, not numpy's shape error.  The parser reports the
+    same text with its line (test_duplicate_label_rejected)."""
+    circuit = parse_netlist(BUCK_LISTING)
+    circuit.elements.append(replace(circuit.element("C1"), value=1e-5))
+    assert _codes(circuit) == [("duplicate-label", "C1: duplicate element label")]
+    with pytest.raises(InvalidCircuit, match="C1: duplicate element label"):
+        run(circuit, SimConfig(0.5, 100e3, 1e-4))
+
+
+def test_validate_lists_every_fault_of_a_netlist():
+    """Ground and connectivity are no longer raised by the parser, so a
+    netlist with several faults gets every diagnostic."""
+    text = "SCN 1 1 0 2 0.0 0\nR 1 3 4 5.0\n"
+    assert _codes(parse_netlist(text)) == [
+        ("disconnected-graph", "nodes not connected to ground: [3, 4]"),
+        ("non-positive-inductance", "SCN1: non-positive inductance"),
+    ]
 
 
 def test_validate_flags_current_source_cutset():
