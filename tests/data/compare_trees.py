@@ -19,7 +19,10 @@ It also digests ``lu_factor``'s outcome on every matrix of
 the A of a netlist with two voltage sources in parallel.
 
 It also digests every signal ``simulate_switched`` samples for every case
-of ``oracle_reference.json``, at 1000 and at 137 substeps per period, and
+of ``oracle_reference.json`` and for the generated circuits of
+``generated_circuits()`` (``perfbench/circuits.py``: seeds 1-3, one to
+eight stages, four kind mixes), each at 1000 and at 137 substeps per
+period, and
 the codes and texts of the diagnostics ``validate`` gives each netlist of
 ``BAD_NETLISTS``, with the message and diagnostics of the ``InvalidCircuit``
 that ``run()`` and ``simulate_switched`` raise on it.  The circuits of
@@ -43,8 +46,8 @@ two-dimensional column, such as one row of ``x``, on its own scale: its
 largest |value| in the other tree, as ``test_engine_parity.py`` scales),
 and whether ``dcm`` is identical.  It prints the same for every signal
 ``simulate_switched`` samples, one line per oracle case and substep count,
-each signal on its own full scale.  It exits 1 if any case's ``dcm``
-differs.
+each signal on its own full scale, and last the largest of those.  It
+exits 1 if any case's ``dcm`` differs.
 """
 
 import dataclasses
@@ -57,6 +60,9 @@ from pathlib import Path
 
 DATA = Path(__file__).resolve().parent
 SRC = DATA.parents[1] / "src"
+sys.path.insert(0, str(DATA.parents[1]))  # for perfbench.circuits
+
+from perfbench import circuits  # noqa: E402
 
 COLUMNS = ("x", "v_cap", "vL1", "vL2", "i0_next", "iL0", "iL1", "iL2", "d_p", "dcm")
 ORACLE_SUBSTEPS = (1000, 137)
@@ -199,14 +205,43 @@ def _runs():
         yield name, case, circuit, run(circuit, config)
 
 
+# (generator, kind mix) of the generated oracle cases: every period in CCM,
+# and diode cells that block every period, among them basic cells only and
+# synchronous cells beside them.  (A heavy load keeps diode cells in CCM,
+# where they sample as their synchronous kind.)
+GENERATED_MIXES = (
+    (circuits.heavy_load, ("SCN", "FBN")),
+    (circuits.light_load, ("SCD", "FBD")),
+    (circuits.light_load, ("SCD",)),
+    (circuits.light_load, ("SCD", "SCN", "FBD", "FBN")),
+)
+GENERATED_PERIODS = 8
+
+
+def generated_circuits():
+    """{case name: netlist text} of the generated multi-stage circuits."""
+    return {
+        f"gen:{make.__name__}:{'/'.join(mix)}:seed={seed}:stages={stages}": make(
+            seed, circuits.kinds_for(stages, mix), GENERATED_PERIODS
+        )
+        for make, mix in GENERATED_MIXES
+        for seed in (1, 2, 3)
+        for stages in range(1, 9)
+    }
+
+
 def _oracle_runs():
     """(case, substeps, ``simulate_switched`` result) of every case of
-    ``oracle_reference.json`` at every count of ``ORACLE_SUBSTEPS``, run by
-    the tree on ``sys.path``."""
+    ``oracle_reference.json`` and of ``generated_circuits()`` at every count
+    of ``ORACLE_SUBSTEPS``, run by the tree on ``sys.path``."""
     from avgcell import SimConfig, parse_netlist
     from avgcell.oracle import OracleConfig, simulate_switched
 
     cases = json.loads((DATA / "oracle_reference.json").read_text())["cases"]
+    for name, text in generated_circuits().items():
+        params = parse_netlist(text).params
+        cases[name] = {"netlist": text, "d": params["D"], "f_s": params["fs"],
+                       "periods": GENERATED_PERIODS}
     for name, case in cases.items():
         config = SimConfig(case["d"], case["f_s"], case["periods"] / case["f_s"])
         for steps in ORACLE_SUBSTEPS:
@@ -301,14 +336,16 @@ def deviation(src):
     import numpy as np
 
     def moved(column, new, old):
+        """(text, deviation) of one column."""
         new, old = np.array(new), np.array(old)
         if new.shape != old.shape:
-            return f"{column} shape {new.shape} != {old.shape}"
+            return f"{column} shape {new.shape} != {old.shape}", np.inf
         scale = np.maximum(np.abs(old).max(axis=0, initial=0.0), 1e-30)
-        return f"{column} {(np.abs(new - old) / scale).max(initial=0.0):.1e}"
+        gap = (np.abs(new - old) / scale).max(initial=0.0)
+        return f"{column} {gap:.1e}", gap
 
     here, there = _tree(SRC, "--columns"), _tree(src, "--columns")
-    differ = 0
+    differ, worst = 0, 0.0
     for name, found in here.items():
         if name.startswith("oracle:"):
             for steps in ORACLE_SUBSTEPS:
@@ -317,15 +354,17 @@ def deviation(src):
                     moved(column[len(prefix):], found[column], there[name].get(column, []))
                     for column in found if column.startswith(prefix)
                 ]
-                print(f"{name:26} {prefix[:-1]:15} " + "  ".join(parts))
+                worst = max([worst] + [gap for _, gap in parts])
+                print(f"{name:26} {prefix[:-1]:15} " + "  ".join(text for text, _ in parts))
             continue
         # The float columns; dcm is last.
-        parts = [moved(c, found[c], there[name][c]) for c in COLUMNS[:-1]]
+        parts = [moved(c, found[c], there[name][c])[0] for c in COLUMNS[:-1]]
         same = found["dcm"] == there[name]["dcm"]
         differ += not same
         print(f"{name:26} " + "  ".join(parts) + f"  dcm {'identical' if same else 'DIFFERS'}")
     engine = sum(not name.startswith("oracle:") for name in here)
-    print(f"{engine} engine cases, {differ} with dcm differing; {len(here) - engine} oracle cases")
+    print(f"{engine} engine cases, {differ} with dcm differing; {len(here) - engine} oracle"
+          f" cases, their largest deviation {worst:.1e}")
     return 1 if differ else 0
 
 
