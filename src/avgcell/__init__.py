@@ -9,16 +9,13 @@ reference simulator is included for verification.
 
 from .cells import CellState, Mode
 from .engine import (
-    InvalidCircuit,
-    InvalidConfig,
     PeriodRecord,
     SimConfig,
     SimulationResult,
     run,
     step,
 )
-from .errors import AvgcellError
-from .mna import SingularSystem
+from .errors import AvgcellError, InvalidCircuit, InvalidConfig, SingularSystem
 from .netlist import (
     CircuitDescription,
     Element,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import engine, oracle, waveform
 from .cells import Mode, avg_inductor_current
-from .mna import SingularSystem
+from .errors import SingularSystem
 from .netlist import NetlistError, parse_netlist, validate
 
 _USAGE_EXIT = 1

@@ -44,10 +44,9 @@ from functools import cached_property
 import numpy as np
 
 from . import cells as _cells
-from .errors import AvgcellError
+from .errors import InvalidCircuit, InvalidConfig, SingularSystem
 from .mna import (
     RowUpdate,
-    SingularSystem,
     assemble_system,
     check_residual,
     lu_factor,
@@ -62,16 +61,6 @@ FIRST_BLOCK = 8
 STRETCH = 64
 
 _MODES = _CCM, _DCM = (_cells.Mode.CCM, _cells.Mode.DCM)
-
-
-class InvalidConfig(AvgcellError):
-    pass
-
-
-class InvalidCircuit(AvgcellError):
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
 @dataclass(frozen=True)

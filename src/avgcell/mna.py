@@ -39,22 +39,11 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import AvgcellError
+from .errors import SingularSystem
 from .netlist import CAP, CELL_KINDS, IDC, RES, VDC
 
 PIVOT_RTOL = 1e-13
 RESIDUAL_RTOL = 1e-10
-
-
-class SingularSystem(AvgcellError):
-    """The assembled system has no reliable solution; the circuit is
-    degenerate in a way the validator did not catch."""
-
-    def __init__(self, message, period=None):
-        self.period = period
-        if period is not None:
-            message = f"period {period}: {message}"
-        super().__init__(message)
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,17 @@
 
 Integrates the exact piecewise-linear network with ideal switches at a fixed
 number of substeps per switching period, for verifying the averaged model.
-Each cell expands into its physical parts: a controlled switch, a diode or
-second switch, and the (magnetizing) inductance.  Within every period the
-switch conducts over [0, d T_s) and the diode or synchronous switch over the
-remainder; for diode cells the inductor-current zero crossing is located by
-linear interpolation between substeps and the current is held at zero for
-the rest of the period.
+Within every period the switch conducts over [0, d T_s) and the diode or
+synchronous switch over the remainder; for diode cells the inductor-current
+zero crossing is located by linear interpolation between substeps and the
+current is held at zero for the rest of the period.
 
-Basic and flyback cells share three phases, on, diode and rest (a blocked
-diode), and a topology is the tuple of every cell's phase.  The state of a
-flyback holds its live winding's current, which ``referral`` maps to the
-magnetizing current.
+Every cell is the averaged model's generalized cell: in each of its three
+phases, on, diode and rest (a blocked diode), it is one live inductor branch
+or none (``_CellRt``), and a basic cell is a flyback whose inductor returns
+to c instead of p, with n = 1.  A topology is the tuple of every cell's
+phase.  The state of a cell holds its live branch's current, which
+``referral`` maps to the magnetizing current.
 
 Integration is trapezoidal with fixed step; after every topology change one
 backward-Euler step restarts the companion models, since element voltages
@@ -21,9 +21,10 @@ re-stamping the interval's linear network rather than by small resistances,
 so the systems stay well conditioned.  Every system, the per-topology ones
 and the t = 0 operating point alike, is stamped by one routine (``_stamp``)
 that writes the resistors, the current sources and the incidence of every
-branch whose current is an unknown: voltage sources, conducting switches and
-inductors, or at t = 0 the capacitors pinned to their initial voltages.
-Each caller then adds only its own entries.
+branch whose current is an unknown: voltage sources and live inductors, or
+at t = 0 the capacitors pinned to their initial voltages.  Each caller then
+adds only its own entries, and every entry goes through an element's
+incidence (``_incidence``), the one place that leaves ground out.
 
 The element state is one vector: each capacitor's ``(v, i)``, then each
 cell's inductor ``(i, v)``, then a constant 1 that carries the sources.  On
@@ -53,12 +54,11 @@ raises ``SingularSystem``.
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .engine import InvalidCircuit, InvalidConfig
-from .errors import AvgcellError
-from .mna import SingularSystem
+from .errors import AvgcellError, InvalidCircuit, InvalidConfig, SingularSystem
 from .netlist import _join, validate
 
 
@@ -128,35 +128,32 @@ def _at_zero(i):
     return i <= 0.0
 
 
-def _forward_biased(v_p, v_x):
-    """Whether v_p - v_x > 1e-9 max(1, |v_p|, |v_x|): a blocked diode conducts."""
-    v = v_p - v_x
-    return (v > 1e-9) & (v > 1e-9 * abs(v_p)) & (v > 1e-9 * abs(v_x))
+def _forward_biased(v_p, v_c):
+    """Whether v_p - v_c > 1e-9 max(1, |v_p|, |v_c|): a blocked diode conducts."""
+    v = v_p - v_c
+    return (v > 1e-9) & (v > 1e-9 * abs(v_p)) & (v > 1e-9 * abs(v_c))
 
 
 class _CellRt:
-    __slots__ = ("label", "nodes", "n", "flyback", "diode", "phase", "si",
-                 "_inductor", "_switch")
+    """A switching cell (a, p, c) as the generalized cell of the averaged
+    model: one live inductor branch per phase, (a, ret, L) while the switch
+    conducts and (p, c, n^2 L) while the diode or synchronous switch does,
+    and none at rest.  ret is p for a flyback, whose magnetizing inductance
+    is referred to the secondary while the diode conducts, and c for a
+    basic cell, whose n is 1: its inductor runs from whichever of a and p
+    conducts to c."""
+
+    __slots__ = ("label", "nodes", "n", "flyback", "diode", "phase", "si", "_inductor")
 
     def __init__(self, element, si):
         self.label, self.nodes, self.n = element.label, element.nodes, element.turns
         self.flyback, self.diode = element.is_flyback, element.is_diode
         self.phase = _ON
         self.si = si  # state index of the inductor current; its voltage follows
-        # Per phase, the live inductor branch (node_a, node_b, inductance)
-        # and the conducting switch branch (node_a, node_b).  A flyback's
-        # magnetizing inductance is live on the primary while the switch
-        # conducts, referred to the secondary while the diode does, and
-        # nowhere at rest; a basic cell's inductor is always live.
         a, p, c = self.nodes
         L = element.value
-        if self.flyback:
-            self._inductor = {_ON: (a, p, L), _DIODE: (p, c, self.n * self.n * L)}
-            self._switch = {}
-        else:
-            x = ("x", self.label)
-            self._inductor = dict.fromkeys((_ON, _DIODE, _REST), (x, c, L))
-            self._switch = {_ON: (a, x), _DIODE: (p, x)}
+        ret = p if self.flyback else c
+        self._inductor = {_ON: (a, ret, L), _DIODE: (p, c, self.n * self.n * L)}
 
     def referral(self):
         """Factor from the live branch current to the magnetizing current."""
@@ -166,9 +163,6 @@ class _CellRt:
         """(node_a, node_b, inductance) of the live inductor branch."""
         return self._inductor.get(self.phase)
 
-    def switch_branch(self):
-        return self._switch.get(self.phase)
-
 
 class _Topo:
     """One substep on one topology: the solution is ``x = P s`` and the
@@ -177,7 +171,7 @@ class _Topo:
 
     For stretches, states are rows, the powers of ``Phi`` are grown as needed,
     and the first stretch sets ``plan = (sample_T, monitored, k)``: ``s @
-    sample_T`` is the sample row after the substep, then v_p and then v_x of
+    sample_T`` is the sample row after the substep, then v_p and then v_c of
     the k blocked basic diodes; ``monitored`` are conducting diode currents."""
 
     def __init__(self, P, Phi):
@@ -208,18 +202,14 @@ class _SwitchedSimulator:
         self.h = config.T_s / self.substeps
 
         self.node_ids = [n for n in sorted(circuit.node_ids) if n != 0]
-        keys = list(self.node_ids)
         self.caps = circuit.capacitors()
         first = 2 * len(self.caps)
         self.cells = [
             _CellRt(e, first + 2 * k) for k, e in enumerate(circuit.cells())
         ]
-        for cell in self.cells:
-            if not cell.flyback:
-                keys.append(("x", cell.label))
         # Ground reads column -1: P's trailing zero row, and no entry of A.
-        self.node_col = {0: -1, **{k: i for i, k in enumerate(keys)}}
-        self.n_nodes = len(keys)
+        self.node_col = {0: -1, **{n: i for i, n in enumerate(self.node_ids)}}
+        self.n_nodes = len(self.node_ids)
 
         self.vdcs = circuit.vdcs()
         self.idcs = circuit.idcs()
@@ -248,7 +238,7 @@ class _SwitchedSimulator:
         x0, x1, topos = self._networks[key]
         if h in topos:
             return topos[h]
-        W = sum((layer / h for layer in x1), x0)
+        W = x0 + x1 / h
         n = len(W) - len(self.s)  # the order of A
         A, B, E, F = W[:n, :n], W[:n, n + 1 :], W[n:, : n + 1], W[n:, n + 1 :]
         try:
@@ -264,14 +254,11 @@ class _SwitchedSimulator:
 
     def _stamp_network(self, method):
         """The present topology's network for ``method``: ``(x0, x1)``, where
-        a substep of length h has ``[[A, 0, B], [E, F]] = x0 + x1[0] / h +
-        x1[1] / h + ...`` (E keeps its ground column).  ``x1`` holds factor C
-        and factor L, ``x0`` the resistors, sources, incidences and history
-        terms.  A capacitor goes into the first layer of ``x1`` where its
-        diagonal entries are 0, so every entry of A adds its terms in
-        capacitor order, as a stamp per substep would."""
+        a substep of length h has ``[[A, 0, B], [E, F]] = x0 + x1 / h`` (E
+        keeps its ground column).  ``x1`` holds the terms in factor C and
+        factor L, ``x0`` the resistors, sources, incidences and history
+        terms."""
         branches = [(*e.nodes, e.value) for e in self.vdcs]
-        branches += [(*c.switch_branch(), 0.0) for c in self.cells if c.switch_branch()]
         inductors = []
         for cell in self.cells:
             br = cell.branch()
@@ -283,7 +270,7 @@ class _SwitchedSimulator:
         x0 = np.zeros((order + one + 1, bf + one + 1))
         x0[:order, :order], x0[:order, -1] = self._stamp(branches, [])
         x0[-1, -1] = 1.0
-        x1 = [np.zeros_like(x0)]
+        x1 = np.zeros_like(x0)
 
         # Companion model of each capacitor (v, i) and live inductor (i, v):
         # for the state pair (a, b) with companion coefficient w, a' is read
@@ -296,36 +283,29 @@ class _SwitchedSimulator:
         factor, hist = (2.0, 1.0) if method == "tr" else (1.0, 0.0)
         elements = []
         for k, e in enumerate(self.caps):
-            r1, r2 = self.node_col[e.nodes[0]], self.node_col[e.nodes[1]]
-            # Ground, -1, reads F's corner, which is 0 in every layer.
-            layer = next((m for m in x1 if m[r1, r1] == m[r2, r2] == 0.0), None)
-            if layer is None:
-                x1.append(layer := np.zeros_like(x0))
-            self._conductance(layer, r1, r2, factor * e.value)
-            elements.append((2 * k, factor * e.value, 1.0, ((r1, 1.0), (r2, -1.0))))
+            w, rows = factor * e.value, self._incidence(e.nodes)
+            for (r, sr), (q, sq) in product(rows, rows):
+                x1[r, q] += sr * sq * w
+            elements.append((2 * k, w, 1.0, rows))
         for cell, col, L in inductors:
-            x1[0][col, col] = -factor * L
+            x1[col, col] = -factor * L
             elements.append((cell.si, factor * L, -1.0, ((col, 1.0),)))
         for a, w, sigma, rows in elements:
             for r, sign in rows:
-                if r >= 0:
-                    x1[0][r, bf + a] += sigma * sign * w
-                    x0[r, bf + a + 1] += sigma * sign * hist
-                    x0[order + a, r] += sign
-                    x1[0][order + a + 1, r] += sign * w
-            x1[0][order + a + 1, bf + a] = -w
+                x1[r, bf + a] += sigma * sign * w
+                x0[r, bf + a + 1] += sigma * sign * hist
+                x0[order + a, r] += sign
+                x1[order + a + 1, r] += sign * w
+            x1[order + a + 1, bf + a] = -w
             x0[order + a + 1, bf + a + 1] = -hist
         return x0, x1
 
-    @staticmethod
-    def _conductance(A, r1, r2, g):
-        if r1 >= 0:
-            A[r1, r1] += g
-        if r2 >= 0:
-            A[r2, r2] += g
-        if r1 >= 0 and r2 >= 0:
-            A[r1, r2] -= g
-            A[r2, r1] -= g
+    def _incidence(self, nodes):
+        """(column, sign) of each non-ground terminal of an element on
+        ``nodes`` = (a, b): +1 for a, -1 for b.  The oracle's one ground
+        test, through which every element is written."""
+        cols = (self.node_col[nodes[0]], self.node_col[nodes[1]])
+        return [(col, sign) for col, sign in zip(cols, (1.0, -1.0)) if col >= 0]
 
     def _step(self, h, method):
         """One substep from the present state: (solution, next state)."""
@@ -344,8 +324,7 @@ class _SwitchedSimulator:
             rest = self._blocked_basic_diodes()
             rows = [topo.P[col] for col in self.sample_cols]
             rows += [c.referral() * topo.Phi[c.si] for c in self.cells]
-            rows += [topo.P[self.node_col[c.nodes[1]]] for c in rest]
-            rows += [topo.P[self.node_col[("x", c.label)]] for c in rest]
+            rows += [topo.P[self.node_col[c.nodes[k]]] for k in (1, 2) for c in rest]
             monitored = [c.si for c in self._conducting_diodes()]
             topo.plan = (np.array(rows).T.copy(), monitored, len(rest))
         sample_T, monitored, k = topo.plan
@@ -415,9 +394,8 @@ class _SwitchedSimulator:
         """A blocked diode with forward bias starts conducting again."""
         changed = False
         for cell in self._blocked_basic_diodes():
-            v_p = float(x[self.node_col[cell.nodes[1]]])
-            v_x = float(x[self.node_col[("x", cell.label)]])
-            if _forward_biased(v_p, v_x):
+            v_p, v_c = (float(x[self.node_col[n]]) for n in cell.nodes[1:])
+            if _forward_biased(v_p, v_c):
                 cell.phase = _DIODE
                 changed = True
         return changed
@@ -450,25 +428,19 @@ class _SwitchedSimulator:
         order = self.n_nodes + len(branches)
         A = np.zeros((order, order))
         z = np.zeros(order)
-        node_col = self.node_col
         for e in self.resistors:
-            self._conductance(A, node_col[e.nodes[0]], node_col[e.nodes[1]], 1.0 / e.value)
+            rows = self._incidence(e.nodes)
+            for (r, sr), (q, sq) in product(rows, rows):
+                A[r, q] += sr * sq / e.value
         for a, b, current in [(*e.nodes, e.value) for e in self.idcs] + sources:
-            ra, rb = node_col[a], node_col[b]
-            if ra >= 0:
-                z[ra] -= current
-            if rb >= 0:
-                z[rb] += current
+            for r, sign in self._incidence((a, b)):
+                z[r] -= sign * current
         for k, (a, b, value) in enumerate(branches):
             col = self.n_nodes + k
             z[col] = value
-            ra, rb = node_col[a], node_col[b]
-            if ra >= 0:
-                A[ra, col] += 1.0
-                A[col, ra] += 1.0
-            if rb >= 0:
-                A[rb, col] -= 1.0
-                A[col, rb] -= 1.0
+            for r, sign in self._incidence((a, b)):
+                A[r, col] += sign
+                A[col, r] += sign
         return A, z
 
     def _operating_point(self):
@@ -482,7 +454,6 @@ class _SwitchedSimulator:
         branches = [(*e.nodes, e.value) for e in self.vdcs]
         branches += [(*e.nodes, self.s[2 * k]) for k, e in enumerate(self.caps)
                      if _join(parts, *e.nodes)]
-        branches += [(*c.switch_branch(), 0.0) for c in self.cells if c.switch_branch()]
         sources = [(*c.branch()[:2], self.s[c.si]) for c in self.cells if c.branch()]
         A, z = self._stamp(branches, sources)
         try:

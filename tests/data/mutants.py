@@ -153,8 +153,8 @@ MUTANTS = [
     (
         "forward_biased",
         "oracle.py",
-        "return (v > 1e-9) & (v > 1e-9 * abs(v_p)) & (v > 1e-9 * abs(v_x))",
-        "return (v > 1e-7) & (v > 1e-7 * abs(v_p)) & (v > 1e-7 * abs(v_x))",
+        "return (v > 1e-9) & (v > 1e-9 * abs(v_p)) & (v > 1e-9 * abs(v_c))",
+        "return (v > 1e-7) & (v > 1e-7 * abs(v_p)) & (v > 1e-7 * abs(v_c))",
         "a blocked diode biased at 1e-8 of the voltage scale conducts",
     ),
     (
@@ -328,24 +328,58 @@ MUTANTS = [
     (
         "oracle-x1-times-h",
         "oracle.py",
-        "W = sum((layer / h for layer in x1), x0)",
-        "W = sum((layer * h for layer in x1), x0)",
+        "W = x0 + x1 / h",
+        "W = x0 + x1 * h",
         "the companion coefficients are divided by the substep's length",
     ),
     (
         "oracle-history-in-x1",
         "oracle.py",
         "x0[r, bf + a + 1] += sigma * sign * hist",
-        "x1[0][r, bf + a + 1] += sigma * sign * hist",
+        "x1[r, bf + a + 1] += sigma * sign * hist",
         "a history term does not scale with 1 / h",
     ),
     (
-        "oracle-one-capacitor-layer",
+        "oracle-basic-on-to-p",
         "oracle.py",
-        "layer = next((m for m in x1 if m[r1, r1] == m[r2, r2] == 0.0), None)",
-        "layer = x1[0]",
-        "two capacitors on one node add their terms one at a time, as a stamp"
-        " per substep does, not as one sum rounded before the division by h",
+        "ret = p if self.flyback else c",
+        "ret = p",
+        "a basic cell's inductor returns to c while the switch conducts",
+    ),
+    (
+        "oracle-incidence-ground",
+        "oracle.py",
+        "zip(cols, (1.0, -1.0)) if col >= 0]",
+        "zip(cols, (1.0, -1.0))]",
+        "ground's column -1 takes no entry of any element",
+    ),
+    (
+        "oracle-stretch-reconduct-at-a",
+        "oracle.py",
+        "for k in (1, 2) for c in rest]",
+        "for k in (1, 0) for c in rest]",
+        "a stretch reads a blocked basic diode's forward bias as v_p - v_c",
+    ),
+    (
+        "oracle-reconduct-at-a",
+        "oracle.py",
+        "for n in cell.nodes[1:])",
+        "for n in cell.nodes[1::-1])",
+        "a blocked basic diode re-conducts on v_p - v_c",
+    ),
+    (
+        "oracle-switch-off-block",
+        "oracle.py",
+        "if cell.diode and _at_zero(self.s[cell.si]):",
+        "if False:",
+        "a diode whose current is at or below zero at switch-off blocks at once",
+    ),
+    (
+        "oracle-crossing-blocks-others",
+        "oracle.py",
+        "if _at_zero(self.s[other.si]):\n                self._block(other)",
+        "if _at_zero(self.s[other.si]):\n                pass",
+        "a second diode at zero after a crossing's part-substeps blocks too",
     ),
     (
         "oracle-network-by-method",

@@ -291,13 +291,41 @@ def test_each_network_is_stamped_once(monkeypatch):
     )
 
 
-def test_capacitors_on_one_node_add_their_terms_one_at_a_time():
-    """Node 2 carries two capacitors, so its diagonal entry of A gets their
-    companion conductances from two layers of the network's h-terms: each
-    substep adds them one at a time, in capacitor order, as a stamp per
-    substep does, and not as one sum rounded before the division by h."""
-    circuit = parse_netlist(BUCK_STEADY + "C 2 2 3 1e-5 0.3\nR 2 3 0 0.2\n")
-    simulator = _SwitchedSimulator(circuit, std_config(1e-4), OracleConfig(1000))
-    x0, x1 = simulator._stamp_network("tr")
-    r = simulator.node_col[2]
-    assert [layer[r, r] for layer in x1] == [2.0 * 1e-4, 2.0 * 1e-5]
+def test_capacitors_on_one_node_are_one_capacitor():
+    """Two capacitors in parallel on the output sample as one of their
+    summed capacitance, to within rounding."""
+    config = std_config(2e-4)
+    two = simulate_switched(parse_netlist(BUCK_DCM + "C 2 2 0 3.3e-5 0\n"), config)
+    one = simulate_switched(parse_netlist(BUCK_DCM.replace("1e-4 0", "1.33e-4 0")), config)
+    for name, wave in one.items():
+        gap = np.abs(two[name].values - wave.values).max()
+        assert gap <= 1e-10 * np.abs(wave.values).max(), name
+
+
+def test_diode_blocks_at_switch_off_without_forward_current():
+    """An output that starts above the source drives the inductor current
+    negative through the conducting switch; at switch-off the diode blocks
+    at once and the current is held at zero for the rest of the period."""
+    circuit = parse_netlist(BUCK_DCM.replace("1e-4 0", "1e-4 12"))
+    iL = simulate_switched(circuit, std_config(1e-5))["iL(SCD1)"].values
+    assert iL[500] < 0.0  # the sample at the switch-off instant
+    assert (iL[501:] == 0.0).all()
+
+
+def test_diodes_reaching_zero_together_both_block():
+    """Two identical stages cross zero in the same substep: the part-substep
+    up to the first crossing blocks that diode, and the other, at zero after
+    the remainder, blocks with it.  Both currents are held at zero until the
+    period ends."""
+    stage = "SCD{k} 1 1 0 {n} 10e-6 0\nC {k} {n} 0 1e-4 8.77\nR {k} {n} 0 100.0\n"
+    circuit = parse_netlist(
+        "VDC 1 1 0 10.0\n" + stage.format(k=1, n=2) + stage.format(k=2, n=3)
+    )
+    sampled = simulate_switched(circuit, std_config(1e-5))
+    held = []
+    for label in ("SCD1", "SCD2"):
+        iL = sampled[f"iL({label})"].values
+        zero = 500 + int(np.argmax(iL[500:] == 0.0))  # the first held sample
+        assert iL[zero - 1] > 0.0 and (iL[zero:] == 0.0).all(), label
+        held.append(zero)
+    assert held[0] == held[1] < 1000
