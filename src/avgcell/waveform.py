@@ -179,19 +179,22 @@ def _build_capacitor_waveform(result, cap_label, with_ripple):
     cap = result.circuit.element(cap_label)
     d, f_s, T_s = result.config.d, result.config.f_s, result.config.T_s
     C = cap.value
-    v_avg = result.v_cap[:, k]
+    # The waveform is v(n1) - v(n2) with ground last, so a capacitor
+    # written ground-first reports its node's voltage, not its negation.
+    nodes = cap.nodes[::-1] if cap.nodes[0] == 0 else cap.nodes
+    v_avg = result.v_cap[:, k] if nodes == cap.nodes else -result.v_cap[:, k]
     n = len(v_avg)
     ripple = np.zeros(n, dtype=bool)
     dIL = np.zeros(n)
     if with_ripple:
-        i = _output_cell_for(result.circuit, cap)
+        i, sign = _output_cell_for(result.circuit, nodes)
         if i is None:
             raise TopologyNotSupported(
                 f"capacitor {cap_label!r} is not across a basic cell's "
                 "common and passive terminals"
             )
         ripple = ~result.dcm[:, i]
-        dIL = _ripple(result.iL0[:, i], result.iL1[:, i], result.iL2[:, i])
+        dIL = sign * _ripple(result.iL0[:, i], result.iL1[:, i], result.iL2[:, i])
     a0 = np.where(ripple, v_avg + (2.0 * d - 1.0) * dIL / (6.0 * f_s * C), v_avg)
     slope = (np.append(a0[1:], a0[-1]) - a0) / T_s
     kr = np.where(ripple, dIL / (f_s * C), 0.0)
@@ -207,7 +210,8 @@ def _build_capacitor_waveform(result, cap_label, with_ripple):
         c2 = -kr / (T_s * T_s * (1.0 - d))
         pieces.append((t_mid, t_end, a0 + slope * d * T_s, slope + kr / T_s, c2))
         keep.append(ripple)
-    return Waveform(_capacitor_signal_name(cap), "V", _pieces(pieces, keep))
+    name = f"v({nodes[0]})" if nodes[1] == 0 else f"v({nodes[0]},{nodes[1]})"
+    return Waveform(name, "V", _pieces(pieces, keep))
 
 
 def _pieces(pieces, keep):
@@ -290,22 +294,13 @@ def _poly_integral(coeffs, a, b):
     return acc
 
 
-def _output_cell_for(circuit, cap):
-    """Index of the basic cell whose common and passive terminals the
-    capacitor spans."""
-    cap_nodes = set(cap.nodes)
+def _output_cell_for(circuit, nodes):
+    """(index, sign) of the basic cell whose common and passive terminals
+    the capacitor voltage v(n1) - v(n2) of ``nodes`` = (n1, n2) spans, or
+    (None, None).  The inductor current's ripple flows into c, so sign is
+    1.0 for (c, p) and -1.0 for (p, c)."""
     for i, e in enumerate(circuit.cells()):
-        if e.is_flyback:
-            continue
-        if cap_nodes == {e.nodes[1], e.nodes[2]}:
-            return i
-    return None
-
-
-def _capacitor_signal_name(cap):
-    n1, n2 = cap.nodes
-    if n2 == 0:
-        return f"v({n1})"
-    if n1 == 0:
-        return f"v({n2})"
-    return f"v({n1},{n2})"
+        _, p, c = e.nodes
+        if not e.is_flyback and set(nodes) == {p, c}:
+            return i, 1.0 if tuple(nodes) == (c, p) else -1.0
+    return None, None

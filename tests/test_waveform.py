@@ -580,3 +580,19 @@ def test_builders_match_the_per_period_loop(any_result):
             wave = waveform(any_result, cap.label)
             expected = _loop_capacitor_segments(any_result, cap.label, ripple_cell)
             assert _bits(wave.segments) == _bits(expected), waveform.__name__
+
+
+def test_capacitor_node_order_changes_only_the_sign():
+    """A capacitor across a basic cell's c and p, with p off ground, as
+    ``v(c,p)`` and as ``v(p,c)``: each carries the ripple with the sign of
+    its own v(n1) - v(n2), so one waveform is the other negated, bit for
+    bit."""
+    base = "VDC 1 1 0 10.0\nVDC 2 3 0 1.0\nSCN1 1 1 3 2 10e-6 0\nR 1 2 3 5.0\n"
+    waves = []
+    for cap in ("C 1 2 3 1e-4 0", "C 1 3 2 1e-4 0"):
+        result = run(parse_netlist(base + cap + "\n"), std_config(2e-4))
+        waves.append(capacitor_waveform(result, "C1"))
+    forward, reversed_ = waves
+    assert (forward.name, reversed_.name) == ("v(2,3)", "v(3,2)")
+    negated = [Segment(s.t0, s.t1, -s.c0, -s.c1, -s.c2) for s in forward.segments]
+    assert _bits(reversed_.segments) == _bits(negated)
