@@ -28,7 +28,10 @@ the codes and texts of the diagnostics ``validate`` gives each netlist of
 that ``run()`` and ``simulate_switched`` raise on it.  The circuits of
 ``bad_circuits()`` (built in code, or text with a fault the parser once
 raised) are digested the same way in a case of their own, ``bad-circuits``,
-where any exception, a raw one included, is an outcome to digest.
+where any exception, a raw one included, is an outcome to digest.  The
+circuits of ``edited_circuits()`` (a netlist's element list edited in code)
+are digested in the case ``edited-circuits``, the same way over 20 periods,
+where an accepted run is digested by its result columns or samples.
 
 It prints one line per case, with one digest per group of fields (the
 assembly and the run of an engine case, each substep count of an oracle
@@ -127,18 +130,41 @@ def bad_circuits():
     }
 
 
-def _outcome(build, simulator):
+# A resistor and a capacitor from node 2 to a new node 7.
+_NODE_7 = "R 9 2 7 10.0\nC 9 7 0 1e-5 0\n"
+
+
+def edited_circuits():
+    """{name: function that builds the circuit} of circuits edited in code:
+    the buck with the elements of ``_NODE_7`` appended, and the buck parsed
+    with them and then stripped of them again."""
+    from avgcell import parse_netlist
+
+    def appended():
+        circuit = parse_netlist(_BUCK)
+        circuit.elements += parse_netlist(_NODE_7).elements
+        return circuit
+
+    def removed():
+        circuit = parse_netlist(_BUCK + _NODE_7)
+        del circuit.elements[-2:]
+        return circuit
+
+    return {"appended-node": appended, "removed-node": removed}
+
+
+def _outcome(build, simulator, t_end=1e-5, accepted=lambda result: "accepted"):
     """What ``simulator`` (``validate``, ``run`` or ``simulate_switched``)
-    makes of the circuit ``build()`` returns: the diagnostics, "accepted",
-    or the type and text of the exception raised on the way."""
+    makes of the circuit ``build()`` returns over ``t_end`` at 100 kHz: the
+    diagnostics, ``accepted`` of the result, or the type and text of the
+    exception raised on the way."""
     from avgcell import InvalidCircuit, SimConfig, validate
 
     try:
         circuit = build()
         if simulator is validate:
             return [(d.code, d.message) for d in validate(circuit)]
-        simulator(circuit, SimConfig(0.5, 100e3, 1e-5))
-        return "accepted"
+        return accepted(simulator(circuit, SimConfig(0.5, 100e3, t_end)))
     except InvalidCircuit as exc:
         return (str(exc), [(d.code, d.message) for d in exc.diagnostics])
     except Exception as exc:  # a raw exception is an outcome too
@@ -303,6 +329,18 @@ def digests():
     for name, build in bad_circuits().items():
         for simulator in (validate, run, simulate_switched):
             fields[f"{simulator.__name__}:{name}"] = _digest(_outcome(build, simulator))
+
+    def result(found):
+        """The columns of a run() result, or the samples of an oracle run."""
+        if isinstance(found, dict):
+            return {name: _digest(wave.values) for name, wave in found.items()}
+        return {column: _digest(getattr(found, column)) for column in COLUMNS}
+
+    fields = out["edited-circuits"] = {}
+    for name, build in edited_circuits().items():
+        for simulator in (validate, run, simulate_switched):
+            found = _outcome(build, simulator, 2e-4, result)
+            fields[f"{simulator.__name__}:{name}"] = _digest(found)
     return out
 
 
