@@ -92,30 +92,28 @@ def main(argv=None):
     except NetlistError as exc:
         print(f"error: {args.netlist}: {exc}", file=sys.stderr)
         return _NETLIST_EXIT
-    diagnostics = validate(circuit)
-    if diagnostics:
-        for diag in diagnostics:
-            print(f"error: {args.netlist}: {diag}", file=sys.stderr)
-        return _NETLIST_EXIT
-
-    duty = args.duty if args.duty is not None else circuit.params.get("D")
-    f_s = args.fs if args.fs is not None else circuit.params.get("fs")
-    t_end = args.t_end if args.t_end is not None else circuit.params.get("tend")
-    missing = [
-        flag
-        for flag, value in (("-D", duty), ("--fs", f_s), ("--t-end", t_end))
-        if value is None
-    ]
-    if missing:
-        print(
-            f"usage error: missing {', '.join(missing)} "
-            "(no .param default in the netlist)",
-            file=sys.stderr,
-        )
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return _USAGE_EXIT
 
     try:
+        diagnostics = validate(circuit)
+        if diagnostics:
+            raise engine.InvalidCircuit(diagnostics)
+        duty = args.duty if args.duty is not None else circuit.params.get("D")
+        f_s = args.fs if args.fs is not None else circuit.params.get("fs")
+        t_end = args.t_end if args.t_end is not None else circuit.params.get("tend")
+        missing = [
+            flag
+            for flag, value in (("-D", duty), ("--fs", f_s), ("--t-end", t_end))
+            if value is None
+        ]
+        if missing:
+            print(
+                f"usage error: missing {', '.join(missing)} "
+                "(no .param default in the netlist)",
+                file=sys.stderr,
+            )
+            print(parser.format_usage(), end="", file=sys.stderr)
+            return _USAGE_EXIT
+
         config = engine.SimConfig(duty, f_s, t_end, dcm_refine=args.dcm_refine)
         # The window ends with the run's last period, where its waveforms
         # end too; that may be before --t-end.
@@ -143,7 +141,8 @@ def main(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except engine.InvalidCircuit as exc:
-        print(f"error: {args.netlist}: {exc}", file=sys.stderr)
+        for diag in exc.diagnostics:
+            print(f"error: {args.netlist}: {diag}", file=sys.stderr)
         return _NETLIST_EXIT
     except (SingularSystem, waveform.NonFinite) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -294,9 +293,7 @@ def write_compare(result, sampled, path):
             "oracle's full scale\n"
         )
         for name, model in comparisons:
-            wave = sampled.get(name)
-            if wave is None:
-                continue
+            wave = sampled[name]
             scale = max(float(abs(wave.values).max()), 1e-12)
             worst = 0.0
             for n, value in enumerate(model.tolist()):

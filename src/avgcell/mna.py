@@ -97,7 +97,7 @@ class DiodeRow:
 
 def build_layout(circuit):
     """Create a zeroed system with the deterministic row assignment."""
-    node_ids = tuple(sorted(n for n in circuit.node_ids if n != circuit.ground))
+    node_ids = tuple(sorted(circuit.node_ids - {0}))
     node_row = {n: i for i, n in enumerate(node_ids)}
     row = len(node_ids)
     vdc_row = {}

@@ -139,14 +139,15 @@ class Element:
 
 @dataclass
 class CircuitDescription:
-    """Element list plus the node set it spans; :func:`validate` says
-    whether it is a circuit the simulators can run."""
+    """Element list and ``.param`` defaults; ``node_ids`` is read off the
+    elements on each access; :func:`validate` says if the simulators can run it."""
 
     elements: list
-    node_ids: set
     params: dict = field(default_factory=dict)
 
-    ground = 0
+    @property
+    def node_ids(self):
+        return {n for e in self.elements for n in e.nodes}
 
     def cells(self):
         return [e for e in self.elements if e.is_cell]
@@ -267,11 +268,7 @@ def parse_netlist(text):
             for (name, what), token in zip(extras, tokens[3 + n_nodes :])
         }
         elements.append(Element(kind, label, nodes, value, **fields))
-
-    node_ids = set()
-    for e in elements:
-        node_ids.update(e.nodes)
-    return CircuitDescription(elements, node_ids, params)
+    return CircuitDescription(elements, params)
 
 
 def _join(parts, a, b):
@@ -313,12 +310,13 @@ def validate(circuit):
     both simulators run only a circuit with no diagnostic.
     """
     diags = []
+    node_ids = circuit.node_ids
 
-    if 0 not in circuit.node_ids:
+    if 0 not in node_ids:
         diags.append(Diagnostic("missing-ground", "no element references ground node 0"))
         return diags
 
-    unreached, floating = _unanchored(circuit.elements, circuit.node_ids)
+    unreached, floating = _unanchored(circuit.elements, node_ids)
     if unreached:
         message = f"nodes not connected to ground: {sorted(unreached)}"
         diags.append(Diagnostic("disconnected-graph", message))

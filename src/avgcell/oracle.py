@@ -201,7 +201,7 @@ class _SwitchedSimulator:
         self.substeps = oracle_config.substeps_per_period
         self.h = config.T_s / self.substeps
 
-        self.node_ids = [n for n in sorted(circuit.node_ids) if n != 0]
+        self.node_ids = sorted(circuit.node_ids - {0})
         self.caps = circuit.capacitors()
         first = 2 * len(self.caps)
         self.cells = [
@@ -457,7 +457,7 @@ class _SwitchedSimulator:
         sources = [(*c.branch()[:2], self.s[c.si]) for c in self.cells if c.branch()]
         A, z = self._stamp(branches, sources)
         try:
-            return np.linalg.solve(A, z)
+            return np.linalg.solve(A, z) + 0.0  # -0.0 becomes 0.0
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"initial operating point is singular: {exc}") from exc
 

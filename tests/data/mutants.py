@@ -258,6 +258,13 @@ MUTANTS = [
         "nodes with no path to ground are a diagnostic",
     ),
     (
+        "node-set-but-last",
+        "netlist.py",
+        "return {n for e in self.elements for n in e.nodes}",
+        "return {n for e in self.elements[:-1] for n in e.nodes}",
+        "a circuit's node set is read off every one of its elements",
+    ),
+    (
         "no-switching-cell",
         "netlist.py",
         "if not circuit.cells():",
@@ -305,6 +312,20 @@ MUTANTS = [
         "if _join(parts, *e.nodes)]",
         "if _join(parts, *e.nodes) or True]",
         "a capacitor whose nodes are already tied at t = 0 is not pinned again",
+    ),
+    (
+        "oracle-operating-point-negative-zero",
+        "oracle.py",
+        "return np.linalg.solve(A, z) + 0.0",
+        "return np.linalg.solve(A, z)",
+        "a capacitor written ground-first samples 0.0 at t = 0, not -0.0",
+    ),
+    (
+        "cli-joined-diagnostics",
+        "cli.py",
+        "for diag in exc.diagnostics:\n            print(f\"error: {args.netlist}: {diag}\"",
+        "for diag in [exc]:\n            print(f\"error: {args.netlist}: {diag}\"",
+        "the CLI prints each diagnostic on a line of its own",
     ),
     (
         "block-pure-map",

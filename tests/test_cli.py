@@ -430,15 +430,16 @@ def test_python_dash_m_runs_the_cli():
 
 def test_capacitor_written_ground_first_reports_the_same_voltage(tmp_path):
     """``C 1 0 2`` is ``C 1 2 0``: the same v(2), ripple included, in every
-    output file, bit for bit."""
+    output file, the oracle's included, bit for bit."""
     outputs = []
     reversed_ = BUCK.replace("C 1 2 0 1e-4", "C 1 0 2 1e-4")
     for name, text in (("forward", BUCK), ("reversed", reversed_)):
         netlist = tmp_path / f"{name}.net"
         netlist.write_text(text)
         out = tmp_path / name
-        assert run_cli(netlist, "-D", "0.5", "--fs", "100e3", "--t-end", "2e-3", "--out", out) == 0
-        files = ("averaged.csv", "instantaneous.csv", "stats.txt")
+        args = ("-D", "0.5", "--fs", "100e3", "--t-end", "2e-3", "--oracle", "--out", out)
+        assert run_cli(netlist, *args) == 0
+        files = ("averaged.csv", "instantaneous.csv", "stats.txt", "oracle.csv", "compare.txt")
         outputs.append([(out / f).read_text() for f in files])
     assert outputs[0] == outputs[1]
     assert "v(2) mean=4.99835935 min=4.13131432 max=5.78734548" in outputs[1][2]

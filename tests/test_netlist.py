@@ -2,6 +2,7 @@
 
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from avgcell import SimConfig, run
 from avgcell.engine import InvalidCircuit
 from avgcell.netlist import (
     ArityError,
+    CircuitDescription,
     DuplicateLabel,
     NetlistError,
     NumericError,
@@ -282,6 +284,50 @@ def test_validate_flags_a_circuit_without_a_cell():
 def test_round_trip_buck():
     circuit = parse_netlist(BUCK_LISTING)
     assert parse_netlist(serialize_netlist(circuit)) == circuit
+
+
+def test_a_circuit_is_built_from_its_elements_alone():
+    """``CircuitDescription(elements)`` takes no node set: its nodes are
+    those its elements span, and it is the circuit the text parses to."""
+    circuit = CircuitDescription(parse_netlist(BUCK_LISTING).elements)
+    assert circuit.node_ids == {0, 1, 2}
+    assert circuit.params == {}
+    assert circuit == parse_netlist(BUCK_LISTING)
+    assert validate(circuit) == []
+
+
+NETLISTS = Path(__file__).resolve().parents[1] / "netlists"
+# A resistor and a capacitor from node 2 to a new node 7.
+NODE_7 = "R 9 2 7 10.0\nC 9 7 0 1e-5 0\n"
+
+
+def _outcomes(circuit):
+    """validate's diagnostics, and the bytes of every run() column and of
+    every sample of simulate_switched, over 20 periods."""
+    config = SimConfig(0.5, 100e3, 2e-4)
+    result = run(circuit, config)
+    columns = ("t_start", "x", "v_cap", "vL1", "vL2", "i0_next", "iL0", "iL1", "iL2",
+               "d_p", "dcm")
+    sampled = simulate_switched(circuit, config)
+    return (
+        _codes(circuit),
+        {column: getattr(result, column).tobytes() for column in columns},
+        {name: wave.values.tobytes() for name, wave in sampled.items()},
+    )
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in NETLISTS.glob("*.net")))
+def test_a_circuit_edited_in_code_is_the_netlist_it_lists(name):
+    """Elements appended in code bring their new node, and elements removed
+    take theirs away: validate, run() and simulate_switched give the edited
+    circuit the bits of the same netlist parsed from text."""
+    text = (NETLISTS / name).read_text()
+    appended = parse_netlist(text)
+    appended.elements += parse_netlist(NODE_7).elements
+    assert _outcomes(appended) == _outcomes(parse_netlist(text + NODE_7))
+    removed = parse_netlist(text + NODE_7)
+    del removed.elements[-2:]
+    assert _outcomes(removed) == _outcomes(parse_netlist(text))
 
 
 _kind = st.sampled_from(["R", "C", "VDC", "IDC", "SCN", "SCD", "FBN", "FBD"])

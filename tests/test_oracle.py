@@ -20,6 +20,7 @@ from avgcell.oracle import (
 )
 
 from conftest import (
+    BUCK,
     BUCK_DCM,
     BUCK_STEADY,
     RULE_EDGES,
@@ -243,6 +244,19 @@ def test_flyback_diode_never_conducts_reverse():
 def test_initial_sample_reports_initial_conditions(oracle_buck):
     assert oracle_buck["iL(SCN1)"].values[0] == 0.0
     assert oracle_buck["v(1)"].values[0] == pytest.approx(10.0)
+
+
+def test_capacitor_written_ground_first_samples_the_same_bits():
+    """``C 1 0 2`` is ``C 1 2 0`` in the oracle, every sample bit for bit:
+    the t = 0 operating point reads v(2) = 0.0, never -0.0."""
+    config = std_config(2e-4)
+    reversed_text = BUCK.replace("C 1 2 0 1e-4", "C 1 0 2 1e-4")
+    forward = simulate_switched(parse_netlist(BUCK), config)
+    reversed_ = simulate_switched(parse_netlist(reversed_text), config)
+    assert list(forward) == list(reversed_)
+    for name, wave in forward.items():
+        assert wave.values.tobytes() == reversed_[name].values.tobytes(), name
+    assert not np.signbit(reversed_["v(2)"].values[0])
 
 
 def test_startup_overshoot_bounded_by_oracle(buck_run, oracle_buck):
