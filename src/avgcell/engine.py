@@ -5,7 +5,7 @@ capacitor, iL0 of every cell, 1) the period before carried out; its
 right-hand side is z = B s (:mod:`avgcell.mna`).  A stepper assembles and
 factors its system once, every cell at d_p = 1 - d, and keeps A0^-1 and
 P = A0^-1 B.  :func:`run` solves the bootstrap, row 0, like a period from
-t = 0; :func:`step` writes its record to row 0 instead.
+t = 0; :func:`step` starts row 1 from its record and leaves row 0 unset.
 
 While every diode cell ``keeps_ccm`` (:mod:`avgcell.cells` owns the
 zero-current rules ``keeps_ccm``, ``snaps_to_zero`` and ``diode_clamps``),
