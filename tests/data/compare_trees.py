@@ -7,7 +7,11 @@ Usage, from the repository root:
 ``OTHER_SRC`` is the ``src`` directory of another checkout, for instance
 of the parent commit.  The script runs itself in a subprocess under each
 tree's ``PYTHONPATH`` and, for every case of ``engine_reference.json``
-(plain and with ``dcm_refine``, as recorded), takes sha256 digests of:
+(plain and with ``dcm_refine``, as recorded) and of ``generated_runs()``
+(``perfbench/circuits.py``: ``heavy_load`` SCN/FBN over 300 periods and
+``light_load`` SCD/FBD over 40, seeds 1-3, one to fifteen stages, plain
+and with ``dcm_refine``, as the benchmark's ``ccm_transient`` and
+``dcm_transient`` jobs build them), takes sha256 digests of:
 
 * ``assemble_system``'s A, B, E and ``diode_rows`` at the case's d and at
   d = 1, each with every d_p at 1 - d, at 0.3 and at 0, and the outcome of
@@ -219,12 +223,38 @@ def _digest(value):
     return hashlib.sha256(data).hexdigest()
 
 
+# (generator, kind mix, periods) of the generated engine cases, built as
+# perfbench/jobs.py builds the circuits of ccm_transient and dcm_transient.
+GENERATED_RUNS = (
+    (circuits.heavy_load, ("SCN", "FBN"), 300),
+    (circuits.light_load, ("SCD", "FBD"), 40),
+)
+
+
+def generated_runs():
+    """{case name: (netlist text, dcm_refine)} of the generated engine
+    cases: seeds 1-3, one to fifteen stages, plain and with ``dcm_refine``."""
+    return {
+        f"run:{make.__name__}:{'/'.join(mix)}:seed={seed}:stages={k}{':refine' * refine}": (
+            make(seed * 100 + k, circuits.kinds_for(k, mix, seed), periods), refine
+        )
+        for make, mix, periods in GENERATED_RUNS
+        for seed in (1, 2, 3)
+        for k in range(1, 16)
+        for refine in (False, True)
+    }
+
+
 def _runs():
-    """(name, case, circuit, run() result) of every reference case, run by
-    the tree on ``sys.path``."""
+    """(name, case, circuit, run() result) of every reference case and
+    every case of ``generated_runs()``, run by the tree on ``sys.path``."""
     from avgcell import SimConfig, parse_netlist, run
 
     cases = json.loads((DATA / "engine_reference.json").read_text())["cases"]
+    for name, (text, refine) in generated_runs().items():
+        params = parse_netlist(text).params
+        cases[name] = {"netlist": text, "d": params["D"], "f_s": params["fs"],
+                       "t_end": params["tend"], "dcm_refine": refine}
     for name, case in cases.items():
         circuit = parse_netlist(case["netlist"])
         config = SimConfig(case["d"], case["f_s"], case["t_end"], case["dcm_refine"])
