@@ -15,26 +15,24 @@ matrix G and the companion update as the stepper forms it:
     (v, iL2) = G s,   i_0' = 2 g v - i_0,
 
 with g = 2C / T_s, k1 = d T_s / L and k2 = (1 - d) T_s / L in G.
-
-Then x = P s, (vL1, vL2) = E x and iL1 = iL0 + k1 vL1 are read out for
-the block row by row, so a row's bits do not depend on the block's
-length.  The periods before the first that breaks a rule are kept, and
-that period is stepped.
-Blocks start at ``FIRST_BLOCK`` periods and double after each kept whole.
+Then x = P s, (vL1, vL2) = E x and iL1 = iL0 + k1 vL1 are read out row by
+row, so a row's bits do not depend on the block's length.  The periods
+before the first that breaks a rule are kept and that period is stepped;
+blocks start at ``FIRST_BLOCK`` periods and double after each kept whole.
 
 The stepper solves a period in one pass on Python floats over tables built
 once per run: it predicts each diode cell's mode by the ``cells`` rules,
 solves A0^-1 z, row-updated (:class:`avgcell.mna.RowUpdate`) for the cells
 at another d_p (in DCM or a ``dcm_refine`` re-solve), and advances every
 inductor current.  Each period starts from the y, end currents and s that
-the bootstrap, a stepped period or a block hands over as lists.  Residuals
-are checked in batches, each against its period's own matrix: a block's
-periods when it ends, stepped periods before the next block, at the end,
-at least every ``STRETCH`` periods and before a failed row-update pivot is
-reported, so the earliest failure is.  A period is solved from exactly the
-state its record carries, so :func:`step` reproduces :func:`run`.  Results
-are columns (:class:`SimulationResult`), one row per period, and
-:class:`PeriodRecord` objects are built from them on first access.
+the bootstrap, a stepped period or a block hands over as lists.  Every
+row's residual is checked once, against its own matrix: when the rows are
+solved, ``CHECK_ROWS`` rows a call in row order, or before a failed
+row-update pivot is reported, so the earliest failure is the one reported.
+A period is solved from exactly the state its record carries, so
+:func:`step` reproduces :func:`run`.  Results are columns
+(:class:`SimulationResult`), one row per period, and :class:`PeriodRecord`
+objects are built from them on first access.
 """
 
 import math
@@ -57,8 +55,10 @@ from .netlist import validate
 # Length of a run's first CCM block, and of the first block after one that
 # failed; accepted blocks double it.
 FIRST_BLOCK = 8
-# The most stepped periods whose residuals wait for one check.
+# The most stepped periods held as lists before they are written to the rows.
 STRETCH = 64
+# The most rows one residual check holds.
+CHECK_ROWS = 1024
 
 _MODES = _CCM, _DCM = (_cells.Mode.CCM, _cells.Mode.DCM)
 
@@ -183,51 +183,31 @@ class _Rows:
         caps = list(layout.state_col)[:n_caps]
         v = self.y[first:last, :n_caps].tolist()
         i0_next = self.s[first + 1:last + 1, :n_caps].tolist()
-        states = [
-            self.cell_states(i, config.d, first, last)
-            for i in range(len(layout.cell_rows))
-        ]
+        states = [self.cell_states(i, config.d, first, last) for i in range(len(layout.cell_rows))]
         vdc_row = layout.vdc_row.items()
-        records = []
-        for k, (xr, t) in enumerate(zip(x, np.asarray(t_start).tolist())):
-            records.append(
-                PeriodRecord(
-                    index + k,
-                    t,
-                    dict(zip(layout.node_ids, xr)),
-                    {label: xr[row] for label, row in vdc_row},
-                    {label: s[k] for label, s in zip(layout.cell_rows, states)},
-                    {
-                        label: CapacitorRecord(vk, ik)
-                        for label, vk, ik in zip(caps, v[k], i0_next[k])
-                    },
-                )
+        return [
+            PeriodRecord(
+                index + k,
+                t,
+                dict(zip(layout.node_ids, xr)),
+                {label: xr[row] for label, row in vdc_row},
+                {label: s[k] for label, s in zip(layout.cell_rows, states)},
+                {label: CapacitorRecord(vk, ik) for label, vk, ik in zip(caps, v[k], i0_next[k])},
             )
-        return records
+            for k, (xr, t) in enumerate(zip(x, np.asarray(t_start).tolist()))
+        ]
 
     def cell_states(self, i, d, first, last):
         """CellStates of cell ``i`` in rows [first, last), for duty ``d``."""
-        col = self.n_caps + i
+        col, at = self.n_caps + i, slice(first, last)
         rs, rd = list(self.layout.cell_rows.values())[i]
-        d_p = self.d_p[first:last, i]
-        vL1 = self.y[first:last, col]
-        vL2 = self.y[first:last, self.vL2.start + i]
+        d_p, vL1, vL2 = self.d_p[at, i], self.y[at, col], self.y[at, self.vL2.start + i]
         vL_avg = _cells.avg_inductor_voltage(vL1, vL2, d, d_p)
-        return list(
-            map(
-                _cells.CellState,
-                self.s[first:last, col].tolist(),
-                self.iL1[first:last, i].tolist(),
-                self.iL2[first:last, i].tolist(),
-                [_MODES[dcm] for dcm in self.dcm[first:last, i].tolist()],
-                d_p.tolist(),
-                vL1.tolist(),
-                vL2.tolist(),
-                self.x[first:last, rs].tolist(),
-                self.x[first:last, rd].tolist(),
-                vL_avg.tolist(),
-            )
-        )
+        modes = [_MODES[dcm] for dcm in self.dcm[at, i].tolist()]
+        iL0, iL1, iL2, d_p, vL1, vL2, iS, iD, vL_avg = (a.tolist() for a in (
+            self.s[at, col], self.iL1[at, i], self.iL2[at, i], d_p, vL1, vL2,
+            self.x[at, rs], self.x[at, rd], vL_avg))
+        return list(map(_cells.CellState, iL0, iL1, iL2, modes, d_p, vL1, vL2, iS, iD, vL_avg))
 
 
 class SimulationResult:
@@ -334,18 +314,16 @@ class _Stepper:
         diagnostics = validate(circuit)
         if diagnostics:
             raise InvalidCircuit(diagnostics)
-        self.circuit = circuit
-        self.config = config
-        self.first_period = first_period
+        self.circuit, self.config, self.first_period = circuit, config, first_period
         d, T_s = config.d, config.T_s
         self.d_p0 = d_p0 = 1.0 - d
-        cells = circuit.cells()
+        self.cells, self.caps = cells, caps = circuit.cells(), circuit.capacitors()
         # Every period of the run is solved from this system, cells at 1 - d.
         self.system = system = assemble_system(circuit, d, T_s, {e.label: d_p0 for e in cells})
         self.is_diode = [e.is_diode for e in cells]
         self.diode = [i for i, diode in enumerate(self.is_diode) if diode]
         # 2 g = 4C / T_s of every capacitor: i_0' = 2 g v - i_0.
-        self.two_g = [4.0 * e.value / T_s for e in circuit.capacitors()]
+        self.two_g = [4.0 * e.value / T_s for e in caps]
         # Every cell's T_s / L and k1 = d T_s / L: iL1 = iL0 + k1 vL1 and
         # iL2 = iL1 + (d_p T_s / L) vL2.
         self.k = [T_s / e.value for e in cells]
@@ -353,34 +331,33 @@ class _Stepper:
         self.inverse = lu_factor(system.A)
         self.stats = RunStats(factorizations=1)
         # Synchronous cells keep d_p = 1 - d, so only diode rows can move.
-        self.update = RowUpdate(
-            system.A, self.inverse, [system.diode_rows[i] for i in self.diode], d_p0
-        )
+        diode_rows = [system.diode_rows[i] for i in self.diode]
+        self.update = RowUpdate(system.A, self.inverse, diode_rows, d_p0)
         self.P = lu_solve(self.inverse, system.B)
         self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
         # Every diode cell and where its vL1 and vL2 are in a row of y.
         vL1, vL2 = rows.cell.start, rows.vL2.start
         self._diode_cells = [(i, vL1 + i, vL2 + i) for i in self.diode]
-        self._unchecked = 0  # the first solved row not yet checked
+        self._checked_from = 1  # row 0 is checked once solve_bootstrap solves it
         # (y of row r - 1, its end currents, s of row r) as lists, for the
         # next row r to solve.
         self._carry = None
-        # (iL1, iL2, d_p, dcm, s) of the stepped rows before the next check,
-        # written to the rows by the check.
+        # (iL1, iL2, d_p, dcm, s) of the stepped rows not yet written to the
+        # rows (_flush).
         self._stepped = []
 
     def solve_bootstrap(self):
-        """Solve and check row 0, the bootstrap: a CCM solve at t = 0 whose
-        drive voltages predict period 0's modes; its t = 0 sources and
-        currents carry unchanged into period 0."""
-        rows, cells, caps = self.rows, self.circuit.cells(), self.circuit.capacitors()
+        """Solve row 0, the bootstrap, checked with the rows after it: a CCM
+        solve at t = 0 whose drive voltages predict period 0's modes; its
+        t = 0 sources and currents carry unchanged into period 0."""
+        rows, cells, caps = self.rows, self.cells, self.caps
         iL0s = [e.initial for e in cells]
         # Zero capacitor current assumed at t = 0: i_0 = g v0, g = 2C / T_s.
         i0 = [g2 / 2.0 * e.initial for e, g2 in zip(caps, self.two_g)]
         state = i0 + iL0s + [1.0]
         y = self._solve(0, state, iL0s, [self.d_p0] * len(cells))
         rows.s[:2] = state
-        self._check(1)
+        self._checked_from = 0
         rows.iL1[0] = rows.iL2[0] = iL0s
         self._carry = (y, iL0s, state)
 
@@ -390,13 +367,12 @@ class _Stepper:
         return SimulationResult(self.circuit, self.config, self.rows, self.stats)
 
     def solve_rows(self, r, stop):
-        """Solve rows [r, stop), CCM stretches in blocks, and check them."""
+        """Solve rows [r, stop), CCM stretches in blocks, then check them."""
         length = FIRST_BLOCK
-        self._unchecked = r
         while r < stop:
             # Every diode cell carries a current into row r that keeps CCM.
             if all(_cells.keeps_ccm(self._carry[1][i]) for i in self.diode):
-                self._check(r)
+                self._flush(r)
                 end = min(r + length, stop)
                 r = self._block(r, end)
                 if r == end:
@@ -405,32 +381,32 @@ class _Stepper:
                 length = FIRST_BLOCK
             self._step(r)
             r += 1
-            if r - self._unchecked >= STRETCH:
-                self._check(r)
+            if len(self._stepped) == STRETCH:
+                self._flush(r)
+        self._flush(stop)
         self._check(stop)
 
-    def _check(self, stop):
-        """Check the residuals of the unchecked rows before ``stop``."""
-        a, self._unchecked = self._unchecked, stop
+    def _flush(self, stop):
+        """Write the stepped rows before ``stop``, and the s of row ``stop``."""
         rows, stepped = self.rows, self._stepped
-        if stepped:  # rows [stop - len(stepped), stop), and s of row stop
+        if stepped:
             first = stop - len(stepped)
             rows.iL1[first:stop], rows.iL2[first:stop], d_p, dcm, s = zip(*stepped)
             rows.s[first:stop + 1] = s + (self._carry[2],)
             rows.d_p[first:stop], rows.dcm[first:stop] = d_p, dcm
             stepped.clear()
-        if a < stop:
+
+    def _check(self, stop):
+        """Check the residuals of the solved rows before ``stop``, each
+        against its own matrix, ``CHECK_ROWS`` rows a call and in order."""
+        rows, A, B = self.rows, self.system.A, self.system.B
+        for a in range(self._checked_from, stop, CHECK_ROWS):
+            b = min(a + CHECK_ROWS, stop)
             a_norm, moves = self.update.a_norm, None
-            if rows.dcm[a:stop].any():  # only a row in DCM has a diode row moved
-                a_norm, moves = self.update.moves(rows.d_p[a:stop][:, self.diode])
-            ratio = check_residual(
-                self.system.A,
-                rows.x[a:stop],
-                rows.s[a:stop] @ self.system.B.T,
-                a_norm,
-                self.first_period + a - 1 if a else None,  # row 0: bootstrap
-                moves,
-            )
+            if rows.dcm[a:b].any():  # only a row in DCM has a diode row moved
+                a_norm, moves = self.update.moves(rows.d_p[a:b][:, self.diode])
+            period = self.first_period + a - 1  # row 0, the bootstrap's, has none
+            ratio = check_residual(A, rows.x[a:b], rows.s[a:b] @ B.T, a_norm, period, moves)
             self.stats.worst_residual_ratio = max(self.stats.worst_residual_ratio, ratio)
 
     def _block(self, a, b):
@@ -440,16 +416,16 @@ class _Stepper:
         self._kernel(a, b)
 
         iL2 = rows.s[a + 1:b + 1, rows.cell]
-        failed = _cells.snaps_to_zero(rows.iL1[a:b], iL2).any(axis=1)
+        failed = _cells.snaps_to_zero(rows.iL1[a:b], iL2)
         if self.diode:
             diode = iL2[:, self.diode]
-            failed |= _cells.diode_clamps(diode).any(axis=1)
+            failed[:, self.diode] |= _cells.diode_clamps(diode)
             # A current at zero leaves the next period to the predictor.
-            failed[1:] |= ~_cells.keeps_ccm(diode[:-1]).all(axis=1)
-        accepted = int(np.argmax(failed)) if failed.any() else b - a
+            failed[1:, self.diode] |= ~_cells.keeps_ccm(diode[:-1])
+        first = int(failed.argmax())  # in row order, so in the first failed row
+        accepted = first // failed.shape[1] if failed.flat[first] else b - a
         if accepted:
             last = a + accepted
-            self._check(last)
             rows.iL2[a:last] = iL2[:accepted]
             state = rows.s[last].tolist()
             self._carry = (rows.y[last - 1].tolist(), state[rows.cell], state)
@@ -458,30 +434,30 @@ class _Stepper:
         return a + accepted
 
     @cached_property
-    def _G(self):
-        """A CCM block's map of a row's (iL0, i0, 1) to its (v, iL2): the
-        capacitor rows of E P, then k1 (E P)_vL1 + k2 (E P)_vL2 + I on iL0."""
+    def _ccm(self):
+        """A CCM block's tables: G, its map of a row's (iL0, i0, 1) to its
+        (v, iL2), the capacitor rows of E P, then k1 (E P)_vL1 + k2 (E P)_vL2
+        + I on iL0; the columns of s in that order; 2 g and k1."""
         rows, d, k = self.rows, self.config.d, np.array(self.k)[:, None]
         EP, cell = self.system.E @ self.P, rows.cell
         EP[cell] = d * k * EP[cell] + self.d_p0 * k * EP[rows.vL2]
         EP[cell, cell] += np.eye(len(k))
-        order = [*range(cell.start, cell.stop), *range(rows.n_caps), -1]
-        return EP[:rows.vL2.start].take(order, axis=1)
+        order = np.array([*range(cell.start, cell.stop), *range(rows.n_caps), cell.stop])
+        G = EP[:rows.vL2.start].take(order, axis=1)
+        return G, order, np.array(self.two_g), np.array(self.k1)
 
     def _kernel(self, a, b):
         """Rows [a, b) as CCM periods at d_p = 1 - d, each from the state
         the one before carried out, by the formulas of the module docstring."""
-        rows, G, two_g = self.rows, self._G, np.array(self.two_g)
+        rows, (G, order, two_g, k1) = self.rows, self._ccm
         s, cell, n_caps, n = rows.s, rows.cell, rows.n_caps, len(G)
         # Row j is (v, iL, i0, 1): row a + j's state from column n_caps on,
         # after the v of row a + j - 1.
         w = np.ones((b - a + 1, n + n_caps + 1))
-        w[0, n_caps:n], w[0, n:-1] = s[a, cell], s[a, :n_caps]
+        s[a].take(order, out=w[0, n_caps:])
         i0 = w[0, n:-1]
         dot, multiply, subtract = np.dot, np.multiply, np.subtract
-        for state, out, v, i0_next in zip(
-            w[:-1, n_caps:], w[1:, :n], w[1:, :n_caps], w[1:, n:-1]
-        ):
+        for state, out, v, i0_next in zip(w[:-1, n_caps:], w[1:, :n], w[1:, :n_caps], w[1:, n:-1]):
             dot(G, state, out=out)
             multiply(two_g, v, out=i0_next)
             i0 = subtract(i0_next, i0, out=i0_next)
@@ -491,7 +467,7 @@ class _Stepper:
         # Row by row, so that a row's bits do not depend on the block.
         x = np.matmul(self.P, s[a:b, :, None], out=rows.x[a:b, :, None])
         np.matmul(self.system.E[n_caps:], x, out=y[:, n_caps:, None])
-        np.add(s[a:b, cell], np.array(self.k1) * y[:, cell], out=rows.iL1[a:b])
+        np.add(s[a:b, cell], k1 * y[:, cell], out=rows.iL1[a:b])
 
     def _step(self, r):
         """Solve row r with the mode predictor, the row update and, in
@@ -509,9 +485,7 @@ class _Stepper:
 
         snaps_to_zero, diode_clamps = _cells.snaps_to_zero, _cells.diode_clamps
         iL1s = [iL0 + k1 * vL1 for iL0, k1, vL1 in zip(iL0s, self.k1, y[rows.cell])]
-        iL2s = [
-            iL1 + (d_p * k) * vL2 for iL1, d_p, k, vL2 in zip(iL1s, d_ps, self.k, y[rows.vL2])
-        ]
+        iL2s = [iL1 + (d_p * k) * vL2 for iL1, d_p, k, vL2 in zip(iL1s, d_ps, self.k, y[rows.vL2])]
         # The rest interval pins the end current at zero exactly, and so does
         # a diode that blocks.
         iL2s = [
@@ -550,6 +524,7 @@ class _Stepper:
         except SingularSystem as exc:
             # Not the bootstrap, whose rows never move; an earlier period's
             # failure comes first.
+            self._flush(r)
             self._check(r)
             raise SingularSystem(str(exc), period=self.first_period + r - 1) from exc
         rows.x[r] = x

@@ -7,40 +7,38 @@ iD_avg (netlist order).  A capacitor is its trapezoidal companion model, a
 conductance G_C = 2C/T_s beside a history source i_0[n+1] = (4C / T_s)
 v[n] - i_0[n].  A cell adds its KCL current paths and two rows tying its
 averaged currents to its port voltages, with G_L = T_s / L.  Each kind's
-stamp is a table of entries (:func:`stamp`), and a system is assembled in
-one scatter of every element's entries.
+stamp is a table of entries (:func:`stamp`), all assembled in one scatter.
 
-Assembly builds A, B and E; a solver forms each right-hand side as
-z = B @ s, s = (i_0 of every capacitor, iL0 of every cell, 1).  B has a
-column per capacitor (its history source's incidence), a column per cell
-(d at its iS_avg row, d_p / n at its iD_avg row, for the d_p it was
-stamped at) and a last one with the source values, written nowhere else.
-A cell at another d_p carries iL0 = 0, as in DCM, so its column does not
-enter z.  The output matrix E reads every capacitor's voltage, then every
-cell's vL1, then every vL2 off x, from the coefficients of the cell rows;
+A solver forms each right-hand side as z = B @ s, s = (i_0 of every
+capacitor, iL0 of every cell, 1).  B has a column per capacitor (its
+history source's incidence), a column per cell (d at its iS_avg row, d_p /
+n at its iD_avg row, for the d_p it was stamped at) and a last one with the
+source values, written nowhere else.  A cell at another d_p carries iL0 =
+0, as in DCM, so its column does not enter z.  The output matrix E reads
+every capacitor's voltage, then every cell's vL1, then every vL2 off x;
 its capacitor and cell rows line up with B's columns.
 
 A cell's d_p enters A only in its iD_avg row ``rd``, e_rd + d_p ra + d_p^2
 rb (:class:`DiodeRow`, :func:`diode_entries`).  A run factors A once, at
 d_p = 1 - d: :func:`lu_factor` eliminates with partial pivoting, tests each
-pivot against its row's largest entry and returns A0^-1, so a period is one
-product A0^-1 z.  :class:`RowUpdate` solves a period with k cells at another
-d_p as a rank-k row update of A0^-1 (Sherman-Morrison-Woodbury; Hager, SIAM
-Review 31(2), 1989): one division per diode row alone and one small system
-for all the coupled ones, and it never rewrites A.  :func:`check_residual`
-checks a block of solutions at once against A0, with each solution's diode
-rows as sparse rows.
+pivot against its row's largest entry and returns A0^-1.  :class:`RowUpdate`
+solves a period with k cells at another d_p as a rank-k row update of A0^-1
+(Sherman-Morrison-Woodbury; Hager, SIAM Review 31(2), 1989): one division
+per diode row that A's pattern leaves alone and one small system for the
+coupled ones; it never rewrites A.  :func:`check_residual` checks a block
+of solutions at once, each against its own matrix.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import SingularSystem
-from .netlist import CAP, CELL_KINDS, IDC, RES, VDC
+from .netlist import CAP, CELL_KINDS, FLYBACK_KINDS, IDC, RES, VDC
 
 PIVOT_RTOL = 1e-13
 RESIDUAL_RTOL = 1e-10
@@ -80,8 +78,7 @@ class MnaSystem:
         self.diode_rows = []
 
 
-@dataclass(frozen=True)
-class DiodeRow:
+class DiodeRow(NamedTuple):
     """A cell's iD_avg constraint row, e_rd + d_p ra + d_p^2 rb.
 
     ``cols`` are the rows of the cell's non-ground terminals and ``ra``,
@@ -99,18 +96,13 @@ def build_layout(circuit):
     """Create a zeroed system with the deterministic row assignment."""
     node_ids = tuple(sorted(circuit.node_ids - {0}))
     node_row = {n: i for i, n in enumerate(node_ids)}
-    row = len(node_ids)
-    vdc_row = {}
-    for e in circuit.vdcs():
-        vdc_row[e.label] = row
-        row += 1
-    cell_rows = {}
-    for e in circuit.cells():
-        cell_rows[e.label] = (row, row + 1)
-        row += 2
+    vdcs, cells = circuit.vdcs(), circuit.cells()
+    vdc_row = {e.label: len(node_ids) + i for i, e in enumerate(vdcs)}
+    row = len(node_ids) + len(vdcs)  # each cell's iS_avg and iD_avg rows from here
+    cell_rows = {e.label: (row + 2 * i, row + 2 * i + 1) for i, e in enumerate(cells)}
     labels = [e.label for e in circuit.capacitors()] + list(cell_rows)
     state_col = {label: col for col, label in enumerate(labels)}
-    layout = MnaLayout(row, node_ids, node_row, vdc_row, cell_rows, state_col)
+    layout = MnaLayout(row + 2 * len(cells), node_ids, node_row, vdc_row, cell_rows, state_col)
     return MnaSystem(layout)
 
 
@@ -169,6 +161,7 @@ def stamp(system, elements, d, T_s, d_p):
     layout = system.layout
     n, n_state, n_cells = layout.order, len(layout.state_col), len(layout.cell_rows)
     get, state_col, cell_rows = layout.node_row.get, layout.state_col, layout.cell_rows
+    vdc_row = layout.vdc_row.get
     spare = n  # ground's row and column
     height, width = max(n + 1, n_state + n_cells), max(n + 1, n_state + 1)
     flat, values, cells = [], [], []
@@ -177,17 +170,18 @@ def stamp(system, elements, d, T_s, d_p):
         kind, label = e.kind, e.label
         if kind not in CELL_KINDS:
             k = 1.0 / e.value if kind == RES else 2.0 * e.value / T_s if kind == CAP else e.value
-            roles = (*map(get, e.nodes, (spare, spare)), spare, spare,
-                     layout.vdc_row.get(label, spare), spare, state_col.get(label, n_state), spare)
+            t0, t1 = e.nodes
+            roles = (get(t0, spare), get(t1, spare), spare, spare, vdc_row(label, spare), spare,
+                     state_col.get(label, n_state), spare)
             coefs = (1.0, k, -k, -1.0)
         else:
             (rs, rd), col = cell_rows[label], state_col[label]
-            terminals = [*map(get, e.nodes, (spare,) * 3)]
-            roles = (*terminals, terminals[1 if e.is_flyback else 2], rs, rd, col, col + n_cells)
+            t0, t1, t2 = terminals = [get(t, spare) for t in e.nodes]
+            roles = (t0, t1, t2, t1 if kind in FLYBACK_KINDS else t2, rs, rd, col, col + n_cells)
             g_l, turns = T_s / e.value, e.turns
-            coefs = (-(d * d * g_l / 2.0), -d * g_l / turns, 1.0 / turns,
-                     -g_l / (2.0 * turns) * (1.0 / turns))
-            coefs = (1.0, *coefs, *(-x for x in reversed(coefs)), -1.0)
+            c1, c2, c3 = -(d * d * g_l / 2.0), -d * g_l / turns, 1.0 / turns
+            c4 = -g_l / (2.0 * turns) * (1.0 / turns)
+            coefs = (1.0, c1, c2, c3, c4, -c4, -c3, -c2, -c1, -1.0)
             cols = sorted(set(terminals) - {spare})  # the diode row's
             cells.append((label, rd, cols))
             at += [rd * width + j for j in cols]
@@ -280,6 +274,36 @@ def lu_solve(inverse, b):
     return np.dot(inverse, b)
 
 
+def _inverse_pattern(A):
+    """False at [c, r] where (A^-1)[c, r] is zero for every matrix with A's
+    zeros: A^-1 e_r is off zero only at the columns that an alternating path
+    reaches from the column matched to row r in a perfect matching of A's
+    rows to its columns (Duff, Erisman and Reid, Direct Methods for Sparse
+    Matrices, ch. 6), which grows by breadth-first augmenting paths."""
+    n, pattern = len(A), np.asarray(A) != 0
+    cols = [np.flatnonzero(row).tolist() for row in pattern]
+    row_of, col_of = {}, {}  # the matching, both ways
+    for i in range(n):
+        came_from, queue, free = {}, [i], None
+        for r in queue:
+            new = [c for c in cols[r] if c not in came_from]
+            came_from.update(dict.fromkeys(new, r))
+            free = next((c for c in new if c not in row_of), None)
+            if free is not None:
+                break
+            queue += [row_of[c] for c in new]
+        if free is None:  # structurally singular: no zero is sure
+            return np.ones((n, n), dtype=bool)
+        while free is not None:  # swap the path's edges into the matching
+            r = came_from[free]
+            row_of[free], free, col_of[r] = r, col_of.get(r), free
+    # Column c leads to the column matched to each row with an entry at c.
+    reach = (pattern[[row_of[c] for c in range(n)]].T | np.eye(n, dtype=bool)).astype(float)
+    for _ in range(n.bit_length()):  # paths of up to 2^k steps after k squarings
+        reach = np.minimum(reach @ reach, 1.0)
+    return reach[[col_of[r] for r in range(n)]].T > 0
+
+
 class RowUpdate:
     """Solves A x = z through ``inverse``, the A0^-1 of a matrix ``A``
     whose diode ``rows`` sat at ``d_p0``, after some rows moved.
@@ -291,9 +315,11 @@ class RowUpdate:
         x = x0 - W C^-1 U^T x0,   x0 = A0^-1 z,   C = I + U^T W,
 
     and det A = det A0 det C.  C_ij is zero wherever ra_i . w_j and
-    rb_i . w_j are.  A row with no nonzero C entry off the diagonal, in its
-    row or its column, is alone, one division; a period's coupled moved rows
-    are one small system, block-diagonal over their coupling groups.
+    rb_i . w_j are, and wherever A's pattern makes w_j zero at row i's
+    ``cols`` (:func:`_inverse_pattern`), whatever rounding leaves there.
+    A row with no nonzero C entry off the diagonal, in its row or its
+    column, is alone, one division; a period's coupled moved rows are one
+    small system, block-diagonal over their coupling groups.
     ``updates`` counts the solves with a row moved and ``largest`` is the
     most rows one moved.
     """
@@ -335,8 +361,12 @@ class RowUpdate:
         # pivot is caught.
         self._magnitude = list(zip(*dots[2:].max(axis=2, initial=0.0).tolist()))
         # Whether each row is alone: no C entry off the diagonal, in its row
-        # or its column, is nonzero by the pattern of _raw and _rbw.
+        # or its column, is nonzero by the pattern of _raw and _rbw, unless
+        # A's pattern makes it zero and only rounding in A0^-1 does not.
         linked = ((dots[0] != 0) | (dots[1] != 0)) & ~np.eye(n, dtype=bool)
+        if linked.any():
+            support = _inverse_pattern(A)[:, rd]
+            linked &= np.array([support[list(r.cols)].any(axis=0) for r in rows])
         self._lone = (~(linked.any(axis=0) | linked.any(axis=1))).tolist()
         # What a solve reads of row i: its (ra, rb, col) terms, |ra| and
         # |rb| over the w_j, the diagonal terms of C and whether it is alone.
@@ -455,25 +485,27 @@ def check_residual(A, x, z, a_norm, period=None, moves=None):
     row ``rd[i]`` is the unit entry at ``rd[i]`` and ``V[k, i]`` at
     ``cols[i]``, and ``a_norm`` is the norm of the other rows.  The first
     system over its bound raises :class:`SingularSystem`, with ``period``
-    plus its row as the period when ``period`` is given.  Returns the
+    plus its row as the period when ``period`` is given and that is not
+    negative (a run's bootstrap comes before period 0).  Returns the
     largest residual over its bound.
     """
-    residual = x @ A.T - z
+    residual = x @ A.T
+    residual -= z
     if moves is not None:
         rd, cols, V = moves
         residual[:, rd] = x[:, rd] + (V * x[:, cols]).sum(axis=-1) - z[:, rd]
         a_norm = np.maximum(a_norm, (np.abs(V).sum(axis=-1) + 1.0).max(axis=-1))
-    residual = np.abs(residual).max(axis=-1)
-    bound = RESIDUAL_RTOL * (
-        a_norm * np.abs(x).max(axis=-1) + np.abs(z).max(axis=-1)
-    )
+    # Every system's largest |entry| of the residual, x and z, taken down
+    # the columns of a transposed copy: one long reduction, not many short.
+    residual, x_max, z_max = (np.abs(a.T, order="C").max(axis=0) for a in (residual, x, z))
+    bound = RESIDUAL_RTOL * (a_norm * x_max + z_max)
     # Written so that a non-finite solution fails.
     passed = (residual <= bound) & (bound < math.inf)
     if not passed.all():
         row = int(np.argmin(passed))
         raise SingularSystem(
             f"residual {residual[row]:.3e} exceeds stability bound {bound[row]:.3e}",
-            period=None if period is None else period + row,
+            period=None if period is None or period + row < 0 else period + row,
         )
     # A system whose bound is 0 passed with residual 0.
     return float((residual / np.maximum(bound, np.finfo(float).tiny)).max())

@@ -150,7 +150,7 @@ class CircuitDescription:
         return {n for e in self.elements for n in e.nodes}
 
     def cells(self):
-        return [e for e in self.elements if e.is_cell]
+        return [e for e in self.elements if e.kind in CELL_KINDS]
 
     def capacitors(self):
         return [e for e in self.elements if e.kind == CAP]
@@ -329,11 +329,14 @@ def validate(circuit):
         if e.label in labels:
             diags.append(Diagnostic("duplicate-label", f"{e.label}: duplicate element label"))
         labels.add(e.label)
-        # A NaN or an infinity is its element's one diagnostic.
-        bad = [n for n in ("value", "turns", "initial") if not math.isfinite(getattr(e, n))]
-        if bad:
-            diags.append(Diagnostic("non-finite-value", f"{e.label}: non-finite {', '.join(bad)}"))
-            continue
+        # A NaN or an infinity is its element's one diagnostic; a finite sum
+        # has none.
+        if not math.isfinite(e.value + e.turns + e.initial):
+            bad = [n for n in ("value", "turns", "initial") if not math.isfinite(getattr(e, n))]
+            if bad:
+                message = f"{e.label}: non-finite {', '.join(bad)}"
+                diags.append(Diagnostic("non-finite-value", message))
+                continue
         for name, code, wording in _KINDS[e.kind][2]:
             if not getattr(e, name) > 0:
                 diags.append(Diagnostic(code, f"{e.label}: non-positive {wording}"))

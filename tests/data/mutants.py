@@ -144,6 +144,28 @@ MUTANTS = [
         "a row alone takes one division, not the coupled elimination",
     ),
     (
+        "lone-by-rounding",
+        "mna.py",
+        "linked &= np.array([support[list(r.cols)].any(axis=0) for r in rows])",
+        "pass",
+        "a link that A's pattern rules out is rounding in A0^-1 and couples no rows",
+    ),
+    (
+        "inverse-pattern-one-step",
+        "mna.py",
+        "for _ in range(n.bit_length()):",
+        "for _ in range(0):",
+        "A^-1 can be nonzero wherever an alternating path of any length reaches",
+    ),
+    (
+        "inverse-pattern-greedy",
+        "mna.py",
+        "queue += [row_of[c] for c in new]",
+        "pass",
+        "a perfect matching may need augmenting paths, and without one there is no"
+        " sure zero",
+    ),
+    (
         "CURRENT_RTOL",
         "cells.py",
         "CURRENT_RTOL = 1e-12",
@@ -162,7 +184,30 @@ MUTANTS = [
         "engine.py",
         "FIRST_BLOCK = 8",
         "FIRST_BLOCK = 4",
-        "500 CCM periods of buck.net run as 6 blocks",
+        "500 CCM periods of buck.net run as 6 blocks, and 300 as 6 blocks and then"
+        " one residual check",
+    ),
+    (
+        "end-of-run-check",
+        "engine.py",
+        "        self._flush(stop)\n        self._check(stop)\n",
+        "        self._flush(stop)\n",
+        "every row's residual is checked at the end of the run: a bad solution inside"
+        " a CCM block raises SingularSystem with its period",
+    ),
+    (
+        "check-one-call",
+        "engine.py",
+        "b = min(a + CHECK_ROWS, stop)",
+        "b = stop",
+        "no residual check holds more than CHECK_ROWS rows",
+    ),
+    (
+        "bootstrap-period",
+        "mna.py",
+        "period + row < 0 else",
+        "period + row < -1 else",
+        "the bootstrap, checked with the periods after it, reports no period",
     ),
     (
         "DUTY_TOL",
@@ -246,7 +291,7 @@ MUTANTS = [
     (
         "missing-ground",
         "netlist.py",
-        "if 0 not in circuit.node_ids:",
+        "if 0 not in node_ids:",
         "if False:",
         "a circuit with no element on node 0 is the one missing-ground diagnostic",
     ),
@@ -448,10 +493,20 @@ EQUIVALENT = [
         "engine.py",
         "STRETCH = 64",
         "STRETCH = 65",
-        "STRETCH only regroups the residual checks of stepped periods: each"
-        " period is checked against its own matrix and the earliest failure is"
-        " reported, so every result column and RunStats field is the same"
-        " (compare_trees.py: 0 mismatches at 65)",
+        "STRETCH only bounds how many stepped periods wait as lists before they"
+        " are written to the rows; the residuals are checked at the end of the"
+        " run all the same, so every result column and RunStats field is the"
+        " same (compare_trees.py: 0 mismatches at 65)",
+    ),
+    (
+        "CHECK_ROWS",
+        "engine.py",
+        "CHECK_ROWS = 1024",
+        "CHECK_ROWS = 1023",
+        "CHECK_ROWS only groups the end-of-run residual checks: each row is"
+        " checked against its own matrix and the earliest failure is reported,"
+        " so every result column and RunStats field is the same"
+        " (compare_trees.py: 0 mismatches at 1023)",
     ),
     (
         "oracle-doubling-matmul",

@@ -404,12 +404,35 @@ def test_run_stats_count_blocks_and_stepped_periods():
     assert stats.largest_row_update == 1
 
 
+def test_a_ccm_run_checks_every_residual_in_one_call(monkeypatch, buck_circuit):
+    """A 300-period CCM run checks the residuals of its bootstrap and of
+    all its periods in one call, after its six blocks."""
+    import avgcell.engine as engine_module
+
+    events = []
+    real_block, real_check = engine_module._Stepper._block, engine_module.check_residual
+
+    def block(self, a, b):
+        events.append("block")
+        return real_block(self, a, b)
+
+    def check(A, x, *args):
+        events.append(len(x))
+        return real_check(A, x, *args)
+
+    monkeypatch.setattr(engine_module._Stepper, "_block", block)
+    monkeypatch.setattr(engine_module, "check_residual", check)
+    result = run(buck_circuit, std_config(3e-3))
+    assert result.stats.blocks == 6 and result.stats.block_periods == 300
+    assert events == ["block"] * 6 + [301]
+
+
 def test_run_stats_report_the_worst_residual_and_largest_row_update(monkeypatch):
     """The worst residual over its bound is the largest any check returned,
-    blocks and the bootstrap included, and the largest row update is the
-    most diode rows one period moved: one on the light-load buck, both on
-    a buck feeding a flyback.  No check waits for more than STRETCH
-    periods."""
+    and the largest row update is the most diode rows one period moved: one
+    on the light-load buck, both on a buck feeding a flyback.  The rows are
+    checked at the end of the run, CHECK_ROWS at a time, the bootstrap's
+    with the first."""
     import avgcell.engine as engine_module
 
     ratios, sizes = [], []
@@ -424,11 +447,12 @@ def test_run_stats_report_the_worst_residual_and_largest_row_update(monkeypatch)
     netlists = Path(__file__).resolve().parents[1] / "netlists"
     dcm = run(parse_netlist((netlists / "buck_dcm.net").read_text()), std_config(12e-3))
     stats = dcm.stats
-    assert stats.blocks > 0 and len(ratios) > stats.blocks + 1
+    # the bootstrap and 1200 periods
+    assert sizes == [engine_module.CHECK_ROWS, 1201 - engine_module.CHECK_ROWS]
+    assert stats.blocks > 0 and stats.stepped_periods > 0
     assert stats.worst_residual_ratio == max(ratios)
     assert 0.0 < stats.worst_residual_ratio <= 1.0
     assert stats.largest_row_update == 1
-    assert max(sizes) == engine_module.STRETCH
 
     cascade = run(parse_netlist(BUCK_INTO_FLYBACK), SimConfig(0.4, 100e3, 1e-3))
     assert cascade.stats.largest_row_update == 2
@@ -526,6 +550,29 @@ def test_failed_solution_inside_a_block_reports_its_period(monkeypatch, how):
     assert "residual" in str(excinfo.value)
     (first, stop), = hits
     assert first < 37 + 1 < stop - 1
+
+
+@pytest.mark.parametrize("how", ["non-finite", "over-bound"])
+def test_failed_solution_past_the_first_check_reports_the_earliest(monkeypatch, how):
+    """The residuals are checked at the end of the run, CHECK_ROWS rows at a
+    time and in order: a bad solution inside a CCM block past the first
+    check's rows raises SingularSystem with its own period, and of two bad
+    solutions the earlier one is reported."""
+    import avgcell.engine as engine_module
+
+    circuit, config = parse_netlist(BUCK), std_config(2e-2)  # 2000 periods
+    late = engine_module.CHECK_ROWS + 100
+    hits = _poison_period(monkeypatch, late, how)
+    with pytest.raises(SingularSystem) as excinfo:
+        run(circuit, config)
+    assert excinfo.value.period == late
+    assert "residual" in str(excinfo.value)
+    (first, stop), = hits
+    assert first < late + 1 < stop - 1
+    _poison_period(monkeypatch, 37, how)
+    with pytest.raises(SingularSystem) as excinfo:
+        run(circuit, config)
+    assert excinfo.value.period == 37
 
 
 def _poison_stepped(monkeypatch, period, how):
@@ -630,24 +677,24 @@ def test_row_updated_system_equals_assembled_system(monkeypatch):
     real = engine_module.check_residual
 
     def capture(A, x, z, a_norm, period=None, moves=None):
-        if period is not None:  # the bootstrap has no period
-            for k, z_k in enumerate(np.atleast_2d(z)):
-                assert period + k not in checked
-                A_k, a_norm_k = A.copy(), a_norm
-                if moves is not None:
-                    rd, cols, V = moves
-                    A_k[rd] = 0.0
-                    A_k[np.array(rd)[:, None], cols] = V[k]
-                    A_k[rd, rd] = 1.0
-                    a_norm_k = max(a_norm, *(1.0 + np.abs(V[k]).sum(axis=-1)))
-                checked[period + k] = (A_k, z_k.copy(), a_norm_k)
+        # Row 0 of the first check is the bootstrap's, period -1.
+        for k, z_k in enumerate(np.atleast_2d(z)):
+            assert period + k not in checked
+            A_k, a_norm_k = A.copy(), a_norm
+            if moves is not None:
+                rd, cols, V = moves
+                A_k[rd] = 0.0
+                A_k[np.array(rd)[:, None], cols] = V[k]
+                A_k[rd, rd] = 1.0
+                a_norm_k = max(a_norm, *(1.0 + np.abs(V[k]).sum(axis=-1)))
+            checked[period + k] = (A_k, z_k.copy(), a_norm_k)
         return real(A, x, z, a_norm, period, moves)
 
     monkeypatch.setattr(engine_module, "check_residual", capture)
     circuit = parse_netlist(BUCK_INTO_FLYBACK)
     config = SimConfig(0.4, 100e3, 1e-3)
     result = run(circuit, config)
-    assert sorted(checked) == list(range(len(result.records)))
+    assert sorted(checked) == list(range(-1, len(result.records)))
     assert result.stats.block_periods > 0 and result.stats.stepped_periods > 0
 
     dcm_counts = set()

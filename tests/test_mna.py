@@ -17,6 +17,7 @@ from avgcell.mna import (
     PIVOT_RTOL,
     RowUpdate,
     SingularSystem,
+    _inverse_pattern,
     assemble_system,
     build_layout,
     check_residual,
@@ -591,6 +592,43 @@ def test_row_update_groups_are_the_coupled_rows(text, lone):
     system = assemble_system(circuit, d, TS, ccm_d_p(circuit, d))
     update = RowUpdate(system.A, lu_factor(system.A), system.diode_rows, 1.0 - d)
     assert update._lone == lone
+
+
+def test_rounding_in_the_inverse_couples_no_rows():
+    """Stages in parallel on an ideal source leave A0^-1 zero between them
+    in exact arithmetic: 1e-18 written at such an entry, where one diode
+    row's terms meet another row's column of A0^-1, moves their product off
+    zero, as rounding in the inverse can, but couples no rows."""
+    circuit = parse_netlist(PARALLEL)
+    d = 0.4
+    system = assemble_system(circuit, d, TS, ccm_d_p(circuit, d))
+    inverse = lu_factor(system.A)
+    first, second = system.diode_rows[:2]
+    col = next(c for c, ra in zip(first.cols, first.ra) if ra)
+    assert inverse[col, second.row] == 0.0
+    inverse[col, second.row] = 1e-18
+    update = RowUpdate(system.A, inverse, system.diode_rows, 1.0 - d)
+    assert update._raw[0][1] != 0.0
+    assert update._lone == [True, True, True]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000))
+def test_inverse_pattern_is_where_the_inverse_can_be_nonzero(seed):
+    """Two random matrices with one pattern of zeros, a perfect matching
+    among its entries: the inverse of each is zero, but for rounding, off
+    the pattern _inverse_pattern gives, and off zero on it."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    nonzero = (rng.random((n, n)) < rng.uniform(0.1, 0.5)) | np.eye(n, dtype=bool)[rng.permutation(n)]
+    pattern = _inverse_pattern(np.where(nonzero, 1.0, 0.0))
+    for _ in range(2):
+        a = np.where(nonzero, rng.uniform(0.5, 2.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n)), 0.0)
+        if abs(np.linalg.det(a)) < 1e-6 * np.abs(a).max() ** n:
+            continue
+        inverse = np.abs(np.linalg.inv(a))
+        assert (inverse[~pattern] <= 1e-9 * inverse.max()).all()
+        assert (inverse[pattern] > 0.0).all()
 
 
 @settings(max_examples=150, deadline=None)
