@@ -31,9 +31,9 @@ of solutions at once, each against its own matrix.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 from itertools import accumulate
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
