@@ -3,9 +3,9 @@
 One step is one switching period, from the state s = (i_0 of every
 capacitor, iL0 of every cell, 1) the period before carried out; its
 right-hand side is z = B s (:mod:`avgcell.mna`).  A stepper assembles and
-factors its system once, every cell at d_p = 1 - d, and keeps A0^-1 and
-P = A0^-1 B.  :func:`run` solves the bootstrap, row 0, like a period from
-t = 0; :func:`step` starts row 1 from its record and leaves row 0 unset.
+factors its system once, every cell at d_p = 1 - d, and keeps P = A0^-1 B
+and Q = (P, R P).  :func:`run` solves the bootstrap, row 0, like a period
+from t = 0; :func:`step` starts row 1 from its record and leaves row 0 unset.
 
 While every diode cell ``keeps_ccm`` (:mod:`avgcell.cells` owns the
 zero-current rules ``keeps_ccm``, ``snaps_to_zero`` and ``diode_clamps``),
@@ -20,19 +20,19 @@ row, so a row's bits do not depend on the block's length.  The periods
 before the first that breaks a rule are kept and that period is stepped;
 blocks start at ``FIRST_BLOCK`` periods and double after each kept whole.
 
-The stepper solves a period in one pass on Python floats over tables built
-once per run: it predicts each diode cell's mode by the ``cells`` rules,
-solves A0^-1 z, row-updated (:class:`avgcell.mna.RowUpdate`) for the cells
-at another d_p (in DCM or a ``dcm_refine`` re-solve), and advances every
-inductor current.  Each period starts from the y, end currents and s that
-the bootstrap, a stepped period or a block hands over as lists.  Every
-row's residual is checked once, against its own matrix: when the rows are
-solved, ``CHECK_ROWS`` rows a call in row order, or before a failed
-row-update pivot is reported, so the earliest failure is the one reported.
+A stepped period predicts each diode cell's mode by the ``cells`` rules,
+forms q = Q s (x0 = P s, and every diode row's ra . x0 and rb . x0), writes
+x into its row, row-updated from q for the cells at another d_p
+(:class:`avgcell.mna.RowUpdate`), reads y = E x off it and advances every
+inductor current in one loop; a ``dcm_refine`` re-solve reuses q unless it
+zeroes a further start current.  A period starts from the y, end currents
+and s the bootstrap, a stepped period or a block hands over as lists.
+Every row's residual is checked once, against its own matrix: when the
+rows are solved, ``CHECK_ROWS`` rows a call in row order, or before a
+failed row-update pivot is reported, so the earliest failure is reported.
 A period is solved from exactly the state its record carries, so
-:func:`step` reproduces :func:`run`.  Results are columns
-(:class:`SimulationResult`), one row per period, and :class:`PeriodRecord`
-objects are built from them on first access.
+:func:`step` reproduces :func:`run`.  Results are columns, one row per
+period (:class:`SimulationResult`), made :class:`PeriodRecord` on access.
 """
 
 import math
@@ -81,9 +81,7 @@ class SimConfig:
         if not 0.0 < self.d <= 1.0:
             raise InvalidConfig(f"duty ratio {self.d} outside (0, 1]")
         if not math.isfinite(self.f_s) or self.f_s <= 0.0:
-            raise InvalidConfig(
-                f"switching frequency {self.f_s} must be positive and finite"
-            )
+            raise InvalidConfig(f"switching frequency {self.f_s} must be positive and finite")
         if not math.isfinite(self.t_end) or self.t_end < 0.0:
             raise InvalidConfig(f"transient duration {self.t_end} must be non-negative")
         if not math.isfinite(self.t_end * self.f_s):
@@ -334,10 +332,11 @@ class _Stepper:
         diode_rows = [system.diode_rows[i] for i in self.diode]
         self.update = RowUpdate(system.A, self.inverse, diode_rows, d_p0)
         self.P = lu_solve(self.inverse, system.B)
+        # q = Q s holds x0 = P s and every diode row's ra . x0 and rb . x0.
+        self.Q = np.concatenate((self.P, self.update.R @ self.P))
         self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
         # Every diode cell and where its vL1 and vL2 are in a row of y.
-        vL1, vL2 = rows.cell.start, rows.vL2.start
-        self._diode_cells = [(i, vL1 + i, vL2 + i) for i in self.diode]
+        self._diode_cells = [(i, rows.cell.start + i, rows.vL2.start + i) for i in self.diode]
         self._checked_from = 1  # row 0 is checked once solve_bootstrap solves it
         # (y of row r - 1, its end currents, s of row r) as lists, for the
         # next row r to solve.
@@ -353,9 +352,8 @@ class _Stepper:
         rows, cells, caps = self.rows, self.cells, self.caps
         iL0s = [e.initial for e in cells]
         # Zero capacitor current assumed at t = 0: i_0 = g v0, g = 2C / T_s.
-        i0 = [g2 / 2.0 * e.initial for e, g2 in zip(caps, self.two_g)]
-        state = i0 + iL0s + [1.0]
-        y = self._solve(0, state, iL0s, [self.d_p0] * len(cells))
+        state = [g2 / 2.0 * e.initial for e, g2 in zip(caps, self.two_g)] + iL0s + [1.0]
+        y, _ = self._solve(0, state, iL0s, [self.d_p0] * len(cells))
         rows.s[:2] = state
         self._checked_from = 0
         rows.iL1[0] = rows.iL2[0] = iL0s
@@ -476,22 +474,27 @@ class _Stepper:
         y, iL0s, state = self._carry
         iL0s = iL0s[:]  # the predictions zero some; row r - 1 keeps its own
         dcm, d_ps = self._predict(y, iL0s)
-        y = self._solve(r, state, iL0s, d_ps)
+        y, q = self._solve(r, state, iL0s, d_ps)
         if self.config.dcm_refine and True in dcm:
             refined = self._predict(y, iL0s)
             if refined != (dcm, d_ps):
+                # Only a cell the refined prediction newly puts in DCM changes
+                # a start current, and so s and q.
+                zeroed = any(now > before for before, now in zip(dcm, refined[0]))
                 dcm, d_ps = refined
-                y = self._solve(r, state, iL0s, d_ps)
+                y, _ = self._solve(r, state, iL0s, d_ps, None if zeroed else q)
 
         snaps_to_zero, diode_clamps = _cells.snaps_to_zero, _cells.diode_clamps
-        iL1s = [iL0 + k1 * vL1 for iL0, k1, vL1 in zip(iL0s, self.k1, y[rows.cell])]
-        iL2s = [iL1 + (d_p * k) * vL2 for iL1, d_p, k, vL2 in zip(iL1s, d_ps, self.k, y[rows.vL2])]
-        # The rest interval pins the end current at zero exactly, and so does
-        # a diode that blocks.
-        iL2s = [
-            0.0 if rests or snaps_to_zero(iL1, iL2) or diode and diode_clamps(iL2) else iL2
-            for iL1, iL2, rests, diode in zip(iL1s, iL2s, dcm, self.is_diode)
-        ]
+        cells = zip(self.k1, self.k, self.is_diode, iL0s, y[rows.cell], y[rows.vL2], d_ps, dcm)
+        iL1s, iL2s = [], []
+        for k1, k, diode, iL0, vL1, vL2, d_p, rests in cells:
+            iL1 = iL0 + k1 * vL1
+            iL2 = iL1 + (d_p * k) * vL2
+            iL1s.append(iL1)
+            # The rest interval pins the end current at zero exactly, and so
+            # does a diode that blocks.
+            rests = rests or snaps_to_zero(iL1, iL2) or diode and diode_clamps(iL2)
+            iL2s.append(0.0 if rests else iL2)
         self._stepped.append((iL1s, iL2s, d_ps, dcm, state))
         state = [k * v - i0 for k, v, i0 in zip(self.two_g, y, state)] + iL2s + [1.0]
         self._carry = (y, iL2s, state)
@@ -512,20 +515,20 @@ class _Stepper:
                     dcm[i], iL0s[i] = True, 0.0
         return dcm, d_ps
 
-    def _solve(self, r, state, iL0s, d_ps):
+    def _solve(self, r, state, iL0s, d_ps, q=None):
         """Solve row r from ``state`` (a row of s as a list) with the cells
-        starting at ``iL0s`` and at their d_p in ``d_ps``; returns E x as a
-        list."""
-        rows, system = self.rows, self.system
-        state[rows.cell] = iL0s
-        x0 = lu_solve(self.inverse, np.dot(system.B, state))
+        starting at ``iL0s`` and at their d_p in ``d_ps``, from q = Q s unless
+        ``q`` is given; returns E x as a list, and q."""
+        rows = self.rows
+        state[rows.cell] = iL0s  # unchanged when q is given
+        q = np.dot(self.Q, state) if q is None else q
         try:
-            x = self.update.solve(x0, [d_ps[i] for i in self.diode])
+            diode = d_ps if len(d_ps) == len(self.diode) else [d_ps[i] for i in self.diode]
+            x = self.update.solve(q, diode, rows.x[r])
         except SingularSystem as exc:
             # Not the bootstrap, whose rows never move; an earlier period's
             # failure comes first.
             self._flush(r)
             self._check(r)
             raise SingularSystem(str(exc), period=self.first_period + r - 1) from exc
-        rows.x[r] = x
-        return np.dot(system.E, x, out=rows.y[r]).tolist()
+        return np.dot(self.system.E, x, out=rows.y[r]).tolist(), q

@@ -23,10 +23,10 @@ rb (:class:`DiodeRow`, :func:`diode_entries`).  A run factors A once, at
 d_p = 1 - d: :func:`lu_factor` eliminates with partial pivoting, tests each
 pivot against its row's largest entry and returns A0^-1.  :class:`RowUpdate`
 solves a period with k cells at another d_p as a rank-k row update of A0^-1
-(Sherman-Morrison-Woodbury; Hager, SIAM Review 31(2), 1989): one division
-per diode row that A's pattern leaves alone and one small system for the
-coupled ones; it never rewrites A.  :func:`check_residual` checks a block
-of solutions at once, each against its own matrix.
+(Sherman-Morrison-Woodbury; Hager, SIAM Review 31(2), 1989) from q = Q s,
+x0 = A0^-1 B s and every diode row's ra . x0 and rb . x0: one division per
+lone diode row, one small system for the coupled ones, A never rewritten.
+:func:`check_residual` checks a block of solutions, each against its own A.
 """
 
 import math
@@ -314,14 +314,14 @@ class RowUpdate:
 
         x = x0 - W C^-1 U^T x0,   x0 = A0^-1 z,   C = I + U^T W,
 
-    and det A = det A0 det C.  C_ij is zero wherever ra_i . w_j and
-    rb_i . w_j are, and wherever A's pattern makes w_j zero at row i's
-    ``cols`` (:func:`_inverse_pattern`), whatever rounding leaves there.
-    A row with no nonzero C entry off the diagonal, in its row or its
-    column, is alone, one division; a period's coupled moved rows are one
-    small system, block-diagonal over their coupling groups.
-    ``updates`` counts the solves with a row moved and ``largest`` is the
-    most rows one moved.
+    and det A = det A0 det C; U^T x0 is read off q = (x0, R x0), ``R``
+    every row's ra, then every rb, as dense rows.  C_ij is zero wherever
+    ra_i . w_j and rb_i . w_j are, or A's pattern makes w_j zero at row i's
+    ``cols`` (:func:`_inverse_pattern`) whatever rounding leaves there.  A
+    row with no nonzero C entry off the diagonal, in its row or column, is
+    alone, one division; a period's coupled moved rows are one small
+    system, block-diagonal over their groups.  ``updates`` counts the
+    solves with a row moved, ``largest`` the most rows one moved.
     """
 
     def __init__(self, A, inverse, rows, d_p0):
@@ -329,6 +329,8 @@ class RowUpdate:
         self.updates = self.largest = 0
         row_norms = np.abs(A).sum(axis=1)
         self.a_norm = float(row_norms.max())
+        self.R = np.zeros((2 * len(rows), len(A)))
+        self._table = []
         if not rows:  # no row can move: a solve returns x0
             return
         self.rd = rd = [r.row for r in rows]
@@ -339,10 +341,11 @@ class RowUpdate:
         # one width by zero terms at the row's own rd.
         width = max((len(r.cols) for r in rows), default=0)
         pads = [width - len(r.cols) for r in rows]
-        cols = np.array([r.cols + (r.row,) * p for r, p in zip(rows, pads)], int)
-        ra = np.array([r.ra + (0.0,) * p for r, p in zip(rows, pads)]).reshape(n, width)
-        rb = np.array([r.rb + (0.0,) * p for r, p in zip(rows, pads)]).reshape(n, width)
-        self._cols, self._ra, self._rb = cols.reshape(n, width), ra, rb
+        self._cols = cols = np.array([r.cols + (r.row,) * p for r, p in zip(rows, pads)], int)
+        self._ra = ra = np.array([r.ra + (0.0,) * p for r, p in zip(rows, pads)]).reshape(n, width)
+        self._rb = rb = np.array([r.rb + (0.0,) * p for r, p in zip(rows, pads)]).reshape(n, width)
+        at = np.arange(n)[:, None]
+        self.R[at, cols], self.R[n + at, cols] = ra, rb
         terms = np.stack([ra, rb, abs(ra), abs(rb)])
         self._W = inverse[:, rd].T
         self._moved_W = {}  # W[moved] by moved rows
@@ -350,7 +353,7 @@ class RowUpdate:
         W = np.stack([self._W, self._W, abs(self._W), abs(self._W)])
         # ra_i . w_j, rb_i . w_j, |ra_i| . |w_j| and |rb_i| . |w_j| for
         # every pair of rows (i, j), summed term by term in ``cols`` order.
-        products = terms[:, :, None, :] * W[:, :, self._cols].transpose(0, 2, 1, 3)
+        products = terms[:, :, None, :] * W[:, :, cols].transpose(0, 2, 1, 3)
         dots = np.zeros((4, n, n))
         for t in range(width):
             dots += products[..., t]
@@ -368,46 +371,42 @@ class RowUpdate:
             support = _inverse_pattern(A)[:, rd]
             linked &= np.array([support[list(r.cols)].any(axis=0) for r in rows])
         self._lone = (~(linked.any(axis=0) | linked.any(axis=1))).tolist()
-        # What a solve reads of row i: its (ra, rb, col) terms, |ra| and
-        # |rb| over the w_j, the diagonal terms of C and whether it is alone.
-        self._table = [
-            (tuple(zip(r.ra, r.rb, r.cols)), *m, self._raw[i][i], self._rbw[i][i], lone)
-            for i, (r, m, lone) in enumerate(zip(rows, self._magnitude, self._lone))
-        ]
+        # What a solve reads of row i: |ra| and |rb| over the w_j, the
+        # diagonal terms of C and whether it is alone.
+        self._table = [(*m, self._raw[i][i], self._rbw[i][i], lone)
+                       for i, (m, lone) in enumerate(zip(self._magnitude, self._lone))]
 
-    def solve(self, x0, d_ps):
-        """The solution of the system with each row at its d_p in ``d_ps``
-        (``rows`` order), given x0 = A0^-1 z."""
-        d_p0 = self.d_p0
-        moved = [i for i, d_p in enumerate(d_ps) if d_p != d_p0]
-        if not moved:
-            return x0
-        self.updates += 1
-        self.largest = max(self.largest, len(moved))
-
+    def solve(self, q, d_ps, out):
+        """Write into ``out`` and return the solution with each row at its
+        d_p in ``d_ps`` (``rows`` order), given q = (x0, R x0), x0 = A0^-1 z."""
+        d_p0, n = self.d_p0, len(out)
         # Every moved row's pivot, right-hand side and scale for the
         # diagonal solve; a coupled row's are placeholders until the coupled
-        # rows are solved.
-        xs, diagonal, coupled = x0.tolist(), [], []
-        for i in moved:
-            terms, ra_abs, rb_abs, raw_ii, rbw_ii, lone = self._table[i]
-            d_p = d_ps[i]
+        # rows are solved.  q's tail holds every row's ra . x0, then rb . x0.
+        tail, moved, diagonal, coupled = q[n:].tolist(), [], [], []
+        rows = zip(range(len(d_ps)), d_ps, tail, tail[len(d_ps):], self._table)
+        for i, d_p, ra_x, rb_x, (ra_abs, rb_abs, raw_ii, rbw_ii, lone) in rows:
+            if d_p == d_p0:
+                continue
+            moved.append(i)
             alpha = d_p - d_p0
             beta = d_p * d_p - d_p0 * d_p0
-            u_x = 0.0
-            for a, b, c in terms:
-                u_x += (alpha * a + beta * b) * xs[c]
+            u_x = alpha * ra_x + beta * rb_x
             scale = 1.0 + abs(alpha) * ra_abs + abs(beta) * rb_abs
             if lone:
                 diagonal.append((alpha * raw_ii + beta * rbw_ii + 1.0, u_x, scale))
             else:
                 coupled.append((len(diagonal), i, alpha, beta, u_x, scale))
                 diagonal.append((1.0, 0.0, 1.0))
+        if not moved:
+            out[:] = q[:n]
+            return out
+        self.updates += 1
+        self.largest = max(self.largest, len(moved))
         y = solve_diagonal(diagonal)
-        raws, rbws = self._raw, self._rbw
         if coupled:
             pos, idx, alpha, beta, rhs, scale = map(list, zip(*coupled))
-            C = [[a * raws[i][j] + b * rbws[i][j] for j in idx]
+            C = [[a * self._raw[i][j] + b * self._rbw[i][j] for j in idx]
                  for i, a, b in zip(idx, alpha, beta)]
             for k, c_row in enumerate(C):
                 c_row[k] += 1.0
@@ -416,7 +415,7 @@ class RowUpdate:
         W = self._moved_W.get(key := tuple(moved))
         if W is None:
             W = self._moved_W[key] = self._W[moved]
-        return x0 - np.dot(y, W)
+        return np.subtract(q[:n], np.dot(y, W), out=out)
 
     def moves(self, d_p):
         """The ``a_norm`` and ``moves`` :func:`check_residual` takes for one

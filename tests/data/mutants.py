@@ -6,10 +6,14 @@ Usage, from the repository root:
 
 Each row of ``MUTANTS`` is (name, file under ``src/avgcell``, old text,
 new text, why the mutant matters).  The old text must occur exactly once
-in its file.  The script first runs Tier-1 on an unmutated copy of the
-tree and stops if that fails.  Then, for every row or only the named ones,
-it copies the tree to a temporary directory, applies the mutant there and
-runs Tier-1 in that copy with ``-x``.  A failing run kills the mutant.  The
+in its file.  The script first copies the tree to one snapshot, checks
+every row it runs against that snapshot and stops, naming every stale row
+at once, if some row's old text does not occur exactly once.  It then runs
+Tier-1 on an unmutated copy of the snapshot and stops if that fails.  Then,
+for every row or only the named ones, it copies the snapshot to a temporary
+directory, applies the mutant there and runs Tier-1 in that copy with
+``-x``, so an edit made to the tree while it runs changes nothing it
+mutates.  A failing run kills the mutant.  The
 rows of ``EQUIVALENT`` are run too: each is listed with the reason no test
 can kill it.  It prints one line per mutant, with the first failing test of
 a killed one, and exits 1 if a row of ``MUTANTS`` survived or one of
@@ -164,6 +168,21 @@ MUTANTS = [
         "pass",
         "a perfect matching may need augmenting paths, and without one there is no"
         " sure zero",
+    ),
+    (
+        "row-update-no-rb",
+        "mna.py",
+        "u_x = alpha * ra_x + beta * rb_x",
+        "u_x = alpha * ra_x",
+        "a moved diode row's U^T x0 takes its d_p^2 rb . x0 term from q's tail",
+    ),
+    (
+        "refine-reuses-changed-q",
+        "engine.py",
+        "None if zeroed else q",
+        "q",
+        "a dcm_refine re-solve that zeroes a further start current forms q = Q s"
+        " again from the new state",
     ),
     (
         "CURRENT_RTOL",
@@ -520,24 +539,33 @@ EQUIVALENT = [
 ]
 
 
-def run_tier1(mutant=None):
-    """(passed, first failing test) of Tier-1 in a copy of the tree with
-    ``mutant`` = (file, old, new) applied, if one is given."""
+def copy_tree(source, tree):
+    """Copy what Tier-1 reads from ``source`` to ``tree``."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".perfbench")
+    for item in COPIED:
+        if (source / item).is_dir():
+            shutil.copytree(source / item, tree / item, ignore=ignore)
+        else:
+            shutil.copy2(source / item, tree / item)
+
+
+def stale(snapshot, rows):
+    """The names of the ``rows`` whose old text does not occur exactly once
+    in its file of ``snapshot``."""
+    return [name for name, file, old, *_ in rows
+            if (snapshot / "src" / "avgcell" / file).read_text().count(old) != 1]
+
+
+def run_tier1(snapshot, mutant=None):
+    """(passed, first failing test) of Tier-1 in a copy of ``snapshot``
+    with ``mutant`` = (file, old, new) applied, if one is given."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".perfbench")
-        for item in COPIED:
-            if (ROOT / item).is_dir():
-                shutil.copytree(ROOT / item, tree / item, ignore=ignore)
-            else:
-                shutil.copy2(ROOT / item, tree / item)
+        copy_tree(snapshot, tree)
         if mutant:
             file, old, new = mutant
             path = tree / "src" / "avgcell" / file
-            text = path.read_text()
-            if text.count(old) != 1:
-                sys.exit(f"{file}: the old text occurs {text.count(old)} times: {old!r}")
-            path.write_text(text.replace(old, new))
+            path.write_text(path.read_text().replace(old, new))
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
             cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
@@ -553,18 +581,24 @@ def main(argv):
     if argv and len(rows) != len(set(argv)):
         known = [row[0] for row, _ in catalogue]
         sys.exit(f"unknown mutant among {argv}; known: {known}")
-    passed, first = run_tier1()
-    if not passed:
-        sys.exit(f"Tier-1 fails on the unmutated tree: {first}")
-    wrong = 0
-    for (name, file, old, new, why), equivalent in rows:
-        passed, first = run_tier1((file, old, new))
-        wrong += passed != equivalent
-        if equivalent:
-            verdict = "equivalent" if passed else f"KILLED, not equivalent, by {first}"
-        else:
-            verdict = "SURVIVED" if passed else f"killed by {first}"
-        print(f"{name:22} {verdict}  ({why})", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        snapshot = Path(tmp)
+        copy_tree(ROOT, snapshot)
+        names = stale(snapshot, [row for row, _ in rows])
+        if names:
+            sys.exit(f"old text not found exactly once in its file: {', '.join(names)}")
+        passed, first = run_tier1(snapshot)
+        if not passed:
+            sys.exit(f"Tier-1 fails on the unmutated tree: {first}")
+        wrong = 0
+        for (name, file, old, new, why), equivalent in rows:
+            passed, first = run_tier1(snapshot, (file, old, new))
+            wrong += passed != equivalent
+            if equivalent:
+                verdict = "equivalent" if passed else f"KILLED, not equivalent, by {first}"
+            else:
+                verdict = "SURVIVED" if passed else f"killed by {first}"
+            print(f"{name:22} {verdict}  ({why})", flush=True)
     print(f"{len(rows)} mutants, {wrong} survived or not equivalent")
     return 1 if wrong else 0
 

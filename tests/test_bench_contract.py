@@ -12,6 +12,7 @@ so each must accept a real result of its function.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import avgcell.engine
@@ -45,18 +46,29 @@ def test_wrapped_function_resolves(name, path, attr):
 def test_traced_run_records_the_mna_layer(monkeypatch):
     """A DCM run assembles and factors its system once and solves every
     period from those factors; every assembly, factorization, solve and
-    residual check goes through a wrapped name.  The stepper solves each of
-    its periods on its own and a CCM block forms no per-period solve; every
-    row's residual, the bootstrap's included, is checked in one call at the
-    end of the run."""
-    stepped = []
-    real_step = avgcell.engine._Stepper._step
+    residual check goes through a wrapped name.  The stepper solves the
+    bootstrap and each of its periods on its own, from one product q = Q s,
+    and a CCM block forms no per-period solve; every row's residual, the
+    bootstrap's included, is checked in one call at the end of the run."""
+    stepper_class = avgcell.engine._Stepper
+    stepped, steppers, products = [], [], []
+    real_init, real_step, real_dot = stepper_class.__init__, stepper_class._step, np.dot
+
+    def init(self, *args):
+        real_init(self, *args)
+        steppers.append(self)
 
     def step(self, r):
         stepped.append(r)
         return real_step(self, r)
 
-    monkeypatch.setattr(avgcell.engine._Stepper, "_step", step)
+    def dot(a, *args, **kwargs):
+        products.extend(stepper for stepper in steppers if a is stepper.Q)
+        return real_dot(a, *args, **kwargs)
+
+    monkeypatch.setattr(stepper_class, "__init__", init)
+    monkeypatch.setattr(stepper_class, "_step", step)
+    monkeypatch.setattr(np, "dot", dot)
     tracer = SPANS.Tracer()
     circuit = parse_netlist(BUCK_DCM)
     with SPANS.installed(tracer), tracer.job_span(0):
@@ -67,8 +79,10 @@ def test_traced_run_records_the_mna_layer(monkeypatch):
     assert stats.block_periods + stats.stepped_periods == len(result.records)
     assert len(stepped) == stats.stepped_periods
     assert calls["engine.run"] == 1
-    # the bootstrap, P = A0^-1 B, and one per stepped period
-    assert calls["mna.lu_solve"] == 2 + stats.stepped_periods
+    # P = A0^-1 B alone; the bootstrap and each stepped period solve from
+    # their product q = Q s
+    assert calls["mna.lu_solve"] == 1
+    assert len(products) == 1 + stats.stepped_periods
     # the bootstrap and all 30 periods, fewer rows than one check holds
     assert len(result.records) + 1 < avgcell.engine.CHECK_ROWS
     assert calls["mna.check_residual"] == 1

@@ -359,16 +359,33 @@ def _parallel_dcm(dcm_refine=False):
     return circuit, SimConfig(p["D"], p["fs"], p["tend"], dcm_refine)
 
 
+# A diode buck feeding a diode flyback, the two diode rows coupled: the
+# buck stays in discontinuous conduction and the flyback enters it.
+CASCADE_DCM = json.loads(
+    (Path(__file__).parent / "data" / "cli_reference.json").read_text()
+)["cases"]["cascade_dcm"]["netlist"]
+
+
+def _cascade_dcm(dcm_refine=False):
+    return parse_netlist(CASCADE_DCM), SimConfig(0.4, 100e3, 3e-4, dcm_refine)
+
+
 @pytest.mark.parametrize("dcm_refine", [False, True], ids=["plain", "refine"])
-def test_step_reproduces_run_on_parallel_stages(dcm_refine):
+@pytest.mark.parametrize(
+    "stages, largest_row_update",
+    [(_parallel_dcm, 3), (_cascade_dcm, 2)],
+    ids=["parallel", "cascade"],
+)
+def test_step_reproduces_run_on_parallel_stages(stages, largest_row_update, dcm_refine):
     """step() reproduces run() bit for bit on every period of three
-    parallel stages whose diode rows all move alone, with and without the
-    dcm_refine re-solve."""
-    circuit, config = _parallel_dcm(dcm_refine)
+    parallel stages whose diode rows all move alone, and of a cascade whose
+    two coupled rows are solved together, with and without the dcm_refine
+    re-solve."""
+    circuit, config = stages(dcm_refine)
     result = run(circuit, config)
     stats = result.stats
     assert stats.stepped_periods == len(result.records)
-    assert stats.largest_row_update == 3
+    assert stats.largest_row_update == largest_row_update
     # dcm_refine re-solves a period whose refined prediction moved
     assert (stats.row_update_solves > stats.stepped_periods) == dcm_refine
     previous = result.bootstrap
@@ -513,23 +530,23 @@ def test_singular_system_reports_period(monkeypatch, buck_circuit):
 
 
 def test_failed_bootstrap_reports_no_period(monkeypatch, buck_circuit):
-    """The bootstrap is solved as row 0, by the stepper's solve; a failure
-    there belongs to no period."""
+    """The bootstrap is solved as row 0, by the stepper's solve from its
+    product q = Q s; a failure there belongs to no period."""
     import avgcell.engine as engine_module
 
-    real = engine_module.lu_solve
+    real_init = engine_module._Stepper.__init__
     real_solve = engine_module._Stepper._solve
     solved = []
 
-    def poisoned(inverse, b):
-        x = real(inverse, b)
-        return x * math.nan if b.ndim == 1 else x  # B's product for P is 2-D
+    def poisoned(self, *args):
+        real_init(self, *args)
+        self.Q = self.Q * math.nan  # P, and so every CCM block, stays finite
 
     def solve(self, r, *args):
         solved.append(r)
         return real_solve(self, r, *args)
 
-    monkeypatch.setattr(engine_module, "lu_solve", poisoned)
+    monkeypatch.setattr(engine_module._Stepper, "__init__", poisoned)
     monkeypatch.setattr(engine_module._Stepper, "_solve", solve)
     with pytest.raises(SingularSystem) as excinfo:
         run(buck_circuit, std_config(1e-3))
@@ -775,8 +792,9 @@ def test_arbitrary_node_ids_are_remapped():
 
 
 def test_step_solves_only_its_period(monkeypatch):
-    """Setting a stepper up forms P, its one solve; step() adds the solve
-    of its period and none for a bootstrap, which run() alone solves."""
+    """Setting a stepper up forms P, its one solve, and Q; step() adds the
+    product q = Q s of its period and none for a bootstrap, which run()
+    alone solves."""
     import avgcell.engine as engine_module
 
     circuit, config = parse_netlist(BUCK_DCM), std_config(1e-3)
@@ -791,8 +809,104 @@ def test_step_solves_only_its_period(monkeypatch):
         return real(inverse, b)
 
     monkeypatch.setattr(engine_module, "lu_solve", counted)
+    products = _count_products(monkeypatch)
     engine_module._Stepper(circuit, config, 1)
     assert calls == [2]
+    assert products["q"] == 0
     calls.clear()
     assert step(circuit, config, previous) == reference
-    assert calls == [2, 1]
+    assert calls == [2]
+    assert products["q"] == 1
+
+
+def _count_products(monkeypatch):
+    """Count the np.dot calls of every stepper made while the patches hold:
+    ``"q"`` counts the products q = Q s by a stepper's Q, the bootstrap's
+    included, and row r holds [products, of them q = Q s] of stepped row
+    r of the last run."""
+    import avgcell.engine as engine_module
+
+    counts, steppers, stepping = {"q": 0}, [], []
+    real_init, real_step, real_dot = (
+        engine_module._Stepper.__init__, engine_module._Stepper._step, np.dot
+    )
+
+    def init(self, *args):
+        real_init(self, *args)
+        steppers.append(self)
+
+    def step(self, r):
+        counts[r] = [0, 0]
+        stepping.append(r)
+        try:
+            return real_step(self, r)
+        finally:
+            stepping.pop()
+
+    def dot(a, *args, **kwargs):
+        q = any(a is stepper.Q for stepper in steppers)
+        counts["q"] += q
+        if stepping:
+            counts[stepping[-1]][0] += 1
+            counts[stepping[-1]][1] += q
+        return real_dot(a, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module._Stepper, "__init__", init)
+    monkeypatch.setattr(engine_module._Stepper, "_step", step)
+    monkeypatch.setattr(np, "dot", dot)
+    return counts
+
+
+def test_a_stepped_period_costs_the_same_products_at_any_k(monkeypatch):
+    """A stepped period with its diode rows moved makes three products,
+    q = Q s, y W and E x, whether one row moves (buck_dcm.net, k = 1) or
+    three (PARALLEL_DCM, k = 3): every moved row's U^T x0 is read off q.  A
+    dcm_refine re-solve that zeroes no further start current forms no new
+    q, since the state and so q are the same."""
+    netlist = (Path(__file__).resolve().parents[1] / "netlists" / "buck_dcm.net").read_text()
+    cases = {1: (parse_netlist(netlist), std_config(1e-3)), 3: _parallel_dcm()}
+    counts = _count_products(monkeypatch)
+    for k, (circuit, config) in cases.items():
+        for dcm_refine in (False, True):
+            config = SimConfig(config.d, config.f_s, config.t_end, dcm_refine)
+            result = run(circuit, config)
+            assert result.stats.largest_row_update == k
+            # Row r is period r - 1; a period in DCM has a diode row moved.
+            moved = [counts[r] for r in range(1, len(result.records) + 1)
+                     if r in counts and result.dcm[r - 1].any()]
+            assert len(moved) > 20
+            if dcm_refine:  # each re-solved with the start currents it had
+                assert result.stats.row_update_solves == 2 * len(moved)
+                assert {tuple(c) for c in moved} == {(5, 1)}
+            else:
+                assert {tuple(c) for c in moved} == {(3, 1)}
+
+
+def test_a_refined_prediction_that_zeroes_a_start_current_forms_q_again(monkeypatch):
+    """When the dcm_refine re-solve puts a further cell in DCM, that cell's
+    start current is zeroed: the period is solved from the new state, its
+    own q = Q s formed again, and its record starts the cell at zero."""
+    import avgcell.engine as engine_module
+
+    circuit, config = _cascade_dcm(dcm_refine=True)
+    forced = 5  # the flyback, FBD2, carries a current into period 5 in CCM
+    real_predict = engine_module._Stepper._predict
+    predictions = []
+
+    def predict(self, y, iL0s):
+        dcm, d_ps = real_predict(self, y, iL0s)
+        predictions.append(dcm)
+        # Two predictions a period, as SCD1 is in DCM: period 5's second.
+        if len(predictions) == 2 * forced + 2:
+            assert iL0s[1] > 0.0 and not dcm[1]
+            dcm[1], d_ps[1], iL0s[1] = True, d_ps[1] / 2, 0.0
+        return dcm, d_ps
+
+    monkeypatch.setattr(engine_module._Stepper, "_predict", predict)
+    counts = _count_products(monkeypatch)
+    result = run(circuit, config)
+    assert result.dcm[forced - 1].tolist() == [True, False]
+    assert result.dcm[forced].tolist() == [True, True]
+    assert result.iL0[forced, 1] == 0.0
+    assert counts[forced + 1][1] == 2
+    assert all(counts[r][1] == 1 for r in counts if r not in ("q", forced + 1))

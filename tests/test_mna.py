@@ -502,7 +502,8 @@ def test_row_update_matches_refactored_system(d_ps):
     A0 = system.A.copy()
     expected = assemble_system(circuit, d, TS, d_p(*d_ps))
     z = rhs(system, caps, iL0s)
-    x = update.solve(lu_solve(inverse, z), d_ps)
+    x0 = lu_solve(inverse, z)
+    x = update.solve(np.concatenate((x0, update.R @ x0)), d_ps, np.empty(len(z)))
     np.testing.assert_array_equal(system.A, A0)
     fixed_norm, moves = update.moves(np.array([d_ps]))
     rd, cols, V = moves
