@@ -370,11 +370,11 @@ def _cascade_dcm(dcm_refine=False):
     return parse_netlist(CASCADE_DCM), SimConfig(0.4, 100e3, 3e-4, dcm_refine)
 
 
-@pytest.mark.parametrize("dcm_refine", [False, True], ids=["plain", "refine"])
 @pytest.mark.parametrize(
-    "stages, largest_row_update",
-    [(_parallel_dcm, 3), (_cascade_dcm, 2)],
-    ids=["parallel", "cascade"],
+    "stages, largest_row_update, dcm_refine",
+    [(_parallel_dcm, 3, False), (_parallel_dcm, 3, True),
+     (_cascade_dcm, 2, False), (_cascade_dcm, 2, True)],
+    ids=["plain", "refine", "cascade-plain", "cascade-refine"],
 )
 def test_step_reproduces_run_on_parallel_stages(stages, largest_row_update, dcm_refine):
     """step() reproduces run() bit for bit on every period of three
