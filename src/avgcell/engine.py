@@ -341,8 +341,8 @@ class _Stepper:
         # (y of row r - 1, its end currents, s of row r) as lists, for the
         # next row r to solve.
         self._carry = None
-        # (iL1, iL2, d_p, dcm, s) of the stepped rows not yet written to the
-        # rows (_flush).
+        # (iL2, d_p, dcm, s) of the stepped rows not yet written to the rows
+        # (_flush).
         self._stepped = []
 
     def solve_bootstrap(self):
@@ -386,12 +386,14 @@ class _Stepper:
 
     def _flush(self, stop):
         """Write the stepped rows before ``stop``, and the s of row ``stop``."""
-        rows, stepped = self.rows, self._stepped
+        rows, stepped, cell = self.rows, self._stepped, self.rows.cell
         if stepped:
-            first = stop - len(stepped)
-            rows.iL1[first:stop], rows.iL2[first:stop], d_p, dcm, s = zip(*stepped)
+            at = slice(first := stop - len(stepped), stop)
+            rows.iL2[at], d_p, dcm, s = zip(*stepped)
             rows.s[first:stop + 1] = s + (self._carry[2],)
-            rows.d_p[first:stop], rows.dcm[first:stop] = d_p, dcm
+            rows.d_p[at], rows.dcm[at] = d_p, dcm
+            # iL1 = iL0 + k1 vL1, read out as a block's is.
+            np.add(rows.s[at, cell], np.multiply(self.k1, rows.y[at, cell]), out=rows.iL1[at])
             stepped.clear()
 
     def _check(self, stop):
@@ -486,16 +488,15 @@ class _Stepper:
 
         snaps_to_zero, diode_clamps = _cells.snaps_to_zero, _cells.diode_clamps
         cells = zip(self.k1, self.k, self.is_diode, iL0s, y[rows.cell], y[rows.vL2], d_ps, dcm)
-        iL1s, iL2s = [], []
+        iL2s = []
         for k1, k, diode, iL0, vL1, vL2, d_p, rests in cells:
             iL1 = iL0 + k1 * vL1
             iL2 = iL1 + (d_p * k) * vL2
-            iL1s.append(iL1)
             # The rest interval pins the end current at zero exactly, and so
             # does a diode that blocks.
             rests = rests or snaps_to_zero(iL1, iL2) or diode and diode_clamps(iL2)
             iL2s.append(0.0 if rests else iL2)
-        self._stepped.append((iL1s, iL2s, d_ps, dcm, state))
+        self._stepped.append((iL2s, d_ps, dcm, state))
         state = [k * v - i0 for k, v, i0 in zip(self.two_g, y, state)] + iL2s + [1.0]
         self._carry = (y, iL2s, state)
         self.stats.stepped_periods += 1
