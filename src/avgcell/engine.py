@@ -81,7 +81,9 @@ class SimConfig:
         if not 0.0 < self.d <= 1.0:
             raise InvalidConfig(f"duty ratio {self.d} outside (0, 1]")
         if not math.isfinite(self.f_s) or self.f_s <= 0.0:
-            raise InvalidConfig(f"switching frequency {self.f_s} must be positive and finite")
+            raise InvalidConfig(
+                f"switching frequency {self.f_s} must be positive and finite"
+            )
         if not math.isfinite(self.t_end) or self.t_end < 0.0:
             raise InvalidConfig(f"transient duration {self.t_end} must be non-negative")
         if not math.isfinite(self.t_end * self.f_s):
@@ -517,15 +519,13 @@ class _Stepper:
         return dcm, d_ps
 
     def _solve(self, r, state, iL0s, d_ps, q=None):
-        """Solve row r from ``state`` (a row of s as a list) with the cells
-        starting at ``iL0s`` and at their d_p in ``d_ps``, from q = Q s unless
-        ``q`` is given; returns E x as a list, and q."""
+        """Solve row r from ``state`` (a row of s, a list), the cells at their
+        ``iL0s`` and d_p in ``d_ps``; returns E x as a list, and q = Q s (given or formed)."""
         rows = self.rows
         state[rows.cell] = iL0s  # unchanged when q is given
         q = np.dot(self.Q, state) if q is None else q
         try:
-            diode = d_ps if len(d_ps) == len(self.diode) else [d_ps[i] for i in self.diode]
-            x = self.update.solve(q, diode, rows.x[r])
+            x = self.update.solve(q, [d_ps[i] for i in self.diode], rows.x[r])
         except SingularSystem as exc:
             # Not the bootstrap, whose rows never move; an earlier period's
             # failure comes first.
