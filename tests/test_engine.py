@@ -873,7 +873,7 @@ def test_a_stepped_period_costs_the_same_products_at_any_k(monkeypatch):
             assert result.stats.largest_row_update == k
             # Row r is period r - 1; a period in DCM has a diode row moved.
             moved = [counts[r] for r in range(1, len(result.records) + 1)
-                     if r in counts and result.dcm[r - 1].any()]
+                     if result.dcm[r - 1].any()]
             assert len(moved) > 20
             if dcm_refine:  # each re-solved with the start currents it had
                 assert result.stats.row_update_solves == 2 * len(moved)
