@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import avgcell.engine as engine_module
 from avgcell import SimConfig, parse_netlist, run
 from avgcell.cells import CURRENT_RTOL, avg_inductor_current
 from avgcell.oracle import OracleConfig, period_average, simulate_switched
@@ -92,6 +93,42 @@ def rhs(system, cap_sources, iL0s):
     for label, col in system.layout.state_col.items():
         s[col] = cap_sources[label] if col < n_caps else iL0s[label]
     return system.B @ s
+
+
+def count_products(monkeypatch):
+    """Count the np.dot calls of every stepper made while the patches hold:
+    ``"q"`` counts the products q = Q s by a stepper's Q, the bootstrap's
+    included, and row r holds [products, of them q = Q s] of stepped row
+    r of the last run."""
+    counts, steppers, stepping = {"q": 0}, [], []
+    real_init, real_step, real_dot = (
+        engine_module._Stepper.__init__, engine_module._Stepper._step, np.dot
+    )
+
+    def init(self, *args):
+        real_init(self, *args)
+        steppers.append(self)
+
+    def step(self, r):
+        counts[r] = [0, 0]
+        stepping.append(r)
+        try:
+            return real_step(self, r)
+        finally:
+            stepping.pop()
+
+    def dot(a, *args, **kwargs):
+        q = any(a is stepper.Q for stepper in steppers)
+        counts["q"] += q
+        if stepping:
+            counts[stepping[-1]][0] += 1
+            counts[stepping[-1]][1] += q
+        return real_dot(a, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module._Stepper, "__init__", init)
+    monkeypatch.setattr(engine_module._Stepper, "_step", step)
+    monkeypatch.setattr(np, "dot", dot)
+    return counts
 
 
 def tail_mean(values, count=50):

@@ -12,7 +12,6 @@ so each must accept a real result of its function.
 import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import avgcell.engine
@@ -20,7 +19,7 @@ from avgcell import SimConfig, parse_netlist
 from avgcell.cells import Mode
 from avgcell.oracle import OracleConfig
 
-from conftest import BUCK_DCM
+from conftest import BUCK_DCM, count_products
 
 SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -50,25 +49,15 @@ def test_traced_run_records_the_mna_layer(monkeypatch):
     bootstrap and each of its periods on its own, from one product q = Q s,
     and a CCM block forms no per-period solve; every row's residual, the
     bootstrap's included, is checked in one call at the end of the run."""
-    stepper_class = avgcell.engine._Stepper
-    stepped, steppers, products = [], [], []
-    real_init, real_step, real_dot = stepper_class.__init__, stepper_class._step, np.dot
-
-    def init(self, *args):
-        real_init(self, *args)
-        steppers.append(self)
+    stepped = []
+    real_step = avgcell.engine._Stepper._step
 
     def step(self, r):
         stepped.append(r)
         return real_step(self, r)
 
-    def dot(a, *args, **kwargs):
-        products.extend(stepper for stepper in steppers if a is stepper.Q)
-        return real_dot(a, *args, **kwargs)
-
-    monkeypatch.setattr(stepper_class, "__init__", init)
-    monkeypatch.setattr(stepper_class, "_step", step)
-    monkeypatch.setattr(np, "dot", dot)
+    monkeypatch.setattr(avgcell.engine._Stepper, "_step", step)
+    products = count_products(monkeypatch)
     tracer = SPANS.Tracer()
     circuit = parse_netlist(BUCK_DCM)
     with SPANS.installed(tracer), tracer.job_span(0):
@@ -82,7 +71,7 @@ def test_traced_run_records_the_mna_layer(monkeypatch):
     # P = A0^-1 B alone; the bootstrap and each stepped period solve from
     # their product q = Q s
     assert calls["mna.lu_solve"] == 1
-    assert len(products) == 1 + stats.stepped_periods
+    assert products["q"] == 1 + stats.stepped_periods
     # the bootstrap and all 30 periods, fewer rows than one check holds
     assert len(result.records) + 1 < avgcell.engine.CHECK_ROWS
     assert calls["mna.check_residual"] == 1

@@ -29,6 +29,7 @@ from conftest import (
     BUCK_DCM,
     BUCK_DIODE,
     FLYBACK,
+    count_products,
     rhs,
     std_config,
     tail_mean,
@@ -809,7 +810,7 @@ def test_step_solves_only_its_period(monkeypatch):
         return real(inverse, b)
 
     monkeypatch.setattr(engine_module, "lu_solve", counted)
-    products = _count_products(monkeypatch)
+    products = count_products(monkeypatch)
     engine_module._Stepper(circuit, config, 1)
     assert calls == [2]
     assert products["q"] == 0
@@ -817,44 +818,6 @@ def test_step_solves_only_its_period(monkeypatch):
     assert step(circuit, config, previous) == reference
     assert calls == [2]
     assert products["q"] == 1
-
-
-def _count_products(monkeypatch):
-    """Count the np.dot calls of every stepper made while the patches hold:
-    ``"q"`` counts the products q = Q s by a stepper's Q, the bootstrap's
-    included, and row r holds [products, of them q = Q s] of stepped row
-    r of the last run."""
-    import avgcell.engine as engine_module
-
-    counts, steppers, stepping = {"q": 0}, [], []
-    real_init, real_step, real_dot = (
-        engine_module._Stepper.__init__, engine_module._Stepper._step, np.dot
-    )
-
-    def init(self, *args):
-        real_init(self, *args)
-        steppers.append(self)
-
-    def step(self, r):
-        counts[r] = [0, 0]
-        stepping.append(r)
-        try:
-            return real_step(self, r)
-        finally:
-            stepping.pop()
-
-    def dot(a, *args, **kwargs):
-        q = any(a is stepper.Q for stepper in steppers)
-        counts["q"] += q
-        if stepping:
-            counts[stepping[-1]][0] += 1
-            counts[stepping[-1]][1] += q
-        return real_dot(a, *args, **kwargs)
-
-    monkeypatch.setattr(engine_module._Stepper, "__init__", init)
-    monkeypatch.setattr(engine_module._Stepper, "_step", step)
-    monkeypatch.setattr(np, "dot", dot)
-    return counts
 
 
 def test_a_stepped_period_costs_the_same_products_at_any_k(monkeypatch):
@@ -865,7 +828,7 @@ def test_a_stepped_period_costs_the_same_products_at_any_k(monkeypatch):
     q, since the state and so q are the same."""
     netlist = (Path(__file__).resolve().parents[1] / "netlists" / "buck_dcm.net").read_text()
     cases = {1: (parse_netlist(netlist), std_config(1e-3)), 3: _parallel_dcm()}
-    counts = _count_products(monkeypatch)
+    counts = count_products(monkeypatch)
     for k, (circuit, config) in cases.items():
         for dcm_refine in (False, True):
             config = SimConfig(config.d, config.f_s, config.t_end, dcm_refine)
@@ -903,7 +866,7 @@ def test_a_refined_prediction_that_zeroes_a_start_current_forms_q_again(monkeypa
         return dcm, d_ps
 
     monkeypatch.setattr(engine_module._Stepper, "_predict", predict)
-    counts = _count_products(monkeypatch)
+    counts = count_products(monkeypatch)
     result = run(circuit, config)
     assert result.dcm[forced - 1].tolist() == [True, False]
     assert result.dcm[forced].tolist() == [True, True]
