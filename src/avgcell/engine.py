@@ -4,8 +4,9 @@ One step is one switching period, from the state s = (i_0 of every
 capacitor, iL0 of every cell, 1) the period before carried out; its
 right-hand side is z = B s (:mod:`avgcell.mna`).  A stepper assembles and
 factors its system once, every cell at d_p = 1 - d, and keeps P = A0^-1 B
-and Q = (P, R P).  :func:`run` solves the bootstrap, row 0, like a period
-from t = 0; :func:`step` starts row 1 from its record and leaves row 0 unset.
+and the Q of its :class:`avgcell.mna.RowUpdate`.  :func:`run` solves the
+bootstrap, row 0, like a period from t = 0; :func:`step` starts row 1 from
+its record and leaves row 0 unset.
 
 While every diode cell ``keeps_ccm`` (:mod:`avgcell.cells` owns the
 zero-current rules ``keeps_ccm``, ``snaps_to_zero`` and ``diode_clamps``),
@@ -21,12 +22,11 @@ before the first that breaks a rule are kept and that period is stepped;
 blocks start at ``FIRST_BLOCK`` periods and double after each kept whole.
 
 A stepped period predicts each diode cell's mode by the ``cells`` rules,
-forms q = Q s (x0 = P s, and every diode row's ra . x0 and rb . x0), writes
-x into its row, row-updated from q for the cells at another d_p
-(:class:`avgcell.mna.RowUpdate`), reads y = E x off it and advances every
-inductor current in one loop; a ``dcm_refine`` re-solve reuses q unless it
-zeroes a further start current.  A period starts from the y, end currents
-and s the bootstrap, a stepped period or a block hands over as lists.
+forms q = Q s, writes x into its row, row-updated from q for the cells at
+another d_p, reads y = E x off it and advances every inductor current in
+one loop; a ``dcm_refine`` re-solve reuses q unless it zeroes a further
+start current.  A period starts from the y, end currents and s the
+bootstrap, a stepped period or a block hands over as lists.
 Every row's residual is checked once, against its own matrix: when the
 rows are solved, ``CHECK_ROWS`` rows a call in row order, or before a
 failed row-update pivot is reported, so the earliest failure is reported.
@@ -330,12 +330,11 @@ class _Stepper:
         self.k1 = [d * k for k in self.k]
         self.inverse = lu_factor(system.A)
         self.stats = RunStats(factorizations=1)
-        # Synchronous cells keep d_p = 1 - d, so only diode rows can move.
-        diode_rows = [system.diode_rows[i] for i in self.diode]
-        self.update = RowUpdate(system.A, self.inverse, diode_rows, d_p0)
         self.P = lu_solve(self.inverse, system.B)
-        # q = Q s holds x0 = P s and every diode row's ra . x0 and rb . x0.
-        self.Q = np.concatenate((self.P, self.update.R @ self.P))
+        # Synchronous cells keep d_p = 1 - d, so only diode rows can move.
+        diode_rows = [a.take(self.diode, axis=0) for a in system.diode]
+        self.update = RowUpdate(system.A, self.inverse, self.P, diode_rows, d_p0)
+        self.Q = self.update.Q
         self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
         # Every diode cell and where its vL1 and vL2 are in a row of y.
         self._diode_cells = [(i, rows.cell.start + i, rows.vL2.start + i) for i in self.diode]

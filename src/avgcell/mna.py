@@ -19,21 +19,20 @@ every capacitor's voltage, then every cell's vL1, then every vL2 off x;
 its capacitor and cell rows line up with B's columns.
 
 A cell's d_p enters A only in its iD_avg row ``rd``, e_rd + d_p ra + d_p^2
-rb (:class:`DiodeRow`, :func:`diode_entries`).  A run factors A once, at
-d_p = 1 - d: :func:`lu_factor` eliminates with partial pivoting, tests each
-pivot against its row's largest entry and returns A0^-1.  :class:`RowUpdate`
-solves a period with k cells at another d_p as a rank-k row update of A0^-1
-(Sherman-Morrison-Woodbury; Hager, SIAM Review 31(2), 1989) from q = Q s,
-x0 = A0^-1 B s and every diode row's ra . x0 and rb . x0: one division per
-lone diode row, one small system for the coupled ones, A never rewritten.
-:func:`check_residual` checks a block of solutions, each against its own A.
+rb (:func:`diode_entries`), held once as :attr:`MnaSystem.diode`.  A run
+factors A once, at d_p = 1 - d: :func:`lu_factor` eliminates with partial
+pivoting, tests each pivot against its row's largest entry and returns
+A0^-1.  :class:`RowUpdate` solves a period with k cells at another d_p as a
+rank-k row update of A0^-1 (Sherman-Morrison-Woodbury; Hager, SIAM Review
+31(2), 1989) from q = Q s, x0 = A0^-1 B s and every diode row's ra . x0 and
+rb . x0: one division per lone diode row, one small system for the coupled
+ones, A never rewritten.  :func:`check_residual` checks a block of
+solutions, each against its own A.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +65,10 @@ class MnaLayout:
 
 class MnaSystem:
     """Dense A x = z system plus its layout, its right-hand-side matrix
-    ``B`` and its output matrix ``E``."""
+    ``B``, its output matrix ``E`` and ``diode`` (set by :func:`stamp`):
+    arrays (rd, cols, ra, rb), cell i's (netlist order) iD_avg row ``rd[i]``
+    being e_rd + d_p ra[i] + d_p^2 rb[i] at ``cols[i]``, the rows of its
+    non-ground terminals padded to three at rd[i], where ra and rb read 0.0."""
 
     def __init__(self, layout):
         self.layout = layout
@@ -74,22 +76,6 @@ class MnaSystem:
         n_state = len(layout.state_col)
         self.B = np.zeros((layout.order, n_state + 1))
         self.E = np.zeros((n_state + len(layout.cell_rows), layout.order))
-        # The iD_avg row of every cell, in netlist order.
-        self.diode_rows = []
-
-
-class DiodeRow(NamedTuple):
-    """A cell's iD_avg constraint row, e_rd + d_p ra + d_p^2 rb.
-
-    ``cols`` are the rows of the cell's non-ground terminals and ``ra``,
-    ``rb`` the coefficients there; the row has no other entries.
-    """
-
-    label: str
-    row: int
-    cols: tuple
-    ra: tuple
-    rb: tuple
 
 
 def build_layout(circuit):
@@ -114,16 +100,18 @@ def build_layout(circuit):
 # iD_avg row rd, its column of B (a source's is the last) and a cell's vL2
 # row of E.  The coefficients are 1, the main one (the conductance, the
 # source value or a cell's switch-row -d^2 G_L / 2), and a cell's ra scale
-# -d G_L / n, 1 / n and rb scale -G_L / (2 n) / n; ~c is -c.
+# -d G_L / n, 1 / n, rb scale -G_L / (2 n) / n and its entries of B, d and
+# d_p / n; ~c is -c.
 _A, _B, _E, _RA, _RB = range(5)
 _T0, _T1, _T2, _RET, _BR, _RD, _COL, _VL2 = range(8)
-_ONE, _K, _SA, _INV_N, _SB = range(5)
+_ONE, _K, _SA, _INV_N, _SB, _D, _D_P_N = range(7)
 _CONDUCTANCE = ((_A, _T0, _T0, _K), (_A, _T1, _T1, _K), (_A, _T0, _T1, ~_K), (_A, _T1, _T0, ~_K))
 # Entries that meet at one position add up in table order, and elements
 # in netlist order.  A cell's KCL along iS_avg (a to the return terminal)
 # and iD_avg (p to c) and its unit entries come first, then the drive terms
 # of cells.drive_terms, vL1 = v_a - v_ret and vL2 = (v_p - v_c) / n: each
-# enters E, a vL1 term also the iS_avg row, and ra or rb.
+# enters E, a vL1 term also the iS_avg row, and ra or rb.  Its diode row's
+# unit diagonal and entries in A are written after the scatter (stamp).
 _STAMPS = {
     RES: _CONDUCTANCE,
     CAP: _CONDUCTANCE + ((_B, _T0, _COL, _ONE), (_E, _COL, _T0, _ONE),
@@ -133,7 +121,8 @@ _STAMPS = {
     IDC: ((_B, _T0, _COL, ~_K), (_B, _T1, _COL, _K)),
     **dict.fromkeys(CELL_KINDS, (
         (_A, _T0, _BR, _ONE), (_A, _RET, _BR, ~_ONE), (_A, _T1, _RD, _ONE),
-        (_A, _T2, _RD, ~_ONE), (_A, _BR, _BR, _ONE), (_A, _RD, _RD, _ONE),
+        (_A, _T2, _RD, ~_ONE), (_A, _BR, _BR, _ONE), (_B, _BR, _COL, _D),
+        (_B, _RD, _COL, _D_P_N),
         (_E, _COL, _T0, _ONE), (_A, _BR, _T0, _K), (_RA, _RD, _T0, _SA),
         (_E, _COL, _RET, ~_ONE), (_A, _BR, _RET, ~_K), (_RA, _RD, _RET, ~_SA),
         (_E, _VL2, _T1, _INV_N), (_RB, _RD, _T1, _SB),
@@ -156,16 +145,16 @@ def diode_entries(d_p, ra, rb):
 def stamp(system, elements, d, T_s, d_p):
     """Stamp ``elements`` (netlist order) into the zeroed ``system``, each
     cell's diode row at ``d_p[label]``: every element's table entries in one
-    scatter, ground on a spare row and column that is dropped, then each
-    cell's diode row and its entries of B, d and d_p / n."""
+    scatter, ground on a spare row and column that is dropped, then
+    ``system.diode`` read off the ra and rb planes, and from it each diode
+    row's entries in A and its unit diagonal, over its pads' zeros."""
     layout = system.layout
     n, n_state, n_cells = layout.order, len(layout.state_col), len(layout.cell_rows)
     get, state_col, cell_rows = layout.node_row.get, layout.state_col, layout.cell_rows
     vdc_row = layout.vdc_row.get
     spare = n  # ground's row and column
     height, width = max(n + 1, n_state + n_cells), max(n + 1, n_state + 1)
-    flat, values, cells = [], [], []
-    at, at_d_p, b_at, b_values = [], [], [], []  # diode-row and B entries, by place
+    flat, values, rds, cols, d_ps = [], [], [], [], []
     for e in elements:
         kind, label = e.kind, e.label
         if kind not in CELL_KINDS:
@@ -178,28 +167,23 @@ def stamp(system, elements, d, T_s, d_p):
             (rs, rd), col = cell_rows[label], state_col[label]
             t0, t1, t2 = terminals = [get(t, spare) for t in e.nodes]
             roles = (t0, t1, t2, t1 if kind in FLYBACK_KINDS else t2, rs, rd, col, col + n_cells)
-            g_l, turns = T_s / e.value, e.turns
+            g_l, turns, p = T_s / e.value, e.turns, d_p[label]
             c1, c2, c3 = -(d * d * g_l / 2.0), -d * g_l / turns, 1.0 / turns
-            c4 = -g_l / (2.0 * turns) * (1.0 / turns)
-            coefs = (1.0, c1, c2, c3, c4, -c4, -c3, -c2, -c1, -1.0)
-            cols = sorted(set(terminals) - {spare})  # the diode row's
-            cells.append((label, rd, cols))
-            at += [rd * width + j for j in cols]
-            at_d_p += [d_p[label]] * len(cols)
-            b_at += (rs * width + col, rd * width + col)
-            b_values += (d, d_p[label] / turns)
+            c4, c5 = -g_l / (2.0 * turns) * (1.0 / turns), p / turns
+            coefs = (1.0, c1, c2, c3, c4, d, c5, -c5, -d, -c4, -c3, -c2, -c1, -1.0)
+            real = sorted(set(terminals) - {spare})  # the diode row's columns
+            rds.append(rd)
+            cols.append(real + [rd] * (3 - len(real)))
+            d_ps.append(p)
         flat += [(plane * height + roles[i]) * width + roles[j] for plane, i, j in _PLACES[kind]]
         values += _VALUES[kind](coefs)
     planes = np.bincount(np.array(flat, dtype=np.intp), np.array(values), 5 * height * width)
-    planes = planes.reshape(5, -1)
-    ra, rb = planes[_RA:_RB + 1, at].tolist() if at else ([], [])
-    planes[_A, at] = [diode_entries(p, a, b) for p, a, b in zip(at_d_p, ra, rb)]
-    planes[_B, b_at] = b_values
-    starts = accumulate((len(c[2]) for c in cells), initial=0)
-    for (label, rd, cols), a in zip(cells, starts):
-        system.diode_rows.append(DiodeRow(label, rd, tuple(cols), tuple(ra[a:a + len(cols)]),
-                                          tuple(rb[a:a + len(cols)])))
     planes = planes.reshape(5, height, width)
+    rd, cols = np.array(rds, dtype=np.intp), np.array(cols, dtype=np.intp).reshape(-1, 3)
+    at = rd[:, None], cols
+    system.diode = rd, cols, planes[_RA][at], planes[_RB][at]
+    planes[_A][at] = diode_entries(np.array(d_ps)[:, None], *system.diode[2:])
+    planes[_A, rd, rd] = 1.0  # over a pad's 0.0
     system.A[:] = planes[_A, :n, :n]
     system.B[:] = planes[_B, :n, :n_state + 1]
     system.E[:] = planes[_E, :len(system.E), :n]
@@ -306,7 +290,8 @@ def _inverse_pattern(A):
 
 class RowUpdate:
     """Solves A x = z through ``inverse``, the A0^-1 of a matrix ``A``
-    whose diode ``rows`` sat at ``d_p0``, after some rows moved.
+    whose diode ``rows`` (those of :attr:`MnaSystem.diode` that can move)
+    sat at ``d_p0``, after some rows moved; a pad counts for nothing.
 
     For k moved rows A = A0 + E U^T: E holds the unit columns e_rd, and row
     u of U^T is alpha ra + beta rb (alpha = d_p - d_p0, beta = d_p^2 -
@@ -314,48 +299,43 @@ class RowUpdate:
 
         x = x0 - W C^-1 U^T x0,   x0 = A0^-1 z,   C = I + U^T W,
 
-    and det A = det A0 det C; U^T x0 is read off q = (x0, R x0), ``R``
-    every row's ra, then every rb, as dense rows.  C_ij is zero wherever
-    ra_i . w_j and rb_i . w_j are, or A's pattern makes w_j zero at row i's
-    ``cols`` (:func:`_inverse_pattern`) whatever rounding leaves there.  A
-    row with no nonzero C entry off the diagonal, in its row or column, is
-    alone, one division; a period's coupled moved rows are one small
-    system, block-diagonal over their groups.  ``updates`` counts the
-    solves with a row moved, ``largest`` the most rows one moved.
+    and det A = det A0 det C; U^T x0 is read off q = Q s = (x0, R x0), ``Q``
+    = (P, R P) with P = A0^-1 B and ``R`` every row's ra, then every rb, as
+    dense rows.  C_ij is zero wherever ra_i . w_j and rb_i . w_j are, or A's
+    pattern makes w_j zero at row i's real ``cols`` (:func:`_inverse_pattern`)
+    whatever rounding leaves there.  A row with no nonzero C entry off the
+    diagonal, in its row or column, is alone, one division; a period's
+    coupled moved rows are one small system, block-diagonal over their
+    groups.  ``updates`` counts the solves with a row moved, ``largest`` the
+    most rows one moved.
     """
 
-    def __init__(self, A, inverse, rows, d_p0):
+    def __init__(self, A, inverse, P, rows, d_p0):
         self.d_p0 = d_p0
         self.updates = self.largest = 0
         row_norms = np.abs(A).sum(axis=1)
         self.a_norm = float(row_norms.max())
-        self.R = np.zeros((2 * len(rows), len(A)))
-        self._table = []
-        if not rows:  # no row can move: a solve returns x0
-            return
-        self.rd = rd = [r.row for r in rows]
-        n = len(rows)
+        self.rd, self._cols, self._ra, self._rb = rd, cols, ra, rb = rows
+        n = len(rd)
         row_norms[rd] = 0.0  # leaves the rows no d_p enters
         self._fixed_norm = float(row_norms.max())
-        # Every row's cols and its ra and rb, then |ra| and |rb|, padded to
-        # one width by zero terms at the row's own rd.
-        width = max((len(r.cols) for r in rows), default=0)
-        pads = [width - len(r.cols) for r in rows]
-        self._cols = cols = np.array([r.cols + (r.row,) * p for r, p in zip(rows, pads)], int)
-        self._ra = ra = np.array([r.ra + (0.0,) * p for r, p in zip(rows, pads)]).reshape(n, width)
-        self._rb = rb = np.array([r.rb + (0.0,) * p for r, p in zip(rows, pads)]).reshape(n, width)
         at = np.arange(n)[:, None]
+        self.R = np.zeros((2 * n, len(A)))
         self.R[at, cols], self.R[n + at, cols] = ra, rb
-        terms = np.stack([ra, rb, abs(ra), abs(rb)])
+        self.Q = np.concatenate((P, self.R @ P))
+        self._table = []
+        if not n:  # no row can move: a solve returns x0
+            return
         self._W = inverse[:, rd].T
         self._moved_W = {}  # W[moved] by moved rows
-        # The w_j for ra and rb, and |w_j| for |ra| and |rb|.
-        W = np.stack([self._W, self._W, abs(self._W), abs(self._W)])
+        # [i, j, t]: row i's column t and row j's rd, where its term meets w_j.
+        meet = cols[:, None], rd[:, None]
         # ra_i . w_j, rb_i . w_j, |ra_i| . |w_j| and |rb_i| . |w_j| for
         # every pair of rows (i, j), summed term by term in ``cols`` order.
-        products = terms[:, :, None, :] * W[:, :, cols].transpose(0, 2, 1, 3)
+        signed = np.array([ra, rb])[:, :, None] * inverse[meet]
+        products = np.concatenate((signed, abs(signed)))
         dots = np.zeros((4, n, n))
-        for t in range(width):
+        for t in range(cols.shape[1]):
             dots += products[..., t]
         self._raw, self._rbw = dots[:2].tolist()
         # Row i of C sums at most 1 + |alpha| |ra_i| . |w_j| + |beta|
@@ -365,11 +345,12 @@ class RowUpdate:
         self._magnitude = list(zip(*dots[2:].max(axis=2, initial=0.0).tolist()))
         # Whether each row is alone: no C entry off the diagonal, in its row
         # or its column, is nonzero by the pattern of _raw and _rbw, unless
-        # A's pattern makes it zero and only rounding in A0^-1 does not.
+        # A's pattern makes it zero at row i's real columns and only rounding
+        # in A0^-1 does not.
         linked = ((dots[0] != 0) | (dots[1] != 0)) & ~np.eye(n, dtype=bool)
         if linked.any():
-            support = _inverse_pattern(A)[:, rd]
-            linked &= np.array([support[list(r.cols)].any(axis=0) for r in rows])
+            real = (cols != rd[:, None])[:, None]
+            linked &= (_inverse_pattern(A)[meet] & real).any(axis=2)
         self._lone = (~(linked.any(axis=0) | linked.any(axis=1))).tolist()
         # What a solve reads of row i: |ra| and |rb| over the w_j, the
         # diagonal terms of C and whether it is alone.
@@ -422,7 +403,7 @@ class RowUpdate:
         system per row of ``d_p`` (one column per diode row): the infinity
         norm of the rows no d_p enters, and (rd, cols, V), V[k, i] being
         row ``rd[i]``'s entries at ``cols[i]`` at d_p[k, i], entry for entry
-        as assembly writes them (zero at the padding)."""
+        as assembly writes them (zero at a pad)."""
         V = diode_entries(d_p[..., None], self._ra, self._rb)
         return self._fixed_norm, (self.rd, self._cols, V)
 

@@ -13,9 +13,13 @@ tree's ``PYTHONPATH`` and, for every case of ``engine_reference.json``
 and with ``dcm_refine``, as the benchmark's ``ccm_transient`` and
 ``dcm_transient`` jobs build them), takes sha256 digests of:
 
-* ``assemble_system``'s A, B, E and ``diode_rows`` at the case's d and at
+* ``assemble_system``'s A, B, E and every cell's diode row, as (rd, cols,
+  ra, rb) over its real columns (``_diode_rows``), at the case's d and at
   d = 1, each with every d_p at 1 - d, at 0.3 and at 0, and the outcome of
   ``lu_factor`` on each A ("ok", or its ``SingularSystem`` message);
+* the ``RowUpdate`` of a stepper built for the case, its tables ``_raw``,
+  ``_rbw``, ``_magnitude`` and ``_lone`` and its ``R``, and the stepper's
+  ``Q``, which the run's columns reach only through rounding;
 * every column of ``run()``'s result and every ``RunStats`` field.
 
 It also digests ``lu_factor``'s outcome on every matrix of
@@ -246,7 +250,7 @@ def generated_runs():
 
 
 def _runs():
-    """(name, case, circuit, run() result) of every reference case and
+    """(name, circuit, config, run() result) of every reference case and
     every case of ``generated_runs()``, run by the tree on ``sys.path``."""
     from avgcell import SimConfig, parse_netlist, run
 
@@ -258,7 +262,7 @@ def _runs():
     for name, case in cases.items():
         circuit = parse_netlist(case["netlist"])
         config = SimConfig(case["d"], case["f_s"], case["t_end"], case["dcm_refine"])
-        yield name, case, circuit, run(circuit, config)
+        yield name, circuit, config, run(circuit, config)
 
 
 # (generator, kind mix) of the generated oracle cases: every period in CCM,
@@ -305,26 +309,43 @@ def _oracle_runs():
             yield f"oracle:{name}", steps, simulate_switched(circuit, config, OracleConfig(steps))
 
 
+def _diode_rows(system):
+    """Every cell's diode row as (rd, cols, ra, rb) over its real columns,
+    read off ``MnaSystem.diode``, padded arrays, or in a tree that has no
+    such arrays off ``MnaSystem.diode_rows``, one tuple per cell."""
+    if hasattr(system, "diode_rows"):
+        return [(r.row, r.cols, r.ra, r.rb) for r in system.diode_rows]
+    rows = []
+    for rd, cols, ra, rb in zip(*(a.tolist() for a in system.diode)):
+        real = [k for k, c in enumerate(cols) if c != rd]  # a pad sits at rd
+        rows.append((rd, *(tuple(a[k] for k in real) for a in (cols, ra, rb))))
+    return rows
+
+
 def digests():
     """{case: {field: digest}} of the tree on ``sys.path``."""
     from avgcell import InvalidCircuit, SimConfig, parse_netlist, run, validate
+    from avgcell.engine import _Stepper
     from avgcell.mna import assemble_system
     from avgcell.oracle import simulate_switched
 
     out = {}
-    for name, case, circuit, result in _runs():
+    for name, circuit, config, result in _runs():
         labels = [e.label for e in circuit.cells()]
         fields = out[name] = {}
-        for d in dict.fromkeys((case["d"], 1.0)):
+        for d in dict.fromkeys((config.d, 1.0)):
             for d_p in dict.fromkeys((1.0 - d, 0.3, 0.0)):
-                system = assemble_system(circuit, d, 1.0 / case["f_s"], dict.fromkeys(labels, d_p))
-                for field in ("A", "B", "E", "diode_rows"):
-                    fields[f"assembly:d={d!r}:d_p={d_p!r}:{field}"] = _digest(
-                        getattr(system, field)
-                    )
-                fields[f"assembly:d={d!r}:d_p={d_p!r}:lu_factor"] = _digest(
-                    _lu_outcome(system.A)
-                )
+                system = assemble_system(circuit, d, 1.0 / config.f_s, dict.fromkeys(labels, d_p))
+                at = f"assembly:d={d!r}:d_p={d_p!r}"
+                for field in ("A", "B", "E"):
+                    fields[f"{at}:{field}"] = _digest(getattr(system, field))
+                fields[f"{at}:diode_rows"] = _digest(_diode_rows(system))
+                fields[f"{at}:lu_factor"] = _digest(_lu_outcome(system.A))
+        stepper = _Stepper(circuit, config, 1)
+        # A tree whose RowUpdate has no diode row to move may set no table.
+        for field in ("_raw", "_rbw", "_magnitude", "_lone", "R"):
+            fields[f"update:{field}"] = _digest(getattr(stepper.update, field, []))
+        fields["update:Q"] = _digest(stepper.Q)
         for column in COLUMNS + ("t_start",):
             fields[f"run:{column}"] = _digest(getattr(result, column))
         for stat in dataclasses.fields(result.stats):

@@ -18,8 +18,8 @@ run too: each is listed with the reason no test can kill it.  It prints
 one line per mutant, with the first failing test of a killed one, and
 exits 1 if a row of ``MUTANTS`` survived or one of ``EQUIVALENT`` was
 killed.  It writes nothing in the tree.  Tier-1 takes about 20 s on a
-2-vCPU host, so a survivor costs that and a full run of the 68 rows
-about 17 minutes.
+2-vCPU host, so a survivor costs that and a full run of the 70 rows
+about 18 minutes.
 """
 
 import os
@@ -150,9 +150,25 @@ MUTANTS = [
     (
         "lone-by-rounding",
         "mna.py",
-        "linked &= np.array([support[list(r.cols)].any(axis=0) for r in rows])",
+        "linked &= (_inverse_pattern(A)[meet] & real).any(axis=2)",
         "pass",
         "a link that A's pattern rules out is rounding in A0^-1 and couples no rows",
+    ),
+    (
+        "pad-couples",
+        "mna.py",
+        "linked &= (_inverse_pattern(A)[meet] & real).any(axis=2)",
+        "linked &= _inverse_pattern(A)[meet].any(axis=2)",
+        "a diode row's pad, at its own rd, meets no w_j in the coupling test",
+    ),
+    (
+        "pad-diagonal",
+        "mna.py",
+        "    planes[_A][at] = diode_entries(np.array(d_ps)[:, None], *system.diode[2:])\n"
+        "    planes[_A, rd, rd] = 1.0  # over a pad's 0.0\n",
+        "    planes[_A, rd, rd] = 1.0\n"
+        "    planes[_A][at] = diode_entries(np.array(d_ps)[:, None], *system.diode[2:])\n",
+        "a padded diode row keeps its unit diagonal, not the pad's 0.0",
     ),
     (
         "inverse-pattern-one-step",

@@ -21,6 +21,7 @@ from avgcell.mna import (
     assemble_system,
     build_layout,
     check_residual,
+    diode_entries,
     lu_factor,
     lu_solve,
     solve_diagonal,
@@ -498,7 +499,7 @@ def test_row_update_matches_refactored_system(d_ps):
 
     system = assemble_system(circuit, d, TS, d_p(1.0 - d, 1.0 - d))
     inverse = lu_factor(system.A)
-    update = RowUpdate(system.A, inverse, system.diode_rows, 1.0 - d)
+    update = RowUpdate(system.A, inverse, lu_solve(inverse, system.B), system.diode, 1.0 - d)
     A0 = system.A.copy()
     expected = assemble_system(circuit, d, TS, d_p(*d_ps))
     z = rhs(system, caps, iL0s)
@@ -532,23 +533,29 @@ R 1 4 0 40.0
 """
 
 
-def _pairwise_tables(inverse, rows):
-    """RowUpdate's tables as one dot product per pair of rows (i, j): the
-    reference its column products must reproduce bit for bit."""
-    columns = [inverse[:, r.row].tolist() for r in rows]
+def _pairwise_tables(inverse, diode):
+    """RowUpdate's tables as one dot product per pair of rows (i, j), over
+    each row's real columns of ``diode`` (``MnaSystem.diode``; its pads, at
+    the row's own rd, left out): the reference its column products must
+    reproduce bit for bit."""
+    rows = []
+    for rd, cols, ra, rb in zip(*(a.tolist() for a in diode)):
+        real = [k for k, c in enumerate(cols) if c != rd]
+        rows.append((rd, [cols[k] for k in real], [ra[k] for k in real], [rb[k] for k in real]))
+    columns = [inverse[:, rd].tolist() for rd, *_ in rows]
     abs_columns = [[abs(v) for v in w] for w in columns]
 
     def dot(coeffs, cols, w):
         return sum(a * w[c] for a, c in zip(coeffs, cols))
 
-    raw = [[dot(r.ra, r.cols, w) for w in columns] for r in rows]
-    rbw = [[dot(r.rb, r.cols, w) for w in columns] for r in rows]
+    raw = [[dot(ra, cols, w) for w in columns] for _, cols, ra, _ in rows]
+    rbw = [[dot(rb, cols, w) for w in columns] for _, cols, _, rb in rows]
     magnitude = [
         (
-            max(dot(map(abs, r.ra), r.cols, w) for w in abs_columns),
-            max(dot(map(abs, r.rb), r.cols, w) for w in abs_columns),
+            max(dot(map(abs, ra), cols, w) for w in abs_columns),
+            max(dot(map(abs, rb), cols, w) for w in abs_columns),
         )
-        for r in rows
+        for _, cols, ra, rb in rows
     ]
     return raw, rbw, magnitude
 
@@ -559,10 +566,10 @@ def test_row_update_tables_match_pairwise_dots(text):
     d = 0.4
     system = assemble_system(circuit, d, TS, ccm_d_p(circuit, d))
     inverse = lu_factor(system.A)
-    update = RowUpdate(system.A, inverse, system.diode_rows, 1.0 - d)
+    update = RowUpdate(system.A, inverse, lu_solve(inverse, system.B), system.diode, 1.0 - d)
     tables = (update._raw, update._rbw, update._magnitude)
     # repr tells every float apart, the sign of zero included.
-    assert repr(tables) == repr(_pairwise_tables(inverse, system.diode_rows))
+    assert repr(tables) == repr(_pairwise_tables(inverse, system.diode))
 
 
 PARALLEL = """\
@@ -591,7 +598,8 @@ def test_row_update_groups_are_the_coupled_rows(text, lone):
     circuit = parse_netlist(text)
     d = 0.4
     system = assemble_system(circuit, d, TS, ccm_d_p(circuit, d))
-    update = RowUpdate(system.A, lu_factor(system.A), system.diode_rows, 1.0 - d)
+    inverse = lu_factor(system.A)
+    update = RowUpdate(system.A, inverse, lu_solve(inverse, system.B), system.diode, 1.0 - d)
     assert update._lone == lone
 
 
@@ -604,11 +612,71 @@ def test_rounding_in_the_inverse_couples_no_rows():
     d = 0.4
     system = assemble_system(circuit, d, TS, ccm_d_p(circuit, d))
     inverse = lu_factor(system.A)
-    first, second = system.diode_rows[:2]
-    col = next(c for c, ra in zip(first.cols, first.ra) if ra)
-    assert inverse[col, second.row] == 0.0
-    inverse[col, second.row] = 1e-18
-    update = RowUpdate(system.A, inverse, system.diode_rows, 1.0 - d)
+    rd, cols, ra, _ = system.diode
+    col = next(c for c, a in zip(cols[0].tolist(), ra[0].tolist()) if a)
+    assert inverse[col, rd[1]] == 0.0
+    inverse[col, rd[1]] = 1e-18
+    update = RowUpdate(system.A, inverse, lu_solve(inverse, system.B), system.diode, 1.0 - d)
+    assert update._raw[0][1] != 0.0
+    assert update._lone == [True, True, True]
+
+
+# A buck, whose diode row has two real columns (its p is ground), feeding a
+# flyback whose three terminals are all off ground.
+MIXED = """\
+VDC 1 1 0 24.0
+SCD1 1 1 0 2 10e-6 0
+C 1 2 0 1e-4 0
+R 1 2 0 40.0
+FBD2 2 2 4 3 15e-6 1.7 0
+C 2 3 4 1e-4 0
+R 2 3 4 60.0
+R 3 4 0 1.0
+"""
+
+
+def test_a_pad_counts_for_nothing(monkeypatch):
+    """A diode row is padded to three columns at its own rd, where ra and
+    rb read 0.0.  The pad leaves A's unit diagonal, RowUpdate's tables and
+    its coupling test as the row's real columns make them."""
+    import avgcell.mna as mna_module
+
+    circuit = parse_netlist(MIXED)
+    d, d_p = 0.4, {"SCD1": 0.25, "FBD2": 0.5}
+    system = assemble_system(circuit, d, TS, d_p)
+    rd, cols, ra, rb = system.diode
+    real = cols != rd[:, None]
+    assert real.sum(axis=1).tolist() == [2, 3]
+    for i, p in enumerate(d_p.values()):
+        assert system.A[rd[i], rd[i]] == 1.0
+        expected = np.zeros(len(system.A))
+        expected[cols[i][real[i]]] = diode_entries(p, ra[i][real[i]], rb[i][real[i]])
+        expected[rd[i]] = 1.0
+        assert system.A[rd[i]].tobytes() == expected.tobytes()
+
+    system = assemble_system(circuit, d, TS, ccm_d_p(circuit, d))
+    inverse = lu_factor(system.A)
+    update = RowUpdate(system.A, inverse, lu_solve(inverse, system.B), system.diode, 1.0 - d)
+    tables = (update._raw, update._rbw, update._magnitude)
+    assert repr(tables) == repr(_pairwise_tables(inverse, system.diode))
+
+    # Rows in parallel, a link planted by rounding, and A0^-1 called nonzero
+    # only at (rd_i, rd_j): only a pad meets it there, so no row couples.
+    parallel = parse_netlist(PARALLEL)
+    system = assemble_system(parallel, d, TS, ccm_d_p(parallel, d))
+    inverse = lu_factor(system.A)
+    rd, cols, ra, _ = system.diode
+    assert (cols[0] == rd[0]).any()
+    col = next(c for c, a in zip(cols[0].tolist(), ra[0].tolist()) if a)
+    inverse[col, rd[1]] = 1e-18
+
+    def pattern(A):
+        at_rd = np.zeros(A.shape, dtype=bool)
+        at_rd[np.ix_(rd, rd)] = True
+        return at_rd
+
+    monkeypatch.setattr(mna_module, "_inverse_pattern", pattern)
+    update = RowUpdate(system.A, inverse, lu_solve(inverse, system.B), system.diode, 1.0 - d)
     assert update._raw[0][1] != 0.0
     assert update._lone == [True, True, True]
 
