@@ -249,12 +249,28 @@ def generated_runs():
     }
 
 
+# Two SCD cascades in parallel on one source: at d = 0.4 each cascade's
+# two diode rows are coupled, no row is alone, and up to four rows move in
+# a period, so the row update solves two coupled groups in one system.
+TWO_GROUPS = (
+    "VDC 1 1 0 20.0\n"
+    "SCD 1 1 0 2 10e-6 0\nC 1 2 0 1e-4 0\nR 1 2 0 50.0\n"
+    "SCD 2 2 0 3 10e-6 0\nC 2 3 0 1e-4 0\nR 2 3 0 50.0\n"
+    "SCD 3 1 0 4 10e-6 0\nC 3 4 0 1e-4 0\nR 3 4 0 50.0\n"
+    "SCD 4 4 0 5 10e-6 0\nC 4 5 0 1e-4 0\nR 4 5 0 50.0\n"
+)
+
+
 def _runs():
-    """(name, circuit, config, run() result) of every reference case and
-    every case of ``generated_runs()``, run by the tree on ``sys.path``."""
+    """(name, circuit, config, run() result) of every reference case, every
+    case of ``generated_runs()`` and ``TWO_GROUPS``, run by the tree on
+    ``sys.path``."""
     from avgcell import SimConfig, parse_netlist, run
 
     cases = json.loads((DATA / "engine_reference.json").read_text())["cases"]
+    for refine in (False, True):
+        cases[f"two-groups{'+refine' * refine}"] = {
+            "netlist": TWO_GROUPS, "d": 0.4, "f_s": 100e3, "t_end": 3e-3, "dcm_refine": refine}
     for name, (text, refine) in generated_runs().items():
         params = parse_netlist(text).params
         cases[name] = {"netlist": text, "d": params["D"], "f_s": params["fs"],
