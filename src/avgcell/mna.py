@@ -19,15 +19,15 @@ every capacitor's voltage, then every cell's vL1, then every vL2 off x;
 its capacitor and cell rows line up with B's columns.
 
 A cell's d_p enters A only in its iD_avg row ``rd``, e_rd + d_p ra + d_p^2
-rb (:func:`diode_entries`), held once as :attr:`MnaSystem.diode`.  A run
-factors A once, at d_p = 1 - d: :func:`lu_factor` eliminates with partial
-pivoting, tests each pivot against its row's largest entry and returns
-A0^-1.  :class:`RowUpdate` solves a period with k cells at another d_p as a
-rank-k row update of A0^-1 (Sherman-Morrison-Woodbury; Hager, SIAM Review
-31(2), 1989) from q = Q s, x0 = A0^-1 B s and every diode row's ra . x0 and
-rb . x0: one division per lone diode row, one small system for the coupled
-ones, A never rewritten.  :func:`check_residual` checks a block of
-solutions, each against its own A.
+rb (:func:`diode_entries`), held once as :attr:`MnaSystem.diode`.  One
+Gaussian elimination with partial pivoting, :func:`eliminate`, runs over the
+entries off zero.  A run factors A once, at d_p = 1 - d: :func:`lu_factor`
+tests A by it and returns A0^-1.  :class:`RowUpdate` solves a period with k
+cells at another d_p as a rank-k row update of A0^-1 (Sherman-Morrison-
+Woodbury; Hager, SIAM Review 31(2), 1989) from q = Q s, x0 = A0^-1 B s and
+every diode row's ra . x0 and rb . x0: one division per lone diode row, and
+the coupled ones eliminated together, A never rewritten.
+:func:`check_residual` checks a block of solutions, each against its own A.
 """
 
 import math
@@ -196,21 +196,29 @@ def assemble_system(circuit, d, T_s, d_p):
     return stamp(build_layout(circuit), circuit.elements, d, T_s, d_p)
 
 
-def lu_factor(A):
-    """Test ``A`` for singularity by LU elimination with partial pivoting,
-    then return its inverse; the systems are small, so a solve is one
-    product with it.
+def _check_pivots(rows, name):
+    """The pivot rule, for ``rows`` (pivot, _, scale) in column order: raise
+    :class:`SingularSystem`, naming the first failing pivot ``name``, unless
+    each is above ``PIVOT_RTOL`` times its row's scale."""
+    for k, (pivot, _, scale) in enumerate(rows):
+        if not abs(pivot) > PIVOT_RTOL * scale:
+            raise SingularSystem(f"{name} {pivot:.3e} in column {k} below tolerance")
+
+
+def eliminate(a, scale, name, rhs=None):
+    """Gaussian elimination with partial pivoting of the square matrix
+    ``a``, and of the list ``rhs`` (overwritten) with it.  Given ``rhs``,
+    returns the solution as a list, back-substituted in ascending column
+    order.
 
     The pivot is the column's largest entry, the first in row order among
-    equals; :class:`SingularSystem` is raised when A is not finite, or when
-    a pivot is not above ``PIVOT_RTOL`` times its row's largest entry in A.
-    Only the entries off zero are stored and eliminated: a product by a
-    zero adds a zero, or NaN by a factor that is not finite."""
-    a = np.asarray(A, dtype=float)
-    if not np.isfinite(a).all():
-        raise SingularSystem("the system matrix A is not finite")
-    scale = np.abs(a).max(axis=1).tolist()
-    n = len(a)
+    equals, a NaN the largest, as for argmax.  The pivots and their rows'
+    ``scale`` pass :func:`_check_pivots` at the end, which reports the first
+    failing one: no pivot depends on a later one.  Only the entries off
+    zero are stored and eliminated: a product by a zero adds a zero, or NaN
+    by a factor that is not finite."""
+    a = np.asarray(a, dtype=float)
+    n, pivots = len(a), []
     rows, in_col = [{} for _ in range(n)], [[] for _ in range(n)]
     r, c = np.nonzero(a)
     for i, j, v in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
@@ -221,13 +229,14 @@ def lu_factor(A):
         below = in_col[k]  # the rows not yet pivots with an entry in column k
         p = at[k]
         largest = abs(rows[p].get(k, 0.0))
-        for i in below:  # a NaN is the largest, as for argmax
+        for i in below:
             m = abs(rows[i][k])
             if m > largest or m == largest and pos[i] < pos[p] or m != m:
                 p, largest = i, m
         pivot = rows[p].pop(k, 0.0)
-        if not abs(pivot) > PIVOT_RTOL * scale[p]:
-            raise SingularSystem(f"pivot {pivot:.3e} in column {k} below tolerance")
+        pivots.append((pivot, None, scale[p]))
+        if not pivot:  # it fails the pivot rule: stop before dividing by it
+            break
         q, old = at[k], pos[p]
         at[k], at[old], pos[p], pos[q] = p, q, k, old
         # A row below pops each column as it is eliminated, so the pivot
@@ -249,6 +258,29 @@ def lu_factor(A):
                         row[j] = 0.0
                         in_col[j].append(i)
                     row[j] -= f * u.get(j, 0.0)
+                if rhs is not None:
+                    rhs[i] -= f * rhs[p]
+    _check_pivots(pivots, name)
+    if rhs is None:
+        return None
+    y = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        u, acc = rows[at[k]], rhs[at[k]]
+        for j in range(k + 1, n):
+            acc -= u.get(j, 0.0) * y[j]
+        y[k] = acc / pivots[k][0]
+    return y
+
+
+def lu_factor(A):
+    """Test ``A`` for singularity by :func:`eliminate`, each pivot against
+    its row's largest entry in A, then return its inverse; the systems are
+    small, so a solve is one product with it.  :class:`SingularSystem` is
+    also raised when A is not finite."""
+    a = np.asarray(A, dtype=float)
+    if not np.isfinite(a).all():
+        raise SingularSystem("the system matrix A is not finite")
+    eliminate(a, np.abs(a).max(axis=1).tolist(), "pivot")
     return np.linalg.inv(a)
 
 
@@ -300,14 +332,14 @@ class RowUpdate:
         x = x0 - W C^-1 U^T x0,   x0 = A0^-1 z,   C = I + U^T W,
 
     and det A = det A0 det C; U^T x0 is read off q = Q s = (x0, R x0), ``Q``
-    = (P, R P) with P = A0^-1 B and ``R`` every row's ra, then every rb, as
-    dense rows.  C_ij is zero wherever ra_i . w_j and rb_i . w_j are, or A's
-    pattern makes w_j zero at row i's real ``cols`` (:func:`_inverse_pattern`)
-    whatever rounding leaves there.  A row with no nonzero C entry off the
-    diagonal, in its row or column, is alone, one division; a period's
-    coupled moved rows are one small system, block-diagonal over their
-    groups.  ``updates`` counts the solves with a row moved, ``largest`` the
-    most rows one moved.
+    = (P, R P) with P = A0^-1 B (P itself with no rows) and ``R`` every
+    row's ra, then every rb, as dense rows.  C_ij is zero wherever ra_i .
+    w_j and rb_i . w_j are, or A's pattern makes w_j zero at row i's real
+    ``cols`` (:func:`_inverse_pattern`) whatever rounding leaves there.  A
+    row with no nonzero C entry off the diagonal, in its row or column, is
+    alone, one division; a period's coupled moved rows are one system for
+    :func:`eliminate`, whose groups share no entry.  ``updates`` counts the
+    solves with a row moved, ``largest`` the most rows one moved.
     """
 
     def __init__(self, A, inverse, P, rows, d_p0):
@@ -322,7 +354,7 @@ class RowUpdate:
         at = np.arange(n)[:, None]
         self.R = np.zeros((2 * n, len(A)))
         self.R[at, cols], self.R[n + at, cols] = ra, rb
-        self.Q = np.concatenate((P, self.R @ P))
+        self.Q = np.concatenate((P, self.R @ P)) if n else P
         self._table = []
         if not n:  # no row can move: a solve returns x0
             return
@@ -391,7 +423,7 @@ class RowUpdate:
                  for i, a, b in zip(idx, alpha, beta)]
             for k, c_row in enumerate(C):
                 c_row[k] += 1.0
-            for p, y_p in zip(pos, solve_small(C, rhs, scale)):
+            for p, y_p in zip(pos, eliminate(C, scale, "row-update pivot", rhs)):
                 y[p] = y_p
         W = self._moved_W.get(key := tuple(moved))
         if W is None:
@@ -408,51 +440,10 @@ class RowUpdate:
         return self._fixed_norm, (self.rd, self._cols, V)
 
 
-def solve_small(C, r, scale):
-    """Solve the k x k system C y = r (nested lists, overwritten) by
-    Gaussian elimination with partial pivoting on plain Python floats.
-
-    Raises :class:`SingularSystem` by the rule of :func:`lu_factor`, a
-    pivot not above ``PIVOT_RTOL`` times its row's ``scale``.  A row
-    swaps only with rows of its block of a block-diagonal C (zeros exact),
-    so each block gets its bits alone.
-    """
-    k = len(r)
-    for col in range(k):
-        p = max(range(col, k), key=lambda i: abs(C[i][col]))
-        pivot = C[p][col]
-        if not abs(pivot) > PIVOT_RTOL * scale[p]:
-            raise SingularSystem(
-                f"row-update pivot {pivot:.3e} in column {col} below tolerance"
-            )
-        C[col], C[p] = C[p], C[col]
-        r[col], r[p] = r[p], r[col]
-        scale[col], scale[p] = scale[p], scale[col]
-        pivot_row = C[col]
-        for i in range(col + 1, k):
-            f = C[i][col] / pivot
-            if f:
-                row = C[i]
-                for j in range(col + 1, k):
-                    row[j] -= f * pivot_row[j]
-                r[i] -= f * r[col]
-    y = [0.0] * k
-    for i in range(k - 1, -1, -1):
-        row = C[i]
-        acc = r[i]
-        for j in range(i + 1, k):
-            acc -= row[j] * y[j]
-        y[i] = acc / row[i]
-    return y
-
-
 def solve_diagonal(rows):
     """Solve diag(c) y = r, given as its rows (c_i, r_i, scale_i), one
-    division a row, by the pivot rule of :func:`solve_small` for every row."""
-    for col, (pivot, _, row_scale) in enumerate(rows):
-        if not abs(pivot) > PIVOT_RTOL * row_scale:
-            message = f"row-update pivot {pivot:.3e} in column {col} below tolerance"
-            raise SingularSystem(message)
+    division a row, after :func:`_check_pivots` of them all."""
+    _check_pivots(rows, "row-update pivot")
     return [r_i / c_i for c_i, r_i, _ in rows]
 
 

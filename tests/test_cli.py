@@ -16,6 +16,7 @@ from avgcell.engine import SimulationResult
 from conftest import BUCK, BUCK_DIODE, FLYBACK
 
 ARGS = ["-D", "0.5", "--fs", "100e3", "--t-end", "5e-4"]
+NETLISTS = Path(__file__).resolve().parents[1] / "netlists"
 
 
 @pytest.fixture
@@ -426,6 +427,39 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "--oracle" in done.stdout
+
+
+@pytest.mark.parametrize("fault, code", [("", 0), ("C 9 2 2 1e-6 0\n", 2)],
+                         ids=["buck", "shorted-capacitor"])
+def test_python_dash_m_exits_with_the_run_code(tmp_path, fault, code):
+    """``python -m avgcell`` exits with the code of the run: 0 on
+    netlists/buck.net, 2 on it with a shorted capacitor, writing nothing."""
+    src = Path(avgcell.__file__).resolve().parents[1]
+    path = tmp_path / "buck.net"
+    path.write_text((NETLISTS / "buck.net").read_text() + fault)
+    out = tmp_path / "results"
+    done = subprocess.run(
+        [sys.executable, "-m", "avgcell", str(path), "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    assert (out / "averaged.csv").exists() == (code == 0)
+    assert done.stderr == ("" if code == 0 else f"error: {path}: C9: both terminals on node 2\n")
+
+
+def test_singular_oracle_operating_point_exits_three(tmp_path, capsys):
+    """netlists/flyback.net with its source across nodes 1 and 2 runs
+    averaged, but the oracle's t = 0 operating point is singular: exit 3
+    naming it, and no output file."""
+    path = tmp_path / "flyback.net"
+    text = (NETLISTS / "flyback.net").read_text()
+    path.write_text(text.replace("VDC 1 1 0 10.0", "VDC 1 2 0 10.0"))
+    assert run_cli(path, *ARGS, "--out", tmp_path / "averaged") == 0
+    out = tmp_path / "results"
+    assert run_cli(path, *ARGS, "--out", out, "--oracle") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle: initial operating point is singular: ")
+    assert not out.exists()
 
 
 def test_capacitor_written_ground_first_reports_the_same_voltage(tmp_path):

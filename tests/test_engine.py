@@ -43,6 +43,8 @@ def test_config_validation():
         SimConfig(1.5, 100e3, 1e-3)
     with pytest.raises(InvalidConfig):
         SimConfig(0.5, -1.0, 1e-3)
+    with pytest.raises(InvalidConfig, match="must be non-negative"):
+        SimConfig(0.5, 100e3, -1e-3)
     assert SimConfig(0.5, 100e3, 5e-3).n_periods == 500
 
 
@@ -108,6 +110,15 @@ def test_flyback_startup_converges(flyback_run, flyback_long_run):
         20.0, rel=1e-6
     )
     assert last.node_voltages[2] == pytest.approx(20.0, rel=1e-6)
+
+
+def test_state_lookups_reject_a_label_of_the_other_kind(buck_run):
+    """A cell's states are read by a cell label and a capacitor's voltage by
+    a capacitor label; the other kind's label is a KeyError."""
+    with pytest.raises(KeyError, match="C1"):
+        buck_run.cell_states("C1")
+    with pytest.raises(KeyError, match="SCN1"):
+        buck_run.capacitor_voltage("SCN1")
 
 
 def test_first_period_solution_matches_closed_form(buck_run):

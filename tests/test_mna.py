@@ -22,10 +22,10 @@ from avgcell.mna import (
     build_layout,
     check_residual,
     diode_entries,
+    eliminate,
     lu_factor,
     lu_solve,
     solve_diagonal,
-    solve_small,
     stamp,
 )
 from avgcell.netlist import parse_netlist
@@ -272,12 +272,18 @@ class TestSolver:
             check_residual(ones, np.array([[np.inf, 1.0]]), np.zeros((1, 2)), a_norm(ones))
 
 
+def coupled_solve(C, r, scale):
+    """RowUpdate's coupled solve of the k x k system C y = r (nested lists,
+    r overwritten): :func:`eliminate` with the row update's pivot name."""
+    return eliminate(C, scale, "row-update pivot", r)
+
+
 class TestSmallSolve:
     def test_one_by_one_is_a_division(self):
-        assert solve_small([[4.0]], [2.0], [4.0]) == [0.5]
+        assert coupled_solve([[4.0]], [2.0], [4.0]) == [0.5]
 
     def test_pivoting_handles_zero_diagonal(self):
-        assert solve_small([[0.0, 1.0], [1.0, 0.0]], [2.0, 3.0], [1.0, 1.0]) == [
+        assert coupled_solve([[0.0, 1.0], [1.0, 0.0]], [2.0, 3.0], [1.0, 1.0]) == [
             3.0,
             2.0,
         ]
@@ -286,7 +292,7 @@ class TestSmallSolve:
         rng = np.random.default_rng(5)
         c = rng.normal(size=(6, 6)) + 6 * np.eye(6)
         r = rng.normal(size=6)
-        y = solve_small(c.tolist(), r.tolist(), np.abs(c).max(axis=1).tolist())
+        y = coupled_solve(c.tolist(), r.tolist(), np.abs(c).max(axis=1).tolist())
         np.testing.assert_allclose(y, np.linalg.solve(c, r), rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -300,7 +306,7 @@ class TestSmallSolve:
     )
     def test_small_pivot_raises(self, C, scale):
         with pytest.raises(SingularSystem):
-            solve_small(C, [1.0] * len(C), scale)
+            coupled_solve(C, [1.0] * len(C), scale)
 
 
 # The largest pivot that fails for a row scale of 2, with PIVOT_RTOL written
@@ -312,13 +318,13 @@ _PIVOT_EDGE = 1e-13 * 2.0
     "solve",
     [
         lambda pivot: lu_factor(np.array([[2.0, 0.0], [2.0, pivot]])),
-        lambda pivot: solve_small([[pivot]], [1.0], [2.0]),
+        lambda pivot: coupled_solve([[pivot]], [1.0], [2.0]),
         lambda pivot: solve_diagonal([(pivot, 1.0, 2.0)]),
     ],
-    ids=["lu_factor", "solve_small", "solve_diagonal"],
+    ids=["lu_factor", "eliminate", "solve_diagonal"],
 )
 def test_pivot_at_the_tolerance_raises_and_the_next_float_up_passes(solve):
-    """Each elimination's pivot rule: a pivot of PIVOT_RTOL times its row's
+    """Each caller's pivot rule: a pivot of PIVOT_RTOL times its row's
     scale is singular, and the next float up is not.  lu_factor's second
     pivot is the entry itself, in a row whose largest entry is 2."""
     with pytest.raises(SingularSystem):
@@ -451,7 +457,7 @@ def test_group_by_group_solve_equals_whole_solve(system):
         y = [None] * len(r)
         for g in dict.fromkeys(group):
             rows = [i for i, h in enumerate(group) if h == g]
-            part = solve_small(
+            part = coupled_solve(
                 [[C[i][j] for j in rows] for i in rows],
                 [r[i] for i in rows],
                 [scale[i] for i in rows],
@@ -460,7 +466,7 @@ def test_group_by_group_solve_equals_whole_solve(system):
                 y[i] = y_i
         return y
 
-    expected = _outcome(lambda: solve_small(copy.deepcopy(C), list(r), list(scale)))
+    expected = _outcome(lambda: coupled_solve(copy.deepcopy(C), list(r), list(scale)))
     assert _outcome(by_group) == expected
 
 

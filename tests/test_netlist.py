@@ -49,6 +49,9 @@ def test_parses_buck_listing():
 def test_elements_keep_file_order_and_labels():
     circuit = parse_netlist(BUCK_LISTING)
     assert [e.label for e in circuit.elements] == ["VDC1", "SCN1", "C1", "R1", "IDC1"]
+    assert circuit.element("R1") is circuit.elements[3]
+    with pytest.raises(KeyError, match="R9"):
+        circuit.element("R9")
 
 
 def test_fused_and_split_cell_tokens_parse_identically():
@@ -95,9 +98,11 @@ def test_disconnected_component_reported():
         ("R 9 1 0 5.0 9", ArityError),
         ("R 9 1 0 abc", NumericError),
         ("R 9 1 -2 5.0", NumericError),
+        ("R 9 1 x 5.0", NumericError),
         ("R 9 1 0 inf", NumericError),
         (".parm D=1", UnknownElementKind),
         (".param Q=1", NumericError),
+        (".param D", NumericError),
     ],
 )
 def test_located_errors(line, error):
@@ -284,6 +289,9 @@ def test_validate_flags_a_circuit_without_a_cell():
 def test_round_trip_buck():
     circuit = parse_netlist(BUCK_LISTING)
     assert parse_netlist(serialize_netlist(circuit)) == circuit
+    circuit = parse_netlist(".param D=0.5 fs=100e3 tend=5e-3\n" + BUCK_LISTING)
+    assert parse_netlist(serialize_netlist(circuit)) == circuit
+    assert serialize_netlist(circuit).startswith(".param D=0.5 fs=100000.0 tend=0.005\n")
 
 
 def test_a_circuit_is_built_from_its_elements_alone():
