@@ -19,7 +19,7 @@ one line per mutant, with the first failing test of a killed one, and
 exits 1 if a row of ``MUTANTS`` survived or one of ``EQUIVALENT`` was
 killed.  It writes nothing in the tree.  Tier-1 takes about 20 s on a
 2-vCPU host, so a survivor costs that and a full run of the 70 rows
-about 15 minutes.
+about 12 minutes.
 """
 
 import os
