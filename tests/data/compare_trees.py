@@ -260,17 +260,23 @@ TWO_GROUPS = (
     "SCD 4 4 0 5 10e-6 0\nC 4 5 0 1e-4 0\nR 4 5 0 50.0\n"
 )
 
+# A synchronous buck on a 0 V source: every end current snaps to zero, so
+# every CCM block fails at its first row and every period is stepped.
+ZERO_SOURCE = "VDC 1 1 0 0.0\nSCN1 1 1 0 2 10e-6 0\nC 1 2 0 1e-4 0\nR 1 2 0 5.0\n"
+
 
 def _runs():
     """(name, circuit, config, run() result) of every reference case, every
-    case of ``generated_runs()`` and ``TWO_GROUPS``, run by the tree on
-    ``sys.path``."""
+    case of ``generated_runs()``, ``TWO_GROUPS`` and ``ZERO_SOURCE``, run by
+    the tree on ``sys.path``."""
     from avgcell import SimConfig, parse_netlist, run
 
     cases = json.loads((DATA / "engine_reference.json").read_text())["cases"]
     for refine in (False, True):
         cases[f"two-groups{'+refine' * refine}"] = {
             "netlist": TWO_GROUPS, "d": 0.4, "f_s": 100e3, "t_end": 3e-3, "dcm_refine": refine}
+    cases["zero-source"] = {
+        "netlist": ZERO_SOURCE, "d": 0.5, "f_s": 100e3, "t_end": 3e-3, "dcm_refine": False}
     for name, (text, refine) in generated_runs().items():
         params = parse_netlist(text).params
         cases[name] = {"netlist": text, "d": params["D"], "f_s": params["fs"],
