@@ -18,8 +18,12 @@ matrix G and the companion update as the stepper forms it:
 with g = 2C / T_s, k1 = d T_s / L and k2 = (1 - d) T_s / L in G.
 Then x = P s, (vL1, vL2) = E x and iL1 = iL0 + k1 vL1 are read out row by
 row, so a row's bits do not depend on the block's length.  The periods
-before the first that breaks a rule are kept and that period is stepped;
-blocks start at ``FIRST_BLOCK`` periods and double after each kept whole.
+before the first that breaks a rule are kept and that period is stepped.
+Blocks double after each kept whole and start again at ``FIRST_BLOCK``
+after one that failed.  A circuit with a diode cell starts at
+``FIRST_BLOCK`` too, since a cell that leaves CCM discards the rest of its
+block; one with none starts at ``CHECK_ROWS``, as only an end current that
+snaps to zero can end its block early.
 
 A stepped period predicts each diode cell's mode by the ``cells`` rules,
 forms q = Q s, writes x into its row, row-updated from q for the cells at
@@ -52,12 +56,13 @@ from .mna import (
 )
 from .netlist import validate
 
-# Length of a run's first CCM block, and of the first block after one that
-# failed; accepted blocks double it.
+# Length of the first CCM block of a run with a diode cell, and of the first
+# block after one that failed; accepted blocks double it.
 FIRST_BLOCK = 8
 # The most stepped periods held as lists before they are written to the rows.
 STRETCH = 64
-# The most rows one residual check holds.
+# The most rows one residual check holds, and the length of the first CCM
+# block of a run with no diode cell.
 CHECK_ROWS = 1024
 
 _MODES = _CCM, _DCM = (_cells.Mode.CCM, _cells.Mode.DCM)
@@ -367,7 +372,7 @@ class _Stepper:
 
     def solve_rows(self, r, stop):
         """Solve rows [r, stop), CCM stretches in blocks, then check them."""
-        length = FIRST_BLOCK
+        length = FIRST_BLOCK if self.diode else CHECK_ROWS
         while r < stop:
             # Every diode cell carries a current into row r that keeps CCM.
             if all(_cells.keeps_ccm(self._carry[1][i]) for i in self.diode):
@@ -459,9 +464,10 @@ class _Stepper:
         i0 = w[0, n:-1]
         dot, multiply, subtract = np.dot, np.multiply, np.subtract
         for state, out, v, i0_next in zip(w[:-1, n_caps:], w[1:, :n], w[1:, :n_caps], w[1:, n:-1]):
-            dot(G, state, out=out)
-            multiply(two_g, v, out=i0_next)
-            i0 = subtract(i0_next, i0, out=i0_next)
+            # out positionally: a keyword costs each ufunc call more.
+            dot(G, state, out)
+            multiply(two_g, v, i0_next)
+            i0 = subtract(i0_next, i0, i0_next)
         s[a + 1:b + 1, :n_caps], s[a + 1:b + 1, cell] = w[1:, n:-1], w[1:, n_caps:n]
         y = rows.y[a:b]
         y[:, :n_caps] = w[1:, :n_caps]

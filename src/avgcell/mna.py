@@ -346,18 +346,19 @@ class RowUpdate:
         self.d_p0 = d_p0
         self.updates = self.largest = 0
         row_norms = np.abs(A).sum(axis=1)
-        self.a_norm = float(row_norms.max())
+        self.a_norm = self._fixed_norm = float(row_norms.max())
         self.rd, self._cols, self._ra, self._rb = rd, cols, ra, rb = rows
         n = len(rd)
+        self._table = []
+        if not n:  # no row can move: a solve returns x0
+            self.R, self.Q = np.zeros((0, len(A))), P
+            return
         row_norms[rd] = 0.0  # leaves the rows no d_p enters
         self._fixed_norm = float(row_norms.max())
         at = np.arange(n)[:, None]
         self.R = np.zeros((2 * n, len(A)))
         self.R[at, cols], self.R[n + at, cols] = ra, rb
-        self.Q = np.concatenate((P, self.R @ P)) if n else P
-        self._table = []
-        if not n:  # no row can move: a solve returns x0
-            return
+        self.Q = np.concatenate((P, self.R @ P))
         self._W = inverse[:, rd].T
         self._moved_W = {}  # W[moved] by moved rows
         # [i, j, t]: row i's column t and row j's rd, where its term meets w_j.
@@ -428,7 +429,7 @@ class RowUpdate:
         W = self._moved_W.get(key := tuple(moved))
         if W is None:
             W = self._moved_W[key] = self._W[moved]
-        return np.subtract(q[:n], np.dot(y, W), out=out)
+        return np.subtract(q[:n], np.dot(y, W), out)
 
     def moves(self, d_p):
         """The ``a_norm`` and ``moves`` :func:`check_residual` takes for one

@@ -408,17 +408,17 @@ def test_step_reproduces_run_on_parallel_stages(stages, largest_row_update, dcm_
 
 
 def test_run_stats_count_blocks_and_stepped_periods():
-    """A CCM buck runs every period in blocks; the light-load buck rests in
-    1190 of its 1200 periods, each of them stepped with a row update, all
-    from the one factorization."""
+    """A CCM buck with no diode cell runs every period in one block; the
+    light-load buck rests in 1190 of its 1200 periods, each of them stepped
+    with a row update, all from the one factorization."""
     netlists = Path(__file__).resolve().parents[1] / "netlists"
     buck = run(parse_netlist((netlists / "buck.net").read_text()), std_config(5e-3))
     stats = buck.stats
     assert stats.factorizations == 1
     assert stats.block_periods == 500 and stats.stepped_periods == 0
     assert 1 <= stats.blocks < 10
-    # Blocks of 8, 16, ..., 256 periods: FIRST_BLOCK doubled five times.
-    assert stats.blocks == 6
+    # No diode cell: the first block, CHECK_ROWS long, holds all 500 periods.
+    assert stats.blocks == 1
     assert stats.row_update_solves == 0
     assert stats.largest_row_update == 0
 
@@ -435,7 +435,7 @@ def test_run_stats_count_blocks_and_stepped_periods():
 
 def test_a_ccm_run_checks_every_residual_in_one_call(monkeypatch, buck_circuit):
     """A 300-period CCM run checks the residuals of its bootstrap and of
-    all its periods in one call, after its six blocks."""
+    all its periods in one call, after its one block."""
     import avgcell.engine as engine_module
 
     events = []
@@ -452,8 +452,98 @@ def test_a_ccm_run_checks_every_residual_in_one_call(monkeypatch, buck_circuit):
     monkeypatch.setattr(engine_module._Stepper, "_block", block)
     monkeypatch.setattr(engine_module, "check_residual", check)
     result = run(buck_circuit, std_config(3e-3))
-    assert result.stats.blocks == 6 and result.stats.block_periods == 300
-    assert events == ["block"] * 6 + [301]
+    assert result.stats.blocks == 1 and result.stats.block_periods == 300
+    assert events == ["block", 301]
+
+
+def _block_lengths(monkeypatch, circuit, config):
+    """(length tried, periods accepted) of every CCM block of a run."""
+    import avgcell.engine as engine_module
+
+    real, blocks = engine_module._Stepper._block, []
+
+    def block(self, a, b):
+        stop = real(self, a, b)
+        blocks.append((b - a, stop - a))
+        return stop
+
+    monkeypatch.setattr(engine_module._Stepper, "_block", block)
+    return run(circuit, config), blocks
+
+
+def test_a_diode_circuit_starts_its_blocks_at_first_block(monkeypatch):
+    """A circuit with a diode cell tries FIRST_BLOCK periods first and
+    doubles after each block kept whole; a block its cell leaves CCM in
+    keeps the periods before, and the next starts at FIRST_BLOCK again."""
+    netlist = (Path(__file__).resolve().parents[1] / "netlists" / "buck_diode.net").read_text()
+    result, blocks = _block_lengths(monkeypatch, parse_netlist(netlist), std_config(5e-3))
+    assert blocks == [(8, 8), (16, 2), (8, 8), (16, 16), (32, 32), (64, 64), (128, 128),
+                      (229, 229)]
+    assert result.stats.blocks == 8 and result.stats.block_periods == 487
+
+
+# A synchronous buck on a 0 V source: every end current snaps to zero.
+ZERO_SOURCE = BUCK.replace("VDC 1 1 0 10.0", "VDC 1 1 0 0.0").replace("IDC 1 2 0 4.0\n", "")
+
+
+def test_a_block_that_fails_starts_the_next_at_first_block(monkeypatch):
+    """With no diode cell the first block is tried as long as the run
+    (CHECK_ROWS at most); where every end current snaps to zero every
+    block fails at its first row and each period is stepped, the blocks
+    after the first tried at FIRST_BLOCK."""
+    result, blocks = _block_lengths(monkeypatch, parse_netlist(ZERO_SOURCE), std_config(3e-3))
+    stats = result.stats
+    assert stats.blocks == 0 and stats.block_periods == 0
+    assert stats.stepped_periods == 300 and stats.row_update_solves == 0
+    # Row r is tried from period r - 1 on, up to the run's end.
+    assert blocks == [(300, 0)] + [(min(8, 301 - r), 0) for r in range(2, 301)]
+    assert not result.iL2.any()
+
+
+def test_a_ccm_block_period_makes_three_numpy_calls_at_any_length(monkeypatch):
+    """A CCM block period is one np.dot, one np.multiply and one
+    np.subtract, whatever the block's length; every other call the kernel
+    makes, numpy's or Python's, it makes once a block.  Ufuncs are counted
+    by patching them, the rest by cProfile, which does not see ufuncs."""
+    import cProfile
+    import pstats
+    from collections import Counter
+
+    import avgcell.engine as engine_module
+
+    ufuncs, per_block = Counter(), []
+
+    def counted(ufunc):
+        def call(*args, **kwargs):
+            ufuncs[ufunc.__name__] += 1
+            return ufunc(*args, **kwargs)
+        return call
+
+    for name in ("multiply", "subtract", "add", "matmul"):
+        monkeypatch.setattr(np, name, counted(getattr(np, name)))
+    real = engine_module._Stepper._kernel
+
+    def kernel(self, a, b):
+        self._ccm  # the run's tables, built once before its first block
+        ufuncs.clear()
+        profile = cProfile.Profile()
+        profile.runcall(real, self, a, b)
+        calls = Counter(ufuncs)
+        for (file, _, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items():
+            if file != __file__:  # not the ufunc counters above
+                calls[name] += ncalls
+        per_block.append((b - a, calls))
+
+    monkeypatch.setattr(engine_module._Stepper, "_kernel", kernel)
+    netlists = Path(__file__).resolve().parents[1] / "netlists"
+    for name in ("buck.net", "buck_diode.net", "flyback_diode.net"):
+        run(parse_netlist((netlists / name).read_text()), std_config(3e-3))
+    assert len({length for length, _ in per_block}) > 5
+    fixed = []
+    for length, calls in per_block:
+        assert calls["dot"] == calls["multiply"] == calls["subtract"] == length
+        fixed.append(calls - Counter(dot=length, multiply=length, subtract=length))
+    assert all(calls == fixed[0] for calls in fixed)
 
 
 def test_run_stats_report_the_worst_residual_and_largest_row_update(monkeypatch):
