@@ -24,7 +24,6 @@ from .netlist import (
     serialize_netlist,
     validate,
 )
-from .oracle import OracleConfig, SampledWaveform, period_average, simulate_switched
 from .waveform import (
     SignalStats,
     Waveform,
@@ -66,3 +65,15 @@ __all__ = [
     "validate",
     "__version__",
 ]
+
+# The switched-circuit oracle's names, imported on first access: a process
+# that never runs the oracle does not pay for its import.
+_ORACLE = ("OracleConfig", "SampledWaveform", "period_average", "simulate_switched")
+
+
+def __getattr__(name):
+    if name in _ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

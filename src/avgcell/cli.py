@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, oracle, waveform
+from . import engine, waveform
 from .cells import Mode, avg_inductor_current
 from .errors import SingularSystem
 from .netlist import NetlistError, parse_netlist, validate
@@ -121,9 +121,10 @@ def main(argv=None):
         t_from = t_to * (1.0 - args.stats_window)
         if not (0.0 < args.stats_window <= 1.0 and t_from < t_to):
             raise engine.InvalidConfig("stats window outside (0, 1] or empty")
-        oracle_config = (
-            oracle.OracleConfig(args.oracle_substeps) if args.oracle else None
-        )
+        if args.oracle:
+            from . import oracle  # imported only for a run that uses it
+
+            oracle_config = oracle.OracleConfig(args.oracle_substeps)
         result = engine.run(circuit, config)
         waveforms, flagged = _reconstruct(result)
         selected = _filter_signals(waveforms, args.signals)
@@ -279,6 +280,8 @@ def write_oracle_csv(sampled, patterns, path):
 def write_compare(result, sampled, path):
     """Per-signal maximum deviation of the per-period averages, relative to
     the oracle's full-scale value."""
+    from . import oracle
+
     layout = result.layout
     x = result.x
     comparisons = [(f"v({k})", x[:, row]) for k, row in layout.node_row.items()]

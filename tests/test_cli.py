@@ -447,6 +447,39 @@ def test_python_dash_m_exits_with_the_run_code(tmp_path, fault, code):
     assert done.stderr == ("" if code == 0 else f"error: {path}: C9: both terminals on node 2\n")
 
 
+# Run in a fresh interpreter: the oracle is imported only once a run uses it.
+LAZY_ORACLE = """
+import sys
+from pathlib import Path
+
+import avgcell
+from avgcell import cli
+
+netlist, out = Path(sys.argv[1]), Path(sys.argv[2])
+config = avgcell.SimConfig(0.5, 100e3, 1e-4)
+avgcell.run(avgcell.parse_netlist(netlist.read_text()), config)
+assert cli.main([str(netlist), "--t-end", "1e-4", "--out", str(out / "plain")]) == 0
+assert "avgcell.oracle" not in sys.modules
+assert cli.main([str(netlist), "--t-end", "1e-4", "--oracle", "--out", str(out / "oracle")]) == 0
+assert "avgcell.oracle" in sys.modules
+from avgcell import simulate_switched
+assert simulate_switched is sys.modules["avgcell.oracle"].simulate_switched
+"""
+
+
+def test_the_oracle_is_imported_only_for_a_run_that_uses_it(tmp_path):
+    """After ``import avgcell``, a run() and a CLI call without --oracle,
+    the oracle module is not loaded; --oracle loads it, and its names can
+    then be imported from the package."""
+    src = Path(avgcell.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_ORACLE, str(NETLISTS / "buck.net"), str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "oracle" / "compare.txt").exists()
+
+
 def test_singular_oracle_operating_point_exits_three(tmp_path, capsys):
     """netlists/flyback.net with its source across nodes 1 and 2 runs
     averaged, but the oracle's t = 0 operating point is singular: exit 3
