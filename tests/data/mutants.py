@@ -18,8 +18,8 @@ run too: each is listed with the reason no test can kill it.  It prints
 one line per mutant, with the first failing test of a killed one, and
 exits 1 if a row of ``MUTANTS`` survived or one of ``EQUIVALENT`` was
 killed.  It writes nothing in the tree.  Tier-1 takes about 20 s on a
-2-vCPU host, so a survivor costs that and a full run of the 70 rows
-about 12 minutes.
+2-vCPU host, so a survivor costs that and a full run of the 82 rows
+about 13 minutes.
 """
 
 import os
@@ -220,8 +220,40 @@ MUTANTS = [
         "engine.py",
         "FIRST_BLOCK = 8",
         "FIRST_BLOCK = 4",
-        "500 CCM periods of buck.net run as 6 blocks, and 300 as 6 blocks and then"
-        " one residual check",
+        "a circuit with a diode cell tries 8 periods first and after a failed block:"
+        " test_a_diode_circuit_starts_its_blocks_at_first_block pins buck_diode.net's"
+        " block lengths from rest",
+    ),
+    (
+        "CHECK_ROWS",
+        "engine.py",
+        "CHECK_ROWS = 1024",
+        "CHECK_ROWS = 1023",
+        "a circuit with no diode cell tries CHECK_ROWS periods first: 1024 periods"
+        " of buck.net are one block and 1025 two",
+    ),
+    (
+        "no-diode-first-block",
+        "engine.py",
+        "length = FIRST_BLOCK if self.diode else CHECK_ROWS",
+        "length = FIRST_BLOCK",
+        "a circuit with no diode cell runs its CCM periods as one block: 500"
+        " periods of buck.net are one block, and 300 one block and one residual check",
+    ),
+    (
+        "diode-first-block",
+        "engine.py",
+        "length = FIRST_BLOCK if self.diode else CHECK_ROWS",
+        "length = CHECK_ROWS",
+        "a circuit with a diode cell starts at FIRST_BLOCK, not CHECK_ROWS",
+    ),
+    (
+        "failed-block-length",
+        "engine.py",
+        "                length = FIRST_BLOCK\n            self._step(r)",
+        "                pass\n            self._step(r)",
+        "the block after one that failed is tried at FIRST_BLOCK: the 0 V buck"
+        " steps every period after one block as long as the run",
     ),
     (
         "end-of-run-check",
@@ -244,6 +276,62 @@ MUTANTS = [
         "period + row < 0 else",
         "period + row < -1 else",
         "the bootstrap, checked with the periods after it, reports no period",
+    ),
+    (
+        "keeps-ccm-at-tolerance",
+        "cells.py",
+        "return iL0 > CURRENT_RTOL",
+        "return iL0 >= CURRENT_RTOL",
+        "a start current of exactly CURRENT_RTOL is zero to keeps_ccm",
+    ),
+    (
+        "snaps-absolute-at-tolerance",
+        "cells.py",
+        "(abs(iL2) < CURRENT_RTOL) |",
+        "(abs(iL2) <= CURRENT_RTOL) |",
+        "an end current of exactly CURRENT_RTOL does not snap to zero",
+    ),
+    (
+        "snaps-relative-at-tolerance",
+        "cells.py",
+        "(abs(iL2) < CURRENT_RTOL * abs(iL1))",
+        "(abs(iL2) <= CURRENT_RTOL * abs(iL1))",
+        "an end current of exactly CURRENT_RTOL |iL1|, |iL1| > 1, does not snap to zero",
+    ),
+    (
+        "diode-clamps-at-zero",
+        "cells.py",
+        "return iL2 < 0.0",
+        "return iL2 <= 0.0",
+        "a diode cell's end current of exactly zero does not clamp",
+    ),
+    (
+        "compute-d2-flat-slope",
+        "cells.py",
+        "if vL2 >= 0.0:",
+        "if vL2 > 0.0:",
+        "a diode interval with vL2 = 0 never returns the current to zero: d2 is inf",
+    ),
+    (
+        "resolve-mode-boundary",
+        "cells.py",
+        "if d + d2 >= 1.0:",
+        "if d + d2 > 1.0:",
+        "d + d2 = 1 is the boundary, and the boundary counts as CCM",
+    ),
+    (
+        "resolve-mode-negative-d2",
+        "cells.py",
+        "0.0 if d2 < 0.0 else d2",
+        "0.0 if d2 <= 0.0 else d2",
+        "a DCM d_p is max(d2, 0.0) as Python's max gives it, so -0.0 stays -0.0",
+    ),
+    (
+        "oracle-at-zero",
+        "oracle.py",
+        "return i <= 0.0",
+        "return i < 0.0",
+        "a diode current of exactly zero has fallen to zero, and the diode blocks",
     ),
     (
         "DUTY_TOL",
@@ -411,10 +499,10 @@ MUTANTS = [
     (
         "block-pure-map",
         "engine.py",
-        "multiply(two_g, v, out=i0_next)\n"
-        "            i0 = subtract(i0_next, i0, out=i0_next)",
+        "multiply(two_g, v, i0_next)\n"
+        "            i0 = subtract(i0_next, i0, i0_next)",
         "i0 = dot(two_g[:, None] * G[:n_caps] - np.eye(n_caps, len(G) + 1, n - n_caps),"
-        " state, out=i0_next)",
+        " state, i0_next)",
         "i_0' as a row of one map, (2g (E P)_v - I) s, is an ulp off 2g v - i_0:"
         " test_capacitor_carryover_follows_companion_update and"
         " test_companion_update_holds_bit_for_bit_on_every_case",
@@ -535,14 +623,12 @@ EQUIVALENT = [
         " same (compare_trees.py: 0 mismatches at 65)",
     ),
     (
-        "CHECK_ROWS",
-        "engine.py",
-        "CHECK_ROWS = 1024",
-        "CHECK_ROWS = 1023",
-        "CHECK_ROWS only groups the end-of-run residual checks: each row is"
-        " checked against its own matrix and the earliest failure is reported,"
-        " so every result column and RunStats field is the same"
-        " (compare_trees.py: 0 mismatches at 1023)",
+        "_CHUNK_ROWS",
+        "cli.py",
+        "_CHUNK_ROWS = 512",
+        "_CHUNK_ROWS = 511",
+        "_CHUNK_ROWS only groups the CSV rows one format call writes: every row"
+        " is the same text, so every file is the same bytes",
     ),
     (
         "oracle-doubling-matmul",

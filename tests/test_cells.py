@@ -74,6 +74,14 @@ class TestResolveMode:
         assert mode is Mode.DCM
         assert d_p == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("d2", [0.2, 5e-324, 0.0, -0.0, -5e-324, -1.0, math.nan])
+    def test_dcm_duty_is_max_of_d2_and_zero(self, d2):
+        """A DCM d_p is max(d2, 0.0) as Python's max gives it, bit for bit:
+        -0.0 and NaN come back as they went in."""
+        mode, d_p = resolve_mode(0.5, d2)
+        assert mode is Mode.DCM
+        assert repr(d_p) == repr(max(d2, 0.0))
+
 
 class TestAverageCurrents:
     def test_switch_current_from_zero_start(self):
@@ -220,11 +228,21 @@ def test_snaps_to_zero_is_the_tolerance_test(iL1, iL2):
 
 def test_current_rules_at_the_tolerance_edges():
     """Twice CURRENT_RTOL, written out, is a current: it keeps CCM and does
-    not snap to zero; half of it is zero to both rules."""
+    not snap to zero; half of it is zero to both rules.  At exactly the
+    tolerance, CURRENT_RTOL max(1, |iL1|), a start current does not keep
+    CCM and an end current does not snap to zero; an end current of zero
+    does not clamp."""
     assert same_on_float_and_array(keeps_ccm, 2e-12)
     assert not same_on_float_and_array(snaps_to_zero, 1.0, 2e-12)
     assert not same_on_float_and_array(keeps_ccm, 0.5e-12)
     assert same_on_float_and_array(snaps_to_zero, 1.0, 0.5e-12)
+    assert not same_on_float_and_array(keeps_ccm, CURRENT_RTOL)
+    assert not same_on_float_and_array(snaps_to_zero, 1.0, CURRENT_RTOL)
+    # 2 CURRENT_RTOL is CURRENT_RTOL * 2.0 exactly: the relative edge.
+    assert not same_on_float_and_array(snaps_to_zero, 2.0, 2.0 * CURRENT_RTOL)
+    assert not same_on_float_and_array(snaps_to_zero, -2.0, -2.0 * CURRENT_RTOL)
+    assert not same_on_float_and_array(diode_clamps, 0.0)
+    assert not same_on_float_and_array(diode_clamps, -0.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -419,6 +419,8 @@ def test_run_stats_count_blocks_and_stepped_periods():
     assert 1 <= stats.blocks < 10
     # No diode cell: the first block, CHECK_ROWS long, holds all 500 periods.
     assert stats.blocks == 1
+    for periods, blocks in ((1024, 1), (1025, 2)):
+        assert run(buck.circuit, std_config(periods / 100e3)).stats.blocks == blocks
     assert stats.row_update_solves == 0
     assert stats.largest_row_update == 0
 

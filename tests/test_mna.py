@@ -386,6 +386,10 @@ SPARSE_ENTRIES = st.one_of(
 # A fill-in that becomes the next pivot: A[1, 1] is 0 until row 0 is
 # subtracted from row 1.
 @example([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+# Row 0 subtracted from rows 1 and 2 leaves an exact zero stored in
+# column 1 of both: the pivot is that zero, and eliminating row 2 by it
+# would divide 0 by 0.
+@example([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
 # Eliminations that overflow: a zero times an infinity is NaN in every row
 # the dense one updates, and its NaN pivot fails; in the first, a NaN is
 # the pivot of column 2 although a finite entry is there too.
