@@ -18,7 +18,7 @@ run too: each is listed with the reason no test can kill it.  It prints
 one line per mutant, with the first failing test of a killed one, and
 exits 1 if a row of ``MUTANTS`` survived or one of ``EQUIVALENT`` was
 killed.  It writes nothing in the tree.  Tier-1 takes about 20 s on a
-2-vCPU host, so a survivor costs that and a full run of the 82 rows
+2-vCPU host, so a survivor costs that and a full run of the 83 rows
 about 13 minutes.
 """
 
@@ -332,6 +332,13 @@ MUTANTS = [
         "return i <= 0.0",
         "return i < 0.0",
         "a diode current of exactly zero has fallen to zero, and the diode blocks",
+    ),
+    (
+        "lazy-oracle-names",
+        "__init__.py",
+        '_ORACLE = ("OracleConfig", "SampledWaveform", "period_average", "simulate_switched")',
+        '_ORACLE = ("OracleConfig", "SampledWaveform", "period_average")',
+        "every oracle name in __all__ can be imported from the package",
     ),
     (
         "DUTY_TOL",

@@ -464,13 +464,14 @@ assert cli.main([str(netlist), "--t-end", "1e-4", "--oracle", "--out", str(out /
 assert "avgcell.oracle" in sys.modules
 from avgcell import simulate_switched
 assert simulate_switched is sys.modules["avgcell.oracle"].simulate_switched
+assert all(hasattr(avgcell, name) for name in avgcell.__all__)
 """
 
 
 def test_the_oracle_is_imported_only_for_a_run_that_uses_it(tmp_path):
     """After ``import avgcell``, a run() and a CLI call without --oracle,
-    the oracle module is not loaded; --oracle loads it, and its names can
-    then be imported from the package."""
+    the oracle module is not loaded; --oracle loads it, and every name of
+    ``__all__``, the oracle's included, can be read off the package."""
     src = Path(avgcell.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", LAZY_ORACLE, str(NETLISTS / "buck.net"), str(tmp_path)],
