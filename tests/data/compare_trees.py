@@ -20,7 +20,9 @@ and with ``dcm_refine``, as the benchmark's ``ccm_transient`` and
 * the ``RowUpdate`` of a stepper built for the case, its tables ``_raw``,
   ``_rbw``, ``_magnitude`` and ``_lone`` and its ``R``, and the stepper's
   ``Q``, which the run's columns reach only through rounding;
-* every column of ``run()``'s result and every ``RunStats`` field.
+* every column of ``run()``'s result and every ``RunStats`` field, its
+  bootstrap record, and the five arrays of every cell's
+  ``inductor_waveform``.
 
 It also digests ``lu_factor``'s outcome on every matrix of
 ``LU_MATRICES``: the singular and edge cases of ``tests/test_mna.py``, and
@@ -265,10 +267,16 @@ TWO_GROUPS = (
 ZERO_SOURCE = "VDC 1 1 0 0.0\nSCN1 1 1 0 2 10e-6 0\nC 1 2 0 1e-4 0\nR 1 2 0 5.0\n"
 
 
+# buck_dcm.net with its capacitor precharged to 8 V and its inductor started
+# at -0.5 A: the bootstrap's drive voltages put period 0 in DCM, which
+# starts the cell at zero.
+PRECHARGED = "VDC 1 1 0 10.0\nSCD1 1 1 0 2 10e-6 -0.5\nC 1 2 0 1e-4 8.0\nR 1 2 0 50.0\n"
+
+
 def _runs():
     """(name, circuit, config, run() result) of every reference case, every
-    case of ``generated_runs()``, ``TWO_GROUPS`` and ``ZERO_SOURCE``, run by
-    the tree on ``sys.path``."""
+    case of ``generated_runs()``, ``TWO_GROUPS``, ``ZERO_SOURCE`` and
+    ``PRECHARGED``, run by the tree on ``sys.path``."""
     from avgcell import SimConfig, parse_netlist, run
 
     cases = json.loads((DATA / "engine_reference.json").read_text())["cases"]
@@ -277,6 +285,9 @@ def _runs():
             "netlist": TWO_GROUPS, "d": 0.4, "f_s": 100e3, "t_end": 3e-3, "dcm_refine": refine}
     cases["zero-source"] = {
         "netlist": ZERO_SOURCE, "d": 0.5, "f_s": 100e3, "t_end": 3e-3, "dcm_refine": False}
+    for refine in (False, True):
+        cases[f"precharged{'+refine' * refine}"] = {
+            "netlist": PRECHARGED, "d": 0.5, "f_s": 100e3, "t_end": 3e-3, "dcm_refine": refine}
     for name, (text, refine) in generated_runs().items():
         params = parse_netlist(text).params
         cases[name] = {"netlist": text, "d": params["D"], "f_s": params["fs"],
@@ -350,6 +361,7 @@ def digests():
     from avgcell.engine import _Stepper
     from avgcell.mna import assemble_system
     from avgcell.oracle import simulate_switched
+    from avgcell.waveform import inductor_waveform
 
     out = {}
     for name, circuit, config, result in _runs():
@@ -372,6 +384,11 @@ def digests():
             fields[f"run:{column}"] = _digest(getattr(result, column))
         for stat in dataclasses.fields(result.stats):
             fields[f"run:stats.{stat.name}"] = _digest(getattr(result.stats, stat.name))
+        fields["run:bootstrap"] = _digest(result.bootstrap)
+        for label in labels:
+            wave = inductor_waveform(result, label)
+            for field, array in zip(("t0", "t1", "c0", "c1", "c2"), wave.arrays):
+                fields[f"waveform:{label}:{field}"] = _digest(array)
 
     for name, steps, sampled in _oracle_runs():
         fields = out.setdefault(name, {})
