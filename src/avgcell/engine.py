@@ -29,8 +29,8 @@ A stepped period predicts each diode cell's mode by the ``cells`` rules,
 forms q = Q s, writes x into its row, row-updated from q for the cells at
 another d_p, reads y = E x off it and advances every inductor current in
 one loop; a ``dcm_refine`` re-solve reuses q unless it zeroes a further
-start current.  A period starts from the y, end currents and s the
-bootstrap, a stepped period or a block hands over as lists.
+start current.  A period starts from the y and s (end currents included)
+the bootstrap, a stepped period or a block hands over as lists.
 Every row's residual is checked once, against its own matrix: when the
 rows are solved, ``CHECK_ROWS`` rows a call in row order, or before a
 failed row-update pivot is reported, so the earliest failure is reported.
@@ -155,9 +155,9 @@ class _Rows:
     """The arrays a run writes, one row per solve: row 0 is the bootstrap
     and row n + 1 period n.
 
-    ``s`` has one row more: row r is the state solve r starts from, and
-    row r + 1 the capacitor sources it carries out with its end currents,
-    which the next solve overwrites for cells it starts at zero.  ``y`` is
+    ``s`` has one row more: row r is the state solve r starts from, so row
+    r + 1 holds solve r's carried-out sources and end currents as solve
+    r + 1 starts from them, zero for a cell it predicts at rest.  ``y`` is
     E x (a block's capacitor voltages are (E P) s): capacitor voltages,
     then every vL1, then every vL2, in the order of ``layout.state_col``.
     """
@@ -173,7 +173,6 @@ class _Rows:
             self.y = np.empty((n, n_caps + 2 * n_cells))
             self.s = np.ones((n + 1, n_caps + n_cells + 1))
             self.iL1 = np.empty((n, n_cells))
-            self.iL2 = np.empty((n, n_cells))
             self.d_p = np.full((n, n_cells), d_p0)
             self.dcm = np.zeros((n, n_cells), dtype=bool)
         except (ValueError, MemoryError) as exc:
@@ -210,7 +209,7 @@ class _Rows:
         vL_avg = _cells.avg_inductor_voltage(vL1, vL2, d, d_p)
         modes = [_MODES[dcm] for dcm in self.dcm[at, i].tolist()]
         iL0, iL1, iL2, d_p, vL1, vL2, iS, iD, vL_avg = (a.tolist() for a in (
-            self.s[at, col], self.iL1[at, i], self.iL2[at, i], d_p, vL1, vL2,
+            self.s[at, col], self.iL1[at, i], self.s[first + 1:last + 1, col], d_p, vL1, vL2,
             self.x[at, rs], self.x[at, rd], vL_avg))
         return list(map(_cells.CellState, iL0, iL1, iL2, modes, d_p, vL1, vL2, iS, iD, vL_avg))
 
@@ -219,15 +218,15 @@ class SimulationResult:
     """A run's results as columns, one row per period.
 
     ``t_start`` holds every period's start time; ``x`` every period's MNA
-    solution, in the rows of ``layout`` (an
-    :class:`avgcell.mna.MnaLayout`); ``v_cap`` and ``i0_next`` every
-    capacitor's voltage and carried-out companion source; ``vL1``,
-    ``vL2``, ``iL0``, ``iL1``, ``iL2``, ``d_p`` and ``dcm`` (true in
-    discontinuous conduction) every cell's values.  Capacitors and cells
-    are in netlist order.  ``records`` holds the same periods as
-    :class:`PeriodRecord` objects and ``bootstrap`` the bootstrap's, row 0
-    of ``rows`` (the run's :class:`_Rows`), both built on first access;
-    ``stats`` is the run's :class:`RunStats`.
+    solution, in the rows of ``layout`` (an :class:`avgcell.mna.MnaLayout`);
+    ``v_cap`` and ``i0_next`` every capacitor's voltage and carried-out
+    companion source; ``vL1``, ``vL2``, ``iL0``, ``iL1``, ``iL2``, ``d_p``
+    and ``dcm`` (true in discontinuous conduction) every cell's values, in
+    netlist order.  Each is a view of the rows; ``iL2[k]`` is ``iL0[k + 1]``.
+    ``records`` holds the same periods as :class:`PeriodRecord` objects and
+    ``bootstrap`` the bootstrap's, row 0 of ``rows`` (the run's
+    :class:`_Rows`), both built on first access; ``stats`` is the run's
+    :class:`RunStats`.
     """
 
     def __init__(self, circuit, config, rows, stats):
@@ -243,7 +242,7 @@ class SimulationResult:
         self.i0_next = rows.s[2:, :rows.n_caps]
         self.iL0 = rows.s[1:-1, rows.cell]
         self.iL1 = rows.iL1[1:]
-        self.iL2 = rows.iL2[1:]
+        self.iL2 = rows.s[2:, rows.cell]
         self.d_p = rows.d_p[1:]
         self.dcm = rows.dcm[1:]
         self.t_start = config.period_starts(0, len(self.x))
@@ -301,10 +300,9 @@ def step(circuit, config, previous_record):
         caps = [previous_record.capacitors[e.label] for e in circuit.capacitors()]
         # Row 1 starts from the record's carried-out sources and end currents,
         # as a period after a stepped one does.
-        iL2 = [c.iL2 for c in cells]
-        rows.s[1] = state = [c.i0_next for c in caps] + iL2 + [1.0]
+        rows.s[1] = state = [c.i0_next for c in caps] + [c.iL2 for c in cells] + [1.0]
         y = [c.v for c in caps] + [c.vL1 for c in cells] + [c.vL2 for c in cells]
-        stepper._carry = (y, iL2, state)
+        stepper._carry = (y, state)
         stepper.solve_rows(1, 2)
         return rows.records(config, 1, 2, index, config.period_starts(index, index + 1))[0]
 
@@ -341,20 +339,20 @@ class _Stepper:
         self.update = RowUpdate(system.A, self.inverse, self.P, diode_rows, d_p0)
         self.Q = self.update.Q
         self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
-        # Every diode cell and where its vL1 and vL2 are in a row of y.
+        # Every diode cell and where its vL1 and vL2 are in a row of y; its
+        # vL1's column is its current's in a row of s.
         self._diode_cells = [(i, rows.cell.start + i, rows.vL2.start + i) for i in self.diode]
         self._checked_from = 1  # row 0 is checked once solve_bootstrap solves it
-        # (y of row r - 1, its end currents, s of row r) as lists, for the
-        # next row r to solve.
+        # (y of row r - 1, s of row r) as lists, for the next row r to solve.
         self._carry = None
-        # (iL2, d_p, dcm, s) of the stepped rows not yet written to the rows
+        # (d_p, dcm, s) of the stepped rows not yet written to the rows
         # (_flush).
         self._stepped = []
 
     def solve_bootstrap(self):
         """Solve row 0, the bootstrap, checked with the rows after it: a CCM
         solve at t = 0 whose drive voltages predict period 0's modes; its
-        t = 0 sources and currents carry unchanged into period 0."""
+        t = 0 sources and currents are its end state, carried into period 0."""
         rows, cells, caps = self.rows, self.cells, self.caps
         iL0s = [e.initial for e in cells]
         # Zero capacitor current assumed at t = 0: i_0 = g v0, g = 2C / T_s.
@@ -362,8 +360,8 @@ class _Stepper:
         y, _ = self._solve(0, state, iL0s, [self.d_p0] * len(cells))
         rows.s[:2] = state
         self._checked_from = 0
-        rows.iL1[0] = rows.iL2[0] = iL0s
-        self._carry = (y, iL0s, state)
+        rows.iL1[0] = iL0s
+        self._carry = (y, state)
 
     def result(self):
         self.stats.row_update_solves = self.update.updates
@@ -375,7 +373,7 @@ class _Stepper:
         length = FIRST_BLOCK if self.diode else CHECK_ROWS
         while r < stop:
             # Every diode cell carries a current into row r that keeps CCM.
-            if all(_cells.keeps_ccm(self._carry[1][i]) for i in self.diode):
+            if all(_cells.keeps_ccm(self._carry[1][col]) for _, col, _ in self._diode_cells):
                 self._flush(r)
                 end = min(r + length, stop)
                 r = self._block(r, end)
@@ -395,8 +393,8 @@ class _Stepper:
         rows, stepped, cell = self.rows, self._stepped, self.rows.cell
         if stepped:
             at = slice(first := stop - len(stepped), stop)
-            rows.iL2[at], d_p, dcm, s = zip(*stepped)
-            rows.s[first:stop + 1] = s + (self._carry[2],)
+            d_p, dcm, s = zip(*stepped)
+            rows.s[first:stop + 1] = s + (self._carry[1],)
             rows.d_p[at], rows.dcm[at] = d_p, dcm
             # iL1 = iL0 + k1 vL1, read out as a block's is.
             np.add(rows.s[at, cell], np.multiply(self.k1, rows.y[at, cell]), out=rows.iL1[at])
@@ -432,9 +430,7 @@ class _Stepper:
         accepted = first // failed.shape[1] if failed.flat[first] else b - a
         if accepted:
             last = a + accepted
-            rows.iL2[a:last] = iL2[:accepted]
-            state = rows.s[last].tolist()
-            self._carry = (rows.y[last - 1].tolist(), state[rows.cell], state)
+            self._carry = (rows.y[last - 1].tolist(), rows.s[last].tolist())
             self.stats.blocks += 1
             self.stats.block_periods += accepted
         return a + accepted
@@ -480,8 +476,8 @@ class _Stepper:
         """Solve row r with the mode predictor, the row update and, in
         discontinuous conduction, ``dcm_refine``."""
         rows = self.rows
-        y, iL0s, state = self._carry
-        iL0s = iL0s[:]  # the predictions zero some; row r - 1 keeps its own
+        y, state = self._carry
+        iL0s = state[rows.cell]  # a copy: the predictions zero some
         dcm, d_ps = self._predict(y, iL0s)
         y, q = self._solve(r, state, iL0s, d_ps)
         if self.config.dcm_refine and True in dcm:
@@ -503,9 +499,9 @@ class _Stepper:
             # does a diode that blocks.
             rests = rests or snaps_to_zero(iL1, iL2) or diode and diode_clamps(iL2)
             iL2s.append(0.0 if rests else iL2)
-        self._stepped.append((iL2s, d_ps, dcm, state))
+        self._stepped.append((d_ps, dcm, state))
         state = [k * v - i0 for k, v, i0 in zip(self.two_g, y, state)] + iL2s + [1.0]
-        self._carry = (y, iL2s, state)
+        self._carry = (y, state)
         self.stats.stepped_periods += 1
 
     def _predict(self, y, iL0s):

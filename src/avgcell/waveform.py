@@ -125,20 +125,19 @@ def inductor_waveform(result, cell_label):
     t0 = result.t_start
     t_mid = t0 + d * T_s
     t_end = t0 + T_s
+    # d + d_p is exactly 1.0 in CCM, so there the current's zero is t_end.
     t_zero = t0 + (d + result.d_p[:, i]) * T_s
-    dcm = result.dcm[:, i]
-    t_fall = np.where(dcm, t_zero, t_end)
     iL1 = result.iL1[:, i]
     zero = np.zeros_like(iL1)
-    # Per period: to d T_s, on to the end of the period (CCM) or to the
-    # current's zero (DCM), and the DCM rest at zero; empty pieces drop.
+    # Per period: to d T_s, on to the stored end current at t_zero (0.0 in
+    # DCM), and the DCM rest at zero; empty pieces drop.
     ta, tb, ya, yb = _pieces(
         [
             (t0, t_mid, result.iL0[:, i], iL1),
-            (t_mid, t_fall, iL1, np.where(dcm, 0.0, result.iL2[:, i])),
+            (t_mid, t_zero, iL1, result.iL2[:, i]),
             (t_zero, t_end, zero, zero),
         ],
-        [t_mid > t0, t_fall > t_mid, dcm & (t_end > t_zero)],
+        [t_mid > t0, t_zero > t_mid, t_end > t_zero],
     )
     arrays = (ta, tb, ya, (yb - ya) / (tb - ta), np.zeros_like(ta))
     return Waveform(f"iL({cell_label})", "A", arrays)

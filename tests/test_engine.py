@@ -134,6 +134,22 @@ def test_period_boundary_continuity_is_exact(buck_diode_run):
             assert state.iL0 == prev.cells[label].iL2
 
 
+@pytest.mark.parametrize("start", [-0.5, 1e-13])
+def test_bootstrap_end_current_is_period_zero_start_current(start):
+    """The light-load buck precharged to 8 V and started off zero: the
+    bootstrap's drive voltages put period 0 in DCM, which starts the cell at
+    zero, and the bootstrap's end current is that start current, as every
+    period's is the next one's."""
+    text = BUCK_DCM.replace("10e-6 0", f"10e-6 {start!r}").replace("1e-4 0", "1e-4 8.0")
+    circuit, config = parse_netlist(text), std_config(1e-4)
+    result = run(circuit, config)
+    first = result.records[0].cells["SCD1"]
+    assert result.bootstrap.cells["SCD1"].iL0 == start
+    assert first.mode is Mode.DCM
+    assert result.bootstrap.cells["SCD1"].iL2 == first.iL0 == 0.0
+    assert step(circuit, config, result.bootstrap) == result.records[0]
+
+
 def test_capacitor_carryover_follows_companion_update(buck_run):
     g = 2.0 * 1e-4 / buck_run.config.T_s
     records = buck_run.records
@@ -298,6 +314,17 @@ def test_companion_update_holds_bit_for_bit_on_every_case(name):
     expected = two_g * result.v_cap - i0
     mismatched = np.argwhere(result.i0_next.view(np.int64) != expected.view(np.int64))
     assert not mismatched.size, f"(period, capacitor) {mismatched[0].tolist()}"
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_REFERENCE))
+def test_end_currents_are_the_next_start_currents_bit_for_bit(name):
+    """iL2[k] is iL0[k + 1] bit for bit, and the bootstrap's iL2 is iL0[0]."""
+    case = ENGINE_REFERENCE[name]
+    config = SimConfig(case["d"], case["f_s"], case["t_end"], case["dcm_refine"])
+    result = run(parse_netlist(case["netlist"]), config)
+    bootstrap = [state.iL2 for state in result.bootstrap.cells.values()]
+    ends = np.vstack([bootstrap, result.iL2[:-1]])
+    assert np.array_equal(ends.view(np.int64), result.iL0.view(np.int64))
 
 
 MIXED_CHAIN = ENGINE_REFERENCE["mixed_chain"]

@@ -12,7 +12,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avgcell import SimConfig, parse_netlist, run
@@ -50,9 +50,10 @@ def _write(rows, r, record):
     rows.y[r, :n_caps] = [c.v for c in caps]
     rows.y[r, n_caps:] = [c.vL1 for c in cells] + [c.vL2 for c in cells]
     rows.s[r, rows.cell] = [c.iL0 for c in cells]
-    rows.s[r + 1, :n_caps] = [c.i0_next for c in caps]
+    # The end currents are the next row's start currents, which the next
+    # record's iL0 overwrites.
+    rows.s[r + 1, :-1] = [c.i0_next for c in caps] + [c.iL2 for c in cells]
     rows.iL1[r] = [c.iL1 for c in cells]
-    rows.iL2[r] = [c.iL2 for c in cells]
     rows.d_p[r] = [c.d_p for c in cells]
     rows.dcm[r] = [c.mode is Mode.DCM for c in cells]
 
@@ -86,6 +87,18 @@ STEADY_STATE = CellState(
     iL0=3.75, iL1=6.25, iL2=3.75, mode=Mode.CCM, d_p=0.5,
     vL1=5.0, vL2=-5.0, iS_avg=2.5, iD_avg=2.5, vL_avg=0.0,
 )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+@example(5e-324)
+@example(math.nextafter(1.0, 0.0))
+@example(0.5)
+@example(1.0)
+def test_a_ccm_period_ends_at_its_zero(d):
+    """d + d_p rounds to exactly 1.0 for every CCM d_p = 1 - d, so
+    inductor_waveform's t_zero is t_end in every CCM period."""
+    assert d + (1.0 - d) == 1.0
 
 
 class TestInductorWaveform:
