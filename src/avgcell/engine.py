@@ -95,6 +95,10 @@ class SimConfig:
             raise InvalidConfig(f"{self.t_end} s at {self.f_s} Hz: too many periods")
         if self.n_periods < 1:
             raise InvalidConfig("run covers no complete switching period")
+        periods = self.t_end * self.f_s
+        if abs(periods - self.n_periods) > 1e-9 * periods:
+            raise InvalidConfig(f"transient duration {self.t_end} s is {periods!r} periods"
+                                f" at {self.f_s} Hz, not a whole number")
 
     @property
     def T_s(self):
@@ -102,7 +106,7 @@ class SimConfig:
 
     @property
     def n_periods(self):
-        """The whole switching periods the run covers, at least one."""
+        """The switching periods the run covers, a whole number to 1e-9."""
         return int(round(self.t_end * self.f_s))
 
     @property

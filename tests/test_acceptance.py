@@ -11,6 +11,7 @@ resolves time in whole periods, and its integration accumulates a sub-period
 phase lag over the hundreds of periods the output filter rings.
 """
 
+import math
 import time
 
 import numpy as np
@@ -268,7 +269,8 @@ def test_criterion_7_property_sweep():
         assert parse_netlist(serialize_netlist(circuit)) == circuit
 
         f_s = 100e3
-        t_end = max(40.0 * r_load * c_out, 2e-3)
+        # A whole number of periods, rounded up.
+        t_end = math.ceil(max(40.0 * r_load * c_out, 2e-3) * f_s) / f_s
         result = run(circuit, SimConfig(duty, f_s, t_end))
         records = result.records
         label = circuit.cells()[0].label

@@ -108,6 +108,23 @@ def test_impossible_run_length_is_usage_error(tmp_path, buck_file, capsys,
     assert err.startswith("usage error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "t_end, periods",
+    [("1.234e-5", "1.234"), ("1.6e-5", "1.5999999999999999"), ("1.4e-5", "1.4"),
+     ("5.004e-3", "500.4")],
+)
+def test_a_run_of_part_of_a_period_is_usage_error(tmp_path, buck_file, capsys,
+                                                  t_end, periods):
+    """A --t-end that is not a whole number of periods is refused, with its
+    period count, not rounded; no file is written."""
+    out = tmp_path / "results"
+    code = run_cli(buck_file, "-D", "0.5", "--fs", "100e3", "--t-end", t_end, "--out", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and f" is {periods} periods" in err
+    assert not out.exists()
+
+
 def test_bad_duty_is_usage_error(buck_file):
     assert run_cli(buck_file, "-D", "1.5", "--fs", "100e3", "--t-end", "1e-3") == 1
 
@@ -213,7 +230,9 @@ def test_stats_report_steady_state(tmp_path):
     assert float(values["iL(SCN1)"]["mean"]) == pytest.approx(5.0, rel=1e-2)
 
 
-@pytest.mark.parametrize("t_end, periods", [("1.4e-5", 1), ("5.004e-3", 500)])
+# 3e-4 s is 29.999999999999996 periods of 1e-5 s: a whole number of periods
+# to rounding, which the window ends with, not at --t-end.
+@pytest.mark.parametrize("t_end, periods", [("3e-4", 30)])
 def test_stats_window_ends_with_the_simulated_periods(
     tmp_path, buck_file, t_end, periods
 ):

@@ -65,6 +65,19 @@ def test_config_without_a_complete_period_rejected(t_end):
         SimConfig(0.5, 100e3, t_end)
 
 
+@pytest.mark.parametrize("t_end, whole", [
+    (1e-4 * (1 + 2e-9), False), (1e-4 * (1 + 0.5e-9), True), (3e-4, True), (1.6e-5, False),
+])
+def test_config_takes_whole_periods_to_1e_9(t_end, whole):
+    """t_end f_s may miss a whole number by 1e-9 of itself, and no more:
+    3e-4 s at 100 kHz is 29.999999999999996 periods, 30."""
+    if whole:
+        assert SimConfig(0.5, 100e3, t_end).n_periods == round(t_end * 1e5)
+    else:
+        with pytest.raises(InvalidConfig, match="periods at 100000.0 Hz, not a whole number"):
+            SimConfig(0.5, 100e3, t_end)
+
+
 def test_config_with_a_non_finite_period_count_rejected():
     with pytest.raises(InvalidConfig, match="too many periods"):
         SimConfig(0.5, 1e200, 1e200)
