@@ -304,10 +304,10 @@ def validate(circuit):
 
     Covers ground presence, graph connectivity, a switching cell to step,
     unique labels, finite numbers, parameter positivity, a basic cell's
-    unit turns ratio, capacitors across one node, voltage-source-only loops
-    and current-source-only cutsets (sufficient conditions for the averaged
-    run to be well posed).  Every circuit rule is written here once, and
-    both simulators run only a circuit with no diagnostic.
+    unit turns ratio, capacitors across one node, lone cell terminals,
+    voltage-source-only loops and current-source-only cutsets (sufficient
+    conditions for the averaged run to be well posed).  Each circuit rule is
+    written here once; both simulators run only a circuit with no diagnostic.
     """
     diags = []
     node_ids = circuit.node_ids
@@ -324,11 +324,13 @@ def validate(circuit):
     if not circuit.cells():
         diags.append(Diagnostic("no-switching-cell", "no switching cell in circuit"))
 
-    labels = set()
+    labels, touching = set(), {}  # every node's elements
     for e in circuit.elements:
         if e.label in labels:
             diags.append(Diagnostic("duplicate-label", f"{e.label}: duplicate element label"))
         labels.add(e.label)
+        for node in dict.fromkeys(e.nodes):
+            touching.setdefault(node, []).append(e)
         # A NaN or an infinity is its element's one diagnostic; a finite sum
         # has none.
         if not math.isfinite(e.value + e.turns + e.initial):
@@ -348,6 +350,12 @@ def validate(circuit):
         if e.kind == CAP and e.nodes[0] == e.nodes[1]:
             message = f"{e.label}: both terminals on node {e.nodes[0]}"
             diags.append(Diagnostic("shorted-capacitor", message))
+
+    # A cell terminal on a node of its own carries a current nothing takes.
+    for node, (e, *others) in touching.items():
+        if node and not others and e.is_cell:
+            message = f"{e.label}: terminal node {node} touches no other element"
+            diags.append(Diagnostic("dangling-cell-terminal", message))
 
     # A cycle in the VDC-only subgraph pins some voltage twice.
     parts = {}

@@ -168,9 +168,11 @@ def test_circuit_without_a_cell_exits_two(tmp_path, capsys):
     "text, lines",
     [
         ("SCN 1 1 2 3 10e-6 0\nR 1 1 3 5.0\n", ["no element references ground node 0"]),
-        ("SCN 1 1 0 2 10e-6 0\nR 1 3 4 5.0\n", ["nodes not connected to ground: [3, 4]"]),
+        ("SCN 1 1 0 2 10e-6 0\nR 1 3 4 5.0\n",
+         ["nodes not connected to ground: [3, 4]", "SCN1: terminal node 1 touches no other element", "SCN1: terminal node 2 touches no other element"]),
         ("SCN 1 1 0 2 0.0 0\nR 1 3 4 5.0\n",
-         ["nodes not connected to ground: [3, 4]", "SCN1: non-positive inductance"]),
+         ["nodes not connected to ground: [3, 4]", "SCN1: non-positive inductance",
+          "SCN1: terminal node 1 touches no other element", "SCN1: terminal node 2 touches no other element"]),
     ],
     ids=["ungrounded", "disconnected", "several-faults"],
 )
@@ -500,18 +502,20 @@ def test_the_oracle_is_imported_only_for_a_run_that_uses_it(tmp_path):
     assert (tmp_path / "oracle" / "compare.txt").exists()
 
 
-def test_singular_oracle_operating_point_exits_three(tmp_path, capsys):
-    """netlists/flyback.net with its source across nodes 1 and 2 runs
-    averaged, but the oracle's t = 0 operating point is singular: exit 3
-    naming it, and no output file."""
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["averaged", "oracle"])
+def test_a_dangling_cell_terminal_exits_two(tmp_path, capsys, oracle):
+    """netlists/flyback.net with its source moved to nodes 2 and 0 leaves
+    the flyback's active terminal, node 1, on no other element: the averaged
+    run once gave a plausible answer and the oracle's t = 0 operating point
+    was singular.  Both exit 2 naming the cell and the node, and write
+    nothing."""
     path = tmp_path / "flyback.net"
     text = (NETLISTS / "flyback.net").read_text()
     path.write_text(text.replace("VDC 1 1 0 10.0", "VDC 1 2 0 10.0"))
-    assert run_cli(path, *ARGS, "--out", tmp_path / "averaged") == 0
     out = tmp_path / "results"
-    assert run_cli(path, *ARGS, "--out", out, "--oracle") == 3
+    assert run_cli(path, *ARGS, "--out", out, *oracle) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: oracle: initial operating point is singular: ")
+    assert err == f"error: {path}: FBN1: terminal node 1 touches no other element\n"
     assert not out.exists()
 
 

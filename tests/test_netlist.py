@@ -86,7 +86,9 @@ def test_comments_and_blanks_ignored():
 def test_disconnected_component_reported():
     text = "SCN 1 1 0 2 10e-6 0\nR 1 3 4 5.0\n"
     assert _codes(parse_netlist(text)) == [
-        ("disconnected-graph", "nodes not connected to ground: [3, 4]")
+        ("disconnected-graph", "nodes not connected to ground: [3, 4]"),
+        ("dangling-cell-terminal", "SCN1: terminal node 1 touches no other element"),
+        ("dangling-cell-terminal", "SCN1: terminal node 2 touches no other element"),
     ]
 
 
@@ -251,7 +253,24 @@ def test_validate_lists_every_fault_of_a_netlist():
     assert _codes(parse_netlist(text)) == [
         ("disconnected-graph", "nodes not connected to ground: [3, 4]"),
         ("non-positive-inductance", "SCN1: non-positive inductance"),
+        ("dangling-cell-terminal", "SCN1: terminal node 1 touches no other element"),
+        ("dangling-cell-terminal", "SCN1: terminal node 2 touches no other element"),
     ]
+
+
+def test_validate_flags_a_dangling_cell_terminal():
+    """A cell terminal on a node no other element touches carries a current
+    nowhere: a diagnostic, and neither simulator runs it.  A resistor alone
+    on a node stays accepted."""
+    text = BUCK_LISTING.replace("SCN1 1 1 0 2", "SCN1 1 3 0 2")
+    message = "SCN1: terminal node 3 touches no other element"
+    assert _codes(parse_netlist(text)) == [("dangling-cell-terminal", message)]
+    config = SimConfig(0.5, 100e3, 1e-4)
+    with pytest.raises(InvalidCircuit, match=message):
+        run(parse_netlist(text), config)
+    with pytest.raises(InvalidCircuit, match=message):
+        simulate_switched(parse_netlist(text), config)
+    assert validate(parse_netlist(BUCK_LISTING + "R 9 2 7 5.0\n")) == []
 
 
 def test_validate_flags_current_source_cutset():
