@@ -17,9 +17,9 @@ mutates.  A failing run kills the mutant.  The rows of ``EQUIVALENT`` are
 run too: each is listed with the reason no test can kill it.  It prints
 one line per mutant, with the first failing test of a killed one, and
 exits 1 if a row of ``MUTANTS`` survived or one of ``EQUIVALENT`` was
-killed.  It writes nothing in the tree.  Tier-1 takes about 20 s on a
-2-vCPU host, so a survivor costs that and a full run of the 83 rows
-about 13 minutes.
+killed.  It writes nothing in the tree.  Tier-1 takes about 12 s on a
+2-vCPU host, so a survivor costs that and a full run of the 103 rows
+about 12 minutes.
 """
 
 import os
@@ -613,6 +613,140 @@ MUTANTS = [
         "name, unit, times, out[:, k].copy(), steps",
         "every signal is a view of the run's one sample array",
     ),
+    (
+        "_USAGE_EXIT",
+        "cli.py",
+        "_USAGE_EXIT = 1",
+        "_USAGE_EXIT = 4",
+        "a usage error, a bad --t-end among them, exits 1",
+    ),
+    (
+        "_NETLIST_EXIT",
+        "cli.py",
+        "_NETLIST_EXIT = 2",
+        "_NETLIST_EXIT = 4",
+        "a netlist or validation error exits 2",
+    ),
+    (
+        "_NUMERIC_EXIT",
+        "cli.py",
+        "_NUMERIC_EXIT = 3",
+        "_NUMERIC_EXIT = 4",
+        "a numerical failure exits 3",
+    ),
+    (
+        "kind-names-sources",
+        "netlist.py",
+        'VDC = "VDC"\nIDC = "IDC"',
+        'VDC = "IDC"\nIDC = "VDC"',
+        "a VDC line is a voltage source and an IDC line a current source",
+    ),
+    (
+        "kind-names-passives",
+        "netlist.py",
+        'RES = "R"\nCAP = "C"',
+        'RES = "C"\nCAP = "R"',
+        "an R line is a resistor and a C line a capacitor",
+    ),
+    (
+        "kind-names-basic",
+        "netlist.py",
+        'SCN = "SCN"\nSCD = "SCD"',
+        'SCN = "SCD"\nSCD = "SCN"',
+        "an SCD line is a diode cell, which may enter DCM, and an SCN line a"
+        " synchronous one",
+    ),
+    (
+        "kind-names-flyback",
+        "netlist.py",
+        'FBN = "FBN"\nFBD = "FBD"',
+        'FBN = "FBD"\nFBD = "FBN"',
+        "an FBD line is a diode flyback cell and an FBN line a synchronous one",
+    ),
+    (
+        "CELL_KINDS",
+        "netlist.py",
+        "CELL_KINDS = (SCN, SCD, FBN, FBD)",
+        "CELL_KINDS = (SCN, SCD, FBN)",
+        "an FBD element is a cell",
+    ),
+    (
+        "FLYBACK_KINDS",
+        "netlist.py",
+        "FLYBACK_KINDS = (FBN, FBD)",
+        "FLYBACK_KINDS = (FBN, FBD, SCD)",
+        "an SCD cell is a basic cell, with no turns ratio on its line",
+    ),
+    (
+        "DIODE_KINDS",
+        "netlist.py",
+        "DIODE_KINDS = (SCD, FBD)",
+        "DIODE_KINDS = (SCD,)",
+        "an FBD cell has a diode and may enter DCM",
+    ),
+    (
+        "_PARAM_KEYS",
+        "netlist.py",
+        '_PARAM_KEYS = ("D", "fs", "tend")',
+        '_PARAM_KEYS = ("D", "fs", "tend", "L")',
+        "a .param key other than D, fs and tend is refused",
+    ),
+    (
+        "whole-period-looser",
+        "engine.py",
+        "1e-9 * periods",
+        "1e-8 * periods",
+        "a t_end that misses a whole period count by 2e-9 of it is refused",
+    ),
+    (
+        "whole-period-tighter",
+        "engine.py",
+        "1e-9 * periods",
+        "2e-10 * periods",
+        "a t_end that misses a whole period count by 5e-10 of it is accepted",
+    ),
+    (
+        "dangling-cell-terminal",
+        "netlist.py",
+        "if node and not others and e.is_cell:",
+        "if False:",
+        "a cell terminal on a node no other element touches is a diagnostic",
+    ),
+    (
+        "dangling-any-element",
+        "netlist.py",
+        "not others and e.is_cell:",
+        "not others:",
+        "a resistor alone on a node is no diagnostic",
+    ),
+    (
+        "waveform-rest-mask",
+        "waveform.py",
+        "t_end > t_zero],",
+        "t_end >= t_zero],",
+        "a CCM period, whose t_zero is its t_end, has no rest piece",
+    ),
+    (
+        "_MODES",
+        "engine.py",
+        "_MODES = _CCM, _DCM = (_cells.Mode.CCM, _cells.Mode.DCM)",
+        "_MODES = _CCM, _DCM = (_cells.Mode.DCM, _cells.Mode.CCM)",
+        "a record's mode is CCM where its dcm column is false",
+    ),
+    (
+        "_CONDUCTANCE",
+        "mna.py",
+        "(_A, _T1, _T0, ~_K))",
+        "(_A, _T1, _T0, _K))",
+        "a conductance stamps -G off its diagonal both ways",
+    ),
+    (
+        "_STAMPS",
+        "mna.py",
+        "IDC: ((_B, _T0, _COL, ~_K), (_B, _T1, _COL, _K)),",
+        "IDC: ((_B, _T0, _COL, _K), (_B, _T1, _COL, ~_K)),",
+        "an IDC extracts its current from n+ and returns it at n-",
+    ),
 ]
 
 # Mutants that no test can kill, because nothing a run returns or raises
@@ -645,6 +779,15 @@ EQUIVALENT = [
         "np.dot and np.matmul make the same BLAS product here, so every sample"
         " keeps its bits (compare_trees.py: 0 mismatches); np.dot costs less"
         " per call",
+    ),
+    (
+        "_KEYWORDS",
+        "netlist.py",
+        "_KEYWORDS = sorted(_KINDS, key=len, reverse=True)",
+        "_KEYWORDS = sorted(_KINDS, key=len)",
+        "no kind keyword is a prefix of another, so at most one matches a"
+        " token and their order picks nothing; longest first keeps that so"
+        " for a keyword added later",
     ),
 ]
 

@@ -142,6 +142,12 @@ def test_duplicate_label_rejected():
         parse_netlist("SCN1 1 1 0 2 1e-5 0\nSCN 1 1 0 2 1e-5 0\n")
 
 
+@pytest.mark.parametrize("key", ["Q", "d", "L", "t_end"])
+def test_param_directive_takes_only_its_three_keys(key):
+    with pytest.raises(NumericError, match=r"expected one of \('D', 'fs', 'tend'\)"):
+        parse_netlist(f".param {key}=1\n" + BUCK_LISTING)
+
+
 def test_param_directive_parsed():
     circuit = parse_netlist(".param D=0.5 fs=100e3 tend=5e-3\n" + BUCK_LISTING)
     assert circuit.params == {"D": 0.5, "fs": 100e3, "tend": 5e-3}
