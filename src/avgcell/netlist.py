@@ -324,13 +324,14 @@ def validate(circuit):
     if not circuit.cells():
         diags.append(Diagnostic("no-switching-cell", "no switching cell in circuit"))
 
-    labels, touching = set(), {}  # every node's elements
+    # Every node's one element, or None once a second element touches it.
+    labels, sole = set(), {}
     for e in circuit.elements:
         if e.label in labels:
             diags.append(Diagnostic("duplicate-label", f"{e.label}: duplicate element label"))
         labels.add(e.label)
-        for node in dict.fromkeys(e.nodes):
-            touching.setdefault(node, []).append(e)
+        for node in e.nodes:
+            sole[node] = e if sole.get(node, e) is e else None
         # A NaN or an infinity is its element's one diagnostic; a finite sum
         # has none.
         if not math.isfinite(e.value + e.turns + e.initial):
@@ -352,8 +353,8 @@ def validate(circuit):
             diags.append(Diagnostic("shorted-capacitor", message))
 
     # A cell terminal on a node of its own carries a current nothing takes.
-    for node, (e, *others) in touching.items():
-        if node and not others and e.is_cell:
+    for node, e in sole.items():
+        if node and e and e.is_cell:
             message = f"{e.label}: terminal node {node} touches no other element"
             diags.append(Diagnostic("dangling-cell-terminal", message))
 

@@ -708,15 +708,15 @@ MUTANTS = [
     (
         "dangling-cell-terminal",
         "netlist.py",
-        "if node and not others and e.is_cell:",
+        "if node and e and e.is_cell:",
         "if False:",
         "a cell terminal on a node no other element touches is a diagnostic",
     ),
     (
         "dangling-any-element",
         "netlist.py",
-        "not others and e.is_cell:",
-        "not others:",
+        "if node and e and e.is_cell:",
+        "if node and e:",
         "a resistor alone on a node is no diagnostic",
     ),
     (
