@@ -324,8 +324,7 @@ def validate(circuit):
     if not circuit.cells():
         diags.append(Diagnostic("no-switching-cell", "no switching cell in circuit"))
 
-    # Every node's one element, or None once a second element touches it.
-    labels, sole = set(), {}
+    labels, sole = set(), {}  # every node's one element, None once two touch it
     for e in circuit.elements:
         if e.label in labels:
             diags.append(Diagnostic("duplicate-label", f"{e.label}: duplicate element label"))
