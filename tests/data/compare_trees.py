@@ -11,7 +11,8 @@ tree's ``PYTHONPATH`` and, for every case of ``engine_reference.json``
 (``perfbench/circuits.py``: ``heavy_load`` SCN/FBN over 300 periods and
 ``light_load`` SCD/FBD over 40, seeds 1-3, one to fifteen stages, plain
 and with ``dcm_refine``, as the benchmark's ``ccm_transient`` and
-``dcm_transient`` jobs build them), takes sha256 digests of:
+``dcm_transient`` jobs build them, and ``light_load`` over 200 periods at
+one, eight and fifteen stages), takes sha256 digests of:
 
 * ``assemble_system``'s A, B, E and every cell's diode row, as (rd, cols,
   ra, rb) over its real columns (``_diode_rows``), at the case's d and at
@@ -237,10 +238,17 @@ GENERATED_RUNS = (
 )
 
 
+# (stage counts, periods) of the long light-load cases: more stepped
+# periods in a row than engine.STRETCH, so that a multi-cell circuit's
+# stepped rows are also written out in the middle of a run.
+LONG_LIGHT_LOAD = ((1, 8, 15), 200)
+
+
 def generated_runs():
     """{case name: (netlist text, dcm_refine)} of the generated engine
-    cases: seeds 1-3, one to fifteen stages, plain and with ``dcm_refine``."""
-    return {
+    cases: seeds 1-3, one to fifteen stages, plain and with ``dcm_refine``,
+    and the ``LONG_LIGHT_LOAD`` runs of the same light-load circuits."""
+    runs = {
         f"run:{make.__name__}:{'/'.join(mix)}:seed={seed}:stages={k}{':refine' * refine}": (
             make(seed * 100 + k, circuits.kinds_for(k, mix, seed), periods), refine
         )
@@ -249,6 +257,17 @@ def generated_runs():
         for k in range(1, 16)
         for refine in (False, True)
     }
+    stages, periods = LONG_LIGHT_LOAD
+    mix = ("SCD", "FBD")
+    runs.update({
+        f"run:light_load:SCD/FBD:seed={seed}:stages={k}:periods={periods}{':refine' * refine}": (
+            circuits.light_load(seed * 100 + k, circuits.kinds_for(k, mix, seed), periods), refine
+        )
+        for seed in (1, 2, 3)
+        for k in stages
+        for refine in (False, True)
+    })
+    return runs
 
 
 # Two SCD cascades in parallel on one source: at d = 0.4 each cascade's
