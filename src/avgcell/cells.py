@@ -27,7 +27,11 @@ A cell is its netlist :class:`avgcell.netlist.Element`: ``value`` is L and
 ``turns`` is n, 1 for a basic cell.
 
 The engine's zero-current rules, :func:`keeps_ccm`, :func:`snaps_to_zero`
-and :func:`diode_clamps`, are written once here for floats and arrays alike.
+and :func:`diode_clamps`, are written once here for floats and arrays alike,
+and the mode rules :func:`compute_d2` and :func:`resolve_mode` for floats.
+A stepped period applies them all through :func:`predict_modes` and
+:func:`end_currents`, each one pass over every cell's values as lists,
+with the rules written out inline so that a cell costs no function call.
 """
 
 import math
@@ -135,6 +139,43 @@ def resolve_mode(d, d2):
     # Negative d2 means the current never rises; the diode idles.  This is
     # max(d2, 0.0) for every float, NaN and -0.0 included.
     return _DCM, 0.0 if d2 < 0.0 else d2
+
+
+def predict_modes(d, iL0s, vL1s, vL2s, diode):
+    """Every cell's DCM flag and d_p for a period that starts from the
+    currents ``iL0s``, predicted from the drive voltages ``vL1s`` and
+    ``vL2s``; ``diode`` flags the diode cells.  Returns (dcm, d_ps) as lists
+    and sets ``iL0s[i]`` to zero for every cell predicted in DCM.
+
+    A cell is in CCM at 1 - d if it is synchronous or ``keeps_ccm``;
+    otherwise ``resolve_mode(d, compute_d2(vL1, vL2, d))`` decides.
+    """
+    rtol, n = CURRENT_RTOL, len(iL0s)
+    dcm, d_ps = [False] * n, [1.0 - d] * n
+    for i, iL0 in enumerate(iL0s):
+        if not iL0 > rtol and diode[i]:  # not keeps_ccm(iL0)
+            vL2 = vL2s[i]
+            d2 = math.inf if vL2 >= 0.0 else -(vL1s[i] / vL2) * d  # compute_d2
+            if not d + d2 >= 1.0:  # resolve_mode: DCM
+                dcm[i], d_ps[i], iL0s[i] = True, 0.0 if d2 < 0.0 else d2, 0.0
+    return dcm, d_ps
+
+
+def end_currents(iL0s, vL1s, vL2s, d_ps, dcm, k1s, ks, diode):
+    """Every cell's end current iL2 = iL1 + (d_p k) vL2 of a period, as a
+    list, with iL1 = iL0 + k1 vL1 (k = T_s / L, k1 = d k): exactly zero for
+    a cell that rests (``dcm``), whose end current ``snaps_to_zero`` or
+    that is a diode cell (``diode``) that ``diode_clamps``."""
+    rtol = CURRENT_RTOL
+    iL2s = [0.0] * len(iL0s)
+    for i, rests in enumerate(dcm):
+        if not rests:
+            iL1 = iL0s[i] + k1s[i] * vL1s[i]
+            iL2 = iL1 + (d_ps[i] * ks[i]) * vL2s[i]
+            # snaps_to_zero(iL1, iL2), or diode_clamps(iL2) for a diode
+            if not (abs(iL2) < rtol or abs(iL2) < rtol * abs(iL1) or diode[i] and iL2 < 0.0):
+                iL2s[i] = iL2
+    return iL2s
 
 
 def avg_switch_current(iL0, vL1, d, cell, T_s):

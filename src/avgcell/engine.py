@@ -9,7 +9,8 @@ bootstrap, row 0, like a period from t = 0; :func:`step` starts row 1 from
 its record and leaves row 0 unset.
 
 While every diode cell ``keeps_ccm`` (:mod:`avgcell.cells` owns the
-zero-current rules ``keeps_ccm``, ``snaps_to_zero`` and ``diode_clamps``),
+zero-current rules ``keeps_ccm``, ``snaps_to_zero`` and ``diode_clamps``,
+the mode rules and their per-period forms),
 a stretch of periods runs as a block, each period one product by a per-run
 matrix G and the companion update as the stepper forms it:
 
@@ -25,11 +26,13 @@ after one that failed.  A circuit with a diode cell starts at
 block; one with none starts at ``CHECK_ROWS``, as only an end current that
 snaps to zero can end its block early.
 
-A stepped period predicts each diode cell's mode by the ``cells`` rules,
+A stepped period makes three passes over the cells, none with a function
+call per cell: it predicts every cell's mode (``cells.predict_modes``),
 forms q = Q s, writes x into its row, row-updated from q for the cells at
-another d_p, reads y = E x off it and advances every inductor current in
-one loop; a ``dcm_refine`` re-solve reuses q unless it zeroes a further
-start current.  A period starts from the y and s (end currents included)
+another d_p in one pass over them (:meth:`avgcell.mna.RowUpdate.solve`),
+reads y = E x off it and gives every end current (``cells.end_currents``);
+a ``dcm_refine`` re-solve reuses q unless it zeroes a further start
+current.  A period starts from the y and s (end currents included)
 the bootstrap, a stepped period or a block hands over as lists.
 Every row's residual is checked once, against its own matrix: when the
 rows are solved, ``CHECK_ROWS`` rows a call in row order, or before a
@@ -42,6 +45,7 @@ period (:class:`SimulationResult`), made :class:`PeriodRecord` on access.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import gt
 
 import numpy as np
 
@@ -65,7 +69,7 @@ STRETCH = 64
 # block of a run with no diode cell.
 CHECK_ROWS = 1024
 
-_MODES = _CCM, _DCM = (_cells.Mode.CCM, _cells.Mode.DCM)
+_MODES = (_cells.Mode.CCM, _cells.Mode.DCM)
 
 
 @dataclass(frozen=True)
@@ -343,9 +347,8 @@ class _Stepper:
         self.update = RowUpdate(system.A, self.inverse, self.P, diode_rows, d_p0)
         self.Q = self.update.Q
         self.rows = rows = _Rows(system.layout, n_periods + 1, d_p0)
-        # Every diode cell and where its vL1 and vL2 are in a row of y; its
-        # vL1's column is its current's in a row of s.
-        self._diode_cells = [(i, rows.cell.start + i, rows.vL2.start + i) for i in self.diode]
+        # Every diode cell's current's column in a row of s.
+        self._diode_cols = [rows.cell.start + i for i in self.diode]
         self._checked_from = 1  # row 0 is checked once solve_bootstrap solves it
         # (y of row r - 1, s of row r) as lists, for the next row r to solve.
         self._carry = None
@@ -377,7 +380,7 @@ class _Stepper:
         length = FIRST_BLOCK if self.diode else CHECK_ROWS
         while r < stop:
             # Every diode cell carries a current into row r that keeps CCM.
-            if all(_cells.keeps_ccm(self._carry[1][col]) for _, col, _ in self._diode_cells):
+            if all(_cells.keeps_ccm(self._carry[1][col]) for col in self._diode_cols):
                 self._flush(r)
                 end = min(r + length, stop)
                 r = self._block(r, end)
@@ -489,20 +492,12 @@ class _Stepper:
             if refined != (dcm, d_ps):
                 # Only a cell the refined prediction newly puts in DCM changes
                 # a start current, and so s and q.
-                zeroed = any(now > before for before, now in zip(dcm, refined[0]))
+                zeroed = True in map(gt, refined[0], dcm)
                 dcm, d_ps = refined
                 y, _ = self._solve(r, state, iL0s, d_ps, None if zeroed else q)
 
-        snaps_to_zero, diode_clamps = _cells.snaps_to_zero, _cells.diode_clamps
-        cells = zip(self.k1, self.k, self.is_diode, iL0s, y[rows.cell], y[rows.vL2], d_ps, dcm)
-        iL2s = []
-        for k1, k, diode, iL0, vL1, vL2, d_p, rests in cells:
-            iL1 = iL0 + k1 * vL1
-            iL2 = iL1 + (d_p * k) * vL2
-            # The rest interval pins the end current at zero exactly, and so
-            # does a diode that blocks.
-            rests = rests or snaps_to_zero(iL1, iL2) or diode and diode_clamps(iL2)
-            iL2s.append(0.0 if rests else iL2)
+        iL2s = _cells.end_currents(
+            iL0s, y[rows.cell], y[rows.vL2], d_ps, dcm, self.k1, self.k, self.is_diode)
         self._stepped.append((d_ps, dcm, state))
         state = [k * v - i0 for k, v, i0 in zip(self.two_g, y, state)] + iL2s + [1.0]
         self._carry = (y, state)
@@ -512,16 +507,8 @@ class _Stepper:
         """The DCM flag and d_p of every cell, predicted from the drive
         voltages in ``y`` and every cell's start current in ``iL0s``, which
         is set to zero for the diode cells predicted in DCM."""
-        keeps_ccm, compute_d2 = _cells.keeps_ccm, _cells.compute_d2
-        resolve_mode = _cells.resolve_mode
-        d = self.config.d
-        dcm, d_ps = [False] * len(iL0s), [1.0 - d] * len(iL0s)
-        for i, vL1, vL2 in self._diode_cells:
-            if not keeps_ccm(iL0s[i]):
-                mode, d_ps[i] = resolve_mode(d, compute_d2(y[vL1], y[vL2], d))
-                if mode is _DCM:
-                    dcm[i], iL0s[i] = True, 0.0
-        return dcm, d_ps
+        cell, vL2 = self.rows.cell, self.rows.vL2
+        return _cells.predict_modes(self.config.d, iL0s, y[cell], y[vL2], self.is_diode)
 
     def _solve(self, r, state, iL0s, d_ps, q=None):
         """Solve row r from ``state`` (a row of s, a list), the cells at their

@@ -205,11 +205,20 @@ def _check_pivots(rows, name):
             raise SingularSystem(f"{name} {pivot:.3e} in column {k} below tolerance")
 
 
-def eliminate(a, scale, name, rhs=None):
+def nonzero_entries(a):
+    """The entries of the matrix ``a`` off zero as (row, column, value), in
+    row order, as :func:`eliminate` takes them; -0.0 is zero, NaN is not."""
+    a = np.asarray(a, dtype=float)
+    r, c = np.nonzero(a)
+    return zip(r.tolist(), c.tolist(), a[r, c].tolist())
+
+
+def eliminate(entries, scale, name, rhs=None):
     """Gaussian elimination with partial pivoting of the square matrix
-    ``a``, and of the list ``rhs`` (overwritten) with it.  Given ``rhs``,
-    returns the solution as a list, back-substituted in ascending column
-    order.
+    whose entries off zero are ``entries`` (row, column, value), in row
+    order and each row's in column order, with ``scale`` one per row, and of
+    the list ``rhs`` (overwritten) with it.  Given ``rhs``, returns the
+    solution as a list, back-substituted in ascending column order.
 
     The pivot is the column's largest entry, the first in row order among
     equals, a NaN the largest, as for argmax.  The pivots and their rows'
@@ -217,11 +226,9 @@ def eliminate(a, scale, name, rhs=None):
     failing one: no pivot depends on a later one.  Only the entries off
     zero are stored and eliminated: a product by a zero adds a zero, or NaN
     by a factor that is not finite."""
-    a = np.asarray(a, dtype=float)
-    n, pivots = len(a), []
+    n, pivots = len(scale), []
     rows, in_col = [{} for _ in range(n)], [[] for _ in range(n)]
-    r, c = np.nonzero(a)
-    for i, j, v in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
+    for i, j, v in entries:
         rows[i][j] = v
         in_col[j].append(i)
     pos, at = list(range(n)), list(range(n))  # row i at position pos[i] = k, at[k] = i
@@ -280,7 +287,7 @@ def lu_factor(A):
     a = np.asarray(A, dtype=float)
     if not np.isfinite(a).all():
         raise SingularSystem("the system matrix A is not finite")
-    eliminate(a, np.abs(a).max(axis=1).tolist(), "pivot")
+    eliminate(nonzero_entries(a), np.abs(a).max(axis=1).tolist(), "pivot")
     return np.linalg.inv(a)
 
 
@@ -323,7 +330,8 @@ def _inverse_pattern(A):
 class RowUpdate:
     """Solves A x = z through ``inverse``, the A0^-1 of a matrix ``A``
     whose diode ``rows`` (those of :attr:`MnaSystem.diode` that can move)
-    sat at ``d_p0``, after some rows moved; a pad counts for nothing.
+    sat at ``d_p0`` (in [0, 1], as 1 - d is), after some rows moved; a pad
+    counts for nothing.
 
     For k moved rows A = A0 + E U^T: E holds the unit columns e_rd, and row
     u of U^T is alpha ra + beta rb (alpha = d_p - d_p0, beta = d_p^2 -
@@ -337,19 +345,23 @@ class RowUpdate:
     w_j and rb_i . w_j are, or A's pattern makes w_j zero at row i's real
     ``cols`` (:func:`_inverse_pattern`) whatever rounding leaves there.  A
     row with no nonzero C entry off the diagonal, in its row or column, is
-    alone, one division; a period's coupled moved rows are one system for
+    alone, one division, and its pivot rule reads its scale only when the
+    pivot does not clear a per-run bound on PIVOT_RTOL times the scale at
+    any d_p in [0, 1]; a period's coupled moved rows are one system for
     :func:`eliminate`, whose groups share no entry.  ``updates`` counts the
     solves with a row moved, ``largest`` the most rows one moved.
     """
 
     def __init__(self, A, inverse, P, rows, d_p0):
         self.d_p0 = d_p0
+        self._d_p0_sq = d_p0 * d_p0
         self.updates = self.largest = 0
         row_norms = np.abs(A).sum(axis=1)
         self.a_norm = self._fixed_norm = float(row_norms.max())
         self.rd, self._cols, self._ra, self._rb = rd, cols, ra, rb = rows
         n = len(rd)
-        self._table = []
+        # The per-row tables a solve reads, empty when no row can move.
+        self._raw_ii = self._rbw_ii = self._magnitude = self._lone = self._floor = []
         if not n:  # no row can move: a solve returns x0
             self.R, self.Q = np.zeros((0, len(A))), P
             return
@@ -371,6 +383,8 @@ class RowUpdate:
         for t in range(cols.shape[1]):
             dots += products[..., t]
         self._raw, self._rbw = dots[:2].tolist()
+        # C's diagonal terms, ra_i . w_i and rb_i . w_i, as a solve reads them.
+        self._raw_ii, self._rbw_ii = (a.diagonal().tolist() for a in dots[:2])
         # Row i of C sums at most 1 + |alpha| |ra_i| . |w_j| + |beta|
         # |rb_i| . |w_j| in magnitude; the largest of these over j is the
         # row's scale for the pivot rule, so cancellation down to a tiny
@@ -385,46 +399,65 @@ class RowUpdate:
             real = (cols != rd[:, None])[:, None]
             linked &= (_inverse_pattern(A)[meet] & real).any(axis=2)
         self._lone = (~(linked.any(axis=0) | linked.any(axis=1))).tolist()
-        # What a solve reads of row i: |ra| and |rb| over the w_j, the
-        # diagonal terms of C and whether it is alone.
-        self._table = [(*m, self._raw[i][i], self._rbw[i][i], lone)
-                       for i, (m, lone) in enumerate(zip(self._magnitude, self._lone))]
+        # A bound on PIVOT_RTOL times each row's scale at any d_p in [0, 1].
+        self._floor = [PIVOT_RTOL * (1.0 + a + b) for a, b in self._magnitude]
 
     def solve(self, q, d_ps, out):
         """Write into ``out`` and return the solution with each row at its
         d_p in ``d_ps`` (``rows`` order), given q = (x0, R x0), x0 = A0^-1 z."""
-        d_p0, n = self.d_p0, len(out)
-        # Every moved row's pivot, right-hand side and scale for the
-        # diagonal solve; a coupled row's are placeholders until the coupled
-        # rows are solved.  q's tail holds every row's ra . x0, then rb . x0.
-        tail, moved, diagonal, coupled = q[n:].tolist(), [], [], []
-        rows = zip(range(len(d_ps)), d_ps, tail, tail[len(d_ps):], self._table)
-        for i, d_p, ra_x, rb_x, (ra_abs, rb_abs, raw_ii, rbw_ii, lone) in rows:
+        d_p0, d_p0_sq, n = self.d_p0, self._d_p0_sq, len(out)
+        magnitude, raw_ii, rbw_ii, lone = self._magnitude, self._raw_ii, self._rbw_ii, self._lone
+        floor = self._floor
+        # One pass over the rows: each moved row's u . x0, and a lone row's
+        # diagonal entry c of C, tested by the pivot rule of _check_pivots,
+        # and its entry of y; a coupled row's entry is a placeholder until
+        # the coupled rows are solved, with its scale.  q's tail holds every
+        # row's ra . x0, then rb . x0.
+        tail, moved, y, coupled = q[n:].tolist(), [], [], []
+        ra_x, rb_x = tail, tail[len(d_ps):]
+        for i, d_p in enumerate(d_ps):
             if d_p == d_p0:
                 continue
             moved.append(i)
             alpha = d_p - d_p0
-            beta = d_p * d_p - d_p0 * d_p0
-            u_x = alpha * ra_x + beta * rb_x
-            scale = 1.0 + abs(alpha) * ra_abs + abs(beta) * rb_abs
-            if lone:
-                diagonal.append((alpha * raw_ii + beta * rbw_ii + 1.0, u_x, scale))
+            beta = d_p * d_p - d_p0_sq
+            u_x = alpha * ra_x[i] + beta * rb_x[i]
+            if lone[i]:
+                c = alpha * raw_ii[i] + beta * rbw_ii[i] + 1.0
+                # For d_p in [0, 1], |alpha| and |beta| are at most 1, and
+                # floor[i] is at least PIVOT_RTOL times the row's scale,
+                # rounding included: only a pivot that does not clear it
+                # needs the scale.
+                if not (abs(c) > floor[i] and 0.0 <= d_p <= 1.0):
+                    ra_abs, rb_abs = magnitude[i]
+                    scale = 1.0 + abs(alpha) * ra_abs + abs(beta) * rb_abs
+                    if not abs(c) > PIVOT_RTOL * scale:
+                        raise SingularSystem(
+                            f"row-update pivot {c:.3e} in column {len(y)} below tolerance")
+                y.append(u_x / c)
             else:
-                coupled.append((len(diagonal), i, alpha, beta, u_x, scale))
-                diagonal.append((1.0, 0.0, 1.0))
+                ra_abs, rb_abs = magnitude[i]
+                scale = 1.0 + abs(alpha) * ra_abs + abs(beta) * rb_abs
+                coupled.append((len(y), i, alpha, beta, u_x, scale))
+                y.append(0.0)
         if not moved:
             out[:] = q[:n]
             return out
         self.updates += 1
         self.largest = max(self.largest, len(moved))
-        y = solve_diagonal(diagonal)
         if coupled:
-            pos, idx, alpha, beta, rhs, scale = map(list, zip(*coupled))
-            C = [[a * self._raw[i][j] + b * self._rbw[i][j] for j in idx]
-                 for i, a, b in zip(idx, alpha, beta)]
-            for k, c_row in enumerate(C):
-                c_row[k] += 1.0
-            for p, y_p in zip(pos, eliminate(C, scale, "row-update pivot", rhs)):
+            pos, idx, alpha, beta, rhs, scale = zip(*coupled)
+            # C's entries off zero in row order, the unit diagonal included.
+            entries = []
+            for k, (i, a, b) in enumerate(zip(idx, alpha, beta)):
+                raw, rbw = self._raw[i], self._rbw[i]
+                for m, j in enumerate(idx):
+                    v = a * raw[j] + b * rbw[j]
+                    if m == k:
+                        v += 1.0
+                    if v:
+                        entries.append((k, m, v))
+            for p, y_p in zip(pos, eliminate(entries, scale, "row-update pivot", list(rhs))):
                 y[p] = y_p
         W = self._moved_W.get(key := tuple(moved))
         if W is None:
@@ -439,13 +472,6 @@ class RowUpdate:
         as assembly writes them (zero at a pad)."""
         V = diode_entries(d_p[..., None], self._ra, self._rb)
         return self._fixed_norm, (self.rd, self._cols, V)
-
-
-def solve_diagonal(rows):
-    """Solve diag(c) y = r, given as its rows (c_i, r_i, scale_i), one
-    division a row, after :func:`_check_pivots` of them all."""
-    _check_pivots(rows, "row-update pivot")
-    return [r_i / c_i for c_i, r_i, _ in rows]
 
 
 def check_residual(A, x, z, a_norm, period=None, moves=None):

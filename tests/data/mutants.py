@@ -18,7 +18,7 @@ run too: each is listed with the reason no test can kill it.  It prints
 one line per mutant, with the first failing test of a killed one, and
 exits 1 if a row of ``MUTANTS`` survived or one of ``EQUIVALENT`` was
 killed.  It writes nothing in the tree.  Tier-1 takes about 12 s on a
-2-vCPU host, so a survivor costs that and a full run of the 103 rows
+2-vCPU host, so a survivor costs that and a full run of the 118 rows
 about 12 minutes.
 """
 
@@ -41,7 +41,44 @@ MUTANTS = [
         "if not abs(pivot) > PIVOT_RTOL * scale:",
         "if not abs(pivot) >= PIVOT_RTOL * scale:",
         "a pivot of exactly PIVOT_RTOL times its row's scale must be singular, in"
-        " lu_factor, the coupled and the lone row update alike",
+        " lu_factor and the coupled row update alike",
+    ),
+    (
+        "lone-pivot-rule",
+        "mna.py",
+        "if not abs(c) > PIVOT_RTOL * scale:",
+        "if not abs(c) >= PIVOT_RTOL * scale:",
+        "a lone row's pivot of exactly PIVOT_RTOL times its row's scale must be"
+        " singular, as in _check_pivots",
+    ),
+    (
+        "lone-floor-rb",
+        "mna.py",
+        "self._floor = [PIVOT_RTOL * (1.0 + a + b) for a, b in self._magnitude]",
+        "self._floor = [PIVOT_RTOL * (1.0 + a) for a, b in self._magnitude]",
+        "the bound a lone row's pivot clears without its scale covers the rb"
+        " term of the scale too",
+    ),
+    (
+        "lone-floor-any-d_p",
+        "mna.py",
+        "if not (abs(c) > floor[i] and 0.0 <= d_p <= 1.0):",
+        "if not abs(c) > floor[i]:",
+        "the bound bounds PIVOT_RTOL times the scale only for d_p in [0, 1]",
+    ),
+    (
+        "lone-floor-below-zero",
+        "mna.py",
+        "0.0 <= d_p <= 1.0",
+        "-1.0 <= d_p <= 1.0",
+        "below d_p = 0, |alpha| can pass 1 and the bound fails",
+    ),
+    (
+        "lone-floor-above-one",
+        "mna.py",
+        "0.0 <= d_p <= 1.0",
+        "0.0 <= d_p <= 2.0",
+        "above d_p = 1, |alpha| and |beta| can pass 1 and the bound fails",
     ),
     (
         "PIVOT_RTOL",
@@ -189,8 +226,8 @@ MUTANTS = [
     (
         "row-update-no-rb",
         "mna.py",
-        "u_x = alpha * ra_x + beta * rb_x",
-        "u_x = alpha * ra_x",
+        "u_x = alpha * ra_x[i] + beta * rb_x[i]",
+        "u_x = alpha * ra_x[i]",
         "a moved diode row's U^T x0 takes its d_p^2 rb . x0 term from q's tail",
     ),
     (
@@ -322,9 +359,76 @@ MUTANTS = [
     (
         "resolve-mode-negative-d2",
         "cells.py",
-        "0.0 if d2 < 0.0 else d2",
-        "0.0 if d2 <= 0.0 else d2",
+        "return _DCM, 0.0 if d2 < 0.0 else d2",
+        "return _DCM, 0.0 if d2 <= 0.0 else d2",
         "a DCM d_p is max(d2, 0.0) as Python's max gives it, so -0.0 stays -0.0",
+    ),
+    (
+        "predict-keeps-ccm-at-tolerance",
+        "cells.py",
+        "if not iL0 > rtol and diode[i]:",
+        "if not iL0 >= rtol and diode[i]:",
+        "predict_modes: a start current of exactly CURRENT_RTOL is zero, as to"
+        " keeps_ccm",
+    ),
+    (
+        "predict-synchronous",
+        "cells.py",
+        "if not iL0 > rtol and diode[i]:",
+        "if not iL0 > rtol:",
+        "predict_modes: a synchronous cell stays in CCM at any start current",
+    ),
+    (
+        "predict-flat-slope",
+        "cells.py",
+        "d2 = math.inf if vL2 >= 0.0 else",
+        "d2 = math.inf if vL2 > 0.0 else",
+        "predict_modes: vL2 = 0 forces CCM, as in compute_d2",
+    ),
+    (
+        "predict-boundary",
+        "cells.py",
+        "if not d + d2 >= 1.0:",
+        "if not d + d2 > 1.0:",
+        "predict_modes: d + d2 = 1 is CCM, as in resolve_mode",
+    ),
+    (
+        "predict-negative-d2",
+        "cells.py",
+        "True, 0.0 if d2 < 0.0 else d2, 0.0",
+        "True, 0.0 if d2 <= 0.0 else d2, 0.0",
+        "predict_modes: a DCM d_p of d2 = -0.0 stays -0.0, as in resolve_mode",
+    ),
+    (
+        "end-currents-snaps-absolute",
+        "cells.py",
+        "abs(iL2) < rtol or",
+        "abs(iL2) <= rtol or",
+        "end_currents: an end current of exactly CURRENT_RTOL does not snap to"
+        " zero, as to snaps_to_zero",
+    ),
+    (
+        "end-currents-snaps-relative",
+        "cells.py",
+        "abs(iL2) < rtol * abs(iL1)",
+        "abs(iL2) <= rtol * abs(iL1)",
+        "end_currents: an end current at CURRENT_RTOL |iL1| (inf at iL1 = inf)"
+        " does not snap to zero, as to snaps_to_zero",
+    ),
+    (
+        "end-currents-clamp-synchronous",
+        "cells.py",
+        "or diode[i] and iL2 < 0.0",
+        "or iL2 < 0.0",
+        "end_currents: only a diode cell clamps a negative end current",
+    ),
+    (
+        "end-currents-clamp-below-zero",
+        "cells.py",
+        "diode[i] and iL2 < 0.0)",
+        "diode[i] and iL2 < -rtol)",
+        "end_currents: a diode end current of -CURRENT_RTOL, which does not snap"
+        " to zero, clamps, as diode_clamps does",
     ),
     (
         "oracle-at-zero",
@@ -729,8 +833,8 @@ MUTANTS = [
     (
         "_MODES",
         "engine.py",
-        "_MODES = _CCM, _DCM = (_cells.Mode.CCM, _cells.Mode.DCM)",
-        "_MODES = _CCM, _DCM = (_cells.Mode.DCM, _cells.Mode.CCM)",
+        "_MODES = (_cells.Mode.CCM, _cells.Mode.DCM)",
+        "_MODES = (_cells.Mode.DCM, _cells.Mode.CCM)",
         "a record's mode is CCM where its dcm column is false",
     ),
     (
@@ -753,6 +857,14 @@ MUTANTS = [
 # depends on them, each with the reason.  They are run like the others, and
 # one that a test kills is reported, since it no longer belongs here.
 EQUIVALENT = [
+    (
+        "end-currents-clamp-at-zero",
+        "cells.py",
+        "diode[i] and iL2 < 0.0)",
+        "diode[i] and iL2 <= 0.0)",
+        "an end current of 0.0 or -0.0 snaps to zero before the clamp is"
+        " tested, so end_currents makes it 0.0 either way",
+    ),
     (
         "STRETCH",
         "engine.py",

@@ -7,8 +7,9 @@ turns ratio 2).
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avgcell.cells import (
@@ -23,7 +24,9 @@ from avgcell.cells import (
     diode_clamps,
     drive_voltages,
     end_current_from_averages,
+    end_currents,
     keeps_ccm,
+    predict_modes,
     resolve_mode,
     snaps_to_zero,
 )
@@ -249,3 +252,62 @@ def test_current_rules_at_the_tolerance_edges():
 @given(iL2=_edge)
 def test_diode_clamps_below_zero(iL2):
     assert same_on_float_and_array(diode_clamps, iL2) == (iL2 < 0.0)
+
+
+# The rule edges, NaN, the infinities and both sides of 2 CURRENT_RTOL, and
+# any float.
+_any_value = st.one_of(
+    st.sampled_from(
+        RULE_EDGES
+        + [math.nan, math.inf, -math.inf]
+        + [edge for x in (2.0 * CURRENT_RTOL, -2.0 * CURRENT_RTOL)
+           for edge in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+    ),
+    st.floats(),
+)
+# Cells as (iL0, vL1, vL2, d_p, k1, k, diode, rests).
+_cells = st.lists(
+    st.tuples(*[_any_value] * 6, st.booleans(), st.booleans()), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 1.0)), cells=_cells)
+# A start current of exactly CURRENT_RTOL is zero; a synchronous cell at
+# zero current keeps CCM and does not clamp a negative end current.
+@example(0.25, [(CURRENT_RTOL, 1.0, -1.0, 0.5, 1.0, 1.0, True, False),
+                (0.0, -1.0, -1.0, 0.5, 1.0, 1.0, False, False)])
+# vL2 = 0 forces CCM; d + d2 = 1 is CCM; d2 = -0.0 gives d_p = -0.0.
+@example(0.5, [(0.0, 1.0, 0.0, 0.5, 1.0, 1.0, True, False),
+               (0.0, 1.0, -1.0, 0.5, 1.0, 1.0, True, False),
+               (0.0, -0.0, -1.0, 0.5, 1.0, 1.0, True, False)])
+# End currents of exactly CURRENT_RTOL from iL1 = 0 and of inf from iL1 =
+# inf snap to zero by neither test; a diode cell's -CURRENT_RTOL clamps.
+@example(0.5, [(0.0, 0.0, CURRENT_RTOL, 1.0, 1.0, 1.0, False, False),
+               (math.inf, 1.0, 1.0, 1.0, 1.0, 1.0, False, False),
+               (0.0, 0.0, -CURRENT_RTOL, 1.0, 1.0, 1.0, True, False)])
+def test_stepped_period_rules_are_the_cells_rules(d, cells):
+    """predict_modes and end_currents, a stepped period's passes over every
+    cell, agree value for value, bits and the sign of zero included, with
+    keeps_ccm, snaps_to_zero and diode_clamps as a CCM block applies them to
+    arrays, and with compute_d2 and resolve_mode."""
+    iL0s, vL1s, vL2s, d_ps, k1s, ks, diode, dcm = map(list, zip(*cells))
+    keeps = keeps_ccm(np.array(iL0s)).tolist()
+    modes = [
+        (Mode.CCM, 1.0 - d) if not is_diode or keep else resolve_mode(d, compute_d2(vL1, vL2, d))
+        for vL1, vL2, is_diode, keep in zip(vL1s, vL2s, diode, keeps)
+    ]
+    expected_dcm = [mode is Mode.DCM for mode, _ in modes]
+    started = list(iL0s)
+    assert repr(predict_modes(d, started, vL1s, vL2s, diode)) == repr(
+        (expected_dcm, [d_p for _, d_p in modes])
+    )
+    assert repr(started) == repr([0.0 if rests else i for i, rests in zip(iL0s, expected_dcm)])
+
+    with np.errstate(all="ignore"):
+        iL1 = np.array(iL0s) + np.array(k1s) * np.array(vL1s)
+        iL2 = iL1 + np.array(d_ps) * np.array(ks) * np.array(vL2s)
+        zero = np.array(dcm) | snaps_to_zero(iL1, iL2) | np.array(diode) & diode_clamps(iL2)
+    assert repr(end_currents(iL0s, vL1s, vL2s, d_ps, dcm, k1s, ks, diode)) == repr(
+        np.where(zero, 0.0, iL2).tolist()
+    )

@@ -2,6 +2,7 @@
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -794,20 +795,14 @@ def test_pivot_failure_inside_a_stretch_reports_the_earliest_period(
     if bad is not None:
         _poison_stepped(monkeypatch, bad, "over-bound")
     real_solve = engine_module._Stepper._solve
-    real_diagonal = mna.solve_diagonal
-    singular = [False]
 
     def solve(self, r, *args):
-        singular[0] = r == 40 - self.first_period + 1
-        return real_solve(self, r, *args)
-
-    def diagonal(rows):
-        if singular[0]:
-            rows = [(0.0, r, scale) for _, r, scale in rows]
-        return real_diagonal(rows)
+        if r != 40 - self.first_period + 1:
+            return real_solve(self, r, *args)
+        with _nan_pivots(self.update):
+            return real_solve(self, r, *args)
 
     monkeypatch.setattr(engine_module._Stepper, "_solve", solve)
-    monkeypatch.setattr(mna, "solve_diagonal", diagonal)
     with pytest.raises(SingularSystem) as excinfo:
         run(parse_netlist(BUCK_DCM), std_config(1e-3))
     assert excinfo.value.period == reported
@@ -877,6 +872,20 @@ def test_row_updated_system_equals_assembled_system(monkeypatch):
     assert dcm_counts == {0, 1, 2}
 
 
+@contextmanager
+def _nan_pivots(update, rows=None):
+    """Make the pivots of ``update``'s lone diode rows in ``rows`` (all by
+    default) NaN while the block runs, by a NaN diagonal term ra_i . w_i of
+    C: a NaN pivot fails the pivot rule."""
+    diagonal = update._raw_ii
+    update._raw_ii = [math.nan if rows is None or i in rows else v
+                      for i, v in enumerate(diagonal)]
+    try:
+        yield
+    finally:
+        update._raw_ii = diagonal
+
+
 def test_singular_row_update_reports_period(monkeypatch):
     """A row-updated system that is singular raises SingularSystem with
     the period index, without a refactorization to find it."""
@@ -884,12 +893,13 @@ def test_singular_row_update_reports_period(monkeypatch):
     first_dcm = next(
         r.index for r in reference.records if r.cells["SCD1"].mode is Mode.DCM
     )
-    real = mna.solve_diagonal
+    real = mna.RowUpdate.solve
 
-    def singular(rows):
-        return real([(0.0, r, scale) for _, r, scale in rows])
+    def singular(self, *args):
+        with _nan_pivots(self):
+            return real(self, *args)
 
-    monkeypatch.setattr(mna, "solve_diagonal", singular)
+    monkeypatch.setattr(mna.RowUpdate, "solve", singular)
     with pytest.raises(SingularSystem) as excinfo:
         run(parse_netlist(BUCK_DCM), std_config(1e-3))
     assert excinfo.value.period == first_dcm
@@ -897,25 +907,27 @@ def test_singular_row_update_reports_period(monkeypatch):
 
 
 def test_lone_row_pivot_failure_reports_its_period(monkeypatch):
-    """A period's lone diode rows are solved by one diagonal solve that
-    applies the pivot rule to each of them: a zero pivot in the last of
-    three parallel stages' rows raises SingularSystem with that period."""
+    """A period's lone diode rows are solved in one pass that applies the
+    pivot rule to each of them: a NaN pivot in the last of three parallel
+    stages' rows raises SingularSystem with that period."""
     circuit, config = _parallel_dcm()
-    real = mna.solve_diagonal
-    calls = []
+    real = mna.RowUpdate.solve
+    calls = []  # the rows each solve with a row moved moves
 
-    def diagonal(rows):
-        calls.append(len(rows))
-        if len(calls) == 5:  # period 4; the bootstrap moves no row
-            (_, r, scale) = rows[-1]
-            rows = rows[:-1] + [(0.0, r, scale)]
-        return real(rows)
+    def solve(self, q, d_ps, out):
+        moved = sum(d_p != self.d_p0 for d_p in d_ps)
+        if moved:
+            calls.append(moved)
+        if len(calls) == 5 and moved:  # period 4; the bootstrap moves no row
+            with _nan_pivots(self, [len(d_ps) - 1]):
+                return real(self, q, d_ps, out)
+        return real(self, q, d_ps, out)
 
-    monkeypatch.setattr(mna, "solve_diagonal", diagonal)
+    monkeypatch.setattr(mna.RowUpdate, "solve", solve)
     with pytest.raises(SingularSystem) as excinfo:
         run(circuit, config)
     assert excinfo.value.period == 4
-    assert "row-update pivot" in str(excinfo.value)
+    assert "row-update pivot nan in column 2" in str(excinfo.value)
     assert calls == [3] * 5
 
 
@@ -986,6 +998,51 @@ def test_a_stepped_period_costs_the_same_products_at_any_k(monkeypatch):
                 assert {tuple(c) for c in moved} == {(5, 1)}
             else:
                 assert {tuple(c) for c in moved} == {(3, 1)}
+
+
+def test_a_stepped_period_makes_the_same_python_calls_at_any_k(monkeypatch):
+    """A stepped period runs the prediction, the row update's lone rows and
+    the end currents each as one pass over the cells, with no function call
+    per cell: each stepped period with its diode rows moved makes as many
+    Python calls (sys.setprofile "call" events; C calls are not counted)
+    with one row moved (buck_dcm.net, k = 1) as with three (PARALLEL_DCM,
+    k = 3), plain and with dcm_refine."""
+    import sys
+
+    import avgcell.engine as engine_module
+
+    real_step, calls = engine_module._Stepper._step, {}
+
+    def step(self, r):
+        count = [0]
+
+        def profile(frame, event, arg):
+            count[0] += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return real_step(self, r)
+        finally:
+            sys.setprofile(previous)
+            calls[r] = count[0]
+
+    monkeypatch.setattr(engine_module._Stepper, "_step", step)
+    netlist = (Path(__file__).resolve().parents[1] / "netlists" / "buck_dcm.net").read_text()
+    cases = {1: (parse_netlist(netlist), std_config(1e-3)), 3: _parallel_dcm()}
+    for dcm_refine in (False, True):
+        counts = {}
+        for k, (circuit, config) in cases.items():
+            calls.clear()
+            result = run(circuit, SimConfig(config.d, config.f_s, config.t_end, dcm_refine))
+            assert result.stats.largest_row_update == k
+            # Row r is period r - 1; a period in DCM has a diode row moved.
+            moved = [calls[r] for r in range(1, len(result.records) + 1)
+                     if result.dcm[r - 1].any()]
+            assert len(moved) > 20
+            counts[k] = set(moved)
+        assert len(counts[1]) == 1
+        assert counts[1] == counts[3], dcm_refine
 
 
 def test_a_refined_prediction_that_zeroes_a_start_current_forms_q_again(monkeypatch):

@@ -25,7 +25,7 @@ from avgcell.mna import (
     eliminate,
     lu_factor,
     lu_solve,
-    solve_diagonal,
+    nonzero_entries,
     stamp,
 )
 from avgcell.netlist import parse_netlist
@@ -274,8 +274,9 @@ class TestSolver:
 
 def coupled_solve(C, r, scale):
     """RowUpdate's coupled solve of the k x k system C y = r (nested lists,
-    r overwritten): :func:`eliminate` with the row update's pivot name."""
-    return eliminate(C, scale, "row-update pivot", r)
+    r overwritten): :func:`eliminate` of C's entries off zero with the row
+    update's pivot name."""
+    return eliminate(nonzero_entries(C), scale, "row-update pivot", r)
 
 
 class TestSmallSolve:
@@ -319,9 +320,8 @@ _PIVOT_EDGE = 1e-13 * 2.0
     [
         lambda pivot: lu_factor(np.array([[2.0, 0.0], [2.0, pivot]])),
         lambda pivot: coupled_solve([[pivot]], [1.0], [2.0]),
-        lambda pivot: solve_diagonal([(pivot, 1.0, 2.0)]),
     ],
-    ids=["lu_factor", "eliminate", "solve_diagonal"],
+    ids=["lu_factor", "eliminate"],
 )
 def test_pivot_at_the_tolerance_raises_and_the_next_float_up_passes(solve):
     """Each caller's pivot rule: a pivot of PIVOT_RTOL times its row's
@@ -629,6 +629,67 @@ def test_rounding_in_the_inverse_couples_no_rows():
     update = RowUpdate(system.A, inverse, lu_solve(inverse, system.B), system.diode, 1.0 - d)
     assert update._raw[0][1] != 0.0
     assert update._lone == [True, True, True]
+
+
+def _lone_row_solve(d_p, ra_abs, rb_abs):
+    """RowUpdate.solve of PARALLEL at d = 0.5 (d_p0 = 0.5) with its first
+    diode row, a lone one, moved to ``d_p``: its terms of C set so that its
+    pivot c is exactly 1, and its |ra| . |w| and |rb| . |w| to ``ra_abs``
+    and ``rb_abs``, so that its row scale is 1 + |alpha| ra_abs + |beta|
+    rb_abs (alpha = d_p - 0.5, beta = d_p^2 - 0.25)."""
+    circuit = parse_netlist(PARALLEL)
+    system = assemble_system(circuit, 0.5, TS, ccm_d_p(circuit, 0.5))
+    inverse = lu_factor(system.A)
+    update = RowUpdate(system.A, inverse, lu_solve(inverse, system.B), system.diode, 0.5)
+    assert update._lone[0]
+    update._raw_ii[0] = update._rbw_ii[0] = 0.0
+    update._magnitude[0] = (ra_abs, rb_abs)
+    update._floor[0] = 1e-13 * (1.0 + ra_abs + rb_abs)
+    x0 = lu_solve(inverse, rhs(system, zero_caps(circuit), dict.fromkeys(ccm_d_p(circuit, 0.5), 0.0)))
+    q = np.concatenate((x0, update.R @ x0))
+    return update.solve(q, [d_p, 0.5, 0.5], np.empty(len(x0)))
+
+
+@pytest.mark.parametrize("term", ["ra", "rb"])
+def test_lone_row_pivot_at_the_tolerance_raises_and_one_scale_down_passes(term):
+    """A lone row's pivot rule, applied in the pass that forms its pivot: a
+    pivot of 1 is singular at a row scale of 1e13, where PIVOT_RTOL times
+    the scale rounds to 1 (PIVOT_RTOL written out so that a change to it
+    shows), and not at the next integer scale down; the scale reaches 1e13
+    through either term.  At d_p = 0 (alpha = -0.5, beta = -0.25) the scale
+    1 + 0.5 ra_abs or 1 + 0.25 rb_abs is an integer S exactly."""
+    assert 1e-13 * 1e13 == 1.0
+    for scale, singular in ((1e13, True), (1e13 - 1.0, False)):
+        terms = (2.0 * (scale - 1.0), 0.0) if term == "ra" else (0.0, 4.0 * (scale - 1.0))
+        if singular:
+            with pytest.raises(SingularSystem, match="row-update pivot 1.000e"):
+                _lone_row_solve(0.0, *terms)
+        else:
+            _lone_row_solve(0.0, *terms)
+
+
+@pytest.mark.parametrize("text", [CASCADE, CHAIN, PARALLEL], ids=["cascade", "chain", "parallel"])
+def test_lone_row_pivot_bound_is_the_scale_at_unit_alpha_and_beta(text):
+    """The bound a lone row's pivot rule tries first is PIVOT_RTOL (written
+    out) times the row's scale at |alpha| = |beta| = 1, summed as the scale
+    is, (1 + |ra| . |w|) + |rb| . |w|."""
+    circuit = parse_netlist(text)
+    system = assemble_system(circuit, 0.4, TS, ccm_d_p(circuit, 0.4))
+    inverse = lu_factor(system.A)
+    update = RowUpdate(system.A, inverse, lu_solve(inverse, system.B), system.diode, 0.6)
+    assert update._floor == [1e-13 * (1.0 + a + b) for a, b in update._magnitude]
+
+
+@pytest.mark.parametrize("d_p", [-0.9, 1.6])
+def test_lone_row_pivot_bound_holds_only_for_d_p_in_zero_to_one(d_p):
+    """The per-run bound a lone row's pivot rule tries first, PIVOT_RTOL (1
+    + |ra| . |w| + |rb| . |w|), holds only while |alpha| and |beta| are at
+    most 1: at a d_p outside [0, 1] (|alpha| 1.4 or 1.1) a pivot of 1 that
+    clears the bound (0.95) is still below PIVOT_RTOL times the scale
+    (1.33 or 1.045), and singular."""
+    assert 1e-13 * (1.0 + 9.5e12) < 1.0
+    with pytest.raises(SingularSystem, match="row-update pivot 1.000e"):
+        _lone_row_solve(d_p, 9.5e12, 0.0)
 
 
 # A buck, whose diode row has two real columns (its p is ground), feeding a
