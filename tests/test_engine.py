@@ -931,6 +931,40 @@ def test_lone_row_pivot_failure_reports_its_period(monkeypatch):
     assert calls == [3] * 5
 
 
+@pytest.mark.parametrize("row", [0, 1])
+def test_coupled_row_pivot_failure_reports_its_period(monkeypatch, row):
+    """A period's coupled diode rows are solved together by elimination,
+    which applies the pivot rule to each column: a NaN diagonal term of C
+    in one of the cascade's two coupled rows, in the first period that
+    moves both (period 22), raises SingularSystem with that period and
+    names the column of that row's pivot."""
+    circuit, config = _cascade_dcm()
+    real = mna.RowUpdate.solve
+    calls = []  # the rows each solve with a row moved moves
+
+    def solve(self, q, d_ps, out):
+        assert self._lone == [False, False]
+        moved = sum(d_p != self.d_p0 for d_p in d_ps)
+        if moved:
+            calls.append(moved)
+        if moved != 2:
+            return real(self, q, d_ps, out)
+        raw = self._raw
+        self._raw = [list(r) for r in raw]
+        self._raw[row][row] = math.nan
+        try:
+            return real(self, q, d_ps, out)
+        finally:
+            self._raw = raw
+
+    monkeypatch.setattr(mna.RowUpdate, "solve", solve)
+    with pytest.raises(SingularSystem) as excinfo:
+        run(circuit, config)
+    assert excinfo.value.period == 22
+    assert str(excinfo.value) == f"period 22: row-update pivot nan in column {row} below tolerance"
+    assert calls == [1] * 22 + [2]
+
+
 def test_records_carry_time_axis(buck_run):
     times = buck_run.times()
     assert times[0] == 0.0
