@@ -36,6 +36,7 @@ from conftest import RULE_EDGES, same_on_float_and_array
 
 BASIC = Element("SCN", "SCN1", (1, 0, 2), 10e-6)
 FLY2 = Element("FBN", "FBN1", (1, 0, 2), 10e-6, turns=2.0)
+FLY17 = Element("FBD", "FBD1", (1, 0, 2), 10e-6, turns=1.7)
 TS = 10e-6
 
 
@@ -51,6 +52,44 @@ class TestDriveVoltages:
         assert (vL1, vL2) == (10, -10)
         # volt-second balance at d = 0.5
         assert avg_inductor_voltage(vL1, vL2, 0.5, 0.5) == 0
+
+    @pytest.mark.parametrize(
+        "ports, cell, expected",
+        [
+            ((-0.0, 0.0, 0.0), BASIC, "(0.0, 0.0)"),  # -0.0 - 0.0 would be -0.0
+            ((-0.0, -0.0, 0.0), FLY17, "(0.0, 0.0)"),
+            ((0.0, -0.0, -0.0), FLY17, "(0.0, 0.0)"),
+            ((10, 0, 5), BASIC, "(5.0, -5.0)"),  # int ports give floats
+            ((10, 5, 2), FLY17, "(5.0, 1.7647058823529413)"),  # (5 - 2) / 1.7 is ...11
+            ((math.nan, 1.0, 2.0), BASIC, "(nan, -1.0)"),
+            ((math.inf, 0.0, math.inf), BASIC, "(nan, -inf)"),
+            ((math.inf, -math.inf, 1.0), FLY17, "(inf, -inf)"),
+        ],
+    )
+    def test_edge_values_bit_for_bit(self, ports, cell, expected):
+        assert repr(drive_voltages(ports, cell)) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.tuples(*[st.one_of(st.floats(), st.integers(-10**6, 10**6),
+                              st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))] * 3),
+        st.one_of(st.sampled_from([BASIC, FLY2, FLY17]),
+                  st.floats(0.05, 20.0).map(lambda n: Element("FBD", "FBD1", (1, 0, 2), 1e-5, turns=n))),
+    )
+    def test_drive_voltages_are_the_sums_of_the_stamp_coefficients(self, ports, cell):
+        """vL1 and vL2 are each the sum from 0 of the stamp's coefficients
+        times the port voltages, in the order a, p, c: vL1 = a - c and vL2 =
+        p - c, or for a flyback vL1 = a - p and vL2 = (p - c) / n, each
+        coefficient 1.0 or 1.0 / n.  repr tells every float apart, the sign
+        of zero included, but not the sign of a NaN, which IEEE 754 leaves
+        open where two NaNs meet."""
+        v_a, v_p, v_c = ports
+        if cell.is_flyback:
+            inv = 1.0 / cell.turns
+            expected = (0 + 1.0 * v_a + -1.0 * v_p, 0 + inv * v_p + -inv * v_c)
+        else:
+            expected = (0 + 1.0 * v_a + -1.0 * v_c, 0 + 1.0 * v_p + -1.0 * v_c)
+        assert repr(drive_voltages(ports, cell)) == repr(expected)
 
 
 class TestComputeD2:
