@@ -771,6 +771,44 @@ def test_inverse_pattern_is_where_the_inverse_can_be_nonzero(seed):
         assert (inverse[pattern] > 0.0).all()
 
 
+@st.composite
+def structurally_singular(draw):
+    """An n x n matrix (n <= 8) with an r x s block of zeros, r + s = n + 1,
+    so that no perfect matching of its rows to its columns exists, and
+    nonzero entries drawn elsewhere (most of them)."""
+    n = draw(st.integers(1, 8))
+    r = draw(st.integers(1, n))
+    rows = draw(st.permutations(range(n)))[:r]
+    cols = draw(st.permutations(range(n)))[:n + 1 - r]
+    value = st.floats(0.5, 2.0).flatmap(lambda v: st.sampled_from([v, -v]))
+    entry = st.one_of(value, value, value, st.just(0.0))
+    A = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for i in rows:
+        for j in cols:
+            A[i][j] = 0.0
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(structurally_singular())
+def test_a_structurally_singular_pattern_leaves_no_zero_of_the_inverse_sure(A):
+    """With no perfect matching, _inverse_pattern can tell no entry of the
+    inverse zero and calls every one nonzero."""
+    assert _inverse_pattern(np.array(A)).all()
+
+
+def test_a_structurally_singular_matrix_can_pass_lu_factor():
+    """Rows 0 and 1 have their one entry in column 0, so no perfect matching
+    exists, yet lu_factor passes: row 2 is column 0's pivot, its fill-in
+    puts entries of up to 300 in rows 0 and 1, and the rounding left in
+    row 0 at column 2, the last pivot (2.8e-14), clears PIVOT_RTOL times
+    row 0's scale in A, 0.1.  A RowUpdate can be built on such a matrix, so
+    _inverse_pattern keeps its answer for it."""
+    A = np.array([[0.1, 0.0, 0.0], [0.3, 0.0, 0.0], [1.0, 0.1, 1000.0]])
+    lu_factor(A)
+    assert _inverse_pattern(A).all()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10_000))
 def test_solver_agrees_with_reference_and_meets_residual_bound(seed):
