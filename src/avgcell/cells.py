@@ -21,7 +21,9 @@ a zero-starting current returns to zero; the current then rests at zero for
 the remainder of the period.  Flyback cells carry a transformer: the
 magnetizing inductance takes the place of L, the secondary current is the
 magnetizing current reflected by 1/n, and the drive voltages become
-vL1 = v_a - v_p and vL2 = -(v_c - v_p) / n.
+vL1 = v_a - v_p and vL2 = -(v_c - v_p) / n.  :func:`drive_voltages` forms
+them from the port voltages; the engine reads them off the solution
+through the output rows of :mod:`avgcell.mna`, which stamp the same terms.
 
 A cell is its netlist :class:`avgcell.netlist.Element`: ``value`` is L and
 ``turns`` is n, 1 for a basic cell.
@@ -31,7 +33,8 @@ and :func:`diode_clamps`, are written once here for floats and arrays alike,
 and the mode rules :func:`compute_d2` and :func:`resolve_mode` for floats.
 A stepped period applies them all through :func:`predict_modes` and
 :func:`end_currents`, each one pass over every cell's values as lists,
-with the rules written out inline so that a cell costs no function call.
+with the rules written out inline so that a cell costs no function call;
+the functions of single values are their reference, off the hot path.
 """
 
 import math
@@ -49,11 +52,6 @@ CURRENT_RTOL = 1e-12
 class Mode(Enum):
     CCM = "CCM"
     DCM = "DCM"
-
-
-# The members the per-period rules return, as module names: they read
-# several times faster than the enum attributes.
-_CCM, _DCM = Mode.CCM, Mode.DCM
 
 
 class DegenerateDuty(AvgcellError):
@@ -95,25 +93,15 @@ def diode_clamps(iL2):
     return iL2 < 0.0
 
 
-def drive_terms(cell):
-    """Coefficient maps of vL1 and vL2 over the terminal voltages.
-
-    Returned as two dicts keyed by 'a'/'p'/'c'; missing keys mean zero.
-    These same coefficients appear in the cell's MNA constraint rows.
-    """
-    if cell.is_flyback:
-        return {"a": 1.0, "p": -1.0}, {"p": 1.0 / cell.turns, "c": -1.0 / cell.turns}
-    return {"a": 1.0, "c": -1.0}, {"p": 1.0, "c": -1.0}
-
-
 def drive_voltages(ports, cell):
     """Inductor voltage during the switch interval and the diode interval,
-    from the port voltages ``(v_a, v_p, v_c)``."""
-    values = dict(zip("apc", ports))
-    a_map, b_map = drive_terms(cell)
-    vL1 = sum(coeff * values[t] for t, coeff in a_map.items())
-    vL2 = sum(coeff * values[t] for t, coeff in b_map.items())
-    return vL1, vL2
+    from the port voltages ``(v_a, v_p, v_c)``: the terms of the cell's
+    stamp in avgcell.mna, each summed from 0.0, so a -0.0 reads +0.0."""
+    v_a, v_p, v_c = ports
+    if cell.is_flyback:
+        inv = 1.0 / cell.turns
+        return 0.0 + v_a - v_p, 0.0 + inv * v_p - inv * v_c
+    return 0.0 + v_a - v_c, 0.0 + v_p - v_c
 
 
 def compute_d2(vL1, vL2, d):
@@ -135,10 +123,10 @@ def resolve_mode(d, d2):
     continuous with d_p = 1 - d.
     """
     if d + d2 >= 1.0:
-        return _CCM, 1.0 - d
+        return Mode.CCM, 1.0 - d
     # Negative d2 means the current never rises; the diode idles.  This is
     # max(d2, 0.0) for every float, NaN and -0.0 included.
-    return _DCM, 0.0 if d2 < 0.0 else d2
+    return Mode.DCM, 0.0 if d2 < 0.0 else d2
 
 
 def predict_modes(d, iL0s, vL1s, vL2s, diode):

@@ -64,22 +64,18 @@ class MnaLayout:
 
 
 class MnaSystem:
-    """Dense A x = z system plus its layout, its right-hand-side matrix
-    ``B``, its output matrix ``E`` and ``diode`` (set by :func:`stamp`):
+    """Dense A x = z system: its layout, and from :func:`stamp` ``A``, its
+    right-hand-side matrix ``B``, its output matrix ``E`` and ``diode``:
     arrays (rd, cols, ra, rb), cell i's (netlist order) iD_avg row ``rd[i]``
     being e_rd + d_p ra[i] + d_p^2 rb[i] at ``cols[i]``, the rows of its
     non-ground terminals padded to three at rd[i], where ra and rb read 0.0."""
 
     def __init__(self, layout):
         self.layout = layout
-        self.A = np.zeros((layout.order, layout.order))
-        n_state = len(layout.state_col)
-        self.B = np.zeros((layout.order, n_state + 1))
-        self.E = np.zeros((n_state + len(layout.cell_rows), layout.order))
 
 
 def build_layout(circuit):
-    """Create a zeroed system with the deterministic row assignment."""
+    """A system with the deterministic row assignment, for :func:`stamp`."""
     node_ids = tuple(sorted(circuit.node_ids - {0}))
     node_row = {n: i for i, n in enumerate(node_ids)}
     vdcs, cells = circuit.vdcs(), circuit.cells()
@@ -109,7 +105,7 @@ _CONDUCTANCE = ((_A, _T0, _T0, _K), (_A, _T1, _T1, _K), (_A, _T0, _T1, ~_K), (_A
 # Entries that meet at one position add up in table order, and elements
 # in netlist order.  A cell's KCL along iS_avg (a to the return terminal)
 # and iD_avg (p to c) and its unit entries come first, then the drive terms
-# of cells.drive_terms, vL1 = v_a - v_ret and vL2 = (v_p - v_c) / n: each
+# of cells.drive_voltages, vL1 = v_a - v_ret and vL2 = (v_p - v_c) / n: each
 # enters E, a vL1 term also the iS_avg row, and ra or rb.  Its diode row's
 # unit diagonal and entries in A are written after the scatter (stamp).
 _STAMPS = {
@@ -143,11 +139,11 @@ def diode_entries(d_p, ra, rb):
 
 
 def stamp(system, elements, d, T_s, d_p):
-    """Stamp ``elements`` (netlist order) into the zeroed ``system``, each
-    cell's diode row at ``d_p[label]``: every element's table entries in one
-    scatter, ground on a spare row and column that is dropped, then
-    ``system.diode`` read off the ra and rb planes, and from it each diode
-    row's entries in A and its unit diagonal, over its pads' zeros."""
+    """Set ``system``'s arrays from ``elements`` (netlist order), each cell's
+    diode row at ``d_p[label]``: every element's table entries in one
+    scatter, ground on a spare row and column that is dropped, ``diode`` read
+    off the ra and rb planes, and from it each diode row's entries in A and
+    its unit diagonal, over its pads' zeros; A, B and E copy their planes."""
     layout = system.layout
     n, n_state, n_cells = layout.order, len(layout.state_col), len(layout.cell_rows)
     get, state_col, cell_rows = layout.node_row.get, layout.state_col, layout.cell_rows
@@ -184,9 +180,9 @@ def stamp(system, elements, d, T_s, d_p):
     system.diode = rd, cols, planes[_RA][at], planes[_RB][at]
     planes[_A][at] = diode_entries(np.array(d_ps)[:, None], *system.diode[2:])
     planes[_A, rd, rd] = 1.0  # over a pad's 0.0
-    system.A[:] = planes[_A, :n, :n]
-    system.B[:] = planes[_B, :n, :n_state + 1]
-    system.E[:] = planes[_E, :len(system.E), :n]
+    system.A = planes[_A, :n, :n].copy()
+    system.B = planes[_B, :n, :n_state + 1].copy()
+    system.E = planes[_E, :n_state + n_cells, :n].copy()
     return system
 
 
@@ -196,11 +192,11 @@ def assemble_system(circuit, d, T_s, d_p):
     return stamp(build_layout(circuit), circuit.elements, d, T_s, d_p)
 
 
-def _check_pivots(rows, name):
-    """The pivot rule, for ``rows`` (pivot, _, scale) in column order: raise
-    :class:`SingularSystem`, naming the first failing pivot ``name``, unless
-    each is above ``PIVOT_RTOL`` times its row's scale."""
-    for k, (pivot, _, scale) in enumerate(rows):
+def _check_pivots(rows, name, first=0):
+    """The pivot rule, for ``rows`` (pivot, scale) in column order from
+    ``first``: raise :class:`SingularSystem`, naming the first failing pivot
+    ``name``, unless each is above ``PIVOT_RTOL`` times its row's scale."""
+    for k, (pivot, scale) in enumerate(rows, first):
         if not abs(pivot) > PIVOT_RTOL * scale:
             raise SingularSystem(f"{name} {pivot:.3e} in column {k} below tolerance")
 
@@ -241,7 +237,7 @@ def eliminate(entries, scale, name, rhs=None):
             if m > largest or m == largest and pos[i] < pos[p] or m != m:
                 p, largest = i, m
         pivot = rows[p].pop(k, 0.0)
-        pivots.append((pivot, None, scale[p]))
+        pivots.append((pivot, scale[p]))
         if not pivot:  # it fails the pivot rule: stop before dividing by it
             break
         q, old = at[k], pos[p]
@@ -327,6 +323,11 @@ def _inverse_pattern(A):
     return reach[[col_of[r] for r in range(n)]].T > 0
 
 
+def _row_scale(magnitude, alpha, beta):
+    """A moved diode row's scale, from its ``magnitude`` (ra_abs, rb_abs)."""
+    return 1.0 + abs(alpha) * magnitude[0] + abs(beta) * magnitude[1]
+
+
 class RowUpdate:
     """Solves A x = z through ``inverse``, the A0^-1 of a matrix ``A``
     whose diode ``rows`` (those of :attr:`MnaSystem.diode` that can move)
@@ -400,7 +401,7 @@ class RowUpdate:
             linked &= (_inverse_pattern(A)[meet] & real).any(axis=2)
         self._lone = (~(linked.any(axis=0) | linked.any(axis=1))).tolist()
         # A bound on PIVOT_RTOL times each row's scale at any d_p in [0, 1].
-        self._floor = [PIVOT_RTOL * (1.0 + a + b) for a, b in self._magnitude]
+        self._floor = [PIVOT_RTOL * _row_scale(m, 1.0, 1.0) for m in self._magnitude]
 
     def solve(self, q, d_ps, out):
         """Write into ``out`` and return the solution with each row at its
@@ -429,16 +430,11 @@ class RowUpdate:
                 # rounding included: only a pivot that does not clear it
                 # needs the scale.
                 if not (abs(c) > floor[i] and 0.0 <= d_p <= 1.0):
-                    ra_abs, rb_abs = magnitude[i]
-                    scale = 1.0 + abs(alpha) * ra_abs + abs(beta) * rb_abs
-                    if not abs(c) > PIVOT_RTOL * scale:
-                        raise SingularSystem(
-                            f"row-update pivot {c:.3e} in column {len(y)} below tolerance")
+                    scale = _row_scale(magnitude[i], alpha, beta)
+                    _check_pivots([(c, scale)], "row-update pivot", len(y))
                 y.append(u_x / c)
             else:
-                ra_abs, rb_abs = magnitude[i]
-                scale = 1.0 + abs(alpha) * ra_abs + abs(beta) * rb_abs
-                coupled.append((len(y), i, alpha, beta, u_x, scale))
+                coupled.append((len(y), i, alpha, beta, u_x, _row_scale(magnitude[i], alpha, beta)))
                 y.append(0.0)
         if not moved:
             out[:] = q[:n]

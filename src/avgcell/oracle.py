@@ -218,6 +218,11 @@ class _SwitchedSimulator:
         # the same in every topology.
         self.sample_cols = [self.node_col[n] for n in self.node_ids]
         self.sample_cols += [self.n_nodes + k for k in range(len(self.vdcs))]
+        # Every signal's (name, unit), in the order of a sample row: the
+        # sample columns', then each cell's inductor current.
+        self.signals = [(f"v({n})", "V") for n in self.node_ids]
+        self.signals += [(f"i({e.label})", "A") for e in self.vdcs]
+        self.signals += [(f"iL({c.label})", "A") for c in self.cells]
 
         self.s = np.array(
             [x for e in self.caps for x in (e.initial, 0.0)]
@@ -477,14 +482,9 @@ class _SwitchedSimulator:
         if off != p_sw:
             self._cached_steps.update(split)
 
-        signal_names = (
-            [f"v({n})" for n in self.node_ids]
-            + [f"i({e.label})" for e in self.vdcs]
-            + [f"iL({c.label})" for c in self.cells]
-        )
         n_samples = n_periods * steps + 1
         try:
-            out = np.empty((n_samples, len(signal_names)))
+            out = np.empty((n_samples, len(self.signals)))
         except (ValueError, MemoryError) as exc:
             raise InvalidConfig(f"cannot hold {n_periods} periods: {exc}") from None
 
@@ -523,17 +523,12 @@ class _SwitchedSimulator:
         if not np.isfinite(out).all():
             k, col = np.argwhere(~np.isfinite(out))[0]
             raise SingularSystem(
-                f"switched network gives a non-finite {signal_names[col]} "
+                f"switched network gives a non-finite {self.signals[col][0]} "
                 f"at substep {k}"
             )
         times = np.arange(n_samples) * h
-        result = {}
-        for k, name in enumerate(signal_names):
-            unit = "V" if name.startswith("v(") else "A"
-            result[name] = SampledWaveform(
-                name, unit, times, out[:, k], steps
-            )
-        return result
+        return {name: SampledWaveform(name, unit, times, out[:, k], steps)
+                for k, (name, unit) in enumerate(self.signals)}
 
     def _sample_row(self, x):
         row = [float(x[col]) for col in self.sample_cols]
