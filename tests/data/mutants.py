@@ -18,7 +18,7 @@ run too: each is listed with the reason no test can kill it.  It prints
 one line per mutant, with the first failing test of a killed one, and
 exits 1 if a row of ``MUTANTS`` survived or one of ``EQUIVALENT`` was
 killed.  It writes nothing in the tree.  Tier-1 takes about 12 s on a
-2-vCPU host, so a survivor costs that and a full run of the 118 rows
+2-vCPU host, so a survivor costs that and a full run of the 120 rows
 about 12 minutes.
 """
 
@@ -41,21 +41,13 @@ MUTANTS = [
         "if not abs(pivot) > PIVOT_RTOL * scale:",
         "if not abs(pivot) >= PIVOT_RTOL * scale:",
         "a pivot of exactly PIVOT_RTOL times its row's scale must be singular, in"
-        " lu_factor and the coupled row update alike",
-    ),
-    (
-        "lone-pivot-rule",
-        "mna.py",
-        "if not abs(c) > PIVOT_RTOL * scale:",
-        "if not abs(c) >= PIVOT_RTOL * scale:",
-        "a lone row's pivot of exactly PIVOT_RTOL times its row's scale must be"
-        " singular, as in _check_pivots",
+        " lu_factor and the lone and coupled row updates alike",
     ),
     (
         "lone-floor-rb",
         "mna.py",
-        "self._floor = [PIVOT_RTOL * (1.0 + a + b) for a, b in self._magnitude]",
-        "self._floor = [PIVOT_RTOL * (1.0 + a) for a, b in self._magnitude]",
+        "self._floor = [PIVOT_RTOL * _row_scale(m, 1.0, 1.0) for m in self._magnitude]",
+        "self._floor = [PIVOT_RTOL * _row_scale(m, 1.0, 0.0) for m in self._magnitude]",
         "the bound a lone row's pivot clears without its scale covers the rb"
         " term of the scale too",
     ),
@@ -79,6 +71,14 @@ MUTANTS = [
         "0.0 <= d_p <= 1.0",
         "0.0 <= d_p <= 2.0",
         "above d_p = 1, |alpha| and |beta| can pass 1 and the bound fails",
+    ),
+    (
+        "row-scale-signed-alpha",
+        "mna.py",
+        "abs(alpha) * magnitude[0]",
+        "alpha * magnitude[0]",
+        "a moved row's scale, lone or coupled, grows with |alpha|: at d_p below"
+        " d_p0 a signed alpha shrinks it and passes a pivot that is singular",
     ),
     (
         "PIVOT_RTOL",
@@ -359,9 +359,24 @@ MUTANTS = [
     (
         "resolve-mode-negative-d2",
         "cells.py",
-        "return _DCM, 0.0 if d2 < 0.0 else d2",
-        "return _DCM, 0.0 if d2 <= 0.0 else d2",
+        "return Mode.DCM, 0.0 if d2 < 0.0 else d2",
+        "return Mode.DCM, 0.0 if d2 <= 0.0 else d2",
         "a DCM d_p is max(d2, 0.0) as Python's max gives it, so -0.0 stays -0.0",
+    ),
+    (
+        "drive-flyback-vL2",
+        "cells.py",
+        "0.0 + inv * v_p - inv * v_c",
+        "0.0 + (v_p - v_c) / cell.turns",
+        "a flyback's vL2 is the stamp's two terms, (1/n) v_p - (1/n) v_c, which"
+        " rounds apart from (v_p - v_c) / n",
+    ),
+    (
+        "drive-signed-zero",
+        "cells.py",
+        "return 0.0 + v_a - v_c, 0.0 + v_p - v_c",
+        "return v_a - v_c, v_p - v_c",
+        "the drive voltages are sums from 0.0, so a -0.0 port reads +0.0",
     ),
     (
         "predict-keeps-ccm-at-tolerance",
