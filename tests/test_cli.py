@@ -35,6 +35,72 @@ def read_rows(path):
         return [row for row in csv.reader(handle) if not row[0].startswith("#")]
 
 
+# The usage line at 80 columns, which each case sets.
+USAGE = """\
+usage: avgcell [-h] [-D DUTY] [--fs FS] [--t-end T_END] [--out OUT]
+               [--signals SIGNALS] [--oracle]
+               [--oracle-substeps ORACLE_SUBSTEPS] [--dcm-refine]
+               [--stats-window STATS_WINDOW]
+               netlist
+"""
+OVERFLOW = "VDC 1 1 0 1e308\nSCN 1 1 0 2 1e-9 0\nC 1 2 0 1e-4 0\nR 1 2 0 1e-3\n"
+
+# (netlist text or None for no file, arguments, exit code, stderr with the
+# netlist's path as {net} and the --out path as {out}).
+STDERR_CASES = {
+    "unknown-flag": (BUCK, ["--frobnicate"], 1,
+                     "usage error: unrecognized arguments: --frobnicate\n" + USAGE),
+    "missing-parameters": (
+        BUCK, [], 1,
+        "usage error: missing -D, --fs, --t-end (no .param default in the netlist)\n"
+        + USAGE),
+    "bad-duty": (BUCK, ["-D", "1.5", "--fs", "100e3", "--t-end", "1e-3"], 1,
+                 "usage error: duty ratio 1.5 outside (0, 1]\n"),
+    "stats-window-0": (BUCK, [*ARGS, "--stats-window", "0"], 1,
+                       "usage error: stats window outside (0, 1] or empty\n"),
+    "oracle-substeps-50": (BUCK, [*ARGS, "--oracle", "--oracle-substeps", "50"], 1,
+                           "usage error: substeps_per_period must be at least 100\n"),
+    "missing-file": (None, ARGS, 2,
+                     "error: cannot read {net}: [Errno 2] No such file or directory: '{net}'\n"),
+    "parse-error": ("VDC 1 1 0 10.0\nXYZ 1 1 0 5.0\n", ARGS, 2,
+                    "error: {net}: line 2: unknown element kind 'XYZ'\n"),
+    "two-diagnostics": (BUCK + "C 9 2 2 1e-6 0\nR 9 2 0 0\n", ARGS, 2,
+                        "error: {net}: C9: both terminals on node 2\n"
+                        "error: {net}: R9: non-positive resistance\n"),
+    "no-signal-matched": (BUCK, [*ARGS, "--signals", "zz"], 2,
+                          "error: no signals matched the --signals filter\n"),
+    "overflow": (OVERFLOW, ["-D", "0.5", "--fs", "100e3", "--t-end", "2e-5"], 3,
+                 "error: residual nan exceeds stability bound inf\n"),
+    "singular-oracle": (BUCK, [*ARGS, "--oracle"], 3,
+                        "error: oracle: switched network is singular\n"),
+    "out-names-a-file": (BUCK, ARGS, 1,
+                         "error: cannot write output: [Errno 17] File exists: '{out}'\n"),
+    "success": (BUCK, ARGS, 0, ""),
+}
+
+
+@pytest.mark.parametrize("case", STDERR_CASES)
+def test_every_exit_prints_its_exact_stderr(tmp_path, capsys, monkeypatch, case):
+    """Each failure exits with its code and prints exactly its lines, the
+    usage line only after an argument error or a missing parameter, and
+    leaves no --out directory; a successful run prints nothing."""
+    text, args, code, stderr = STDERR_CASES[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    if case == "singular-oracle":
+        def singular(circuit, config, oracle_config):
+            raise avgcell.SingularSystem("switched network is singular")
+
+        monkeypatch.setattr(avgcell.oracle, "simulate_switched", singular)
+    net, out = tmp_path / "circuit.net", tmp_path / "results"
+    if text is not None:
+        net.write_text(text)
+    if case == "out-names-a-file":
+        out.write_text("kept\n")
+    assert run_cli(net, *args, "--out", out) == code
+    assert capsys.readouterr().err == stderr.format(net=net, out=out)
+    assert out.exists() == (case in ("success", "out-names-a-file"))
+
+
 def test_successful_run_writes_outputs(tmp_path, buck_file):
     out = tmp_path / "results"
     assert run_cli(buck_file, *ARGS, "--out", out) == 0
