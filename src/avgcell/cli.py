@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage error, 2 netlist or validation error,
 
 import argparse
 import csv
+import functools
 import sys
 from fnmatch import fnmatch
 from pathlib import Path
@@ -40,6 +41,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# One parser serves every call in the process.
+@functools.cache
 def build_parser():
     parser = _Parser(
         prog="avgcell",
@@ -76,24 +79,12 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return _USAGE_EXIT
-
-    try:
-        text = Path(args.netlist).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {args.netlist}: {exc}", file=sys.stderr)
-        return _NETLIST_EXIT
-
-    try:
+        try:
+            text = Path(args.netlist).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {args.netlist}: {exc}", file=sys.stderr)
+            return _NETLIST_EXIT
         circuit = parse_netlist(text)
-    except NetlistError as exc:
-        print(f"error: {args.netlist}: {exc}", file=sys.stderr)
-        return _NETLIST_EXIT
-
-    try:
         diagnostics = validate(circuit)
         if diagnostics:
             raise engine.InvalidCircuit(diagnostics)
@@ -106,13 +97,9 @@ def main(argv=None):
             if value is None
         ]
         if missing:
-            print(
-                f"usage error: missing {', '.join(missing)} "
-                "(no .param default in the netlist)",
-                file=sys.stderr,
+            raise _UsageError(
+                f"missing {', '.join(missing)} (no .param default in the netlist)"
             )
-            print(parser.format_usage(), end="", file=sys.stderr)
-            return _USAGE_EXIT
 
         config = engine.SimConfig(duty, f_s, t_end, dcm_refine=args.dcm_refine)
         # The window ends with the run's last period, where its waveforms
@@ -138,12 +125,20 @@ def main(argv=None):
                 sampled = oracle.simulate_switched(circuit, config, oracle_config)
             except SingularSystem as exc:
                 raise SingularSystem(f"oracle: {exc}") from exc
+    # Only argument errors and missing parameters print the usage line.
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        print(parser.format_usage(), end="", file=sys.stderr)
+        return _USAGE_EXIT
     except engine.InvalidConfig as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except engine.InvalidCircuit as exc:
         for diag in exc.diagnostics:
             print(f"error: {args.netlist}: {diag}", file=sys.stderr)
+        return _NETLIST_EXIT
+    except NetlistError as exc:
+        print(f"error: {args.netlist}: {exc}", file=sys.stderr)
         return _NETLIST_EXIT
     except (SingularSystem, waveform.NonFinite) as exc:
         print(f"error: {exc}", file=sys.stderr)

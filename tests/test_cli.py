@@ -1,13 +1,19 @@
 """Command line interface tests."""
 
+import contextlib
 import csv
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import avgcell
 from avgcell.cli import main
@@ -257,6 +263,19 @@ def test_missing_file_exits_two(tmp_path, capsys):
         path.read_text()
     assert run_cli(path, *ARGS) == 2
     assert capsys.readouterr().err == f"error: cannot read {path}: {reading.value}\n"
+
+
+def test_a_netlist_that_is_not_utf8_exits_two_and_writes_nothing(tmp_path, capsys):
+    """A byte that is not UTF-8 fails the read as a missing file does: exit
+    2 with the decoder's message, not a UnicodeDecodeError traceback."""
+    path = tmp_path / "latin.net"
+    path.write_bytes(b"VDC 1 1 0 10\n\xff\n")
+    with pytest.raises(UnicodeDecodeError) as reading:
+        path.read_text()
+    out = tmp_path / "results"
+    assert run_cli(path, *ARGS, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: {reading.value}\n"
+    assert not out.exists()
 
 
 def test_out_naming_a_file_exits_one_and_writes_nothing(tmp_path, buck_file, capsys):
@@ -600,3 +619,82 @@ def test_capacitor_written_ground_first_reports_the_same_voltage(tmp_path):
         outputs.append([(out / f).read_text() for f in files])
     assert outputs[0] == outputs[1]
     assert "v(2) mean=4.99835935 min=4.13131432 max=5.78734548" in outputs[1][2]
+
+
+# The CLI fuzz property: committed netlists, mutated, under drawn options.
+COMMITTED = [path.read_text() for path in sorted(NETLISTS.glob("*.net"))]
+BAD_TOKENS = ["nan", "inf", "1e400", "-1", "1.5e"]
+EXTRA_LINES = ["R 9 2 0 10.0", "C 9 2 0 1e-5 0", "IDC 9 2 0 1.0", "SCD 9 2 0 3 1e-5 0",
+               ".param D=0.3", ".param fs=50e3", ".param tend=1e-4", ".param D=2"]
+
+
+@st.composite
+def mutated_netlists(draw):
+    """A committed netlist with tokens replaced, lines duplicated, deleted
+    or added, and perhaps one byte that is not UTF-8."""
+    lines = draw(st.sampled_from(COMMITTED)).splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["token", "duplicate", "delete", "add"]))
+        if edit == "add" or not lines:
+            lines.insert(k, draw(st.sampled_from(EXTRA_LINES)))
+            continue
+        k = min(k, len(lines) - 1)
+        if edit == "token" and lines[k].split():
+            tokens = lines[k].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+            lines[k] = " ".join(tokens)
+        elif edit == "duplicate":
+            lines.insert(k, lines[k])
+        elif edit == "delete":
+            del lines[k]
+    data = "".join(line + "\n" for line in lines).encode()
+    if data and draw(st.integers(0, 5)) == 5:
+        k = draw(st.integers(0, len(data) - 1))
+        data = data[:k] + b"\xff" + data[k + 1:]
+    return data
+
+
+def _flag(draw, name, good, bad):
+    """No flag, or ``name`` with a value: one of ``good`` half the time,
+    one of ``bad`` one time in five."""
+    pick = draw(st.integers(0, 9))
+    if pick < 3:
+        return []
+    return [name, draw(st.sampled_from(good if pick < 8 else bad))]
+
+
+@st.composite
+def cli_options(draw):
+    """Drawn options, with --oracle on every run of at most 10 periods."""
+    fs = _flag(draw, "--fs", ["100e3", "50e3"], ["nan", "inf", "1e400", "-1", "0"])
+    t_end = _flag(draw, "--t-end", ["1e-4", "2e-4"], ["1.5e-5", "0", "nan", "1e400", "-1"])
+    options = [*_flag(draw, "-D", ["0.5", "0.3", "0.7", "1"], ["1.5", "0", "nan", "1.5e"]),
+               *fs, *t_end, *_flag(draw, "--signals", ["v(*)", "iL(*),v(2)"], ["zz"])]
+    options += draw(st.sampled_from([[], ["--dcm-refine"]]))
+    options += draw(st.sampled_from([[]] * 9 + [["--frobnicate"]]))
+    if fs and t_end and 0 < float(fs[1]) * float(t_end[1]) <= 10:
+        options += ["--oracle", "--oracle-substeps", "100"]
+    return options
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=mutated_netlists(), options=cli_options())
+def test_a_mutated_netlist_exits_with_a_code_and_writes_only_finite_files(data, options):
+    """Whatever the netlist and the options, main returns 0-3 and raises
+    nothing; a failed run prints an error and leaves no --out directory,
+    and every file of a successful one holds finite numbers only."""
+    with tempfile.TemporaryDirectory() as tmp:
+        net, out = Path(tmp) / "circuit.net", Path(tmp) / "results"
+        net.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(net, *options, "--out", out)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.getvalue().startswith(("error: ", "usage error: "))
+            assert not out.exists()
+        else:
+            assert err.getvalue() == ""
+            for path in out.iterdir():
+                assert not re.search(r"\b(nan|inf)\b", path.read_text(), re.IGNORECASE), path
