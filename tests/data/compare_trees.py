@@ -44,6 +44,13 @@ circuits of ``edited_circuits()`` (a netlist's element list edited in code)
 are digested in the case ``edited-circuits``, the same way over 20 periods,
 where an accepted run is digested by its result columns or samples.
 
+The case ``cli`` runs ``cli.main`` in process on every run of
+``cli_runs()``: each committed netlist under each argument set of
+``cli_reference.json``, and ``CLI_MUTANTS`` netlists mutated as text from
+them with a fixed seed.  It digests the exit code, the stderr with the
+temporary directory replaced, the category and text of every warning, and
+the bytes of every output file by name.
+
 It prints one line per case, with one digest per group of fields (the
 assembly and the run of an engine case, each substep count of an oracle
 case), and exits 1 if any field differs, naming the case and the field.
@@ -162,6 +169,70 @@ def edited_circuits():
         return circuit
 
     return {"appended-node": appended, "removed-node": removed}
+
+
+# The text-only mutations of the committed netlists in the cli case: a
+# token replaced, a line duplicated or deleted, or one of these lines added.
+CLI_MUTANTS = 200
+CLI_TOKENS = ("nan", "inf", "1e400", "-1", "1.5e")
+CLI_LINES = ("R 9 2 0 10.0", "C 9 2 0 1e-5 0", "IDC 9 2 0 1.0", ".param tend=1e-4")
+
+
+def cli_runs():
+    """{run name: (netlist text, CLI arguments)} of the cli case."""
+    import random
+
+    committed = sorted((DATA.parents[1] / "netlists").glob("*.net"))
+    netlists = {path.name: path.read_text() for path in committed}
+    cases = json.loads((DATA / "cli_reference.json").read_text())["cases"].values()
+    arg_sets = list(dict.fromkeys(tuple(case["args"]) for case in cases))
+    runs = {f"committed:{name}:{' '.join(args)}": (text, list(args))
+            for name, text in netlists.items() for args in arg_sets}
+    rng = random.Random(1)
+    for k in range(CLI_MUTANTS):
+        lines = rng.choice(list(netlists.values())).splitlines()
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(len(lines))
+            edit = rng.choice(("token", "duplicate", "delete", "add"))
+            if edit == "token" and lines[i].split():
+                tokens = lines[i].split()
+                tokens[rng.randrange(len(tokens))] = rng.choice(CLI_TOKENS)
+                lines[i] = " ".join(tokens)
+            elif edit == "duplicate":
+                lines.insert(i, lines[i])
+            elif edit == "delete" and len(lines) > 1:
+                del lines[i]
+            elif edit == "add":
+                lines.insert(i, rng.choice(CLI_LINES))
+        runs[f"mutant:{k}"] = ("".join(line + "\n" for line in lines), list(rng.choice(arg_sets)))
+    return runs
+
+
+def _cli_outcome(text, args):
+    """The exit code, stderr, warnings and output files of ``cli.main`` on
+    ``text`` under ``args``, or the exception that escaped it."""
+    import contextlib
+    import io
+    import tempfile
+    import warnings
+
+    from avgcell import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        net, out = Path(tmp) / "circuit.net", Path(tmp) / "out"
+        net.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main([str(net), *args, "--out", str(out)])
+            except Exception as exc:  # an escaping exception is an outcome too
+                code = f"{type(exc).__name__}: {exc}"
+        files = out.is_dir() and {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())
+        }
+        return (code, err.getvalue().replace(tmp, "<tmp>"),
+                [f"{w.category.__name__}: {w.message}" for w in caught], files)
 
 
 def _outcome(build, simulator, t_end=1e-5, accepted=lambda result: "accepted"):
@@ -450,6 +521,8 @@ def digests():
         for simulator in (validate, run, simulate_switched):
             found = _outcome(build, simulator, 2e-4, result)
             fields[f"{simulator.__name__}:{name}"] = _digest(found)
+
+    out["cli"] = {name: _digest(_cli_outcome(*run)) for name, run in cli_runs().items()}
     return out
 
 
