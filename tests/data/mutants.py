@@ -18,7 +18,7 @@ run too: each is listed with the reason no test can kill it.  It prints
 one line per mutant, with the first failing test of a killed one, and
 exits 1 if a row of ``MUTANTS`` survived or one of ``EQUIVALENT`` was
 killed.  It writes nothing in the tree.  Tier-1 takes about 12 s on a
-2-vCPU host, so a survivor costs that and a full run of the 120 rows
+2-vCPU host, so a survivor costs that and a full run of the 123 rows
 about 12 minutes.
 """
 
@@ -623,6 +623,22 @@ MUTANTS = [
         "the CLI prints each diagnostic on a line of its own",
     ),
     (
+        "cli-usage-line",
+        "cli.py",
+        '        print(parser.format_usage(), end="", file=sys.stderr)\n',
+        "",
+        "an argument error or a missing parameter prints the usage line after"
+        " its message",
+    ),
+    (
+        "cli-decode-catch",
+        "cli.py",
+        "except (OSError, UnicodeDecodeError) as exc:",
+        "except OSError as exc:",
+        "a netlist that is not UTF-8 exits 2 as a file that cannot be read,"
+        " not with a UnicodeDecodeError traceback",
+    ),
+    (
         "block-pure-map",
         "engine.py",
         "multiply(two_g, v, i0_next)\n"
@@ -889,6 +905,15 @@ EQUIVALENT = [
         " are written to the rows; the residuals are checked at the end of the"
         " run all the same, so every result column and RunStats field is the"
         " same (compare_trees.py: 0 mismatches at 65)",
+    ),
+    (
+        "cli-parser-per-call",
+        "cli.py",
+        "@functools.cache\ndef build_parser():",
+        "def build_parser():",
+        "the cache only spares building the parser on every call: a parser"
+        " built per call parses every argument list and prints every usage"
+        " line the same",
     ),
     (
         "_CHUNK_ROWS",
