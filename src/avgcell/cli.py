@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# One parser serves every call in the process.
+# Built once per process: parse_args and format_usage leave the parser as it was.
 @functools.cache
 def build_parser():
     parser = _Parser(
